@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import BudgetExceeded, DegenerateForm, LabelsNotGroup, LengthMismatch, NotBh
-from .gf import field_make
+from .gf import _text_lines, field_make
 
 KRON_ORDER_LIMIT = 1 << 12
 
@@ -269,7 +269,7 @@ def bh_to_text(m: BhMatrix) -> str:
 
 
 def bh_from_text(text: str) -> BhMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = _text_lines(text)
     if not lines:
         raise ValueError("empty matrix file")
     head = lines[0].split()

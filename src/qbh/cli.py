@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 a verification failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import construct as con
@@ -26,7 +27,7 @@ from .bh import (
     row_equivalence,
 )
 from .errors import QbhError
-from .lincode import code_from_text
+from .lincode import code_from_text, iter_codewords
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -101,23 +102,23 @@ def _cmd_verify(args) -> int:
             print("error: classical codes do not generate this stabilizer file",
                   file=sys.stderr)
             return 2
-        fixed = True
-        for lam_word in _d_words(d_code):
-            state = sv.big_phi(code, d_code, rebuilt.table, lam_word)
-            for g in sc.generators:
-                if sv.apply(g, state) != state:
-                    fixed = False
+        states = [
+            sv.big_phi(code, d_code, rebuilt.table, lam_word)
+            for lam_word in iter_codewords(d_code)
+        ]
+        fixed = all(sv.apply(g, st) == st for st in states for g in sc.generators)
         print(f"phi_fixed={'yes' if fixed else 'no'}")
         if not fixed:
             return 1
-        print("span_equal=yes")
+        # Pairwise orthogonal fixed states span a subspace of the fixed
+        # space of dimension len(states); it is all of it iff that is fd.
+        equal = len(states) == fd and all(
+            sv.inner(x, y).is_zero for x, y in itertools.combinations(states, 2)
+        )
+        print(f"span_equal={'yes' if equal else 'no'}")
+        if not equal:
+            return 1
     return 0
-
-
-def _d_words(d_code):
-    from .lincode import iter_codewords
-
-    return iter_codewords(d_code)
 
 
 def _cmd_bh(args) -> int:

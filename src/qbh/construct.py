@@ -9,9 +9,9 @@ r(nm - ks), so the fixed space has dimension q^{ks}.
 
 Distances come in two independent flavours: ``distance`` evaluates the
 closed form min{d(C), ell} from the construction data, while
-``distance_bruteforce`` enumerates the symplectic centralizer and never
-looks at the construction data beyond the generator list.  The test
-suite holds the two against each other.
+``distance_bruteforce`` enumerates the symplectic centralizer, found as
+a nullspace from the generator list alone, and never reads the
+construction data.  The test suite holds the two against each other.
 """
 
 from __future__ import annotations
@@ -26,7 +26,16 @@ from .errors import (
     LengthMismatch,
 )
 from .functional import FunctionalTable, big_f_kernel, table_make, theta, validate_d
-from .gf import Field, field_make
+from .gf import (
+    Field,
+    _field_from_body,
+    _lane_pack,
+    _lane_span,
+    _lane_width,
+    _modulus_lines,
+    _text_lines,
+    field_make,
+)
 from .lincode import (
     LinearCode,
     coset_leader_weight,
@@ -210,54 +219,37 @@ def distance(sc: StabilizerCode) -> int:
 def centralizer_basis(sc: StabilizerCode) -> list:
     """F_p-basis of the symplectic centralizer of the generator rows.
 
-    With construction data the basis is structural: X-parts range over
-    C in each block, Z-parts over the theta lifts of an F_p-basis of D
-    together with dual words in each block, giving dimension r(nm + ks).
-    Without it the basis is the nullspace of the symplectic pairing
-    against the generators.  Every returned vector is checked to pair to
-    zero with every generator.
+    The basis is the nullspace of the symplectic pairing against the
+    generators, computed from the generator list alone, so built and
+    parsed codes take the same path and the brute-force distance never
+    reads construction data.  Every returned vector is checked to pair
+    to zero with every generator.
     """
     f = sc.field
-    n, m = sc.n, sc.m
+    prime = field_make(f.p, 1)
+    N = sc.num_qudits
+    r = f.degree
+    rows = []
+    for g in sc.generators:
+        # pairing of unknown (a|b) with g, as a functional on digits
+        row = [0] * (2 * N * r)
+        for i in range(N):
+            for d in range(r):
+                unit = f.from_digits(tuple(1 if t == d else 0 for t in range(r)))
+                # coefficient of a_i digit d: tr(g.b_i * unit) with minus sign
+                row[i * r + d] = (-f.trace_int(f.mul(g.b[i], unit))) % f.p
+                # coefficient of b_i digit d: tr(unit * g.a_i)
+                row[N * r + i * r + d] = f.trace_int(f.mul(unit, g.a[i]))
+        rows.append(tuple(row))
     out = []
-    if sc.code is not None:
-        zero_block = (0,) * (n * m)
-        for i in range(m):
-            for u in fp_basis(sc.code):
-                a = (0,) * (n * i) + tuple(u) + (0,) * (n * (m - 1 - i))
-                out.append(SymplecticVector(f, a, zero_block))
-        for lam_word in fp_basis(sc.d_code):
-            blocks = [theta(sc.table, lam) for lam in lam_word]
-            b = tuple(itertools.chain.from_iterable(blocks))
-            out.append(SymplecticVector(f, zero_block, b))
-        for i in range(m):
-            for u in fp_basis(dual(sc.code)):
-                b = (0,) * (n * i) + tuple(u) + (0,) * (n * (m - 1 - i))
-                out.append(SymplecticVector(f, zero_block, b))
-    else:
-        prime = field_make(f.p, 1)
-        N = sc.num_qudits
-        r = f.degree
-        rows = []
-        for g in sc.generators:
-            # pairing of unknown (a|b) with g, as a functional on digits
-            row = [0] * (2 * N * r)
-            for i in range(N):
-                for d in range(r):
-                    unit = f.from_digits(tuple(1 if t == d else 0 for t in range(r)))
-                    # coefficient of a_i digit d: tr(g.b_i * unit) with minus sign
-                    row[i * r + d] = (-f.trace_int(f.mul(g.b[i], unit))) % f.p
-                    # coefficient of b_i digit d: tr(unit * g.a_i)
-                    row[N * r + i * r + d] = f.trace_int(f.mul(unit, g.a[i]))
-            rows.append(tuple(row))
-        for vec in linalg.nullspace(prime, rows, 2 * N * r):
-            a = tuple(
-                f.from_digits(vec[i * r : (i + 1) * r]) for i in range(N)
-            )
-            b = tuple(
-                f.from_digits(vec[(N + i) * r : (N + i + 1) * r]) for i in range(N)
-            )
-            out.append(SymplecticVector(f, a, b))
+    for vec in linalg.nullspace(prime, rows, 2 * N * r):
+        a = tuple(
+            f.from_digits(vec[i * r : (i + 1) * r]) for i in range(N)
+        )
+        b = tuple(
+            f.from_digits(vec[(N + i) * r : (N + i + 1) * r]) for i in range(N)
+        )
+        out.append(SymplecticVector(f, a, b))
     for v in out:
         for g in sc.generators:
             if symp_ip_int(f, v.a, v.b, g.a, g.b):
@@ -267,133 +259,47 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     return out
 
 
-def _extend_basis(prime, base_flats, candidates):
-    """Greedy extension of an F_p row space; returns the added vectors."""
-    ech = {}
-
-    def insert(flat):
-        v = list(flat)
-        while True:
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is None:
-                return False
-            row = ech.get(lead)
-            if row is None:
-                inv = prime.inv(v[lead])
-                ech[lead] = [prime.mul(inv, x) for x in v]
-                return True
-            c = v[lead]
-            v = [prime.sub(x, prime.mul(c, y)) for x, y in zip(v, row)]
-
-    for flat in base_flats:
-        insert(flat)
-    added = []
-    for cand, flat in candidates:
-        if insert(flat):
-            added.append(cand)
-    return added
-
-
 def distance_bruteforce(sc: StabilizerCode, budget: int = ENUM_BUDGET) -> int:
     """Minimum symplectic weight over the centralizer, by enumeration.
 
-    The centralizer is walked as an F_p-space with the generator rows as
-    the fastest-moving digits, so membership in the stabilizer span is a
-    single index comparison: the first p^{dim S} elements are exactly
-    the span.  Weights are tracked incrementally; the minimum is taken
-    over elements outside the span when any exist, otherwise over the
-    nonzero span.
+    The walk basis starts with the echelon rows of the stabilizer span S
+    and goes on with the echelon form of the centralizer vectors reduced
+    against them.  The Gray-code walk over that basis reaches S first:
+    its first p^{dim S} elements are exactly the span.  The minimum is
+    taken over elements outside the span when any exist, otherwise over
+    the nonzero span.
     """
     f = sc.field
-    p = f.p
+    p, r, N = f.p, f.degree, sc.num_qudits
     prime = field_make(p, 1)
-    N = sc.num_qudits
-    gens = list(sc.generators)
-    gen_vecs = [(g.a, g.b) for g in gens]
-    gen_flat = [_flatten(f, g.a, g.b) for g in gens]
-    cent = centralizer_basis(sc)
-    cand = [((v.a, v.b), _flatten(f, v.a, v.b)) for v in cent]
-    ext = _extend_basis(prime, gen_flat, cand)
-    basis = gen_vecs + ext
-    dim = len(basis)
-    total = p ** dim
+    srows, pivots = sc._sbar()
+    rest, _ = linalg.rref(prime, [
+        linalg.reduce_vector(prime, srows, pivots, _flatten(f, v.a, v.b))
+        for v in centralizer_basis(sc)
+    ])
+    total = p ** (len(srows) + len(rest))
     if total > budget:
         raise BudgetExceeded(f"centralizer size {total} exceeds budget {budget}")
-    s_size = p ** len(gen_vecs)
-    if p == 2:
-        return _min_weight_walk_packed(f, N, basis, s_size, len(ext) > 0)
-    return _min_weight_walk(f, N, basis, s_size, len(ext) > 0)
-
-
-def _min_weight_walk(f, N, basis, s_size, want_outside):
-    p = f.p
-    dim = len(basis)
-    digits = [0] * dim
-    A = [0] * N
-    B = [0] * N
+    # Qudit i owns chunk i: the lanes of its a-digits, then of its b-digits.
+    w = _lane_width(p)
+    rows = [
+        _lane_pack([flat[(h * N + i) * r + d]
+                    for i in range(N) for h in (0, 1) for d in range(r)], w)
+        for flat in srows + rest
+    ]
+    chunk = 2 * r * w
+    ones = _lane_pack((1,) * N, chunk)
+    low = ones * ((1 << (chunk - 1)) - 1)
+    high = ones << (chunk - 1)
     best = N + 1
-
-    def bump(vec):
-        a, b = vec
-        for i in range(N):
-            if a[i]:
-                A[i] = f.add(A[i], a[i])
-            if b[i]:
-                B[i] = f.add(B[i], b[i])
-
-    for idx in range(1, p ** dim):
-        j = 0
-        while digits[j] == p - 1:
-            digits[j] = 0
-            bump(basis[j])  # 0 - (p-1) = 1 mod p, so a wrap adds once
-            j += 1
-        digits[j] += 1
-        bump(basis[j])
-        if want_outside and idx < s_size:
-            continue
-        w = sum(1 for i in range(N) if A[i] or B[i])
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
-
-
-def _min_weight_walk_packed(f, N, basis, s_size, want_outside):
-    """Characteristic 2: pack each qudit's (a, b) digits into one chunk and
-    walk the space in Gray-code order, one XOR per step."""
-    r = f.degree
-    chunk = 2 * r
-    mask = (1 << chunk) - 1
-    packed = []
-    for a, b in basis:
-        acc = 0
-        for i in range(N):
-            acc |= (a[i] | (b[i] << r)) << (i * chunk)
-        packed.append(acc)
-    dim = len(packed)
-    cur = 0
-    prev_gray = 0
-    best = N + 1
-    for idx in range(1, 1 << dim):
-        gray = idx ^ (idx >> 1)
-        bit = (gray ^ prev_gray).bit_length() - 1
-        prev_gray = gray
-        cur ^= packed[bit]
-        if want_outside and gray < s_size:
-            continue
-        w = 0
-        x = cur
-        while x:
-            if x & mask:
-                w += 1
-                if w >= best:
-                    break
-            x >>= chunk
-        if w < best:
-            best = w
-            if best == 1:
-                break
+    first = p ** len(srows) if rest else 1
+    for cur in itertools.islice(_lane_span(p, rows, 2 * N * r), first, None):
+        # one bit per nonzero chunk: its top bit, or a carry out of the rest
+        wt = ((((cur & low) + low) | cur) & high).bit_count()
+        if wt < best:
+            if wt == 1:
+                return 1
+            best = wt
     return best
 
 
@@ -442,10 +348,9 @@ def stab_to_text(sc: StabilizerCode) -> str:
     delta = sc.delta if sc.delta is not None else "-"
     lines = [
         f"{f.p} {f.degree} {sc.n} {sc.k} {sc.m} {sc.s}"
-        f" {sc.num_qudits} {sc.log_dim_exp} {delta}"
+        f" {sc.num_qudits} {sc.log_dim_exp} {delta}",
+        *_modulus_lines(f),
     ]
-    if f.degree > 1:
-        lines.append("modulus: " + " ".join(str(c) for c in f.modulus))
     for g in sc.generators:
         a = " ".join(str(x) for x in g.a)
         b = " ".join(str(x) for x in g.b)
@@ -454,7 +359,7 @@ def stab_to_text(sc: StabilizerCode) -> str:
 
 
 def stab_from_text(text: str) -> StabilizerCode:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = _text_lines(text)
     if not lines:
         raise ValueError("empty stabilizer file")
     head = lines[0].split()
@@ -464,12 +369,7 @@ def stab_from_text(text: str) -> StabilizerCode:
     delta = None if head[8] == "-" else int(head[8])
     if N != n * m or K != k * s:
         raise ValueError(f"header inconsistent: N != n*m or K != k*s in {head}")
-    body = lines[1:]
-    modulus = None
-    if body and body[0].startswith("modulus:"):
-        modulus = [int(c) for c in body[0].split(":", 1)[1].split()]
-        body = body[1:]
-    f = field_make(p, r, modulus)
+    f, body = _field_from_body(p, r, lines[1:])
     gens = []
     for ln in body:
         if "|" not in ln:

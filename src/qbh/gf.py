@@ -16,6 +16,8 @@ to ``field_make(p, t)`` agree everywhere.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import BudgetExceeded, NoEmbedding, NotPrime, ReducibleModulus
 
 # Elements are packed into machine ints; keep orders desk-sized.
@@ -106,6 +108,79 @@ def _pack_digits(digs, p):
     for d in reversed(digs):
         v = v * p + d
     return v
+
+
+# --- lane packing --------------------------------------------------------
+# A vector over F_{p^t} packs into one int with one F_p digit per bit
+# lane, lane i holding digit i of the flat digit vector.  Lanes are 1 bit
+# wide at p = 2, where addition is XOR.  For odd p a lane is w =
+# (p-1).bit_length() + 1 bits wide, so a lane sum s <= 2p - 2 never
+# carries into the next lane, and adding 2^(w-1) - p sets the top bit of
+# exactly the lanes where s >= p, which then drop p (SWAR; Warren,
+# Hacker's Delight, ch. 2).  The adder at p = 2 is the builtin XOR, so
+# hot loops call the adder at every p.
+
+
+def _lane_width(p):
+    return 1 if p == 2 else (p - 1).bit_length() + 1
+
+
+def _lane_pack(digs, w):
+    v = 0
+    for d in reversed(digs):
+        v = (v << w) | d
+    return v
+
+
+def _lane_adder(p, lanes):
+    """Lanewise addition mod p of two packed vectors of ``lanes`` lanes."""
+    if p == 2:
+        return operator.xor
+    w = _lane_width(p)
+    ones = _lane_pack((1,) * lanes, w)
+    bias = ones * ((1 << (w - 1)) - p)
+    high = ones << (w - 1)
+    shift = w - 1
+
+    def add(x, y):
+        s = x + y
+        return s - (((s + bias) & high) >> shift) * p
+
+    return add
+
+
+def _valuation(i, p):
+    j = 0
+    while i % p == 0:
+        i //= p
+        j += 1
+    return j
+
+
+def _lane_span(p, rows, lanes):
+    """Every F_p-combination of the packed ``rows``, zero first.
+
+    The order is the modular p-ary Gray code: step idx adds row v_p(idx),
+    the p-adic valuation of idx.  With d the base-p digits of idx, step
+    idx lands on the combination with coefficient d_j - d_{j+1} mod p on
+    row j, so each combination comes once, and it lies in the span of
+    the first s rows exactly when idx < p^s.  The valuations come from a
+    table of at most 4096 steps, reused block by block.
+    """
+    dim = len(rows)
+    rows = [*rows, 0]
+    low = 0
+    while low < dim and p ** (low + 1) <= 4096:
+        low += 1
+    steps = [dim] + [_valuation(i, p) for i in range(1, p ** low)]
+    add = _lane_adder(p, lanes)
+    cur = 0
+    for block in range(p ** (dim - low)):
+        if block:
+            steps[0] = low + _valuation(block, p)
+        for j in steps:
+            cur = add(cur, rows[j])
+            yield cur
 
 
 # --- the field itself --------------------------------------------------
@@ -407,7 +482,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.field.degree, self.field.modulus, self.value))
+        return hash(self.value)  # equal ints must hash alike
 
     def __repr__(self):
         return f"{self.field!r}:{self.value}"
@@ -468,8 +543,31 @@ def embed(x: FieldElement, target: Field) -> FieldElement:
 # Line 1: "p t".  Optional line 2: "t+1 modulus coefficients, constant first".
 
 
+def _text_lines(text: str) -> list:
+    """The lines of a text format, stripped, without blanks and # comments."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
+def _modulus_lines(field: Field) -> list:
+    """The optional 'modulus:' line of the code and stabilizer formats."""
+    if field.degree == 1:
+        return []
+    return ["modulus: " + " ".join(str(c) for c in field.modulus)]
+
+
+def _field_from_body(p: int, t: int, body: list):
+    """GF(p^t), with the modulus of a leading 'modulus:' line if ``body``
+    has one; returns the field and the lines after it."""
+    modulus = None
+    if body and body[0].startswith("modulus:"):
+        modulus = [int(c) for c in body[0].split(":", 1)[1].split()]
+        body = body[1:]
+    return field_make(p, t, modulus), body
+
+
 def field_from_spec(text: str) -> Field:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = _text_lines(text)
     if not lines:
         raise ValueError("empty field spec")
     head = lines[0].split()

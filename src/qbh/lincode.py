@@ -14,7 +14,7 @@ import itertools
 
 from . import linalg
 from .errors import BudgetExceeded, LengthMismatch, NotACodeword, ZeroCode
-from .gf import Field, field_make
+from .gf import Field, _field_from_body, _modulus_lines, _text_lines
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -198,28 +198,21 @@ def coset_leader_weight(code: LinearCode, v, budget: int = DEFAULT_BUDGET) -> in
 
 def code_to_text(code: LinearCode) -> str:
     f = code.field
-    lines = [f"{f.p} {f.degree} {code.n} {code.k}"]
-    if f.degree > 1:
-        lines.append("modulus: " + " ".join(str(c) for c in f.modulus))
+    lines = [f"{f.p} {f.degree} {code.n} {code.k}", *_modulus_lines(f)]
     for row in code.gen:
         lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
 def code_from_text(text: str) -> LinearCode:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = _text_lines(text)
     if not lines:
         raise ValueError("empty code file")
     head = lines[0].split()
     if len(head) != 4:
         raise ValueError("code file header must be 'p t n k'")
     p, t, n, k = (int(x) for x in head)
-    body = lines[1:]
-    modulus = None
-    if body and body[0].startswith("modulus:"):
-        modulus = [int(c) for c in body[0].split(":", 1)[1].split()]
-        body = body[1:]
-    field = field_make(p, t, modulus)
+    field, body = _field_from_body(p, t, lines[1:])
     if len(body) != k:
         raise ValueError(f"expected {k} generator rows, found {len(body)}")
     rows = [[int(x) for x in ln.split()] for ln in body]

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, NotACodeword
-from .gf import FieldElement
+from .gf import FieldElement, _lane_adder, _lane_pack, _lane_span, _lane_width
 from .lincode import LinearCode, contains, iter_codewords
 from .pauli import PauliElement, phase_modulus
 
@@ -511,63 +511,26 @@ def fix_dim(s) -> int:
         return f.order ** n
     modulus = phase_modulus(f)
     mult = 2 if f.p == 2 else 1
-    if f.p == 2:
-        return _fix_dim_packed(f, n, gens, modulus)
-    trace_mul = [
-        [[f.trace_int(f.mul(bi, x)) for x in range(f.order)] for bi in g.b]
-        for g in gens
-    ]
-    moves = [g.a for g in gens]
-    phases = [g.phase for g in gens]
-    phase_of = {}
-    dim = 0
-    for start in itertools.product(range(f.order), repeat=n):
-        if start in phase_of:
-            continue
-        phase_of[start] = 0
-        stack = [start]
-        ok = True
-        while stack:
-            x = stack.pop()
-            base = phase_of[x]
-            for j, a in enumerate(moves):
-                y = tuple(f.add(xi, ai) for xi, ai in zip(x, a))
-                tr = sum(trace_mul[j][i][xi] for i, xi in enumerate(x))
-                ph = (base + phases[j] + mult * tr) % modulus
-                seen = phase_of.get(y)
-                if seen is None:
-                    phase_of[y] = ph
-                    stack.append(y)
-                elif seen != ph:
-                    ok = False
-        if ok:
-            dim += 1
-    return dim
-
-
-def _fix_dim_packed(f, n: int, gens, modulus: int):
-    """Characteristic-2 path: labels pack into ints and X shifts are XOR."""
-    r = f.degree
-    mask = f.order - 1
-    shifts = [(n - 1 - i) * r for i in range(n)]
-
-    def pack(vec):
-        acc = 0
-        for x, sh in zip(vec, shifts):
-            acc |= x << sh
-        return acc
-
-    moves, tables, phases = [], [], []
+    p, r = f.p, f.degree
+    # Labels are lane-packed, coordinate i in chunk i of r lanes; the
+    # trace tables are keyed by the lane code of one coordinate.
+    w = _lane_width(p)
+    lane_code = [_lane_pack(f.digits(x), w) for x in range(f.order)]
+    cmask = (1 << (r * w)) - 1
+    moves = []
     for g in gens:
-        moves.append(pack(g.a))
-        tables.append(
-            [[2 * f.trace_int(f.mul(bi, x)) for x in range(f.order)] for bi in g.b]
-        )
-        phases.append(g.phase)
-    total = f.order ** n
+        terms = [
+            (i * r * w,
+             {lane_code[x]: mult * f.trace_int(f.mul(bi, x)) for x in range(f.order)})
+            for i, bi in enumerate(g.b) if bi
+        ]
+        a = _lane_pack([d for ai in g.a for d in f.digits(ai)], w)
+        moves.append((a, g.phase, terms))
+    add = _lane_adder(p, n * r)
+    units = [1 << (i * w) for i in range(n * r)]
     phase_of = {}
     dim = 0
-    for start in range(total):
+    for start in _lane_span(p, units, n * r):
         if start in phase_of:
             continue
         phase_of[start] = 0
@@ -576,12 +539,12 @@ def _fix_dim_packed(f, n: int, gens, modulus: int):
         while stack:
             x = stack.pop()
             base = phase_of[x]
-            for mv, tab, gp in zip(moves, tables, phases):
-                y = x ^ mv
-                tr2 = 0
-                for sh, trow in zip(shifts, tab):
-                    tr2 += trow[(x >> sh) & mask]
-                ph = (base + gp + tr2) % modulus
+            for a, phase, terms in moves:
+                y = add(x, a)
+                ph = base + phase
+                for shift, table in terms:
+                    ph += table[(x >> shift) & cmask]
+                ph %= modulus
                 seen = phase_of.get(y)
                 if seen is None:
                     phase_of[y] = ph

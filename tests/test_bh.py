@@ -252,3 +252,8 @@ def test_text_roundtrip():
     assert m2.row_labels == m.row_labels
     assert m2.col_labels == m.col_labels
     assert m2.p == 3 and m2.order == 9
+
+
+def test_text_skips_indented_comments():
+    m = bh_from_text("2 2\n  # Fourier\n0 0\n\t# second row\n0 1\n")
+    assert m.rows == kron_fourier(2, 1).rows

@@ -2,11 +2,13 @@
 
 import pytest
 
+from qbh import statevec as sv
 from qbh.bh import BhMatrix, bh_to_text, kron_fourier
 from qbh.cli import main
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text
 from qbh.gf import field_make
 from qbh.lincode import code_make, code_to_text
+from qbh.statevec import CycAmp
 
 import helpers
 
@@ -114,6 +116,20 @@ def test_verify_statevec(tmp_path, capsys):
     assert "fix_dim=2 expected=2" in got
     assert "phi_fixed=yes" in got
     assert "span_equal=yes" in got
+
+
+def test_verify_statevec_span_equal_needs_orthogonal_states(tmp_path, capsys, monkeypatch):
+    c = _write(tmp_path, "c.txt", FOUR_C)
+    d = _write(tmp_path, "d.txt", FOUR_D)
+    out = str(tmp_path / "four.stab")
+    main(["construct", "-c", c, "-d", d, "-o", out])
+    capsys.readouterr()
+    monkeypatch.setattr(sv, "inner", lambda v, w: CycAmp.one(v.field.p))
+    rc = main(["verify", out, "--statevec", "-c", c, "-d", d])
+    got = capsys.readouterr().out
+    assert rc == 1
+    assert "phi_fixed=yes" in got
+    assert "span_equal=no" in got
 
 
 def test_verify_statevec_without_codes(tmp_path, capsys):

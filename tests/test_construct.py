@@ -12,8 +12,8 @@ from qbh.errors import (
     LengthMismatch,
 )
 from qbh.gf import field_make
-from qbh.lincode import code_make, contains, dual
-from qbh.functional import table_make
+from qbh.lincode import code_make, contains, dual, fp_basis
+from qbh.functional import table_make, theta
 from qbh.pauli import PauliElement, swt, symp_ip, x_op, z_op
 from qbh import linalg
 from qbh.construct import (
@@ -166,14 +166,32 @@ def psi_of(g):
 
 
 def test_centralizer_generic_path_matches_structural_dimension():
-    sc = build(*helpers.four_one_pair())
-    parsed = stab_from_text(stab_to_text(sc))
-    assert parsed.code is None
-    structural = centralizer_basis(sc)
-    generic = centralizer_basis(parsed)
-    flats_s = [tuple(v.a) + tuple(v.b) for v in structural]
-    flats_g = [tuple(v.a) + tuple(v.b) for v in generic]
-    assert rowspace(F2, flats_s) == rowspace(F2, flats_g)
+    # The oracle is the structural centralizer of the construction: C in
+    # each block as X-parts; as Z-parts the theta lifts of an F_p-basis
+    # of D and the dual words of C in each block.
+    for pair in (helpers.four_one_pair(), helpers.shor_pair()):
+        sc = build(*pair)
+        n, m = sc.n, sc.m
+        zero = (0,) * (n * m)
+
+        def block(u, i):
+            return (0,) * (n * i) + tuple(u) + (0,) * (n * (m - 1 - i))
+
+        structural = [block(u, i) + zero for i in range(m) for u in fp_basis(sc.code)]
+        structural += [
+            zero + tuple(itertools.chain.from_iterable(theta(sc.table, lam) for lam in word))
+            for word in fp_basis(sc.d_code)
+        ]
+        structural += [
+            zero + block(u, i) for i in range(m) for u in fp_basis(dual(sc.code))
+        ]
+        expected = rowspace(F2, structural)
+        assert len(expected) == sc.field.degree * (n * m + sc.k * sc.s)
+        parsed = stab_from_text(stab_to_text(sc))
+        assert parsed.code is None
+        for code in (sc, parsed):
+            flats = [tuple(v.a) + tuple(v.b) for v in centralizer_basis(code)]
+            assert rowspace(F2, flats) == expected
 
 
 def test_distance_bruteforce_examples():
@@ -183,6 +201,14 @@ def test_distance_bruteforce_examples():
     assert distance_bruteforce(sc41) == 2
     sc3 = build(*helpers.nine_qutrit_pair())
     assert distance_bruteforce(sc3) == 3
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_distance_bruteforce_repetition_pair_beyond_ternary(p):
+    f = field_make(p, 1)
+    sc = build(helpers.repetition(f, 2), helpers.repetition(f, 2))
+    parsed = stab_from_text(stab_to_text(sc))
+    assert distance(sc) == distance_bruteforce(parsed) == 2
 
 
 def test_distance_bruteforce_budget():
@@ -290,6 +316,13 @@ def test_stab_text_roundtrip_extension_field():
     sc = build(c, d)
     parsed = stab_from_text(stab_to_text(sc))
     assert parsed.field is q4
+    assert [(g.a, g.b) for g in parsed.generators] == [(g.a, g.b) for g in sc.generators]
+
+
+def test_stab_text_skips_indented_comments():
+    sc = build(*helpers.four_one_pair())
+    head, *body = stab_to_text(sc).splitlines()
+    parsed = stab_from_text("\n".join([head, "   # generators follow", *body]))
     assert [(g.a, g.b) for g in parsed.generators] == [(g.a, g.b) for g in sc.generators]
 
 

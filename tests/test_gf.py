@@ -3,11 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbh.errors import BudgetExceeded, NoEmbedding, NotPrime, ReducibleModulus
 from qbh.gf import (
     FIELD_SIZE_LIMIT,
     FieldElement,
+    _lane_adder,
+    _lane_pack,
+    _lane_span,
+    _lane_width,
     embed,
     field_from_spec,
     field_make,
@@ -217,6 +223,54 @@ def test_spec_roundtrip():
         f = field_make(p, t)
         g = field_from_spec(field_to_spec(f))
         assert g is f  # memoized construction
+
+
+def test_spec_skips_indented_comments():
+    assert field_from_spec("3 2\n  # the default modulus follows\n1 0 1\n") is field_make(3, 2)
+
+
+def test_element_hashes_like_its_int():
+    f = field_make(2, 2)
+    x = f.element(3)
+    assert x == 3 and hash(x) == hash(3)
+    assert 3 in {x} and x in {3}
+    assert {x: "a"}[3] == "a"
+    assert {3: "b"}[x] == "b"
+    assert {f.element(v) for v in range(4)} == set(range(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lane_add_matches_field_add(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]), label="p")
+    r = data.draw(st.integers(1, 3), label="r")
+    n = data.draw(st.integers(1, 6), label="n")
+    f = field_make(p, r)
+    vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
+    x, y = data.draw(vec, label="x"), data.draw(vec, label="y")
+    w = _lane_width(p)
+
+    def pack(v):
+        return _lane_pack([d for e in v for d in f.digits(e)], w)
+
+    add = _lane_adder(p, n * r)
+    assert add(pack(x), pack(y)) == pack([f.add(a, b) for a, b in zip(x, y)])
+
+
+@pytest.mark.parametrize("p,dim", [(2, 3), (3, 4), (5, 3), (2, 13), (3, 9)])
+def test_lane_span_visits_each_combination_once_span_prefix_first(p, dim):
+    # dim 13 at p = 2 and dim 9 at p = 3 run past one 4096-step block
+    w = _lane_width(p)
+    rows = [1 << (i * w) for i in range(dim)]
+    walk = list(_lane_span(p, rows, dim))
+    assert walk[0] == 0
+    assert len(walk) == len(set(walk)) == p ** dim
+    assert set(walk) == {
+        _lane_pack(digs, w) for digs in itertools.product(range(p), repeat=dim)
+    }
+    for s in range(dim + 1):
+        # the first p^s elements are exactly the span of the first s rows
+        assert all(x >> (s * w) == 0 for x in walk[: p ** s])
 
 
 def test_field_cache_returns_same_object():

@@ -222,6 +222,11 @@ def test_text_roundtrip_extension_field_keeps_modulus():
     assert c2.field is F4
 
 
+def test_text_skips_indented_comments():
+    c = code_from_text("2 1 3 1\n  # c\n1 1 1\n")
+    assert c.gen == ((1, 1, 1),)
+
+
 def test_text_rejects_garbage():
     with pytest.raises(Exception):
         code_from_text("not a header\n")

@@ -10,7 +10,7 @@ from qbh.gf import field_make
 from qbh.lincode import code_make, codewords, dual
 from qbh.functional import table_make, table_matrix
 from qbh.pauli import PauliElement, identity, psi, x_op, z_op
-from qbh.construct import build
+from qbh.construct import build, stab_from_text, stab_to_text
 from qbh.statevec import (
     LABEL_BUDGET,
     CycAmp,
@@ -363,6 +363,22 @@ def test_fix_dim_shor_and_ternary():
     assert oracles.fix_dim_by_counting(F2, 9, sc.generators) == 2
     sc3 = build(*helpers.nine_qutrit_pair())
     assert fix_dim(sc3) == 3
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fix_dim_repetition_pair_beyond_ternary(p):
+    f = field_make(p, 1)
+    sc = build(helpers.repetition(f, 2), helpers.repetition(f, 2))
+    parsed = stab_from_text(stab_to_text(sc))
+    assert fix_dim(parsed) == oracles.fix_dim_by_counting(f, 4, parsed.generators) == p
+
+
+def test_fix_dim_large_qudit():
+    # one GF(3^8) qudit: lane codes span 24 bits, so trace tables sized
+    # by lane code rather than by the 6561 elements would not fit
+    f = field_make(3, 8)
+    gens = [z_op(f, (5,)), z_op(f, (7,))]  # 7 = 2 * 5, so one constraint
+    assert fix_dim(gens) == oracles.fix_dim_by_counting(f, 1, gens) == 2187
 
 
 def test_fix_dim_budget_guard():
