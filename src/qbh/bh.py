@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import BudgetExceeded, DegenerateForm, LabelsNotGroup, LengthMismatch, NotBh
-from .gf import _text_lines, field_make
+from .gf import _text_lines, _unpack_digits, field_make
 
 KRON_ORDER_LIMIT = 1 << 12
 
@@ -92,13 +92,7 @@ def kron_fourier(p: int, t: int) -> BhMatrix:
     order = p ** t
     if order > KRON_ORDER_LIMIT:
         raise BudgetExceeded(f"order {p}^{t} exceeds limit {KRON_ORDER_LIMIT}")
-    digs = []
-    for v in range(order):
-        d, x = [], v
-        for _ in range(t):
-            x, r = divmod(x, p)
-            d.append(r)
-        digs.append(tuple(d))
+    digs = [_unpack_digits(v, p, t) for v in range(order)]
     rows = [
         tuple(sum(a * b for a, b in zip(digs[x], digs[y])) % p for y in range(order))
         for x in range(order)
@@ -157,14 +151,6 @@ def row_equivalence(m1: BhMatrix, m2: BhMatrix):
     return tuple(perm), tuple(shifts)
 
 
-def _label_digits(v, p, t):
-    d, x = [], v
-    for _ in range(t):
-        x, r = divmod(x, p)
-        d.append(r)
-    return tuple(d)
-
-
 def linear_rows_check(m: BhMatrix) -> bool:
     """Is every row additive as a function of the column labels?
 
@@ -182,7 +168,7 @@ def linear_rows_check(m: BhMatrix) -> bool:
     if sorted(labels) != list(range(order)):
         raise LabelsNotGroup("column labels must enumerate 0 .. p^t - 1")
     pos = {lab: j for j, lab in enumerate(labels)}
-    digs = [_label_digits(v, p, t) for v in range(order)]
+    digs = [_unpack_digits(v, p, t) for v in range(order)]
     packed_sum = {}
     for x in range(order):
         for y in range(x, order):
@@ -243,7 +229,7 @@ def form_matrix(form: BilinearForm, scalar: int) -> BhMatrix:
     if order > KRON_ORDER_LIMIT:
         raise BudgetExceeded(f"order {p}^{t} exceeds limit {KRON_ORDER_LIMIT}")
     a = scalar % p
-    digs = [_label_digits(v, p, t) for v in range(order)]
+    digs = [_unpack_digits(v, p, t) for v in range(order)]
     rows = [
         tuple((a * form.apply(digs[x], digs[y])) % p for y in range(order))
         for x in range(order)

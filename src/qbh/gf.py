@@ -4,7 +4,10 @@ An element of F_{p^t} is a packed integer in [0, p^t): the base-p digits
 of the integer are the coefficients of the residue polynomial, constant
 term first.  Every field precomputes exp/log tables over a generator at
 construction time, so multiplication, inversion, Frobenius and trace are
-table lookups on plain ints.  ``FieldElement`` is a thin wrapper over
+table lookups on plain ints.  Addition is O(1) at every order with no
+dense table: XOR of the packed digits at p = 2, and at odd p a lookup in
+the Zech logarithms log(1 + g^i) (Lidl & Niederreiter, ch. 9), which
+turns a + b into a (1 + b/a).  ``FieldElement`` is a thin wrapper over
 (field, value) used at API boundaries; hot loops call the int-level
 methods on ``Field`` directly.
 
@@ -195,7 +198,7 @@ class Field:
 
     __slots__ = (
         "p", "degree", "order", "modulus",
-        "_exp", "_log", "_trace", "_frob", "_add", "_neg", "_embed_cache",
+        "_exp", "_log", "_zech", "_trace", "_frob", "_embed_cache",
     )
 
     def __init__(self, p: int, degree: int, modulus: tuple):
@@ -216,8 +219,6 @@ class Field:
 
     def _build_tables(self):
         order = self.order
-        self._add = None
-        self._neg = None
         # exp/log over the smallest multiplicative generator
         exp = None
         for g in range(1, order):
@@ -238,6 +239,13 @@ class Field:
         self._log = log
 
         p, t = self.p, self.degree
+        # Zech logarithms zech[i] = log(1 + g^i); adding 1 bumps only the
+        # constant digit, so there is no carry.  None marks 1 + g^i = 0.
+        self._zech = None
+        if p != 2 and t > 1:
+            bumped = (v - v % p + (v + 1) % p for v in exp)
+            self._zech = [log[w] if w else None for w in bumped]
+
         frob = [0] * order
         for a in range(order):
             frob[a] = exp[(log[a] * p) % (order - 1)] if a else 0
@@ -252,39 +260,28 @@ class Field:
             trace[a] = acc  # lies in the prime subfield, so acc < p
         self._trace = trace
 
-        # dense add/neg tables pay off only on small fields
-        if order <= 512 and t > 1:
-            neg = [self._neg_slow(a) for a in range(order)]
-            add = [[self._add_slow(a, b) for b in range(order)] for a in range(order)]
-            self._add, self._neg = add, neg
-        else:
-            self._add, self._neg = None, None
-
-    def _add_slow(self, a, b):
-        p = self.p
-        da = _unpack_digits(a, p, self.degree)
-        db = _unpack_digits(b, p, self.degree)
-        return _pack_digits(tuple((x + y) % p for x, y in zip(da, db)), p)
-
-    def _neg_slow(self, a):
-        p = self.p
-        return _pack_digits(tuple((-x) % p for x in _unpack_digits(a, p, self.degree)), p)
-
     # -- int-level arithmetic
 
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.degree == 1:
             return (a + b) % self.p
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_slow(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        # a + b = a (1 + b/a) = g^(log a + zech(log b - log a))
+        n = self.order - 1
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % n]
+        return 0 if z is None else self._exp[(la + z) % n]
 
     def neg(self, a: int) -> int:
-        if self.degree == 1:
-            return (-a) % self.p
-        if self._neg is not None:
-            return self._neg[a]
-        return self._neg_slow(a)
+        """a times -1 = p - 1, which is the identity at p = 2."""
+        if self.p == 2:
+            return a
+        return self.mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -11,10 +11,13 @@ state, never as a float.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
+from . import linalg
 from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, NotACodeword
-from .gf import FieldElement, _lane_adder, _lane_pack, _lane_span, _lane_width
+from .gf import FieldElement, _lane_adder, _lane_pack, _lane_span, _lane_width, _unpack_digits
 from .lincode import LinearCode, contains, iter_codewords
 from .pauli import PauliElement, phase_modulus
 
@@ -186,14 +189,6 @@ def phi(code: LinearCode, table, lam) -> StateVector:
     return StateVector(f, code.n, amps, scale=f.degree * code.k)
 
 
-def _label_to_message(label: int, q: int, k: int):
-    msg = []
-    for _ in range(k):
-        label, low = divmod(label, q)
-        msg.append(low)
-    return tuple(reversed(msg))
-
-
 def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
     """Row ``row`` of a BH matrix read as a state on the codewords of C.
 
@@ -216,7 +211,7 @@ def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
     amps = {}
     row_entries = matrix.rows[row]
     for col, label in enumerate(matrix.col_labels):
-        word = encode(code, _label_to_message(label, q, code.k))
+        word = encode(code, _unpack_digits(label, q, code.k)[::-1])
         amps[word] = CycAmp.root(f.p, mult * row_entries[col])
     return StateVector(f, code.n, amps, scale=f.degree * code.k)
 
@@ -313,96 +308,20 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
     return out
 
 
-# -- fraction-field row reduction for span comparison
-
-def _ff_zero(p):
-    return (Fraction(0),) * (2 if p == 2 else p - 1)
-
-
-def _ff_from_amp(amp: CycAmp):
-    p = amp.p
-    if p == 2:
-        return tuple(Fraction(c) for c in amp.coeffs)
-    return tuple(Fraction(c) for c in amp.coeffs[: p - 1])
-
-
-def _ff_mul(p, u, v):
-    if p == 2:
-        a, b = u
-        c, d = v
-        return (a * c - b * d, a * d + b * c)
-    out = [Fraction(0)] * p
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    out[(i + j) % p] += a * b
-    last = out[p - 1]
-    return tuple(out[i] - last for i in range(p - 1))
-
-
-def _ff_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _ff_inv(p, u):
-    if p == 2:
-        a, b = u
-        d = a * a + b * b
-        return (a / d, -b / d)
-    dim = p - 1
-    # columns of the multiplication-by-u matrix over the power basis
-    cols = []
-    for j in range(dim):
-        unit = tuple(Fraction(1 if i == j else 0) for i in range(dim))
-        cols.append(_ff_mul(p, u, unit))
-    rows = [[cols[j][i] for j in range(dim)] + [Fraction(1 if i == 0 else 0)] for i in range(dim)]
-    for c in range(dim):
-        piv = next(r for r in range(c, dim) if rows[r][c])
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for r in range(dim):
-            if r != c and rows[r][c]:
-                factor = rows[r][c]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
-    return tuple(rows[i][dim] for i in range(dim))
-
-
-def _ff_rref(p, matrix):
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    zero = _ff_zero(p)
-    rank = 0
-    for col in range(ncols):
-        piv = next(
-            (r for r in range(rank, nrows) if rows[r][col] != zero), None
-        )
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = _ff_inv(p, rows[rank][col])
-        rows[rank] = [_ff_mul(p, inv, x) for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] != zero:
-                factor = rows[r][col]
-                rows[r] = [
-                    _ff_sub(x, _ff_mul(p, factor, y))
-                    for x, y in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-        if rank == nrows:
-            break
-    return [tuple(r) for r in rows[:rank]]
+# Q as the field that linalg.rref reduces over; Fraction(0) is falsy.
+_RATIONALS = SimpleNamespace(inv=lambda x: 1 / x, mul=operator.mul, sub=operator.sub)
 
 
 def span_equal(states_a, states_b) -> bool:
     """Equality of row spaces over the field Q(w), computed exactly.
 
-    Scale exponents are ignored; a global nonzero scalar never moves a
-    span.  Reduction runs over the union support, so disjointly
-    supported nonzero states compare unequal without special casing.
+    A Q(w)-span is the Q-span of the w-multiples of its vectors, so each
+    state gives deg rational rows, w^j v for j < deg, read in the power
+    basis of Q(w) (deg = 2 at p = 2, p - 1 otherwise), and the spans are
+    compared by their reduced echelon forms over Q.  Scale exponents are
+    ignored; a global nonzero scalar never moves a span.  Reduction runs
+    over the union support, so disjointly supported nonzero states
+    compare unequal without special casing.
     """
     states_a, states_b = list(states_a), list(states_b)
     if not states_a or not states_b:
@@ -416,15 +335,18 @@ def span_equal(states_a, states_b) -> bool:
     if len(support) * (len(states_a) + len(states_b)) > SPAN_BUDGET:
         raise BudgetExceeded("span comparison beyond budget")
     p = f.p
-    zero = _ff_zero(p)
+    deg = 2 if p == 2 else p - 1
+    zero = CycAmp.zero(p)
 
-    def as_matrix(states):
-        return [
-            [_ff_from_amp(v.amps[s]) if s in v.amps else zero for s in support]
+    def echelon(states):
+        rows = [
+            [Fraction(c) for s in support for c in v.amps.get(s, zero).rot(j).coeffs[:deg]]
             for v in states
+            for j in range(deg)
         ]
+        return linalg.rref(_RATIONALS, rows)[0]
 
-    return _ff_rref(p, as_matrix(states_a)) == _ff_rref(p, as_matrix(states_b))
+    return echelon(states_a) == echelon(states_b)
 
 
 def _phase_of_ratio(modulus, target: CycAmp, source: CycAmp):

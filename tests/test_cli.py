@@ -132,6 +132,25 @@ def test_verify_statevec_span_equal_needs_orthogonal_states(tmp_path, capsys, mo
     assert "span_equal=no" in got
 
 
+def test_verify_statevec_orthogonality_checks_single_block_states(tmp_path, capsys, monkeypatch):
+    # C = [3,2]_2 and D = [3,2]_4: 16 code states, but only the q^k = 4
+    # phi states of one block are compared, in 4 * 3 / 2 = 6 pairs
+    c = _write(tmp_path, "c.txt", "2 1 3 2\n1 0 1\n0 1 1\n")
+    d = _write(tmp_path, "d.txt", "2 2 3 2\nmodulus: 1 1 1\n1 0 1\n0 1 2\n")
+    out = str(tmp_path / "nine.stab")
+    main(["construct", "-c", c, "-d", d, "-o", out])
+    capsys.readouterr()
+    calls = []
+    inner = sv.inner
+    monkeypatch.setattr(sv, "inner", lambda v, w: calls.append(1) or inner(v, w))
+    rc = main(["verify", out, "--statevec", "-c", c, "-d", d])
+    got = capsys.readouterr().out
+    assert rc == 0
+    assert "fix_dim=16 expected=16" in got
+    assert "span_equal=yes" in got
+    assert 0 < len(calls) <= 4 * 3 // 2
+
+
 def test_verify_statevec_without_codes(tmp_path, capsys):
     c = _write(tmp_path, "c.txt", FOUR_C)
     d = _write(tmp_path, "d.txt", FOUR_D)

@@ -1,6 +1,7 @@
 """Field tower arithmetic: construction, traces, embeddings, wire format."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +256,54 @@ def test_lane_add_matches_field_add(data):
 
     add = _lane_adder(p, n * r)
     assert add(pack(x), pack(y)) == pack([f.add(a, b) for a, b in zip(x, y)])
+
+
+def _digit_sum(p, t, a, b, sign):
+    """a + sign * b by base-p digits mod p: the oracle for Field.add/sub."""
+    out, scale = 0, 1
+    for _ in range(t):
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += ((da + sign * db) % p) * scale
+        scale *= p
+    return out
+
+
+def _check_add_neg_sub(f, pairs):
+    p, t = f.p, f.degree
+    for a, b in pairs:
+        assert f.add(a, b) == _digit_sum(p, t, a, b, 1)
+        assert f.sub(a, b) == _digit_sum(p, t, a, b, -1)
+        assert f.neg(b) == _digit_sum(p, t, 0, b, -1)
+
+
+@pytest.mark.parametrize(
+    "p,t", [(7, 3), (2, 9), (3, 6), (2, 10), (11, 3), (2, 12), (3, 8)]
+)
+def test_add_neg_sub_match_digit_oracle_across_old_table_threshold(p, t):
+    # orders 343 .. 6561 straddle 512, where a dense add table used to end
+    f = field_make(p, t)
+    rng = random.Random(p ** t)
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(2000)]
+    pairs += [(0, a) for a in f.elements()] + [(a, 0) for a in f.elements()]
+    _check_add_neg_sub(f, pairs)
+    for a in f.elements():
+        assert f.add(a, f.neg(a)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_add_neg_sub_match_digit_oracle_property(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]), label="p")
+    t_max = 1
+    while p ** (t_max + 1) <= 4096:
+        t_max += 1
+    t = data.draw(st.integers(1, t_max), label="t")
+    f = field_make(p, t)
+    elem = st.integers(0, f.order - 1)
+    a, b = data.draw(elem, label="a"), data.draw(elem, label="b")
+    _check_add_neg_sub(f, [(a, b), (b, a), (a, a), (0, a), (a, 0)])
+    assert f.add(a, f.neg(a)) == 0
 
 
 @pytest.mark.parametrize("p,dim", [(2, 3), (3, 4), (5, 3), (2, 13), (3, 9)])
