@@ -27,9 +27,7 @@ from .bh import (
     row_equivalence,
 )
 from .errors import QbhError
-from .lincode import code_from_text, iter_codewords
-
-DEFAULT_BUDGET = 1 << 22
+from .lincode import DEFAULT_BUDGET, code_from_text, iter_codewords
 
 
 def _read(path: str) -> str:
@@ -41,6 +39,22 @@ def _load_pair(args):
     code = code_from_text(_read(args.code))
     d_code = code_from_text(_read(args.d_code))
     return code, d_code
+
+
+def _rebuild(args, sc):
+    """The code built from -c and -d, or None when neither is given.
+
+    Both files must be given, and the pair must generate the same
+    symplectic rows as the stabilizer export ``sc``.
+    """
+    if not (args.code or args.d_code):
+        return None
+    if not (args.code and args.d_code):
+        raise ValueError("-c and -d must be given together")
+    rebuilt = con.build(*_load_pair(args))
+    if sorted(rebuilt.sympl_matrix) != sorted(sc.sympl_matrix):
+        raise ValueError("classical codes do not generate this stabilizer file")
+    return rebuilt
 
 
 def _cmd_construct(args) -> int:
@@ -55,16 +69,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_distance(args) -> int:
     sc = con.stab_from_text(_read(args.stab))
-    if args.code or args.d_code:
-        if not (args.code and args.d_code):
-            print("error: -c and -d must be given together", file=sys.stderr)
-            return 2
-        code, d_code = _load_pair(args)
-        rebuilt = con.build(code, d_code)
-        if sorted(rebuilt.sympl_matrix) != sorted(sc.sympl_matrix):
-            print("error: classical codes do not generate this stabilizer file",
-                  file=sys.stderr)
-            return 2
+    rebuilt = _rebuild(args, sc)
+    if rebuilt is not None:
         sc = rebuilt
         con.distance(sc)
     if sc.delta is None:
@@ -82,6 +88,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_verify(args) -> int:
     sc = con.stab_from_text(_read(args.stab))
+    rebuilt = _rebuild(args, sc)
     problems = con.verify_generators(sc)
     for msg in problems:
         print(f"fail: {msg}")
@@ -95,13 +102,8 @@ def _cmd_verify(args) -> int:
     print(f"fix_dim={fd} expected={expected}")
     if fd != expected:
         return 1
-    if args.code and args.d_code:
-        code, d_code = _load_pair(args)
-        rebuilt = con.build(code, d_code)
-        if sorted(rebuilt.sympl_matrix) != sorted(sc.sympl_matrix):
-            print("error: classical codes do not generate this stabilizer file",
-                  file=sys.stderr)
-            return 2
+    if rebuilt is not None:
+        code, d_code = rebuilt.code, rebuilt.d_code
         states = [
             sv.big_phi(code, d_code, rebuilt.table, lam_word)
             for lam_word in iter_codewords(d_code)

@@ -37,6 +37,7 @@ from .gf import (
     field_make,
 )
 from .lincode import (
+    DEFAULT_BUDGET,
     LinearCode,
     coset_leader_weight,
     dual,
@@ -45,8 +46,6 @@ from .lincode import (
     min_distance,
 )
 from .pauli import PauliElement, SymplecticVector, symp_ip_int
-
-ENUM_BUDGET = 1 << 20
 
 
 def _flatten(field: Field, a, b) -> tuple:
@@ -177,7 +176,7 @@ def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
 
 
 def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
-        budget: int = ENUM_BUDGET) -> int:
+        budget: int = DEFAULT_BUDGET) -> int:
     """min over nonzero Lam in D of the summed coset-leader weights.
 
     The weight of a coset product is the sum of per-coordinate leader
@@ -235,7 +234,7 @@ def centralizer_basis(sc: StabilizerCode) -> list:
         row = [0] * (2 * N * r)
         for i in range(N):
             for d in range(r):
-                unit = f.from_digits(tuple(1 if t == d else 0 for t in range(r)))
+                unit = f.p ** d
                 # coefficient of a_i digit d: tr(g.b_i * unit) with minus sign
                 row[i * r + d] = (-f.trace_int(f.mul(g.b[i], unit))) % f.p
                 # coefficient of b_i digit d: tr(unit * g.a_i)
@@ -259,7 +258,7 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     return out
 
 
-def distance_bruteforce(sc: StabilizerCode, budget: int = ENUM_BUDGET) -> int:
+def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum symplectic weight over the centralizer, by enumeration.
 
     The walk basis starts with the echelon rows of the stabilizer span S

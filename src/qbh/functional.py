@@ -29,9 +29,22 @@ from .lincode import LinearCode, code_make, contains, encode, fp_basis
 
 
 class FunctionalTable:
-    """The family { f_lam : lam in K } attached to one code C."""
+    """The family { f_lam : lam in K } attached to one code C, with its lift.
 
-    __slots__ = ("code", "scalars", "prime", "_embed", "_basis_powers", "_theta")
+    ``theta`` and ``lambda_of`` are F_p-linear, so each is stored as its
+    images of the digit units: theta(p^t) for t < deg K, and
+    lambda_of(p^d e_j) for every coordinate j and digit d.  Both come
+    from the trace systems solved once per unit at construction.
+
+    The theta system's unknowns are the F_p digits of x in priority
+    order: coordinate 0 first and, inside a coordinate, the most
+    significant digit first.  With columns in that order, reducing a
+    solution against the reduced echelon basis of the solution space
+    yields the lexicographically smallest solution, where vectors
+    compare as tuples of packed values; the reduction is linear too.
+    """
+
+    __slots__ = ("code", "scalars", "prime", "_embed", "_basis_powers", "_theta", "_lambda")
 
     def __init__(self, code: LinearCode, scalars: Field):
         self.code = code
@@ -44,7 +57,36 @@ class FunctionalTable:
             powers.append(cur)
             cur = scalars.mul(cur, g)
         self._basis_powers = tuple(powers)
-        self._theta = None
+
+        f, K, prime = code.field, scalars, self.prime
+        r, n = f.degree, code.n
+        basis = fp_basis(code)
+        # pairing[e][column of digit d of x_j] = tr_{q/p}(e_j * p^d)
+        pairing = [
+            tuple(f.trace_int(f.mul(e[j], f.p ** d)) for j in range(n) for d in reversed(range(r)))
+            for e in basis
+        ]
+        # functional[e][t] = f_{p^t}(e)
+        functional = [tuple(self.f_int(K.p ** t, e) for t in range(K.degree)) for e in basis]
+        kernel = linalg.nullspace(prime, pairing, n * r)
+        kpivots = [next(i for i, x in enumerate(krow) if x) for krow in kernel]
+        self._theta = []
+        for rhs in zip(*functional):
+            x = linalg.solve(prime, pairing, rhs)
+            if x is None:  # pragma: no cover - trace pairing is non-degenerate
+                raise ArithmeticError("inconsistent trace system; field tables corrupt")
+            x = linalg.reduce_vector(prime, kernel, kpivots, x)
+            self._theta.append(
+                tuple(f.from_digits(reversed(x[j * r : (j + 1) * r])) for j in range(n))
+            )
+        images = []
+        for rhs in zip(*pairing):
+            digs = linalg.solve(prime, functional, rhs)
+            if digs is None:  # pragma: no cover - lam -> f_lam is onto the dual
+                raise ArithmeticError("functional not representable; field tables corrupt")
+            images.append(K.from_digits(digs))
+        # per coordinate, constant digit first
+        self._lambda = [images[j * r : (j + 1) * r][::-1] for j in range(n)]
 
     # -- scalar side
 
@@ -62,11 +104,26 @@ class FunctionalTable:
         msg = tuple(word[j] for j in self.code.pivots)
         return self.scalars.trace_int(self.scalars.mul(lam, self.pack_message(msg)))
 
-    @property
-    def theta_map(self) -> "ThetaMap":
-        if self._theta is None:
-            self._theta = ThetaMap(self)
-        return self._theta
+    # -- the lift
+
+    def theta(self, lam: int) -> tuple:
+        """Lexicographically smallest x with rho_x = f_lam on C."""
+        f = self.code.field
+        x = (0,) * self.code.n
+        for c, image in zip(self.scalars.digits(lam), self._theta):
+            if c:
+                x = tuple(f.add(a, f.mul(c, b)) for a, b in zip(x, image))
+        return x
+
+    def lambda_of(self, x) -> int:
+        """The unique scalar lam whose functional agrees with rho_x on C."""
+        f, K = self.code.field, self.scalars
+        lam = 0
+        for xj, images in zip(x, self._lambda):
+            for c, image in zip(f.digits(xj), images):
+                if c:
+                    lam = K.add(lam, K.mul(c, image))
+        return lam
 
     def __repr__(self):
         return f"functional table for {self.code!r} over {self.scalars!r}"
@@ -96,107 +153,15 @@ def f_eval(table: FunctionalTable, lam, word) -> FieldElement:
     return table.prime.element(table.f_int(lam, word))
 
 
-class ThetaMap:
-    """Solves tr_{q/p}(c . x) = f_lam(c) for the canonical representative x.
-
-    Unknowns are the F_p digits of x in priority order: coordinate 0
-    first and, inside a coordinate, the most significant digit first.
-    With columns in that order the reduced echelon form of the solution
-    space yields the lexicographically smallest solution directly, where
-    vectors compare as tuples of packed values.
-    """
-
-    __slots__ = ("table", "_rows", "_kernel", "_kpivots", "_cache", "_lam_rows", "_lam_cache")
-
-    def __init__(self, table: FunctionalTable):
-        self.table = table
-        code = table.code
-        f = code.field
-        r, n = f.degree, code.n
-        basis = fp_basis(code)
-        unknowns = n * r
-        rows = []
-        for e in basis:
-            row = [0] * unknowns
-            for j in range(n):
-                if e[j]:
-                    for dd in range(r):
-                        scalar = f.from_digits(tuple(1 if i == dd else 0 for i in range(r)))
-                        row[j * r + (r - 1 - dd)] = f.trace_int(f.mul(e[j], scalar))
-            rows.append(tuple(row))
-        self._rows = rows
-        self._kernel = linalg.nullspace(table.prime, rows, unknowns)
-        self._kpivots = [next(i for i, x in enumerate(krow) if x) for krow in self._kernel]
-        self._cache = {}
-        K = table.scalars
-        lam_rows = []
-        for e in basis:
-            msg_packed = table.pack_message(tuple(e[j] for j in code.pivots))
-            row = [
-                K.trace_int(K.mul(K.from_digits(tuple(1 if i == t else 0 for i in range(K.degree))), msg_packed))
-                for t in range(K.degree)
-            ]
-            lam_rows.append(tuple(row))
-        self._lam_rows = lam_rows
-        self._lam_cache = {}
-
-    def _digits_to_vector(self, digs):
-        f = self.table.code.field
-        r = f.degree
-        coords = []
-        for j in range(self.table.code.n):
-            chunk = digs[j * r : (j + 1) * r]
-            coords.append(f.from_digits(tuple(reversed(chunk))))
-        return tuple(coords)
-
-    def theta(self, lam: int) -> tuple:
-        got = self._cache.get(lam)
-        if got is not None:
-            return got
-        table = self.table
-        basis = fp_basis(table.code)
-        rhs = [table.f_int(lam, e) for e in basis]
-        x = linalg.solve(table.prime, self._rows, rhs)
-        if x is None:  # pragma: no cover - trace pairing is non-degenerate
-            raise ArithmeticError("inconsistent trace system; field tables corrupt")
-        x = linalg.reduce_vector(table.prime, self._kernel, self._kpivots, x)
-        vec = self._digits_to_vector(x)
-        self._cache[lam] = vec
-        return vec
-
-    def lambda_of(self, x) -> int:
-        x = tuple(x)
-        got = self._lam_cache.get(x)
-        if got is not None:
-            return got
-        table = self.table
-        code = table.code
-        f = code.field
-        basis = fp_basis(code)
-        rhs = []
-        for e in basis:
-            acc = 0
-            for ej, xj in zip(e, x):
-                if ej and xj:
-                    acc += f.trace_int(f.mul(ej, xj))
-            rhs.append(acc % f.p)
-        digs = linalg.solve(table.prime, self._lam_rows, rhs)
-        if digs is None:  # pragma: no cover - lam -> f_lam is onto the dual
-            raise ArithmeticError("functional not representable; field tables corrupt")
-        lam = table.scalars.from_digits(digs)
-        self._lam_cache[x] = lam
-        return lam
-
-
 def theta(table: FunctionalTable, lam) -> tuple:
     """Lexicographically smallest x with rho_x = f_lam on C."""
     lam = lam.value if isinstance(lam, FieldElement) else int(lam)
-    return table.theta_map.theta(lam)
+    return table.theta(lam)
 
 
 def lambda_of(table: FunctionalTable, x) -> int:
     """The unique scalar lam whose functional agrees with rho_x on C."""
-    return table.theta_map.lambda_of(x)
+    return table.lambda_of(x)
 
 
 def validate_d(d_code: LinearCode, table: FunctionalTable | None = None) -> None:
@@ -248,7 +213,7 @@ def d_theta_member(table: FunctionalTable, d_code: LinearCode, vectors) -> bool:
     for v in vectors:
         if len(v) != n:
             raise LengthMismatch(f"block length {len(v)} != inner code length {n}")
-    lam = tuple(table.theta_map.lambda_of(v) for v in vectors)
+    lam = tuple(table.lambda_of(v) for v in vectors)
     return contains(d_code, lam)
 
 
@@ -272,8 +237,7 @@ def big_f_kernel(table: FunctionalTable, d_code: LinearCode) -> list:
     constraints = []
     for row in d_code.gen:
         for t in range(K.degree):
-            scalar = K.from_digits(tuple(1 if i == t else 0 for i in range(K.degree)))
-            constraints.append(tuple(K.mul(scalar, lam) for lam in row))
+            constraints.append(tuple(K.mul(K.p ** t, lam) for lam in row))
     rows = []
     for lam_tuple in constraints:
         row = [0] * unknowns
@@ -283,8 +247,7 @@ def big_f_kernel(table: FunctionalTable, d_code: LinearCode) -> list:
                 continue
             for j in range(k):
                 for d in range(r):
-                    unit = q.from_digits(tuple(1 if t == d else 0 for t in range(r)))
-                    packed = K.mul(table._embed[unit], table._basis_powers[j])
+                    packed = K.mul(table._embed[q.p ** d], table._basis_powers[j])
                     row[(i * k + j) * r + d] = K.trace_int(K.mul(lam, packed))
         rows.append(tuple(row))
     basis = linalg.nullspace(table.prime, rows, unknowns)

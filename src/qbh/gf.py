@@ -278,12 +278,21 @@ class Field:
         return 0 if z is None else self._exp[(la + z) % n]
 
     def neg(self, a: int) -> int:
-        """a times -1 = p - 1, which is the identity at p = 2."""
+        """-a; the identity at p = 2, and -1 = g^((q-1)/2) at odd p."""
         if self.p == 2:
             return a
-        return self.mul(self.p - 1, a)
+        if self.degree == 1:
+            return -a % self.p
+        if not a:
+            return 0
+        n = self.order - 1
+        return self._exp[(self._log[a] + n // 2) % n]
 
     def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if self.degree == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

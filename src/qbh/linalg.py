@@ -56,10 +56,6 @@ def reduce_vector(field: Field, rrows, pivots, v) -> tuple:
     return tuple(v)
 
 
-def in_row_space(field: Field, rrows, pivots, v) -> bool:
-    return not any(reduce_vector(field, rrows, pivots, v))
-
-
 def nullspace(field: Field, rows, ncols: int) -> list[tuple]:
     """Canonical basis of {x : rows . x = 0}, returned in RREF."""
     rrows, pivots = rref(field, rows) if rows else ([], [])

@@ -152,8 +152,7 @@ def fp_basis(code: LinearCode) -> list:
     out = []
     for row in code.gen:
         for d in range(f.degree):
-            scalar = f.from_digits(tuple(1 if i == d else 0 for i in range(f.degree)))
-            out.append(tuple(f.mul(scalar, x) for x in row))
+            out.append(tuple(f.mul(f.p ** d, x) for x in row))
     return out
 
 

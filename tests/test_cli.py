@@ -164,6 +164,20 @@ def test_verify_statevec_without_codes(tmp_path, capsys):
     assert "phi_fixed" not in got
 
 
+@pytest.mark.parametrize("flag", ["-c", "-d"])
+def test_verify_needs_both_code_files(tmp_path, capsys, flag):
+    c = _write(tmp_path, "c.txt", FOUR_C)
+    d = _write(tmp_path, "d.txt", FOUR_D)
+    out = str(tmp_path / "four.stab")
+    main(["construct", "-c", c, "-d", d, "-o", out])
+    capsys.readouterr()
+    rc = main(["verify", out, "--statevec", flag, c if flag == "-c" else d])
+    got = capsys.readouterr()
+    assert rc == 2
+    assert "together" in got.err
+    assert got.out == ""
+
+
 def test_verify_flags_noncommuting_generators(tmp_path, capsys):
     sc = build(*helpers.four_one_pair())
     lines = stab_to_text(sc).splitlines()

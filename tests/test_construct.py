@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qbh.errors import (
     BudgetExceeded,
@@ -349,3 +351,29 @@ def test_distance_matches_bruteforce_on_small_family_sample():
         assert distance(sc) == distance_bruteforce(sc)
         checked += 1
     assert checked >= 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_distance_matches_bruteforce_on_random_pairs(data):
+    p = data.draw(st.sampled_from([2, 3]), label="p")
+    r = data.draw(st.integers(1, 2), label="r")
+    n = data.draw(st.integers(2, 4), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    m = data.draw(st.integers(2, 3), label="m")
+    s = data.draw(st.integers(1, m - 1), label="s")
+    # the centralizer has p^(r(nm + ks)) elements
+    assume(p ** (r * (n * m + k * s)) <= 1 << 16)
+    f, K = field_make(p, r), field_make(p, r * k)
+
+    def full_rank_rows(field, count, length):
+        entry = st.integers(0, field.order - 1)
+        rows = data.draw(st.lists(st.tuples(*[entry] * length), min_size=count, max_size=count))
+        assume(linalg.rank(field, rows) == count)
+        return rows
+
+    c_code = code_make(f, full_rank_rows(f, k, n))
+    d_code = code_make(K, full_rank_rows(K, s, m))
+    assume(all(any(row[i] for row in d_code.gen) for i in range(m)))
+    sc = build(c_code, d_code)
+    assert distance(sc) == distance_bruteforce(sc)

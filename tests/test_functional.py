@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qbh import linalg
 from qbh.bh import bh_verify
 from qbh.errors import (
     DegenerateD,
@@ -31,6 +32,7 @@ F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
 F8 = field_make(2, 3)
+F5 = field_make(5, 1)
 F9 = field_make(3, 2)
 
 
@@ -152,14 +154,55 @@ def test_theta_solves_the_trace_system():
             assert acc % 2 == t.f_int(lam, w)
 
 
-def test_theta_is_lexicographically_minimal_in_its_coset():
-    c = code_make(F3, [(1, 0, 1), (0, 1, 2)])
-    t = table_make(c, F9)
+def assert_theta_lexicographically_minimal(c, scalars):
+    t = table_make(c, scalars)
     cperp = codewords(dual(c))
-    for lam in t.scalars.elements():
+    for lam in scalars.elements():
         x = theta(t, lam)
-        coset = sorted(tuple(F3.add(a, b) for a, b in zip(x, d)) for d in cperp)
+        coset = sorted(tuple(c.field.add(a, b) for a, b in zip(x, d)) for d in cperp)
         assert x == coset[0]
+
+
+def test_theta_is_lexicographically_minimal_in_its_coset():
+    assert_theta_lexicographically_minimal(code_make(F3, [(1, 0, 1), (0, 1, 2)]), F9)
+
+
+@pytest.mark.parametrize("base,rows,kdeg", [
+    (F4, [(1, 2, 3, 1)], 2),
+    (F4, [(1, 0, 2, 3), (0, 1, 1, 2)], 4),
+    (F5, [(1, 0, 2, 3), (0, 1, 4, 1)], 2),
+])
+def test_theta_is_lexicographically_minimal_beyond_ternary(base, rows, kdeg):
+    assert_theta_lexicographically_minimal(code_make(base, rows), field_make(base.p, kdeg))
+
+
+@pytest.mark.parametrize("base,rows,kdeg", [
+    (F4, [(1, 0, 2), (0, 1, 3)], 4),
+    (F3, [(1, 0, 1), (0, 1, 2)], 2),
+])
+def test_theta_is_exactly_additive(base, rows, kdeg):
+    t = table_make(code_make(base, rows), field_make(base.p, kdeg))
+    K = t.scalars
+    for lam in K.elements():
+        for mu in K.elements():
+            want = tuple(base.add(a, b) for a, b in zip(theta(t, lam), theta(t, mu)))
+            assert theta(t, K.add(lam, mu)) == want
+
+
+def test_theta_and_lambda_of_make_no_linalg_call_after_table_make(monkeypatch):
+    c = code_make(F4, [(1, 0, 2), (0, 1, 3)])
+    t = table_make(c, field_make(2, 4))
+    cperp = set(codewords(dual(c)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linalg called after table_make")
+
+    for name in ("rref", "rank", "reduce_vector", "nullspace", "solve"):
+        monkeypatch.setattr(linalg, name, refuse)
+    for lam in t.scalars.elements():
+        assert lambda_of(t, theta(t, lam)) == lam
+    for x in itertools.product(F4.elements(), repeat=c.n):
+        assert tuple(F4.sub(a, b) for a, b in zip(x, theta(t, lambda_of(t, x)))) in cperp
 
 
 def test_theta_additive_modulo_dual():
