@@ -94,6 +94,7 @@ from .statevec import (
     equal_sum_states,
     fix_dim,
     inner,
+    is_fixed,
     norm_sq,
     phi,
     phi_from_matrix,

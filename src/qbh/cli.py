@@ -95,6 +95,8 @@ def _cmd_verify(args) -> int:
     if problems:
         return 1
     print(f"generators={len(sc.generators)} commuting=yes rank=full phases=free")
+    if rebuilt is not None:
+        print("pair=match")
     if not args.statevec:
         return 0
     expected = sc.field.order ** sc.log_dim_exp
@@ -108,7 +110,7 @@ def _cmd_verify(args) -> int:
             sv.big_phi(code, d_code, rebuilt.table, lam_word)
             for lam_word in iter_codewords(d_code)
         ]
-        fixed = all(sv.apply(g, st) == st for st in states for g in sc.generators)
+        fixed = all(sv.is_fixed(g, st) for st in states for g in sc.generators)
         print(f"phi_fixed={'yes' if fixed else 'no'}")
         if not fixed:
             return 1

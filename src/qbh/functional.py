@@ -35,13 +35,6 @@ class FunctionalTable:
     images of the digit units: theta(p^t) for t < deg K, and
     lambda_of(p^d e_j) for every coordinate j and digit d.  Both come
     from the trace systems solved once per unit at construction.
-
-    The theta system's unknowns are the F_p digits of x in priority
-    order: coordinate 0 first and, inside a coordinate, the most
-    significant digit first.  With columns in that order, reducing a
-    solution against the reduced echelon basis of the solution space
-    yields the lexicographically smallest solution, where vectors
-    compare as tuples of packed values; the reduction is linear too.
     """
 
     __slots__ = ("code", "scalars", "prime", "_embed", "_basis_powers", "_theta", "_lambda")
@@ -61,9 +54,16 @@ class FunctionalTable:
         f, K, prime = code.field, scalars, self.prime
         r, n = f.degree, code.n
         basis = fp_basis(code)
-        # pairing[e][column of digit d of x_j] = tr_{q/p}(e_j * p^d)
+        # pairing[e][column of digit d of x_j] = tr_{q/p}(e_j * p^d), the
+        # unknowns ordered coordinate by coordinate.  Reducing a solution
+        # against the reduced echelon basis of the kernel then gives the
+        # lexicographically smallest one, comparing vectors as tuples of
+        # packed values, whatever the digit order inside a coordinate:
+        # C^perp is F_q-linear, so given the earlier coordinates each
+        # coordinate of the solution coset is either forced or free over
+        # all of F_q.  The reduction is linear too.
         pairing = [
-            tuple(f.trace_int(f.mul(e[j], f.p ** d)) for j in range(n) for d in reversed(range(r)))
+            tuple(f.trace_int(f.mul(e[j], f.p ** d)) for j in range(n) for d in range(r))
             for e in basis
         ]
         # functional[e][t] = f_{p^t}(e)
@@ -76,17 +76,14 @@ class FunctionalTable:
             if x is None:  # pragma: no cover - trace pairing is non-degenerate
                 raise ArithmeticError("inconsistent trace system; field tables corrupt")
             x = linalg.reduce_vector(prime, kernel, kpivots, x)
-            self._theta.append(
-                tuple(f.from_digits(reversed(x[j * r : (j + 1) * r])) for j in range(n))
-            )
+            self._theta.append(tuple(f.from_digits(x[j * r : (j + 1) * r]) for j in range(n)))
         images = []
         for rhs in zip(*pairing):
             digs = linalg.solve(prime, functional, rhs)
             if digs is None:  # pragma: no cover - lam -> f_lam is onto the dual
                 raise ArithmeticError("functional not representable; field tables corrupt")
             images.append(K.from_digits(digs))
-        # per coordinate, constant digit first
-        self._lambda = [images[j * r : (j + 1) * r][::-1] for j in range(n)]
+        self._lambda = [images[j * r : (j + 1) * r] for j in range(n)]
 
     # -- scalar side
 

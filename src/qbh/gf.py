@@ -293,7 +293,16 @@ class Field:
             return a ^ b
         if self.degree == 1:
             return (a - b) % self.p
-        return self.add(a, self.neg(b))
+        if not b:
+            return a
+        # log(-b) = log b + (q-1)/2, then a + (-b) as in add
+        n = self.order - 1
+        lb = (self._log[b] + n // 2) % n
+        if not a:
+            return self._exp[lb]
+        la = self._log[a]
+        z = self._zech[(lb - la) % n]
+        return 0 if z is None else self._exp[(la + z) % n]
 
     def mul(self, a: int, b: int) -> int:
         if not a or not b:

@@ -9,7 +9,7 @@ and group orders come from explicit closure. Slow on purpose.
 import cmath
 import itertools
 
-from qbh.pauli import identity, mul
+from qbh.pauli import PauliElement, identity, mul
 
 
 def poly_mul_mod(p, modulus, a, b):
@@ -175,3 +175,46 @@ def fix_dim_by_counting(field, n, gens):
     size = len(group)
     assert (field.order ** n) % size == 0
     return field.order ** n // size
+
+
+def fixes(e, state):
+    """Does omega^c X(a) Z(b) fix the state exactly?
+
+    Read from the tuple view ``state.amps``: the amplitude at label x
+    moves to x + a and picks up omega^(c + tr(b.x)), or i^(c + 2 tr(b.x))
+    at p = 2, with the trace taken by ``oracle_trace``.
+    """
+    f = e.field
+    mult = 2 if f.p == 2 else 1
+    amps = state.amps
+    for x, amp in amps.items():
+        y = tuple(f.add(xi, ai) for xi, ai in zip(x, e.a))
+        tr = sum(oracle_trace(f, f.mul(bi, xi)) for bi, xi in zip(e.b, x))
+        if amps.get(y) != amp.rot(e.phase + mult * tr):
+            return False
+    return True
+
+
+def stab_by_enumeration(states):
+    """Every (phase, a, b) whose element fixes each state, by trying them all.
+
+    Shifts a that move some support are skipped before the b and phase
+    loops; everything else is tried against every state with ``fixes``.
+    """
+    states = list(states)
+    f = states[0].field
+    n = states[0].length
+    q = f.order
+    supports = [frozenset(v.amps) for v in states]
+    found = set()
+    for a in itertools.product(range(q), repeat=n):
+        moved = (frozenset(tuple(f.add(xi, ai) for xi, ai in zip(x, a)) for x in sup)
+                 for sup in supports)
+        if any(m != sup for m, sup in zip(moved, supports)):
+            continue
+        for b in itertools.product(range(q), repeat=n):
+            for c in range(4 if f.p == 2 else f.p):
+                e = PauliElement(f, c, a, b)
+                if all(fixes(e, v) for v in states):
+                    found.add((e.phase, e.a, e.b))
+    return found

@@ -326,20 +326,6 @@ def test_acceptance_08_converse_evidence():
     assert not failures, "; ".join(failures)
 
 
-def test_converse_demonstration_order_eight():
-    """The strict containment test 08 asks for, realized at order 8."""
-    base = kron_fourier(2, 3)
-    rows = [(r[0], r[2], r[1], r[3], r[4], r[5], r[6], r[7]) for r in base.rows]
-    scrambled = BhMatrix(8, 2, rows, col_labels=base.col_labels)
-    assert bh_verify(scrambled)
-    assert not linear_rows_check(scrambled)
-    code = code_make(F2, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
-    states = [big_phi_from_matrix(scrambled, code, (d, d)) for d in range(8)]
-    assert len(stab_of_span(states)) == 8          # strictly below 2^(4*2-3*1)
-    fstates = [big_phi_from_matrix(base, code, (d, d)) for d in range(8)]
-    assert len(stab_of_span(fstates)) == 32
-
-
 def test_acceptance_09_lemma_suite():
     failures = []
     per_instance = (

@@ -113,9 +113,23 @@ def test_verify_statevec(tmp_path, capsys):
     rc = main(["verify", out, "--statevec", "-c", c, "-d", d])
     got = capsys.readouterr().out
     assert rc == 0
+    assert "pair=match" in got
     assert "fix_dim=2 expected=2" in got
     assert "phi_fixed=yes" in got
     assert "span_equal=yes" in got
+
+
+def test_verify_reports_the_pair_without_statevec(tmp_path, capsys):
+    c, d, out = _shor_files(tmp_path)
+    main(["construct", "-c", c, "-d", d, "-o", out])
+    capsys.readouterr()
+    rc = main(["verify", out, "-c", c, "-d", d])
+    got = capsys.readouterr().out
+    assert rc == 0
+    assert got.splitlines() == [
+        "generators=8 commuting=yes rank=full phases=free",
+        "pair=match",
+    ]
 
 
 def test_verify_statevec_span_equal_needs_orthogonal_states(tmp_path, capsys, monkeypatch):
@@ -161,6 +175,7 @@ def test_verify_statevec_without_codes(tmp_path, capsys):
     got = capsys.readouterr().out
     assert rc == 0
     assert "fix_dim=2 expected=2" in got
+    assert "pair=" not in got
     assert "phi_fixed" not in got
 
 

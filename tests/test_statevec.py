@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh.errors import BudgetExceeded, DimensionMismatch, LengthMismatch
@@ -13,6 +15,7 @@ from qbh.pauli import PauliElement, identity, psi, x_op, z_op
 from qbh.construct import build, stab_from_text, stab_to_text
 from qbh.statevec import (
     LABEL_BUDGET,
+    STAB_BUDGET,
     CycAmp,
     StateVector,
     apply,
@@ -21,6 +24,7 @@ from qbh.statevec import (
     equal_sum_states,
     fix_dim,
     inner,
+    is_fixed,
     norm_sq,
     phi,
     phi_from_matrix,
@@ -37,6 +41,8 @@ import oracles
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
+F5 = field_make(5, 1)
+F9 = field_make(3, 2)
 
 ONE2 = CycAmp.one(2)
 MINUS2 = CycAmp.root(2, 2)
@@ -89,6 +95,40 @@ def test_cycamp_conj_multiplicative_norm():
 def test_state_drops_zero_amplitudes():
     v = state_make(F2, 1, {(0,): ONE2, (1,): CycAmp.zero(2)})
     assert v.support == {(0,)}
+
+
+def test_state_rejects_amplitude_not_root_of_unity():
+    with pytest.raises(ValueError):
+        state_make(F2, 1, {(0,): CycAmp(2, (1, 1))})
+    with pytest.raises(ValueError):
+        StateVector(F3, 1, {(0,): CycAmp.one(3) + CycAmp.one(3)})
+
+
+def test_tuple_view_is_built_once_and_round_trips():
+    c, _, t = shor_setup()
+    v = phi(c, t, 1)
+    assert v.amps is v.amps
+    assert StateVector(F2, 3, v.amps, v.scale) == v
+
+
+def test_library_paths_stay_on_packed_labels(monkeypatch):
+    def refuse(self):
+        raise AssertionError("tuple view built")
+
+    c, d = helpers.four_one_pair()
+    sc = build(c, d)
+    t = table_make(c, d.field)
+    monkeypatch.setattr(StateVector, "amps", property(refuse))
+    states = [big_phi(c, d, t, w) for w in codewords(d)]
+    for v in states:
+        for g in sc.generators:
+            assert is_fixed(g, v)
+            assert apply(g, v) == v
+    assert inner(states[0], states[1]).is_zero
+    assert norm_sq(states[0]) == (4, 2)
+    assert tensor(states[0], states[1]).length == 8
+    assert span_equal(states, equal_sum_states(c, 2))
+    assert len(stab_of_span(states)) == 2 ** len(sc.generators)
 
 
 def test_state_make_checks_label_length():
@@ -343,6 +383,99 @@ def test_stab_of_scrambled_order_four_matrix_keeps_full_group():
     assert span_equal(q_scr, q_std)
     group = stab_of_span(q_scr)
     assert len(group) == 16  # 2^(nm - ks) with n=3, k=2, m=2, s=1
+
+
+def test_stab_of_span_budget_counts_shifts_rows_and_output():
+    assert STAB_BUDGET == 1 << 20
+    n = 11
+    flat = state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
+    with pytest.raises(BudgetExceeded, match="shifts"):
+        stab_of_span([flat])  # 2^11 shifts x 2^11 rows
+    ket = state_make(F2, n, {(0,) * n: ONE2})
+    with pytest.raises(BudgetExceeded, match="fixing elements"):
+        stab_of_span([ket])  # all 2^11 Z(b) fix it: 2^22 self-check products
+
+
+def _assert_stab_matches_enumeration(states):
+    keys = [(g.phase, g.a, g.b) for g in stab_of_span(states)]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == oracles.stab_by_enumeration(states)
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations((1, 2, 3))))
+def test_stab_of_span_matches_enumeration_on_order_four_scrambles(perm):
+    h = kron_fourier(2, 2)
+    cols = (0,) + perm
+    rows = tuple(tuple(r[j] for j in cols) for r in h.rows)
+    hs = BhMatrix(4, 2, rows, h.row_labels, h.col_labels)
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    _assert_stab_matches_enumeration([big_phi_from_matrix(hs, c, (r, r)) for r in range(4)])
+
+
+def test_stab_of_span_matches_enumeration_on_order_three_fourier():
+    h = kron_fourier(3, 1)
+    c = code_make(F3, [(1, 1)])
+    _assert_stab_matches_enumeration([big_phi_from_matrix(h, c, (r, r)) for r in range(3)])
+
+
+def test_stab_of_span_matches_enumeration_on_gf4_phi_span():
+    c = code_make(F4, [(1, 1, 1)])
+    t = table_make(c, F4)
+    _assert_stab_matches_enumeration([phi(c, t, lam) for lam in F4.elements()])
+
+
+@pytest.mark.parametrize("field,amps", [
+    (F2, {(0, 0): 0, (1, 0): 0, (0, 1): 2}),
+    (F3, {(0, 0): 0, (1, 2): 1, (2, 2): 2}),
+])
+def test_stab_of_span_matches_enumeration_off_a_coset(field, amps):
+    v = state_make(field, 2, {x: CycAmp.root(field.p, e) for x, e in amps.items()})
+    _assert_stab_matches_enumeration([v])
+
+
+def test_stab_of_span_finds_odd_phases_at_p2():
+    # |0> + i|1> is fixed by i X Z alone: c must be odd there
+    v = state_make(F2, 1, {(0,): ONE2, (1,): CycAmp.root(2, 1)})
+    _assert_stab_matches_enumeration([v])
+    assert set(stab_of_span([v])) == {identity(F2, 1), PauliElement(F2, 1, (1,), (1,))}
+
+
+@st.composite
+def monomial_spans(draw, fields, max_states, max_labels=64):
+    """1 to max_states monomial states on one space of at most max_labels labels."""
+    f = draw(st.sampled_from(fields))
+    n_max = 1
+    while f.order ** (n_max + 1) <= max_labels:
+        n_max += 1
+    n = draw(st.integers(1, n_max))
+    labels = list(itertools.product(range(f.order), repeat=n))
+    exponent = st.integers(0, (4 if f.p == 2 else f.p) - 1)
+    states = []
+    for _ in range(draw(st.integers(1, max_states))):
+        support = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        flat = draw(st.booleans())
+        amps = {x: CycAmp.root(f.p, 0 if flat else draw(exponent)) for x in support}
+        states.append(state_make(f, n, amps))
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_spans([F2, F4, F3], max_states=3))
+def test_stab_of_span_matches_enumeration_on_random_monomial_states(states):
+    _assert_stab_matches_enumeration(states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_fixed_agrees_with_apply(data):
+    (v,) = data.draw(monomial_spans([F2, F4, F3, F9, F5], max_states=1))
+    f, n = v.field, v.length
+    if data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(stab_of_span([v])))
+    else:
+        vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
+        g = PauliElement(f, data.draw(st.integers(0, 3)), data.draw(vec), data.draw(vec))
+    assert is_fixed(g, v) == (apply(g, v) == v) == oracles.fixes(g, v)
 
 
 def test_fix_dim_counts_match_group_order_oracle():
