@@ -228,18 +228,13 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     prime = field_make(f.p, 1)
     N = sc.num_qudits
     r = f.degree
-    rows = []
-    for g in sc.generators:
-        # pairing of unknown (a|b) with g, as a functional on digits
-        row = [0] * (2 * N * r)
-        for i in range(N):
-            for d in range(r):
-                unit = f.p ** d
-                # coefficient of a_i digit d: tr(g.b_i * unit) with minus sign
-                row[i * r + d] = (-f.trace_int(f.mul(g.b[i], unit))) % f.p
-                # coefficient of b_i digit d: tr(unit * g.a_i)
-                row[N * r + i * r + d] = f.trace_int(f.mul(unit, g.a[i]))
-        rows.append(tuple(row))
+    # pairing of unknown (a|b) with g, as a functional on digits:
+    # tr(g.a . b) - tr(g.b . a)
+    rows = [
+        tuple(-t % f.p for bi in g.b for t in f.trace_row(bi))
+        + tuple(t for ai in g.a for t in f.trace_row(ai))
+        for g in sc.generators
+    ]
     out = []
     for vec in linalg.nullspace(prime, rows, 2 * N * r):
         a = tuple(

@@ -62,10 +62,7 @@ class FunctionalTable:
         # C^perp is F_q-linear, so given the earlier coordinates each
         # coordinate of the solution coset is either forced or free over
         # all of F_q.  The reduction is linear too.
-        pairing = [
-            tuple(f.trace_int(f.mul(e[j], f.p ** d)) for j in range(n) for d in range(r))
-            for e in basis
-        ]
+        pairing = [tuple(t for ej in e for t in f.trace_row(ej)) for e in basis]
         # functional[e][t] = f_{p^t}(e)
         functional = [tuple(self.f_int(K.p ** t, e) for t in range(K.degree)) for e in basis]
         kernel = linalg.nullspace(prime, pairing, n * r)
@@ -161,7 +158,7 @@ def lambda_of(table: FunctionalTable, x) -> int:
     return table.lambda_of(x)
 
 
-def validate_d(d_code: LinearCode, table: FunctionalTable | None = None) -> None:
+def validate_d(d_code: LinearCode) -> None:
     """Reject outer codes the construction cannot use.
 
     The code must be neither zero nor the full space, and every

@@ -344,6 +344,10 @@ class Field:
             return a
         return self._trace[a]
 
+    def trace_row(self, a: int) -> tuple:
+        """(tr(a p^d) for d < degree): tr(a.x) as a row on the digits of x."""
+        return tuple(self.trace_int(self.mul(a, self.p ** d)) for d in range(self.degree))
+
     # -- representation plumbing
 
     def digits(self, a: int) -> tuple:
@@ -514,10 +518,15 @@ def field_make(p: int, t: int, modulus=None) -> Field:
     irreducible is used.  Raises NotPrime, ReducibleModulus or
     BudgetExceeded on bad input.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise NotPrime(f"characteristic {p} is not prime")
     if not isinstance(t, int) or t < 1:
         raise ReducibleModulus(f"extension degree {t} must be a positive integer")
+    # Before trial division and p ** t stall on a huge p or t (p >= 2 bounds t).
+    if p > FIELD_SIZE_LIMIT or t >= FIELD_SIZE_LIMIT.bit_length():
+        raise BudgetExceeded(f"field order {p}^{t} exceeds limit {FIELD_SIZE_LIMIT}")
+    if not _is_prime(p):
+        raise NotPrime(f"characteristic {p} is not prime")
     if p ** t > FIELD_SIZE_LIMIT:
         raise BudgetExceeded(f"field order {p}^{t} exceeds limit {FIELD_SIZE_LIMIT}")
     key = (p, t, tuple(c % p for c in modulus) if modulus is not None else None)

@@ -1,12 +1,12 @@
 """Generalized Pauli operators on N qudits of dimension q = p^r.
 
-An operator is kept in the normal form omega^c X(a) Z(b) with a, b in
-F_q^N, where X(a)|x> = |x + a> and Z(b)|x> = omega^tr(b.x) |x> for the
-absolute trace tr down to F_p and omega a fixed primitive p-th root of
-unity.  For odd p the phase exponent c lives mod p.  For p = 2 the group
-needs the imaginary unit: phases are tracked mod 4 as powers of i, and
-reordering contributes the doubled exponent 2 tr(b . a') because
-Z(b) X(a') = (-1)^{tr(b.a')} X(a') Z(b).
+An operator is kept in the normal form z^c X(a) Z(b) with a, b in F_q^N,
+where X(a)|x> = |x + a> and Z(b)|x> = omega^tr(b.x) |x> for the absolute
+trace tr down to F_p and omega = e^(2 pi i/p).  The phase is a power of
+z = e^(2 pi i/M), with M = ``phase_modulus``: M = p, so z = omega, except
+at p = 2, where the group needs the imaginary unit and M = 4.  With
+step = M / p, omega = z^step, so reordering contributes
+step * tr(b . a') because Z(b) X(a') = omega^tr(b.a') X(a') Z(b).
 
 ``psi`` drops the phase and returns the symplectic pair (a | b); all
 commutation questions reduce to the trace symplectic inner product on
@@ -22,6 +22,11 @@ from .gf import Field, FieldElement, field_make
 def phase_modulus(field: Field) -> int:
     """Order of the phase subgroup: 4 for characteristic 2, else p."""
     return 4 if field.p == 2 else field.p
+
+
+def phase_step(field: Field) -> int:
+    """M / p: omega = z^step for z = e^(2 pi i/M), M = phase_modulus."""
+    return phase_modulus(field) // field.p
 
 
 class SymplecticVector:
@@ -57,7 +62,7 @@ class SymplecticVector:
 
 
 class PauliElement:
-    """omega^phase X(a) Z(b) in normal form."""
+    """z^phase X(a) Z(b) in normal form."""
 
     __slots__ = ("field", "phase", "a", "b")
 
@@ -122,11 +127,7 @@ def mul(e1: PauliElement, e2: PauliElement) -> PauliElement:
     if e1.length != e2.length:
         raise LengthMismatch("operators act on different qudit counts")
     f = e1.field
-    cross = _dot_trace(f, e1.b, e2.a)
-    if f.p == 2:
-        phase = (e1.phase + e2.phase + 2 * cross) % 4
-    else:
-        phase = (e1.phase + e2.phase + cross) % f.p
+    phase = e1.phase + e2.phase + phase_step(f) * _dot_trace(f, e1.b, e2.a)
     a = tuple(f.add(x, y) for x, y in zip(e1.a, e2.a))
     b = tuple(f.add(x, y) for x, y in zip(e1.b, e2.b))
     return PauliElement(f, phase, a, b)
@@ -195,6 +196,9 @@ def pauli_from_text(field: Field, text: str) -> PauliElement:
     phase = int(parts[0])
     a = tuple(int(x) for x in parts[1].split())
     b = tuple(int(x) for x in parts[2].split())
+    for x in a + b:
+        if not 0 <= x < field.order:
+            raise ValueError(f"entry {x} is not a packed element of {field!r}")
     return PauliElement(field, phase, a, b)
 
 

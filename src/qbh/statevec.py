@@ -1,19 +1,20 @@
 """Exact state vectors for desk-scale verification.
 
 Every state here is monomial: on each label of its support the
-amplitude is a root of unity, w^e with w = e^(2 pi i/p).  At p = 2
-operator phases are powers of i, so there the amplitude is i^e and a
-trace contribution t enters as i^(2t) = (-1)^t.  A state is therefore
+amplitude is a root of unity z^e, with z = e^(2 pi i/M) and M =
+``pauli.phase_modulus``, the phase convention of ``pauli``: M = p, and
+M = 4 at p = 2, where operator phases are powers of i.  A trace value t
+enters as omega^t = z^(step t), step = M / p.  A state is therefore
 stored as a dict from lane-packed label (the vector format of ``gf``,
-coordinate i in chunk i) to the exponent e mod M, with M = 4 at p = 2
-and M = p otherwise.  Sums of amplitudes, such as inner products, are
-cyclotomic integers in Z[w] (Gaussian integers at p = 2), kept exactly
-as ``CycAmp``.  Normalisation factors (powers of 1/sqrt(p)) ride along
-as a symbolic exponent on the state, never as a float.
+coordinate i in chunk i) to the exponent e mod M.  Sums of amplitudes,
+such as inner products, lie in Z[z] and are kept exactly as ``CycAmp``.
+Normalisation factors (powers of 1/sqrt(p)) ride along as a symbolic
+exponent on the state, never as a float.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -31,53 +32,62 @@ from .gf import (
     _unpack_digits,
     field_make,
 )
-from .lincode import LinearCode, contains, iter_codewords
-from .pauli import PauliElement, phase_modulus, symp_ip_int
+from .lincode import LinearCode, contains, encode, iter_codewords
+from .pauli import PauliElement, phase_modulus, phase_step, symp_ip_int
 from .pauli import mul as pauli_mul
 
 LABEL_BUDGET = 1 << 16
 # stab_of_span: candidate shifts x equation rows of its linear solve,
-# and (elements found)^2, the products of its group self-check.
+# and elements found x generators, the products of its group self-check.
 STAB_BUDGET = 1 << 20
 SPAN_BUDGET = 1 << 14
 
 
-class CycAmp:
-    """One exact amplitude.
+@functools.cache
+def _ring(p: int) -> tuple:
+    """(M, step) for characteristic p: z = e^(2 pi i/M) and omega = z^step."""
+    f = field_make(p, 1)
+    return phase_modulus(f), phase_step(f)
 
-    p odd: coefficient vector of length p over the power basis of w,
-    canonicalised modulo 1 + w + ... + w^(p-1) so the last coordinate
-    is zero.  p = 2: a Gaussian integer stored as (re, im).  Canonical
-    forms are unique, so equality is plain tuple equality.
+
+class CycAmp:
+    """One exact amplitude: an element of Z[z], z = e^(2 pi i/M).
+
+    z is a root of the monic Phi_M(x) = sum_{j<p} x^(j step), which is
+    1 + x + ... + x^(p-1) at M = p and 1 + x^2 at M = 4.  An element is
+    kept as its coefficient vector over the powers of z reduced modulo
+    Phi_M: M - step coefficients, p - 1 at odd p and (re, im) at p = 2.
+    The constructor takes any coefficient vector, entry j standing for
+    z^j.  Canonical forms are unique, so equality is plain tuple equality.
     """
 
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
         self.p = p
-        if p == 2:
-            self.coeffs = (int(coeffs[0]), int(coeffs[1]))
-        else:
-            c = list(coeffs)
-            last = c[-1]
-            self.coeffs = tuple(x - last for x in c)
+        m, step = _ring(p)
+        deg = m - step
+        c = [0] * m
+        for j, x in enumerate(coeffs):
+            c[j % m] += x
+        # for deg <= i < M, z^i = -(z^(i-deg) + z^(i-deg+step) + ... + z^(i-step))
+        for i in range(deg, m):
+            for j in range(i - deg, i, step):
+                c[j] -= c[i]
+        self.coeffs = tuple(c[:deg])
 
     @classmethod
     def zero(cls, p: int) -> "CycAmp":
-        return cls(p, (0, 0) if p == 2 else (0,) * p)
+        return cls(p, ())
 
     @classmethod
     def one(cls, p: int) -> "CycAmp":
-        return cls(p, (1, 0) if p == 2 else (1,) + (0,) * (p - 1))
+        return cls(p, (1,))
 
     @classmethod
     def root(cls, p: int, e: int) -> "CycAmp":
-        """w^e for p odd; i^e for p = 2 (e taken mod 4)."""
-        if p == 2:
-            return cls(p, ((1, 0), (0, 1), (-1, 0), (0, -1))[e % 4])
-        c = [0] * p
-        c[e % p] = 1
-        return cls(p, c)
+        """z^e, e taken mod M."""
+        return cls(p, (0,) * (e % _ring(p)[0]) + (1,))
 
     @property
     def is_zero(self) -> bool:
@@ -93,39 +103,23 @@ class CycAmp:
         return CycAmp(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "CycAmp") -> "CycAmp":
-        p = self.p
-        if p == 2:
-            a, b = self.coeffs
-            c, d = other.coeffs
-            return CycAmp(2, (a * c - b * d, a * d + b * c))
-        out = [0] * p
+        out = [0] * (2 * len(self.coeffs))
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % p] += a * b
-        return CycAmp(p, out)
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return CycAmp(self.p, out)
 
     def rot(self, e: int) -> "CycAmp":
-        """Multiply by w^e (i^e at p = 2)."""
-        p = self.p
-        if p == 2:
-            a, b = self.coeffs
-            return CycAmp(2, ((a, b), (-b, a), (-a, -b), (b, -a))[e % 4])
-        e %= p
-        if not e:
-            return self
-        c = self.coeffs
-        return CycAmp(p, tuple(c[(i - e) % p] for i in range(p)))
+        """Multiply by z^e."""
+        return self * CycAmp.root(self.p, e)
 
     def conj(self) -> "CycAmp":
-        p = self.p
-        if p == 2:
-            a, b = self.coeffs
-            return CycAmp(2, (a, -b))
-        c = self.coeffs
-        return CycAmp(p, tuple(c[(-i) % p] for i in range(p)))
+        """z^j -> z^(-j)."""
+        out = [0] * _ring(self.p)[0]
+        for j, a in enumerate(self.coeffs):
+            out[-j] = a
+        return CycAmp(self.p, out)
 
     def as_int(self) -> int:
         """The value as a rational integer; raises if it is not one."""
@@ -163,15 +157,6 @@ def _unpack(f, n, label) -> tuple:
     return tuple(_pack_digits(digs[i * r:(i + 1) * r], f.p) for i in range(n))
 
 
-def _exponent(amp: CycAmp) -> int:
-    """e with amp = w^e (i^e at p = 2)."""
-    p = amp.p
-    for e in range(4 if p == 2 else p):
-        if CycAmp.root(p, e) == amp:
-            return e
-    raise ValueError(f"{amp!r} is not a root of unity")
-
-
 def _trace_form(f, b):
     """(rep, big) with tr(b.x) = popcount((x * rep) & big) mod p.
 
@@ -186,8 +171,7 @@ def _trace_form(f, b):
     width = len(b) * f.degree * w
     big, lane = 0, 0
     for bi in b:
-        for j in range(f.degree):
-            t = f.trace_int(f.mul(bi, p ** j))
+        for t in f.trace_row(bi):
             for k in range((p - 1).bit_length()):
                 for s in range((t << k) % p):
                     big |= 1 << (s * width + lane * w + k)
@@ -213,9 +197,10 @@ class StateVector:
     def __init__(self, field, length: int, amps: dict, scale: int = 0):
         self.field = field
         self.length = length
-        self.exps = {
-            _pack(field, label): _exponent(amp) for label, amp in amps.items() if not amp.is_zero
-        }
+        roots = {CycAmp.root(field.p, e): e for e in range(phase_modulus(field))}
+        self.exps = {_pack(field, x): roots.get(a) for x, a in amps.items() if not a.is_zero}
+        if None in self.exps.values():
+            raise ValueError("an amplitude is not a root of unity")
         self.scale = scale
         self._amps = None
 
@@ -262,15 +247,15 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
 
 
 def phi(code: LinearCode, table, lam) -> StateVector:
-    """The state sum_{c in C} w^{f_lam(c)} |c>, scaled by q^{-k/2}."""
+    """The state sum_{c in C} omega^{f_lam(c)} |c>, scaled by q^{-k/2}."""
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
     f = code.field
     if code.size > LABEL_BUDGET:
         raise BudgetExceeded(f"code has {code.size} words, budget {LABEL_BUDGET}")
     lam = lam.value if isinstance(lam, FieldElement) else int(lam)
-    mult = 2 if f.p == 2 else 1
-    exps = {_pack(f, w): mult * table.f_int(lam, w) for w in iter_codewords(code)}
+    step = phase_step(f)
+    exps = {_pack(f, w): step * table.f_int(lam, w) for w in iter_codewords(code)}
     return _state(f, code.n, exps, f.degree * code.k)
 
 
@@ -282,8 +267,6 @@ def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
     functional structure is assumed, which is the point: this is how
     states of an arbitrary scrambled matrix are built.
     """
-    from .lincode import encode
-
     f = code.field
     q = f.order
     if matrix.order != code.size:
@@ -292,12 +275,11 @@ def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
         )
     if matrix.p != f.p:
         raise DimensionMismatch(f"matrix entries mod {matrix.p}, field characteristic {f.p}")
-    mult = 2 if f.p == 2 else 1
-    exps = {}
-    row_entries = matrix.rows[row]
-    for col, label in enumerate(matrix.col_labels):
-        word = encode(code, _unpack_digits(label, q, code.k)[::-1])
-        exps[_pack(f, word)] = mult * row_entries[col]
+    step, entries = phase_step(f), matrix.rows[row]
+    exps = {
+        _pack(f, encode(code, _unpack_digits(label, q, code.k)[::-1])): step * entries[col]
+        for col, label in enumerate(matrix.col_labels)
+    }
     return _state(f, code.n, exps, f.degree * code.k)
 
 
@@ -340,7 +322,7 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
 
 
 def _images(e: PauliElement, v: StateVector):
-    """(x + a, exponent at x + c + mult * tr(b.x)) for each label x of v."""
+    """(x + a, exponent at x + c + step * tr(b.x)) for each label x of v."""
     f = v.field
     if e.field != f:
         raise DimensionMismatch("operator and state over different fields")
@@ -349,16 +331,15 @@ def _images(e: PauliElement, v: StateVector):
     add = _lane_adder(f.p, v.length * f.degree)
     a = _pack(f, e.a)
     rep, big = _trace_form(f, e.b)
-    c, modulus = e.phase, phase_modulus(f)
-    mult = 2 if f.p == 2 else 1
+    c, modulus, step = e.phase, phase_modulus(f), phase_step(f)
     return (
-        (add(x, a), (ex + c + mult * ((x * rep) & big).bit_count()) % modulus)
+        (add(x, a), (ex + c + step * ((x * rep) & big).bit_count()) % modulus)
         for x, ex in v.exps.items()
     )
 
 
 def apply(e: PauliElement, v: StateVector) -> StateVector:
-    """Act with w^c X(a) Z(b): labels shift by a, phases pick up tr(b.x)."""
+    """Act with z^c X(a) Z(b): labels shift by a, phases pick up tr(b.x)."""
     return _state(v.field, v.length, dict(_images(e, v)), v.scale)
 
 
@@ -375,18 +356,15 @@ def is_fixed(e: PauliElement, v: StateVector) -> bool:
 def inner(v: StateVector, w: StateVector) -> CycAmp:
     """<v, w> without the scale factors: sum of conj(v) * w.
 
-    Each common label contributes w^(e_w - e_v), so the sum is the
-    histogram of exponent differences read as a cyclotomic integer.
+    Each common label contributes z^(e_w - e_v), so the sum is the
+    histogram of exponent differences read as an element of Z[z].
     """
-    p = v.field.p
     modulus = phase_modulus(v.field)
     counts = [0] * modulus
     ve, we = v.exps, w.exps
     for x in ve.keys() & we.keys():
         counts[(we[x] - ve[x]) % modulus] += 1
-    if p == 2:
-        return CycAmp(2, (counts[0] - counts[2], counts[1] - counts[3]))
-    return CycAmp(p, counts)
+    return CycAmp(v.field.p, counts)
 
 
 def norm_sq(v: StateVector):
@@ -420,11 +398,11 @@ _RATIONALS = SimpleNamespace(inv=lambda x: 1 / x, mul=operator.mul, sub=operator
 
 
 def span_equal(states_a, states_b) -> bool:
-    """Equality of row spaces over the field Q(w), computed exactly.
+    """Equality of row spaces over the field Q(z), computed exactly.
 
-    A Q(w)-span is the Q-span of the w-multiples of its vectors, so each
-    state gives deg rational rows, w^j v for j < deg, read in the power
-    basis of Q(w) (deg = 2 at p = 2, p - 1 otherwise), and the spans are
+    A Q(z)-span is the Q-span of the z-multiples of its vectors, so each
+    state gives deg rational rows, z^j v for j < deg, read in the power
+    basis of Q(z) (deg = [Q(z):Q], the length of a CycAmp), and the spans are
     compared by their reduced echelon forms over Q.  Scale exponents are
     ignored; a global nonzero scalar never moves a span.  Reduction runs
     over the union support, so disjointly supported nonzero states
@@ -441,10 +419,9 @@ def span_equal(states_a, states_b) -> bool:
     support = sorted(set().union(*(v.exps for v in itertools.chain(states_a, states_b))))
     if len(support) * (len(states_a) + len(states_b)) > SPAN_BUDGET:
         raise BudgetExceeded("span comparison beyond budget")
-    p = f.p
     modulus = phase_modulus(f)
-    deg = 2 if p == 2 else p - 1
-    roots = [CycAmp.root(p, e).coeffs[:deg] for e in range(modulus)]
+    roots = [CycAmp.root(f.p, e).coeffs for e in range(modulus)]
+    deg = len(roots[0])
     zero = (0,) * deg
 
     def echelon(states):
@@ -460,29 +437,62 @@ def span_equal(states_a, states_b) -> bool:
     return echelon(states_a) == echelon(states_b)
 
 
+def _independent(prime, items, row_of, limit):
+    """(item, row) for each item whose row is independent of the rows
+    picked before it, stopping once ``limit`` are picked."""
+    picked, rrows, pivots = [], [], []
+    for item in items:
+        if len(picked) == limit:
+            break
+        row = row_of(item)
+        if any(linalg.reduce_vector(prime, rrows, pivots, row)):
+            picked.append((item, row))
+            rrows, pivots = linalg.rref(prime, [r for _, r in picked])
+    return picked
+
+
+def _check_fixing_group(states, found, gens) -> None:
+    """Raise unless ``gens`` commute pairwise, ``found`` is closed under
+    right multiplication by them and each element fixes each state."""
+    f = states[0].field
+    for i, g in enumerate(gens):
+        for h in gens[:i]:
+            if symp_ip_int(f, g.a, g.b, h.a, h.b):
+                raise ArithmeticError("fixing set is not abelian; span data corrupt")
+    keys = {(x.phase, x.a, x.b) for x in found}
+    for x in found:
+        if not all(is_fixed(x, v) for v in states):
+            raise ArithmeticError("solved element moves a state; span data corrupt")
+        for g in gens:
+            y = pauli_mul(x, g)
+            if (y.phase, y.a, y.b) not in keys:
+                raise ArithmeticError("fixing set not closed; span data corrupt")
+
+
 def stab_of_span(states) -> list:
-    """Every w^c X(a) Z(b) fixing each spanning state exactly.
+    """Every z^c X(a) Z(b) fixing each spanning state exactly.
 
-    With mult = 2 at p = 2 and 1 otherwise, w^c X(a) Z(b) fixes a state
-    with exponents e exactly when, on every support label x,
+    With step = M / p, z^c X(a) Z(b) fixes a state with exponents e
+    exactly when, on every support label x,
 
-        e(x + a) - e(x) = c + mult * tr(b.x)   (mod M).
+        e(x + a) - e(x) = c + step * tr(b.x)   (mod M).
 
-    At odd p this is F_p-linear in the unknowns (c, digits of b).  At
-    p = 2 the left side fixes c mod 2, and halving leaves the same
-    system in (c div 2, b).  The coefficient row (1, tr(p^j x_i)) of a
-    label depends on the label alone, so a row basis and its solving map
-    are echelonned once per call.  A candidate shift a must move an
-    anchor label of the first state into that state's support, so at
-    most |support| shifts are tried.  Each costs one solve on the row
-    basis and an ``is_fixed`` check of that solution on every state,
-    which holds exactly when the whole system is consistent; the fixing
-    elements of that shift are then the solution plus the kernel.
+    The left side fixes c mod step, and dividing by step leaves a
+    system that is F_p-linear in the unknowns (c div step, digits of b).
+    The coefficient row (1, tr(p^j x_i)) of a label depends on the label
+    alone, so a row basis and its solving map are echelonned once per
+    call.  A candidate shift a must move an anchor label of the first
+    state into that state's support, so at most |support| shifts are
+    tried.  Each costs one solve on the row basis and an ``is_fixed``
+    check of that solution on every state, which holds exactly when the
+    whole system is consistent; the fixing elements of that shift are
+    then the solution plus the kernel.
 
-    The returned list is checked to be closed under multiplication and
-    abelian, and each element to fix each state, before it is handed
-    back; a failure would mean the solve itself is wrong, so it raises
-    rather than returns.
+    The result is the group generated by the solutions of an F_p-basis
+    of the accepted shifts and by the kernel elements.  Before it is
+    handed back, ``_check_fixing_group`` checks it against those
+    generators; a failure would mean the solve itself is wrong, so it
+    raises rather than returns.
     """
     states = list(states)
     v0 = states[0]
@@ -491,8 +501,7 @@ def stab_of_span(states) -> list:
         if v.field != f or v.length != n:
             raise DimensionMismatch("states of one span live in different spaces")
     p, r = f.p, f.degree
-    modulus = phase_modulus(f)
-    mult = 2 if p == 2 else 1
+    modulus, step = phase_modulus(f), phase_step(f)
     shifts = len(v0.exps)
     rows = sum(len(v.exps) for v in states)
     if shifts * rows > STAB_BUDGET:
@@ -502,22 +511,12 @@ def stab_of_span(states) -> list:
     prime = field_make(p, 1)
     ncols = 1 + n * r
 
-    def row_of(x):
-        return (1,) + tuple(
-            f.trace_int(f.mul(p ** j, xi)) for xi in _unpack(f, n, x) for j in range(r)
-        )
+    def row_of(item):
+        return (1,) + tuple(t for xi in _unpack(f, n, item[1]) for t in f.trace_row(xi))
 
     # A basis of the rows, as (state, label) pairs whose rows are independent.
-    basis, brows, rrows, pivots = [], [], [], []
-    for v in states:
-        for x in v.exps:
-            if len(basis) == ncols:
-                break
-            row = row_of(x)
-            if any(linalg.reduce_vector(prime, rrows, pivots, row)):
-                basis.append((v.exps, x))
-                brows.append(row)
-                rrows, pivots = linalg.rref(prime, brows)
+    picked = _independent(prime, ((v.exps, x) for v in states for x in v.exps), row_of, ncols)
+    basis, brows = zip(*picked)
     # The rows are independent, so reducing [rows | I] puts every pivot
     # among the unknowns, and the identity part of each reduced row
     # holds that pivot unknown as a combination of the right-hand sides.
@@ -530,7 +529,7 @@ def stab_of_span(states) -> list:
 
     def element(c0, a, z):
         b = tuple(_pack_digits(z[1 + i * r:1 + (i + 1) * r], p) for i in range(n))
-        return PauliElement(f, c0 + mult * z[0], a, b)
+        return PauliElement(f, c0 + step * z[0], a, b)
 
     add = _lane_adder(p, n * r)
     anchor = next(iter(v0.exps))
@@ -546,22 +545,23 @@ def stab_of_span(states) -> list:
             diffs.append((ey - exps[x]) % modulus)
         if len(diffs) < rank:
             continue
-        c0 = diffs[0] % mult
-        if any((d - c0) % mult for d in diffs):
+        c0 = diffs[0] % step
+        if any((d - c0) % step for d in diffs):
             continue
-        rhs = [(d - c0) // mult for d in diffs]
+        rhs = [(d - c0) // step for d in diffs]
         z = [0] * ncols
         for col, comb in solver:
             z[col] = sum(u * h for u, h in zip(comb, rhs)) % p
         g = element(c0, _unpack(f, n, a), z)
         if all(is_fixed(g, v) for v in states):
             cosets.append((c0, g.a, z))
+    # The solutions of an F_p-basis of the accepted shifts, and the kernel.
+    reps = _independent(prime, cosets, lambda c: sum(map(f.digits, c[1]), ()), n * r)
+    gens = [element(*c) for c, _ in reps] + [element(0, (0,) * n, k) for k in kernel]
     size = len(cosets) * p ** len(kernel)
-    if size * size > STAB_BUDGET:
-        raise BudgetExceeded(
-            f"{size} fixing elements, {size * size} self-check products, exceed"
-            f" stab_of_span budget {STAB_BUDGET}"
-        )
+    if size * len(gens) > STAB_BUDGET:
+        raise BudgetExceeded(f"{size} fixing elements x {len(gens)} generators"
+                             f" exceed stab_of_span budget {STAB_BUDGET}")
     found = []
     for c0, a, z0 in cosets:
         for coeffs in itertools.product(range(p), repeat=len(kernel)):
@@ -569,16 +569,7 @@ def stab_of_span(states) -> list:
             for t, k in zip(coeffs, kernel):
                 z = [(zi + t * ki) % p for zi, ki in zip(z, k)]
             found.append(element(c0, a, z))
-    keyset = {(g.phase, g.a, g.b) for g in found}
-    for x in found:
-        if not all(is_fixed(x, v) for v in states):
-            raise ArithmeticError("solved element moves a state; span data corrupt")
-        for y in found:
-            if symp_ip_int(f, x.a, x.b, y.a, y.b):
-                raise ArithmeticError("fixing set is not abelian; span data corrupt")
-            z = pauli_mul(x, y)
-            if (z.phase, z.a, z.b) not in keyset:
-                raise ArithmeticError("fixing set not closed; span data corrupt")
+    _check_fixing_group(states, found, gens)
     return found
 
 
@@ -588,7 +579,7 @@ def fix_dim(s) -> int:
     Accepts anything with ``field``, ``num_qudits``, ``generators`` or a
     bare list of PauliElements.  Works by orbit tracing: the X parts
     partition the basis labels into orbits, relation v(x + a) =
-    w^(c + tr(b.x)) v(x) propagates a phase along each orbit, and an
+    z^(c + step tr(b.x)) v(x) propagates a phase along each orbit, and an
     orbit contributes one dimension exactly when the propagated phases
     are consistent around every cycle.
     """
@@ -606,8 +597,7 @@ def fix_dim(s) -> int:
         raise BudgetExceeded(f"{f.order ** n} labels exceed budget {LABEL_BUDGET}")
     if not gens:
         return f.order ** n
-    modulus = phase_modulus(f)
-    mult = 2 if f.p == 2 else 1
+    modulus, step = phase_modulus(f), phase_step(f)
     lanes = n * f.degree
     moves = [(_pack(f, g.a), g.phase, *_trace_form(f, g.b)) for g in gens]
     add = _lane_adder(f.p, lanes)
@@ -626,7 +616,7 @@ def fix_dim(s) -> int:
             base = phase_of[x]
             for a, phase, rep, big in moves:
                 y = add(x, a)
-                ph = (base + phase + mult * ((x * rep) & big).bit_count()) % modulus
+                ph = (base + phase + step * ((x * rep) & big).bit_count()) % modulus
                 seen = phase_of.get(y)
                 if seen is None:
                     phase_of[y] = ph

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbh.bh import (
     BhMatrix,
@@ -17,6 +19,7 @@ from qbh.bh import (
     row_equivalence,
 )
 from qbh.errors import BudgetExceeded, DegenerateForm, LabelsNotGroup, NotBh
+from qbh.gf import _unpack_digits
 
 import oracles
 
@@ -180,6 +183,47 @@ def test_every_normalized_column_scramble_of_order_four_stays_linear():
 def test_linear_rows_false_when_zero_label_moves():
     m = with_swapped_columns(F22, 0, 1)
     assert linear_rows_check(m) is False
+
+
+def test_linear_rows_false_on_a_row_additive_except_at_label_zero():
+    # every other entry of row 4 is the linear x . (1, 1); label 0 reads 1
+    h = kron_fourier(3, 2)
+    rows = [list(r) for r in h.rows]
+    rows[4][h.col_labels.index(0)] = 1
+    m = BhMatrix(9, 3, rows, h.row_labels, h.col_labels)
+    assert linear_rows_check(m) is False
+    rows[4][h.col_labels.index(0)] = 0
+    assert linear_rows_check(BhMatrix(9, 3, rows, h.row_labels, h.col_labels)) is True
+
+
+def _additive_on_every_pair(m, t):
+    pos = {lab: j for j, lab in enumerate(m.col_labels)}
+    p = m.p
+    digs = {x: _unpack_digits(x, p, t) for x in range(m.order)}
+    plus = {
+        (x, y): sum(((a + b) % p) * p ** i for i, (a, b) in enumerate(zip(digs[x], digs[y])))
+        for x in range(m.order) for y in range(m.order)
+    }
+    return all(
+        row[pos[plus[x, y]]] == (row[pos[x]] + row[pos[y]]) % p
+        for row in m.rows for x in range(m.order) for y in range(m.order)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_linear_rows_agrees_with_the_pairwise_definition(data):
+    p, t = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2)]))
+    h = kron_fourier(p, t)
+    order = h.order
+    cols = [0] + data.draw(st.permutations(range(1, order)))
+    labels = data.draw(st.permutations(range(order)))
+    rows = [[r[j] for j in cols] for r in h.rows]
+    i = data.draw(st.integers(0, order - 1))
+    shift = data.draw(st.integers(0, p - 1))
+    rows[i] = [(e + shift) % p for e in rows[i]]
+    m = BhMatrix(order, p, rows, h.row_labels, labels)
+    assert linear_rows_check(m) == _additive_on_every_pair(m, t)
 
 
 def test_linear_rows_false_on_order_eight_scramble():

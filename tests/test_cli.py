@@ -309,3 +309,12 @@ def test_construct_rejects_bad_code_file(tmp_path, capsys):
     rc = main(["construct", "-c", bad, "-d", d, "-o", str(tmp_path / "o")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("head", ["1000000000000000000000000000057 1 2 1", "3 1000000000 2 1"])
+def test_construct_rejects_field_beyond_limit_at_once(tmp_path, capsys, head):
+    bad = _write(tmp_path, "bad.txt", head + "\n1 1\n")
+    d = _write(tmp_path, "d.txt", SHOR_D)
+    rc = main(["construct", "-c", bad, "-d", d, "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert "exceeds limit" in capsys.readouterr().err

@@ -66,6 +66,13 @@ def test_size_limit():
     assert FIELD_SIZE_LIMIT == 1 << 16
 
 
+@pytest.mark.parametrize("p,t", [(1000000000000000000000000000057, 1), (3, 1000000000)])
+def test_size_limit_checked_before_primality_and_order(p, t):
+    # trial division up to sqrt(p), or p ** t, would not finish here
+    with pytest.raises(BudgetExceeded):
+        field_make(p, t)
+
+
 @pytest.mark.parametrize("p,t", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 1)])
 def test_field_axioms_spot_checks(p, t):
     f = field_make(p, t)
@@ -121,6 +128,15 @@ def test_trace_is_linear():
     for a in f.elements():
         for b in f.elements():
             assert f.trace_int(f.add(a, b)) == (f.trace_int(a) + f.trace_int(b)) % 2
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (2, 3), (3, 2), (5, 2)])
+def test_trace_row_pairs_with_digits_to_the_trace(p, t):
+    f = field_make(p, t)
+    for a in f.elements():
+        row = f.trace_row(a)
+        for x in f.elements():
+            assert sum(r * d for r, d in zip(row, f.digits(x))) % p == f.trace_int(f.mul(a, x))
 
 
 def test_embed_f4_into_f16_frozen_table():

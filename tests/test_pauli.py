@@ -16,6 +16,7 @@ from qbh.pauli import (
     pauli_from_text,
     pauli_to_text,
     phase_modulus,
+    phase_step,
     psi,
     render_human,
     swt,
@@ -39,6 +40,10 @@ def test_phase_modulus():
     assert phase_modulus(F4) == 4
     assert phase_modulus(F3) == 3
     assert phase_modulus(field_make(5, 1)) == 5
+
+
+def test_phase_step():
+    assert [phase_step(f) for f in (F2, F4, F3, field_make(5, 1))] == [2, 2, 1, 1]
 
 
 def test_psi_drops_phase():

@@ -11,8 +11,9 @@ from qbh.errors import BudgetExceeded, DimensionMismatch, LengthMismatch
 from qbh.gf import field_make
 from qbh.lincode import code_make, codewords, dual
 from qbh.functional import table_make, table_matrix
-from qbh.pauli import PauliElement, identity, psi, x_op, z_op
+from qbh.pauli import PauliElement, commutes, identity, psi, x_op, z_op
 from qbh.construct import build, stab_from_text, stab_to_text
+from qbh import statevec as sv
 from qbh.statevec import (
     LABEL_BUDGET,
     STAB_BUDGET,
@@ -88,6 +89,20 @@ def test_cycamp_conj_multiplicative_norm():
     for e in range(3):
         z = CycAmp.root(3, e)
         assert (z * z.conj()).as_int() == 1
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 5), (7, 7)])
+def test_cycamp_roots_of_unity_in_one_ring(p, m):
+    # phi(M) coefficients: (re, im) at p = 2, p - 1 at odd p
+    assert CycAmp.root(p, 1).coeffs == (0, 1) + (0,) * (m - m // p - 2)
+    assert CycAmp.zero(p).coeffs == (0,) * (m - m // p)
+    for e in range(m):
+        z = CycAmp.root(p, e)
+        assert z.conj() == CycAmp.root(p, -e)
+        assert z.rot(1) == CycAmp.root(p, e + 1)
+        for f in range(m):
+            assert z * CycAmp.root(p, f) == CycAmp.root(p, e + f)
+    assert sum((CycAmp.root(p, e) for e in range(m)), CycAmp.zero(p)).is_zero
 
 
 # -- StateVector basics
@@ -391,9 +406,9 @@ def test_stab_of_span_budget_counts_shifts_rows_and_output():
     flat = state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
     with pytest.raises(BudgetExceeded, match="shifts"):
         stab_of_span([flat])  # 2^11 shifts x 2^11 rows
-    ket = state_make(F2, n, {(0,) * n: ONE2})
+    ket = state_make(F2, 17, {(0,) * 17: ONE2})
     with pytest.raises(BudgetExceeded, match="fixing elements"):
-        stab_of_span([ket])  # all 2^11 Z(b) fix it: 2^22 self-check products
+        stab_of_span([ket])  # all 2^17 Z(b) fix it, x 17 generators: > 2^20 products
 
 
 def _assert_stab_matches_enumeration(states):
@@ -438,6 +453,47 @@ def test_stab_of_span_finds_odd_phases_at_p2():
     v = state_make(F2, 1, {(0,): ONE2, (1,): CycAmp.root(2, 1)})
     _assert_stab_matches_enumeration([v])
     assert set(stab_of_span([v])) == {identity(F2, 1), PauliElement(F2, 1, (1,), (1,))}
+
+
+def _stab_with_generators(states, monkeypatch):
+    """stab_of_span(states) with the generators its self-check was given."""
+    seen = []
+    check = sv._check_fixing_group
+    monkeypatch.setattr(sv, "_check_fixing_group", lambda *args: seen.append(args) or check(*args))
+    found = stab_of_span(states)
+    monkeypatch.undo()
+    (args,) = seen
+    assert args[1] is found
+    return found, args[2]
+
+
+def test_fixing_group_check_needs_every_coset(monkeypatch):
+    h = kron_fourier(2, 2)
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    states = [big_phi_from_matrix(h, c, (r, r)) for r in range(4)]
+    found, gens = _stab_with_generators(states, monkeypatch)
+    assert len(found) == 16 and len(gens) <= 2 * 6 + 1
+    sv._check_fixing_group(states, found, gens)
+    shifts = {g.a for g in gens if any(g.a)}
+    assert shifts
+    for a in shifts:
+        short = [x for x in found if x.a != a]
+        with pytest.raises(ArithmeticError, match="not closed"):
+            sv._check_fixing_group(states, short, gens)
+
+
+def test_fixing_group_check_needs_commuting_elements(monkeypatch):
+    c, d, t = shor_setup()
+    states = [big_phi(c, d, t, word) for word in codewords(d)]
+    found, gens = _stab_with_generators(states, monkeypatch)
+    n = states[0].length
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    singles = [op(F2, u) for u in units for op in (x_op, z_op)]
+    bad = next(e for e in singles if any(not commutes(e, g) for g in gens))
+    with pytest.raises(ArithmeticError, match="not abelian"):
+        sv._check_fixing_group(states, found + [bad], gens + [bad])
+    with pytest.raises(ArithmeticError):
+        sv._check_fixing_group(states, found + [bad], gens)
 
 
 @st.composite
