@@ -2,10 +2,12 @@
 
 The stabilizer group is generated by two families.  X-type generators
 carry an m-tuple of codewords of C lying in the common kernel of every
-summed functional indexed by D; Z-type generators carry one dual
-codeword in one block.  Both families are phase-free, the group is
-abelian, and the F_p-span of the symplectic rows has full rank
-r(nm - ks), so the fixed space has dimension q^{ks}.
+summed functional indexed by D, which is the dual of D concatenated
+with C: the tuples whose packed messages form a word of D^perp.  Z-type
+generators carry one dual codeword in one block.  Both families are
+phase-free, the group is abelian, and the F_p-span of the symplectic
+rows has full rank r(nm - ks), so the fixed space has dimension q^{ks};
+``build`` checks all of it with ``verify_generators``.
 
 Distances come in two independent flavours: ``distance`` evaluates the
 closed form min{d(C), ell} from the construction data, while
@@ -19,12 +21,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import (
-    BudgetExceeded,
-    DimensionBounds,
-    DimensionMismatch,
-    LengthMismatch,
-)
+from .errors import BudgetExceeded, DimensionBounds, LengthMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, theta, validate_d
 from .gf import (
     Field,
@@ -132,27 +129,14 @@ def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
         raise DimensionBounds(
             f"need 1 <= k < n, got k = {code.k}, n = {code.n}"
         )
-    scalars = d_code.field
-    if scalars.p != code.field.p or scalars.degree != code.field.degree * code.k:
-        raise DimensionMismatch(
-            f"outer code field GF({scalars.p}^{scalars.degree}) is not the"
-            f" degree-{code.field.degree * code.k} extension of the inner field"
-        )
+    table = table_make(code, d_code.field)
     validate_d(d_code)
-    table = table_make(code, scalars)
     f = code.field
-    r, n, k = f.degree, code.n, code.k
-    m, s = d_code.n, d_code.k
+    n, k, m, s = code.n, code.k, d_code.n, d_code.k
 
-    x_tuples = big_f_kernel(table, d_code)
-    if len(x_tuples) != r * k * (m - s):
-        raise ArithmeticError(
-            f"kernel dimension {len(x_tuples)} != rk(m-s) = {r * k * (m - s)};"
-            " construction data corrupt"
-        )
     zero_block = (0,) * (n * m)
     gens = []
-    for blocks in x_tuples:
+    for blocks in big_f_kernel(table, d_code):
         a = tuple(itertools.chain.from_iterable(blocks))
         gens.append(PauliElement(f, 0, a, zero_block))
     dual_basis = fp_basis(dual(code))
@@ -162,16 +146,9 @@ def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
             gens.append(PauliElement(f, 0, zero_block, b))
 
     sc = StabilizerCode(f, n, k, m, s, gens, code=code, d_code=d_code, table=table)
-    expected = r * (n * m - k * s)
-    prime = field_make(f.p, 1)
-    rank = len(linalg.rref(prime, sc.sympl_matrix)[0])
-    if len(gens) != expected or rank != expected:
-        raise ArithmeticError(
-            f"generator rank {rank} != r(nm-ks) = {expected}; construction data corrupt"
-        )
-    for x, y in itertools.combinations(gens, 2):
-        if symp_ip_int(f, x.a, x.b, y.a, y.b):
-            raise ArithmeticError("generators fail to commute; construction data corrupt")
+    problems = verify_generators(sc)
+    if problems:
+        raise ArithmeticError(f"{problems[0]}; construction data corrupt")
     return sc
 
 
@@ -317,8 +294,7 @@ def verify_generators(sc: StabilizerCode) -> list:
     for (i, x), (j, y) in itertools.combinations(enumerate(sc.generators), 2):
         if symp_ip_int(f, x.a, x.b, y.a, y.b):
             problems.append(f"generators {i} and {j} do not commute")
-    prime = field_make(f.p, 1)
-    rank = len(linalg.rref(prime, sc.sympl_matrix)[0])
+    rank = len(sc._sbar()[0])
     expected = f.degree * (sc.n * sc.m - sc.k * sc.s)
     if rank != expected:
         problems.append(
@@ -363,12 +339,15 @@ def stab_from_text(text: str) -> StabilizerCode:
     delta = None if head[8] == "-" else int(head[8])
     if N != n * m or K != k * s:
         raise ValueError(f"header inconsistent: N != n*m or K != k*s in {head}")
+    if delta is not None and not 1 <= delta <= N:
+        raise ValueError(f"stored delta {delta} lies outside [1, N = {N}]")
     f, body = _field_from_body(p, r, lines[1:])
     gens = []
     for ln in body:
-        if "|" not in ln:
-            raise ValueError(f"generator line lacks the a|b separator: {ln!r}")
-        a_txt, b_txt = ln.split("|")
+        parts = ln.split("|")
+        if len(parts) != 2:
+            raise ValueError(f"generator line needs exactly one a|b separator: {ln!r}")
+        a_txt, b_txt = parts
         a = tuple(int(x) for x in a_txt.split())
         b = tuple(int(x) for x in b_txt.split())
         if len(a) != N or len(b) != N:

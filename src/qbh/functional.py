@@ -16,6 +16,7 @@ non-degenerate and pack . msg is an F_p-isomorphism of C onto K.
 returns the lexicographically smallest x in F_q^n whose trace pairing
 rho_x(c) = tr_{q/p}(c . x) agrees with f_lam on C.  The solution set is
 a coset of the dual code, so theta(lam) names that coset canonically.
+``unpack_message`` inverts P = pack . msg on the message side.
 """
 
 from __future__ import annotations
@@ -25,19 +26,31 @@ import itertools
 from . import linalg
 from .errors import DegenerateD, DimensionMismatch, LengthMismatch, NotACodeword
 from .gf import Field, FieldElement, field_make
-from .lincode import LinearCode, code_make, contains, encode, fp_basis
+from .lincode import LinearCode, code_make, contains, dual, encode, fp_basis
+
+
+def _digit_sum(f: Field, digits, images, length: int) -> tuple:
+    """sum_t digits[t] * images[t] over F_q: an F_p-linear map applied to a digit vector."""
+    out = (0,) * length
+    for c, image in zip(digits, images):
+        if c:
+            out = tuple(f.add(a, f.mul(c, b)) for a, b in zip(out, image))
+    return out
 
 
 class FunctionalTable:
     """The family { f_lam : lam in K } attached to one code C, with its lift.
 
-    ``theta`` and ``lambda_of`` are F_p-linear, so each is stored as its
-    images of the digit units: theta(p^t) for t < deg K, and
-    lambda_of(p^d e_j) for every coordinate j and digit d.  Both come
-    from the trace systems solved once per unit at construction.
+    ``theta``, ``lambda_of`` and ``unpack_message`` are F_p-linear, so
+    each is stored as its images of the digit units: theta(p^t) and the
+    message of p^t for t < deg K, and lambda_of(p^d e_j) for every
+    coordinate j and digit d.  All come from the trace systems solved
+    once per unit at construction.
     """
 
-    __slots__ = ("code", "scalars", "prime", "_embed", "_basis_powers", "_theta", "_lambda")
+    __slots__ = (
+        "code", "scalars", "prime", "_embed", "_basis_powers", "_theta", "_lambda", "_unpack",
+    )
 
     def __init__(self, code: LinearCode, scalars: Field):
         self.code = code
@@ -81,6 +94,16 @@ class FunctionalTable:
                 raise ArithmeticError("functional not representable; field tables corrupt")
             images.append(K.from_digits(digs))
         self._lambda = [images[j * r : (j + 1) * r] for j in range(n)]
+        # The message digits v of P^-1(y) solve functional^T . v = trace_row(y),
+        # digits ordered as in fp_basis: coordinate-major, digit inner.
+        transposed = list(zip(*functional))
+        self._unpack = []
+        for t in range(K.degree):
+            digs = linalg.solve(prime, transposed, K.trace_row(K.p ** t))
+            if digs is None:  # pragma: no cover - P is an F_p-isomorphism
+                raise ArithmeticError("message not recoverable; field tables corrupt")
+            self._unpack.append(tuple(f.from_digits(digs[j * r : (j + 1) * r])
+                                      for j in range(code.k)))
 
     # -- scalar side
 
@@ -93,6 +116,10 @@ class FunctionalTable:
                 acc = K.add(acc, K.mul(self._embed[m], power))
         return acc
 
+    def unpack_message(self, y: int) -> tuple:
+        """Packed element of K -> message tuple over F_q; inverse of pack_message."""
+        return _digit_sum(self.code.field, self.scalars.digits(y), self._unpack, self.code.k)
+
     def f_int(self, lam: int, word) -> int:
         """f_lam evaluated on a codeword, as an int in [0, p)."""
         msg = tuple(word[j] for j in self.code.pivots)
@@ -102,12 +129,7 @@ class FunctionalTable:
 
     def theta(self, lam: int) -> tuple:
         """Lexicographically smallest x with rho_x = f_lam on C."""
-        f = self.code.field
-        x = (0,) * self.code.n
-        for c, image in zip(self.scalars.digits(lam), self._theta):
-            if c:
-                x = tuple(f.add(a, f.mul(c, b)) for a, b in zip(x, image))
-        return x
+        return _digit_sum(self.code.field, self.scalars.digits(lam), self._theta, self.code.n)
 
     def lambda_of(self, x) -> int:
         """The unique scalar lam whose functional agrees with rho_x on C."""
@@ -215,47 +237,32 @@ def big_f_kernel(table: FunctionalTable, d_code: LinearCode) -> list:
     """F_p-basis of the joint kernel of all summed functionals.
 
     The functional indexed by a D-codeword Lam sends (c_1, ..., c_m) to
-    sum_i f_{lam_i}(c_i).  The returned basis spans the intersection of
-    all their kernels inside C^m; each basis element is an m-tuple of
-    codewords.  Deterministic: the basis is echelonized over message
-    digits.
+    sum_i f_{lam_i}(c_i) = tr(sum_i lam_i P(c_i)), with P = pack . msg.
+    D is K-linear and the trace form of K is non-degenerate, so the
+    joint kernel is {(c_i) : (P(c_1), ..., P(c_m)) in D^perp}: the dual
+    of D concatenated with C through P^-1.  Each basis element is an
+    m-tuple of codewords.  Deterministic: the basis is the reduced
+    echelon form over message digits, unknown (i*k + j)*r + d being
+    digit d of message coordinate j of block i.
     """
     code = table.code
-    K = table.scalars
-    if d_code.field != K:
+    if d_code.field != table.scalars:
         raise DimensionMismatch("outer code is not defined over the scalar field")
-    m, k, r = d_code.n, code.k, code.field.degree
     q = code.field
-    unknowns = m * k * r
-    # F_p-spanning set of D: every generator row times each digit basis scalar
-    constraints = []
-    for row in d_code.gen:
-        for t in range(K.degree):
-            constraints.append(tuple(K.mul(K.p ** t, lam) for lam in row))
-    rows = []
-    for lam_tuple in constraints:
-        row = [0] * unknowns
-        for i in range(m):
-            lam = lam_tuple[i]
-            if not lam:
-                continue
-            for j in range(k):
-                for d in range(r):
-                    packed = K.mul(table._embed[q.p ** d], table._basis_powers[j])
-                    row[(i * k + j) * r + d] = K.trace_int(K.mul(lam, packed))
-        rows.append(tuple(row))
-    basis = linalg.nullspace(table.prime, rows, unknowns)
-    out = []
-    for vec in basis:
-        blocks = []
-        for i in range(m):
-            msg = []
-            for j in range(k):
-                digs = vec[(i * k + j) * r : (i * k + j) * r + r]
-                msg.append(q.from_digits(digs))
-            blocks.append(encode(code, tuple(msg)))
-        out.append(tuple(blocks))
-    return out
+    rows = [
+        tuple(d for y in vec for x in table.unpack_message(y) for d in q.digits(x))
+        for vec in fp_basis(dual(d_code))
+    ]
+    basis, _ = linalg.rref(table.prime, rows)
+    k, r = code.k, q.degree
+    return [
+        tuple(
+            encode(code, tuple(q.from_digits(vec[(i * k + j) * r : (i * k + j + 1) * r])
+                               for j in range(k)))
+            for i in range(d_code.n)
+        )
+        for vec in basis
+    ]
 
 
 def table_matrix(table: FunctionalTable):

@@ -543,6 +543,9 @@ def field_make(p: int, t: int, modulus=None) -> Field:
             )
         if not _is_irreducible(mod, p):
             raise ReducibleModulus(f"modulus {list(mod)} is reducible over F_{p}")
+        if t == 1:
+            # Every linear modulus gives the same arithmetic; one Field per prime.
+            mod = _smallest_irreducible(p, 1)
     fld = _FIELD_CACHE.get((p, t, mod))
     if fld is None:
         fld = Field(p, t, mod)

@@ -218,3 +218,39 @@ def stab_by_enumeration(states):
                 if all(fixes(e, v) for v in states):
                     found.add((e.phase, e.a, e.b))
     return found
+
+
+def trace_system_kernel(table, d_code):
+    """Joint kernel of the summed functionals, as a trace system.
+
+    One F_p row per digit multiple p^t * Lam of each generator Lam of D;
+    the entry of unknown (i*k + j)*r + d is tr(lam_i * P(p^d e_j)), with
+    P read off ``pack_message``.  The nullspace, in reduced echelon form,
+    is encoded block by block.
+    """
+    from qbh import linalg
+    from qbh.lincode import encode
+
+    code, K = table.code, table.scalars
+    q, m, k = code.field, d_code.n, code.k
+    r = q.degree
+    units = []
+    for j in range(k):
+        for d in range(r):
+            msg = [0] * k
+            msg[j] = q.p ** d
+            units.append(table.pack_message(tuple(msg)))
+    rows = []
+    for row in d_code.gen:
+        for t in range(K.degree):
+            lams = [K.mul(K.p ** t, lam) for lam in row]
+            rows.append(tuple(K.trace_int(K.mul(lam, u)) for lam in lams for u in units))
+    basis = linalg.nullspace(table.prime, rows, m * k * r)
+    return [
+        tuple(
+            encode(code, tuple(q.from_digits(vec[(i * k + j) * r:(i * k + j + 1) * r])
+                               for j in range(k)))
+            for i in range(m)
+        )
+        for vec in basis
+    ]

@@ -86,6 +86,18 @@ def test_distance_rejects_mismatched_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_distance_rejects_stored_delta_out_of_range(tmp_path, capsys):
+    c, d, out = _shor_files(tmp_path)
+    main(["construct", "-c", c, "-d", d, "-o", out])
+    lines = (tmp_path / "shor.stab").read_text().splitlines()
+    assert lines[0].endswith(" 3")
+    bad = _write(tmp_path, "bad.stab", "\n".join([lines[0][:-1] + "-7", *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert main(["distance", bad]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "delta -7" in err
+
+
 def test_distance_needs_both_code_files(tmp_path, capsys):
     c, d, out = _shor_files(tmp_path)
     main(["construct", "-c", c, "-d", d, "-o", out])

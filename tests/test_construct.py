@@ -17,7 +17,7 @@ from qbh.gf import field_make
 from qbh.lincode import code_make, contains, dual, fp_basis
 from qbh.functional import table_make, theta
 from qbh.pauli import PauliElement, swt, symp_ip, x_op, z_op
-from qbh import linalg
+from qbh import construct, linalg
 from qbh.construct import (
     StabilizerCode,
     build,
@@ -116,6 +116,17 @@ def test_build_rejects_wrong_scalar_field():
     d = code_make(field_make(2, 2), [(1, 1)])
     with pytest.raises(DimensionMismatch):
         build(c, d)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda kern: kern[:-1],  # one X-type generator dropped
+    lambda kern: kern[:-1] + kern[:1],  # one repeated: full count, rank short
+], ids=["dropped", "repeated"])
+def test_build_rejects_a_corrupt_kernel(monkeypatch, corrupt):
+    real = construct.big_f_kernel
+    monkeypatch.setattr(construct, "big_f_kernel", lambda t, d: corrupt(real(t, d)))
+    with pytest.raises(ArithmeticError, match="symplectic rank .*; construction data corrupt"):
+        build(*helpers.nine_qutrit_pair())
 
 
 def test_build_rejects_degenerate_outer_code():

@@ -14,12 +14,13 @@ from qbh.lincode import code_from_text, code_make, code_to_text
 from qbh.pauli import PauliElement, pauli_from_text, pauli_to_text, phase_modulus
 
 # Every small field under every monic irreducible modulus, so the
-# 'modulus' lines of the formats carry more than the default.  Prime
-# fields take the default only: the code and stabilizer formats write
-# no modulus at degree 1.
+# 'modulus' lines of the formats carry more than the default.  Every
+# linear modulus x + a is drawn too: the code and stabilizer formats
+# write no modulus at degree 1, and field_make maps each to the one
+# prime field per p.
 FIELDS = [field_make(p, 1) for p in (2, 3, 5, 7)] + [
     field_make(p, t, m + (1,))
-    for p, t in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
+    for p, t in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
     for m in itertools.product(range(p), repeat=t)
     if _is_irreducible(m + (1,), p)
 ]
@@ -94,10 +95,20 @@ def test_pauli_round_trip(data):
     (code_from_text, "2 1 3 1\n1 2 1\n"),  # entry 2 outside GF(2)
     (bh_from_text, "2 2\n0 0\n"),  # one row of two
     (stab_from_text, "2 1 1 1 2 1 2 1 -\n0 4 | 0 0\n"),  # entry 4 outside GF(2)
-], ids=["field", "code", "bh", "stab"])
+    (stab_from_text, "2 1 1 1 2 1 2 1 -\n0 0 | 0 0 | 1\n"),  # two separators
+    (stab_from_text, "2 1 1 1 2 1 2 1 0\n0 0 | 1 1\n"),  # delta 0
+    (stab_from_text, "2 1 1 1 2 1 2 1 3\n0 0 | 1 1\n"),  # delta N + 1
+    (stab_from_text, "2 1 1 1 2 1 2 1 -7\n0 0 | 1 1\n"),  # delta -7
+], ids=["field", "code", "bh", "stab", "stab-two-pipes", "stab-delta-0",
+        "stab-delta-N+1", "stab-delta-negative"])
 def test_each_format_rejects_bad_input(parse, text):
     with pytest.raises((ValueError, QbhError)):
         parse(text)
+
+
+def test_stab_line_with_two_separators_is_quoted():
+    with pytest.raises(ValueError, match=r"exactly one a\|b separator: '0 0 \| 0 0 \| 1'"):
+        stab_from_text("2 1 1 1 2 1 2 1 -\n0 0 | 0 0 | 1\n")
 
 
 @pytest.mark.parametrize("f,text", [

@@ -27,6 +27,7 @@ from qbh.functional import (
 )
 
 import helpers
+import oracles
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -203,6 +204,8 @@ def test_theta_and_lambda_of_make_no_linalg_call_after_table_make(monkeypatch):
         assert lambda_of(t, theta(t, lam)) == lam
     for x in itertools.product(F4.elements(), repeat=c.n):
         assert tuple(F4.sub(a, b) for a, b in zip(x, theta(t, lambda_of(t, x)))) in cperp
+    for msg in itertools.product(F4.elements(), repeat=c.k):
+        assert t.unpack_message(t.pack_message(msg)) == msg
 
 
 def test_theta_additive_modulo_dual():
@@ -311,6 +314,26 @@ def test_big_f_kernel_nullity_on_family_sample():
                 for lam, block in zip(lam_word, tup):
                     acc += t.f_int(lam, block)
                 assert acc % meta["p"] == 0
+
+
+def test_big_f_kernel_equals_the_trace_system_kernel():
+    for c_code, d_code, _ in helpers.family_instances():
+        t = table_make(c_code, d_code.field)
+        assert big_f_kernel(t, d_code) == oracles.trace_system_kernel(t, d_code)
+
+
+def test_unpack_message_inverts_pack_message_beyond_prime_inner_fields():
+    seen = set()
+    for c_code, d_code, meta in helpers.family_instances():
+        if meta["r"] != 2 or c_code in seen:
+            continue
+        seen.add(c_code)
+        t = table_make(c_code, d_code.field)
+        for msg in itertools.product(c_code.field.elements(), repeat=c_code.k):
+            assert t.unpack_message(t.pack_message(msg)) == msg
+        for y in t.scalars.elements():
+            assert t.pack_message(t.unpack_message(y)) == y
+    assert {c.field.order for c in seen} == {4, 9}
 
 
 def test_validate_d_rejects_zero_and_full_dimension():

@@ -363,3 +363,9 @@ def test_all_products_agree_with_digit_polynomials():
     for a, b in itertools.product(f.elements(), repeat=2):
         want = oracles.poly_mul_mod(2, list(f.modulus), list(f.digits(a)), list(f.digits(b)))
         assert f.digits(f.mul(a, b)) == tuple(want)
+
+
+def test_linear_modulus_gives_the_one_prime_field():
+    for p in (2, 3, 5, 7):
+        for a in range(p):
+            assert field_make(p, 1, (a, 1)) is field_make(p, 1)
