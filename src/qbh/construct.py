@@ -14,6 +14,10 @@ closed form min{d(C), ell} from the construction data, while
 ``distance_bruteforce`` enumerates the symplectic centralizer, found as
 a nullspace from the generator list alone, and never reads the
 construction data.  The test suite holds the two against each other.
+A generator list whose every member is pure X or pure Z is CSS: its
+centralizer is A x B, X-parts times Z-parts, and since
+wt(a|b) >= max(wt a, wt b) the walk takes A and B apart, p^{dim A} +
+p^{dim B} elements instead of p^{dim A + dim B}.
 """
 
 from __future__ import annotations
@@ -192,6 +196,29 @@ def distance(sc: StabilizerCode) -> int:
     return sc.delta
 
 
+def _trace_rows(f: Field, vec) -> tuple:
+    """tr(vec . x) as a row on the digits of x, qudit by qudit."""
+    return tuple(t for v in vec for t in f.trace_row(v))
+
+
+def _qudit_digits(f: Field, *parts) -> tuple:
+    """Digit vector over F_p with qudit i's digits of every part in chunk i."""
+    return tuple(d for xs in zip(*parts) for x in xs for d in f.digits(x))
+
+
+def _from_digits(f: Field, vec) -> tuple:
+    r = f.degree
+    return tuple(f.from_digits(vec[i : i + r]) for i in range(0, len(vec), r))
+
+
+def _check_commutes(sc: StabilizerCode, a, b) -> None:
+    for g in sc.generators:
+        if symp_ip_int(sc.field, a, b, g.a, g.b):
+            raise ArithmeticError(
+                "centralizer vector fails to commute; construction data corrupt"
+            )
+
+
 def centralizer_basis(sc: StabilizerCode) -> list:
     """F_p-basis of the symplectic centralizer of the generator rows.
 
@@ -203,68 +230,39 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     """
     f = sc.field
     prime = field_make(f.p, 1)
-    N = sc.num_qudits
-    r = f.degree
+    N, r = sc.num_qudits, f.degree
     # pairing of unknown (a|b) with g, as a functional on digits:
     # tr(g.a . b) - tr(g.b . a)
     rows = [
-        tuple(-t % f.p for bi in g.b for t in f.trace_row(bi))
-        + tuple(t for ai in g.a for t in f.trace_row(ai))
+        tuple(-t % f.p for t in _trace_rows(f, g.b)) + _trace_rows(f, g.a)
         for g in sc.generators
     ]
     out = []
     for vec in linalg.nullspace(prime, rows, 2 * N * r):
-        a = tuple(
-            f.from_digits(vec[i * r : (i + 1) * r]) for i in range(N)
-        )
-        b = tuple(
-            f.from_digits(vec[(N + i) * r : (N + i + 1) * r]) for i in range(N)
-        )
-        out.append(SymplecticVector(f, a, b))
-    for v in out:
-        for g in sc.generators:
-            if symp_ip_int(f, v.a, v.b, g.a, g.b):
-                raise ArithmeticError(
-                    "centralizer vector fails to commute; construction data corrupt"
-                )
+        v = SymplecticVector(f, _from_digits(f, vec[: N * r]), _from_digits(f, vec[N * r :]))
+        _check_commutes(sc, v.a, v.b)
+        out.append(v)
     return out
 
 
-def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum symplectic weight over the centralizer, by enumeration.
+def _min_weight_outside(p: int, srows, rest, N: int, per_qudit: int) -> int:
+    """Minimum weight of span(srows + rest) outside span(srows).
 
-    The walk basis starts with the echelon rows of the stabilizer span S
-    and goes on with the echelon form of the centralizer vectors reduced
-    against them.  The Gray-code walk over that basis reaches S first:
-    its first p^{dim S} elements are exactly the span.  The minimum is
-    taken over elements outside the span when any exist, otherwise over
-    the nonzero span.
+    Rows are echelon digit vectors with ``per_qudit`` digits for each of
+    the N qudits, qudit by qudit, and the weight counts the qudits with
+    a nonzero digit.  The Gray-code walk over srows then rest reaches
+    span(srows) first: its first p^{len(srows)} elements are exactly that
+    span.  With no rest the minimum is over the nonzero span.
     """
-    f = sc.field
-    p, r, N = f.p, f.degree, sc.num_qudits
-    prime = field_make(p, 1)
-    srows, pivots = sc._sbar()
-    rest, _ = linalg.rref(prime, [
-        linalg.reduce_vector(prime, srows, pivots, _flatten(f, v.a, v.b))
-        for v in centralizer_basis(sc)
-    ])
-    total = p ** (len(srows) + len(rest))
-    if total > budget:
-        raise BudgetExceeded(f"centralizer size {total} exceeds budget {budget}")
-    # Qudit i owns chunk i: the lanes of its a-digits, then of its b-digits.
     w = _lane_width(p)
-    rows = [
-        _lane_pack([flat[(h * N + i) * r + d]
-                    for i in range(N) for h in (0, 1) for d in range(r)], w)
-        for flat in srows + rest
-    ]
-    chunk = 2 * r * w
+    rows = [_lane_pack(v, w) for v in srows + rest]
+    chunk = per_qudit * w
     ones = _lane_pack((1,) * N, chunk)
     low = ones * ((1 << (chunk - 1)) - 1)
     high = ones << (chunk - 1)
     best = N + 1
     first = p ** len(srows) if rest else 1
-    for cur in itertools.islice(_lane_span(p, rows, 2 * N * r), first, None):
+    for cur in itertools.islice(_lane_span(p, rows, N * per_qudit), first, None):
         # one bit per nonzero chunk: its top bit, or a carry out of the rest
         wt = ((((cur & low) + low) | cur) & high).bit_count()
         if wt < best:
@@ -272,6 +270,69 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
                 return 1
             best = wt
     return best
+
+
+def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
+    """Minimum symplectic weight over the centralizer outside the stabilizer.
+
+    Reads only the generator list.  When every generator is pure X
+    (b = 0) or pure Z (a = 0) the code is CSS, and its centralizer
+    splits as A x B: A the X-parts a with tr(a . z) = 0 for every
+    Z-part z, B the Z-parts b with tr(b . x) = 0 for every X-part x.
+    The stabilizer splits as S_X x S_Z the same way.  An element (a|b)
+    outside S_X x S_Z has a outside S_X or b outside S_Z, and
+    wt(a|b) >= max(wt a, wt b), with equality for (a|0) and (0|b).  So
+    the distance is the smaller of the minimum weights of A outside S_X
+    and of B outside S_Z, and the two halves are walked apart: p^{dim A}
+    + p^{dim B} elements instead of p^{dim A + dim B}.  Other generator
+    lists walk the whole centralizer, a and b digits side by side.  The
+    minimum is over the nonzero stabilizer when no element lies outside
+    it.  ``budget`` caps the total number of elements walked.
+    """
+    f = sc.field
+    p, r, N = f.p, f.degree, sc.num_qudits
+    prime = field_make(p, 1)
+    gens = sc.generators
+    if all(not any(g.a) or not any(g.b) for g in gens):
+        xs = [g.a for g in gens if any(g.a)]
+        zs = [g.b for g in gens if any(g.b)]
+        zero = (0,) * N
+        a_half = linalg.nullspace(prime, [_trace_rows(f, z) for z in zs], N * r)
+        b_half = linalg.nullspace(prime, [_trace_rows(f, x) for x in xs], N * r)
+        for vec in a_half:
+            _check_commutes(sc, _from_digits(f, vec), zero)
+        for vec in b_half:
+            _check_commutes(sc, zero, _from_digits(f, vec))
+        halves = [
+            ([_qudit_digits(f, x) for x in xs], a_half),
+            ([_qudit_digits(f, z) for z in zs], b_half),
+        ]
+        per_qudit = r
+    else:
+        halves = [(
+            [_qudit_digits(f, g.a, g.b) for g in gens],
+            [_qudit_digits(f, v.a, v.b) for v in centralizer_basis(sc)],
+        )]
+        per_qudit = 2 * r
+    walks = []
+    for span, centralizer in halves:
+        srows, pivots = linalg.rref(prime, span)
+        rest, _ = linalg.rref(prime, [
+            linalg.reduce_vector(prime, srows, pivots, v) for v in centralizer
+        ])
+        walks.append((srows, rest))
+    sizes = [p ** (len(srows) + len(rest)) for srows, rest in walks]
+    if sum(sizes) > budget:
+        requested = " + ".join(map(str, sizes))
+        if len(sizes) > 1:
+            requested += f" = {sum(sizes)}"
+        raise BudgetExceeded(
+            f"centralizer walk: {requested} elements requested, limit {budget};"
+            " raise it with --budget"
+        )
+    if any(rest for _, rest in walks):
+        walks = [(srows, rest) for srows, rest in walks if rest]
+    return min(_min_weight_outside(p, srows, rest, N, per_qudit) for srows, rest in walks)
 
 
 def syndrome(sc: StabilizerCode, e: PauliElement) -> tuple:

@@ -45,7 +45,8 @@ class FunctionalTable:
     each is stored as its images of the digit units: theta(p^t) and the
     message of p^t for t < deg K, and lambda_of(p^d e_j) for every
     coordinate j and digit d.  All come from the trace systems solved
-    once per unit at construction.
+    at construction, each echelonned once with every unit's right-hand
+    side appended.
     """
 
     __slots__ = (
@@ -81,25 +82,22 @@ class FunctionalTable:
         kernel = linalg.nullspace(prime, pairing, n * r)
         kpivots = [next(i for i, x in enumerate(krow) if x) for krow in kernel]
         self._theta = []
-        for rhs in zip(*functional):
-            x = linalg.solve(prime, pairing, rhs)
+        for x in linalg.solve(prime, pairing, zip(*functional)):
             if x is None:  # pragma: no cover - trace pairing is non-degenerate
                 raise ArithmeticError("inconsistent trace system; field tables corrupt")
             x = linalg.reduce_vector(prime, kernel, kpivots, x)
             self._theta.append(tuple(f.from_digits(x[j * r : (j + 1) * r]) for j in range(n)))
         images = []
-        for rhs in zip(*pairing):
-            digs = linalg.solve(prime, functional, rhs)
+        for digs in linalg.solve(prime, functional, zip(*pairing)):
             if digs is None:  # pragma: no cover - lam -> f_lam is onto the dual
                 raise ArithmeticError("functional not representable; field tables corrupt")
             images.append(K.from_digits(digs))
         self._lambda = [images[j * r : (j + 1) * r] for j in range(n)]
         # The message digits v of P^-1(y) solve functional^T . v = trace_row(y),
         # digits ordered as in fp_basis: coordinate-major, digit inner.
-        transposed = list(zip(*functional))
+        units = (K.trace_row(K.p ** t) for t in range(K.degree))
         self._unpack = []
-        for t in range(K.degree):
-            digs = linalg.solve(prime, transposed, K.trace_row(K.p ** t))
+        for digs in linalg.solve(prime, list(zip(*functional)), units):
             if digs is None:  # pragma: no cover - P is an F_p-isomorphism
                 raise ArithmeticError("message not recoverable; field tables corrupt")
             self._unpack.append(tuple(f.from_digits(digs[j * r : (j + 1) * r])

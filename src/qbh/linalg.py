@@ -74,16 +74,30 @@ def nullspace(field: Field, rows, ncols: int) -> list[tuple]:
     return rbasis
 
 
-def solve(field: Field, rows, rhs) -> tuple | None:
-    """One solution of rows . x = rhs with free variables set to zero."""
+def solve(field: Field, rows, rhss) -> list:
+    """One solution of rows . x = rhs per rhs, free variables set to zero.
+
+    The matrix is echelonned once with every right-hand side appended.
+    Reduction multiplies [rows | rhss] on the left by an invertible
+    matrix, so a system is consistent exactly when its column vanishes
+    below the pivot rows of ``rows``, even where the echelon form put
+    pivots in the appended columns.  Returns a list with a solution, or
+    None for an inconsistent system, per right-hand side.
+    """
+    rhss = [tuple(b) for b in rhss]
     if not rows:
-        return None if any(rhs) else ()
+        return [None if any(b) else () for b in rhss]
     ncols = len(rows[0])
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
+    aug = [tuple(r) + col for r, col in zip(rows, zip(*rhss))]
     rrows, pivots = rref(field, aug)
-    x = [0] * ncols
-    for row, col in zip(rrows, pivots):
-        if col == ncols:
-            return None  # inconsistent: pivot in the rhs column
-        x[col] = row[-1]
-    return tuple(x)
+    rank = sum(1 for col in pivots if col < ncols)
+    out = []
+    for j in range(ncols, ncols + len(rhss)):
+        if any(row[j] for row in rrows[rank:]):
+            out.append(None)
+            continue
+        x = [0] * ncols
+        for row, col in zip(rrows, pivots[:rank]):
+            x[col] = row[j]
+        out.append(tuple(x))
+    return out

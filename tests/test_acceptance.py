@@ -149,10 +149,8 @@ def test_acceptance_04_distance_oracle_equivalence():
     t0 = time.monotonic()
     failures = []
     checked = 0
-    for c_code, d_code, meta in helpers.family_instances():
-        size = meta["p"] ** (meta["r"] * (meta["n"] * meta["m"] + meta["k"] * meta["s"]))
-        if size > 1 << 20:
-            continue
+    instances = helpers.family_instances()
+    for c_code, d_code, meta in instances:
         sc = build(c_code, d_code)
         got, want = distance(sc), distance_bruteforce(sc)
         if got != want:
@@ -161,10 +159,10 @@ def test_acceptance_04_distance_oracle_equivalence():
                 + f"theorem {got} != brute force {want}"
             )
         checked += 1
-    if checked < 30:
-        failures.append(f"only {checked} instances fell under the enumeration cap")
+    if checked != len(instances):
+        failures.append(f"only {checked} of {len(instances)} instances checked")
     elapsed = time.monotonic() - t0
-    _line(4, failures, f"{checked} instances against full enumeration, {elapsed:.1f}s")
+    _line(4, failures, f"{checked} instances against the centralizer walk, {elapsed:.1f}s")
     assert not failures, "; ".join(failures)
 
 

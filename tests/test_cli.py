@@ -304,13 +304,28 @@ def test_bad_usage_exits_two():
     assert exc.value.code == 2
 
 
+def test_distance_brute_on_a_css_export_past_the_full_walk_budget(tmp_path, capsys):
+    # [[20,4]]_2: the full centralizer has 2^24 elements, past the default
+    # budget; its X and Z halves have 2^8 + 2^16
+    c = _write(tmp_path, "c.txt", "2 1 5 2\n1 0 1 1 1\n0 1 1 1 1\n")
+    d = _write(tmp_path, "d.txt", "2 2 4 2\n1 0 1 2\n0 1 2 3\n")
+    out = str(tmp_path / "twenty.stab")
+    assert main(["construct", "-c", c, "-d", d, "-o", out]) == 0
+    assert capsys.readouterr().out.strip() == "N=20 K=4 delta=2"
+    rc = main(["distance", out, "--brute"])
+    assert capsys.readouterr().out.strip() == "theorem=2 brute=2 OK"
+    assert rc == 0
+
+
 def test_budget_guard(tmp_path, capsys):
     c, d, out = _shor_files(tmp_path)
     main(["construct", "-c", c, "-d", d, "-o", out])
     capsys.readouterr()
     rc = main(["--budget", "4", "distance", out, "--brute"])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "8 + 128 = 136 elements requested, limit 4; raise it with --budget" in err
     rc = main(["--budget", "-3", "distance", out])
     assert rc == 2
 

@@ -1,6 +1,8 @@
 """Stabilizer code assembly, exact distances, centralizers, wire format."""
 
+import contextlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,9 +16,9 @@ from qbh.errors import (
     LengthMismatch,
 )
 from qbh.gf import field_make
-from qbh.lincode import code_make, contains, dual, fp_basis
+from qbh.lincode import DEFAULT_BUDGET, code_make, contains, dual, fp_basis
 from qbh.functional import table_make, theta
-from qbh.pauli import PauliElement, swt, symp_ip, x_op, z_op
+from qbh.pauli import PauliElement, mul, swt, symp_ip, x_op, z_op
 from qbh import construct, linalg
 from qbh.construct import (
     StabilizerCode,
@@ -226,8 +228,120 @@ def test_distance_bruteforce_repetition_pair_beyond_ternary(p):
 
 def test_distance_bruteforce_budget():
     sc = build(*helpers.shor_pair())
-    with pytest.raises(BudgetExceeded):
+    # CSS: the X half has 2^3 elements, the Z half 2^7
+    with pytest.raises(BudgetExceeded, match=r"^centralizer walk: 8 \+ 128 = 136 elements"
+                       r" requested, limit 16; raise it with --budget$"):
         distance_bruteforce(sc, budget=16)
+    # not CSS: the whole centralizer, 2^(9 + 1) elements
+    with pytest.raises(BudgetExceeded, match=r"^centralizer walk: 1024 elements"
+                       r" requested, limit 16; raise it with --budget$"):
+        distance_bruteforce(mixed_presentation(sc), budget=16)
+    assert distance_bruteforce(sc, budget=136) == 3
+
+
+# --- the CSS split of the brute-force walk ----------------------------------
+
+
+def mixed_presentation(sc, z_index=-1, x_index=0):
+    """The same group with one Z generator times one X generator: not CSS."""
+    gens = list(sc.generators)
+    zs = [i for i, g in enumerate(gens) if any(g.b)]
+    xs = [i for i, g in enumerate(gens) if any(g.a)]
+    i = zs[z_index]
+    gens[i] = mul(gens[i], gens[xs[x_index]])
+    assert any(gens[i].a) and any(gens[i].b)
+    return StabilizerCode(sc.field, sc.n, sc.k, sc.m, sc.s, gens)
+
+
+@contextlib.contextmanager
+def counting_walk():
+    """Count the elements the brute-force walk visits; yields a one-item list."""
+    count = [0]
+    real = construct._lane_span
+
+    def counted(p, rows, lanes):
+        for cur in real(p, rows, lanes):
+            count[0] += 1
+            yield cur
+
+    with mock.patch.object(construct, "_lane_span", counted):
+        yield count
+
+
+def walk_sizes(meta):
+    """(p^dim A + p^dim B, p^dim centralizer) for a built code."""
+    p, r, n, k, m, s = (meta[x] for x in "prnkms")
+    N = n * m
+    split = p ** (r * N - r * m * (n - k)) + p ** (r * N - r * k * (m - s))
+    return split, p ** (r * (N + k * s))
+
+
+def test_bruteforce_walks_css_halves_and_mixed_presentations_whole():
+    checked = 0
+    for c_code, d_code, meta in helpers.family_instances():
+        split, full = walk_sizes(meta)
+        if full > 1 << 16:
+            continue
+        sc = build(c_code, d_code)
+        mixed = mixed_presentation(sc)
+        prime = field_make(meta["p"], 1)
+        assert rowspace(prime, mixed.sympl_matrix) == rowspace(prime, sc.sympl_matrix)
+        delta = distance(sc)
+        assert delta >= 2  # no early exit, so every element is visited
+        with counting_walk() as count:
+            assert distance_bruteforce(sc) == delta
+        assert count == [split]
+        with counting_walk() as count:
+            assert distance_bruteforce(mixed) == delta
+        assert count == [full]
+        checked += 1
+    assert checked >= 30
+
+
+def test_bruteforce_walk_count_on_the_shor_export():
+    parsed = stab_from_text(stab_to_text(build(*helpers.shor_pair())))
+    with counting_walk() as count:
+        assert distance_bruteforce(parsed) == 3
+    assert count == [2 ** 3 + 2 ** 7]
+
+
+def test_bruteforce_splits_a_centralizer_past_the_default_budget():
+    # C = [5,2]_2 and D = [4,2]_4
+    sc = build(helpers.pattern_code(F2, 5, 2), helpers.pattern_code(field_make(2, 2), 4, 2))
+    assert (sc.num_qudits, sc.log_dim_exp) == (20, 4)
+    assert 2 ** (20 + 4) > DEFAULT_BUDGET
+    parsed = stab_from_text(stab_to_text(sc))
+    with counting_walk() as count:
+        assert distance_bruteforce(parsed) == distance(sc) == 2
+    assert count == [2 ** 8 + 2 ** 16]
+    with pytest.raises(BudgetExceeded, match="16777216 elements requested"):
+        distance_bruteforce(mixed_presentation(parsed))
+
+
+@pytest.mark.parametrize("pair, mixed, call", [
+    (helpers.shor_pair, False, 0),  # the X half
+    (helpers.shor_pair, False, 1),  # the Z half
+    (helpers.shor_pair, True, 0),  # the whole centralizer
+    (helpers.nine_qutrit_pair, False, 0),
+    (helpers.nine_qutrit_pair, False, 1),
+], ids=["x-half", "z-half", "whole", "qutrit-x-half", "qutrit-z-half"])
+def test_bruteforce_checks_every_centralizer_vector(monkeypatch, pair, mixed, call):
+    sc = build(*pair())
+    if mixed:
+        sc = mixed_presentation(sc)
+    real = linalg.nullspace
+    calls = []
+
+    def corrupt(field, rows, ncols):
+        out = real(field, rows, ncols)
+        if len(calls) == call:
+            out.append((1,) + (0,) * (ncols - 1))  # pairs nonzero with a generator
+        calls.append(ncols)
+        return out
+
+    monkeypatch.setattr(linalg, "nullspace", corrupt)
+    with pytest.raises(ArithmeticError, match="fails to commute"):
+        distance_bruteforce(sc)
 
 
 def test_distance_requires_construction_data():
@@ -364,9 +478,8 @@ def test_distance_matches_bruteforce_on_small_family_sample():
     assert checked >= 4
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_distance_matches_bruteforce_on_random_pairs(data):
+def draw_pair(data):
+    """A random code pair whose centralizer has at most 2^16 elements."""
     p = data.draw(st.sampled_from([2, 3]), label="p")
     r = data.draw(st.integers(1, 2), label="r")
     n = data.draw(st.integers(2, 4), label="n")
@@ -386,5 +499,30 @@ def test_distance_matches_bruteforce_on_random_pairs(data):
     c_code = code_make(f, full_rank_rows(f, k, n))
     d_code = code_make(K, full_rank_rows(K, s, m))
     assume(all(any(row[i] for row in d_code.gen) for i in range(m)))
-    sc = build(c_code, d_code)
+    meta = {"p": p, "r": r, "n": n, "k": k, "m": m, "s": s}
+    return build(c_code, d_code), meta
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_distance_matches_bruteforce_on_random_pairs(data):
+    sc, _ = draw_pair(data)
     assert distance(sc) == distance_bruteforce(sc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bruteforce_on_random_mixed_presentations_takes_the_full_walk(data):
+    sc, meta = draw_pair(data)
+    nz = sum(1 for g in sc.generators if any(g.b))
+    nx = len(sc.generators) - nz
+    mixed = mixed_presentation(
+        sc,
+        data.draw(st.integers(0, nz - 1), label="z_index"),
+        data.draw(st.integers(0, nx - 1), label="x_index"),
+    )
+    delta = distance(sc)
+    with counting_walk() as count:
+        assert distance_bruteforce(mixed) == delta
+    if delta > 1:
+        assert count == [walk_sizes(meta)[1]]
