@@ -63,7 +63,6 @@ from .lincode import (
     code_from_text,
     code_make,
     code_to_text,
-    coset_leader_weight,
     dual,
     encode,
     message_of,

@@ -60,7 +60,7 @@ def _rebuild(args, sc):
 def _cmd_construct(args) -> int:
     code, d_code = _load_pair(args)
     sc = con.build(code, d_code)
-    delta = con.distance(sc)
+    delta = con.distance(sc, args.budget)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(con.stab_to_text(sc))
     print(f"N={sc.num_qudits} K={sc.log_dim_exp} delta={delta}")
@@ -72,7 +72,7 @@ def _cmd_distance(args) -> int:
     rebuilt = _rebuild(args, sc)
     if rebuilt is not None:
         sc = rebuilt
-        con.distance(sc)
+        con.distance(sc, args.budget)
     if sc.delta is None:
         print("error: no stored distance; pass -c and -d to recompute",
               file=sys.stderr)
@@ -171,7 +171,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="enumeration budget for brute-force work (default 2^22)",
+        help="enumeration budget for codeword and centralizer walks (default 2^22)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

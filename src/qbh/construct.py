@@ -26,12 +26,13 @@ import itertools
 
 from . import linalg
 from .errors import BudgetExceeded, DimensionBounds, LengthMismatch
-from .functional import FunctionalTable, big_f_kernel, table_make, theta, validate_d
+from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
 from .gf import (
     Field,
     _field_from_body,
+    _gray_span,
+    _lane_adder,
     _lane_pack,
-    _lane_span,
     _lane_width,
     _modulus_lines,
     _text_lines,
@@ -40,10 +41,8 @@ from .gf import (
 from .lincode import (
     DEFAULT_BUDGET,
     LinearCode,
-    coset_leader_weight,
     dual,
     fp_basis,
-    iter_codewords,
     min_distance,
 )
 from .pauli import PauliElement, SymplecticVector, symp_ip_int
@@ -156,35 +155,69 @@ def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
     return sc
 
 
+def _leader_weights(table: FunctionalTable) -> list:
+    """w(lam) = min { wt(x) : lambda_of(x) = lam } for every packed lam in K.
+
+    The x with lambda_of(x) = lam form the coset theta(lam) + C^perp, so
+    w(lam) is its coset-leader weight.  lambda_of is F_p-linear, so w is
+    the distance from 0 in the graph on K whose steps are lambda_of(u e_j)
+    for the coordinates j and u in F_q^*: one breadth-first search,
+    |K| n (q - 1) field adds.  Every lam is reached, since
+    lambda_of(theta(lam)) = lam.
+    """
+    K, q, n = table.scalars, table.code.field.order, table.code.n
+    steps = {
+        table.lambda_of((0,) * j + (u,) + (0,) * (n - 1 - j))
+        for j in range(n) for u in range(1, q)
+    } - {0}
+    weights = [None] * K.order
+    weights[0] = 0
+    frontier, w = [0], 0
+    while frontier:
+        w += 1
+        reached = []
+        for lam in frontier:
+            for step in steps:
+                mu = K.add(lam, step)
+                if weights[mu] is None:
+                    weights[mu] = w
+                    reached.append(mu)
+        frontier = reached
+    return weights
+
+
 def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
         budget: int = DEFAULT_BUDGET) -> int:
-    """min over nonzero Lam in D of the summed coset-leader weights.
+    """min over nonzero Lam in D of sum_i w(Lam_i), w the coset-leader weight.
 
-    The weight of a coset product is the sum of per-coordinate leader
-    weights, so the minimum decomposes coordinatewise.
+    A vector x of F_q^n represents the functional f_lam with lam =
+    lambda_of(x), so the lightest m-tuple of vectors representing Lam
+    weighs sum_i w(Lam_i), with w(lam) the coset-leader weight of
+    theta(lam) + C^perp from ``_leader_weights``.  The nonzero words of
+    D are walked once, by the Gray code over an F_p-basis of D, one word
+    add per step.  ``budget`` caps |D|.
     """
     if d_code.size > budget:
-        raise BudgetExceeded(f"outer code has {d_code.size} words, budget {budget}")
-    dual_code = dual(code)
-    leader = {0: 0}
-    best = None
-    for lam_word in iter_codewords(d_code):
-        if not any(lam_word):
-            continue
-        total = 0
-        for lam in lam_word:
-            w = leader.get(lam)
-            if w is None:
-                w = coset_leader_weight(dual_code, theta(table, lam))
-                leader[lam] = w
-            total += w
-        if best is None or total < best:
-            best = total
-    return best
+        raise BudgetExceeded(
+            f"outer code walk: {d_code.size} words requested, limit {budget};"
+            " raise it with --budget"
+        )
+    weights = _leader_weights(table)
+    add = d_code.field.add
+
+    def word_add(x, y):
+        return tuple(map(add, x, y))
+
+    words = _gray_span(d_code.field.p, fp_basis(d_code), word_add, (0,) * d_code.n)
+    return min(sum(map(weights.__getitem__, lam_word))
+               for lam_word in itertools.islice(words, 1, None))
 
 
-def distance(sc: StabilizerCode) -> int:
-    """The closed-form distance min{d(C), ell}; cached on the code."""
+def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
+    """The closed-form distance min{d(C), ell}; cached on the code.
+
+    ``budget`` caps the codewords of C and of D that the two minima walk.
+    """
     if sc.delta is not None:
         return sc.delta
     if sc.code is None:
@@ -192,7 +225,7 @@ def distance(sc: StabilizerCode) -> int:
             "no construction data on this code; parsed codes carry only"
             " a stored delta"
         )
-    sc.delta = min(min_distance(sc.code), ell(sc.code, sc.d_code, sc.table))
+    sc.delta = min(min_distance(sc.code, budget), ell(sc.code, sc.d_code, sc.table, budget))
     return sc.delta
 
 
@@ -262,7 +295,8 @@ def _min_weight_outside(p: int, srows, rest, N: int, per_qudit: int) -> int:
     high = ones << (chunk - 1)
     best = N + 1
     first = p ** len(srows) if rest else 1
-    for cur in itertools.islice(_lane_span(p, rows, N * per_qudit), first, None):
+    walk = _gray_span(p, rows, _lane_adder(p, N * per_qudit))
+    for cur in itertools.islice(walk, first, None):
         # one bit per nonzero chunk: its top bit, or a carry out of the rest
         wt = ((((cur & low) + low) | cur) & high).bit_count()
         if wt < best:

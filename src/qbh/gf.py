@@ -2,9 +2,10 @@
 
 An element of F_{p^t} is a packed integer in [0, p^t): the base-p digits
 of the integer are the coefficients of the residue polynomial, constant
-term first.  Every field precomputes exp/log tables over a generator at
-construction time, so multiplication, inversion, Frobenius and trace are
-table lookups on plain ints.  Addition is O(1) at every order with no
+term first.  Every field precomputes exp/log tables over its smallest
+primitive element at construction time, in O(order t) steps, so
+multiplication, inversion, Frobenius and trace are table lookups on
+plain ints.  Addition is O(1) at every order with no
 dense table: XOR of the packed digits at p = 2, and at odd p a lookup in
 the Zech logarithms log(1 + g^i) (Lidl & Niederreiter, ch. 9), which
 turns a + b into a (1 + b/a).  ``FieldElement`` is a thin wrapper over
@@ -98,6 +99,40 @@ def _smallest_irreducible(p, t):
     raise ReducibleModulus(f"no irreducible polynomial of degree {t} over F_{p}")
 
 
+def _poly_powmod(a, e, m, p):
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, a, p), m, p)
+        a = _poly_mod(_poly_mul(a, a, p), m, p)
+        e >>= 1
+    return out
+
+
+def _smallest_primitive(m, p, t):
+    """The residue g of multiplicative order p^t - 1 modulo m whose packed
+    value is smallest, as a polynomial.
+
+    g has the full order n = p^t - 1 exactly when g^(n/l) != 1 for each
+    prime l dividing n, which is one square-and-multiply per prime.
+    """
+    n = p ** t - 1
+    primes, rest, l = [], n, 2
+    while l * l <= rest:
+        if rest % l == 0:
+            primes.append(l)
+            while rest % l == 0:
+                rest //= l
+        l += 1
+    if rest > 1:
+        primes.append(rest)
+    for g in range(1, n + 1):
+        base = _poly_trim(_unpack_digits(g, p, t))
+        if all(_poly_powmod(base, n // l, m, p) != (1,) for l in primes):
+            return base
+    raise ReducibleModulus("no element of full order; modulus reducible")  # pragma: no cover
+
+
 def _unpack_digits(v, p, t):
     digs = []
     for _ in range(t):
@@ -160,30 +195,73 @@ def _valuation(i, p):
     return j
 
 
-def _lane_span(p, rows, lanes):
-    """Every F_p-combination of the packed ``rows``, zero first.
+def _gray_span(p, rows, add, start=0):
+    """Every F_p-combination of ``rows`` added to ``start``, start first.
 
-    The order is the modular p-ary Gray code: step idx adds row v_p(idx),
-    the p-adic valuation of idx.  With d the base-p digits of idx, step
-    idx lands on the combination with coefficient d_j - d_{j+1} mod p on
-    row j, so each combination comes once, and it lies in the span of
-    the first s rows exactly when idx < p^s.  The valuations come from a
-    table of at most 4096 steps, reused block by block.
+    ``add`` adds two vectors in whatever format ``rows`` are in, such as
+    the lane adder of ``_lane_adder``.  The order is the modular p-ary
+    Gray code: step idx adds row v_p(idx), the p-adic valuation of idx.
+    With d the base-p digits of idx, step idx lands on the combination
+    with coefficient d_j - d_{j+1} mod p on row j, so each combination
+    comes once, and it lies in the span of the first s rows exactly when
+    idx < p^s.  The valuations come from a table of at most 4096 steps,
+    reused block by block.
     """
     dim = len(rows)
-    rows = [*rows, 0]
     low = 0
     while low < dim and p ** (low + 1) <= 4096:
         low += 1
-    steps = [dim] + [_valuation(i, p) for i in range(1, p ** low)]
-    add = _lane_adder(p, lanes)
-    cur = 0
+    steps = [_valuation(i, p) for i in range(1, p ** low)]
+    cur = start
     for block in range(p ** (dim - low)):
         if block:
-            steps[0] = low + _valuation(block, p)
+            cur = add(cur, rows[low + _valuation(block, p)])
+        yield cur
         for j in steps:
             cur = add(cur, rows[j])
             yield cur
+
+
+def _linear_orbit(p, t, images, count):
+    """Packed values of v_0 = 1, v_{i+1} = g v_i for i < count - 1.
+
+    v -> g v is F_p-linear, given by the packed ``images`` g p^d of the
+    digit units.  The orbit runs on lane vectors, a chunk of c digits at
+    a time, c the most digits with at most 256 combinations: a table per
+    chunk maps the chunk's lanes to their image under g and to their
+    packed value, so a step is one table lookup and one lane add per
+    chunk.
+    """
+    w = _lane_width(p)
+    add = _lane_adder(p, t)
+    c = 1
+    while c < t and p ** (c + 1) <= 256:
+        c += 1
+    tables = []
+    for lo in range(0, t, c):
+        table = {0: (0, 0)}
+        for d in range(lo, min(lo + c, t)):
+            img = _lane_pack(_unpack_digits(images[d], p, t), w)
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(add(multiples[-1], img))
+            table = {
+                key | (a << (d - lo) * w): (add(image, multiples[a]), part + a * p ** d)
+                for a in range(p) for key, (image, part) in table.items()
+            }
+        tables.append((lo * w, table))
+    mask = (1 << c * w) - 1
+    out = []
+    cur = 1
+    for _ in range(count):
+        nxt = packed = 0
+        for shift, table in tables:
+            image, part = table[(cur >> shift) & mask]
+            nxt = add(nxt, image)
+            packed += part
+        out.append(packed)
+        cur = nxt
+    return out
 
 
 # --- the field itself --------------------------------------------------
@@ -211,26 +289,18 @@ class Field:
 
     # -- construction helpers
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Polynomial multiplication mod (modulus, p); used only to bootstrap."""
-        pa = _unpack_digits(a, self.p, self.degree)
-        pb = _unpack_digits(b, self.p, self.degree)
-        return _pack_digits(_poly_mod(_poly_mul(pa, pb, self.p), self.modulus, self.p), self.p)
-
     def _build_tables(self):
-        order = self.order
-        # exp/log over the smallest multiplicative generator
-        exp = None
-        for g in range(1, order):
-            powers = [1]  # powers[i] = g^i
-            cur = g
-            while cur != 1:
-                powers.append(cur)
-                cur = self._mul_raw(cur, g)
-            if len(powers) == order - 1:
-                exp = powers
-                break
-        if exp is None:  # pragma: no cover - cannot happen for true prime powers
+        p, t, order = self.p, self.degree, self.order
+        n = order - 1
+        # exp/log over the smallest primitive element g, by iterating the
+        # F_p-linear map v -> g v given by the images g p^d of the digit units
+        g = _smallest_primitive(self.modulus, p, t)
+        images = [
+            _pack_digits(_poly_mod(_poly_mul(g, (0,) * d + (1,), p), self.modulus, p), p)
+            for d in range(t)
+        ]
+        exp = _linear_orbit(p, t, images, n)
+        if len(set(exp)) != n or not all(exp):  # pragma: no cover - field_make checks the modulus
             raise ReducibleModulus("multiplicative group is not cyclic; modulus reducible")
         log = [0] * order
         for i, v in enumerate(exp):
@@ -238,7 +308,6 @@ class Field:
         self._exp = exp
         self._log = log
 
-        p, t = self.p, self.degree
         # Zech logarithms zech[i] = log(1 + g^i); adding 1 bumps only the
         # constant digit, so there is no carry.  None marks 1 + g^i = 0.
         self._zech = None
@@ -246,18 +315,17 @@ class Field:
             bumped = (v - v % p + (v + 1) % p for v in exp)
             self._zech = [log[w] if w else None for w in bumped]
 
-        frob = [0] * order
-        for a in range(order):
-            frob[a] = exp[(log[a] * p) % (order - 1)] if a else 0
-        self._frob = frob
+        self._frob = [0] + [exp[(i * p) % n] for i in log[1:]]
 
-        trace = [0] * order
-        for a in range(order):
-            acc, cur = 0, a
+        # the trace is F_p-linear: extend it one digit at a time from the
+        # traces of the digit units, tr(a p^d + b) = a tr(p^d) + tr(b) for b < p^d
+        trace = [0]
+        for d in range(t):
+            unit, acc = p ** d, 0
             for _ in range(t):
-                acc = self.add(acc, cur)
-                cur = frob[cur]
-            trace[a] = acc  # lies in the prime subfield, so acc < p
+                acc = self.add(acc, unit)
+                unit = self._frob[unit]
+            trace = [(a * acc + x) % p for a in range(p) for x in trace]
         self._trace = trace
 
     # -- int-level arithmetic

@@ -161,31 +161,16 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     if code.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
     if code.size > budget:
-        raise BudgetExceeded(f"codeword count {code.size} exceeds budget {budget}")
+        raise BudgetExceeded(
+            f"codeword walk: {code.size} words requested, limit {budget};"
+            " raise it with --budget"
+        )
     best = code.n + 1
     for word in iter_codewords(code):
         w = weight(word)
         if 0 < w < best:
             best = w
             if best == 1:
-                break
-    return best
-
-
-def coset_leader_weight(code: LinearCode, v, budget: int = DEFAULT_BUDGET) -> int:
-    """min { wt(v + c) : c in code }, the weight of the coset leader."""
-    if len(v) != code.n:
-        raise LengthMismatch(f"vector length {len(v)} != code length {code.n}")
-    if code.size > budget:
-        raise BudgetExceeded(f"codeword count {code.size} exceeds budget {budget}")
-    f = code.field
-    v = tuple(v)
-    best = code.n + 1
-    for word in codewords(code):
-        w = sum(1 for a, b in zip(v, word) if f.add(a, b))
-        if w < best:
-            best = w
-            if best == 0:
                 break
     return best
 

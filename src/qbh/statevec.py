@@ -24,9 +24,9 @@ from . import linalg
 from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, NotACodeword
 from .gf import (
     FieldElement,
+    _gray_span,
     _lane_adder,
     _lane_pack,
-    _lane_span,
     _lane_width,
     _pack_digits,
     _unpack_digits,
@@ -605,7 +605,7 @@ def fix_dim(s) -> int:
     units = [1 << (i * w) for i in range(lanes)]
     phase_of = {}
     dim = 0
-    for start in _lane_span(f.p, units, lanes):
+    for start in _gray_span(f.p, units, add):
         if start in phase_of:
             continue
         phase_of[start] = 0

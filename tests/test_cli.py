@@ -330,6 +330,22 @@ def test_budget_guard(tmp_path, capsys):
     assert rc == 2
 
 
+def test_budget_reaches_the_closed_form_distance(tmp_path, capsys):
+    # C = [5,2]_2 has 4 words and D = [4,2]_4 has 16
+    c = _write(tmp_path, "c.txt", "2 1 5 2\n1 0 1 1 1\n0 1 1 1 1\n")
+    d = _write(tmp_path, "d.txt", "2 2 4 2\n1 0 1 2\n0 1 2 3\n")
+    out = str(tmp_path / "twenty.stab")
+    message = "outer code walk: 16 words requested, limit 8; raise it with --budget"
+    assert main(["--budget", "8", "construct", "-c", c, "-d", d, "-o", out]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["--budget", "16", "construct", "-c", c, "-d", d, "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["--budget", "8", "distance", out, "-c", c, "-d", d]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["--budget", "2", "distance", out, "-c", c, "-d", d]) == 2
+    assert "codeword walk: 4 words requested, limit 2" in capsys.readouterr().err
+
+
 def test_construct_rejects_bad_code_file(tmp_path, capsys):
     bad = _write(tmp_path, "bad.txt", "2 1 3 2\n1 1 1\n")
     d = _write(tmp_path, "d.txt", SHOR_D)

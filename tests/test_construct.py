@@ -16,7 +16,7 @@ from qbh.errors import (
     LengthMismatch,
 )
 from qbh.gf import field_make
-from qbh.lincode import DEFAULT_BUDGET, code_make, contains, dual, fp_basis
+from qbh.lincode import DEFAULT_BUDGET, code_make, codewords, contains, dual, fp_basis
 from qbh.functional import table_make, theta
 from qbh.pauli import PauliElement, mul, swt, symp_ip, x_op, z_op
 from qbh import construct, linalg
@@ -34,6 +34,7 @@ from qbh.construct import (
 )
 
 import helpers
+import oracles
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -158,6 +159,53 @@ def test_ell_examples():
     assert distance(build(c2, d2)) == 2
 
 
+@pytest.mark.parametrize("p, r, n, k", [
+    (2, 1, 5, 3),  # GF(2) < GF(8)
+    (3, 1, 4, 2),  # GF(3) < GF(9)
+    (2, 2, 4, 2),  # GF(4) < GF(16)
+    (3, 2, 4, 2),  # GF(9) < GF(81)
+])
+def test_leader_weights_match_the_coset_leader_oracle(p, r, n, k):
+    f = field_make(p, r)
+    code = helpers.pattern_code(f, n, k)
+    table = table_make(code, field_make(p, r * k))
+    dual_words = codewords(dual(code))
+    weights = construct._leader_weights(table)
+    assert len(weights) == table.scalars.order
+    for lam in table.scalars.elements():
+        want = oracles.coset_leader_weight_oracle(f, dual_words, theta(table, lam))
+        assert weights[lam] == want
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (helpers.pattern_code(F2, 5, 2), helpers.pattern_code(field_make(2, 2), 4, 2)),
+    lambda: (helpers.pattern_code(F3, 3, 2), helpers.pattern_code(field_make(3, 2), 3, 2)),
+], ids=["binary-16-words", "ternary-81-words"])
+def test_ell_walks_each_word_of_d_once(pair):
+    code, d_code = pair()
+    table = table_make(code, d_code.field)
+    with recording_walk() as seen:
+        ell(code, d_code, table)
+    # the zero word first, which is skipped, then the |D| - 1 nonzero words
+    assert len(seen) == d_code.size
+    assert seen[0] == (0,) * d_code.n
+    assert set(seen[1:]) == set(codewords(d_code)) - {seen[0]}
+
+
+def test_closed_form_budget_names_the_walk():
+    assert DEFAULT_BUDGET == 1 << 22
+    # |C| = 2^2 words, |D| = 4^2
+    sc = build(helpers.pattern_code(F2, 5, 2), helpers.pattern_code(field_make(2, 2), 4, 2))
+    with pytest.raises(BudgetExceeded, match=r"^outer code walk: 16 words requested,"
+                       r" limit 8; raise it with --budget$"):
+        distance(sc, budget=8)
+    with pytest.raises(BudgetExceeded, match=r"^codeword walk: 4 words requested,"
+                       r" limit 2; raise it with --budget$"):
+        distance(sc, budget=2)
+    assert sc.delta is None
+    assert distance(sc, budget=16) == 2
+
+
 def test_centralizer_shor():
     sc = build(*helpers.shor_pair())
     basis = centralizer_basis(sc)
@@ -254,18 +302,27 @@ def mixed_presentation(sc, z_index=-1, x_index=0):
 
 
 @contextlib.contextmanager
+def recording_walk():
+    """Record the elements every Gray-code walk of ``construct`` visits."""
+    seen = []
+    real = construct._gray_span
+
+    def recorded(*args):
+        for cur in real(*args):
+            seen.append(cur)
+            yield cur
+
+    with mock.patch.object(construct, "_gray_span", recorded):
+        yield seen
+
+
+@contextlib.contextmanager
 def counting_walk():
     """Count the elements the brute-force walk visits; yields a one-item list."""
     count = [0]
-    real = construct._lane_span
-
-    def counted(p, rows, lanes):
-        for cur in real(p, rows, lanes):
-            count[0] += 1
-            yield cur
-
-    with mock.patch.object(construct, "_lane_span", counted):
+    with recording_walk() as seen:
         yield count
+        count[0] = len(seen)
 
 
 def walk_sizes(meta):
@@ -311,8 +368,9 @@ def test_bruteforce_splits_a_centralizer_past_the_default_budget():
     assert (sc.num_qudits, sc.log_dim_exp) == (20, 4)
     assert 2 ** (20 + 4) > DEFAULT_BUDGET
     parsed = stab_from_text(stab_to_text(sc))
+    assert distance(sc) == 2
     with counting_walk() as count:
-        assert distance_bruteforce(parsed) == distance(sc) == 2
+        assert distance_bruteforce(parsed) == 2
     assert count == [2 ** 8 + 2 ** 16]
     with pytest.raises(BudgetExceeded, match="16777216 elements requested"):
         distance_bruteforce(mixed_presentation(parsed))

@@ -1,5 +1,6 @@
 """Field tower arithmetic: construction, traces, embeddings, wire format."""
 
+import hashlib
 import itertools
 import random
 
@@ -11,9 +12,9 @@ from qbh.errors import BudgetExceeded, NoEmbedding, NotPrime, ReducibleModulus
 from qbh.gf import (
     FIELD_SIZE_LIMIT,
     FieldElement,
+    _gray_span,
     _lane_adder,
     _lane_pack,
-    _lane_span,
     _lane_width,
     embed,
     field_from_spec,
@@ -36,6 +37,31 @@ def test_default_moduli_are_the_frozen_ones():
     assert field_make(2, 2).modulus == (1, 1, 1)
     assert field_make(2, 3).modulus == (1, 1, 0, 1)
     assert field_make(3, 2).modulus == (1, 0, 1)
+
+
+def _table_digest(f):
+    parts = (f._exp, f._log, f._zech, f._frob, f._trace)
+    text = ";".join(
+        "-" if t is None else ",".join("-" if v is None else str(v) for v in t)
+        for t in parts
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("p, t, modulus, digest", [
+    (2, 8, None, "0d8827f93c215d4b"),
+    (2, 12, None, "1296fb448d9bb495"),
+    (2, 16, None, "71532fadd16714fe"),
+    (3, 6, None, "d86c7d009e2ddfda"),
+    (3, 8, None, "7d9a44dc7ee7419a"),
+    (5, 4, None, "6c7dcbe07217ec9a"),
+    # x is not primitive modulo x^4 + x^3 + x^2 + x + 1: x^5 = 1
+    (2, 4, (1, 1, 1, 1, 1), "d8f3e15933967883"),
+], ids=["2^8", "2^12", "2^16", "3^6", "3^8", "5^4", "2^4-x-not-primitive"])
+def test_field_tables_are_the_frozen_ones(p, t, modulus, digest):
+    # exp, log, Zech, Frobenius and trace tables, digested as first built
+    # by scanning generator candidates for a full cycle of powers
+    assert _table_digest(field_make(p, t, modulus)) == digest
 
 
 def test_explicit_irreducible_modulus_accepted():
@@ -327,7 +353,7 @@ def test_lane_span_visits_each_combination_once_span_prefix_first(p, dim):
     # dim 13 at p = 2 and dim 9 at p = 3 run past one 4096-step block
     w = _lane_width(p)
     rows = [1 << (i * w) for i in range(dim)]
-    walk = list(_lane_span(p, rows, dim))
+    walk = list(_gray_span(p, rows, _lane_adder(p, dim)))
     assert walk[0] == 0
     assert len(walk) == len(set(walk)) == p ** dim
     assert set(walk) == {
