@@ -31,9 +31,6 @@ from .gf import (
     Field,
     _field_from_body,
     _gray_span,
-    _lane_adder,
-    _lane_pack,
-    _lane_width,
     _modulus_lines,
     _text_lines,
     field_make,
@@ -41,6 +38,7 @@ from .gf import (
 from .lincode import (
     DEFAULT_BUDGET,
     LinearCode,
+    _min_weight_outside,
     dual,
     fp_basis,
     min_distance,
@@ -276,34 +274,6 @@ def centralizer_basis(sc: StabilizerCode) -> list:
         _check_commutes(sc, v.a, v.b)
         out.append(v)
     return out
-
-
-def _min_weight_outside(p: int, srows, rest, N: int, per_qudit: int) -> int:
-    """Minimum weight of span(srows + rest) outside span(srows).
-
-    Rows are echelon digit vectors with ``per_qudit`` digits for each of
-    the N qudits, qudit by qudit, and the weight counts the qudits with
-    a nonzero digit.  The Gray-code walk over srows then rest reaches
-    span(srows) first: its first p^{len(srows)} elements are exactly that
-    span.  With no rest the minimum is over the nonzero span.
-    """
-    w = _lane_width(p)
-    rows = [_lane_pack(v, w) for v in srows + rest]
-    chunk = per_qudit * w
-    ones = _lane_pack((1,) * N, chunk)
-    low = ones * ((1 << (chunk - 1)) - 1)
-    high = ones << (chunk - 1)
-    best = N + 1
-    first = p ** len(srows) if rest else 1
-    walk = _gray_span(p, rows, _lane_adder(p, N * per_qudit))
-    for cur in itertools.islice(walk, first, None):
-        # one bit per nonzero chunk: its top bit, or a carry out of the rest
-        wt = ((((cur & low) + low) | cur) & high).bit_count()
-        if wt < best:
-            if wt == 1:
-                return 1
-            best = wt
-    return best
 
 
 def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:

@@ -14,7 +14,8 @@ import itertools
 
 from . import linalg
 from .errors import BudgetExceeded, LengthMismatch, NotACodeword, ZeroCode
-from .gf import Field, _field_from_body, _modulus_lines, _text_lines
+from .gf import (Field, _field_from_body, _gray_span, _lane_adder, _lane_pack, _lane_width,
+                 _modulus_lines, _text_lines)
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -156,8 +157,37 @@ def fp_basis(code: LinearCode) -> list:
     return out
 
 
+def _min_weight_outside(p: int, srows, rest, N: int, per_qudit: int) -> int:
+    """Minimum weight of span(srows + rest) outside span(srows).
+
+    Rows are F_p-independent digit vectors with ``per_qudit`` digits for
+    each of the N qudits, qudit by qudit, and the weight counts the
+    qudits with a nonzero digit.  The Gray-code walk over srows then rest reaches
+    span(srows) first: its first p^{len(srows)} elements are exactly that
+    span.  With no rest the minimum is over the nonzero span.
+    """
+    w = _lane_width(p)
+    rows = [_lane_pack(v, w) for v in srows + rest]
+    chunk = per_qudit * w
+    ones = _lane_pack((1,) * N, chunk)
+    low = ones * ((1 << (chunk - 1)) - 1)
+    high = ones << (chunk - 1)
+    best = N + 1
+    first = p ** len(srows) if rest else 1
+    walk = _gray_span(p, rows, _lane_adder(p, N * per_qudit))
+    for cur in itertools.islice(walk, first, None):
+        # one bit per nonzero chunk: its top bit, or a carry out of the rest
+        wt = ((((cur & low) + low) | cur) & high).bit_count()
+        if wt < best:
+            if wt == 1:
+                return 1
+            best = wt
+    return best
+
+
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact minimum Hamming distance by full codeword enumeration."""
+    """Exact minimum Hamming distance, by the Gray-code walk over an
+    F_p-basis of the code: one lane add per codeword."""
     if code.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
     if code.size > budget:
@@ -165,14 +195,9 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
             f"codeword walk: {code.size} words requested, limit {budget};"
             " raise it with --budget"
         )
-    best = code.n + 1
-    for word in iter_codewords(code):
-        w = weight(word)
-        if 0 < w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    f = code.field
+    rows = [tuple(d for x in row for d in f.digits(x)) for row in fp_basis(code)]
+    return _min_weight_outside(f.p, [], rows, code.n, f.degree)
 
 
 # --- code files ----------------------------------------------------------

@@ -40,6 +40,7 @@ LABEL_BUDGET = 1 << 16
 # stab_of_span: candidate shifts x equation rows of its linear solve,
 # and elements found x generators, the products of its group self-check.
 STAB_BUDGET = 1 << 20
+# span_equal: entries of its Gram matrices, |A| + |B| states x max(|A|, |B|).
 SPAN_BUDGET = 1 << 14
 
 
@@ -287,7 +288,8 @@ def tensor(v: StateVector, w: StateVector) -> StateVector:
     if v.field != w.field:
         raise DimensionMismatch("tensor factors over different fields")
     if len(v.exps) * len(w.exps) > LABEL_BUDGET:
-        raise BudgetExceeded("tensor support beyond budget")
+        raise BudgetExceeded(f"tensor support: {len(v.exps)} x {len(w.exps)} labels"
+                             f" exceed budget {LABEL_BUDGET}")
     f = v.field
     shift = v.length * f.degree * _lane_width(f.p)
     modulus = phase_modulus(f)
@@ -307,7 +309,8 @@ def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVecto
     if not contains(d_code, lam_word):
         raise NotACodeword(f"{lam_word} is not in the outer code")
     if code.size ** d_code.n > LABEL_BUDGET:
-        raise BudgetExceeded("tensor support beyond budget")
+        raise BudgetExceeded(f"big_phi support: {code.size}^{d_code.n} labels"
+                             f" exceed budget {LABEL_BUDGET}")
     out = phi(code, table, lam_word[0])
     for lam in lam_word[1:]:
         out = tensor(out, phi(code, table, lam))
@@ -377,8 +380,9 @@ def norm_sq(v: StateVector):
 
 def equal_sum_states(code: LinearCode, m: int) -> list:
     """For each c in C, the flat sum over all m-tuples of codewords adding to c."""
-    if code.size ** m > SPAN_BUDGET:
-        raise BudgetExceeded("equal-sum enumeration beyond budget")
+    if code.size ** m > LABEL_BUDGET:
+        raise BudgetExceeded(f"equal-sum states: {code.size}^{m} labels"
+                             f" exceed budget {LABEL_BUDGET}")
     f = code.field
     words = list(iter_codewords(code))
     out = []
@@ -398,40 +402,35 @@ _RATIONALS = SimpleNamespace(inv=lambda x: 1 / x, mul=operator.mul, sub=operator
 
 
 def span_equal(states_a, states_b) -> bool:
-    """Equality of row spaces over the field Q(z), computed exactly.
+    """Equality of row spaces over the field Q(z), read through ``inner``.
 
-    A Q(z)-span is the Q-span of the z-multiples of its vectors, so each
-    state gives deg rational rows, z^j v for j < deg, read in the power
-    basis of Q(z) (deg = [Q(z):Q], the length of a CycAmp), and the spans are
-    compared by their reduced echelon forms over Q.  Scale exponents are
-    ignored; a global nonzero scalar never moves a span.  Reduction runs
-    over the union support, so disjointly supported nonzero states
-    compare unequal without special casing.
+    With U both lists together, v -> (<u, v>)_{u in U} is Q(z)-linear and,
+    the inner product being definite, one-to-one on span U; so the spans
+    are equal exactly when the Gram rows of their states against U span
+    the same space.  A Q(z)-span is the Q-span of the z-multiples of its
+    vectors, so each state gives the rows z^j (<u, v>)_u for j < deg =
+    [Q(z):Q], read in the power basis of Q(z), and the two sets of rows
+    are compared by their reduced echelon forms over Q.  Scale exponents
+    are ignored; a global nonzero scalar never moves a span.
     """
     states_a, states_b = list(states_a), list(states_b)
     if not states_a or not states_b:
         return not states_a and not states_b
-    f = states_a[0].field
-    n = states_a[0].length
-    for v in itertools.chain(states_a, states_b):
+    union = states_a + states_b
+    f, n = union[0].field, union[0].length
+    for v in union:
         if v.field != f or v.length != n:
             raise DimensionMismatch("states to compare live in different spaces")
-    support = sorted(set().union(*(v.exps for v in itertools.chain(states_a, states_b))))
-    if len(support) * (len(states_a) + len(states_b)) > SPAN_BUDGET:
-        raise BudgetExceeded("span comparison beyond budget")
-    modulus = phase_modulus(f)
-    roots = [CycAmp.root(f.p, e).coeffs for e in range(modulus)]
-    deg = len(roots[0])
-    zero = (0,) * deg
+    most = max(len(states_a), len(states_b))
+    if len(union) * most > SPAN_BUDGET:
+        raise BudgetExceeded(f"span comparison: {len(union)} x {most} Gram entries"
+                             f" exceed budget {SPAN_BUDGET}")
+    deg = len(CycAmp.one(f.p).coeffs)
 
     def echelon(states):
-        rows = [
-            [Fraction(c)
-             for s in support
-             for c in (roots[(v.exps[s] + j) % modulus] if s in v.exps else zero)]
-            for v in states
-            for j in range(deg)
-        ]
+        grams = [[inner(u, v) for u in union] for v in states]
+        rows = [[Fraction(c) for g in gram for c in g.rot(j).coeffs]
+                for gram in grams for j in range(deg)]
         return linalg.rref(_RATIONALS, rows)[0]
 
     return echelon(states_a) == echelon(states_b)

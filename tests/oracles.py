@@ -109,6 +109,44 @@ def oracle_bh_complex(rows, p, tol=1e-7):
     return True
 
 
+def complex_rank(rows, tol=1e-9):
+    """Rank of complex row vectors, by elimination with partial pivoting."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = max(range(rank, len(rows)), key=lambda i: abs(rows[i][col]), default=None)
+        if pivot is None or abs(rows[pivot][col]) < tol:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / top[col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def span_equal_by_rank(states_a, states_b):
+    """span A = span B, decided as rank A = rank B = rank(A + B) in floating point.
+
+    Each state is read from the tuple view ``amps``: a CycAmp with
+    coefficients c_j stands for sum_j c_j z^j, z = e^(2 pi i/M), with
+    M = 4 at p = 2 and M = p otherwise.  Scales are ignored.
+    """
+    states_a, states_b = list(states_a), list(states_b)
+    both = states_a + states_b
+    p = both[0].field.p
+    z = cmath.exp(2j * cmath.pi / (4 if p == 2 else p))
+    labels = sorted(set().union(*(v.amps for v in both)))
+
+    def vec(v):
+        return [sum(c * z ** j for j, c in enumerate(v.amps[x].coeffs)) if x in v.amps else 0j
+                for x in labels]
+
+    ranks = {complex_rank([vec(v) for v in s]) for s in (states_a, states_b, both)}
+    return len(ranks) == 1
+
+
 def pauli_matrix(e):
     """Dense complex matrix of omega^phase X(a) Z(b), labels big-endian."""
     f = e.field

@@ -19,7 +19,7 @@ from qbh.gf import field_make
 from qbh.lincode import DEFAULT_BUDGET, code_make, codewords, contains, dual, fp_basis
 from qbh.functional import table_make, theta
 from qbh.pauli import PauliElement, mul, swt, symp_ip, x_op, z_op
-from qbh import construct, linalg
+from qbh import construct, linalg, lincode
 from qbh.construct import (
     StabilizerCode,
     build,
@@ -303,7 +303,7 @@ def mixed_presentation(sc, z_index=-1, x_index=0):
 
 @contextlib.contextmanager
 def recording_walk():
-    """Record the elements every Gray-code walk of ``construct`` visits."""
+    """Record the elements every Gray-code walk of ``construct`` and ``lincode`` visits."""
     seen = []
     real = construct._gray_span
 
@@ -312,7 +312,8 @@ def recording_walk():
             seen.append(cur)
             yield cur
 
-    with mock.patch.object(construct, "_gray_span", recorded):
+    with mock.patch.object(construct, "_gray_span", recorded), \
+            mock.patch.object(lincode, "_gray_span", recorded):
         yield seen
 
 

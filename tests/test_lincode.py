@@ -29,6 +29,8 @@ import oracles
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
+F5 = field_make(5, 1)
+F9 = field_make(3, 2)
 
 HAMMING_7_4 = [
     (1, 0, 0, 0, 1, 1, 0),
@@ -136,6 +138,10 @@ def test_min_distance_examples():
     (F3, [(1, 0, 1, 2), (0, 1, 2, 2)]),
     (F4, [(1, 0, 2), (0, 1, 3)]),
     (F4, [(1, 2, 3, 1)]),
+    (F5, [(1, 0, 2, 3, 4), (0, 1, 4, 4, 1)]),
+    (F5, [(1, 1, 1, 1, 1, 1)]),
+    (F9, [(1, 0, 3, 5, 1), (0, 1, 7, 2, 4)]),
+    (F9, [(1, 0, 0), (0, 1, 5)]),
 ])
 def test_min_distance_matches_oracle(field, rows):
     c = code_make(field, rows)

@@ -16,6 +16,7 @@ from qbh.construct import build, stab_from_text, stab_to_text
 from qbh import statevec as sv
 from qbh.statevec import (
     LABEL_BUDGET,
+    SPAN_BUDGET,
     STAB_BUDGET,
     CycAmp,
     StateVector,
@@ -325,6 +326,28 @@ def test_span_budget_guard():
         span_equal(many, many)
 
 
+def test_budget_messages_name_the_enumeration_count_and_limit():
+    assert (LABEL_BUDGET, SPAN_BUDGET) == (1 << 16, 1 << 14)
+    flat9, flat8 = (state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
+                    for n in (9, 8))
+    with pytest.raises(BudgetExceeded,
+                       match=r"^tensor support: 512 x 256 labels exceed budget 65536$"):
+        tensor(flat9, flat8)
+    parity = code_make(F2, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)])
+    f16 = field_make(2, 4)
+    outer = code_make(f16, [(1,) * 5])
+    with pytest.raises(BudgetExceeded,
+                       match=r"^big_phi support: 16\^5 labels exceed budget 65536$"):
+        big_phi(parity, outer, table_make(parity, f16), (0,) * 5)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^equal-sum states: 16\^5 labels exceed budget 65536$"):
+        equal_sum_states(parity, 5)
+    kets = [state_make(F2, 8, {x: ONE2}) for x in itertools.product((0, 1), repeat=8)]
+    with pytest.raises(BudgetExceeded,
+                       match=r"^span comparison: 320 x 256 Gram entries exceed budget 16384$"):
+        span_equal(kets, kets[:64])
+
+
 def test_span_row_equivalent_matrices_same_span():
     f3 = F3
     c = code_make(f3, [(1, 0, 1), (0, 1, 2)])
@@ -519,6 +542,27 @@ def monomial_spans(draw, fields, max_states, max_labels=64):
 @given(monomial_spans([F2, F4, F3], max_states=3))
 def test_stab_of_span_matches_enumeration_on_random_monomial_states(states):
     _assert_stab_matches_enumeration(states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_span_equal_matches_complex_rank(data):
+    states = data.draw(monomial_spans([F2, F3], max_states=6, max_labels=16))
+    if len(states) == 1 or data.draw(st.booleans()):
+        # B: phase-rotated copies of A in a drawn order, possibly not all of them
+        a = states
+        order = data.draw(st.permutations(range(len(a))))
+        keep = data.draw(st.integers(1, len(a)))
+        turns = data.draw(st.lists(st.integers(0, 3), min_size=keep, max_size=keep))
+        b = [state_make(a[i].field, a[i].length, {x: amp.rot(e) for x, amp in a[i].amps.items()})
+             for i, e in zip(order, turns)]
+        if keep == len(a):
+            assert span_equal(a, b)
+    else:
+        # A and B drawn independently on one space
+        cut = data.draw(st.integers(1, len(states) - 1))
+        a, b = states[:cut], states[cut:]
+    assert span_equal(a, b) == oracles.span_equal_by_rank(a, b)
 
 
 @settings(max_examples=150, deadline=None)
