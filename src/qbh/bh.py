@@ -28,6 +28,8 @@ class BhMatrix:
     __slots__ = ("order", "p", "rows", "row_labels", "col_labels", "_verified")
 
     def __init__(self, order, p, rows, row_labels=None, col_labels=None):
+        if order < 1:
+            raise LengthMismatch(f"matrix order {order} must be at least 1")
         if len(rows) != order or any(len(r) != order for r in rows):
             raise LengthMismatch(f"need a square {order} x {order} exponent table")
         self.order = order
@@ -86,19 +88,12 @@ def kron_fourier(p: int, t: int) -> BhMatrix:
 
     Rows and columns are labeled by the packed vectors of F_p^t in
     increasing order; the exponent at (x, y) is the digit dot product
-    x . y mod p.
+    x . y mod p, the form matrix of the identity Gram matrix.
     """
     field_make(p, 1)  # validates primality
-    order = p ** t
-    if order > KRON_ORDER_LIMIT:
+    if p ** t > KRON_ORDER_LIMIT:
         raise BudgetExceeded(f"order {p}^{t} exceeds limit {KRON_ORDER_LIMIT}")
-    digs = [_unpack_digits(v, p, t) for v in range(order)]
-    rows = [
-        tuple(sum(a * b for a, b in zip(digs[x], digs[y])) % p for y in range(order))
-        for x in range(order)
-    ]
-    labels = tuple(range(order))
-    return BhMatrix(order, p, rows, row_labels=labels, col_labels=labels)
+    return form_matrix(BilinearForm(p, [[int(i == j) for j in range(t)] for i in range(t)]), 1)
 
 
 def normalize(m: BhMatrix) -> BhMatrix:

@@ -27,14 +27,7 @@ import itertools
 from . import linalg
 from .errors import BudgetExceeded, DimensionBounds, LengthMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
-from .gf import (
-    Field,
-    _field_from_body,
-    _gray_span,
-    _modulus_lines,
-    _text_lines,
-    field_make,
-)
+from .gf import _field_from_body, _gray_span, _modulus_lines, _text_lines, field_make
 from .lincode import (
     DEFAULT_BUDGET,
     LinearCode,
@@ -44,16 +37,6 @@ from .lincode import (
     min_distance,
 )
 from .pauli import PauliElement, SymplecticVector, symp_ip_int
-
-
-def _flatten(field: Field, a, b) -> tuple:
-    """Symplectic vector over F_q -> digit vector over F_p, a-part first."""
-    out = []
-    for x in a:
-        out.extend(field.digits(x))
-    for x in b:
-        out.extend(field.digits(x))
-    return tuple(out)
 
 
 class StabilizerCode:
@@ -97,7 +80,7 @@ class StabilizerCode:
     @property
     def sympl_matrix(self) -> list:
         """Generator symplectic rows flattened to F_p digit vectors."""
-        return [_flatten(self.field, g.a, g.b) for g in self.generators]
+        return [self.field.vec_digits(g.a + g.b) for g in self.generators]
 
     def _sbar(self):
         if self._sbar_rref is None:
@@ -109,7 +92,7 @@ class StabilizerCode:
         """Membership of (a|b) in the F_p-span of the generator rows."""
         rrows, pivots = self._sbar()
         prime = field_make(self.field.p, 1)
-        vec = _flatten(self.field, tuple(a), tuple(b))
+        vec = self.field.vec_digits(tuple(a) + tuple(b))
         return not any(linalg.reduce_vector(prime, rrows, pivots, vec))
 
     def __repr__(self):
@@ -227,21 +210,6 @@ def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
     return sc.delta
 
 
-def _trace_rows(f: Field, vec) -> tuple:
-    """tr(vec . x) as a row on the digits of x, qudit by qudit."""
-    return tuple(t for v in vec for t in f.trace_row(v))
-
-
-def _qudit_digits(f: Field, *parts) -> tuple:
-    """Digit vector over F_p with qudit i's digits of every part in chunk i."""
-    return tuple(d for xs in zip(*parts) for x in xs for d in f.digits(x))
-
-
-def _from_digits(f: Field, vec) -> tuple:
-    r = f.degree
-    return tuple(f.from_digits(vec[i : i + r]) for i in range(0, len(vec), r))
-
-
 def _check_commutes(sc: StabilizerCode, a, b) -> None:
     for g in sc.generators:
         if symp_ip_int(sc.field, a, b, g.a, g.b):
@@ -261,16 +229,17 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     """
     f = sc.field
     prime = field_make(f.p, 1)
-    N, r = sc.num_qudits, f.degree
+    N = sc.num_qudits
     # pairing of unknown (a|b) with g, as a functional on digits:
     # tr(g.a . b) - tr(g.b . a)
     rows = [
-        tuple(-t % f.p for t in _trace_rows(f, g.b)) + _trace_rows(f, g.a)
+        tuple(-t % f.p for t in f.trace_rows(g.b)) + f.trace_rows(g.a)
         for g in sc.generators
     ]
     out = []
-    for vec in linalg.nullspace(prime, rows, 2 * N * r):
-        v = SymplecticVector(f, _from_digits(f, vec[: N * r]), _from_digits(f, vec[N * r :]))
+    for vec in linalg.nullspace(prime, rows, 2 * N * f.degree):
+        x = f.vec_from_digits(vec)
+        v = SymplecticVector(f, x[:N], x[N:])
         _check_commutes(sc, v.a, v.b)
         out.append(v)
     return out
@@ -301,22 +270,24 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
         xs = [g.a for g in gens if any(g.a)]
         zs = [g.b for g in gens if any(g.b)]
         zero = (0,) * N
-        a_half = linalg.nullspace(prime, [_trace_rows(f, z) for z in zs], N * r)
-        b_half = linalg.nullspace(prime, [_trace_rows(f, x) for x in xs], N * r)
+        a_half = linalg.nullspace(prime, [f.trace_rows(z) for z in zs], N * r)
+        b_half = linalg.nullspace(prime, [f.trace_rows(x) for x in xs], N * r)
         for vec in a_half:
-            _check_commutes(sc, _from_digits(f, vec), zero)
+            _check_commutes(sc, f.vec_from_digits(vec), zero)
         for vec in b_half:
-            _check_commutes(sc, zero, _from_digits(f, vec))
+            _check_commutes(sc, zero, f.vec_from_digits(vec))
         halves = [
-            ([_qudit_digits(f, x) for x in xs], a_half),
-            ([_qudit_digits(f, z) for z in zs], b_half),
+            ([f.vec_digits(x) for x in xs], a_half),
+            ([f.vec_digits(z) for z in zs], b_half),
         ]
         per_qudit = r
     else:
-        halves = [(
-            [_qudit_digits(f, g.a, g.b) for g in gens],
-            [_qudit_digits(f, v.a, v.b) for v in centralizer_basis(sc)],
-        )]
+        def qudit_major(v):
+            """The digits of a_0, b_0, a_1, b_1, ...: qudit i in chunk i."""
+            return f.vec_digits(itertools.chain.from_iterable(zip(v.a, v.b)))
+
+        halves = [([qudit_major(g) for g in gens],
+                   [qudit_major(v) for v in centralizer_basis(sc)])]
         per_qudit = 2 * r
     walks = []
     for span, centralizer in halves:

@@ -44,9 +44,9 @@ class FunctionalTable:
     ``theta``, ``lambda_of`` and ``unpack_message`` are F_p-linear, so
     each is stored as its images of the digit units: theta(p^t) and the
     message of p^t for t < deg K, and lambda_of(p^d e_j) for every
-    coordinate j and digit d.  All come from the trace systems solved
-    at construction, each echelonned once with every unit's right-hand
-    side appended.
+    coordinate j and digit d, in ``Field.vec_digits`` order.  All come
+    from the trace systems solved at construction, each echelonned once
+    with every unit's right-hand side appended.
     """
 
     __slots__ = (
@@ -76,7 +76,7 @@ class FunctionalTable:
         # C^perp is F_q-linear, so given the earlier coordinates each
         # coordinate of the solution coset is either forced or free over
         # all of F_q.  The reduction is linear too.
-        pairing = [tuple(t for ej in e for t in f.trace_row(ej)) for e in basis]
+        pairing = [f.trace_rows(e) for e in basis]
         # functional[e][t] = f_{p^t}(e)
         functional = [tuple(self.f_int(K.p ** t, e) for t in range(K.degree)) for e in basis]
         kernel = linalg.nullspace(prime, pairing, n * r)
@@ -86,13 +86,12 @@ class FunctionalTable:
             if x is None:  # pragma: no cover - trace pairing is non-degenerate
                 raise ArithmeticError("inconsistent trace system; field tables corrupt")
             x = linalg.reduce_vector(prime, kernel, kpivots, x)
-            self._theta.append(tuple(f.from_digits(x[j * r : (j + 1) * r]) for j in range(n)))
-        images = []
+            self._theta.append(f.vec_from_digits(x))
+        self._lambda = []
         for digs in linalg.solve(prime, functional, zip(*pairing)):
             if digs is None:  # pragma: no cover - lam -> f_lam is onto the dual
                 raise ArithmeticError("functional not representable; field tables corrupt")
-            images.append(K.from_digits(digs))
-        self._lambda = [images[j * r : (j + 1) * r] for j in range(n)]
+            self._lambda.append(K.from_digits(digs))
         # The message digits v of P^-1(y) solve functional^T . v = trace_row(y),
         # digits ordered as in fp_basis: coordinate-major, digit inner.
         units = (K.trace_row(K.p ** t) for t in range(K.degree))
@@ -100,8 +99,7 @@ class FunctionalTable:
         for digs in linalg.solve(prime, list(zip(*functional)), units):
             if digs is None:  # pragma: no cover - P is an F_p-isomorphism
                 raise ArithmeticError("message not recoverable; field tables corrupt")
-            self._unpack.append(tuple(f.from_digits(digs[j * r : (j + 1) * r])
-                                      for j in range(code.k)))
+            self._unpack.append(f.vec_from_digits(digs))
 
     # -- scalar side
 
@@ -131,12 +129,11 @@ class FunctionalTable:
 
     def lambda_of(self, x) -> int:
         """The unique scalar lam whose functional agrees with rho_x on C."""
-        f, K = self.code.field, self.scalars
+        K = self.scalars
         lam = 0
-        for xj, images in zip(x, self._lambda):
-            for c, image in zip(f.digits(xj), images):
-                if c:
-                    lam = K.add(lam, K.mul(c, image))
+        for c, image in zip(self.code.field.vec_digits(x), self._lambda):
+            if c:
+                lam = K.add(lam, K.mul(c, image))
         return lam
 
     def __repr__(self):
@@ -246,20 +243,15 @@ def big_f_kernel(table: FunctionalTable, d_code: LinearCode) -> list:
     code = table.code
     if d_code.field != table.scalars:
         raise DimensionMismatch("outer code is not defined over the scalar field")
-    q = code.field
+    q, k = code.field, code.k
     rows = [
-        tuple(d for y in vec for x in table.unpack_message(y) for d in q.digits(x))
+        q.vec_digits(itertools.chain.from_iterable(map(table.unpack_message, vec)))
         for vec in fp_basis(dual(d_code))
     ]
     basis, _ = linalg.rref(table.prime, rows)
-    k, r = code.k, q.degree
     return [
-        tuple(
-            encode(code, tuple(q.from_digits(vec[(i * k + j) * r : (i * k + j + 1) * r])
-                               for j in range(k)))
-            for i in range(d_code.n)
-        )
-        for vec in basis
+        tuple(encode(code, msgs[i * k:(i + 1) * k]) for i in range(d_code.n))
+        for msgs in map(q.vec_from_digits, basis)
     ]
 
 

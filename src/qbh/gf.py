@@ -150,13 +150,13 @@ def _pack_digits(digs, p):
 
 # --- lane packing --------------------------------------------------------
 # A vector over F_{p^t} packs into one int with one F_p digit per bit
-# lane, lane i holding digit i of the flat digit vector.  Lanes are 1 bit
-# wide at p = 2, where addition is XOR.  For odd p a lane is w =
-# (p-1).bit_length() + 1 bits wide, so a lane sum s <= 2p - 2 never
-# carries into the next lane, and adding 2^(w-1) - p sets the top bit of
-# exactly the lanes where s >= p, which then drop p (SWAR; Warren,
-# Hacker's Delight, ch. 2).  The adder at p = 2 is the builtin XOR, so
-# hot loops call the adder at every p.
+# lane, lane i holding digit i of ``Field.vec_digits``, so coordinate i
+# fills chunk i.  Lanes are 1 bit wide at p = 2, where addition is XOR.
+# For odd p a lane is w = (p-1).bit_length() + 1 bits wide, so a lane
+# sum s <= 2p - 2 never carries into the next lane, and adding
+# 2^(w-1) - p sets the top bit of exactly the lanes where s >= p, which
+# then drop p (SWAR; Warren, Hacker's Delight, ch. 2).  The adder at
+# p = 2 is the builtin XOR, so hot loops call the adder at every p.
 
 
 def _lane_width(p):
@@ -168,6 +168,18 @@ def _lane_pack(digs, w):
     for d in reversed(digs):
         v = (v << w) | d
     return v
+
+
+def _vec_lanes(f, vec):
+    """The lane-packed label of a vector over the field f."""
+    return _lane_pack(f.vec_digits(vec), _lane_width(f.p))
+
+
+def _lanes_vec(f, n, label):
+    """The vector of length n over the field f named by a lane-packed label."""
+    w = _lane_width(f.p)
+    mask = (1 << w) - 1
+    return f.vec_from_digits([(label >> (j * w)) & mask for j in range(n * f.degree)])
 
 
 def _lane_adder(p, lanes):
@@ -416,6 +428,12 @@ class Field:
         """(tr(a p^d) for d < degree): tr(a.x) as a row on the digits of x."""
         return tuple(self.trace_int(self.mul(a, self.p ** d)) for d in range(self.degree))
 
+    def trace_rows(self, vec) -> tuple:
+        """tr(vec . x) as a row on ``vec_digits(x)``."""
+        if self.degree == 1:
+            return tuple(vec)
+        return tuple(t for a in vec for t in self.trace_row(a))
+
     # -- representation plumbing
 
     def digits(self, a: int) -> tuple:
@@ -424,6 +442,20 @@ class Field:
 
     def from_digits(self, digs) -> int:
         return _pack_digits(tuple(d % self.p for d in digs), self.p)
+
+    def vec_digits(self, vec) -> tuple:
+        """F_p digit vector of a vector over the field: the digits of each
+        coordinate in turn, constant digit first."""
+        if self.degree == 1:
+            return tuple(vec)
+        return tuple(d for a in vec for d in self.digits(a))
+
+    def vec_from_digits(self, digs) -> tuple:
+        """The vector whose ``vec_digits`` are ``digs``, each digit in [0, p)."""
+        r = self.degree
+        if r == 1:
+            return tuple(digs)
+        return tuple(_pack_digits(digs[i:i + r], self.p) for i in range(0, len(digs), r))
 
     def elements(self):
         return range(self.order)

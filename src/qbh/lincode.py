@@ -196,7 +196,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
             " raise it with --budget"
         )
     f = code.field
-    rows = [tuple(d for x in row for d in f.digits(x)) for row in fp_basis(code)]
+    rows = [f.vec_digits(row) for row in fp_basis(code)]
     return _min_weight_outside(f.p, [], rows, code.n, f.degree)
 
 

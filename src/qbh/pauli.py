@@ -139,9 +139,7 @@ def symp_ip(u: SymplecticVector, v: SymplecticVector) -> FieldElement:
         raise ValueError("vectors over different fields")
     if u.length != v.length:
         raise LengthMismatch("vectors of different lengths")
-    f = u.field
-    val = (_dot_trace(f, u.b, v.a) - _dot_trace(f, v.b, u.a)) % f.p
-    return field_make(f.p, 1).element(val)
+    return field_make(u.field.p, 1).element(symp_ip_int(u.field, u.a, u.b, v.a, v.b))
 
 
 def symp_ip_int(field: Field, a1, b1, a2, b2) -> int:

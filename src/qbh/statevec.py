@@ -26,10 +26,10 @@ from .gf import (
     FieldElement,
     _gray_span,
     _lane_adder,
-    _lane_pack,
     _lane_width,
-    _pack_digits,
+    _lanes_vec,
     _unpack_digits,
+    _vec_lanes,
     field_make,
 )
 from .lincode import LinearCode, contains, encode, iter_codewords
@@ -145,19 +145,6 @@ class CycAmp:
 # --- labels ---------------------------------------------------------------
 
 
-def _pack(f, vec) -> int:
-    """The lane-packed label of a vector over f, coordinate i in chunk i."""
-    return _lane_pack([d for x in vec for d in f.digits(x)], _lane_width(f.p))
-
-
-def _unpack(f, n, label) -> tuple:
-    """The vector of length n over f named by a lane-packed label."""
-    w, r = _lane_width(f.p), f.degree
-    mask = (1 << w) - 1
-    digs = [(label >> (j * w)) & mask for j in range(n * r)]
-    return tuple(_pack_digits(digs[i * r:(i + 1) * r], f.p) for i in range(n))
-
-
 def _trace_form(f, b):
     """(rep, big) with tr(b.x) = popcount((x * rep) & big) mod p.
 
@@ -170,13 +157,11 @@ def _trace_form(f, b):
     """
     p, w = f.p, _lane_width(f.p)
     width = len(b) * f.degree * w
-    big, lane = 0, 0
-    for bi in b:
-        for t in f.trace_row(bi):
-            for k in range((p - 1).bit_length()):
-                for s in range((t << k) % p):
-                    big |= 1 << (s * width + lane * w + k)
-            lane += 1
+    big = 0
+    for lane, t in enumerate(f.trace_rows(b)):
+        for k in range((p - 1).bit_length()):
+            for s in range((t << k) % p):
+                big |= 1 << (s * width + lane * w + k)
     rep = sum(1 << (s * width) for s in range(p - 1))
     return rep, big
 
@@ -199,7 +184,7 @@ class StateVector:
         self.field = field
         self.length = length
         roots = {CycAmp.root(field.p, e): e for e in range(phase_modulus(field))}
-        self.exps = {_pack(field, x): roots.get(a) for x, a in amps.items() if not a.is_zero}
+        self.exps = {_vec_lanes(field, x): roots.get(a) for x, a in amps.items() if not a.is_zero}
         if None in self.exps.values():
             raise ValueError("an amplitude is not a root of unity")
         self.scale = scale
@@ -210,7 +195,7 @@ class StateVector:
         """Label tuple -> CycAmp."""
         if self._amps is None:
             f, n = self.field, self.length
-            self._amps = {_unpack(f, n, x): CycAmp.root(f.p, e) for x, e in self.exps.items()}
+            self._amps = {_lanes_vec(f, n, x): CycAmp.root(f.p, e) for x, e in self.exps.items()}
         return self._amps
 
     @property
@@ -256,7 +241,7 @@ def phi(code: LinearCode, table, lam) -> StateVector:
         raise BudgetExceeded(f"code has {code.size} words, budget {LABEL_BUDGET}")
     lam = lam.value if isinstance(lam, FieldElement) else int(lam)
     step = phase_step(f)
-    exps = {_pack(f, w): step * table.f_int(lam, w) for w in iter_codewords(code)}
+    exps = {_vec_lanes(f, w): step * table.f_int(lam, w) for w in iter_codewords(code)}
     return _state(f, code.n, exps, f.degree * code.k)
 
 
@@ -278,7 +263,7 @@ def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
         raise DimensionMismatch(f"matrix entries mod {matrix.p}, field characteristic {f.p}")
     step, entries = phase_step(f), matrix.rows[row]
     exps = {
-        _pack(f, encode(code, _unpack_digits(label, q, code.k)[::-1])): step * entries[col]
+        _vec_lanes(f, encode(code, _unpack_digits(label, q, code.k)[::-1])): step * entries[col]
         for col, label in enumerate(matrix.col_labels)
     }
     return _state(f, code.n, exps, f.degree * code.k)
@@ -332,7 +317,7 @@ def _images(e: PauliElement, v: StateVector):
     if len(e.a) != v.length:
         raise LengthMismatch(f"operator on {len(e.a)} qudits, state on {v.length}")
     add = _lane_adder(f.p, v.length * f.degree)
-    a = _pack(f, e.a)
+    a = _vec_lanes(f, e.a)
     rep, big = _trace_form(f, e.b)
     c, modulus, step = e.phase, phase_modulus(f), phase_step(f)
     return (
@@ -380,21 +365,23 @@ def norm_sq(v: StateVector):
 
 def equal_sum_states(code: LinearCode, m: int) -> list:
     """For each c in C, the flat sum over all m-tuples of codewords adding to c."""
+    if m < 1:
+        raise ValueError(f"equal-sum states need m >= 1 blocks, got {m}")
     if code.size ** m > LABEL_BUDGET:
         raise BudgetExceeded(f"equal-sum states: {code.size}^{m} labels"
                              f" exceed budget {LABEL_BUDGET}")
     f = code.field
-    words = list(iter_codewords(code))
-    out = []
-    for c in words:
-        exps = {}
-        for prefix in itertools.product(words, repeat=m - 1):
-            total = c
-            for blk in prefix:
-                total = tuple(f.sub(t, x) for t, x in zip(total, blk))
-            exps[_pack(f, tuple(itertools.chain.from_iterable(prefix)) + total)] = 0
-        out.append(_state(f, code.n * m, exps, 0))
-    return out
+    words = [_vec_lanes(f, c) for c in iter_codewords(code)]
+    add = _lane_adder(f.p, code.n * f.degree)
+    shift = code.n * f.degree * _lane_width(f.p)
+    by_sum = {c: {} for c in words}
+    for blocks in itertools.product(words, repeat=m):
+        label = total = 0
+        for i, blk in enumerate(blocks):
+            label |= blk << (i * shift)
+            total = add(total, blk)
+        by_sum[total][label] = 0
+    return [_state(f, code.n * m, exps, 0) for exps in by_sum.values()]
 
 
 # Q as the field that linalg.rref reduces over; Fraction(0) is falsy.
@@ -511,7 +498,7 @@ def stab_of_span(states) -> list:
     ncols = 1 + n * r
 
     def row_of(item):
-        return (1,) + tuple(t for xi in _unpack(f, n, item[1]) for t in f.trace_row(xi))
+        return (1,) + f.trace_rows(_lanes_vec(f, n, item[1]))
 
     # A basis of the rows, as (state, label) pairs whose rows are independent.
     picked = _independent(prime, ((v.exps, x) for v in states for x in v.exps), row_of, ncols)
@@ -527,12 +514,11 @@ def stab_of_span(states) -> list:
     kernel = linalg.nullspace(prime, brows, ncols)
 
     def element(c0, a, z):
-        b = tuple(_pack_digits(z[1 + i * r:1 + (i + 1) * r], p) for i in range(n))
-        return PauliElement(f, c0 + step * z[0], a, b)
+        return PauliElement(f, c0 + step * z[0], a, f.vec_from_digits(z[1:]))
 
     add = _lane_adder(p, n * r)
     anchor = next(iter(v0.exps))
-    minus_anchor = _pack(f, [f.neg(x) for x in _unpack(f, n, anchor)])
+    minus_anchor = _vec_lanes(f, [f.neg(x) for x in _lanes_vec(f, n, anchor)])
     cosets = []
     for y in v0.exps:
         a = add(y, minus_anchor)
@@ -551,11 +537,11 @@ def stab_of_span(states) -> list:
         z = [0] * ncols
         for col, comb in solver:
             z[col] = sum(u * h for u, h in zip(comb, rhs)) % p
-        g = element(c0, _unpack(f, n, a), z)
+        g = element(c0, _lanes_vec(f, n, a), z)
         if all(is_fixed(g, v) for v in states):
             cosets.append((c0, g.a, z))
     # The solutions of an F_p-basis of the accepted shifts, and the kernel.
-    reps = _independent(prime, cosets, lambda c: sum(map(f.digits, c[1]), ()), n * r)
+    reps = _independent(prime, cosets, lambda c: f.vec_digits(c[1]), n * r)
     gens = [element(*c) for c, _ in reps] + [element(0, (0,) * n, k) for k in kernel]
     size = len(cosets) * p ** len(kernel)
     if size * len(gens) > STAB_BUDGET:
@@ -598,7 +584,7 @@ def fix_dim(s) -> int:
         return f.order ** n
     modulus, step = phase_modulus(f), phase_step(f)
     lanes = n * f.degree
-    moves = [(_pack(f, g.a), g.phase, *_trace_form(f, g.b)) for g in gens]
+    moves = [(_vec_lanes(f, g.a), g.phase, *_trace_form(f, g.b)) for g in gens]
     add = _lane_adder(f.p, lanes)
     w = _lane_width(f.p)
     units = [1 << (i * w) for i in range(lanes)]
@@ -631,7 +617,7 @@ def state_to_text(v: StateVector) -> str:
     """Debug dump; line oriented, not a stable interface."""
     f = v.field
     lines = [f"state p={f.p} q={f.order} N={v.length} scale={v.scale}"]
-    for label, e in sorted((_unpack(f, v.length, x), e) for x, e in v.exps.items()):
+    for label, e in sorted((_lanes_vec(f, v.length, x), e) for x, e in v.exps.items()):
         coeffs = " ".join(str(c) for c in CycAmp.root(f.p, e).coeffs)
         lines.append(f"{' '.join(str(x) for x in label)} : {coeffs}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from qbh.bh import (
     normalize,
     row_equivalence,
 )
-from qbh.errors import BudgetExceeded, DegenerateForm, LabelsNotGroup, NotBh
+from qbh.errors import BudgetExceeded, DegenerateForm, LabelsNotGroup, LengthMismatch, NotBh
 from qbh.gf import _unpack_digits
 
 import oracles
@@ -75,6 +75,13 @@ def test_kron_fourier_order_four():
 def test_kron_fourier_budget():
     with pytest.raises(BudgetExceeded):
         kron_fourier(2, 13)
+
+
+def test_order_zero_matrix_rejected():
+    with pytest.raises(LengthMismatch):
+        BhMatrix(0, 2, [])
+    with pytest.raises(LengthMismatch):
+        bh_from_text("0 2\n")
 
 
 def test_normalize_examples():

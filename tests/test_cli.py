@@ -230,6 +230,15 @@ def test_bh_verify(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "bh=false"
 
 
+def test_bh_verify_rejects_order_zero(tmp_path, capsys):
+    empty = _write(tmp_path, "empty.bh", "0 2\n")
+    rc = main(["bh", "verify", empty])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "order 0" in captured.err
+
+
 def test_bh_equiv_scrambled_fourier(tmp_path, capsys):
     base = kron_fourier(2, 2)
     rows = [list(r) for r in base.rows][::-1]

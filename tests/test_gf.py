@@ -16,6 +16,8 @@ from qbh.gf import (
     _lane_adder,
     _lane_pack,
     _lane_width,
+    _lanes_vec,
+    _vec_lanes,
     embed,
     field_from_spec,
     field_make,
@@ -298,6 +300,23 @@ def test_lane_add_matches_field_add(data):
 
     add = _lane_adder(p, n * r)
     assert add(pack(x), pack(y)) == pack([f.add(a, b) for a, b in zip(x, y)])
+    assert _vec_lanes(f, x) == pack(x)
+    assert _lanes_vec(f, n, pack(x)) == tuple(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_vec_digits_round_trip_and_trace_rows_pair_to_the_trace(data):
+    p, t = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (5, 1)]), label="field")
+    f = field_make(p, t)
+    n = data.draw(st.integers(1, 5), label="n")
+    vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n).map(tuple)
+    b, x = data.draw(vec, label="b"), data.draw(vec, label="x")
+    digs = f.vec_digits(x)
+    assert len(digs) == n * t
+    assert f.vec_from_digits(digs) == x
+    want = sum(f.trace_int(f.mul(bi, xi)) for bi, xi in zip(b, x)) % p
+    assert sum(r * d for r, d in zip(f.trace_rows(b), digs)) % p == want
 
 
 def _digit_sum(p, t, a, b, sign):

@@ -1,5 +1,6 @@
 """Exact state vectors: amplitudes, eigenvalue relations, spans, stabilizers."""
 
+import functools
 import itertools
 
 import pytest
@@ -383,6 +384,29 @@ def test_equal_sum_states_span_the_logical_space():
     t = table_make(c, d.field)
     q = [big_phi(c, d, t, w) for w in codewords(d)]
     assert span_equal(q, equal_sum_states(c, 2))
+
+
+@pytest.mark.parametrize("field,rows,m", [
+    (F2, [(1, 0, 1), (0, 1, 1)], 3),
+    (F3, [(1, 2, 0), (0, 1, 1)], 2),
+    (F4, [(1, 2, 3)], 3),
+])
+def test_equal_sum_states_hold_the_tuples_adding_to_each_word(field, rows, m):
+    c = code_make(field, rows)
+    words = codewords(c)
+
+    def total(blocks):
+        return functools.reduce(lambda u, v: tuple(map(field.add, u, v)), blocks)
+
+    states = equal_sum_states(c, m)
+    assert len(states) == len(words)
+    one = CycAmp.one(field.p)
+    for word, state in zip(words, states):
+        tuples = [b for b in itertools.product(words, repeat=m) if total(b) == word]
+        assert state.amps == {sum(b, ()): one for b in tuples}
+        assert state.scale == 0
+    with pytest.raises(ValueError):
+        equal_sum_states(c, 0)
 
 
 # -- stab_of_span and fix_dim
