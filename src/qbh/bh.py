@@ -117,8 +117,8 @@ def row_equivalence(m1: BhMatrix, m2: BhMatrix):
 
     Returns (perm, shifts) with m2.rows[i] == m1.rows[perm[i]] + shifts[i]
     entrywise mod p, or None when no such pair exists.  The match is
-    canonical: rows are paired through sorted shift classes, so the
-    result is deterministic.
+    canonical: each row of m2, in index order, takes the first unused
+    row of m1 in its shift class, so the result is deterministic.
     """
     if m1.order != m2.order or m1.p != m2.p:
         return None
@@ -127,18 +127,12 @@ def row_equivalence(m1: BhMatrix, m2: BhMatrix):
     c2 = [_shift_class(r, p) for r in m2.rows]
     if sorted(c1) != sorted(c2):
         return None
-    buckets: dict = {}
-    for idx in sorted(range(m1.order), key=lambda i: (c1[i], i)):
-        buckets.setdefault(c1[idx], []).append(idx)
-    perm = [0] * m1.order
-    shifts = [0] * m1.order
-    used: dict = {}
-    for i in sorted(range(m2.order), key=lambda i: (c2[i], i)):
-        pool = buckets[c2[i]]
-        src = pool[used.setdefault(c2[i], 0)]
-        used[c2[i]] += 1
-        perm[i] = src
-        shifts[i] = (m2.rows[i][0] - m1.rows[src][0]) % p
+    pools: dict = {}
+    for idx, c in enumerate(c1):
+        pools.setdefault(c, []).append(idx)
+    pools = {c: iter(pool) for c, pool in pools.items()}
+    perm = [next(pools[c]) for c in c2]
+    shifts = [(row[0] - m1.rows[src][0]) % p for row, src in zip(m2.rows, perm)]
     for i in range(m2.order):
         src, s = perm[i], shifts[i]
         if tuple((e + s) % p for e in m1.rows[src]) != m2.rows[i]:

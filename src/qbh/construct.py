@@ -12,10 +12,11 @@ rows has full rank r(nm - ks), so the fixed space has dimension q^{ks};
 Distances come in two independent flavours: ``distance`` evaluates the
 closed form min{d(C), ell} from the construction data, while
 ``distance_bruteforce`` enumerates the symplectic centralizer, found as
-a nullspace from the generator list alone, and never reads the
-construction data.  The test suite holds the two against each other.
-A generator list whose every member is pure X or pure Z is CSS: its
-centralizer is A x B, X-parts times Z-parts, and since
+one nullspace (``centralizer_basis``) from the generator list alone,
+and never reads the construction data.  The test suite holds the two
+against each other.  A generator list whose every member is pure X or
+pure Z is CSS: its centralizer basis is pure X and pure Z vectors, so
+the centralizer is A x B, X-parts times Z-parts, and since
 wt(a|b) >= max(wt a, wt b) the walk takes A and B apart, p^{dim A} +
 p^{dim B} elements instead of p^{dim A + dim B}.
 """
@@ -210,14 +211,6 @@ def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
     return sc.delta
 
 
-def _check_commutes(sc: StabilizerCode, a, b) -> None:
-    for g in sc.generators:
-        if symp_ip_int(sc.field, a, b, g.a, g.b):
-            raise ArithmeticError(
-                "centralizer vector fails to commute; construction data corrupt"
-            )
-
-
 def centralizer_basis(sc: StabilizerCode) -> list:
     """F_p-basis of the symplectic centralizer of the generator rows.
 
@@ -240,7 +233,10 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     for vec in linalg.nullspace(prime, rows, 2 * N * f.degree):
         x = f.vec_from_digits(vec)
         v = SymplecticVector(f, x[:N], x[N:])
-        _check_commutes(sc, v.a, v.b)
+        if any(symp_ip_int(f, v.a, v.b, g.a, g.b) for g in sc.generators):
+            raise ArithmeticError(
+                "centralizer vector fails to commute; construction data corrupt"
+            )
         out.append(v)
     return out
 
@@ -252,7 +248,10 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
     (b = 0) or pure Z (a = 0) the code is CSS, and its centralizer
     splits as A x B: A the X-parts a with tr(a . z) = 0 for every
     Z-part z, B the Z-parts b with tr(b . x) = 0 for every X-part x.
-    The stabilizer splits as S_X x S_Z the same way.  An element (a|b)
+    The pairing rows of such generators are block diagonal, so the
+    reduced basis from ``centralizer_basis`` is the pure-X vectors
+    (a|0), a in a basis of A, and the pure-Z vectors (0|b); a mixed
+    vector in it raises.  The stabilizer splits as S_X x S_Z the same way.  An element (a|b)
     outside S_X x S_Z has a outside S_X or b outside S_Z, and
     wt(a|b) >= max(wt a, wt b), with equality for (a|0) and (0|b).  So
     the distance is the smaller of the minimum weights of A outside S_X
@@ -266,19 +265,18 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
     p, r, N = f.p, f.degree, sc.num_qudits
     prime = field_make(p, 1)
     gens = sc.generators
+    centralizer = centralizer_basis(sc)
     if all(not any(g.a) or not any(g.b) for g in gens):
-        xs = [g.a for g in gens if any(g.a)]
-        zs = [g.b for g in gens if any(g.b)]
-        zero = (0,) * N
-        a_half = linalg.nullspace(prime, [f.trace_rows(z) for z in zs], N * r)
-        b_half = linalg.nullspace(prime, [f.trace_rows(x) for x in xs], N * r)
-        for vec in a_half:
-            _check_commutes(sc, f.vec_from_digits(vec), zero)
-        for vec in b_half:
-            _check_commutes(sc, zero, f.vec_from_digits(vec))
+        a_half = [f.vec_digits(v.a) for v in centralizer if not any(v.b)]
+        b_half = [f.vec_digits(v.b) for v in centralizer if not any(v.a)]
+        if len(a_half) + len(b_half) != len(centralizer):
+            raise ArithmeticError(
+                "centralizer vector of a CSS generator list is neither pure X"
+                " nor pure Z; construction data corrupt"
+            )
         halves = [
-            ([f.vec_digits(x) for x in xs], a_half),
-            ([f.vec_digits(z) for z in zs], b_half),
+            ([f.vec_digits(g.a) for g in gens if any(g.a)], a_half),
+            ([f.vec_digits(g.b) for g in gens if any(g.b)], b_half),
         ]
         per_qudit = r
     else:
@@ -286,14 +284,13 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
             """The digits of a_0, b_0, a_1, b_1, ...: qudit i in chunk i."""
             return f.vec_digits(itertools.chain.from_iterable(zip(v.a, v.b)))
 
-        halves = [([qudit_major(g) for g in gens],
-                   [qudit_major(v) for v in centralizer_basis(sc)])]
+        halves = [([qudit_major(g) for g in gens], [qudit_major(v) for v in centralizer])]
         per_qudit = 2 * r
     walks = []
-    for span, centralizer in halves:
+    for span, vecs in halves:
         srows, pivots = linalg.rref(prime, span)
         rest, _ = linalg.rref(prime, [
-            linalg.reduce_vector(prime, srows, pivots, v) for v in centralizer
+            linalg.reduce_vector(prime, srows, pivots, v) for v in vecs
         ])
         walks.append((srows, rest))
     sizes = [p ** (len(srows) + len(rest)) for srows, rest in walks]

@@ -157,7 +157,7 @@ def table_make(code: LinearCode, scalars: Field) -> FunctionalTable:
 
 def f_eval(table: FunctionalTable, lam, word) -> FieldElement:
     """f_lam(word) as an element of F_p; word must lie in C."""
-    lam = lam.value if isinstance(lam, FieldElement) else int(lam)
+    lam = int(lam)
     word = tuple(word)
     if not contains(table.code, word):
         raise NotACodeword(f"{word} is not in {table.code!r}")
@@ -166,7 +166,7 @@ def f_eval(table: FunctionalTable, lam, word) -> FieldElement:
 
 def theta(table: FunctionalTable, lam) -> tuple:
     """Lexicographically smallest x with rho_x = f_lam on C."""
-    lam = lam.value if isinstance(lam, FieldElement) else int(lam)
+    lam = int(lam)
     return table.theta(lam)
 
 

@@ -84,14 +84,7 @@ def zero_code(field: Field, n: int) -> LinearCode:
 
 def dual(code: LinearCode) -> LinearCode:
     """Dual code under the standard dot product; involutive."""
-    if code.k == code.n:
-        return zero_code(code.field, code.n)
-    if code.k == 0:
-        full = [tuple(1 if j == i else 0 for j in range(code.n)) for i in range(code.n)]
-        gen, pivots = linalg.rref(code.field, full)
-        return LinearCode(code.field, code.n, tuple(gen), tuple(pivots))
-    basis = linalg.nullspace(code.field, list(code.gen), code.n)
-    gen, pivots = linalg.rref(code.field, basis)
+    gen, pivots = linalg.rref(code.field, linalg.nullspace(code.field, list(code.gen), code.n))
     return LinearCode(code.field, code.n, tuple(gen), tuple(pivots))
 
 

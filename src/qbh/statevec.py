@@ -23,7 +23,6 @@ from types import SimpleNamespace
 from . import linalg
 from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, NotACodeword
 from .gf import (
-    FieldElement,
     _gray_span,
     _lane_adder,
     _lane_width,
@@ -239,7 +238,7 @@ def phi(code: LinearCode, table, lam) -> StateVector:
     f = code.field
     if code.size > LABEL_BUDGET:
         raise BudgetExceeded(f"code has {code.size} words, budget {LABEL_BUDGET}")
-    lam = lam.value if isinstance(lam, FieldElement) else int(lam)
+    lam = int(lam)
     step = phase_step(f)
     exps = {_vec_lanes(f, w): step * table.f_int(lam, w) for w in iter_codewords(code)}
     return _state(f, code.n, exps, f.degree * code.k)
@@ -288,9 +287,7 @@ def tensor(v: StateVector, w: StateVector) -> StateVector:
 
 def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVector:
     """Tensor product of the phi states named by one codeword of D."""
-    lam_word = tuple(
-        x.value if isinstance(x, FieldElement) else int(x) for x in lam_word
-    )
+    lam_word = tuple(map(int, lam_word))
     if not contains(d_code, lam_word):
         raise NotACodeword(f"{lam_word} is not in the outer code")
     if code.size ** d_code.n > LABEL_BUDGET:
@@ -423,20 +420,6 @@ def span_equal(states_a, states_b) -> bool:
     return echelon(states_a) == echelon(states_b)
 
 
-def _independent(prime, items, row_of, limit):
-    """(item, row) for each item whose row is independent of the rows
-    picked before it, stopping once ``limit`` are picked."""
-    picked, rrows, pivots = [], [], []
-    for item in items:
-        if len(picked) == limit:
-            break
-        row = row_of(item)
-        if any(linalg.reduce_vector(prime, rrows, pivots, row)):
-            picked.append((item, row))
-            rrows, pivots = linalg.rref(prime, [r for _, r in picked])
-    return picked
-
-
 def _check_fixing_group(states, found, gens) -> None:
     """Raise unless ``gens`` commute pairwise, ``found`` is closed under
     right multiplication by them and each element fixes each state."""
@@ -466,13 +449,15 @@ def stab_of_span(states) -> list:
     The left side fixes c mod step, and dividing by step leaves a
     system that is F_p-linear in the unknowns (c div step, digits of b).
     The coefficient row (1, tr(p^j x_i)) of a label depends on the label
-    alone, so a row basis and its solving map are echelonned once per
-    call.  A candidate shift a must move an anchor label of the first
-    state into that state's support, so at most |support| shifts are
-    tried.  Each costs one solve on the row basis and an ``is_fixed``
-    check of that solution on every state, which holds exactly when the
-    whole system is consistent; the fixing elements of that shift are
-    then the solution plus the kernel.
+    alone, so a row basis is picked once per call: the first (state,
+    label) rows independent of those before them, read off as the pivot
+    columns of the transposed row list.  A candidate shift a must move
+    an anchor label of the first state into that state's support, so at
+    most |support| shifts are tried, and the right-hand sides of all of
+    them go to one ``linalg.solve`` on the row basis.  Each solution is
+    then checked with ``is_fixed`` on every state, which holds exactly
+    when the whole system is consistent; the fixing elements of that
+    shift are the solution plus the kernel.
 
     The result is the group generated by the solutions of an F_p-basis
     of the accepted shifts and by the kernel elements.  Before it is
@@ -481,6 +466,8 @@ def stab_of_span(states) -> list:
     raises rather than returns.
     """
     states = list(states)
+    if not states:
+        raise ValueError("cannot infer the space from an empty span")
     v0 = states[0]
     f, n = v0.field, v0.length
     for v in states:
@@ -495,23 +482,13 @@ def stab_of_span(states) -> list:
             f"{shifts} shifts x {rows} rows exceed stab_of_span budget {STAB_BUDGET}"
         )
     prime = field_make(p, 1)
-    ncols = 1 + n * r
-
-    def row_of(item):
-        return (1,) + f.trace_rows(_lanes_vec(f, n, item[1]))
-
-    # A basis of the rows, as (state, label) pairs whose rows are independent.
-    picked = _independent(prime, ((v.exps, x) for v in states for x in v.exps), row_of, ncols)
-    basis, brows = zip(*picked)
-    # The rows are independent, so reducing [rows | I] puts every pivot
-    # among the unknowns, and the identity part of each reduced row
-    # holds that pivot unknown as a combination of the right-hand sides.
-    rank = len(brows)
-    solved, spivots = linalg.rref(
-        prime, [row + tuple(int(i == k) for i in range(rank)) for k, row in enumerate(brows)]
-    )
-    solver = [(col, row[ncols:]) for row, col in zip(solved, spivots)]
-    kernel = linalg.nullspace(prime, brows, ncols)
+    items = [(v.exps, x) for v in states for x in v.exps]
+    eq_rows = [(1,) + f.trace_rows(_lanes_vec(f, n, x)) for _, x in items]
+    # The pivot columns of the transpose index the first independent rows.
+    picked = linalg.rref(prime, list(zip(*eq_rows)))[1]
+    basis = [items[i] for i in picked]
+    brows = [eq_rows[i] for i in picked]
+    kernel = linalg.nullspace(prime, brows, 1 + n * r)
 
     def element(c0, a, z):
         return PauliElement(f, c0 + step * z[0], a, f.vec_from_digits(z[1:]))
@@ -519,7 +496,7 @@ def stab_of_span(states) -> list:
     add = _lane_adder(p, n * r)
     anchor = next(iter(v0.exps))
     minus_anchor = _vec_lanes(f, [f.neg(x) for x in _lanes_vec(f, n, anchor)])
-    cosets = []
+    trials, rhss = [], []
     for y in v0.exps:
         a = add(y, minus_anchor)
         diffs = []
@@ -528,21 +505,20 @@ def stab_of_span(states) -> list:
             if ey is None:
                 break
             diffs.append((ey - exps[x]) % modulus)
-        if len(diffs) < rank:
+        if len(diffs) < len(basis):
             continue
         c0 = diffs[0] % step
         if any((d - c0) % step for d in diffs):
             continue
-        rhs = [(d - c0) // step for d in diffs]
-        z = [0] * ncols
-        for col, comb in solver:
-            z[col] = sum(u * h for u, h in zip(comb, rhs)) % p
-        g = element(c0, _lanes_vec(f, n, a), z)
-        if all(is_fixed(g, v) for v in states):
-            cosets.append((c0, g.a, z))
+        trials.append((c0, _lanes_vec(f, n, a)))
+        rhss.append([(d - c0) // step for d in diffs])
+    cosets = []
+    for (c0, a), z in zip(trials, linalg.solve(prime, brows, rhss)):
+        if all(is_fixed(element(c0, a, z), v) for v in states):
+            cosets.append((c0, a, z))
     # The solutions of an F_p-basis of the accepted shifts, and the kernel.
-    reps = _independent(prime, cosets, lambda c: f.vec_digits(c[1]), n * r)
-    gens = [element(*c) for c, _ in reps] + [element(0, (0,) * n, k) for k in kernel]
+    reps = linalg.rref(prime, list(zip(*(f.vec_digits(a) for _, a, _ in cosets))))[1]
+    gens = [element(*cosets[i]) for i in reps] + [element(0, (0,) * n, k) for k in kernel]
     size = len(cosets) * p ** len(kernel)
     if size * len(gens) > STAB_BUDGET:
         raise BudgetExceeded(f"{size} fixing elements x {len(gens)} generators"

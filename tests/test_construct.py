@@ -377,14 +377,14 @@ def test_bruteforce_splits_a_centralizer_past_the_default_budget():
         distance_bruteforce(mixed_presentation(parsed))
 
 
-@pytest.mark.parametrize("pair, mixed, call", [
-    (helpers.shor_pair, False, 0),  # the X half
-    (helpers.shor_pair, False, 1),  # the Z half
+@pytest.mark.parametrize("pair, mixed, part", [
+    (helpers.shor_pair, False, 0),  # a pure-X vector, of the X half
+    (helpers.shor_pair, False, 1),  # a pure-Z vector, of the Z half
     (helpers.shor_pair, True, 0),  # the whole centralizer
     (helpers.nine_qutrit_pair, False, 0),
     (helpers.nine_qutrit_pair, False, 1),
 ], ids=["x-half", "z-half", "whole", "qutrit-x-half", "qutrit-z-half"])
-def test_bruteforce_checks_every_centralizer_vector(monkeypatch, pair, mixed, call):
+def test_bruteforce_checks_every_centralizer_vector(monkeypatch, pair, mixed, part):
     sc = build(*pair())
     if mixed:
         sc = mixed_presentation(sc)
@@ -392,15 +392,40 @@ def test_bruteforce_checks_every_centralizer_vector(monkeypatch, pair, mixed, ca
     calls = []
 
     def corrupt(field, rows, ncols):
-        out = real(field, rows, ncols)
-        if len(calls) == call:
-            out.append((1,) + (0,) * (ncols - 1))  # pairs nonzero with a generator
         calls.append(ncols)
-        return out
+        bad = [0] * ncols
+        bad[part * ncols // 2] = 1  # a digit of qudit 0's X or Z part: pairs nonzero
+        return real(field, rows, ncols) + [tuple(bad)]
 
     monkeypatch.setattr(linalg, "nullspace", corrupt)
     with pytest.raises(ArithmeticError, match="fails to commute"):
         distance_bruteforce(sc)
+    assert calls == [2 * sc.num_qudits * sc.field.degree]
+
+
+@pytest.mark.parametrize("pair", [helpers.shor_pair, helpers.nine_qutrit_pair])
+def test_bruteforce_rejects_a_mixed_vector_in_a_css_centralizer(monkeypatch, pair):
+    sc = build(*pair())
+    real = linalg.nullspace
+
+    def mix(field, rows, ncols):
+        out = real(field, rows, ncols)
+        # first (pure X) plus last (pure Z): still a commuting basis
+        out[0] = tuple((x + z) % field.p for x, z in zip(out[0], out[-1]))
+        return out
+
+    monkeypatch.setattr(linalg, "nullspace", mix)
+    with pytest.raises(ArithmeticError, match="neither pure X nor pure Z"):
+        distance_bruteforce(sc)
+
+
+def test_centralizer_of_every_family_code_is_pure_x_or_pure_z():
+    count = 0
+    for c_code, d_code, _ in helpers.family_instances() + helpers.repetition_instances():
+        for v in centralizer_basis(build(c_code, d_code)):
+            assert not any(v.a) or not any(v.b)
+            count += 1
+    assert count > 0
 
 
 def test_distance_requires_construction_data():

@@ -22,6 +22,7 @@ from qbh.lincode import (
     message_of,
     min_distance,
     weight,
+    zero_code,
 )
 
 import oracles
@@ -85,6 +86,12 @@ def test_dual_of_full_space_is_zero_code():
     assert d.k == 0
     assert contains(d, (0, 0, 0))
     assert not contains(d, (1, 0, 0))
+
+
+def test_dual_of_zero_code_is_full_space():
+    d = dual(zero_code(F4, 3))
+    assert d.k == 3 and d.size == 4 ** 3
+    assert contains(d, (1, 2, 3))
 
 
 def test_dual_of_ternary_repetition():

@@ -411,6 +411,11 @@ def test_equal_sum_states_hold_the_tuples_adding_to_each_word(field, rows, m):
 
 # -- stab_of_span and fix_dim
 
+def test_stab_of_empty_span_names_it():
+    with pytest.raises(ValueError, match="empty span"):
+        stab_of_span([])
+
+
 def test_stab_of_computational_basis_state():
     v = state_make(F2, 1, {(0,): ONE2})
     group = stab_of_span([v])
