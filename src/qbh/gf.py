@@ -152,11 +152,10 @@ def _pack_digits(digs, p):
 # A vector over F_{p^t} packs into one int with one F_p digit per bit
 # lane, lane i holding digit i of ``Field.vec_digits``, so coordinate i
 # fills chunk i.  Lanes are 1 bit wide at p = 2, where addition is XOR.
-# For odd p a lane is w = (p-1).bit_length() + 1 bits wide, so a lane
-# sum s <= 2p - 2 never carries into the next lane, and adding
-# 2^(w-1) - p sets the top bit of exactly the lanes where s >= p, which
-# then drop p (SWAR; Warren, Hacker's Delight, ch. 2).  The adder at
-# p = 2 is the builtin XOR, so hot loops call the adder at every p.
+# For odd p a lane is w = (p-1).bit_length() + 1 bits wide, the width
+# at which ``_slot_adder`` adds mod p (SWAR; Warren, Hacker's Delight,
+# ch. 2).  The adder at p = 2 is the builtin XOR, so hot loops call the
+# adder at every p.
 
 
 def _lane_width(p):
@@ -182,21 +181,31 @@ def _lanes_vec(f, n, label):
     return f.vec_from_digits([(label >> (j * w)) & mask for j in range(n * f.degree)])
 
 
+def _slot_adder(modulus, width, slots):
+    """Slotwise addition mod ``modulus`` of two ints packed as ``slots``
+    slots of ``width`` bits, each slot holding a value in [0, modulus).
+
+    Needs modulus <= 2^(width-1): a slot sum never carries into the next
+    slot, and adding 2^(width-1) - modulus sets the top bit of exactly
+    the slots whose sum reaches the modulus, which then drop it.
+    """
+    ones = ((1 << slots * width) - 1) // ((1 << width) - 1)
+    bias = ones * ((1 << (width - 1)) - modulus)
+    high = ones << (width - 1)
+    shift = width - 1
+
+    def add(x, y):
+        s = x + y
+        return s - (((s + bias) & high) >> shift) * modulus
+
+    return add
+
+
 def _lane_adder(p, lanes):
     """Lanewise addition mod p of two packed vectors of ``lanes`` lanes."""
     if p == 2:
         return operator.xor
-    w = _lane_width(p)
-    ones = _lane_pack((1,) * lanes, w)
-    bias = ones * ((1 << (w - 1)) - p)
-    high = ones << (w - 1)
-    shift = w - 1
-
-    def add(x, y):
-        s = x + y
-        return s - (((s + bias) & high) >> shift) * p
-
-    return add
+    return _slot_adder(p, _lane_width(p), lanes)
 
 
 def _valuation(i, p):

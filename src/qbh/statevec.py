@@ -23,10 +23,10 @@ from types import SimpleNamespace
 from . import linalg
 from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, NotACodeword
 from .gf import (
-    _gray_span,
     _lane_adder,
     _lane_width,
     _lanes_vec,
+    _slot_adder,
     _unpack_digits,
     _vec_lanes,
     field_make,
@@ -237,7 +237,8 @@ def phi(code: LinearCode, table, lam) -> StateVector:
         raise DimensionMismatch("functional table belongs to a different code")
     f = code.field
     if code.size > LABEL_BUDGET:
-        raise BudgetExceeded(f"code has {code.size} words, budget {LABEL_BUDGET}")
+        raise BudgetExceeded(f"phi support: {f.order}^{code.k} labels"
+                             f" exceed budget {LABEL_BUDGET}")
     lam = int(lam)
     step = phase_step(f)
     exps = {_vec_lanes(f, w): step * table.f_int(lam, w) for w in iter_codewords(code)}
@@ -534,59 +535,161 @@ def stab_of_span(states) -> list:
     return found
 
 
+# --- whole-space slot arrays ------------------------------------------------
+# fix_dim holds a function on all q^N labels as one int.  Label x owns slot
+# number idx(x), the base-p number whose digits are vec_digits(x); a slot
+# is s = (M - 1).bit_length() + 1 bits wide, so ``_slot_adder`` adds slot
+# values mod M.  Adding a vector a to every label rotates digit j of each
+# slot number by a_j mod p: two masked shifts per nonzero digit of a.
+
+
+def _times(combine, x, count: int):
+    """x combined with itself ``count`` times, in O(log count) combines.
+
+    ``combine`` must be associative; it is called on (out, out) to double
+    and on (out, x) to add one, reading the bits of ``count`` from the top.
+    """
+    out = x
+    for bit in bin(count)[3:]:
+        out = combine(out, out)
+        if bit == "1":
+            out = combine(out, x)
+    return out
+
+
+class _Slots:
+    """Slot arrays over the q^N labels of F_q^N, as described above."""
+
+    def __init__(self, f, n: int):
+        self.p, self.lanes = f.p, n * f.degree
+        self.modulus, self.step = phase_modulus(f), phase_step(f)
+        self.width = (self.modulus - 1).bit_length() + 1
+        size = self.p ** self.lanes
+        self.add = _slot_adder(self.modulus, self.width, size)
+        self.ones = ((1 << size * self.width) - 1) // ((1 << self.width) - 1)
+        self.full = self.ones * ((1 << self.width) - 1)
+        self._masks = {}
+
+    def _ramp(self, block, slots: int, count: int, inc: int):
+        """``count`` copies of a ``slots``-slot array, copy d plus d * inc mod M."""
+        add, ones, bits = self.add, self.ones, slots * self.width
+
+        def combine(u, v):
+            (n, lo), (m, hi) = u, v
+            k = n * inc % self.modulus
+            if k:
+                hi = add(hi, (ones & ((1 << m * bits) - 1)) * k)
+            return n + m, lo | hi << n * bits
+
+        return _times(combine, (1, block), count)[1]
+
+    def mask(self, j: int, t: int):
+        """(slots whose digit j is below p - t, the other slots), all bits set."""
+        masks = self._masks.get((j, t))
+        if masks is None:
+            slots = self.p ** j * (self.p - t)
+            low = self._ramp((1 << slots * self.width) - 1, self.p ** (j + 1),
+                             self.p ** (self.lanes - 1 - j), 0)
+            masks = self._masks[(j, t)] = (low, self.full ^ low)
+        return masks
+
+    def translate(self, arr, digits):
+        """arr with the value of each slot x moved to slot x + a, a given by its digits."""
+        p = self.p
+        for j, t in enumerate(digits):
+            if t:
+                low, high = self.mask(j, t)
+                bits = p ** j * self.width
+                arr = (arr & low) << t * bits | (arr & high) >> (p - t) * bits
+        return arr
+
+    def affine(self, c: int, row):
+        """The array of c + step * tr(b.x) mod M, ``row`` = trace_rows(b)."""
+        arr = c
+        for j, t in enumerate(row):
+            arr = self._ramp(arr, self.p ** j, self.p, self.step * t % self.modulus)
+        return arr
+
+    def spread(self, phases, known, digits, cost):
+        """Phases on known + {0, ..., p - 1} a, from those on ``known``.
+
+        Along a, phase(x + a) = phase(x) + cost(x).  An element (n, phases,
+        known, acc) holds the phases on known + {0, ..., n - 1} a and the
+        cost of n steps, acc(x) = cost(x) + ... + cost(x + (n - 1) a); two
+        of them combine by moving the second n steps along a.
+        """
+        p, add, translate = self.p, self.add, self.translate
+
+        def combine(u, v):
+            (n, ph, kn, acc), (m, ph2, kn2, acc2) = u, v
+            fwd = [n * t % p for t in digits]
+            back = [-n * t % p for t in digits]
+            return (n + m, ph | translate(add(ph2, acc) & kn2, fwd),
+                    kn | translate(kn2, fwd), add(acc, translate(acc2, back)))
+
+        return _times(combine, (1, phases, known, cost), p)[1:3]
+
+    def nonzero(self, arr):
+        """1 in each slot of arr that holds a nonzero value, else 0."""
+        top = self.width - 1
+        rest = self.ones * ((1 << top) - 1)
+        return ((arr | ((arr & rest) + rest)) >> top) & self.ones
+
+
 def fix_dim(s) -> int:
     """Dimension of the joint fixed space of a generator list.
 
     Accepts anything with ``field``, ``num_qudits``, ``generators`` or a
-    bare list of PauliElements.  Works by orbit tracing: the X parts
-    partition the basis labels into orbits, relation v(x + a) =
-    z^(c + step tr(b.x)) v(x) propagates a phase along each orbit, and an
-    orbit contributes one dimension exactly when the propagated phases
-    are consistent around every cycle.
+    bare list of PauliElements.  A vector v is fixed by z^c X(a) Z(b)
+    exactly when v(x + a) = z^(c + step tr(b.x)) v(x) on every label x, so
+    the translations by the X parts split the labels into orbits, the
+    cosets of their span, and each orbit carries one fixed vector or none.
+
+    Everything runs on slot arrays over all q^N labels.  The tree
+    generators are those whose X parts are independent, and the labels
+    zero at the pivot columns of the echelon form of those X parts meet
+    each orbit once.  Phases start at 0 there and spread along the tree
+    generators; then every generator is checked on every label, the
+    labels where it breaks the relation are closed under the tree
+    translations, and the orbits left untouched are counted.
     """
     if hasattr(s, "generators"):
-        gens = list(s.generators)
-        f = s.field
-        n = s.num_qudits
+        gens, f, n = list(s.generators), s.field, s.num_qudits
     else:
         gens = list(s)
         if not gens:
             raise ValueError("cannot infer the space from an empty generator list")
-        f = gens[0].field
-        n = len(gens[0].a)
+        f, n = gens[0].field, len(gens[0].a)
+    for g in gens:
+        if g.field != f:
+            raise DimensionMismatch(f"generator over {g.field}, space over {f}")
+        if len(g.a) != n:
+            raise LengthMismatch(f"generator on {len(g.a)} qudits, space on {n}")
     if f.order ** n > LABEL_BUDGET:
-        raise BudgetExceeded(f"{f.order ** n} labels exceed budget {LABEL_BUDGET}")
+        raise BudgetExceeded(f"fix_dim space: {f.order}^{n} labels"
+                             f" exceed budget {LABEL_BUDGET}")
     if not gens:
         return f.order ** n
-    modulus, step = phase_modulus(f), phase_step(f)
-    lanes = n * f.degree
-    moves = [(_vec_lanes(f, g.a), g.phase, *_trace_form(f, g.b)) for g in gens]
-    add = _lane_adder(f.p, lanes)
-    w = _lane_width(f.p)
-    units = [1 << (i * w) for i in range(lanes)]
-    phase_of = {}
-    dim = 0
-    for start in _gray_span(f.p, units, add):
-        if start in phase_of:
-            continue
-        phase_of[start] = 0
-        stack = [start]
-        ok = True
-        while stack:
-            x = stack.pop()
-            base = phase_of[x]
-            for a, phase, rep, big in moves:
-                y = add(x, a)
-                ph = (base + phase + step * ((x * rep) & big).bit_count()) % modulus
-                seen = phase_of.get(y)
-                if seen is None:
-                    phase_of[y] = ph
-                    stack.append(y)
-                elif seen != ph:
-                    ok = False
-        if ok:
-            dim += 1
-    return dim
+    slots, prime = _Slots(f, n), field_make(f.p, 1)
+    shifts = [f.vec_digits(g.a) for g in gens]
+    costs = [slots.affine(g.phase, f.trace_rows(g.b)) for g in gens]
+    # The pivot columns of the transpose index the first independent X parts.
+    tree = linalg.rref(prime, list(zip(*shifts)))[1]
+    transversal = slots.full
+    for j in linalg.rref(prime, [shifts[i] for i in tree])[1]:
+        transversal &= slots.mask(j, f.p - 1)[0]
+    phases, known = 0, transversal
+    for i in tree:
+        phases, known = slots.spread(phases, known, shifts[i], costs[i])
+    if known != slots.full:
+        raise ArithmeticError("tree translations miss a label; slot arrays corrupt")
+    broken = 0
+    for a, cost in zip(shifts, costs):
+        broken |= slots.translate(slots.add(phases, cost), a) ^ phases
+    bad = slots.nonzero(broken)
+    for i in tree:
+        bad = slots.spread(bad, slots.full, shifts[i], 0)[0]
+    return (transversal & slots.ones & ~bad).bit_count()
 
 
 def state_to_text(v: StateVector) -> str:

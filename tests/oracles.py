@@ -215,6 +215,42 @@ def fix_dim_by_counting(field, n, gens):
     return field.order ** n // size
 
 
+def fix_dim_by_orbits(field, n, gens):
+    """dim fix(S) for any list of generators, by tracing orbits of labels.
+
+    A vector v is fixed by omega^c X(a) Z(b) exactly when v(x + a) is
+    i^(c + 2 tr(b.x)) v(x) at p = 2, omega^(c + tr(b.x)) v(x) otherwise,
+    on every label x.  Phases spread from the first label of each orbit
+    along every generator, and the orbit counts once when no relation
+    contradicts a phase already found.  Labels are tuples, sums go
+    through ``field.add`` and traces through ``oracle_trace``.
+    """
+    f = field
+    modulus = 4 if f.p == 2 else f.p
+    mult = 2 if f.p == 2 else 1
+    trace = [oracle_trace(f, v) for v in range(f.order)]
+    phase_of = {}
+    dim = 0
+    for start in itertools.product(range(f.order), repeat=n):
+        if start in phase_of:
+            continue
+        phase_of[start] = 0
+        stack, ok = [start], True
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = tuple(f.add(xi, ai) for xi, ai in zip(x, g.a))
+                tr = sum(trace[f.mul(bi, xi)] for bi, xi in zip(g.b, x))
+                ph = (phase_of[x] + g.phase + mult * tr) % modulus
+                if y not in phase_of:
+                    phase_of[y] = ph
+                    stack.append(y)
+                elif phase_of[y] != ph:
+                    ok = False
+        dim += ok
+    return dim
+
+
 def fixes(e, state):
     """Does omega^c X(a) Z(b) fix the state exactly?
 

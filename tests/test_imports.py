@@ -59,3 +59,52 @@ def test_stdlib_check_sees_third_party_imports():
            "from hypothesis import given\nfrom . import gf\nfrom .gf import field_make\n"
            "def f():\n    import sympy\n")
     assert absolute_imports(src) - sys.stdlib_module_names == {"numpy", "hypothesis", "sympy"}
+
+
+# The state-vector oracle must not lean on the symplectic one.
+SYMPLECTIC = {"symp_ip", "symp_ip_int", "mul", "centralizer_basis", "sympl_matrix"}
+
+
+def referenced_names(source: str, root: str) -> set:
+    """Names read by the module-level function ``root`` and by every
+    function or class of the module that it reaches, with imported names
+    under the name they have where they are defined, and attributes of
+    imported names by their own name."""
+    tree = ast.parse(source)
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    origin = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            origin.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            origin.update((alias.asname or alias.name.split(".")[0],) * 2 for alias in node.names)
+    names, seen, todo = set(), set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                names.add(origin.get(node.id, node.id))
+                if node.id in defs:
+                    todo.append(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in origin):
+                names.add(node.attr)
+    return names
+
+
+def test_fix_dim_reads_no_symplectic_algebra():
+    source = (pathlib.Path(qbh.__file__).parent / "statevec.py").read_text()
+    assert referenced_names(source, "fix_dim") & SYMPLECTIC == set()
+
+
+def test_symplectic_check_follows_helpers_aliases_and_modules():
+    src = ("from .pauli import mul as pauli_mul\nfrom . import construct\n"
+           "def helper(x):\n    return pauli_mul(x, x)\n"
+           "def other(x):\n    return construct.centralizer_basis(x)\n"
+           "def fix_dim(s):\n    return helper(s) + s.field.mul(1, 1)\n")
+    assert referenced_names(src, "fix_dim") & SYMPLECTIC == {"mul"}
+    assert referenced_names(src, "other") & SYMPLECTIC == {"centralizer_basis"}

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from qbh.errors import BudgetExceeded, DimensionMismatch, LengthMismatch
 from qbh.gf import field_make
 from qbh.lincode import code_make, codewords, dual
 from qbh.functional import table_make, table_matrix
-from qbh.pauli import PauliElement, commutes, identity, psi, x_op, z_op
+from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, psi, x_op, z_op
 from qbh.construct import build, stab_from_text, stab_to_text
 from qbh import statevec as sv
 from qbh.statevec import (
@@ -45,6 +46,7 @@ F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
 F5 = field_make(5, 1)
+F7 = field_make(7, 1)
 F9 = field_make(3, 2)
 
 ONE2 = CycAmp.one(2)
@@ -327,8 +329,11 @@ def test_span_budget_guard():
         span_equal(many, many)
 
 
-def test_budget_messages_name_the_enumeration_count_and_limit():
+def test_budget_messages_name_the_enumeration_count_and_limit(monkeypatch):
     assert (LABEL_BUDGET, SPAN_BUDGET) == (1 << 16, 1 << 14)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^fix_dim space: 2\^17 labels exceed budget 65536$"):
+        fix_dim([z_op(F2, (1,) * 17)])
     flat9, flat8 = (state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
                     for n in (9, 8))
     with pytest.raises(BudgetExceeded,
@@ -347,6 +352,12 @@ def test_budget_messages_name_the_enumeration_count_and_limit():
     with pytest.raises(BudgetExceeded,
                        match=r"^span comparison: 320 x 256 Gram entries exceed budget 16384$"):
         span_equal(kets, kets[:64])
+    # A code too big for LABEL_BUDGET has no field of scalars within
+    # FIELD_SIZE_LIMIT, so phi's guard is read at a lowered budget.
+    c, _, t = shor_setup()
+    monkeypatch.setattr(sv, "LABEL_BUDGET", 1)
+    with pytest.raises(BudgetExceeded, match=r"^phi support: 2\^1 labels exceed budget 1$"):
+        phi(c, t, 0)
 
 
 def test_span_row_equivalent_matrices_same_span():
@@ -641,6 +652,60 @@ def test_fix_dim_large_qudit():
     f = field_make(3, 8)
     gens = [z_op(f, (5,)), z_op(f, (7,))]  # 7 = 2 * 5, so one constraint
     assert fix_dim(gens) == oracles.fix_dim_by_counting(f, 1, gens) == 2187
+
+
+def test_fix_dim_one_large_prime_qudit():
+    # 65521 labels in slots of 17 bits: every spread and mask must take
+    # O(log p) big-int steps, not p
+    f = field_make(65521, 1)
+    for gens in ([x_op(f, (1,))], [z_op(f, (1,))]):
+        assert fix_dim(gens) == oracles.fix_dim_by_orbits(f, 1, gens) == 1
+
+
+def test_fix_dim_rejects_generators_of_another_space():
+    with pytest.raises(LengthMismatch):
+        fix_dim([z_op(F2, (1, 1)), x_op(F2, (1, 1, 1))])
+    with pytest.raises(DimensionMismatch):
+        fix_dim([z_op(F2, (1,)), z_op(F4, (2,))])
+    sc = build(*helpers.four_one_pair())
+    with pytest.raises(LengthMismatch):
+        fix_dim(SimpleNamespace(field=F2, num_qudits=5, generators=sc.generators))
+    with pytest.raises(DimensionMismatch):
+        fix_dim(SimpleNamespace(field=F4, num_qudits=4, generators=sc.generators))
+
+
+@st.composite
+def generator_lists(draw, fields, max_labels=1 << 10):
+    """(field, N, generators): arbitrary lists, commuting or not, with
+    a = 0 or b = 0 at times, random phases and, at times, a product of
+    two earlier generators under a fresh phase."""
+    f = draw(st.sampled_from(fields))
+    most = 1
+    while f.order ** (most + 1) <= max_labels:
+        most += 1
+    n = draw(st.integers(1, most))
+    vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
+    phase = st.integers(0, phase_modulus(f) - 1)
+    gens = []
+    for _ in range(draw(st.integers(1, n + 2))):
+        kind = draw(st.sampled_from(("xz", "x", "z")))
+        a = draw(vec) if kind != "z" else (0,) * n
+        b = draw(vec) if kind != "x" else (0,) * n
+        gens.append(PauliElement(f, draw(phase), a, b))
+    if len(gens) > 1 and draw(st.booleans()):
+        prod = mul(gens[0], gens[1])
+        gens.append(PauliElement(f, draw(phase), prod.a, prod.b))
+    return f, n, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists([F2, F4, F3, F9, F5, F7]))
+def test_fix_dim_matches_orbit_oracle_on_arbitrary_lists(case):
+    f, n, gens = case
+    dim = fix_dim(gens)
+    assert dim == oracles.fix_dim_by_orbits(f, n, gens)
+    if all(commutes(g, h) for g in gens for h in gens):
+        assert dim == oracles.fix_dim_by_counting(f, n, gens)
 
 
 def test_fix_dim_budget_guard():
