@@ -39,8 +39,10 @@ LABEL_BUDGET = 1 << 16
 # stab_of_span: candidate shifts x equation rows of its linear solve,
 # and elements found x generators, the products of its group self-check.
 STAB_BUDGET = 1 << 20
-# span_equal: entries of its Gram matrices, |A| + |B| states x max(|A|, |B|).
-SPAN_BUDGET = 1 << 14
+# span_equal: entries of the larger rational matrix it reduces, deg rows
+# per state of the longer list x deg columns per state of both lists,
+# deg = [Q(z):Q].
+SPAN_BUDGET = 1 << 16
 
 
 @functools.cache
@@ -171,22 +173,16 @@ class StateVector:
     ``exps`` maps each lane-packed label of the support to its phase
     exponent mod M.  ``scale`` counts powers of p^(-1/2) pulled out in
     front; two states are equal only when supports, exponents and scale
-    all agree.  The constructor takes the readable form, a dict from
-    label tuple to CycAmp; zero amplitudes are dropped, and any other
-    amplitude must be a root of unity.  ``amps`` and ``support`` give
-    the readable form back, built on first access and cached.
+    all agree.  The constructor takes the packed form as it is;
+    ``state_make`` builds a state from the readable form.  ``amps`` and
+    ``support`` give the readable form back, built on first access and
+    cached.
     """
 
     __slots__ = ("field", "length", "exps", "scale", "_amps")
 
-    def __init__(self, field, length: int, amps: dict, scale: int = 0):
-        self.field = field
-        self.length = length
-        roots = {CycAmp.root(field.p, e): e for e in range(phase_modulus(field))}
-        self.exps = {_vec_lanes(field, x): roots.get(a) for x, a in amps.items() if not a.is_zero}
-        if None in self.exps.values():
-            raise ValueError("an amplitude is not a root of unity")
-        self.scale = scale
+    def __init__(self, field, length: int, exps: dict, scale: int):
+        self.field, self.length, self.exps, self.scale = field, length, exps, scale
         self._amps = None
 
     @property
@@ -217,18 +213,24 @@ class StateVector:
         )
 
 
-def _state(field, length: int, exps: dict, scale: int) -> StateVector:
-    """A StateVector straight from its packed exponent dict."""
-    v = object.__new__(StateVector)
-    v.field, v.length, v.exps, v.scale, v._amps = field, length, exps, scale, None
-    return v
-
-
 def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
+    """A state from the readable form, a dict from label tuple to CycAmp.
+
+    Every label must have length ``length`` and entries in the field.
+    Zero amplitudes are dropped, and any other amplitude must be a root
+    of unity.
+    """
     for label in amps:
         if len(label) != length:
             raise LengthMismatch(f"label {label} is not length {length}")
-    return StateVector(field, length, amps, scale)
+        for x in label:
+            if not 0 <= x < field.order:
+                raise ValueError(f"entry {x} is not a packed element of {field!r}")
+    roots = {CycAmp.root(field.p, e): e for e in range(phase_modulus(field))}
+    exps = {_vec_lanes(field, x): roots.get(a) for x, a in amps.items() if not a.is_zero}
+    if None in exps.values():
+        raise ValueError("an amplitude is not a root of unity")
+    return StateVector(field, length, exps, scale)
 
 
 def phi(code: LinearCode, table, lam) -> StateVector:
@@ -236,13 +238,10 @@ def phi(code: LinearCode, table, lam) -> StateVector:
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
     f = code.field
-    if code.size > LABEL_BUDGET:
-        raise BudgetExceeded(f"phi support: {f.order}^{code.k} labels"
-                             f" exceed budget {LABEL_BUDGET}")
     lam = int(lam)
     step = phase_step(f)
     exps = {_vec_lanes(f, w): step * table.f_int(lam, w) for w in iter_codewords(code)}
-    return _state(f, code.n, exps, f.degree * code.k)
+    return StateVector(f, code.n, exps, f.degree * code.k)
 
 
 def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
@@ -266,7 +265,7 @@ def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
         _vec_lanes(f, encode(code, _unpack_digits(label, q, code.k)[::-1])): step * entries[col]
         for col, label in enumerate(matrix.col_labels)
     }
-    return _state(f, code.n, exps, f.degree * code.k)
+    return StateVector(f, code.n, exps, f.degree * code.k)
 
 
 def tensor(v: StateVector, w: StateVector) -> StateVector:
@@ -283,7 +282,7 @@ def tensor(v: StateVector, w: StateVector) -> StateVector:
         for lv, ev in v.exps.items()
         for lw, ew in w.exps.items()
     }
-    return _state(f, v.length + w.length, exps, v.scale + w.scale)
+    return StateVector(f, v.length + w.length, exps, v.scale + w.scale)
 
 
 def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVector:
@@ -307,8 +306,8 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     return out
 
 
-def _images(e: PauliElement, v: StateVector):
-    """(x + a, exponent at x + c + step * tr(b.x)) for each label x of v."""
+def apply(e: PauliElement, v: StateVector) -> StateVector:
+    """Act with z^c X(a) Z(b): labels shift by a, phases pick up tr(b.x)."""
     f = v.field
     if e.field != f:
         raise DimensionMismatch("operator and state over different fields")
@@ -318,25 +317,16 @@ def _images(e: PauliElement, v: StateVector):
     a = _vec_lanes(f, e.a)
     rep, big = _trace_form(f, e.b)
     c, modulus, step = e.phase, phase_modulus(f), phase_step(f)
-    return (
-        (add(x, a), (ex + c + step * ((x * rep) & big).bit_count()) % modulus)
+    exps = {
+        add(x, a): (ex + c + step * ((x * rep) & big).bit_count()) % modulus
         for x, ex in v.exps.items()
-    )
-
-
-def apply(e: PauliElement, v: StateVector) -> StateVector:
-    """Act with z^c X(a) Z(b): labels shift by a, phases pick up tr(b.x)."""
-    return _state(v.field, v.length, dict(_images(e, v)), v.scale)
+    }
+    return StateVector(f, v.length, exps, v.scale)
 
 
 def is_fixed(e: PauliElement, v: StateVector) -> bool:
-    """Whether apply(e, v) == v, decided at the first label that moves.
-
-    The shift is a bijection of labels, so v is fixed exactly when every
-    image lands on a support label with the exponent that label has.
-    """
-    exps = v.exps
-    return all(exps.get(y) == ey for y, ey in _images(e, v))
+    """Whether e fixes v exactly."""
+    return apply(e, v) == v
 
 
 def inner(v: StateVector, w: StateVector) -> CycAmp:
@@ -345,6 +335,8 @@ def inner(v: StateVector, w: StateVector) -> CycAmp:
     Each common label contributes z^(e_w - e_v), so the sum is the
     histogram of exponent differences read as an element of Z[z].
     """
+    if v.field != w.field or v.length != w.length:
+        raise DimensionMismatch("states to compare live in different spaces")
     modulus = phase_modulus(v.field)
     counts = [0] * modulus
     ve, we = v.exps, w.exps
@@ -379,7 +371,7 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
             label |= blk << (i * shift)
             total = add(total, blk)
         by_sum[total][label] = 0
-    return [_state(f, code.n * m, exps, 0) for exps in by_sum.values()]
+    return [StateVector(f, code.n * m, exps, 0) for exps in by_sum.values()]
 
 
 # Q as the field that linalg.rref reduces over; Fraction(0) is falsy.
@@ -396,21 +388,18 @@ def span_equal(states_a, states_b) -> bool:
     vectors, so each state gives the rows z^j (<u, v>)_u for j < deg =
     [Q(z):Q], read in the power basis of Q(z), and the two sets of rows
     are compared by their reduced echelon forms over Q.  Scale exponents
-    are ignored; a global nonzero scalar never moves a span.
+    are ignored; a global nonzero scalar never moves a span.  States of
+    different spaces raise ``DimensionMismatch`` from ``inner``.
     """
     states_a, states_b = list(states_a), list(states_b)
     if not states_a or not states_b:
         return not states_a and not states_b
     union = states_a + states_b
-    f, n = union[0].field, union[0].length
-    for v in union:
-        if v.field != f or v.length != n:
-            raise DimensionMismatch("states to compare live in different spaces")
-    most = max(len(states_a), len(states_b))
-    if len(union) * most > SPAN_BUDGET:
-        raise BudgetExceeded(f"span comparison: {len(union)} x {most} Gram entries"
+    deg = len(CycAmp.one(union[0].field.p).coeffs)
+    rows, cols = deg * max(len(states_a), len(states_b)), deg * len(union)
+    if rows * cols > SPAN_BUDGET:
+        raise BudgetExceeded(f"span comparison: {rows} x {cols} rational entries"
                              f" exceed budget {SPAN_BUDGET}")
-    deg = len(CycAmp.one(f.p).coeffs)
 
     def echelon(states):
         grams = [[inner(u, v) for u in union] for v in states]

@@ -251,22 +251,26 @@ def fix_dim_by_orbits(field, n, gens):
     return dim
 
 
-def fixes(e, state):
-    """Does omega^c X(a) Z(b) fix the state exactly?
+def image(e, state):
+    """The tuple view of omega^c X(a) Z(b) applied to the state.
 
-    Read from the tuple view ``state.amps``: the amplitude at label x
-    moves to x + a and picks up omega^(c + tr(b.x)), or i^(c + 2 tr(b.x))
-    at p = 2, with the trace taken by ``oracle_trace``.
+    Read from ``state.amps``: the amplitude at label x moves to x + a and
+    picks up omega^(c + tr(b.x)), or i^(c + 2 tr(b.x)) at p = 2, with the
+    sum x + a taken by ``f.add`` and the trace by ``oracle_trace``.
     """
     f = e.field
     mult = 2 if f.p == 2 else 1
-    amps = state.amps
-    for x, amp in amps.items():
+    out = {}
+    for x, amp in state.amps.items():
         y = tuple(f.add(xi, ai) for xi, ai in zip(x, e.a))
         tr = sum(oracle_trace(f, f.mul(bi, xi)) for bi, xi in zip(e.b, x))
-        if amps.get(y) != amp.rot(e.phase + mult * tr):
-            return False
-    return True
+        out[y] = amp.rot(e.phase + mult * tr)
+    return out
+
+
+def fixes(e, state):
+    """Does omega^c X(a) Z(b) fix the state exactly?"""
+    return image(e, state) == state.amps
 
 
 def stab_by_enumeration(states):

@@ -24,6 +24,7 @@ from qbh.pauli import PauliElement, detectable, swt
 from qbh.construct import build, distance, distance_bruteforce
 from qbh.statevec import (
     SPAN_BUDGET,
+    CycAmp,
     apply,
     big_phi,
     big_phi_from_matrix,
@@ -221,13 +222,15 @@ def test_acceptance_06_corollaries():
                 "p{p} r{r} n{n} k{k} m{m}: ".format(**meta)
                 + f"delta {distance(sc)} != min(d(C), m)"
             )
-        # span_equal bounds its Gram entries by SPAN_BUDGET.  Each entry
-        # also reads two states of |C|^m labels, hence the label cap: on a
-        # 2-vCPU box with Python 3.11.7, |C| = 27, m = 2 (729 labels) took
-        # 0.7 s, while |C| = 64, m = 2 (4096 labels, within both budgets)
-        # took 7.6 s and is left out.
-        gram = (c_code.size + d_code.size) * max(c_code.size, d_code.size)
-        if gram <= SPAN_BUDGET and c_code.size ** m <= 1 << 10:
+        # span_equal bounds the rational matrix it reduces by SPAN_BUDGET:
+        # deg rows per state of the longer list by deg columns per state of
+        # both, deg = [Q(z):Q].  Each Gram entry also reads two states of
+        # |C|^m labels, hence the label cap: on a 2-vCPU box with Python
+        # 3.11.7, |C| = 27, m = 2 (729 labels) took 0.7 s, while |C| = 64,
+        # m = 2 (4096 labels, within both budgets) took 7.6 s and is left out.
+        deg = len(CycAmp.one(f.p).coeffs)
+        entries = deg * max(c_code.size, d_code.size) * deg * (c_code.size + d_code.size)
+        if entries <= SPAN_BUDGET and c_code.size ** m <= 1 << 10:
             q_states = [big_phi(c_code, d_code, sc.table, w)
                         for w in iter_codewords(d_code)]
             if not span_equal(equal_sum_states(c_code, m), q_states):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh.errors import BudgetExceeded, DimensionMismatch, LengthMismatch
-from qbh.gf import field_make
+from qbh.gf import FIELD_SIZE_LIMIT, field_make
 from qbh.lincode import code_make, codewords, dual
 from qbh.functional import table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, psi, x_op, z_op
@@ -120,14 +120,14 @@ def test_state_rejects_amplitude_not_root_of_unity():
     with pytest.raises(ValueError):
         state_make(F2, 1, {(0,): CycAmp(2, (1, 1))})
     with pytest.raises(ValueError):
-        StateVector(F3, 1, {(0,): CycAmp.one(3) + CycAmp.one(3)})
+        state_make(F3, 1, {(0,): CycAmp.one(3) + CycAmp.one(3)})
 
 
 def test_tuple_view_is_built_once_and_round_trips():
     c, _, t = shor_setup()
     v = phi(c, t, 1)
     assert v.amps is v.amps
-    assert StateVector(F2, 3, v.amps, v.scale) == v
+    assert state_make(F2, 3, v.amps, v.scale) == v
 
 
 def test_library_paths_stay_on_packed_labels(monkeypatch):
@@ -153,6 +153,15 @@ def test_library_paths_stay_on_packed_labels(monkeypatch):
 def test_state_make_checks_label_length():
     with pytest.raises(LengthMismatch):
         state_make(F2, 2, {(0,): ONE2})
+    with pytest.raises(LengthMismatch):
+        state_make(F2, 3, {(1, 1, 1, 1): ONE2})  # would overflow the 3-lane width
+
+
+@pytest.mark.parametrize("field,label", [(F2, (3, 0)), (F3, (3, 0)), (F4, (0, -1))])
+def test_state_make_rejects_entries_outside_the_field(field, label):
+    # (3, 0) over F2 would pack as the label (1, 1)
+    with pytest.raises(ValueError, match="not a packed element"):
+        state_make(field, 2, {label: CycAmp.one(field.p)})
 
 
 def test_state_equality_includes_scale():
@@ -258,7 +267,7 @@ def test_apply_block_x_gives_eigenvalue():
     v = big_phi(c, d, t, (1, 1, 1))
     e = x_op(F2, (1, 1, 1, 0, 0, 0, 0, 0, 0))
     w = apply(e, v)
-    expected = StateVector(F2, 9, {l: a.rot(2) for l, a in v.amps.items()}, v.scale)
+    expected = state_make(F2, 9, {l: a.rot(2) for l, a in v.amps.items()}, v.scale)
     assert w == expected
 
 
@@ -295,6 +304,16 @@ def test_phi_rows_are_orthogonal():
                 assert got.is_zero
 
 
+def test_inner_rejects_states_of_different_spaces():
+    ket = state_make(F2, 1, {(0,): ONE2})
+    with pytest.raises(DimensionMismatch):
+        inner(ket, state_make(F3, 1, {(0,): CycAmp.one(3)}))
+    with pytest.raises(DimensionMismatch):
+        inner(ket, state_make(F2, 2, {(0, 0): ONE2}))
+    with pytest.raises(DimensionMismatch):  # span_equal reads states through inner
+        span_equal([ket], [state_make(F2, 2, {(0, 0): ONE2})])
+
+
 def test_norm_sq_shor():
     c, d, t = shor_setup()
     v = big_phi(c, d, t, (0, 0, 0))
@@ -329,8 +348,8 @@ def test_span_budget_guard():
         span_equal(many, many)
 
 
-def test_budget_messages_name_the_enumeration_count_and_limit(monkeypatch):
-    assert (LABEL_BUDGET, SPAN_BUDGET) == (1 << 16, 1 << 14)
+def test_budget_messages_name_the_enumeration_count_and_limit():
+    assert (LABEL_BUDGET, SPAN_BUDGET) == (1 << 16, 1 << 16)
     with pytest.raises(BudgetExceeded,
                        match=r"^fix_dim space: 2\^17 labels exceed budget 65536$"):
         fix_dim([z_op(F2, (1,) * 17)])
@@ -350,14 +369,29 @@ def test_budget_messages_name_the_enumeration_count_and_limit(monkeypatch):
         equal_sum_states(parity, 5)
     kets = [state_make(F2, 8, {x: ONE2}) for x in itertools.product((0, 1), repeat=8)]
     with pytest.raises(BudgetExceeded,
-                       match=r"^span comparison: 320 x 256 Gram entries exceed budget 16384$"):
+                       match=r"^span comparison: 512 x 640 rational entries exceed budget 65536$"):
         span_equal(kets, kets[:64])
-    # A code too big for LABEL_BUDGET has no field of scalars within
-    # FIELD_SIZE_LIMIT, so phi's guard is read at a lowered budget.
-    c, _, t = shor_setup()
-    monkeypatch.setattr(sv, "LABEL_BUDGET", 1)
-    with pytest.raises(BudgetExceeded, match=r"^phi support: 2\^1 labels exceed budget 1$"):
-        phi(c, t, 0)
+
+
+def test_phi_support_is_bounded_by_the_field_size_limit():
+    # phi enumerates |C| = |K| labels, K the field of scalars of its
+    # table, so FIELD_SIZE_LIMIT <= LABEL_BUDGET is what lets phi go
+    # without a label guard of its own.
+    assert FIELD_SIZE_LIMIT <= LABEL_BUDGET
+
+
+def test_span_budget_counts_the_rational_columns_of_odd_p():
+    # deg = p - 1 rational rows per state and columns per state of both
+    # lists: 100 x 200 entries over GF(101) fit, 400 x 800 over GF(401) do not
+    def phi_pair(p):
+        f = field_make(p, 1)
+        c = code_make(f, [(1, 1)])
+        t = table_make(c, f)
+        return [phi(c, t, 0)], [phi(c, t, 1)]
+
+    assert not span_equal(*phi_pair(101))
+    with pytest.raises(BudgetExceeded, match=r"^span comparison: 400 x 800 "):
+        span_equal(*phi_pair(401))
 
 
 def test_span_row_equivalent_matrices_same_span():
@@ -616,6 +650,19 @@ def test_is_fixed_agrees_with_apply(data):
         vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
         g = PauliElement(f, data.draw(st.integers(0, 3)), data.draw(vec), data.draw(vec))
     assert is_fixed(g, v) == (apply(g, v) == v) == oracles.fixes(g, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_apply_matches_image_oracle(data):
+    (v,) = data.draw(monomial_spans([F2, F4, F3, F9, F5], max_states=1))
+    f, n = v.field, v.length
+    vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
+    phase = data.draw(st.integers(0, phase_modulus(f) - 1))
+    g = PauliElement(f, phase, data.draw(vec), data.draw(vec))
+    w = apply(g, v)
+    assert w.amps == oracles.image(g, v)
+    assert w.scale == v.scale
 
 
 def test_fix_dim_counts_match_group_order_oracle():
