@@ -28,7 +28,6 @@ from .construct import (
     ell,
     stab_from_text,
     stab_to_text,
-    syndrome,
 )
 from .errors import (
     BudgetExceeded,
@@ -50,14 +49,12 @@ from .functional import (
     FunctionalTable,
     big_f_kernel,
     f_eval,
-    lambda_of,
     project_zero_coordinates,
     table_make,
     table_matrix,
-    theta,
     validate_d,
 )
-from .gf import Field, FieldElement, embed, field_make, trace_to_prime
+from .gf import Field, FieldElement, field_make
 from .lincode import (
     LinearCode,
     code_from_text,
@@ -65,7 +62,6 @@ from .lincode import (
     code_to_text,
     dual,
     encode,
-    message_of,
     min_distance,
     weight,
 )
@@ -76,8 +72,6 @@ from .pauli import (
     detectable,
     identity,
     mul,
-    pauli_from_text,
-    pauli_to_text,
     psi,
     swt,
     symp_ip,
@@ -94,12 +88,10 @@ from .statevec import (
     fix_dim,
     inner,
     is_fixed,
-    norm_sq,
     phi,
     phi_from_matrix,
     span_equal,
     stab_of_span,
-    state_to_text,
     tensor,
 )
 

@@ -67,9 +67,19 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _print_problems(sc) -> bool:
+    """Print a fail line for each problem of the generator list; True if any."""
+    problems = con.verify_generators(sc)
+    for msg in problems:
+        print(f"fail: {msg}")
+    return bool(problems)
+
+
 def _cmd_distance(args) -> int:
     sc = con.stab_from_text(_read(args.stab))
     rebuilt = _rebuild(args, sc)
+    if _print_problems(sc):
+        return 1
     if rebuilt is not None:
         sc = rebuilt
         con.distance(sc, args.budget)
@@ -89,10 +99,7 @@ def _cmd_distance(args) -> int:
 def _cmd_verify(args) -> int:
     sc = con.stab_from_text(_read(args.stab))
     rebuilt = _rebuild(args, sc)
-    problems = con.verify_generators(sc)
-    for msg in problems:
-        print(f"fail: {msg}")
-    if problems:
+    if _print_problems(sc):
         return 1
     print(f"generators={len(sc.generators)} commuting=yes rank=full phases=free")
     if rebuilt is not None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import BudgetExceeded, DimensionBounds, LengthMismatch
+from .errors import BudgetExceeded, DimensionBounds
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
 from .gf import _field_from_body, _gray_span, _modulus_lines, _text_lines, field_make
 from .lincode import (
@@ -37,7 +37,7 @@ from .lincode import (
     fp_basis,
     min_distance,
 )
-from .pauli import PauliElement, SymplecticVector, symp_ip_int
+from .pauli import PauliElement, SymplecticVector, _dot_trace, symp_ip_int
 
 
 class StabilizerCode:
@@ -307,23 +307,20 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
     return min(_min_weight_outside(p, srows, rest, N, per_qudit) for srows, rest in walks)
 
 
-def syndrome(sc: StabilizerCode, e: PauliElement) -> tuple:
-    """Symplectic pairings of the error against each generator, over F_p."""
-    if len(e.a) != sc.num_qudits:
-        raise LengthMismatch(
-            f"error acts on {len(e.a)} qudits, code has {sc.num_qudits}"
-        )
-    f = sc.field
-    return tuple(symp_ip_int(f, e.a, e.b, g.a, g.b) for g in sc.generators)
-
-
 def verify_generators(sc: StabilizerCode) -> list:
-    """Diagnostics for a parsed generator set; empty means clean."""
+    """Diagnostics for a parsed generator set; empty means clean.
+
+    At p = 2 a phase-free X(a) Z(b) squares to (-1)^tr(b.a), so an odd
+    trace puts -I in the group and leaves only the zero vector fixed.
+    At odd p, (X(a) Z(b))^p = I always.
+    """
     f = sc.field
     problems = []
     for i, g in enumerate(sc.generators):
         if g.phase:
             problems.append(f"generator {i} carries phase exponent {g.phase}")
+        elif f.p == 2 and _dot_trace(f, g.b, g.a):
+            problems.append(f"generator {i} squares to -I: tr(b.a) is odd")
     for (i, x), (j, y) in itertools.combinations(enumerate(sc.generators), 2):
         if symp_ip_int(f, x.a, x.b, y.a, y.b):
             problems.append(f"generators {i} and {j} do not commute")

@@ -12,8 +12,9 @@ embedded F_q).  The map lam -> f_lam is an isomorphism onto the full
 dual space of C over F_p, because the trace pairing of K is
 non-degenerate and pack . msg is an F_p-isomorphism of C onto K.
 
-``theta`` inverts the representation through the ambient space: it
-returns the lexicographically smallest x in F_q^n whose trace pairing
+``FunctionalTable.theta`` inverts the representation through the
+ambient space: it returns the lexicographically smallest x in F_q^n
+whose trace pairing
 rho_x(c) = tr_{q/p}(c . x) agrees with f_lam on C.  The solution set is
 a coset of the dual code, so theta(lam) names that coset canonically.
 ``unpack_message`` inverts P = pack . msg on the message side.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import DegenerateD, DimensionMismatch, LengthMismatch, NotACodeword
+from .errors import DegenerateD, DimensionMismatch, NotACodeword
 from .gf import Field, FieldElement, field_make
 from .lincode import LinearCode, code_make, contains, dual, encode, fp_basis
 
@@ -164,17 +165,6 @@ def f_eval(table: FunctionalTable, lam, word) -> FieldElement:
     return table.prime.element(table.f_int(lam, word))
 
 
-def theta(table: FunctionalTable, lam) -> tuple:
-    """Lexicographically smallest x with rho_x = f_lam on C."""
-    lam = int(lam)
-    return table.theta(lam)
-
-
-def lambda_of(table: FunctionalTable, x) -> int:
-    """The unique scalar lam whose functional agrees with rho_x on C."""
-    return table.lambda_of(x)
-
-
 def validate_d(d_code: LinearCode) -> None:
     """Reject outer codes the construction cannot use.
 
@@ -208,24 +198,6 @@ def project_zero_coordinates(d_code: LinearCode) -> LinearCode:
     if len(keep) == d_code.n:
         return d_code
     return code_make(d_code.field, [tuple(row[i] for i in keep) for row in d_code.gen])
-
-
-def d_theta_member(table: FunctionalTable, d_code: LinearCode, vectors) -> bool:
-    """Membership of an m-tuple of ambient vectors in the theta image of D.
-
-    Each vector is mapped back to its scalar through the functional it
-    represents; the tuple belongs exactly when those scalars form a
-    codeword of D.
-    """
-    vectors = [tuple(v) for v in vectors]
-    if len(vectors) != d_code.n:
-        raise LengthMismatch(f"need {d_code.n} blocks, got {len(vectors)}")
-    n = table.code.n
-    for v in vectors:
-        if len(v) != n:
-            raise LengthMismatch(f"block length {len(v)} != inner code length {n}")
-    lam = tuple(table.lambda_of(v) for v in vectors)
-    return contains(d_code, lam)
 
 
 def big_f_kernel(table: FunctionalTable, d_code: LinearCode) -> list:

@@ -663,20 +663,8 @@ def field_make(p: int, t: int, modulus=None) -> Field:
     return fld
 
 
-def trace_to_prime(x: FieldElement) -> FieldElement:
-    """Absolute trace tr(x) = x + x^p + ... + x^{p^{t-1}}, as an F_p element."""
-    prime = field_make(x.field.p, 1)
-    return FieldElement(prime, x.field.trace_int(x.value))
-
-
-def embed(x: FieldElement, target: Field) -> FieldElement:
-    """Image of x under the canonical embedding of its field into ``target``."""
-    table = target.embed_table(x.field)
-    return FieldElement(target, table[x.value])
-
-
-# --- field spec files ---------------------------------------------------
-# Line 1: "p t".  Optional line 2: "t+1 modulus coefficients, constant first".
+# --- text formats ---------------------------------------------------------
+# Shared by the code, matrix and stabilizer formats.
 
 
 def _text_lines(text: str) -> list:
@@ -700,21 +688,3 @@ def _field_from_body(p: int, t: int, body: list):
         modulus = [int(c) for c in body[0].split(":", 1)[1].split()]
         body = body[1:]
     return field_make(p, t, modulus), body
-
-
-def field_from_spec(text: str) -> Field:
-    lines = _text_lines(text)
-    if not lines:
-        raise ValueError("empty field spec")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("field spec header must be 'p t'")
-    p, t = int(head[0]), int(head[1])
-    modulus = None
-    if len(lines) > 1:
-        modulus = [int(c) for c in lines[1].split()]
-    return field_make(p, t, modulus)
-
-
-def field_to_spec(field: Field) -> str:
-    return f"{field.p} {field.degree}\n{' '.join(str(c) for c in field.modulus)}\n"

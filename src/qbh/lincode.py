@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import BudgetExceeded, LengthMismatch, NotACodeword, ZeroCode
+from .errors import BudgetExceeded, LengthMismatch, ZeroCode
 from .gf import (Field, _field_from_body, _gray_span, _lane_adder, _lane_pack, _lane_width,
                  _modulus_lines, _text_lines)
 
@@ -28,7 +28,7 @@ def weight(v) -> int:
 class LinearCode:
     """A k-dimensional length-n code over ``field``, held in RREF."""
 
-    __slots__ = ("field", "n", "k", "gen", "pivots", "_words")
+    __slots__ = ("field", "n", "k", "gen", "pivots")
 
     def __init__(self, field: Field, n: int, gen: tuple, pivots: tuple):
         self.field = field
@@ -36,7 +36,6 @@ class LinearCode:
         self.k = len(gen)
         self.gen = gen
         self.pivots = pivots
-        self._words = None
 
     @property
     def size(self) -> int:
@@ -77,11 +76,6 @@ def code_make(field: Field, rows) -> LinearCode:
     return LinearCode(field, n, tuple(gen), tuple(pivots))
 
 
-def zero_code(field: Field, n: int) -> LinearCode:
-    """The k = 0 code {0} in F_q^n; only ever produced, never parsed."""
-    return LinearCode(field, n, (), ())
-
-
 def dual(code: LinearCode) -> LinearCode:
     """Dual code under the standard dot product; involutive."""
     gen, pivots = linalg.rref(code.field, linalg.nullspace(code.field, list(code.gen), code.n))
@@ -102,16 +96,6 @@ def encode(code: LinearCode, message) -> tuple:
     return tuple(word)
 
 
-def message_of(code: LinearCode, word) -> tuple:
-    """Inverse of encode; raises NotACodeword for vectors outside the code."""
-    if len(word) != code.n:
-        raise LengthMismatch(f"word length {len(word)} != code length {code.n}")
-    msg = tuple(word[j] for j in code.pivots)
-    if encode(code, msg) != tuple(word):
-        raise NotACodeword(f"{tuple(word)} is not in {code!r}")
-    return msg
-
-
 def contains(code: LinearCode, word) -> bool:
     if len(word) != code.n:
         return False
@@ -125,13 +109,6 @@ def iter_codewords(code: LinearCode):
     q = code.field.order
     for message in itertools.product(range(q), repeat=code.k):
         yield encode(code, message)
-
-
-def codewords(code: LinearCode) -> tuple:
-    """Cached tuple of all codewords in enumeration order."""
-    if code._words is None:
-        code._words = tuple(iter_codewords(code))
-    return code._words
 
 
 def fp_basis(code: LinearCode) -> list:

@@ -175,40 +175,3 @@ def detectable(scode, e: PauliElement) -> bool:
         if symp_ip_int(e.field, e.a, e.b, g.a, g.b) != 0:
             return True
     return False
-
-
-# --- text forms ------------------------------------------------------------
-
-
-def pauli_to_text(e: PauliElement) -> str:
-    """Machine form 'phase | a part | b part'."""
-    return "{} | {} | {}".format(
-        e.phase, " ".join(map(str, e.a)), " ".join(map(str, e.b))
-    )
-
-
-def pauli_from_text(field: Field, text: str) -> PauliElement:
-    parts = [p.strip() for p in text.split("|")]
-    if len(parts) != 3:
-        raise ValueError("expected 'phase | a part | b part'")
-    phase = int(parts[0])
-    a = tuple(int(x) for x in parts[1].split())
-    b = tuple(int(x) for x in parts[2].split())
-    for x in a + b:
-        if not 0 <= x < field.order:
-            raise ValueError(f"entry {x} is not a packed element of {field!r}")
-    return PauliElement(field, phase, a, b)
-
-
-def render_human(e: PauliElement) -> str:
-    """Readable 'X1 Z3'-style form for prime fields, 1-indexed positions."""
-    parts = []
-    for i, (ai, bi) in enumerate(zip(e.a, e.b), start=1):
-        if ai:
-            parts.append(f"X{i}" if ai == 1 else f"X{i}^{ai}")
-        if bi:
-            parts.append(f"Z{i}" if bi == 1 else f"Z{i}^{bi}")
-    body = " ".join(parts) if parts else "I"
-    if e.phase:
-        body = f"w^{e.phase} {body}"
-    return body

@@ -79,10 +79,6 @@ class CycAmp:
         self.coeffs = tuple(c[:deg])
 
     @classmethod
-    def zero(cls, p: int) -> "CycAmp":
-        return cls(p, ())
-
-    @classmethod
     def one(cls, p: int) -> "CycAmp":
         return cls(p, (1,))
 
@@ -95,15 +91,6 @@ class CycAmp:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __add__(self, other: "CycAmp") -> "CycAmp":
-        return CycAmp(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycAmp") -> "CycAmp":
-        return CycAmp(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycAmp":
-        return CycAmp(self.p, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other: "CycAmp") -> "CycAmp":
         out = [0] * (2 * len(self.coeffs))
         for i, a in enumerate(self.coeffs):
@@ -115,19 +102,6 @@ class CycAmp:
     def rot(self, e: int) -> "CycAmp":
         """Multiply by z^e."""
         return self * CycAmp.root(self.p, e)
-
-    def conj(self) -> "CycAmp":
-        """z^j -> z^(-j)."""
-        out = [0] * _ring(self.p)[0]
-        for j, a in enumerate(self.coeffs):
-            out[-j] = a
-        return CycAmp(self.p, out)
-
-    def as_int(self) -> int:
-        """The value as a rational integer; raises if it is not one."""
-        if any(self.coeffs[1:]):
-            raise ValueError(f"{self!r} is not a rational integer")
-        return self.coeffs[0]
 
     def __eq__(self, other):
         return (
@@ -343,14 +317,6 @@ def inner(v: StateVector, w: StateVector) -> CycAmp:
     for x in ve.keys() & we.keys():
         counts[(we[x] - ve[x]) % modulus] += 1
     return CycAmp(v.field.p, counts)
-
-
-def norm_sq(v: StateVector):
-    """Squared norm as (integer, scale): value = integer * p^(-scale).
-
-    Every amplitude is a root of unity, so the integer is the support size.
-    """
-    return len(v.exps), v.scale
 
 
 def equal_sum_states(code: LinearCode, m: int) -> list:
@@ -679,13 +645,3 @@ def fix_dim(s) -> int:
     for i in tree:
         bad = slots.spread(bad, slots.full, shifts[i], 0)[0]
     return (transversal & slots.ones & ~bad).bit_count()
-
-
-def state_to_text(v: StateVector) -> str:
-    """Debug dump; line oriented, not a stable interface."""
-    f = v.field
-    lines = [f"state p={f.p} q={f.order} N={v.length} scale={v.scale}"]
-    for label, e in sorted((_lanes_vec(f, v.length, x), e) for x, e in v.exps.items()):
-        coeffs = " ".join(str(c) for c in CycAmp.root(f.p, e).coeffs)
-        lines.append(f"{' '.join(str(x) for x in label)} : {coeffs}")
-    return "\n".join(lines) + "\n"

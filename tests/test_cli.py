@@ -218,6 +218,24 @@ def test_verify_flags_noncommuting_generators(tmp_path, capsys):
     assert "fail:" in got and "commute" in got
 
 
+def test_verify_rejects_a_generator_that_squares_to_minus_identity(tmp_path, capsys):
+    # X Z on the first qubit squares to -I, so it fixes only the zero vector
+    stab = _write(tmp_path, "y.stab", "2 1 2 1 1 1 2 1 1\n1 0 | 1 0\n")
+    for args in (["verify", stab], ["verify", stab, "--statevec"]):
+        assert main(args) == 1
+        assert capsys.readouterr().out == "fail: generator 0 squares to -I: tr(b.a) is odd\n"
+
+
+def test_distance_rejects_a_list_that_is_not_a_stabilizer_code(tmp_path, capsys):
+    # X and Z on one qubit do not commute; verify rejects the same file
+    stab = _write(tmp_path, "xz.stab", "2 1 1 1 1 0 1 0 1\n1 | 0\n0 | 1\n")
+    for args in (["distance", stab, "--brute"], ["distance", stab], ["verify", stab]):
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("fail: generators 0 and 1 do not commute\n")
+        assert all(line.startswith("fail: ") for line in out.splitlines())
+
+
 def test_bh_verify(tmp_path, capsys):
     good = _write(tmp_path, "f4.bh", bh_to_text(kron_fourier(2, 2)))
     rc = main(["bh", "verify", good])

@@ -13,13 +13,13 @@ from qbh.errors import (
     DegenerateD,
     DimensionBounds,
     DimensionMismatch,
-    LengthMismatch,
 )
 from qbh.gf import field_make
-from qbh.lincode import DEFAULT_BUDGET, code_make, codewords, contains, dual, fp_basis
-from qbh.functional import table_make, theta
+from qbh.lincode import DEFAULT_BUDGET, code_make, contains, dual, fp_basis, iter_codewords
+from qbh.functional import table_make
 from qbh.pauli import PauliElement, mul, swt, symp_ip, x_op, z_op
 from qbh import construct, linalg, lincode
+from qbh.statevec import fix_dim
 from qbh.construct import (
     StabilizerCode,
     build,
@@ -29,7 +29,6 @@ from qbh.construct import (
     ell,
     stab_from_text,
     stab_to_text,
-    syndrome,
     verify_generators,
 )
 
@@ -169,11 +168,11 @@ def test_leader_weights_match_the_coset_leader_oracle(p, r, n, k):
     f = field_make(p, r)
     code = helpers.pattern_code(f, n, k)
     table = table_make(code, field_make(p, r * k))
-    dual_words = codewords(dual(code))
+    dual_words = tuple(iter_codewords(dual(code)))
     weights = construct._leader_weights(table)
     assert len(weights) == table.scalars.order
     for lam in table.scalars.elements():
-        want = oracles.coset_leader_weight_oracle(f, dual_words, theta(table, lam))
+        want = oracles.coset_leader_weight_oracle(f, dual_words, table.theta(lam))
         assert weights[lam] == want
 
 
@@ -189,7 +188,7 @@ def test_ell_walks_each_word_of_d_once(pair):
     # the zero word first, which is skipped, then the |D| - 1 nonzero words
     assert len(seen) == d_code.size
     assert seen[0] == (0,) * d_code.n
-    assert set(seen[1:]) == set(codewords(d_code)) - {seen[0]}
+    assert set(seen[1:]) == set(iter_codewords(d_code)) - {seen[0]}
 
 
 def test_closed_form_budget_names_the_walk():
@@ -242,7 +241,7 @@ def test_centralizer_generic_path_matches_structural_dimension():
 
         structural = [block(u, i) + zero for i in range(m) for u in fp_basis(sc.code)]
         structural += [
-            zero + tuple(itertools.chain.from_iterable(theta(sc.table, lam) for lam in word))
+            zero + tuple(itertools.chain.from_iterable(sc.table.theta(lam) for lam in word))
             for word in fp_basis(sc.d_code)
         ]
         structural += [
@@ -446,27 +445,6 @@ def test_parsed_code_keeps_stored_delta():
     assert distance(parsed) == 3
 
 
-def test_syndrome_zero_on_generators_and_logicals():
-    sc = build(*helpers.shor_pair())
-    for g in sc.generators:
-        assert syndrome(sc, g) == (0,) * 8
-    assert syndrome(sc, x_op(F2, (1,) * 9)) == (0,) * 8
-
-
-def test_syndrome_flags_first_qudit_x_error():
-    sc = build(*helpers.shor_pair())
-    e = x_op(F2, (1,) + (0,) * 8)
-    got = syndrome(sc, e)
-    assert any(got)
-    assert got == tuple(g.b[0] for g in sc.generators)
-
-
-def test_syndrome_length_check():
-    sc = build(*helpers.shor_pair())
-    with pytest.raises(LengthMismatch):
-        syndrome(sc, x_op(F2, (1,)))
-
-
 def test_contains_symplectic():
     sc = build(*helpers.four_one_pair())
     for g in sc.generators:
@@ -493,6 +471,26 @@ def test_verify_generators_detects_phase():
     bad_gens[0] = PauliElement(sc.field, 2, g.a, g.b)
     bad = StabilizerCode(sc.field, sc.n, sc.k, sc.m, sc.s, bad_gens)
     assert any("phase" in msg for msg in verify_generators(bad))
+
+
+def test_verify_generators_detects_generator_squaring_to_minus_identity():
+    # at p = 2, X(a) Z(b) squares to (-1)^tr(b.a); at odd p its p-th power is I
+    F4 = field_make(2, 2)
+    bad = StabilizerCode(F2, 2, 1, 1, 1, [PauliElement(F2, 0, (1, 0), (1, 0))])
+    assert verify_generators(bad) == ["generator 0 squares to -I: tr(b.a) is odd"]
+    assert fix_dim(bad) == 0
+    even = StabilizerCode(F2, 2, 1, 1, 1, [PauliElement(F2, 0, (1, 1), (1, 1))])
+    assert verify_generators(even) == []
+    assert fix_dim(even) == 2
+    ternary = StabilizerCode(F3, 2, 1, 1, 1, [PauliElement(F3, 0, (1, 0), (1, 0))])
+    assert verify_generators(ternary) == []
+    # over GF(4), tr(1) = 0 and tr(2) = 1
+    squares = [
+        any("squares" in msg for msg in verify_generators(
+            StabilizerCode(F4, 1, 1, 1, 1, [PauliElement(F4, 0, (a,), (1,))])))
+        for a in (1, 2)
+    ]
+    assert squares == [False, True]
 
 
 def test_verify_generators_detects_noncommuting():

@@ -9,20 +9,16 @@ from qbh.bh import bh_verify
 from qbh.errors import (
     DegenerateD,
     DimensionMismatch,
-    LengthMismatch,
     NotACodeword,
 )
 from qbh.gf import field_make
-from qbh.lincode import code_make, codewords, contains, dual, zero_code
+from qbh.lincode import code_make, contains, dual, iter_codewords
 from qbh.functional import (
     big_f_kernel,
-    d_theta_member,
     f_eval,
-    lambda_of,
     project_zero_coordinates,
     table_make,
     table_matrix,
-    theta,
     validate_d,
 )
 
@@ -62,7 +58,7 @@ def test_table_make_validates_degree():
 
 def test_f_zero_is_identically_zero():
     c, t = shor_table()
-    for w in codewords(c):
+    for w in iter_codewords(c):
         assert f_eval(t, 0, w) == 0
 
 
@@ -90,7 +86,7 @@ def test_functionals_are_additive_in_lambda():
     c = code_make(F4, [(1, 0, 2), (0, 1, 3)])
     t = table_make(c, field_make(2, 4))
     K = t.scalars
-    words = codewords(c)
+    words = tuple(iter_codewords(c))
     for lam in K.elements():
         for mu in K.elements():
             s = K.add(lam, mu)
@@ -101,7 +97,7 @@ def test_functionals_are_additive_in_lambda():
 def test_functionals_distinct_per_scalar():
     c = code_make(F4, [(1, 0, 2), (0, 1, 3)])
     t = table_make(c, field_make(2, 4))
-    words = codewords(c)
+    words = tuple(iter_codewords(c))
     seen = {tuple(t.f_int(lam, w) for w in words) for lam in t.scalars.elements()}
     assert len(seen) == t.scalars.order
 
@@ -133,21 +129,21 @@ def test_table_matrix_is_butson(base, rows, kdeg):
 
 def test_theta_binary_repetition():
     _, t = shor_table()
-    assert theta(t, 0) == (0, 0, 0)
-    assert theta(t, 1) == (0, 0, 1)
+    assert t.theta(0) == (0, 0, 0)
+    assert t.theta(1) == (0, 0, 1)
 
 
 def test_theta_ternary_repetition():
     _, t = qutrit_table()
-    assert theta(t, 1) == (0, 0, 1)
+    assert t.theta(1) == (0, 0, 1)
 
 
 def test_theta_solves_the_trace_system():
     c = code_make(F4, [(1, 0, 2), (0, 1, 3)])
     t = table_make(c, field_make(2, 4))
     for lam in t.scalars.elements():
-        x = theta(t, lam)
-        for w in codewords(c):
+        x = t.theta(lam)
+        for w in iter_codewords(c):
             acc = 0
             for wi, xi in zip(w, x):
                 if wi and xi:
@@ -157,9 +153,9 @@ def test_theta_solves_the_trace_system():
 
 def assert_theta_lexicographically_minimal(c, scalars):
     t = table_make(c, scalars)
-    cperp = codewords(dual(c))
+    cperp = tuple(iter_codewords(dual(c)))
     for lam in scalars.elements():
-        x = theta(t, lam)
+        x = t.theta(lam)
         coset = sorted(tuple(c.field.add(a, b) for a, b in zip(x, d)) for d in cperp)
         assert x == coset[0]
 
@@ -186,14 +182,14 @@ def test_theta_is_exactly_additive(base, rows, kdeg):
     K = t.scalars
     for lam in K.elements():
         for mu in K.elements():
-            want = tuple(base.add(a, b) for a, b in zip(theta(t, lam), theta(t, mu)))
-            assert theta(t, K.add(lam, mu)) == want
+            want = tuple(base.add(a, b) for a, b in zip(t.theta(lam), t.theta(mu)))
+            assert t.theta(K.add(lam, mu)) == want
 
 
 def test_theta_and_lambda_of_make_no_linalg_call_after_table_make(monkeypatch):
     c = code_make(F4, [(1, 0, 2), (0, 1, 3)])
     t = table_make(c, field_make(2, 4))
-    cperp = set(codewords(dual(c)))
+    cperp = set(iter_codewords(dual(c)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("linalg called after table_make")
@@ -201,9 +197,9 @@ def test_theta_and_lambda_of_make_no_linalg_call_after_table_make(monkeypatch):
     for name in ("rref", "rank", "reduce_vector", "nullspace", "solve"):
         monkeypatch.setattr(linalg, name, refuse)
     for lam in t.scalars.elements():
-        assert lambda_of(t, theta(t, lam)) == lam
+        assert t.lambda_of(t.theta(lam)) == lam
     for x in itertools.product(F4.elements(), repeat=c.n):
-        assert tuple(F4.sub(a, b) for a, b in zip(x, theta(t, lambda_of(t, x)))) in cperp
+        assert tuple(F4.sub(a, b) for a, b in zip(x, t.theta(t.lambda_of(x)))) in cperp
     for msg in itertools.product(F4.elements(), repeat=c.k):
         assert t.unpack_message(t.pack_message(msg)) == msg
 
@@ -215,8 +211,8 @@ def test_theta_additive_modulo_dual():
     K = t.scalars
     for lam in list(K.elements())[:6]:
         for mu in list(K.elements())[-6:]:
-            x = theta(t, K.add(lam, mu))
-            y = tuple(F4.add(a, b) for a, b in zip(theta(t, lam), theta(t, mu)))
+            x = t.theta(K.add(lam, mu))
+            y = tuple(F4.add(a, b) for a, b in zip(t.theta(lam), t.theta(mu)))
             diff = tuple(F4.sub(a, b) for a, b in zip(x, y))
             assert contains(dual_c, diff)
 
@@ -225,36 +221,17 @@ def test_lambda_of_inverts_theta():
     c = code_make(F3, [(1, 0, 1), (0, 1, 2)])
     t = table_make(c, F9)
     for lam in t.scalars.elements():
-        assert lambda_of(t, theta(t, lam)) == lam
+        assert t.lambda_of(t.theta(lam)) == lam
 
 
 def test_lambda_of_is_constant_on_dual_cosets():
     _, t = shor_table()
-    dual_words = codewords(dual(t.code))
+    dual_words = tuple(iter_codewords(dual(t.code)))
     for x in itertools.product(range(2), repeat=3):
-        lam = lambda_of(t, x)
+        lam = t.lambda_of(x)
         for d in dual_words:
             y = tuple(F2.add(a, b) for a, b in zip(x, d))
-            assert lambda_of(t, y) == lam
-
-
-def test_d_theta_member_examples():
-    c, t = shor_table()
-    d = code_make(F2, [(1, 1, 1)])
-    x1 = theta(t, 1)
-    zero = (0, 0, 0)
-    assert d_theta_member(t, d, (zero, zero, zero))
-    assert d_theta_member(t, d, (x1, x1, x1))
-    assert not d_theta_member(t, d, (x1, zero, zero))
-
-
-def test_d_theta_member_length_checks():
-    c, t = shor_table()
-    d = code_make(F2, [(1, 1, 1)])
-    with pytest.raises(LengthMismatch):
-        d_theta_member(t, d, ((0, 0, 0),))
-    with pytest.raises(LengthMismatch):
-        d_theta_member(t, d, ((0, 0), (0, 0), (0, 0)))
+            assert t.lambda_of(y) == lam
 
 
 def kernel_span_contains(field, basis, target):
@@ -309,7 +286,7 @@ def test_big_f_kernel_nullity_on_family_sample():
         assert len(basis) == want
         # every basis tuple really kills every D-functional
         for tup in basis:
-            for lam_word in codewords(d_code)[:9]:
+            for lam_word in itertools.islice(iter_codewords(d_code), 9):
                 acc = 0
                 for lam, block in zip(lam_word, tup):
                     acc += t.f_int(lam, block)
@@ -338,7 +315,7 @@ def test_unpack_message_inverts_pack_message_beyond_prime_inner_fields():
 
 def test_validate_d_rejects_zero_and_full_dimension():
     with pytest.raises(DegenerateD):
-        validate_d(zero_code(F8, 3))
+        validate_d(dual(code_make(F8, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])))
     full = code_make(F8, [(1, 0), (0, 1)])
     with pytest.raises(DegenerateD):
         validate_d(full)
@@ -358,4 +335,4 @@ def test_project_zero_coordinates():
     d = code_make(F8, [(1, 0, 1)])
     p = project_zero_coordinates(d)
     assert p.n == 2
-    assert set(codewords(p)) == {(x, x) for x in F8.elements()}
+    assert set(iter_codewords(p)) == {(x, x) for x in F8.elements()}

@@ -18,11 +18,7 @@ from qbh.gf import (
     _lane_width,
     _lanes_vec,
     _vec_lanes,
-    embed,
-    field_from_spec,
     field_make,
-    field_to_spec,
-    trace_to_prime,
 )
 
 import oracles
@@ -208,16 +204,6 @@ def test_no_embedding_across_characteristics():
         f9.embed_table(f4)
 
 
-def test_embed_wrapper_and_trace_wrapper():
-    f4 = field_make(2, 2)
-    f16 = field_make(2, 4)
-    x = f4.element(2)
-    y = embed(x, f16)
-    assert y.field == f16 and y.value == 6
-    tr = trace_to_prime(f4.element(2))
-    assert tr.field.degree == 1 and tr.value == 1
-
-
 def test_digits_roundtrip():
     f = field_make(3, 2)
     for a in f.elements():
@@ -261,17 +247,6 @@ def test_element_range_check():
     f = field_make(2, 2)
     with pytest.raises(ValueError):
         f.element(4)
-
-
-def test_spec_roundtrip():
-    for p, t in [(2, 1), (2, 3), (3, 2)]:
-        f = field_make(p, t)
-        g = field_from_spec(field_to_spec(f))
-        assert g is f  # memoized construction
-
-
-def test_spec_skips_indented_comments():
-    assert field_from_spec("3 2\n  # the default modulus follows\n1 0 1\n") is field_make(3, 2)
 
 
 def test_element_hashes_like_its_int():

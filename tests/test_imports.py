@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and none imports anything outside the standard library."""
+none imports anything outside the standard library, and every public
+name is read by the package or the benchmark or kept for a listed reason."""
 
 import ast
 import pathlib
@@ -115,3 +116,94 @@ def test_symplectic_check_follows_helpers_aliases_and_modules():
            "def fix_dim(s):\n    return helper(s) + s.field.mul(1, 1)\n")
     assert referenced_names(src, "fix_dim") & SYMPLECTIC == {"mul"}
     assert referenced_names(src, "other") & SYMPLECTIC == {"centralizer_basis"}
+
+
+# Every public top-level name of the package is read by the package itself
+# or by the benchmark, or it is listed here with why it stays.
+UNREAD_BY_DESIGN = {
+    "bh.normalize": "paper object: the normalized BH matrix the converse scrambles (acceptance 08)",
+    "functional.f_eval": "paper object: the functional f_lam on a codeword (test_lemmas)",
+    "functional.project_zero_coordinates":
+        "paper object: D projected off its zero coordinates, as validate_d asks",
+    "functional.table_matrix": "paper object: the BH matrix [f_lam(c)] (acceptance 02)",
+    "lincode.code_to_text": "writer of the code format that qbh construct reads",
+    "lincode.weight": "paper object: the Hamming weight wt (acceptance 03 and 10)",
+    "pauli.commutes": "paper object: commutation of two Pauli elements (test_pauli)",
+    "pauli.detectable": "paper object: error detectability (acceptance 10)",
+    "pauli.identity": "paper object: the identity of the Pauli group (test_pauli)",
+    "pauli.psi": "paper object: the symplectic image psi (test_pauli)",
+    "pauli.swt": "paper object: the symplectic weight swt (acceptance 10)",
+    "pauli.symp_ip": "paper object: the trace symplectic inner product (test_pauli)",
+    "pauli.x_op": "paper object: the X(a) operator (test_pauli)",
+    "pauli.z_op": "paper object: the Z(b) operator (test_pauli, test_lemmas)",
+    "statevec.equal_sum_states": "state-vector oracle: the equal-sum states (acceptance 06)",
+    "statevec.span_equal": "state-vector oracle: span equality (acceptance 06 and 07)",
+    "statevec.state_make": "state-vector oracle: the readable state constructor (test_lemmas)",
+}
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def package_reads(source: str, package: str = "qbh") -> set:
+    """(module, name) for each name of a package module that ``source``
+    imports from it or reads as an attribute of an imported module."""
+    tree = ast.parse(source)
+    modules, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module == package or (node.module or "").startswith(package + "."):
+                module = node.module[len(package) + 1:] or None
+            else:
+                continue
+            for alias in node.names:
+                if module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    out.add((module, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith(package + "."):
+                    modules[alias.asname] = alias.name[len(package) + 1:]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            out.add((modules[node.value.id], node.attr))
+    return out
+
+
+def unread_definitions(modules: dict, others) -> set:
+    """'module.name' for each public top-level function or class of
+    ``modules`` (module name -> source, ``__init__`` left out) that no
+    other module, no other top-level statement of its own module and no
+    source in ``others`` reads."""
+    read = set().union(*map(package_reads, [*modules.values(), *others]))
+    out = set()
+    for module, source in modules.items():
+        body = ast.parse(source).body
+        for node in body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or (module, node.name) in read):
+                continue
+            if not any(isinstance(n, ast.Name) and n.id == node.name
+                       for other in body if other is not node for n in ast.walk(other)):
+                out.add(f"{module}.{node.name}")
+    return out
+
+
+def test_every_public_name_is_read_or_kept_for_a_reason():
+    modules = {path.stem: path.read_text() for path in MODULES}
+    others = [path.read_text() for path in sorted(PERFBENCH.rglob("*.py"))]
+    assert unread_definitions(modules, others) == set(UNREAD_BY_DESIGN)
+
+
+def test_unread_check_sees_modules_aliases_and_outside_readers():
+    modules = {
+        "a": ("def used():\n    pass\ndef lonely():\n    pass\ndef rec():\n    return rec()\n"
+              "def _private():\n    pass\nclass Kept:\n    pass\nDEFAULT = Kept\n"
+              "def by_alias():\n    pass\ndef outside():\n    pass\n"),
+        "b": "from .a import used\nfrom . import a as aa\ndef f():\n    return used(), aa.by_alias\n",
+    }
+    others = ["import qbh.b as bb\nfrom qbh.a import outside\nbb.f()\n",
+              "from other.a import lonely\nimport other.a as a\na.rec()\n"]
+    assert unread_definitions(modules, others) == {"a.lonely", "a.rec"}

@@ -10,8 +10,8 @@ import itertools
 import pytest
 
 from qbh.gf import field_make
-from qbh.lincode import code_make, codewords, contains, dual
-from qbh.functional import f_eval, lambda_of, table_make, theta
+from qbh.lincode import code_make, contains, dual, iter_codewords
+from qbh.functional import f_eval, table_make
 from qbh.pauli import z_op
 from qbh.statevec import (
     StateVector,
@@ -69,7 +69,7 @@ def rot_state(v, e):
 def test_functionals_distinct_and_complete(idx):
     code, table = small_instances()[idx]
     K = table.scalars
-    words = codewords(code)
+    words = tuple(iter_codewords(code))
     seen = set()
     for lam in range(K.order):
         seen.add(tuple(table.f_int(lam, w) for w in words))
@@ -80,7 +80,7 @@ def test_functionals_distinct_and_complete(idx):
 def test_functionals_additive(idx):
     code, table = small_instances()[idx]
     K = table.scalars
-    words = codewords(code)
+    words = tuple(iter_codewords(code))
     lams = range(K.order) if K.order <= 16 else range(0, K.order, 3)
     for lam in lams:
         for mu in lams:
@@ -102,7 +102,7 @@ def test_z_action_shifts_lambda(idx):
     f = code.field
     lams = (0, 1, K.order - 1)
     for u in all_vectors(f, code.n):
-        shift = lambda_of(table, u)
+        shift = table.lambda_of(u)
         g = z_op(f, u)
         for lam in lams:
             got = apply(g, phi(code, table, lam))
@@ -134,9 +134,9 @@ def test_lambda_of_kernel_is_the_dual(idx):
     K = table.scalars
     dual_c = dual(code)
     for x in all_vectors(f, code.n):
-        lam = lambda_of(table, x)
+        lam = table.lambda_of(x)
         # the canonical representative lands in the same dual coset
-        rep = theta(table, lam)
+        rep = table.theta(lam)
         diff = tuple(f.sub(a, b) for a, b in zip(rep, x))
         assert contains(dual_c, diff)
         assert (lam == 0) == contains(dual_c, x)
@@ -145,8 +145,7 @@ def test_lambda_of_kernel_is_the_dual(idx):
     for x in sample[:12]:
         for y in sample[:12]:
             s = tuple(f.add(a, b) for a, b in zip(x, y))
-            assert lambda_of(table, s) == K.add(lambda_of(table, x),
-                                                lambda_of(table, y))
+            assert table.lambda_of(s) == K.add(table.lambda_of(x), table.lambda_of(y))
 
 
 @pytest.mark.parametrize("idx", range(7))
@@ -155,9 +154,9 @@ def test_trace_pairing_matches_the_functional(idx):
     if code.field.order ** code.n > 128:
         pytest.skip("vector space too large for the exhaustive sweep")
     f = code.field
-    words = codewords(code)
+    words = tuple(iter_codewords(code))
     for x in all_vectors(f, code.n):
-        lam = lambda_of(table, x)
+        lam = table.lambda_of(x)
         for c in words:
             acc = 0
             for a, b in zip(c, x):

@@ -13,12 +13,9 @@ from qbh.pauli import (
     detectable,
     identity,
     mul,
-    pauli_from_text,
-    pauli_to_text,
     phase_modulus,
     phase_step,
     psi,
-    render_human,
     swt,
     symp_ip,
     symp_ip_int,
@@ -155,14 +152,3 @@ def test_mul_rejects_mismatched_operands():
         mul(x_op(F2, (1,)), x_op(F2, (1, 0)))
     with pytest.raises(ValueError):
         mul(x_op(F2, (1,)), x_op(F3, (1,)))
-
-
-def test_pauli_text_roundtrip():
-    e = PauliElement(F4, 3, (1, 2, 0), (3, 0, 1))
-    e2 = pauli_from_text(F4, pauli_to_text(e))
-    assert e2 == e
-
-
-def test_render_human_mentions_components():
-    s = render_human(PauliElement(F2, 2, (1, 0), (0, 1)))
-    assert "X" in s and "Z" in s
