@@ -4,7 +4,8 @@ The pipeline: ``gf`` gives exact finite-field towers, ``lincode``
 classical codes, ``functional`` the scalar-indexed functional family
 and its theta lifts, ``bh`` the matrix side, ``pauli`` the symplectic
 error formalism, ``construct`` the stabilizer assembly, and ``statevec``
-exact state-level oracles that re-verify everything at desk scale.
+exact state-level oracles that re-verify everything at desk scale, on
+the slot arrays of ``slots``.
 """
 
 from .bh import (

@@ -1,0 +1,236 @@
+"""Slot arrays, and the echelon bases that number a state's slots.
+
+A function on the p^dim points of F_p^dim with values mod M is one int:
+point X owns slot number sum_j X_j p^j, (M - 1).bit_length() + 1 bits
+wide, so ``_slot_adder`` adds slot values mod M.  Adding a vector u to
+every point rotates digit j of each slot number by u_j mod p: two masked
+shifts per nonzero digit of u.  ``statevec`` keeps a state's exponents
+on the coordinates of its labels over a ``_Basis`` of its support's
+span, and ``fix_dim`` keeps phases on all q^N labels, the identity basis
+of their F_p digits.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+from .gf import _lane_adder, _lane_width, _slot_adder
+
+
+def _times(combine, x, count: int):
+    """x combined with itself ``count`` times, in O(log count) combines.
+
+    ``combine`` must be associative; it is called on (out, out) to double
+    and on (out, x) to add one, reading the bits of ``count`` from the top.
+    """
+    out = x
+    for bit in bin(count)[3:]:
+        out = combine(out, out)
+        if bit == "1":
+            out = combine(out, x)
+    return out
+
+
+def _join(values, bits: int) -> int:
+    """The int whose ``bits``-bit field i holds values[i].
+
+    Neighbours are paired level by level, so each level halves the list
+    and every bit moves once per level.
+    """
+    while len(values) > 1:
+        pairs = iter(values)
+        values = [lo | hi << bits for lo, hi in itertools.zip_longest(pairs, pairs, fillvalue=0)]
+        bits *= 2
+    return values[0] if values else 0
+
+
+class _Slots:
+    """Slot arrays over F_p^dim with values mod ``modulus``, as described above."""
+
+    def __init__(self, p: int, dim: int, modulus: int):
+        self.p, self.dim = p, dim
+        self.modulus, self.step = modulus, modulus // p
+        self.width = (modulus - 1).bit_length() + 1
+        self.size = p ** dim
+        self.add = _slot_adder(modulus, self.width, self.size)
+        self.ones = ((1 << self.size * self.width) - 1) // ((1 << self.width) - 1)
+        self.full = self.ones * ((1 << self.width) - 1)
+        # bits[j]: how far a step of digit j moves a slot
+        self.bits = [p ** j * self.width for j in range(dim)]
+        self._masks = {}
+        # coords[j]: the array of step * X_j mod M, X_j digit j of the slot number
+        self.coords = [self._ramp(self._ramp(0, p ** j, p, self.step),
+                                  p ** (j + 1), p ** (dim - 1 - j), 0) for j in range(dim)]
+
+    def _ramp(self, block, slots: int, count: int, inc: int):
+        """``count`` copies of a ``slots``-slot array, copy d plus d * inc mod M."""
+        add, ones, bits = self.add, self.ones, slots * self.width
+
+        def combine(u, v):
+            (n, lo), (m, hi) = u, v
+            k = n * inc % self.modulus
+            if k:
+                hi = add(hi, (ones & ((1 << m * bits) - 1)) * k)
+            return n + m, lo | hi << n * bits
+
+        return _times(combine, (1, block), count)[1]
+
+    def mask(self, j: int, t: int):
+        """(slots whose digit j is below p - t, the other slots), all bits set."""
+        masks = self._masks.get((j, t))
+        if masks is None:
+            slots = self.p ** j * (self.p - t)
+            low = self._ramp((1 << slots * self.width) - 1, self.p ** (j + 1),
+                             self.p ** (self.dim - 1 - j), 0)
+            masks = self._masks[(j, t)] = (low, self.full ^ low)
+        return masks
+
+    def translate(self, arr, digits):
+        """arr with the value of each slot X moved to slot X + u, u given by its digits."""
+        p, masks = self.p, self._masks
+        for j, t in enumerate(digits):
+            if t:
+                low, high = masks.get((j, t)) or self.mask(j, t)
+                bits = self.bits[j]
+                arr = (arr & low) << t * bits | (arr & high) >> (p - t) * bits
+        return arr
+
+    def affine(self, c: int, row):
+        """The array of c + step * sum_j row_j X_j mod M."""
+        add, p, arr = self.add, self.p, self.ones * (c % self.modulus)
+        for coord, t in zip(self.coords, row):
+            if t % p:
+                arr = add(arr, _times(add, coord, t % p))
+        return arr
+
+    def split(self, arr):
+        """(mask, arr with its off-support slots cleared) of an array whose
+        slots off the support have every bit set, a value of at least M."""
+        off = (arr >> (self.width - 1)) & self.ones
+        mask = self.full ^ off * ((1 << self.width) - 1)
+        return mask, arr & mask
+
+    def values(self, arr) -> list:
+        """The slot values of arr, slot 0 first.
+
+        Halves are split off level by level, the inverse of ``_join``.
+        """
+        parts, bits = [arr], self.width << (self.size - 1).bit_length()
+        while bits > self.width:
+            bits //= 2
+            low = (1 << bits) - 1
+            parts = [y for x in parts for y in (x & low, x >> bits)]
+        return parts[:self.size]
+
+    def spread(self, phases, known, digits, cost):
+        """Phases on known + {0, ..., p - 1} a, from those on ``known``.
+
+        Along a, phase(x + a) = phase(x) + cost(x).  An element (n, phases,
+        known, acc) holds the phases on known + {0, ..., n - 1} a and the
+        cost of n steps, acc(x) = cost(x) + ... + cost(x + (n - 1) a); two
+        of them combine by moving the second n steps along a.
+        """
+        p, add, translate = self.p, self.add, self.translate
+
+        def combine(u, v):
+            (n, ph, kn, acc), (m, ph2, kn2, acc2) = u, v
+            fwd = [n * t % p for t in digits]
+            back = [-n * t % p for t in digits]
+            return (n + m, ph | translate(add(ph2, acc) & kn2, fwd),
+                    kn | translate(kn2, fwd), add(acc, translate(acc2, back)))
+
+        return _times(combine, (1, phases, known, cost), p)[1:3]
+
+    def nonzero(self, arr):
+        """1 in each slot of arr that holds a nonzero value, else 0."""
+        top = self.width - 1
+        rest = self.ones * ((1 << top) - 1)
+        return ((arr | ((arr & rest) + rest)) >> top) & self.ones
+
+
+@functools.cache
+def _slots(p: int, dim: int, modulus: int) -> _Slots:
+    """The one ``_Slots`` of each (p, dim, modulus), with its masks and
+    coordinate arrays cached on it."""
+    return _Slots(p, dim, modulus)
+
+
+# --- bases ------------------------------------------------------------------
+# A state's support lies in t + V; V is held by its reduced echelon basis
+# over F_p on lane-packed labels (the vector format of ``gf``).
+
+
+def _echelon(p: int, lanes: int, vectors) -> list:
+    """The reduced echelon basis of the F_p-span of lane-packed vectors.
+
+    Each basis row is 1 at its pivot lane, its lowest nonzero lane, and 0
+    at the pivot lanes of the other rows.  A row is returned as its
+    multiples [0, v, 2v, ..., (p - 1)v], rows in increasing pivot order.
+    Reading ``vectors`` stops once the span is the whole space.
+    """
+    w, add = _lane_width(p), _lane_adder(p, lanes)
+    digit = (1 << w) - 1
+
+    def multiples(v):
+        out = [0, v]
+        while len(out) < p:
+            out.append(add(out[-1], v))
+        return out
+
+    rows = {}  # pivot bit offset -> multiples of the row
+    for x in vectors:
+        for shift, mult in rows.items():
+            d = (x >> shift) & digit
+            if d:
+                x = add(x, mult[p - d])
+        if not x:
+            continue
+        shift = ((x & -x).bit_length() - 1) // w * w
+        mult = multiples(_times(add, x, pow((x >> shift) & digit, p - 2, p)))
+        for s, m in list(rows.items()):
+            d = (m[1] >> shift) & digit
+            if d:
+                rows[s] = multiples(add(m[1], mult[p - d]))
+        rows[shift] = mult
+        if len(rows) == lanes:
+            break
+    return [rows[s] for s in sorted(rows)]
+
+
+class _Basis:
+    """The echelon basis of a support's direction space and its slot arrays.
+
+    ``rows`` are lane-packed, ``mults[i][d]`` is d * rows[i], and
+    ``shifts[i]`` is the bit offset of the pivot lane of rows[i].  Two
+    bases are equal when their rows are.
+    """
+
+    __slots__ = ("p", "rows", "mults", "shifts", "digit", "add", "slots")
+
+    def __init__(self, p: int, lanes: int, modulus: int, mults):
+        w = _lane_width(p)
+        self.p, self.mults = p, list(mults)
+        self.rows = tuple(m[1] for m in self.mults)
+        self.shifts = tuple(((r & -r).bit_length() - 1) // w * w for r in self.rows)
+        self.digit = (1 << w) - 1
+        self.add = _lane_adder(p, lanes)
+        self.slots = _slots(p, len(self.rows), modulus)
+
+    def reduce(self, x: int) -> int:
+        """x minus the combination of rows that clears its pivot lanes."""
+        for shift, mult in zip(self.shifts, self.mults):
+            d = (x >> shift) & self.digit
+            if d:
+                x = self.add(x, mult[self.p - d])
+        return x
+
+    def index(self, x: int) -> int:
+        """The slot number of x: its digits at the pivot lanes, in base p."""
+        out = 0
+        for shift in reversed(self.shifts):
+            out = out * self.p + ((x >> shift) & self.digit)
+        return out
+
+    def __eq__(self, other):
+        return isinstance(other, _Basis) and self.rows == other.rows

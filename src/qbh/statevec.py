@@ -4,12 +4,25 @@ Every state here is monomial: on each label of its support the
 amplitude is a root of unity z^e, with z = e^(2 pi i/M) and M =
 ``pauli.phase_modulus``, the phase convention of ``pauli``: M = p, and
 M = 4 at p = 2, where operator phases are powers of i.  A trace value t
-enters as omega^t = z^(step t), step = M / p.  A state is therefore
-stored as a dict from lane-packed label (the vector format of ``gf``,
-coordinate i in chunk i) to the exponent e mod M.  Sums of amplitudes,
-such as inner products, lie in Z[z] and are kept exactly as ``CycAmp``.
+enters as omega^t = z^(step t), step = M / p.  Sums of amplitudes, such
+as inner products, lie in Z[z] and are kept exactly as ``CycAmp``.
 Normalisation factors (powers of 1/sqrt(p)) ride along as a symbolic
 exponent on the state, never as a float.
+
+A state is stored as a coset slot array.  Labels are lane-packed (the
+vector format of ``gf``, coordinate i in chunk i).  The support lies in
+its affine span t + V over F_p, and V has one reduced echelon basis
+v_0, ..., v_(D-1), held lane-packed with its pivot lanes; the offset t
+is zero at those lanes.  The label t + sum_i X_i v_i owns slot number
+sum_i X_i p^i, so a state is two slot arrays of p^D slots (see
+``slots``): ``mask``, all ones on the support, and ``arr``, the
+exponent mod M on the support and 0 elsewhere.  The form is unique,
+so equality compares it as plain values.  z^c X(a) Z(b) moves t + V to
+t + a + V: the slots translate by the digits of a at the pivot lanes,
+and the phase c + step tr(b.x) is affine in the slot digits, so
+``apply`` costs a few big-int operations per basis row and none per
+label.  ``exps`` (label -> exponent) and ``amps`` (label tuple ->
+CycAmp) are read-only views of the form, built on first access.
 """
 
 from __future__ import annotations
@@ -22,19 +35,14 @@ from types import SimpleNamespace
 
 from . import linalg
 from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, NotACodeword
-from .gf import (
-    _lane_adder,
-    _lane_width,
-    _lanes_vec,
-    _slot_adder,
-    _unpack_digits,
-    _vec_lanes,
-    field_make,
-)
-from .lincode import LinearCode, contains, encode, iter_codewords
+from .gf import _lane_adder, _lane_width, _lanes_vec, _unpack_digits, _vec_lanes, field_make
+from .lincode import LinearCode, contains, encode, fp_basis, iter_codewords
 from .pauli import PauliElement, phase_modulus, phase_step, symp_ip_int
 from .pauli import mul as pauli_mul
+from .slots import _Basis, _echelon, _join, _slots, _times
 
+# Slots of a slot array: p^D for a state whose support spans D
+# dimensions over F_p, and q^N for the whole space of fix_dim.
 LABEL_BUDGET = 1 << 16
 # stab_of_span: candidate shifts x equation rows of its linear solve,
 # and elements found x generators, the products of its group self-check.
@@ -120,6 +128,16 @@ class CycAmp:
 # --- labels ---------------------------------------------------------------
 
 
+@functools.cache
+def _trace_tables(p: int, width: int) -> tuple:
+    """(rep, pattern) of ``_trace_form`` for labels of ``width`` bits:
+    pattern[t] holds the bits of big for lane 0 with coefficient t."""
+    rep = sum(1 << (s * width) for s in range(p - 1))
+    pattern = [sum(1 << (s * width + k) for k in range((p - 1).bit_length())
+                   for s in range((t << k) % p)) for t in range(p)]
+    return rep, pattern
+
+
 def _trace_form(f, b):
     """(rep, big) with tr(b.x) = popcount((x * rep) & big) mod p.
 
@@ -130,34 +148,52 @@ def _trace_form(f, b):
     the bits whose coefficient exceeds s, so one popcount counts each
     set bit v times.  At p = 2, rep = 1 and big is the bit mask of b.
     """
-    p, w = f.p, _lane_width(f.p)
-    width = len(b) * f.degree * w
+    w = _lane_width(f.p)
+    rep, pattern = _trace_tables(f.p, len(b) * f.degree * w)
     big = 0
     for lane, t in enumerate(f.trace_rows(b)):
-        for k in range((p - 1).bit_length()):
-            for s in range((t << k) % p):
-                big |= 1 << (s * width + lane * w + k)
-    rep = sum(1 << (s * width) for s in range(p - 1))
+        if t:
+            big |= pattern[t] << lane * w
     return rep, big
 
 
 class StateVector:
-    """Immutable sparse monomial state over F_q^N.
+    """Immutable monomial state over F_q^N, as a coset slot array.
 
-    ``exps`` maps each lane-packed label of the support to its phase
-    exponent mod M.  ``scale`` counts powers of p^(-1/2) pulled out in
-    front; two states are equal only when supports, exponents and scale
-    all agree.  The constructor takes the packed form as it is;
-    ``state_make`` builds a state from the readable form.  ``amps`` and
-    ``support`` give the readable form back, built on first access and
-    cached.
+    ``basis`` spans the directions of the support's affine span,
+    ``offset`` is its point that is zero at the pivot lanes, and
+    ``mask`` and ``arr`` are the support and the exponents mod M on the
+    slots of ``basis.slots`` (see the module docstring).  ``scale``
+    counts powers of p^(-1/2) pulled out in front; two states are equal
+    only when supports, exponents and scale all agree.  States are made
+    by ``state_make``, ``phi``, ``phi_from_matrix``, ``tensor``,
+    ``equal_sum_states`` and ``apply``.  ``exps`` (lane-packed label ->
+    exponent), ``amps`` (label tuple -> CycAmp) and ``support`` read the
+    form back, built on first access and cached.
     """
 
-    __slots__ = ("field", "length", "exps", "scale", "_amps")
+    __slots__ = ("field", "length", "basis", "offset", "mask", "arr", "scale",
+                 "_exps", "_amps")
 
-    def __init__(self, field, length: int, exps: dict, scale: int):
-        self.field, self.length, self.exps, self.scale = field, length, exps, scale
-        self._amps = None
+    def __init__(self, field, length: int, basis: _Basis, offset: int, mask: int,
+                 arr: int, scale: int):
+        self.field, self.length, self.basis = field, length, basis
+        self.offset, self.mask, self.arr, self.scale = offset, mask, arr, scale
+        self._exps = self._amps = None
+
+    @property
+    def exps(self) -> dict:
+        """Lane-packed label -> exponent mod M, on the support."""
+        if self._exps is None:
+            b = self.basis
+            labels = [self.offset]
+            for mult in b.mults:
+                labels = [b.add(x, m) for m in mult for x in labels]
+            # Slots off the support get every bit set, as in ``slots._Slots.split``.
+            slots = b.slots
+            values = slots.values(self.arr | (slots.full ^ self.mask))
+            self._exps = {x: e for x, e in zip(labels, values) if e < slots.modulus}
+        return self._exps
 
     @property
     def amps(self) -> dict:
@@ -171,20 +207,57 @@ class StateVector:
     def support(self):
         return frozenset(self.amps)
 
+    def _size(self) -> int:
+        """The number of labels in the support."""
+        return self.mask.bit_count() // self.basis.slots.width
+
     def __eq__(self, other):
         return (
             isinstance(other, StateVector)
             and self.field == other.field
             and self.length == other.length
             and self.scale == other.scale
-            and self.exps == other.exps
+            and self.basis == other.basis
+            and self.offset == other.offset
+            and self.mask == other.mask
+            and self.arr == other.arr
         )
 
     def __repr__(self):
         return (
-            f"StateVector(len={self.length}, support={len(self.exps)},"
-            f" scale={self.scale})"
+            f"StateVector(len={self.length}, support={self._size()},"
+            f" span dim={len(self.basis.rows)}, scale={self.scale})"
         )
+
+
+def _basis(f, n: int, mults) -> _Basis:
+    """The basis with these rows for states of length n over f, within budget."""
+    if f.p ** len(mults) > LABEL_BUDGET:
+        raise BudgetExceeded(f"state span: {f.p}^{len(mults)} slots"
+                             f" exceed budget {LABEL_BUDGET}")
+    return _Basis(f.p, n * f.degree, phase_modulus(f), mults)
+
+
+def _on_basis(f, n: int, basis: _Basis, exps: dict, scale: int) -> StateVector:
+    """The state with packed exponents ``exps``, whose label differences
+    all lie in the span of ``basis``."""
+    slots = basis.slots
+    modulus, width = slots.modulus, slots.width
+    values = [(1 << width) - 1] * slots.size  # every bit set: off the support
+    for x, e in exps.items():
+        values[basis.index(x)] = e % modulus
+    mask, arr = slots.split(_join(values, width))
+    return StateVector(f, n, basis, basis.reduce(next(iter(exps), 0)), mask, arr, scale)
+
+
+def _from_exps(f, n: int, exps: dict, scale: int) -> StateVector:
+    """The state with packed exponents ``exps``, its basis found by
+    reducing the differences of its labels to one of them."""
+    p, lanes = f.p, n * f.degree
+    add = _lane_adder(p, lanes)
+    minus = _times(add, next(iter(exps), 0), p - 1)
+    rows = _echelon(p, lanes, (add(x, minus) for x in exps))
+    return _on_basis(f, n, _basis(f, n, rows), exps, scale)
 
 
 def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
@@ -204,18 +277,35 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
     exps = {_vec_lanes(field, x): roots.get(a) for x, a in amps.items() if not a.is_zero}
     if None in exps.values():
         raise ValueError("an amplitude is not a root of unity")
-    return StateVector(field, length, exps, scale)
+    return _from_exps(field, length, exps, scale)
+
+
+def _phis(code: LinearCode, table, lams) -> dict:
+    """lam -> phi(code, table, lam) for each lam, read off one walk of C.
+
+    The basis is the echelon form of the F_p-basis of C, and each
+    codeword's exponent is read from the table.
+    """
+    if table.code is not code and table.code != code:
+        raise DimensionMismatch("functional table belongs to a different code")
+    order = table.scalars.order
+    for lam in lams:
+        if not 0 <= lam < order:
+            raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {order}")
+    f, step = code.field, phase_step(code.field)
+    rows = _echelon(f.p, code.n * f.degree, (_vec_lanes(f, row) for row in fp_basis(code)))
+    basis = _basis(f, code.n, rows)
+    words = {_vec_lanes(f, w): w for w in iter_codewords(code)}
+    return {lam: _on_basis(f, code.n, basis,
+                           {x: step * table.f_int(lam, w) for x, w in words.items()},
+                           f.degree * code.k)
+            for lam in lams}
 
 
 def phi(code: LinearCode, table, lam) -> StateVector:
     """The state sum_{c in C} omega^{f_lam(c)} |c>, scaled by q^{-k/2}."""
-    if table.code is not code and table.code != code:
-        raise DimensionMismatch("functional table belongs to a different code")
-    f = code.field
     lam = int(lam)
-    step = phase_step(f)
-    exps = {_vec_lanes(f, w): step * table.f_int(lam, w) for w in iter_codewords(code)}
-    return StateVector(f, code.n, exps, f.degree * code.k)
+    return _phis(code, table, [lam])[lam]
 
 
 def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
@@ -234,29 +324,36 @@ def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
         )
     if matrix.p != f.p:
         raise DimensionMismatch(f"matrix entries mod {matrix.p}, field characteristic {f.p}")
+    if not 0 <= row < matrix.order:
+        raise ValueError(f"row {row} is not a row of the matrix: need 0 <= row < {matrix.order}")
     step, entries = phase_step(f), matrix.rows[row]
     exps = {
         _vec_lanes(f, encode(code, _unpack_digits(label, q, code.k)[::-1])): step * entries[col]
         for col, label in enumerate(matrix.col_labels)
     }
-    return StateVector(f, code.n, exps, f.degree * code.k)
+    return _from_exps(f, code.n, exps, f.degree * code.k)
 
 
 def tensor(v: StateVector, w: StateVector) -> StateVector:
+    """v (x) w: the basis is the two bases side by side, v's pivots first,
+    and each slot of w contributes one slot add over v's array."""
     if v.field != w.field:
         raise DimensionMismatch("tensor factors over different fields")
-    if len(v.exps) * len(w.exps) > LABEL_BUDGET:
-        raise BudgetExceeded(f"tensor support: {len(v.exps)} x {len(w.exps)} labels"
-                             f" exceed budget {LABEL_BUDGET}")
+    nv, nw = v._size(), w._size()
+    if nv * nw > LABEL_BUDGET:
+        raise BudgetExceeded(f"tensor support: {nv} x {nw} labels exceed budget {LABEL_BUDGET}")
     f = v.field
     shift = v.length * f.degree * _lane_width(f.p)
-    modulus = phase_modulus(f)
-    exps = {
-        lv | (lw << shift): (ev + ew) % modulus
-        for lv, ev in v.exps.items()
-        for lw, ew in w.exps.items()
-    }
-    return StateVector(f, v.length + w.length, exps, v.scale + w.scale)
+    mults = v.basis.mults + [[x << shift for x in m] for m in w.basis.mults]
+    basis = _basis(f, v.length + w.length, mults)
+    sv, sw = v.basis.slots, w.basis.slots
+    # Slots off a support have every bit set, as in ``slots._Slots.split``.
+    off = sv.full ^ v.mask
+    blocks = [sv.add(v.arr, sv.ones * e) & v.mask | off if e < sw.modulus else sv.full
+              for e in sw.values(w.arr | sw.full ^ w.mask)]
+    mask, arr = basis.slots.split(_join(blocks, sv.size * sv.width))
+    return StateVector(f, v.length + w.length, basis, v.offset | w.offset << shift,
+                       mask, arr, v.scale + w.scale)
 
 
 def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVector:
@@ -267,35 +364,50 @@ def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVecto
     if code.size ** d_code.n > LABEL_BUDGET:
         raise BudgetExceeded(f"big_phi support: {code.size}^{d_code.n} labels"
                              f" exceed budget {LABEL_BUDGET}")
-    out = phi(code, table, lam_word[0])
+    blocks = _phis(code, table, set(lam_word))
+    out = blocks[lam_word[0]]
     for lam in lam_word[1:]:
-        out = tensor(out, phi(code, table, lam))
+        out = tensor(out, blocks[lam])
     return out
 
 
 def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
-    out = phi_from_matrix(matrix, code, rows[0])
+    """Tensor product of the ``phi_from_matrix`` states of the given rows."""
+    rows = list(rows)
+    if not rows:
+        raise ValueError("big_phi_from_matrix needs at least one row")
+    blocks = {r: phi_from_matrix(matrix, code, r) for r in set(rows)}
+    out = blocks[rows[0]]
     for r in rows[1:]:
-        out = tensor(out, phi_from_matrix(matrix, code, r))
+        out = tensor(out, blocks[r])
     return out
 
 
 def apply(e: PauliElement, v: StateVector) -> StateVector:
-    """Act with z^c X(a) Z(b): labels shift by a, phases pick up tr(b.x)."""
+    """Act with z^c X(a) Z(b): labels shift by a, phases pick up tr(b.x).
+
+    The offset moves to t + a, reduced at the pivot lanes by the digits
+    u of a there, and the slots translate by u.  On the label
+    t + sum_i X_i v_i the phase is c + step tr(b.t) + sum_i step
+    tr(b.v_i) X_i, one ``slots._Slots.affine`` array.
+    """
     f = v.field
     if e.field != f:
         raise DimensionMismatch("operator and state over different fields")
     if len(e.a) != v.length:
         raise LengthMismatch(f"operator on {len(e.a)} qudits, state on {v.length}")
-    add = _lane_adder(f.p, v.length * f.degree)
-    a = _vec_lanes(f, e.a)
+    if not v.mask:
+        return v  # the zero state
+    b = v.basis
+    t = b.add(v.offset, _vec_lanes(f, e.a))
+    digits = [(t >> shift) & b.digit for shift in b.shifts]
+    t = b.reduce(t)
     rep, big = _trace_form(f, e.b)
-    c, modulus, step = e.phase, phase_modulus(f), phase_step(f)
-    exps = {
-        add(x, a): (ex + c + step * ((x * rep) & big).bit_count()) % modulus
-        for x, ex in v.exps.items()
-    }
-    return StateVector(f, v.length, exps, v.scale)
+    slots = b.slots
+    phase = slots.affine(e.phase + slots.step * ((v.offset * rep) & big).bit_count(),
+                         [((row * rep) & big).bit_count() for row in b.rows])
+    arr = slots.translate(slots.add(v.arr, phase) & v.mask, digits)
+    return StateVector(f, v.length, b, t, slots.translate(v.mask, digits), arr, v.scale)
 
 
 def is_fixed(e: PauliElement, v: StateVector) -> bool:
@@ -337,7 +449,7 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
             label |= blk << (i * shift)
             total = add(total, blk)
         by_sum[total][label] = 0
-    return [StateVector(f, code.n * m, exps, 0) for exps in by_sum.values()]
+    return [_from_exps(f, code.n * m, exps, 0) for exps in by_sum.values()]
 
 
 # Q as the field that linalg.rref reduces over; Fraction(0) is falsy.
@@ -490,107 +602,6 @@ def stab_of_span(states) -> list:
     return found
 
 
-# --- whole-space slot arrays ------------------------------------------------
-# fix_dim holds a function on all q^N labels as one int.  Label x owns slot
-# number idx(x), the base-p number whose digits are vec_digits(x); a slot
-# is s = (M - 1).bit_length() + 1 bits wide, so ``_slot_adder`` adds slot
-# values mod M.  Adding a vector a to every label rotates digit j of each
-# slot number by a_j mod p: two masked shifts per nonzero digit of a.
-
-
-def _times(combine, x, count: int):
-    """x combined with itself ``count`` times, in O(log count) combines.
-
-    ``combine`` must be associative; it is called on (out, out) to double
-    and on (out, x) to add one, reading the bits of ``count`` from the top.
-    """
-    out = x
-    for bit in bin(count)[3:]:
-        out = combine(out, out)
-        if bit == "1":
-            out = combine(out, x)
-    return out
-
-
-class _Slots:
-    """Slot arrays over the q^N labels of F_q^N, as described above."""
-
-    def __init__(self, f, n: int):
-        self.p, self.lanes = f.p, n * f.degree
-        self.modulus, self.step = phase_modulus(f), phase_step(f)
-        self.width = (self.modulus - 1).bit_length() + 1
-        size = self.p ** self.lanes
-        self.add = _slot_adder(self.modulus, self.width, size)
-        self.ones = ((1 << size * self.width) - 1) // ((1 << self.width) - 1)
-        self.full = self.ones * ((1 << self.width) - 1)
-        self._masks = {}
-
-    def _ramp(self, block, slots: int, count: int, inc: int):
-        """``count`` copies of a ``slots``-slot array, copy d plus d * inc mod M."""
-        add, ones, bits = self.add, self.ones, slots * self.width
-
-        def combine(u, v):
-            (n, lo), (m, hi) = u, v
-            k = n * inc % self.modulus
-            if k:
-                hi = add(hi, (ones & ((1 << m * bits) - 1)) * k)
-            return n + m, lo | hi << n * bits
-
-        return _times(combine, (1, block), count)[1]
-
-    def mask(self, j: int, t: int):
-        """(slots whose digit j is below p - t, the other slots), all bits set."""
-        masks = self._masks.get((j, t))
-        if masks is None:
-            slots = self.p ** j * (self.p - t)
-            low = self._ramp((1 << slots * self.width) - 1, self.p ** (j + 1),
-                             self.p ** (self.lanes - 1 - j), 0)
-            masks = self._masks[(j, t)] = (low, self.full ^ low)
-        return masks
-
-    def translate(self, arr, digits):
-        """arr with the value of each slot x moved to slot x + a, a given by its digits."""
-        p = self.p
-        for j, t in enumerate(digits):
-            if t:
-                low, high = self.mask(j, t)
-                bits = p ** j * self.width
-                arr = (arr & low) << t * bits | (arr & high) >> (p - t) * bits
-        return arr
-
-    def affine(self, c: int, row):
-        """The array of c + step * tr(b.x) mod M, ``row`` = trace_rows(b)."""
-        arr = c
-        for j, t in enumerate(row):
-            arr = self._ramp(arr, self.p ** j, self.p, self.step * t % self.modulus)
-        return arr
-
-    def spread(self, phases, known, digits, cost):
-        """Phases on known + {0, ..., p - 1} a, from those on ``known``.
-
-        Along a, phase(x + a) = phase(x) + cost(x).  An element (n, phases,
-        known, acc) holds the phases on known + {0, ..., n - 1} a and the
-        cost of n steps, acc(x) = cost(x) + ... + cost(x + (n - 1) a); two
-        of them combine by moving the second n steps along a.
-        """
-        p, add, translate = self.p, self.add, self.translate
-
-        def combine(u, v):
-            (n, ph, kn, acc), (m, ph2, kn2, acc2) = u, v
-            fwd = [n * t % p for t in digits]
-            back = [-n * t % p for t in digits]
-            return (n + m, ph | translate(add(ph2, acc) & kn2, fwd),
-                    kn | translate(kn2, fwd), add(acc, translate(acc2, back)))
-
-        return _times(combine, (1, phases, known, cost), p)[1:3]
-
-    def nonzero(self, arr):
-        """1 in each slot of arr that holds a nonzero value, else 0."""
-        top = self.width - 1
-        rest = self.ones * ((1 << top) - 1)
-        return ((arr | ((arr & rest) + rest)) >> top) & self.ones
-
-
 def fix_dim(s) -> int:
     """Dimension of the joint fixed space of a generator list.
 
@@ -625,7 +636,7 @@ def fix_dim(s) -> int:
                              f" exceed budget {LABEL_BUDGET}")
     if not gens:
         return f.order ** n
-    slots, prime = _Slots(f, n), field_make(f.p, 1)
+    slots, prime = _slots(f.p, n * f.degree, phase_modulus(f)), field_make(f.p, 1)
     shifts = [f.vec_digits(g.a) for g in gens]
     costs = [slots.affine(g.phase, f.trace_rows(g.b)) for g in gens]
     # The pivot columns of the transpose index the first independent X parts.

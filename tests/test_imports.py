@@ -97,16 +97,27 @@ def referenced_names(source: str, root: str) -> set:
     return names
 
 
-# Every function of the state-vector certification path.  stab_of_span is
+# Every function of the state-vector certification path and every state
+# constructor, with the slot-array helpers they reach.  stab_of_span is
 # left out: its group self-check multiplies Paulis on purpose.
-STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "big_phi", "big_phi_from_matrix",
-                 "tensor", "inner", "state_make"]
+STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "phi_from_matrix", "big_phi",
+                 "big_phi_from_matrix", "tensor", "equal_sum_states", "inner", "state_make"]
 
 
 @pytest.mark.parametrize("root", STATEVEC_PATH)
 def test_statevec_path_reads_no_symplectic_algebra(root):
     source = (pathlib.Path(qbh.__file__).parent / "statevec.py").read_text()
     assert referenced_names(source, root) & SYMPLECTIC == set()
+
+
+def test_slot_arrays_read_no_symplectic_algebra():
+    # the slot arrays and bases that every state and fix_dim run on
+    tree = ast.parse((pathlib.Path(qbh.__file__).parent / "slots.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names & SYMPLECTIC == set()
 
 
 def test_symplectic_check_follows_helpers_aliases_and_modules():

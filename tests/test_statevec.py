@@ -100,6 +100,9 @@ def test_cycamp_roots_of_unity_in_one_ring(p, m):
 def test_state_drops_zero_amplitudes():
     v = state_make(F2, 1, {(0,): ONE2, (1,): CycAmp(2, ())})
     assert v.support == {(0,)}
+    zero = state_make(F2, 1, {(1,): CycAmp(2, ())})
+    assert zero.support == frozenset() and zero == state_make(F2, 1, {})
+    assert apply(PauliElement(F2, 1, (1,), (1,)), zero) == zero
 
 
 def test_state_rejects_amplitude_not_root_of_unity():
@@ -212,6 +215,28 @@ def test_big_phi_rejects_non_codeword():
     from qbh.errors import NotACodeword
     with pytest.raises(NotACodeword):
         big_phi(c, d, t, (1, 0, 0))
+
+
+def test_phi_rejects_scalars_outside_the_table():
+    # lam = |K| once indexed past the field tables, and lam = -1 read the
+    # state of |K| - 1 through negative indexing
+    c, _, t = shor_setup()
+    for lam in (t.scalars.order, -1):
+        with pytest.raises(ValueError,
+                           match=rf"^lambda {lam} is not a scalar of the table: need 0 <= lambda < 2$"):
+            phi(c, t, lam)
+
+
+def test_matrix_states_reject_rows_outside_the_matrix():
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    h = kron_fourier(2, 2)
+    for row in (4, -1):
+        with pytest.raises(ValueError, match=rf"^row {row} is not a row of the matrix: need 0 <= row < 4$"):
+            phi_from_matrix(h, c, row)
+        with pytest.raises(ValueError, match=rf"^row {row} is not a row"):
+            big_phi_from_matrix(h, c, (0, row))
+    with pytest.raises(ValueError, match="at least one row"):
+        big_phi_from_matrix(h, c, ())
 
 
 def test_tensor_scale_and_inner_multiplicativity():
@@ -352,6 +377,22 @@ def test_budget_messages_name_the_enumeration_count_and_limit():
     with pytest.raises(BudgetExceeded,
                        match=r"^span comparison: 512 x 640 rational entries exceed budget 65536$"):
         span_equal(kets, kets[:64])
+
+
+def test_state_budget_counts_the_slots_of_the_support_span():
+    # LABEL_BUDGET counts slot-array slots: p^D for a support whose affine
+    # span has dimension D, however few labels it holds
+    def units(n, count):
+        return {tuple(int(i == j) for j in range(n)): ONE2 for i in range(count)}
+
+    assert state_make(F2, 17, units(17, 17)).basis.slots.size == 1 << 16
+    with pytest.raises(BudgetExceeded,
+                       match=r"^state span: 2\^17 slots exceed budget 65536$"):
+        state_make(F2, 18, units(18, 18))
+    ten = state_make(F2, 10, units(10, 10))  # 10 labels on 2^9 slots
+    with pytest.raises(BudgetExceeded,
+                       match=r"^state span: 2\^18 slots exceed budget 65536$"):
+        tensor(ten, ten)
 
 
 def test_phi_support_is_bounded_by_the_field_size_limit():
@@ -644,6 +685,49 @@ def test_apply_matches_image_oracle(data):
     w = apply(g, v)
     assert w.amps == oracles.image(g, v)
     assert w.scale == v.scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_state_has_one_form_however_it_is_built(data):
+    # Supports are arbitrary, affine or not (such as {0, 1, 2} in F_5);
+    # equal states must compare equal whichever constructor made them.
+    fields = [F2, F4, F3, F9, F5]
+    (v,) = data.draw(monomial_spans(fields, max_states=1))
+    f, n = v.field, v.length
+    (w,) = data.draw(monomial_spans([f], max_states=1, max_labels=16))
+    scale = st.integers(-3, 3)
+    v = state_make(f, n, v.amps, data.draw(scale))
+    w = state_make(f, w.length, w.amps, data.draw(scale))
+    vw = tensor(v, w)
+    assert vw == state_make(f, n + w.length, vw.amps, vw.scale)
+    assert vw.amps == {x + y: a * b for x, a in v.amps.items() for y, b in w.amps.items()}
+    vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
+    g = PauliElement(f, data.draw(st.integers(0, phase_modulus(f) - 1)), data.draw(vec), data.draw(vec))
+    assert apply(g, v) == state_make(f, n, oracles.image(g, v), v.scale)
+    # one exponent, one label or the scale off makes a different state
+    x = data.draw(st.sampled_from(sorted(v.amps)))
+    turned = dict(v.amps) | {x: v.amps[x].rot(data.draw(st.integers(1, phase_modulus(f) - 1)))}
+    assert state_make(f, n, turned, v.scale) != v
+    others = [y for y in itertools.product(range(f.order), repeat=n) if y not in v.amps]
+    if others:
+        extra = dict(v.amps) | {data.draw(st.sampled_from(others)): CycAmp.one(f.p)}
+        assert state_make(f, n, extra, v.scale) != v
+    if len(v.amps) > 1:
+        fewer = {y: a for y, a in v.amps.items() if y != x}
+        assert state_make(f, n, fewer, v.scale) != v
+    assert state_make(f, n, v.amps, v.scale + 1) != v
+
+
+def test_a_non_affine_support_keeps_its_span_and_holes():
+    # {0, 1, 2} in F_5 spans all five labels; 3 and 4 are holes of the mask
+    amps = {(0,): CycAmp.one(5), (1,): CycAmp.root(5, 2), (2,): CycAmp.root(5, 4)}
+    v = state_make(F5, 1, amps)
+    assert v.basis.slots.size == 5 and v.support == {(0,), (1,), (2,)}
+    w = apply(x_op(F5, (3,)), v)
+    assert w.support == {(3,), (4,), (0,)}
+    assert w == state_make(F5, 1, oracles.image(x_op(F5, (3,)), v))
+    assert apply(x_op(F5, (2,)), w) == v
 
 
 def test_fix_dim_counts_match_group_order_oracle():
