@@ -14,18 +14,10 @@ import argparse
 import itertools
 import sys
 
+# statevec and bh are imported inside _cmd_verify and _cmd_bh: every
+# process compiles what it imports, and construct and distance never
+# build a state or a matrix.
 from . import construct as con
-from . import statevec as sv
-from .bh import (
-    BilinearForm,
-    bh_from_text,
-    bh_to_text,
-    bh_verify,
-    form_matrix,
-    kron_fourier,
-    linear_rows_check,
-    row_equivalence,
-)
 from .errors import QbhError
 from .lincode import DEFAULT_BUDGET, code_from_text, iter_codewords
 
@@ -106,6 +98,8 @@ def _cmd_verify(args) -> int:
         print("pair=match")
     if not args.statevec:
         return 0
+    from . import statevec as sv
+
     expected = sc.field.order ** sc.log_dim_exp
     fd = sv.fix_dim(sc)
     print(f"fix_dim={fd} expected={expected}")
@@ -137,6 +131,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bh(args) -> int:
+    from .bh import (BilinearForm, bh_from_text, bh_to_text, bh_verify, form_matrix,
+                     kron_fourier, linear_rows_check, row_equivalence)
+
     m1 = bh_from_text(_read(args.matrix))
     if args.action == "verify":
         ok = bh_verify(m1)

@@ -37,7 +37,7 @@ from .lincode import (
     fp_basis,
     min_distance,
 )
-from .pauli import PauliElement, SymplecticVector, _dot_trace, symp_ip_int
+from .pauli import PauliElement, _dot_trace, symp_ip_int
 
 
 class StabilizerCode:
@@ -212,7 +212,8 @@ def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def centralizer_basis(sc: StabilizerCode) -> list:
-    """F_p-basis of the symplectic centralizer of the generator rows.
+    """F_p-basis of the symplectic centralizer of the generator rows,
+    each vector (a | b) as the phase-0 element X(a) Z(b).
 
     The basis is the nullspace of the symplectic pairing against the
     generators, computed from the generator list alone, so built and
@@ -232,7 +233,7 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     out = []
     for vec in linalg.nullspace(prime, rows, 2 * N * f.degree):
         x = f.vec_from_digits(vec)
-        v = SymplecticVector(f, x[:N], x[N:])
+        v = PauliElement(f, 0, x[:N], x[N:])
         if any(symp_ip_int(f, v.a, v.b, g.a, g.b) for g in sc.generators):
             raise ArithmeticError(
                 "centralizer vector fails to commute; construction data corrupt"

@@ -26,7 +26,7 @@ import itertools
 
 from . import linalg
 from .errors import DegenerateD, DimensionMismatch, NotACodeword
-from .gf import Field, FieldElement, field_make
+from .gf import Field, field_make
 from .lincode import LinearCode, code_make, contains, dual, encode, fp_basis
 
 
@@ -156,13 +156,13 @@ def table_make(code: LinearCode, scalars: Field) -> FunctionalTable:
     return FunctionalTable(code, scalars)
 
 
-def f_eval(table: FunctionalTable, lam, word) -> FieldElement:
-    """f_lam(word) as an element of F_p; word must lie in C."""
+def f_eval(table: FunctionalTable, lam, word) -> int:
+    """f_lam(word) in F_p, an int in [0, p); word must lie in C."""
     lam = int(lam)
     word = tuple(word)
     if not contains(table.code, word):
         raise NotACodeword(f"{word} is not in {table.code!r}")
-    return table.prime.element(table.f_int(lam, word))
+    return table.f_int(lam, word)
 
 
 def validate_d(d_code: LinearCode) -> None:

@@ -8,9 +8,7 @@ multiplication, inversion, Frobenius and trace are table lookups on
 plain ints.  Addition is O(1) at every order with no
 dense table: XOR of the packed digits at p = 2, and at odd p a lookup in
 the Zech logarithms log(1 + g^i) (Lidl & Niederreiter, ch. 9), which
-turns a + b into a (1 + b/a).  ``FieldElement`` is a thin wrapper over
-(field, value) used at API boundaries; hot loops call the int-level
-methods on ``Field`` directly.
+turns a + b into a (1 + b/a).
 
 The default modulus for F_{p^t} is the monic irreducible polynomial of
 degree t whose non-leading coefficient vector, read as a packed integer,
@@ -469,19 +467,6 @@ class Field:
     def elements(self):
         return range(self.order)
 
-    def element(self, v: int) -> "FieldElement":
-        if not 0 <= v < self.order:
-            raise ValueError(f"packed value {v} outside [0, {self.order})")
-        return FieldElement(self, v)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def embed_table(self, sub: "Field") -> tuple:
         """Packed-value table of the canonical embedding of ``sub`` into self.
 
@@ -533,87 +518,6 @@ class Field:
         if self.degree == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.degree})"
-
-
-class FieldElement:
-    """A single field element: owning field plus packed integer value."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements belong to different fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p if other < 0 or other >= self.field.order else other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def frobenius(self):
-        return FieldElement(self.field, self.field.frobenius(self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)  # equal ints must hash alike
-
-    def __repr__(self):
-        return f"{self.field!r}:{self.value}"
 
 
 _FIELD_CACHE: dict = {}

@@ -8,15 +8,15 @@ at p = 2, where the group needs the imaginary unit and M = 4.  With
 step = M / p, omega = z^step, so reordering contributes
 step * tr(b . a') because Z(b) X(a') = omega^tr(b.a') X(a') Z(b).
 
-``psi`` drops the phase and returns the symplectic pair (a | b); all
-commutation questions reduce to the trace symplectic inner product on
-those pairs.
+``psi`` drops the phase: it returns the phase-0 element X(a) Z(b),
+which stands for the symplectic pair (a | b); all commutation questions
+reduce to the trace symplectic inner product on those pairs.
 """
 
 from __future__ import annotations
 
 from .errors import LengthMismatch
-from .gf import Field, FieldElement, field_make
+from .gf import Field
 
 
 def phase_modulus(field: Field) -> int:
@@ -27,38 +27,6 @@ def phase_modulus(field: Field) -> int:
 def phase_step(field: Field) -> int:
     """M / p: omega = z^step for z = e^(2 pi i/M), M = phase_modulus."""
     return phase_modulus(field) // field.p
-
-
-class SymplecticVector:
-    """A pair (a | b) in F_q^N x F_q^N."""
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field: Field, a, b):
-        a, b = tuple(a), tuple(b)
-        if len(a) != len(b):
-            raise LengthMismatch("X part and Z part must have equal length")
-        self.field = field
-        self.a = a
-        self.b = b
-
-    @property
-    def length(self) -> int:
-        return len(self.a)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymplecticVector)
-            and self.field == other.field
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b))
-
-    def __repr__(self):
-        return f"({' '.join(map(str, self.a))} | {' '.join(map(str, self.b))})"
 
 
 class PauliElement:
@@ -107,9 +75,9 @@ def z_op(field: Field, b) -> PauliElement:
     return PauliElement(field, 0, (0,) * len(b), b)
 
 
-def psi(e: PauliElement) -> SymplecticVector:
-    """Forget the phase: the symplectic image (a | b)."""
-    return SymplecticVector(e.field, e.a, e.b)
+def psi(e: PauliElement) -> PauliElement:
+    """Forget the phase: the symplectic image (a | b), as X(a) Z(b)."""
+    return PauliElement(e.field, 0, e.a, e.b)
 
 
 def _dot_trace(field: Field, u, v) -> int:
@@ -133,13 +101,13 @@ def mul(e1: PauliElement, e2: PauliElement) -> PauliElement:
     return PauliElement(f, phase, a, b)
 
 
-def symp_ip(u: SymplecticVector, v: SymplecticVector) -> FieldElement:
-    """Trace symplectic inner product tr(u.b . v.a - v.b . u.a) in F_p."""
+def symp_ip(u: PauliElement, v: PauliElement) -> int:
+    """Trace symplectic inner product tr(u.b . v.a - v.b . u.a), an int in [0, p)."""
     if u.field != v.field:
         raise ValueError("vectors over different fields")
     if u.length != v.length:
         raise LengthMismatch("vectors of different lengths")
-    return field_make(u.field.p, 1).element(symp_ip_int(u.field, u.a, u.b, v.a, v.b))
+    return symp_ip_int(u.field, u.a, u.b, v.a, v.b)
 
 
 def symp_ip_int(field: Field, a1, b1, a2, b2) -> int:
@@ -148,8 +116,9 @@ def symp_ip_int(field: Field, a1, b1, a2, b2) -> int:
 
 
 def swt(v) -> int:
-    """Symplectic weight: positions where the (a_i, b_i) pair is nonzero."""
-    if isinstance(v, (PauliElement, SymplecticVector)):
+    """Symplectic weight of a PauliElement or an (a, b) pair: positions
+    where the (a_i, b_i) pair is nonzero."""
+    if isinstance(v, PauliElement):
         a, b = v.a, v.b
     else:
         a, b = v

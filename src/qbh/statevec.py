@@ -207,10 +207,6 @@ class StateVector:
     def support(self):
         return frozenset(self.amps)
 
-    def _size(self) -> int:
-        """The number of labels in the support."""
-        return self.mask.bit_count() // self.basis.slots.width
-
     def __eq__(self, other):
         return (
             isinstance(other, StateVector)
@@ -224,8 +220,9 @@ class StateVector:
         )
 
     def __repr__(self):
+        size = self.mask.bit_count() // self.basis.slots.width
         return (
-            f"StateVector(len={self.length}, support={self._size()},"
+            f"StateVector(len={self.length}, support={size},"
             f" span dim={len(self.basis.rows)}, scale={self.scale})"
         )
 
@@ -339,9 +336,6 @@ def tensor(v: StateVector, w: StateVector) -> StateVector:
     and each slot of w contributes one slot add over v's array."""
     if v.field != w.field:
         raise DimensionMismatch("tensor factors over different fields")
-    nv, nw = v._size(), w._size()
-    if nv * nw > LABEL_BUDGET:
-        raise BudgetExceeded(f"tensor support: {nv} x {nw} labels exceed budget {LABEL_BUDGET}")
     f = v.field
     shift = v.length * f.degree * _lane_width(f.p)
     mults = v.basis.mults + [[x << shift for x in m] for m in w.basis.mults]
@@ -361,9 +355,6 @@ def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVecto
     lam_word = tuple(map(int, lam_word))
     if not contains(d_code, lam_word):
         raise NotACodeword(f"{lam_word} is not in the outer code")
-    if code.size ** d_code.n > LABEL_BUDGET:
-        raise BudgetExceeded(f"big_phi support: {code.size}^{d_code.n} labels"
-                             f" exceed budget {LABEL_BUDGET}")
     blocks = _phis(code, table, set(lam_word))
     out = blocks[lam_word[0]]
     for lam in lam_word[1:]:

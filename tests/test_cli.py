@@ -7,7 +7,6 @@ from qbh.bh import BhMatrix, bh_to_text, kron_fourier
 from qbh.cli import main
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text
 from qbh.gf import field_make
-from qbh.lincode import code_make, code_to_text
 from qbh.statevec import CycAmp
 
 import helpers

@@ -17,7 +17,7 @@ from qbh.errors import (
 from qbh.gf import field_make
 from qbh.lincode import DEFAULT_BUDGET, code_make, contains, dual, fp_basis, iter_codewords
 from qbh.functional import table_make
-from qbh.pauli import PauliElement, mul, swt, symp_ip, x_op, z_op
+from qbh.pauli import PauliElement, mul, psi, symp_ip, x_op, z_op
 from qbh import construct, linalg, lincode
 from qbh.statevec import fix_dim
 from qbh.construct import (
@@ -217,14 +217,10 @@ def test_centralizer_shor():
     rr, piv = linalg.rref(F2, flats)
     assert not any(linalg.reduce_vector(F2, rr, piv, target))
     for v in basis:
+        assert isinstance(v, PauliElement) and v.phase == 0
         assert any(v.a) or any(v.b)
         for g in sc.generators:
-            assert int(symp_ip(v, psi_of(g))) == 0
-
-
-def psi_of(g):
-    from qbh.pauli import psi
-    return psi(g)
+            assert symp_ip(v, psi(g)) == 0
 
 
 def test_centralizer_generic_path_matches_structural_dimension():

@@ -1,9 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-none imports anything outside the standard library, and every public
-name is read by the package or the benchmark or kept for a listed reason."""
+"""Source hygiene: no module of the package or of the tests imports a
+name it never uses, no package module imports anything outside the
+standard library, every public name is read by the package or the
+benchmark or kept for a listed reason, and the CLI loads the state and
+matrix modules only for the commands that run them."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -12,6 +16,7 @@ import qbh
 
 SOURCES = sorted(pathlib.Path(qbh.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -29,7 +34,7 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
 
@@ -133,12 +138,12 @@ def test_symplectic_check_follows_helpers_aliases_and_modules():
 # or by the benchmark, or it is listed here with why it stays.
 UNREAD_BY_DESIGN = {
     "bh.normalize": "paper object: the normalized BH matrix the converse scrambles (acceptance 08)",
-    "functional.f_eval": "paper object: the functional f_lam on a codeword (test_lemmas)",
+    "functional.f_eval": "paper object: the functional f_lam on a codeword (test_functional)",
     "functional.project_zero_coordinates":
         "paper object: D projected off its zero coordinates, as validate_d asks",
     "functional.table_matrix": "paper object: the BH matrix [f_lam(c)] (acceptance 02)",
     "lincode.code_to_text": "writer of the code format that qbh construct reads",
-    "lincode.weight": "paper object: the Hamming weight wt (acceptance 03 and 10)",
+    "lincode.weight": "paper object: the Hamming weight wt (test_lincode)",
     "pauli.commutes": "paper object: commutation of two Pauli elements (test_pauli)",
     "pauli.detectable": "paper object: error detectability (acceptance 10)",
     "pauli.identity": "paper object: the identity of the Pauli group (test_pauli)",
@@ -218,3 +223,32 @@ def test_unread_check_sees_modules_aliases_and_outside_readers():
     others = ["import qbh.b as bb\nfrom qbh.a import outside\nbb.f()\n",
               "from other.a import lonely\nimport other.a as a\na.rec()\n"]
     assert unread_definitions(modules, others) == {"a.lonely", "a.rec"}
+
+
+LAZY_CHECK = """
+import sys
+from qbh.cli import main
+c, d, out = sys.argv[1:]
+loaded = lambda: [m for m in ("qbh.statevec", "qbh.slots", "qbh.bh") if m in sys.modules]
+assert main(["construct", "-c", c, "-d", d, "-o", out]) == 0
+assert main(["distance", out, "--brute"]) == 0
+print(loaded(), file=sys.stderr)
+assert main(["verify", out, "--statevec"]) == 0
+print(loaded(), file=sys.stderr)
+"""
+
+
+def test_construct_and_distance_load_no_state_or_matrix_module(tmp_path):
+    # A fresh interpreter, so that the suite's own imports cannot hide one.
+    for name in ("c.txt", "d.txt"):
+        (tmp_path / name).write_text("2 1 3 1\n1 1 1\n")
+    src = str(pathlib.Path(qbh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", LAZY_CHECK, *(str(tmp_path / n) for n in ("c.txt", "d.txt", "out.stab"))],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    lines = run.stderr.splitlines()
+    assert lines[0] == "[]"
+    # verify --statevec does load them, so the check can see a loaded module
+    assert lines[-1] == "['qbh.statevec', 'qbh.slots']"

@@ -11,10 +11,9 @@ import pytest
 
 from qbh.gf import field_make
 from qbh.lincode import code_make, contains, dual, iter_codewords
-from qbh.functional import f_eval, table_make
+from qbh.functional import table_make
 from qbh.pauli import z_op
 from qbh.statevec import (
-    StateVector,
     apply,
     big_phi_from_matrix,
     phi,
@@ -23,8 +22,6 @@ from qbh.statevec import (
     tensor,
 )
 from qbh.bh import BhMatrix, kron_fourier, row_equivalence
-
-import helpers
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh.errors import BudgetExceeded, DimensionMismatch, LengthMismatch
 from qbh.gf import FIELD_SIZE_LIMIT, field_make
-from qbh.lincode import code_make, dual, iter_codewords
+from qbh.lincode import code_make, iter_codewords
 from qbh.functional import table_make, table_matrix
-from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, psi, x_op, z_op
+from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, x_op, z_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
 from qbh import statevec as sv
 from qbh.statevec import (
@@ -362,13 +362,13 @@ def test_budget_messages_name_the_enumeration_count_and_limit():
     flat9, flat8 = (state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
                     for n in (9, 8))
     with pytest.raises(BudgetExceeded,
-                       match=r"^tensor support: 512 x 256 labels exceed budget 65536$"):
+                       match=r"^state span: 2\^17 slots exceed budget 65536$"):
         tensor(flat9, flat8)
     parity = code_make(F2, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)])
     f16 = field_make(2, 4)
     outer = code_make(f16, [(1,) * 5])
     with pytest.raises(BudgetExceeded,
-                       match=r"^big_phi support: 16\^5 labels exceed budget 65536$"):
+                       match=r"^state span: 2\^20 slots exceed budget 65536$"):
         big_phi(parity, outer, table_make(parity, f16), (0,) * 5)
     with pytest.raises(BudgetExceeded,
                        match=r"^equal-sum states: 16\^5 labels exceed budget 65536$"):
