@@ -161,60 +161,26 @@ def _slots(p: int, dim: int, modulus: int) -> _Slots:
 # over F_p on lane-packed labels (the vector format of ``gf``).
 
 
-def _echelon(p: int, lanes: int, vectors) -> list:
-    """The reduced echelon basis of the F_p-span of lane-packed vectors.
-
-    Each basis row is 1 at its pivot lane, its lowest nonzero lane, and 0
-    at the pivot lanes of the other rows.  A row is returned as its
-    multiples [0, v, 2v, ..., (p - 1)v], rows in increasing pivot order.
-    Reading ``vectors`` stops once the span is the whole space.
-    """
-    w, add = _lane_width(p), _lane_adder(p, lanes)
-    digit = (1 << w) - 1
-
-    def multiples(v):
-        out = [0, v]
-        while len(out) < p:
-            out.append(add(out[-1], v))
-        return out
-
-    rows = {}  # pivot bit offset -> multiples of the row
-    for x in vectors:
-        for shift, mult in rows.items():
-            d = (x >> shift) & digit
-            if d:
-                x = add(x, mult[p - d])
-        if not x:
-            continue
-        shift = ((x & -x).bit_length() - 1) // w * w
-        mult = multiples(_times(add, x, pow((x >> shift) & digit, p - 2, p)))
-        for s, m in list(rows.items()):
-            d = (m[1] >> shift) & digit
-            if d:
-                rows[s] = multiples(add(m[1], mult[p - d]))
-        rows[shift] = mult
-        if len(rows) == lanes:
-            break
-    return [rows[s] for s in sorted(rows)]
-
-
 class _Basis:
-    """The echelon basis of a support's direction space and its slot arrays.
+    """A reduced echelon basis of a support's direction space, and its slot arrays.
 
-    ``rows`` are lane-packed, ``mults[i][d]`` is d * rows[i], and
-    ``shifts[i]`` is the bit offset of the pivot lane of rows[i].  Two
-    bases are equal when their rows are.
+    ``rows`` are lane-packed, each 1 at its pivot lane, its lowest nonzero
+    lane, and 0 at the pivot lanes of the other rows, in increasing pivot
+    order.  ``mults[i][d]`` is d * rows[i], and ``shifts[i]`` is the bit
+    offset of the pivot lane of rows[i].  Two bases are equal when their
+    rows are.
     """
 
     __slots__ = ("p", "rows", "mults", "shifts", "digit", "add", "slots")
 
-    def __init__(self, p: int, lanes: int, modulus: int, mults):
+    def __init__(self, p: int, lanes: int, modulus: int, rows):
         w = _lane_width(p)
-        self.p, self.mults = p, list(mults)
-        self.rows = tuple(m[1] for m in self.mults)
+        self.p, self.rows = p, tuple(rows)
+        self.add = _lane_adder(p, lanes)
+        self.mults = [list(itertools.accumulate([r] * (p - 1), self.add, initial=0))
+                      for r in self.rows]
         self.shifts = tuple(((r & -r).bit_length() - 1) // w * w for r in self.rows)
         self.digit = (1 << w) - 1
-        self.add = _lane_adder(p, lanes)
         self.slots = _slots(p, len(self.rows), modulus)
 
     def reduce(self, x: int) -> int:
@@ -225,12 +191,12 @@ class _Basis:
                 x = self.add(x, mult[self.p - d])
         return x
 
-    def index(self, x: int) -> int:
-        """The slot number of x: its digits at the pivot lanes, in base p."""
-        out = 0
-        for shift in reversed(self.shifts):
-            out = out * self.p + ((x >> shift) & self.digit)
-        return out
+    def labels(self, offset: int) -> list:
+        """offset + sum_i X_i rows[i] for every slot sum_i X_i p^i, slot 0 first."""
+        labels = [offset]
+        for mult in self.mults:
+            labels = [self.add(x, m) for m in mult for x in labels]
+        return labels
 
     def __eq__(self, other):
         return isinstance(other, _Basis) and self.rows == other.rows

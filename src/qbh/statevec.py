@@ -34,12 +34,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import linalg
-from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, NotACodeword
-from .gf import _lane_adder, _lane_width, _lanes_vec, _unpack_digits, _vec_lanes, field_make
-from .lincode import LinearCode, contains, encode, fp_basis, iter_codewords
+from .errors import BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch, NotACodeword
+from .gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
+from .lincode import LinearCode, contains, fp_basis
 from .pauli import PauliElement, phase_modulus, phase_step, symp_ip_int
 from .pauli import mul as pauli_mul
-from .slots import _Basis, _echelon, _join, _slots, _times
+from .slots import _Basis, _join, _slots
 
 # Slots of a slot array: p^D for a state whose support spans D
 # dimensions over F_p, and q^N for the whole space of fix_dim.
@@ -166,8 +166,8 @@ class StateVector:
     slots of ``basis.slots`` (see the module docstring).  ``scale``
     counts powers of p^(-1/2) pulled out in front; two states are equal
     only when supports, exponents and scale all agree.  States are made
-    by ``state_make``, ``phi``, ``phi_from_matrix``, ``tensor``,
-    ``equal_sum_states`` and ``apply``.  ``exps`` (lane-packed label ->
+    by ``state_make``, ``phi``, ``big_phi``, ``big_phi_from_matrix``,
+    ``tensor``, ``equal_sum_states`` and ``apply``.  ``exps`` (lane-packed label ->
     exponent), ``amps`` (label tuple -> CycAmp) and ``support`` read the
     form back, built on first access and cached.
     """
@@ -185,14 +185,11 @@ class StateVector:
     def exps(self) -> dict:
         """Lane-packed label -> exponent mod M, on the support."""
         if self._exps is None:
-            b = self.basis
-            labels = [self.offset]
-            for mult in b.mults:
-                labels = [b.add(x, m) for m in mult for x in labels]
             # Slots off the support get every bit set, as in ``slots._Slots.split``.
-            slots = b.slots
+            slots = self.basis.slots
             values = slots.values(self.arr | (slots.full ^ self.mask))
-            self._exps = {x: e for x, e in zip(labels, values) if e < slots.modulus}
+            self._exps = {x: e for x, e in zip(self.basis.labels(self.offset), values)
+                          if e < slots.modulus}
         return self._exps
 
     @property
@@ -227,34 +224,12 @@ class StateVector:
         )
 
 
-def _basis(f, n: int, mults) -> _Basis:
-    """The basis with these rows for states of length n over f, within budget."""
-    if f.p ** len(mults) > LABEL_BUDGET:
-        raise BudgetExceeded(f"state span: {f.p}^{len(mults)} slots"
+def _basis(f, n: int, rows) -> _Basis:
+    """The basis with these reduced rows for states of length n over f, within budget."""
+    if f.p ** len(rows) > LABEL_BUDGET:
+        raise BudgetExceeded(f"state span: {f.p}^{len(rows)} slots"
                              f" exceed budget {LABEL_BUDGET}")
-    return _Basis(f.p, n * f.degree, phase_modulus(f), mults)
-
-
-def _on_basis(f, n: int, basis: _Basis, exps: dict, scale: int) -> StateVector:
-    """The state with packed exponents ``exps``, whose label differences
-    all lie in the span of ``basis``."""
-    slots = basis.slots
-    modulus, width = slots.modulus, slots.width
-    values = [(1 << width) - 1] * slots.size  # every bit set: off the support
-    for x, e in exps.items():
-        values[basis.index(x)] = e % modulus
-    mask, arr = slots.split(_join(values, width))
-    return StateVector(f, n, basis, basis.reduce(next(iter(exps), 0)), mask, arr, scale)
-
-
-def _from_exps(f, n: int, exps: dict, scale: int) -> StateVector:
-    """The state with packed exponents ``exps``, its basis found by
-    reducing the differences of its labels to one of them."""
-    p, lanes = f.p, n * f.degree
-    add = _lane_adder(p, lanes)
-    minus = _times(add, next(iter(exps), 0), p - 1)
-    rows = _echelon(p, lanes, (add(x, minus) for x in exps))
-    return _on_basis(f, n, _basis(f, n, rows), exps, scale)
+    return _Basis(f.p, n * f.degree, phase_modulus(f), rows)
 
 
 def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
@@ -262,7 +237,9 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
 
     Every label must have length ``length`` and entries in the field.
     Zero amplitudes are dropped, and any other amplitude must be a root
-    of unity.
+    of unity.  The span of the support is found by ``linalg.rref`` over
+    F_p on the digit vectors of the labels less the first one; label x
+    then owns the slot whose base-p digits are those of x at the pivots.
     """
     for label in amps:
         if len(label) != length:
@@ -271,64 +248,86 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
             if not 0 <= x < field.order:
                 raise ValueError(f"entry {x} is not a packed element of {field!r}")
     roots = {CycAmp.root(field.p, e): e for e in range(phase_modulus(field))}
-    exps = {_vec_lanes(field, x): roots.get(a) for x, a in amps.items() if not a.is_zero}
+    exps = {x: roots.get(a) for x, a in amps.items() if not a.is_zero}
     if None in exps.values():
         raise ValueError("an amplitude is not a root of unity")
-    return _from_exps(field, length, exps, scale)
+    # S labels span at least p^D >= S slots, so refuse before eliminating.
+    if len(exps) > LABEL_BUDGET:
+        raise BudgetExceeded(f"state support: {len(exps)} labels exceed budget {LABEL_BUDGET}")
+    p, prime = field.p, field_make(field.p, 1)
+    digits = [field.vec_digits(x) for x in exps]
+    first = digits[0] if digits else (0,) * (length * field.degree)
+    rows, pivots = linalg.rref(prime, [[(a - b) % p for a, b in zip(d, first)] for d in digits])
+    w = _lane_width(p)
+    basis = _basis(field, length, [_lane_pack(r, w) for r in rows])
+    slots = basis.slots
+    values = [(1 << slots.width) - 1] * slots.size  # every bit set: off the support
+    for d, e in zip(digits, exps.values()):
+        values[sum(d[c] * p ** i for i, c in enumerate(pivots))] = e
+    mask, arr = slots.split(_join(values, slots.width))
+    offset = _lane_pack(linalg.reduce_vector(prime, rows, pivots, first), w)
+    return StateVector(field, length, basis, offset, mask, arr, scale)
 
 
-def _phis(code: LinearCode, table, lams) -> dict:
-    """lam -> phi(code, table, lam) for each lam, read off one walk of C.
+# --- code states -------------------------------------------------------------
+# The lane-packed fp_basis(C) is already a reduced echelon basis over F_p:
+# gen is in RREF, so row (j, d) = p^d gen_j is 1 at lane j r + d, its
+# lowest nonzero lane, and 0 at every other pivot lane.  C is its span
+# with offset 0, and slot s holds the codeword sum_j m_j gen_j whose
+# message m has digit j of s in base q as m_j.
 
-    The basis is the echelon form of the F_p-basis of C, and each
-    codeword's exponent is read from the table.
+
+def _messages(code: LinearCode) -> list:
+    """The message of the codeword in each slot of C, slot 0 first."""
+    msgs = [()]
+    for _ in range(code.k):
+        msgs = [m + (d,) for d in range(code.field.order) for m in msgs]
+    return msgs
+
+
+def _message_labels(code: LinearCode) -> list:
+    """For each slot of C, the int whose base-q digits, most significant
+    first, are its message: the codeword's place in message order."""
+    q = code.field.order
+    return [functools.reduce(lambda x, d: x * q + d, m, 0) for m in _messages(code)]
+
+
+def _code_states(code: LinearCode, keys, values) -> StateVector:
+    """The tensor product over ``keys`` of the states sum_s omega^(v_s) |c_s>,
+    each scaled by q^(-k/2), where values(key) lists v_s in F_p for the
+    codeword c_s of each slot s of C.
+
+    Each distinct key's state is built once, as one full slot array.
+    """
+    f = code.field
+    basis = _basis(f, code.n, [_vec_lanes(f, g) for g in fp_basis(code)])
+    slots = basis.slots
+    blocks = {key: StateVector(f, code.n, basis, 0, slots.full,
+                               _join([slots.step * v for v in values(key)], slots.width),
+                               f.degree * code.k)
+              for key in set(keys)}
+    return functools.reduce(tensor, [blocks[key] for key in keys])
+
+
+def _phi_states(code: LinearCode, table, lams) -> StateVector:
+    """The tensor product of phi(code, table, lam) over ``lams``.
+
+    f_lam(c) = tr(lam P(m)) with P = ``table.pack_message`` on the
+    message m of c, as in ``FunctionalTable.f_int``.
     """
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
-    order = table.scalars.order
+    K = table.scalars
     for lam in lams:
-        if not 0 <= lam < order:
-            raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {order}")
-    f, step = code.field, phase_step(code.field)
-    rows = _echelon(f.p, code.n * f.degree, (_vec_lanes(f, row) for row in fp_basis(code)))
-    basis = _basis(f, code.n, rows)
-    words = {_vec_lanes(f, w): w for w in iter_codewords(code)}
-    return {lam: _on_basis(f, code.n, basis,
-                           {x: step * table.f_int(lam, w) for x, w in words.items()},
-                           f.degree * code.k)
-            for lam in lams}
+        if not 0 <= lam < K.order:
+            raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {K.order}")
+    packed = [table.pack_message(m) for m in _messages(code)]
+    return _code_states(code, lams, lambda lam: [K.trace_int(K.mul(lam, y)) for y in packed])
 
 
 def phi(code: LinearCode, table, lam) -> StateVector:
     """The state sum_{c in C} omega^{f_lam(c)} |c>, scaled by q^{-k/2}."""
-    lam = int(lam)
-    return _phis(code, table, [lam])[lam]
-
-
-def phi_from_matrix(matrix, code: LinearCode, row: int) -> StateVector:
-    """Row ``row`` of a BH matrix read as a state on the codewords of C.
-
-    Column label x names the codeword with message digits of x in base q,
-    most significant first; the entry is the amplitude exponent.  No
-    functional structure is assumed, which is the point: this is how
-    states of an arbitrary scrambled matrix are built.
-    """
-    f = code.field
-    q = f.order
-    if matrix.order != code.size:
-        raise DimensionMismatch(
-            f"matrix order {matrix.order} != number of codewords {code.size}"
-        )
-    if matrix.p != f.p:
-        raise DimensionMismatch(f"matrix entries mod {matrix.p}, field characteristic {f.p}")
-    if not 0 <= row < matrix.order:
-        raise ValueError(f"row {row} is not a row of the matrix: need 0 <= row < {matrix.order}")
-    step, entries = phase_step(f), matrix.rows[row]
-    exps = {
-        _vec_lanes(f, encode(code, _unpack_digits(label, q, code.k)[::-1])): step * entries[col]
-        for col, label in enumerate(matrix.col_labels)
-    }
-    return _from_exps(f, code.n, exps, f.degree * code.k)
+    return _phi_states(code, table, [int(lam)])
 
 
 def tensor(v: StateVector, w: StateVector) -> StateVector:
@@ -338,8 +337,8 @@ def tensor(v: StateVector, w: StateVector) -> StateVector:
         raise DimensionMismatch("tensor factors over different fields")
     f = v.field
     shift = v.length * f.degree * _lane_width(f.p)
-    mults = v.basis.mults + [[x << shift for x in m] for m in w.basis.mults]
-    basis = _basis(f, v.length + w.length, mults)
+    rows = v.basis.rows + tuple(x << shift for x in w.basis.rows)
+    basis = _basis(f, v.length + w.length, rows)
     sv, sw = v.basis.slots, w.basis.slots
     # Slots off a support have every bit set, as in ``slots._Slots.split``.
     off = sv.full ^ v.mask
@@ -355,23 +354,39 @@ def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVecto
     lam_word = tuple(map(int, lam_word))
     if not contains(d_code, lam_word):
         raise NotACodeword(f"{lam_word} is not in the outer code")
-    blocks = _phis(code, table, set(lam_word))
-    out = blocks[lam_word[0]]
-    for lam in lam_word[1:]:
-        out = tensor(out, blocks[lam])
-    return out
+    return _phi_states(code, table, lam_word)
 
 
 def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
-    """Tensor product of the ``phi_from_matrix`` states of the given rows."""
+    """Tensor product of rows of a BH matrix, each read as a state on the
+    codewords of C.
+
+    Column label x names the codeword with message digits of x in base q,
+    most significant first; the entry is the amplitude exponent.  The
+    labels default to 0, ..., order - 1, as in ``bh.linear_rows_check``,
+    and must be a permutation of them.  No functional structure is
+    assumed, which is the point: this is how states of an arbitrary
+    scrambled matrix are built.  A single row gives one block's state.
+    """
     rows = list(rows)
     if not rows:
         raise ValueError("big_phi_from_matrix needs at least one row")
-    blocks = {r: phi_from_matrix(matrix, code, r) for r in set(rows)}
-    out = blocks[rows[0]]
-    for r in rows[1:]:
-        out = tensor(out, blocks[r])
-    return out
+    f = code.field
+    if matrix.order != code.size:
+        raise DimensionMismatch(
+            f"matrix order {matrix.order} != number of codewords {code.size}"
+        )
+    if matrix.p != f.p:
+        raise DimensionMismatch(f"matrix entries mod {matrix.p}, field characteristic {f.p}")
+    for row in rows:
+        if not 0 <= row < matrix.order:
+            raise ValueError(f"row {row} is not a row of the matrix: need 0 <= row < {matrix.order}")
+    labels = matrix.col_labels if matrix.col_labels is not None else range(matrix.order)
+    if sorted(labels) != list(range(matrix.order)):
+        raise LabelsNotGroup(f"column labels must enumerate 0 .. {matrix.order - 1}")
+    column = {x: j for j, x in enumerate(labels)}
+    cols = [column[x] for x in _message_labels(code)]
+    return _code_states(code, rows, lambda r: [matrix.rows[r][j] for j in cols])
 
 
 def apply(e: PauliElement, v: StateVector) -> StateVector:
@@ -423,24 +438,29 @@ def inner(v: StateVector, w: StateVector) -> CycAmp:
 
 
 def equal_sum_states(code: LinearCode, m: int) -> list:
-    """For each c in C, the flat sum over all m-tuples of codewords adding to c."""
+    """For each c in C, in message order, the flat sum over all m-tuples
+    of codewords adding to c.
+
+    The tuples adding to c are (0, ..., 0, c) plus the kernel of the
+    block sum on C^m.  Its rows put g in fp_basis(C) in one of the first
+    m - 1 blocks and -g in the last, reduced echelon as fp_basis(C) is,
+    with every pivot in the first m - 1 blocks; so each state fills all
+    |C|^(m-1) slots with exponent 0.
+    """
     if m < 1:
         raise ValueError(f"equal-sum states need m >= 1 blocks, got {m}")
     if code.size ** m > LABEL_BUDGET:
         raise BudgetExceeded(f"equal-sum states: {code.size}^{m} labels"
                              f" exceed budget {LABEL_BUDGET}")
-    f = code.field
-    words = [_vec_lanes(f, c) for c in iter_codewords(code)]
-    add = _lane_adder(f.p, code.n * f.degree)
-    shift = code.n * f.degree * _lane_width(f.p)
-    by_sum = {c: {} for c in words}
-    for blocks in itertools.product(words, repeat=m):
-        label = total = 0
-        for i, blk in enumerate(blocks):
-            label |= blk << (i * shift)
-            total = add(total, blk)
-        by_sum[total][label] = 0
-    return [_from_exps(f, code.n * m, exps, 0) for exps in by_sum.values()]
+    f, n = code.field, code.n
+    words = _basis(f, n, [_vec_lanes(f, g) for g in fp_basis(code)])
+    shift = n * f.degree * _lane_width(f.p)
+    last = (m - 1) * shift
+    kernel = [g << i * shift | mult[-1] << last
+              for i in range(m - 1) for g, mult in zip(words.rows, words.mults)]
+    basis = _basis(f, n * m, kernel)
+    return [StateVector(f, n * m, basis, c << last, basis.slots.full, 0, 0)
+            for _, c in sorted(zip(_message_labels(code), words.labels(0)))]
 
 
 # Q as the field that linalg.rref reduces over; Fraction(0) is falsy.

@@ -105,7 +105,7 @@ def referenced_names(source: str, root: str) -> set:
 # Every function of the state-vector certification path and every state
 # constructor, with the slot-array helpers they reach.  stab_of_span is
 # left out: its group self-check multiplies Paulis on purpose.
-STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "phi_from_matrix", "big_phi",
+STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "big_phi",
                  "big_phi_from_matrix", "tensor", "equal_sum_states", "inner", "state_make"]
 
 

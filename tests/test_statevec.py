@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
-from qbh.errors import BudgetExceeded, DimensionMismatch, LengthMismatch
-from qbh.gf import FIELD_SIZE_LIMIT, field_make
-from qbh.lincode import code_make, iter_codewords
-from qbh.functional import table_make, table_matrix
+from qbh import linalg
+from qbh.errors import BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
+from qbh.gf import FIELD_SIZE_LIMIT, _vec_lanes, field_make
+from qbh.lincode import code_make, encode, fp_basis, iter_codewords
+from qbh.functional import f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, x_op, z_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
 from qbh import statevec as sv
@@ -30,7 +31,6 @@ from qbh.statevec import (
     inner,
     is_fixed,
     phi,
-    phi_from_matrix,
     span_equal,
     stab_of_span,
     state_make,
@@ -187,7 +187,7 @@ def test_phi_matches_matrix_reading():
     t = table_make(c, field_make(2, 4))
     m = table_matrix(t)
     for lam in t.scalars.elements():
-        assert phi(c, t, lam) == phi_from_matrix(m, c, lam)
+        assert phi(c, t, lam) == big_phi_from_matrix(m, c, [lam])
 
 
 def test_big_phi_shor_logical_states():
@@ -232,11 +232,85 @@ def test_matrix_states_reject_rows_outside_the_matrix():
     h = kron_fourier(2, 2)
     for row in (4, -1):
         with pytest.raises(ValueError, match=rf"^row {row} is not a row of the matrix: need 0 <= row < 4$"):
-            phi_from_matrix(h, c, row)
+            big_phi_from_matrix(h, c, [row])
         with pytest.raises(ValueError, match=rf"^row {row} is not a row"):
             big_phi_from_matrix(h, c, (0, row))
     with pytest.raises(ValueError, match="at least one row"):
         big_phi_from_matrix(h, c, ())
+
+
+def test_matrix_states_read_column_labels_as_a_permutation():
+    # no labels read as 0 .. order - 1, as linear_rows_check reads them;
+    # a repeated label once gave a 3-label state of an order-4 matrix, and
+    # label 7 at order 4 aliased to 3
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    h = kron_fourier(2, 2)
+    bare = BhMatrix(4, 2, h.rows)
+    assert big_phi_from_matrix(bare, c, [1]) == big_phi_from_matrix(h, c, [1])
+    for labels in [(0, 1, 2, 2), (0, 1, 2, 7)]:
+        with pytest.raises(LabelsNotGroup, match=r"^column labels must enumerate 0 \.\. 3$"):
+            big_phi_from_matrix(BhMatrix(4, 2, h.rows, col_labels=labels), c, [0])
+
+
+READABLE_CODES = [
+    (F2, [(0, 1, 1, 0), (0, 0, 1, 1)]),
+    (F4, [(1, 2, 3)]),
+    (F4, [(0, 1, 2), (1, 1, 1)]),
+    (F3, [(1, 2, 0), (0, 1, 1)]),
+    (F9, [(1, 3, 5)]),
+    (F5, [(0, 1, 4)]),
+]
+
+
+@pytest.mark.parametrize("field,rows", READABLE_CODES)
+def test_code_states_equal_their_readable_form(field, rows):
+    c = code_make(field, rows)
+    p, q, step = field.p, field.order, phase_modulus(field) // field.p
+    words = list(iter_codewords(c))
+    scale = field.degree * c.k
+    # the code states lay C on fp_basis(C) as it is: it must be reduced echelon
+    prime = field_make(p, 1)
+    basis = fp_basis(c)
+    assert ([_vec_lanes(field, g) for g in basis]
+            == [_vec_lanes(prime, r) for r in linalg.rref(prime, map(field.vec_digits, basis))[0]])
+    t = table_make(c, field_make(p, field.degree * c.k))
+    for lam in range(t.scalars.order):
+        readable = {w: CycAmp.root(p, step * f_eval(t, lam, w)) for w in words}
+        assert phi(c, t, lam) == state_make(field, c.n, readable, scale)
+    m = table_matrix(t)
+    labels = list(m.col_labels)[::-1]  # column j now names another codeword
+    scrambled = BhMatrix(m.order, p, m.rows, col_labels=labels)
+    for row in range(m.order):
+        readable = {}
+        for x, e in zip(labels, m.rows[row]):
+            msg = [x // q ** (c.k - 1 - j) % q for j in range(c.k)]
+            readable[encode(c, msg)] = CycAmp.root(p, step * e)
+        assert big_phi_from_matrix(scrambled, c, [row]) == state_make(field, c.n, readable, scale)
+    for blocks in (1, 2):
+        sums = {w: {} for w in words}
+        for tup in itertools.product(words, repeat=blocks):
+            total = functools.reduce(lambda u, v: tuple(map(field.add, u, v)), tup)
+            sums[total][sum(tup, ())] = CycAmp.one(p)
+        expected = [state_make(field, c.n * blocks, sums[w]) for w in words]
+        assert equal_sum_states(c, blocks) == expected
+
+
+def test_state_make_refuses_more_labels_than_slots_before_eliminating(monkeypatch):
+    # S labels span at least S slots, so S > LABEL_BUDGET is refused
+    # before any elimination; fewer labels on too wide a span are
+    # refused after it, as before
+    def refuse(*args):
+        raise AssertionError("eliminated")
+
+    amps = {(x, 0, 0): CycAmp.one(5) for x in range(5)}
+    monkeypatch.setattr(sv, "LABEL_BUDGET", 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", refuse)
+        with pytest.raises(BudgetExceeded, match=r"^state support: 5 labels exceed budget 4$"):
+            state_make(F5, 3, amps)
+    four = {(0, 0, 0): ONE2, (1, 0, 0): ONE2, (0, 1, 0): ONE2, (0, 0, 1): ONE2}
+    with pytest.raises(BudgetExceeded, match=r"^state span: 2\^3 slots exceed budget 4$"):
+        state_make(F2, 3, four)
 
 
 def test_tensor_scale_and_inner_multiplicativity():
