@@ -10,7 +10,9 @@ rows has full rank r(nm - ks), so the fixed space has dimension q^{ks};
 ``build`` checks all of it with ``verify_generators``.
 
 Distances come in two independent flavours: ``distance`` evaluates the
-closed form min{d(C), ell} from the construction data, while
+closed form min{d(C), ell} from the construction data, deciding ell
+only below d(C) and so walking just the words of D that can beat it,
+while
 ``distance_bruteforce`` enumerates the symplectic centralizer, found as
 one nullspace (``centralizer_basis``) from the generator list alone,
 and never reads the construction data.  The test suite holds the two
@@ -24,16 +26,19 @@ p^{dim B} elements instead of p^{dim A + dim B}.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import linalg
-from .errors import BudgetExceeded, DimensionBounds
+from .errors import BudgetExceeded, DimensionBounds, DimensionMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
 from .gf import _field_from_body, _gray_span, _modulus_lines, _text_lines, field_make
 from .lincode import (
     DEFAULT_BUDGET,
     LinearCode,
+    _fp_rows,
     _min_weight_outside,
     dual,
+    encode,
     fp_basis,
     min_distance,
 )
@@ -137,7 +142,7 @@ def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
     return sc
 
 
-def _leader_weights(table: FunctionalTable) -> list:
+def _leader_weights(table: FunctionalTable, below: int | None = None) -> list:
     """w(lam) = min { wt(x) : lambda_of(x) = lam } for every packed lam in K.
 
     The x with lambda_of(x) = lam form the coset theta(lam) + C^perp, so
@@ -145,60 +150,98 @@ def _leader_weights(table: FunctionalTable) -> list:
     the distance from 0 in the graph on K whose steps are lambda_of(u e_j)
     for the coordinates j and u in F_q^*: one breadth-first search,
     |K| n (q - 1) field adds.  Every lam is reached, since
-    lambda_of(theta(lam)) = lam.
+    lambda_of(theta(lam)) = lam.  With ``below`` the search stops after
+    depth below - 1 and every lam it did not reach reads ``below``: the
+    list is then min(w, below).
     """
     K, q, n = table.scalars, table.code.field.order, table.code.n
     steps = {
         table.lambda_of((0,) * j + (u,) + (0,) * (n - 1 - j))
         for j in range(n) for u in range(1, q)
     } - {0}
-    weights = [None] * K.order
+    weights = [below] * K.order  # unreached; None when uncapped
     weights[0] = 0
     frontier, w = [0], 0
-    while frontier:
+    while frontier and (below is None or w < below - 1):
         w += 1
         reached = []
         for lam in frontier:
             for step in steps:
                 mu = K.add(lam, step)
-                if weights[mu] is None:
+                if weights[mu] == below:
                     weights[mu] = w
                     reached.append(mu)
         frontier = reached
     return weights
 
 
+def _subcode_basis(d_code: LinearCode, support) -> list:
+    """F_p-basis of D_S = D cap K^S, S = ``support``: the words x . G of
+    the messages x with x . G_j = 0 for every generator column j outside S."""
+    K = d_code.field
+    outside = [tuple(row[j] for row in d_code.gen) for j in range(d_code.n) if j not in support]
+    return _fp_rows(K, [encode(d_code, x) for x in linalg.nullspace(K, outside, d_code.k)])
+
+
 def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
-        budget: int = DEFAULT_BUDGET) -> int:
-    """min over nonzero Lam in D of sum_i w(Lam_i), w the coset-leader weight.
+        budget: int = DEFAULT_BUDGET, below: int | None = None) -> int:
+    """min(ell, below), ell = min over nonzero Lam in D of sum_i w(Lam_i).
 
     A vector x of F_q^n represents the functional f_lam with lam =
     lambda_of(x), so the lightest m-tuple of vectors representing Lam
     weighs sum_i w(Lam_i), with w(lam) the coset-leader weight of
-    theta(lam) + C^perp from ``_leader_weights``.  The nonzero words of
-    D are walked once, by the Gray code over an F_p-basis of D, one word
-    add per step.  ``budget`` caps |D|.
+    theta(lam) + C^perp from ``_leader_weights``.  As w(lam) >= 1 for
+    lam != 0, a word of D weighing less than ``below`` has at most
+    h = below - 1 nonzero coordinates, so it lies in D_S = D cap K^S for
+    some set S of h coordinates.  Each D_S is one nullspace over K.  The
+    words of every D_S are walked by the Gray code over an F_p-basis of
+    D_S, one word add per step, with w capped at ``below``; when every
+    D_S is {0} nothing is walked and the leader search is skipped.  The
+    walk covers D itself, once, when ``below`` is None or h >= m, or
+    when the D_S hold at least |D| words together.  Each D_S holds its
+    zero word, so the D_S are built only when there are fewer sets S
+    than words of D and than the budget.  ``budget`` caps the words
+    requested: sum_S |D_S|, or |D| for D itself.
     """
-    if d_code.size > budget:
+    if table.code != code:
+        raise DimensionMismatch("functional table belongs to a different code")
+    if table.scalars != d_code.field:
+        raise DimensionMismatch("outer code is not defined over the scalar field")
+    if below is not None and below < 1:
+        raise ValueError(f"below must be at least 1, got {below}")
+    K, m = d_code.field, d_code.n
+    h = m if below is None else below - 1
+    cover = [fp_basis(d_code)]
+    if h < m and math.comb(m, h) < min(d_code.size, budget + 1):
+        subcodes = [_subcode_basis(d_code, S) for S in itertools.combinations(range(m), h)]
+        if sum(K.p ** len(rows) for rows in subcodes) < d_code.size:
+            cover = subcodes
+    requested = sum(K.p ** len(rows) for rows in cover)
+    if requested > budget:
         raise BudgetExceeded(
-            f"outer code walk: {d_code.size} words requested, limit {budget};"
+            f"outer code walk: {requested} words requested, limit {budget};"
             " raise it with --budget"
         )
-    weights = _leader_weights(table)
-    add = d_code.field.add
+    if not any(cover):  # every D_S is {0}: no word of D weighs below ``below``
+        return below
+    weights = _leader_weights(table, below)
+    add = K.add
 
     def word_add(x, y):
         return tuple(map(add, x, y))
 
-    words = _gray_span(d_code.field.p, fp_basis(d_code), word_add, (0,) * d_code.n)
-    return min(sum(map(weights.__getitem__, lam_word))
-               for lam_word in itertools.islice(words, 1, None))
+    best = min(sum(map(weights.__getitem__, word)) for rows in cover
+               for word in itertools.islice(_gray_span(K.p, rows, word_add, (0,) * m), 1, None))
+    return best if below is None else min(best, below)
 
 
 def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
     """The closed-form distance min{d(C), ell}; cached on the code.
 
-    ``budget`` caps the codewords of C and of D that the two minima walk.
+    d(C) comes first, and ell is then decided only below it:
+    ``ell(..., below=d(C))`` walks just the words of D that can weigh
+    less.  ``budget`` caps the codewords of C and of D that the two
+    walks request.
     """
     if sc.delta is not None:
         return sc.delta
@@ -207,7 +250,8 @@ def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
             "no construction data on this code; parsed codes carry only"
             " a stored delta"
         )
-    sc.delta = min(min_distance(sc.code, budget), ell(sc.code, sc.d_code, sc.table, budget))
+    d = min_distance(sc.code, budget)
+    sc.delta = ell(sc.code, sc.d_code, sc.table, budget, below=d)
     return sc.delta
 
 

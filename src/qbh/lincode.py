@@ -117,14 +117,15 @@ def fp_basis(code: LinearCode) -> list:
     Ordered row-major, digit index inner, so the result is deterministic.
     Over a prime field this is just the generator rows.
     """
-    f = code.field
+    return _fp_rows(code.field, code.gen)
+
+
+def _fp_rows(f: Field, rows) -> list:
+    """F_p-basis of the F_q-span of the F_q-independent ``rows``, in the
+    order of ``fp_basis``."""
     if f.degree == 1:
-        return [tuple(row) for row in code.gen]
-    out = []
-    for row in code.gen:
-        for d in range(f.degree):
-            out.append(tuple(f.mul(f.p ** d, x) for x in row))
-    return out
+        return [tuple(row) for row in rows]
+    return [tuple(f.mul(f.p ** d, x) for x in row) for row in rows for d in range(f.degree)]
 
 
 def _min_weight_outside(p: int, srows, rest, N: int, per_qudit: int) -> int:

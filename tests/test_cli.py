@@ -357,10 +357,11 @@ def test_budget_guard(tmp_path, capsys):
 
 
 def test_budget_reaches_the_closed_form_distance(tmp_path, capsys):
-    # C = [5,2]_2 has 4 words and D = [4,2]_4 has 16
-    c = _write(tmp_path, "c.txt", "2 1 5 2\n1 0 1 1 1\n0 1 1 1 1\n")
-    d = _write(tmp_path, "d.txt", "2 2 4 2\n1 0 1 2\n0 1 2 3\n")
-    out = str(tmp_path / "twenty.stab")
+    # C = [6,2,4]_2 has 4 words and D = [3,2]_4 has 16; d(C) > m = 3, so
+    # ell is decided on all of D
+    c = _write(tmp_path, "c.txt", "2 1 6 2\n1 1 1 1 0 0\n0 0 1 1 1 1\n")
+    d = _write(tmp_path, "d.txt", "2 2 3 2\n1 0 1\n0 1 2\n")
+    out = str(tmp_path / "eighteen.stab")
     message = "outer code walk: 16 words requested, limit 8; raise it with --budget"
     assert main(["--budget", "8", "construct", "-c", c, "-d", d, "-o", out]) == 2
     assert message in capsys.readouterr().err

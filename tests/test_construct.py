@@ -171,9 +171,12 @@ def test_leader_weights_match_the_coset_leader_oracle(p, r, n, k):
     dual_words = tuple(iter_codewords(dual(code)))
     weights = construct._leader_weights(table)
     assert len(weights) == table.scalars.order
-    for lam in table.scalars.elements():
-        want = oracles.coset_leader_weight_oracle(f, dual_words, table.theta(lam))
-        assert weights[lam] == want
+    want = [oracles.coset_leader_weight_oracle(f, dual_words, table.theta(lam))
+            for lam in table.scalars.elements()]
+    assert weights == want
+    # capped: exact below ``below``, ``below`` elsewhere
+    for below in range(1, n + 2):
+        assert construct._leader_weights(table, below) == [min(w, below) for w in want]
 
 
 @pytest.mark.parametrize("pair", [
@@ -193,8 +196,9 @@ def test_ell_walks_each_word_of_d_once(pair):
 
 def test_closed_form_budget_names_the_walk():
     assert DEFAULT_BUDGET == 1 << 22
-    # |C| = 2^2 words, |D| = 4^2
-    sc = build(helpers.pattern_code(F2, 5, 2), helpers.pattern_code(field_make(2, 2), 4, 2))
+    # |C| = 2^2 words and |D| = 4^2; d(C) = 4 > m = 3, so ell is decided
+    # below 4 on all of D
+    sc = build(*pair_with_d_c_above_m())
     with pytest.raises(BudgetExceeded, match=r"^outer code walk: 16 words requested,"
                        r" limit 8; raise it with --budget$"):
         distance(sc, budget=8)
@@ -203,6 +207,65 @@ def test_closed_form_budget_names_the_walk():
         distance(sc, budget=2)
     assert sc.delta is None
     assert distance(sc, budget=16) == 2
+
+
+def pair_with_d_c_above_m():
+    """C = [6,2,4]_2 and D = [3,2,2]_4: d(C) > m, so the capped cover of
+    D is D itself."""
+    return (code_make(F2, [(1, 1, 1, 1, 0, 0), (0, 0, 1, 1, 1, 1)]),
+            code_make(field_make(2, 2), [(1, 0, 1), (0, 1, 2)]))
+
+
+def test_ell_rejects_a_table_of_another_code_or_scalar_field():
+    code, d_code = helpers.pattern_code(F2, 5, 2), helpers.pattern_code(field_make(2, 2), 4, 2)
+    # [3,1]_2 has K = F_2, not the GF(4) of D
+    with pytest.raises(DimensionMismatch):
+        ell(code, d_code, table_make(helpers.repetition(F2, 3), F2))
+    # same tower, another code: its weights are not those of C
+    other = code_make(F2, [(1, 0, 0, 1, 1), (0, 1, 1, 0, 1)])
+    with pytest.raises(DimensionMismatch, match="different code"):
+        ell(code, d_code, table_make(other, d_code.field))
+    with pytest.raises(DimensionMismatch, match="scalar field"):
+        ell(code, helpers.repetition(F2, 2), table_make(code, d_code.field))
+    with pytest.raises(ValueError, match="below must be at least 1"):
+        ell(code, d_code, table_make(code, d_code.field), below=0)
+
+
+def test_capped_walk_visits_no_word_of_d_heavier_than_c():
+    # d(D) >= d(C) = 2: no word of D has weight 1, so every D_S of one
+    # coordinate is {0}
+    code, d_code = helpers.pattern_code(F2, 5, 2), helpers.pattern_code(field_make(2, 2), 4, 2)
+    assert lincode.min_distance(code) == 2 <= lincode.min_distance(d_code)
+    sc = build(code, d_code)
+    with recording_walk() as seen, \
+            mock.patch.object(construct, "_leader_weights", side_effect=AssertionError):
+        assert distance(sc) == 2
+    # only the lane-packed walk over the 4 words of C
+    assert len(seen) == code.size
+    assert not any(isinstance(word, tuple) for word in seen)
+
+
+def test_capped_walk_visits_each_light_word_of_d_per_support():
+    # D = <1000, 0111> over GF(4): its light words are the multiples of
+    # 1000, which every D_S with 0 in S holds
+    code = helpers.pattern_code(F2, 5, 2)
+    d_code = code_make(field_make(2, 2), [(1, 0, 0, 0), (0, 1, 1, 1)])
+    table = table_make(code, d_code.field)
+    uncapped = ell(code, d_code, table)
+    words = list(iter_codewords(d_code))
+    for below, requested in ((2, 4 + 3), (3, 3 * 4 + 3)):
+        per_support = [
+            [w for w in words if all(j in support or not w[j] for j in range(4))]
+            for support in itertools.combinations(range(4), below - 1)
+        ]
+        assert sum(map(len, per_support)) == requested < d_code.size
+        with recording_walk() as seen:
+            assert ell(code, d_code, table, below=below) == min(below, uncapped)
+        assert sorted(seen) == sorted(itertools.chain.from_iterable(per_support))
+    with pytest.raises(BudgetExceeded, match=r"^outer code walk: 15 words requested,"
+                       r" limit 14; raise it with --budget$"):
+        ell(code, d_code, table, budget=14, below=3)
+    assert ell(code, d_code, table, budget=15, below=3) == min(3, uncapped)
 
 
 def test_centralizer_shor():
@@ -568,9 +631,11 @@ PAIR_SHAPES = [
 ]
 
 
-def draw_pair(data):
-    """A random code pair whose centralizer has at most 2^16 elements."""
-    p, r, n, k, m, s = data.draw(st.sampled_from(PAIR_SHAPES), label="shape")
+def draw_pair(data, shapes=PAIR_SHAPES, unit_row=False):
+    """A random code pair whose centralizer has at most 2^16 elements.
+
+    With ``unit_row`` the first row of D is a word of weight 1."""
+    p, r, n, k, m, s = data.draw(st.sampled_from(shapes), label="shape")
     f, K = field_make(p, r), field_make(p, r * k)
 
     def full_rank_rows(field, count, length):
@@ -580,7 +645,13 @@ def draw_pair(data):
         return rows
 
     c_code = code_make(f, full_rank_rows(f, k, n))
-    d_code = code_make(K, full_rank_rows(K, s, m))
+    d_rows = full_rank_rows(K, s, m)
+    if unit_row:
+        j = data.draw(st.integers(0, m - 1), label="unit coordinate")
+        u = data.draw(st.integers(1, K.order - 1), label="unit scalar")
+        d_rows[0] = (0,) * j + (u,) + (0,) * (m - 1 - j)
+        assume(linalg.rank(K, d_rows) == s)
+    d_code = code_make(K, d_rows)
     assume(all(any(row[i] for row in d_code.gen) for i in range(m)))
     meta = {"p": p, "r": r, "n": n, "k": k, "m": m, "s": s}
     return build(c_code, d_code), meta
@@ -591,6 +662,27 @@ def draw_pair(data):
 def test_distance_matches_bruteforce_on_random_pairs(data):
     sc, _ = draw_pair(data)
     assert distance(sc) == distance_bruteforce(sc)
+
+
+# As PAIR_SHAPES, with m up to 4 and s >= 2, so that D can hold light
+# words without a dead coordinate.
+LIGHT_SHAPES = [
+    (p, r, n, k, m, s)
+    for p in (2, 3) for r in (1, 2) for n in range(2, 5) for k in range(1, n)
+    for m in (3, 4) for s in range(2, m)
+    if p ** (r * (n * m + k * s)) <= 1 << 16
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_capped_ell_and_closed_form_distance_on_random_pairs_with_light_words(data):
+    sc, meta = draw_pair(data, LIGHT_SHAPES, unit_row=True)
+    code, d_code, table = sc.code, sc.d_code, sc.table
+    full = ell(code, d_code, table)
+    for below in range(1, meta["m"] + 2):
+        assert ell(code, d_code, table, below=below) == min(below, full)
+    assert distance(sc) == distance_bruteforce(stab_from_text(stab_to_text(sc)))
 
 
 @settings(max_examples=100, deadline=None)
