@@ -48,16 +48,22 @@ class FunctionalTable:
     coordinate j and digit d, in ``Field.vec_digits`` order.  All come
     from the trace systems solved at construction, each echelonned once
     with every unit's right-hand side appended.
+
+    ``_state_parts`` is None until ``statevec`` first builds a state of
+    the table; it then holds what every word of D shares (see
+    ``statevec._phi_states``) and lives as long as the table.
     """
 
     __slots__ = (
         "code", "scalars", "prime", "_embed", "_basis_powers", "_theta", "_lambda", "_unpack",
+        "_state_parts",
     )
 
     def __init__(self, code: LinearCode, scalars: Field):
         self.code = code
         self.scalars = scalars
         self.prime = field_make(scalars.p, 1)
+        self._state_parts = None
         self._embed = scalars.embed_table(code.field)
         g = scalars.from_digits((0, 1) + (0,) * (scalars.degree - 2)) if scalars.degree >= 2 else 1
         powers, cur = [], 1

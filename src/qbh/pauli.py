@@ -30,9 +30,15 @@ def phase_step(field: Field) -> int:
 
 
 class PauliElement:
-    """z^phase X(a) Z(b) in normal form."""
+    """z^phase X(a) Z(b) in normal form.
 
-    __slots__ = ("field", "phase", "a", "b")
+    ``_packed`` is None until ``statevec.apply`` first acts with the
+    element; it then holds the lane-packed a and the trace form of b,
+    which every later ``apply`` reads.  Equality, hashing and ``repr``
+    ignore it, and every constructor starts it empty.
+    """
+
+    __slots__ = ("field", "phase", "a", "b", "_packed")
 
     def __init__(self, field: Field, phase: int, a, b):
         a, b = tuple(a), tuple(b)
@@ -42,6 +48,7 @@ class PauliElement:
         self.phase = phase % phase_modulus(field)
         self.a = a
         self.b = b
+        self._packed = None
 
     @property
     def length(self) -> int:

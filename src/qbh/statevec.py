@@ -292,28 +292,32 @@ def _message_labels(code: LinearCode) -> list:
     return [functools.reduce(lambda x, d: x * q + d, m, 0) for m in _messages(code)]
 
 
-def _code_states(code: LinearCode, keys, values) -> StateVector:
-    """The tensor product over ``keys`` of the states sum_s omega^(v_s) |c_s>,
-    each scaled by q^(-k/2), where values(key) lists v_s in F_p for the
-    codeword c_s of each slot s of C.
-
-    Each distinct key's state is built once, as one full slot array.
-    """
+def _code_basis(code: LinearCode) -> _Basis:
+    """The lane-packed fp_basis(C), the basis of every code state of C."""
     f = code.field
-    basis = _basis(f, code.n, [_vec_lanes(f, g) for g in fp_basis(code)])
+    return _basis(f, code.n, [_vec_lanes(f, g) for g in fp_basis(code)])
+
+
+def _code_state(code: LinearCode, basis: _Basis, values) -> StateVector:
+    """The state sum_s omega^(v_s) |c_s>, scaled by q^(-k/2), on the code
+    basis of C, where ``values`` lists v_s in F_p for the codeword c_s of
+    each slot s of C: one full slot array."""
     slots = basis.slots
-    blocks = {key: StateVector(f, code.n, basis, 0, slots.full,
-                               _join([slots.step * v for v in values(key)], slots.width),
-                               f.degree * code.k)
-              for key in set(keys)}
-    return functools.reduce(tensor, [blocks[key] for key in keys])
+    return StateVector(code.field, code.n, basis, 0, slots.full,
+                       _join([slots.step * v for v in values], slots.width),
+                       code.field.degree * code.k)
 
 
 def _phi_states(code: LinearCode, table, lams) -> StateVector:
     """The tensor product of phi(code, table, lam) over ``lams``.
 
     f_lam(c) = tr(lam P(m)) with P = ``table.pack_message`` on the
-    message m of c, as in ``FunctionalTable.f_int``.
+    message m of c, as in ``FunctionalTable.f_int``.  What every word of
+    D shares is built on the first call and kept in
+    ``table._state_parts`` for the table's lifetime: P(m) for the
+    message of each slot, the code basis, and the state of each distinct
+    lam asked for so far, whose exponents are read as tr(lam P(m)) once
+    per message.
     """
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
@@ -321,8 +325,13 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
     for lam in lams:
         if not 0 <= lam < K.order:
             raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {K.order}")
-    packed = [table.pack_message(m) for m in _messages(code)]
-    return _code_states(code, lams, lambda lam: [K.trace_int(K.mul(lam, y)) for y in packed])
+    if table._state_parts is None:
+        table._state_parts = ([table.pack_message(m) for m in _messages(code)],
+                              _code_basis(code), {})
+    packed, basis, blocks = table._state_parts
+    for lam in set(lams) - blocks.keys():
+        blocks[lam] = _code_state(code, basis, [K.trace_int(K.mul(lam, y)) for y in packed])
+    return functools.reduce(tensor, [blocks[lam] for lam in lams])
 
 
 def phi(code: LinearCode, table, lam) -> StateVector:
@@ -386,7 +395,9 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
         raise LabelsNotGroup(f"column labels must enumerate 0 .. {matrix.order - 1}")
     column = {x: j for j, x in enumerate(labels)}
     cols = [column[x] for x in _message_labels(code)]
-    return _code_states(code, rows, lambda r: [matrix.rows[r][j] for j in cols])
+    basis = _code_basis(code)
+    blocks = {r: _code_state(code, basis, [matrix.rows[r][j] for j in cols]) for r in set(rows)}
+    return functools.reduce(tensor, [blocks[r] for r in rows])
 
 
 def apply(e: PauliElement, v: StateVector) -> StateVector:
@@ -395,7 +406,9 @@ def apply(e: PauliElement, v: StateVector) -> StateVector:
     The offset moves to t + a, reduced at the pivot lanes by the digits
     u of a there, and the slots translate by u.  On the label
     t + sum_i X_i v_i the phase is c + step tr(b.t) + sum_i step
-    tr(b.v_i) X_i, one ``slots._Slots.affine`` array.
+    tr(b.v_i) X_i, one ``slots._Slots.affine`` array.  The lane-packed a
+    and the trace form of b depend on e alone: they are worked out on
+    e's first ``apply`` and kept in ``e._packed``.
     """
     f = v.field
     if e.field != f:
@@ -404,11 +417,13 @@ def apply(e: PauliElement, v: StateVector) -> StateVector:
         raise LengthMismatch(f"operator on {len(e.a)} qudits, state on {v.length}")
     if not v.mask:
         return v  # the zero state
+    if e._packed is None:
+        e._packed = (_vec_lanes(f, e.a), *_trace_form(f, e.b))
+    a, rep, big = e._packed
     b = v.basis
-    t = b.add(v.offset, _vec_lanes(f, e.a))
+    t = b.add(v.offset, a)
     digits = [(t >> shift) & b.digit for shift in b.shifts]
     t = b.reduce(t)
-    rep, big = _trace_form(f, e.b)
     slots = b.slots
     phase = slots.affine(e.phase + slots.step * ((v.offset * rep) & big).bit_count(),
                          [((row * rep) & big).bit_count() for row in b.rows])
@@ -453,7 +468,7 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
         raise BudgetExceeded(f"equal-sum states: {code.size}^{m} labels"
                              f" exceed budget {LABEL_BUDGET}")
     f, n = code.field, code.n
-    words = _basis(f, n, [_vec_lanes(f, g) for g in fp_basis(code)])
+    words = _code_basis(code)
     shift = n * f.degree * _lane_width(f.p)
     last = (m - 1) * shift
     kernel = [g << i * shift | mult[-1] << last

@@ -115,14 +115,35 @@ def test_statevec_path_reads_no_symplectic_algebra(root):
     assert referenced_names(source, root) & SYMPLECTIC == set()
 
 
-def test_slot_arrays_read_no_symplectic_algebra():
-    # the slot arrays and bases that every state and fix_dim run on
-    tree = ast.parse((pathlib.Path(qbh.__file__).parent / "slots.py").read_text())
+def all_names(tree) -> set:
+    """Every name, attribute and imported name anywhere under ``tree``."""
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
-    assert names & SYMPLECTIC == set()
+    return names
+
+
+def test_slot_arrays_read_no_symplectic_algebra():
+    # the slot arrays and bases that every state and fix_dim run on
+    tree = ast.parse((pathlib.Path(qbh.__file__).parent / "slots.py").read_text())
+    assert all_names(tree) & SYMPLECTIC == set()
+
+
+# The state oracle's packed forms: the trace form of a Z part and the
+# packed form ``statevec.apply`` keeps on each Pauli element.
+PACKED = {"_trace_form", "_trace_tables", "_packed"}
+
+
+def test_symplectic_oracle_reads_no_packed_form():
+    package = pathlib.Path(qbh.__file__).parent
+    assert all_names(ast.parse((package / "construct.py").read_text())) & PACKED == set()
+    defs = {node.name: node for node in ast.parse((package / "pauli.py").read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    for name in ("symp_ip", "symp_ip_int", "_dot_trace"):
+        assert all_names(defs[name]) & PACKED == set()
+    # the check sees a slot read through any object
+    assert all_names(ast.parse("def f(e):\n    return e._packed\n")) & PACKED == {"_packed"}
 
 
 def test_symplectic_check_follows_helpers_aliases_and_modules():

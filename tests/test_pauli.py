@@ -22,6 +22,7 @@ from qbh.pauli import (
     z_op,
 )
 from qbh.construct import build
+from qbh.statevec import CycAmp, apply, state_make
 
 import helpers
 import oracles
@@ -47,6 +48,22 @@ def test_psi_drops_phase():
     assert psi(e) == PauliElement(F2, 0, (1, 0), (0, 1))
     assert psi(x_op(F2, (1,))).a == (1,)
     assert psi(identity(F2, 2)).a == (0, 0)
+
+
+@pytest.mark.parametrize("field,phase,a,b", [
+    (F2, 3, (1, 0), (0, 1)), (F4, 1, (2, 3), (0, 0)), (F3, 2, (0, 0), (1, 2)),
+])
+def test_packed_form_stays_out_of_equality_and_is_never_copied(field, phase, a, b):
+    warm, fresh = PauliElement(field, phase, a, b), PauliElement(field, phase, a, b)
+    apply(warm, state_make(field, 2, {(0, 0): CycAmp.one(field.p)}))
+    assert warm._packed is not None and fresh._packed is None
+    assert warm == fresh and fresh == warm and len({warm, fresh}) == 1
+    assert hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    # every constructor starts with an empty packed form, also from a
+    # filled element with the same a and b
+    made = [psi(warm), mul(warm, warm), mul(warm, identity(field, 2)),
+            identity(field, 2), x_op(field, a), z_op(field, b)]
+    assert all(e._packed is None for e in made)
 
 
 def test_mul_identity():

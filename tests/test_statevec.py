@@ -5,15 +5,15 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh import linalg
 from qbh.errors import BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
-from qbh.gf import FIELD_SIZE_LIMIT, _vec_lanes, field_make
+from qbh.gf import FIELD_SIZE_LIMIT, Field, _vec_lanes, field_make
 from qbh.lincode import code_make, encode, fp_basis, iter_codewords
-from qbh.functional import f_eval, table_make, table_matrix
+from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, x_op, z_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
 from qbh import statevec as sv
@@ -137,6 +137,52 @@ def test_library_paths_stay_on_packed_labels(monkeypatch):
     assert tensor(states[0], states[1]).length == 8
     assert span_equal(states, equal_sum_states(c, 2))
     assert len(stab_of_span(states)) == 2 ** len(sc.generators)
+
+
+def test_state_parts_are_built_once_per_table(monkeypatch):
+    # C = [3,2]_2 and D = [3,2] over K = GF(4): |C| = 4 messages, and the
+    # 16 words of D name all 4 scalars.
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    d = code_make(F4, [(1, 0, 1), (0, 1, 1)])
+    calls = dict.fromkeys(("pack", "mul", "member", "basis", "block"), 0)
+    inside = []  # K.mul calls of pack_message and of the D membership test are not counted
+
+    def counted(name, fn, nested=False):
+        def wrapper(*args):
+            calls[name] += 1
+            inside.append(nested)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counted_mul(self, a, b):
+        if self is F4 and not any(inside):
+            calls["mul"] += 1
+        return field_mul(self, a, b)
+
+    field_mul = Field.mul
+    monkeypatch.setattr(FunctionalTable, "pack_message",
+                        counted("pack", FunctionalTable.pack_message, nested=True))
+    monkeypatch.setattr(sv, "contains", counted("member", sv.contains, nested=True))
+    monkeypatch.setattr(sv, "_code_basis", counted("basis", sv._code_basis))
+    monkeypatch.setattr(sv, "_code_state", counted("block", sv._code_state))
+    monkeypatch.setattr(Field, "mul", counted_mul)
+    words = list(iter_codewords(d))
+    runs = []
+    for _ in range(2):  # the second table, of an equal code, shares nothing with the first
+        t = table_make(code_make(F2, c.gen), F4)
+        calls.update(dict.fromkeys(calls, 0))
+        first = big_phi(c, d, t, words[0])  # the zero word: one scalar
+        assert calls == {"pack": 4, "mul": 4, "member": 1, "basis": 1, "block": 1}
+        states = [first] + [big_phi(c, d, t, w) for w in words[1:]]
+        assert calls == {"pack": 4, "mul": 4 * 4, "member": 16, "basis": 1, "block": 4}
+        runs.append((t._state_parts, states))
+    (parts, states), (parts2, states2) = runs
+    assert parts is not parts2 and parts[2].keys() == parts2[2].keys() == {0, 1, 2, 3}
+    assert all(x is not y for x, y in zip(parts[2].values(), parts2[2].values()))
+    assert states == states2
 
 
 def test_state_make_checks_label_length():
@@ -759,6 +805,43 @@ def test_apply_matches_image_oracle(data):
     w = apply(g, v)
     assert w.amps == oracles.image(g, v)
     assert w.scale == v.scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_apply_with_a_filled_packed_form_equals_apply_with_a_fresh_element(data):
+    (v,) = data.draw(monomial_spans([F2, F4, F3, F9, F5], max_states=1))
+    f, n = v.field, v.length
+    vec = st.one_of(st.just([0] * n), st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n))
+    phase, a, b = data.draw(st.integers(0, phase_modulus(f) - 1)), data.draw(vec), data.draw(vec)
+    warm = PauliElement(f, phase, a, b)
+    apply(warm, state_make(f, n, {(0,) * n: CycAmp.one(f.p)}))
+    assert apply(warm, v) == apply(PauliElement(f, phase, a, b), v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_states_from_built_parts_equal_states_from_a_fresh_table(data):
+    f = data.draw(st.sampled_from([F2, F4, F3, F9, F5]), label="field")
+    k = data.draw(st.integers(1, 2 if f.order ** 2 <= 81 else 1), label="k")
+    n = data.draw(st.integers(k, k + 1), label="n")
+    size = f.order ** k  # |C| = |K|
+    m = data.draw(st.integers(1, max(j for j in (1, 2, 3) if size ** j <= 4096)), label="m")
+    s = data.draw(st.integers(1, max(j for j in range(1, m + 1) if size ** j <= 81)), label="s")
+    K = field_make(f.p, f.degree * k)
+
+    def rows(field, count, length):
+        entry = st.integers(0, field.order - 1)
+        drawn = data.draw(st.lists(st.tuples(*[entry] * length), min_size=count, max_size=count))
+        assume(linalg.rank(field, drawn) == count)
+        return drawn
+
+    c, d = code_make(f, rows(f, k, n)), code_make(K, rows(K, s, m))
+    words = data.draw(st.permutations(list(iter_codewords(d))), label="order")
+    warm = table_make(c, K)
+    states = [big_phi(c, d, warm, w) for w in words]
+    for w, state in zip(words, states):
+        assert big_phi(c, d, warm, w) == state == big_phi(c, d, table_make(c, K), w)
 
 
 @settings(max_examples=100, deadline=None)
