@@ -92,7 +92,7 @@ def kron_fourier(p: int, t: int) -> BhMatrix:
     """
     field_make(p, 1)  # validates primality
     if p ** t > KRON_ORDER_LIMIT:
-        raise BudgetExceeded(f"order {p}^{t} exceeds limit {KRON_ORDER_LIMIT}")
+        raise BudgetExceeded("matrix order", p ** t, KRON_ORDER_LIMIT, flag=None)
     return form_matrix(BilinearForm(p, [[int(i == j) for j in range(t)] for i in range(t)]), 1)
 
 
@@ -210,7 +210,7 @@ def form_matrix(form: BilinearForm, scalar: int) -> BhMatrix:
         raise DegenerateForm(f"scalar {scalar} is not a unit mod {p}")
     order = p ** t
     if order > KRON_ORDER_LIMIT:
-        raise BudgetExceeded(f"order {p}^{t} exceeds limit {KRON_ORDER_LIMIT}")
+        raise BudgetExceeded("matrix order", order, KRON_ORDER_LIMIT, flag=None)
     a = scalar % p
     digs = [_unpack_digits(v, p, t) for v in range(order)]
     rows = [

@@ -18,8 +18,8 @@ import sys
 # process compiles what it imports, and construct and distance never
 # build a state or a matrix.
 from . import construct as con
-from .errors import QbhError
-from .lincode import DEFAULT_BUDGET, code_from_text, iter_codewords
+from .errors import DEFAULT_BUDGET, BudgetExceeded, QbhError
+from .lincode import code_from_text, iter_codewords
 
 
 def _read(path: str) -> str:
@@ -101,12 +101,15 @@ def _cmd_verify(args) -> int:
     from . import statevec as sv
 
     expected = sc.field.order ** sc.log_dim_exp
-    fd = sv.fix_dim(sc)
+    fd = sv.fix_dim(sc, args.budget)
     print(f"fix_dim={fd} expected={expected}")
     if fd != expected:
         return 1
     if rebuilt is not None:
         code, d_code = rebuilt.code, rebuilt.d_code
+        slots = d_code.size * code.size ** d_code.n  # q^(ks) states of |C|^m slots
+        if slots > args.budget:
+            raise BudgetExceeded("code state slots", slots, args.budget)
         states = [
             sv.big_phi(code, d_code, rebuilt.table, lam_word)
             for lam_word in iter_codewords(d_code)
@@ -175,7 +178,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="enumeration budget for codeword and centralizer walks (default 2^22)",
+        help="work limit of every enumeration, each in its own unit (default 2^22)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

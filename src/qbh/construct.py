@@ -29,11 +29,10 @@ import itertools
 import math
 
 from . import linalg
-from .errors import BudgetExceeded, DimensionBounds, DimensionMismatch
+from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionBounds, DimensionMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
 from .gf import _field_from_body, _gray_span, _modulus_lines, _text_lines, field_make
 from .lincode import (
-    DEFAULT_BUDGET,
     LinearCode,
     _fp_rows,
     _min_weight_outside,
@@ -218,10 +217,7 @@ def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
             cover = subcodes
     requested = sum(K.p ** len(rows) for rows in cover)
     if requested > budget:
-        raise BudgetExceeded(
-            f"outer code walk: {requested} words requested, limit {budget};"
-            " raise it with --budget"
-        )
+        raise BudgetExceeded("outer code walk words", requested, budget)
     if not any(cover):  # every D_S is {0}: no word of D weighs below ``below``
         return below
     weights = _leader_weights(table, below)
@@ -338,15 +334,9 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
             linalg.reduce_vector(prime, srows, pivots, v) for v in vecs
         ])
         walks.append((srows, rest))
-    sizes = [p ** (len(srows) + len(rest)) for srows, rest in walks]
-    if sum(sizes) > budget:
-        requested = " + ".join(map(str, sizes))
-        if len(sizes) > 1:
-            requested += f" = {sum(sizes)}"
-        raise BudgetExceeded(
-            f"centralizer walk: {requested} elements requested, limit {budget};"
-            " raise it with --budget"
-        )
+    requested = sum(p ** (len(srows) + len(rest)) for srows, rest in walks)
+    if requested > budget:
+        raise BudgetExceeded("centralizer walk elements", requested, budget)
     if any(rest for _, rest in walks):
         walks = [(srows, rest) for srows, rest in walks if rest]
     return min(_min_weight_outside(p, srows, rest, N, per_qudit) for srows, rest in walks)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all qbh modules."""
+"""Exception hierarchy shared by all qbh modules, and the one work limit."""
+
+# The work limit of every exact enumeration, each in its own unit; --budget sets it.
+DEFAULT_BUDGET = 1 << 22
 
 
 class QbhError(Exception):
@@ -18,7 +21,17 @@ class NoEmbedding(QbhError):
 
 
 class BudgetExceeded(QbhError):
-    """An exact enumeration would exceed the configured work budget."""
+    """An exact enumeration would exceed a work or size limit: ``what``
+    names it and its unit, ``requested`` and ``limit`` count in that
+    unit, and ``flag`` raises the limit, None for a fixed one."""
+
+    def __init__(self, what: str, requested: int, limit: int, flag: str | None = "--budget"):
+        self.what, self.requested, self.limit, self.flag = what, requested, limit, flag
+        raise_it = f"; raise it with {flag}" if flag else ""
+        super().__init__(f"{what}: {requested} requested, limit {limit}{raise_it}")
+
+    def __reduce__(self):  # pickle rebuilds it from the fields, not the message
+        return type(self), (self.what, self.requested, self.limit, self.flag)
 
 
 class LengthMismatch(QbhError):

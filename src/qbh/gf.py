@@ -18,6 +18,7 @@ to ``field_make(p, t)`` agree everywhere.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from .errors import BudgetExceeded, NoEmbedding, NotPrime, ReducibleModulus
@@ -214,6 +215,12 @@ def _valuation(i, p):
     return j
 
 
+@functools.cache
+def _ruler(p, low):
+    """v_p(i) for 0 < i < p^low: the steps of one block of ``_gray_span``."""
+    return tuple(_valuation(i, p) for i in range(1, p ** low))
+
+
 def _gray_span(p, rows, add, start=0):
     """Every F_p-combination of ``rows`` added to ``start``, start first.
 
@@ -223,14 +230,14 @@ def _gray_span(p, rows, add, start=0):
     With d the base-p digits of idx, step idx lands on the combination
     with coefficient d_j - d_{j+1} mod p on row j, so each combination
     comes once, and it lies in the span of the first s rows exactly when
-    idx < p^s.  The valuations come from a table of at most 4096 steps,
-    reused block by block.
+    idx < p^s.  The valuations come from a ``_ruler`` table of at most
+    4096 steps, reused block by block.
     """
     dim = len(rows)
     low = 0
     while low < dim and p ** (low + 1) <= 4096:
         low += 1
-    steps = [_valuation(i, p) for i in range(1, p ** low)]
+    steps = _ruler(p, low)
     cur = start
     for block in range(p ** (dim - low)):
         if block:
@@ -535,13 +542,13 @@ def field_make(p: int, t: int, modulus=None) -> Field:
         raise NotPrime(f"characteristic {p} is not prime")
     if not isinstance(t, int) or t < 1:
         raise ReducibleModulus(f"extension degree {t} must be a positive integer")
-    # Before trial division and p ** t stall on a huge p or t (p >= 2 bounds t).
-    if p > FIELD_SIZE_LIMIT or t >= FIELD_SIZE_LIMIT.bit_length():
-        raise BudgetExceeded(f"field order {p}^{t} exceeds limit {FIELD_SIZE_LIMIT}")
-    if not _is_prime(p):
+    # p >= 2 bounds t: p ** t runs only at t <= 16, trial division at p <= 2^16.
+    if t >= FIELD_SIZE_LIMIT.bit_length():
+        raise BudgetExceeded("field degree", t, FIELD_SIZE_LIMIT.bit_length() - 1, flag=None)
+    if p <= FIELD_SIZE_LIMIT and not _is_prime(p):
         raise NotPrime(f"characteristic {p} is not prime")
     if p ** t > FIELD_SIZE_LIMIT:
-        raise BudgetExceeded(f"field order {p}^{t} exceeds limit {FIELD_SIZE_LIMIT}")
+        raise BudgetExceeded("field order", p ** t, FIELD_SIZE_LIMIT, flag=None)
     key = (p, t, tuple(c % p for c in modulus) if modulus is not None else None)
     cached = _FIELD_CACHE.get(key)
     if cached is not None:

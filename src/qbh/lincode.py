@@ -13,11 +13,9 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import BudgetExceeded, LengthMismatch, ZeroCode
+from .errors import DEFAULT_BUDGET, BudgetExceeded, LengthMismatch, ZeroCode
 from .gf import (Field, _field_from_body, _gray_span, _lane_adder, _lane_pack, _lane_width,
                  _modulus_lines, _text_lines)
-
-DEFAULT_BUDGET = 1 << 22
 
 
 def weight(v) -> int:
@@ -162,10 +160,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     if code.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
     if code.size > budget:
-        raise BudgetExceeded(
-            f"codeword walk: {code.size} words requested, limit {budget};"
-            " raise it with --budget"
-        )
+        raise BudgetExceeded("codeword walk words", code.size, budget)
     f = code.field
     rows = [f.vec_digits(row) for row in fp_basis(code)]
     return _min_weight_outside(f.p, [], rows, code.n, f.degree)

@@ -34,23 +34,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import linalg
-from .errors import BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch, NotACodeword
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup,
+                     LengthMismatch, NotACodeword)
 from .gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from .lincode import LinearCode, contains, fp_basis
 from .pauli import PauliElement, phase_modulus, phase_step, symp_ip_int
 from .pauli import mul as pauli_mul
 from .slots import _Basis, _join, _slots
-
-# Slots of a slot array: p^D for a state whose support spans D
-# dimensions over F_p, and q^N for the whole space of fix_dim.
-LABEL_BUDGET = 1 << 16
-# stab_of_span: candidate shifts x equation rows of its linear solve,
-# and elements found x generators, the products of its group self-check.
-STAB_BUDGET = 1 << 20
-# span_equal: entries of the larger rational matrix it reduces, deg rows
-# per state of the longer list x deg columns per state of both lists,
-# deg = [Q(z):Q].
-SPAN_BUDGET = 1 << 16
 
 
 @functools.cache
@@ -225,10 +215,10 @@ class StateVector:
 
 
 def _basis(f, n: int, rows) -> _Basis:
-    """The basis with these reduced rows for states of length n over f, within budget."""
-    if f.p ** len(rows) > LABEL_BUDGET:
-        raise BudgetExceeded(f"state span: {f.p}^{len(rows)} slots"
-                             f" exceed budget {LABEL_BUDGET}")
+    """The basis with these reduced rows for states of length n over f;
+    its p^D slots answer to DEFAULT_BUDGET, which no argument lifts."""
+    if f.p ** len(rows) > DEFAULT_BUDGET:
+        raise BudgetExceeded("state span slots", f.p ** len(rows), DEFAULT_BUDGET, flag=None)
     return _Basis(f.p, n * f.degree, phase_modulus(f), rows)
 
 
@@ -251,9 +241,10 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
     exps = {x: roots.get(a) for x, a in amps.items() if not a.is_zero}
     if None in exps.values():
         raise ValueError("an amplitude is not a root of unity")
-    # S labels span at least p^D >= S slots, so refuse before eliminating.
-    if len(exps) > LABEL_BUDGET:
-        raise BudgetExceeded(f"state support: {len(exps)} labels exceed budget {LABEL_BUDGET}")
+    # The elimination reads S labels x their digit columns; refuse before it.
+    entries = len(exps) * length * field.degree
+    if entries > DEFAULT_BUDGET:
+        raise BudgetExceeded("state_make labels x digits", entries, DEFAULT_BUDGET, flag=None)
     p, prime = field.p, field_make(field.p, 1)
     digits = [field.vec_digits(x) for x in exps]
     first = digits[0] if digits else (0,) * (length * field.degree)
@@ -464,9 +455,8 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
     """
     if m < 1:
         raise ValueError(f"equal-sum states need m >= 1 blocks, got {m}")
-    if code.size ** m > LABEL_BUDGET:
-        raise BudgetExceeded(f"equal-sum states: {code.size}^{m} labels"
-                             f" exceed budget {LABEL_BUDGET}")
+    if code.size ** m > DEFAULT_BUDGET:
+        raise BudgetExceeded("equal-sum state slots", code.size ** m, DEFAULT_BUDGET, flag=None)
     f, n = code.field, code.n
     words = _code_basis(code)
     shift = n * f.degree * _lane_width(f.p)
@@ -482,7 +472,7 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
 _RATIONALS = SimpleNamespace(inv=lambda x: 1 / x, mul=operator.mul, sub=operator.sub)
 
 
-def span_equal(states_a, states_b) -> bool:
+def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:
     """Equality of row spaces over the field Q(z), read through ``inner``.
 
     With U both lists together, v -> (<u, v>)_{u in U} is Q(z)-linear and,
@@ -494,6 +484,9 @@ def span_equal(states_a, states_b) -> bool:
     are compared by their reduced echelon forms over Q.  Scale exponents
     are ignored; a global nonzero scalar never moves a span.  States of
     different spaces raise ``DimensionMismatch`` from ``inner``.
+    ``budget`` caps rows x columns x min(rows, columns) of the larger
+    elimination, deg rows per state of the longer list by deg columns
+    per state of both.
     """
     states_a, states_b = list(states_a), list(states_b)
     if not states_a or not states_b:
@@ -501,9 +494,9 @@ def span_equal(states_a, states_b) -> bool:
     union = states_a + states_b
     deg = len(CycAmp.one(union[0].field.p).coeffs)
     rows, cols = deg * max(len(states_a), len(states_b)), deg * len(union)
-    if rows * cols > SPAN_BUDGET:
-        raise BudgetExceeded(f"span comparison: {rows} x {cols} rational entries"
-                             f" exceed budget {SPAN_BUDGET}")
+    work = rows * cols * min(rows, cols)
+    if work > budget:
+        raise BudgetExceeded("span_equal rows x columns x pivots", work, budget)
 
     def echelon(states):
         grams = [[inner(u, v) for u in union] for v in states]
@@ -532,7 +525,7 @@ def _check_fixing_group(states, found, gens) -> None:
                 raise ArithmeticError("fixing set not closed; span data corrupt")
 
 
-def stab_of_span(states) -> list:
+def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     """Every z^c X(a) Z(b) fixing each spanning state exactly.
 
     With step = M / p, z^c X(a) Z(b) fixes a state with exponents e
@@ -557,7 +550,8 @@ def stab_of_span(states) -> list:
     of the accepted shifts and by the kernel elements.  Before it is
     handed back, ``_check_fixing_group`` checks it against those
     generators; a failure would mean the solve itself is wrong, so it
-    raises rather than returns.
+    raises rather than returns.  ``budget`` caps shifts x equation rows,
+    read off the support masks, and elements x generators.
     """
     states = list(states)
     if not states:
@@ -569,12 +563,10 @@ def stab_of_span(states) -> list:
             raise DimensionMismatch("states of one span live in different spaces")
     p, r = f.p, f.degree
     modulus, step = phase_modulus(f), phase_step(f)
-    shifts = len(v0.exps)
-    rows = sum(len(v.exps) for v in states)
-    if shifts * rows > STAB_BUDGET:
-        raise BudgetExceeded(
-            f"{shifts} shifts x {rows} rows exceed stab_of_span budget {STAB_BUDGET}"
-        )
+    sizes = [v.mask.bit_count() // v.basis.slots.width for v in states]
+    work = sizes[0] * sum(sizes)
+    if work > budget:
+        raise BudgetExceeded("stab_of_span shifts x rows", work, budget)
     prime = field_make(p, 1)
     items = [(v.exps, x) for v in states for x in v.exps]
     eq_rows = [(1,) + f.trace_rows(_lanes_vec(f, n, x)) for _, x in items]
@@ -613,10 +605,9 @@ def stab_of_span(states) -> list:
     # The solutions of an F_p-basis of the accepted shifts, and the kernel.
     reps = linalg.rref(prime, list(zip(*(f.vec_digits(a) for _, a, _ in cosets))))[1]
     gens = [element(*cosets[i]) for i in reps] + [element(0, (0,) * n, k) for k in kernel]
-    size = len(cosets) * p ** len(kernel)
-    if size * len(gens) > STAB_BUDGET:
-        raise BudgetExceeded(f"{size} fixing elements x {len(gens)} generators"
-                             f" exceed stab_of_span budget {STAB_BUDGET}")
+    work = len(cosets) * p ** len(kernel) * len(gens)
+    if work > budget:
+        raise BudgetExceeded("stab_of_span elements x generators", work, budget)
     found = []
     for c0, a, z0 in cosets:
         for coeffs in itertools.product(range(p), repeat=len(kernel)):
@@ -628,7 +619,7 @@ def stab_of_span(states) -> list:
     return found
 
 
-def fix_dim(s) -> int:
+def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the joint fixed space of a generator list.
 
     Accepts anything with ``field``, ``num_qudits``, ``generators`` or a
@@ -643,7 +634,8 @@ def fix_dim(s) -> int:
     each orbit once.  Phases start at 0 there and spread along the tree
     generators; then every generator is checked on every label, the
     labels where it breaks the relation are closed under the tree
-    translations, and the orbits left untouched are counted.
+    translations, and the orbits left untouched are counted.  ``budget``
+    caps the q^N labels.
     """
     if hasattr(s, "generators"):
         gens, f, n = list(s.generators), s.field, s.num_qudits
@@ -657,9 +649,8 @@ def fix_dim(s) -> int:
             raise DimensionMismatch(f"generator over {g.field}, space over {f}")
         if len(g.a) != n:
             raise LengthMismatch(f"generator on {len(g.a)} qudits, space on {n}")
-    if f.order ** n > LABEL_BUDGET:
-        raise BudgetExceeded(f"fix_dim space: {f.order}^{n} labels"
-                             f" exceed budget {LABEL_BUDGET}")
+    if f.order ** n > budget:
+        raise BudgetExceeded("fix_dim labels", f.order ** n, budget)
     if not gens:
         return f.order ** n
     slots, prime = _slots(f.p, n * f.degree, phase_modulus(f)), field_make(f.p, 1)

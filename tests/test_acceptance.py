@@ -17,13 +17,13 @@ span sits strictly inside that fixed space and is not a stabilizer code.
 import itertools
 import time
 
+from qbh.errors import DEFAULT_BUDGET
 from qbh.gf import field_make
 from qbh.lincode import code_make, iter_codewords, min_distance
 from qbh.functional import big_f_kernel, table_make, table_matrix
 from qbh.pauli import PauliElement, detectable, swt
 from qbh.construct import build, distance, distance_bruteforce
 from qbh.statevec import (
-    SPAN_BUDGET,
     CycAmp,
     apply,
     big_phi,
@@ -222,15 +222,16 @@ def test_acceptance_06_corollaries():
                 "p{p} r{r} n{n} k{k} m{m}: ".format(**meta)
                 + f"delta {distance(sc)} != min(d(C), m)"
             )
-        # span_equal bounds the rational matrix it reduces by SPAN_BUDGET:
-        # deg rows per state of the longer list by deg columns per state of
-        # both, deg = [Q(z):Q].  Each Gram entry also reads two states of
-        # |C|^m labels, hence the label cap: on a 2-vCPU box with Python
-        # 3.11.7, |C| = 27, m = 2 (729 labels) took 0.7 s, while |C| = 64,
-        # m = 2 (4096 labels, within both budgets) took 7.6 s and is left out.
+        # span_equal bounds the elimination it runs over Q by its budget:
+        # rows x columns x min(rows, columns), with deg rows per state of the
+        # longer list and deg columns per state of both, deg = [Q(z):Q].
+        # Each Gram entry also reads two states of |C|^m labels, hence the
+        # label cap: on a 2-vCPU box with Python 3.11.7, |C| = 27, m = 2 (729
+        # labels) took 0.7 s, while |C| = 64, m = 2 (4096 labels, within the
+        # budget) took 7.6 s and is left out.
         deg = len(CycAmp.one(f.p).coeffs)
-        entries = deg * max(c_code.size, d_code.size) * deg * (c_code.size + d_code.size)
-        if entries <= SPAN_BUDGET and c_code.size ** m <= 1 << 10:
+        rows, cols = deg * max(c_code.size, d_code.size), deg * (c_code.size + d_code.size)
+        if rows * cols * min(rows, cols) <= DEFAULT_BUDGET and c_code.size ** m <= 1 << 10:
             q_states = [big_phi(c_code, d_code, sc.table, w)
                         for w in iter_codewords(d_code)]
             if not span_equal(equal_sum_states(c_code, m), q_states):

@@ -73,7 +73,7 @@ def test_kron_fourier_order_four():
 
 
 def test_kron_fourier_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^matrix order: 8192 requested, limit 4096$"):
         kron_fourier(2, 13)
 
 

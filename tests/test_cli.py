@@ -6,6 +6,7 @@ from qbh import statevec as sv
 from qbh.bh import BhMatrix, bh_to_text, kron_fourier
 from qbh.cli import main
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text
+from qbh.pauli import PauliElement
 from qbh.gf import field_make
 from qbh.statevec import CycAmp
 
@@ -351,7 +352,7 @@ def test_budget_guard(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    assert "8 + 128 = 136 elements requested, limit 4; raise it with --budget" in err
+    assert "centralizer walk elements: 136 requested, limit 4; raise it with --budget" in err
     rc = main(["--budget", "-3", "distance", out])
     assert rc == 2
 
@@ -362,7 +363,7 @@ def test_budget_reaches_the_closed_form_distance(tmp_path, capsys):
     c = _write(tmp_path, "c.txt", "2 1 6 2\n1 1 1 1 0 0\n0 0 1 1 1 1\n")
     d = _write(tmp_path, "d.txt", "2 2 3 2\n1 0 1\n0 1 2\n")
     out = str(tmp_path / "eighteen.stab")
-    message = "outer code walk: 16 words requested, limit 8; raise it with --budget"
+    message = "outer code walk words: 16 requested, limit 8; raise it with --budget"
     assert main(["--budget", "8", "construct", "-c", c, "-d", d, "-o", out]) == 2
     assert message in capsys.readouterr().err
     assert main(["--budget", "16", "construct", "-c", c, "-d", d, "-o", out]) == 0
@@ -370,7 +371,51 @@ def test_budget_reaches_the_closed_form_distance(tmp_path, capsys):
     assert main(["--budget", "8", "distance", out, "-c", c, "-d", d]) == 2
     assert message in capsys.readouterr().err
     assert main(["--budget", "2", "distance", out, "-c", c, "-d", d]) == 2
-    assert "codeword walk: 4 words requested, limit 2" in capsys.readouterr().err
+    assert "codeword walk words: 4 requested, limit 2" in capsys.readouterr().err
+
+
+def test_budget_reaches_fix_dim(tmp_path, capsys):
+    # one Z check on 17 qubits: fix_dim runs on all 2^17 labels
+    sc = StabilizerCode(F2, 17, 16, 1, 1, [PauliElement(F2, 0, (0,) * 17, (1,) * 17)])
+    stab = _write(tmp_path, "z17.stab", stab_to_text(sc))
+    assert main(["--budget", "65536", "verify", stab, "--statevec"]) == 2
+    assert ("error: fix_dim labels: 131072 requested, limit 65536; raise it with --budget"
+            in capsys.readouterr().err)
+    assert main(["verify", stab, "--statevec"]) == 0
+    assert "fix_dim=65536 expected=65536" in capsys.readouterr().out
+
+
+def test_verify_statevec_past_2_16_labels_at_the_default_budget(tmp_path, capsys):
+    # [[21,8]]_2 from C = Hamming [7,4]_2 and D = <101, 011> over GF(16):
+    # 2^21 labels for fix_dim, 2^8 code states of 2^12 slots each
+    c = _write(tmp_path, "c.txt", "2 1 7 4\n1 0 0 0 1 1 0\n0 1 0 0 0 1 1\n"
+                                  "0 0 1 0 1 1 1\n0 0 0 1 1 0 1\n")
+    d = _write(tmp_path, "d.txt", "2 4 3 2\n1 0 1\n0 1 1\n")
+    out = str(tmp_path / "s21.stab")
+    assert main(["construct", "-c", c, "-d", d, "-o", out]) == 0
+    assert capsys.readouterr().out.startswith("N=21 K=8 ")
+    assert main(["verify", out, "--statevec", "-c", c, "-d", d]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert got[2:] == ["fix_dim=256 expected=256", "phi_fixed=yes", "span_equal=yes"]
+    assert main(["--budget", "65536", "verify", out, "--statevec", "-c", c, "-d", d]) == 2
+    assert ("error: fix_dim labels: 2097152 requested, limit 65536; raise it with --budget"
+            in capsys.readouterr().err)
+
+
+def test_budget_reaches_the_code_states(tmp_path, capsys):
+    # C = [3,2]_2 and D = [3,2]_4: fix_dim runs on 2^9 labels, but the
+    # 16 code states hold 4^3 slots each, 1024 in all
+    c = _write(tmp_path, "c.txt", "2 1 3 2\n1 0 1\n0 1 1\n")
+    d = _write(tmp_path, "d.txt", "2 2 3 2\n1 0 1\n0 1 1\n")
+    out = str(tmp_path / "nine.stab")
+    assert main(["construct", "-c", c, "-d", d, "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["--budget", "512", "verify", out, "--statevec", "-c", c, "-d", d]) == 2
+    got = capsys.readouterr()
+    assert "fix_dim=16 expected=16" in got.out
+    assert "error: code state slots: 1024 requested, limit 512; raise it with --budget" in got.err
+    assert main(["--budget", "1024", "verify", out, "--statevec", "-c", c, "-d", d]) == 0
+    assert "span_equal=yes" in capsys.readouterr().out
 
 
 def test_construct_rejects_bad_code_file(tmp_path, capsys):
@@ -387,4 +432,6 @@ def test_construct_rejects_field_beyond_limit_at_once(tmp_path, capsys, head):
     d = _write(tmp_path, "d.txt", SHOR_D)
     rc = main(["construct", "-c", bad, "-d", d, "-o", str(tmp_path / "o")])
     assert rc == 2
-    assert "exceeds limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: field ") and "requested, limit" in err
+    assert "--budget" not in err  # a representation limit: no flag lifts it

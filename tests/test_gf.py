@@ -84,8 +84,12 @@ def test_degree_must_be_positive():
 
 
 def test_size_limit():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as refused:
         field_make(2, 17)
+    assert (refused.value.what, refused.value.requested, refused.value.limit,
+            refused.value.flag) == ("field degree", 17, 16, None)
+    with pytest.raises(BudgetExceeded, match=r"^field order: 177147 requested, limit 65536$"):
+        field_make(3, 11)
     assert FIELD_SIZE_LIMIT == 1 << 16
 
 

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, no package module imports anything outside the
 standard library, every public name is read by the package or the
-benchmark or kept for a listed reason, and the CLI loads the state and
-matrix modules only for the commands that run them."""
+benchmark or kept for a listed reason, the package has one work budget
+and every refusal passes its counts as values, and the CLI loads the
+state and matrix modules only for the commands that run them."""
 
 import ast
 import os
@@ -244,6 +245,52 @@ def test_unread_check_sees_modules_aliases_and_outside_readers():
     others = ["import qbh.b as bb\nfrom qbh.a import outside\nbb.f()\n",
               "from other.a import lonely\nimport other.a as a\na.rec()\n"]
     assert unread_definitions(modules, others) == {"a.lonely", "a.rec"}
+
+
+def limits(source: str) -> tuple:
+    """(assigned, budgets, unstructured) for one module: the *_BUDGET and
+    *_LIMIT names it assigns, the *_BUDGET names it assigns or imports
+    (under any alias), and the line of each ``BudgetExceeded`` call that does not
+    pass what, requested and limit as separate values: a call with fewer
+    than three positional arguments, an f-string among them, or a string
+    for the count or the limit."""
+    assigned, budgets, unstructured = set(), set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            assigned |= {n for n in names if n.endswith(("_BUDGET", "_LIMIT"))}
+            budgets |= {n for n in names if n.endswith("_BUDGET")}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            budgets |= {a.name for a in node.names if a.name.endswith("_BUDGET")}
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetExceeded"):
+            args = node.args[:3]
+            if (len(args) < 3 or any(isinstance(a, ast.JoinedStr) for a in args)
+                    or any(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                           for a in args[1:])):
+                unstructured.append(node.lineno)
+    return assigned, budgets, unstructured
+
+
+def test_one_budget_and_structured_refusals():
+    found = {path.stem: limits(path.read_text()) for path in SOURCES}
+    assert {(m, n) for m, (assigned, _, _) in found.items() for n in assigned} == {
+        ("errors", "DEFAULT_BUDGET"), ("gf", "FIELD_SIZE_LIMIT"), ("bh", "KRON_ORDER_LIMIT")}
+    assert set().union(*(budgets for _, budgets, _ in found.values())) == {"DEFAULT_BUDGET"}
+    assert {m: lines for m, (_, _, lines) in found.items() if lines} == {}
+
+
+def test_limit_check_sees_new_budgets_and_preformatted_messages():
+    src = ("from .errors import DEFAULT_BUDGET, WALK_BUDGET as W\n"
+           "ROW_BUDGET = 1 << 16\nSIZE_LIMIT: int = 4\n"
+           "def f(n):\n"
+           "    raise BudgetExceeded(f'{n} labels exceed budget {ROW_BUDGET}')\n"
+           "    raise errors.BudgetExceeded('walk', '16 words', 8)\n"
+           "    raise BudgetExceeded(f'walk of {n}', n, W)\n"
+           "    raise BudgetExceeded('walk words', n, W, flag=None)\n")
+    assert limits(src) == ({"ROW_BUDGET", "SIZE_LIMIT"},
+                           {"DEFAULT_BUDGET", "WALK_BUDGET", "ROW_BUDGET"}, [5, 6, 7])
 
 
 LAZY_CHECK = """

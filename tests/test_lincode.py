@@ -153,7 +153,7 @@ def test_min_distance_matches_oracle(field, rows):
 
 def test_min_distance_budget():
     c = code_make(F2, HAMMING_7_4)
-    with pytest.raises(BudgetExceeded, match=r"^codeword walk: 16 words requested,"
+    with pytest.raises(BudgetExceeded, match=r"^codeword walk words: 16 requested,"
                        r" limit 8; raise it with --budget$"):
         min_distance(c, budget=8)
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh import linalg
-from qbh.errors import BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
+from qbh.errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
 from qbh.gf import FIELD_SIZE_LIMIT, Field, _vec_lanes, field_make
 from qbh.lincode import code_make, encode, fp_basis, iter_codewords
 from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
@@ -18,9 +19,6 @@ from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, x_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
 from qbh import statevec as sv
 from qbh.statevec import (
-    LABEL_BUDGET,
-    SPAN_BUDGET,
-    STAB_BUDGET,
     CycAmp,
     StateVector,
     apply,
@@ -341,22 +339,25 @@ def test_code_states_equal_their_readable_form(field, rows):
         assert equal_sum_states(c, blocks) == expected
 
 
-def test_state_make_refuses_more_labels_than_slots_before_eliminating(monkeypatch):
-    # S labels span at least S slots, so S > LABEL_BUDGET is refused
-    # before any elimination; fewer labels on too wide a span are
-    # refused after it, as before
+def test_state_make_refuses_too_many_label_digits_before_eliminating(monkeypatch):
+    # S labels x N r digit columns over the limit are refused before any
+    # elimination; fewer entries on too wide a span are refused after it.
+    # Neither is lifted by --budget, so neither names it.
     def refuse(*args):
         raise AssertionError("eliminated")
 
-    amps = {(x, 0, 0): CycAmp.one(5) for x in range(5)}
-    monkeypatch.setattr(sv, "LABEL_BUDGET", 4)
+    amps = {(x, y, 0): CycAmp.one(5) for x in range(5) for y in range(3)}
+    monkeypatch.setattr(sv, "DEFAULT_BUDGET", 31)
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "rref", refuse)
-        with pytest.raises(BudgetExceeded, match=r"^state support: 5 labels exceed budget 4$"):
+        with pytest.raises(BudgetExceeded,
+                           match=r"^state_make labels x digits: 45 requested, limit 31$"):
             state_make(F5, 3, amps)
-    four = {(0, 0, 0): ONE2, (1, 0, 0): ONE2, (0, 1, 0): ONE2, (0, 0, 1): ONE2}
-    with pytest.raises(BudgetExceeded, match=r"^state span: 2\^3 slots exceed budget 4$"):
-        state_make(F2, 3, four)
+    six = {tuple(int(i == j) for j in range(5)): ONE2 for i in range(6)}  # 0 and the units
+    with pytest.raises(BudgetExceeded, match=r"^state span slots: 32 requested, limit 31$"):
+        state_make(F2, 5, six)
+    monkeypatch.setattr(sv, "DEFAULT_BUDGET", 32)
+    assert state_make(F2, 5, six).basis.slots.size == 32
 
 
 def test_tensor_scale_and_inner_multiplicativity():
@@ -475,51 +476,60 @@ def test_span_budget_guard():
 
 
 def test_budget_messages_name_the_enumeration_count_and_limit():
-    assert (LABEL_BUDGET, SPAN_BUDGET) == (1 << 16, 1 << 16)
-    with pytest.raises(BudgetExceeded,
-                       match=r"^fix_dim space: 2\^17 labels exceed budget 65536$"):
-        fix_dim([z_op(F2, (1,) * 17)])
+    assert DEFAULT_BUDGET == 1 << 22
+    z17 = [z_op(F2, (1,) * 17)]
+    with pytest.raises(BudgetExceeded, match=r"^fix_dim labels: 131072 requested,"
+                       r" limit 65536; raise it with --budget$"):
+        fix_dim(z17, budget=1 << 16)
+    assert fix_dim(z17) == 1 << 16
+    # a state's span answers to DEFAULT_BUDGET, which no flag lifts
     flat9, flat8 = (state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
                     for n in (9, 8))
+    assert tensor(flat9, flat8).basis.slots.size == 1 << 17
+    thirteen = state_make(F2, 13, {tuple(int(i == j) for j in range(13)): ONE2 for i in range(13)})
     with pytest.raises(BudgetExceeded,
-                       match=r"^state span: 2\^17 slots exceed budget 65536$"):
-        tensor(flat9, flat8)
+                       match=r"^state span slots: 16777216 requested, limit 4194304$"):
+        tensor(thirteen, thirteen)  # 2^12 x 2^12 slots
     parity = code_make(F2, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)])
     f16 = field_make(2, 4)
-    outer = code_make(f16, [(1,) * 5])
+    outer = code_make(f16, [(1,) * 6])
     with pytest.raises(BudgetExceeded,
-                       match=r"^state span: 2\^20 slots exceed budget 65536$"):
-        big_phi(parity, outer, table_make(parity, f16), (0,) * 5)
+                       match=r"^state span slots: 16777216 requested, limit 4194304$"):
+        big_phi(parity, outer, table_make(parity, f16), (0,) * 6)  # 16^6 slots
+    assert len(equal_sum_states(parity, 5)) == 16
     with pytest.raises(BudgetExceeded,
-                       match=r"^equal-sum states: 16\^5 labels exceed budget 65536$"):
-        equal_sum_states(parity, 5)
+                       match=r"^equal-sum state slots: 16777216 requested, limit 4194304$"):
+        equal_sum_states(parity, 6)
     kets = [state_make(F2, 8, {x: ONE2}) for x in itertools.product((0, 1), repeat=8)]
-    with pytest.raises(BudgetExceeded,
-                       match=r"^span comparison: 512 x 640 rational entries exceed budget 65536$"):
-        span_equal(kets, kets[:64])
+    with pytest.raises(BudgetExceeded, match=r"^span_equal rows x columns x pivots: 167772160"
+                       r" requested, limit 4194304; raise it with --budget$"):
+        span_equal(kets, kets[:64])  # 512 x 640 x 512
 
 
 def test_state_budget_counts_the_slots_of_the_support_span():
-    # LABEL_BUDGET counts slot-array slots: p^D for a support whose affine
-    # span has dimension D, however few labels it holds
+    # a state's span counts slot-array slots: p^D for a support whose
+    # affine span has dimension D, however few labels it holds
     def units(n, count):
         return {tuple(int(i == j) for j in range(n)): ONE2 for i in range(count)}
 
     assert state_make(F2, 17, units(17, 17)).basis.slots.size == 1 << 16
+    assert state_make(F2, 23, units(23, 23)).basis.slots.size == 1 << 22
     with pytest.raises(BudgetExceeded,
-                       match=r"^state span: 2\^17 slots exceed budget 65536$"):
-        state_make(F2, 18, units(18, 18))
-    ten = state_make(F2, 10, units(10, 10))  # 10 labels on 2^9 slots
+                       match=r"^state span slots: 8388608 requested, limit 4194304$"):
+        state_make(F2, 24, units(24, 24))
+    twelve = state_make(F2, 12, units(12, 12))  # 12 labels on 2^11 slots
+    assert tensor(twelve, twelve).basis.slots.size == 1 << 22
+    thirteen = state_make(F2, 13, units(13, 13))
     with pytest.raises(BudgetExceeded,
-                       match=r"^state span: 2\^18 slots exceed budget 65536$"):
-        tensor(ten, ten)
+                       match=r"^state span slots: 16777216 requested, limit 4194304$"):
+        tensor(thirteen, thirteen)
 
 
 def test_phi_support_is_bounded_by_the_field_size_limit():
     # phi enumerates |C| = |K| labels, K the field of scalars of its
-    # table, so FIELD_SIZE_LIMIT <= LABEL_BUDGET is what lets phi go
+    # table, so FIELD_SIZE_LIMIT <= DEFAULT_BUDGET is what lets phi go
     # without a label guard of its own.
-    assert FIELD_SIZE_LIMIT <= LABEL_BUDGET
+    assert FIELD_SIZE_LIMIT <= DEFAULT_BUDGET
 
 
 def test_span_budget_counts_the_rational_columns_of_odd_p():
@@ -531,9 +541,22 @@ def test_span_budget_counts_the_rational_columns_of_odd_p():
         t = table_make(c, f)
         return [phi(c, t, 0)], [phi(c, t, 1)]
 
-    assert not span_equal(*phi_pair(101))
-    with pytest.raises(BudgetExceeded, match=r"^span comparison: 400 x 800 "):
-        span_equal(*phi_pair(401))
+    assert not span_equal(*phi_pair(101))  # 100 x 200 x 100
+    with pytest.raises(BudgetExceeded,
+                       match=r"^span_equal rows x columns x pivots: 128000000 requested"):
+        span_equal(*phi_pair(401))  # 400 x 800 x 400
+
+
+def test_span_equal_refuses_at_an_explicit_budget():
+    # two kets at p = 2: deg = 2, so 2 x 4 x 2 = 16 for the elimination
+    a, b = state_make(F2, 1, {(0,): ONE2}), state_make(F2, 1, {(1,): ONE2})
+    with pytest.raises(BudgetExceeded) as refused:
+        span_equal([a], [b], budget=15)
+    assert (refused.value.what, refused.value.requested, refused.value.limit,
+            refused.value.flag) == ("span_equal rows x columns x pivots", 16, 15, "--budget")
+    copy = pickle.loads(pickle.dumps(refused.value))  # as a worker process hands it back
+    assert (str(copy), copy.requested) == (str(refused.value), 16)
+    assert not span_equal([a], [b], budget=16)
 
 
 def test_span_row_equivalent_matrices_same_span():
@@ -640,14 +663,28 @@ def test_stab_of_scrambled_order_four_matrix_keeps_full_group():
 
 
 def test_stab_of_span_budget_counts_shifts_rows_and_output():
-    assert STAB_BUDGET == 1 << 20
     n = 11
     flat = state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
-    with pytest.raises(BudgetExceeded, match="shifts"):
-        stab_of_span([flat])  # 2^11 shifts x 2^11 rows
+    with pytest.raises(BudgetExceeded, match=r"^stab_of_span shifts x rows: 4194304 requested"):
+        stab_of_span([flat], budget=1 << 20)  # 2^11 shifts x 2^11 rows
     ket = state_make(F2, 17, {(0,) * 17: ONE2})
-    with pytest.raises(BudgetExceeded, match="fixing elements"):
-        stab_of_span([ket])  # all 2^17 Z(b) fix it, x 17 generators: > 2^20 products
+    with pytest.raises(BudgetExceeded, match=r"^stab_of_span elements x generators: 2228224 "):
+        stab_of_span([ket], budget=1 << 20)  # all 2^17 Z(b) fix it, x 17 generators
+
+
+def test_stab_of_span_refuses_at_an_explicit_budget():
+    # a flat state on 3 qubits: 8 shifts x 8 rows; its 8 X(a) x 3 generators
+    flat = state_make(F2, 3, {x: ONE2 for x in itertools.product((0, 1), repeat=3)})
+    with pytest.raises(BudgetExceeded, match=r"^stab_of_span shifts x rows: 64 requested,"
+                       r" limit 63; raise it with --budget$"):
+        stab_of_span([flat], budget=63)
+    assert len(stab_of_span([flat], budget=64)) == 8
+    # a ket on 3 qubits: 1 shift x 1 row; its 8 Z(b) x 3 generators
+    ket = state_make(F2, 3, {(0, 0, 0): ONE2})
+    with pytest.raises(BudgetExceeded, match=r"^stab_of_span elements x generators: 24 requested,"
+                       r" limit 23; raise it with --budget$"):
+        stab_of_span([ket], budget=23)
+    assert len(stab_of_span([ket], budget=24)) == 8
 
 
 def _assert_stab_matches_enumeration(states):
@@ -995,5 +1032,6 @@ def test_clean_generator_lists_fix_a_space_of_dimension_q_to_the_k(data):
 def test_fix_dim_budget_guard():
     gens = [z_op(F2, (1,) + (0,) * 16)]
     with pytest.raises(BudgetExceeded):
-        fix_dim(gens)
-    assert LABEL_BUDGET == 1 << 16
+        fix_dim(gens, budget=1 << 16)
+    assert fix_dim(gens) == 1 << 16
+    assert DEFAULT_BUDGET == 1 << 22
