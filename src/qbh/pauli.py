@@ -33,9 +33,9 @@ class PauliElement:
     """z^phase X(a) Z(b) in normal form.
 
     ``_packed`` is None until ``statevec.apply`` first acts with the
-    element; it then holds the lane-packed a and the trace form of b,
-    which every later ``apply`` reads.  Equality, hashing and ``repr``
-    ignore it, and every constructor starts it empty.
+    element; it then holds the lane-packed a, the trace form of b and
+    the work for the last basis and offset acted on.  Equality, hashing
+    and ``repr`` ignore it, and every constructor starts it empty.
     """
 
     __slots__ = ("field", "phase", "a", "b", "_packed")

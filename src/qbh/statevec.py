@@ -21,8 +21,10 @@ so equality compares it as plain values.  z^c X(a) Z(b) moves t + V to
 t + a + V: the slots translate by the digits of a at the pivot lanes,
 and the phase c + step tr(b.x) is affine in the slot digits, so
 ``apply`` costs a few big-int operations per basis row and none per
-label.  ``exps`` (label -> exponent) and ``amps`` (label tuple ->
-CycAmp) are read-only views of the form, built on first access.
+label, and it keeps its work for the last basis it met.  The code
+states of m blocks on one table share one product basis, each one sum
+of m spread slot arrays (``_fold``).  ``exps`` (label -> exponent) and
+``amps`` (label tuple -> CycAmp) are read-only views, built on first access.
 """
 
 from __future__ import annotations
@@ -102,11 +104,7 @@ class CycAmp:
         return self * CycAmp.root(self.p, e)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CycAmp)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, CycAmp) and (self.p, self.coeffs) == (other.p, other.coeffs)
 
     def __hash__(self):
         return hash((self.p, self.coeffs))
@@ -195,23 +193,15 @@ class StateVector:
         return frozenset(self.amps)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, StateVector)
-            and self.field == other.field
-            and self.length == other.length
-            and self.scale == other.scale
-            and self.basis == other.basis
-            and self.offset == other.offset
-            and self.mask == other.mask
-            and self.arr == other.arr
-        )
+        return isinstance(other, StateVector) and (
+            (self.field, self.length, self.scale, self.basis, self.offset, self.mask, self.arr)
+            == (other.field, other.length, other.scale, other.basis, other.offset, other.mask,
+                other.arr))
 
     def __repr__(self):
         size = self.mask.bit_count() // self.basis.slots.width
-        return (
-            f"StateVector(len={self.length}, support={size},"
-            f" span dim={len(self.basis.rows)}, scale={self.scale})"
-        )
+        return (f"StateVector(len={self.length}, support={size},"
+                f" span dim={len(self.basis.rows)}, scale={self.scale})")
 
 
 def _basis(f, n: int, rows) -> _Basis:
@@ -270,17 +260,14 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
 
 def _messages(code: LinearCode) -> list:
     """The message of the codeword in each slot of C, slot 0 first."""
-    msgs = [()]
-    for _ in range(code.k):
-        msgs = [m + (d,) for d in range(code.field.order) for m in msgs]
-    return msgs
+    return [m[::-1] for m in itertools.product(range(code.field.order), repeat=code.k)]
 
 
 def _message_labels(code: LinearCode) -> list:
     """For each slot of C, the int whose base-q digits, most significant
     first, are its message: the codeword's place in message order."""
     q = code.field.order
-    return [functools.reduce(lambda x, d: x * q + d, m, 0) for m in _messages(code)]
+    return [sum(d * q ** i for i, d in enumerate(reversed(m))) for m in _messages(code)]
 
 
 def _code_basis(code: LinearCode) -> _Basis:
@@ -289,26 +276,43 @@ def _code_basis(code: LinearCode) -> _Basis:
     return _basis(f, code.n, [_vec_lanes(f, g) for g in fp_basis(code)])
 
 
-def _code_state(code: LinearCode, basis: _Basis, values) -> StateVector:
-    """The state sum_s omega^(v_s) |c_s>, scaled by q^(-k/2), on the code
-    basis of C, where ``values`` lists v_s in F_p for the codeword c_s of
-    each slot s of C: one full slot array."""
-    slots = basis.slots
-    return StateVector(code.field, code.n, basis, 0, slots.full,
-                       _join([slots.step * v for v in values], slots.width),
-                       code.field.degree * code.k)
+def _product(code: LinearCode, m: int) -> tuple:
+    """(basis, spread) for states of m blocks of C: the code basis m times
+    side by side, block 0 lowest, so block b is digit b of the slot in
+    base |C|; and for each b its stride, |C|^b slots in bits, the
+    repunit of |C|^b slots times step = M / p, and the repunit of
+    |C|^(m-1-b) copies of |C|^(b+1) slots."""
+    f, size = code.field, code.size
+    shift = code.n * f.degree * _lane_width(f.p)
+    rows = _code_basis(code).rows
+    basis = _basis(f, code.n * m, [g << b * shift for b in range(m) for g in rows])
+    width, step = basis.slots.width, basis.slots.step
+    return basis, [(size ** b * width, _join([step] * size ** b, width),
+                    _join([1] * size ** (m - 1 - b), size ** (b + 1) * width)) for b in range(m)]
+
+
+def _fold(code: LinearCode, product, blocks) -> StateVector:
+    """The tensor product over b of sum_s omega^(v_s) |c_s>, each scaled
+    by q^(-k/2), for the values v = blocks[b] in F_p, one per slot of C,
+    as one full array on ``product``'s basis: each block joined at its
+    stride, multiplied by its repunits to fill each run and copy the
+    runs across, and the blocks added mod M."""
+    (basis, spread), arr = product, 0
+    for values, (bits, fill, copy) in zip(blocks, spread):
+        block = _join(values, bits) * fill * copy
+        arr = basis.slots.add(arr, block) if arr else block
+    return StateVector(code.field, code.n * len(blocks), basis, 0, basis.slots.full, arr,
+                       len(blocks) * code.field.degree * code.k)
 
 
 def _phi_states(code: LinearCode, table, lams) -> StateVector:
-    """The tensor product of phi(code, table, lam) over ``lams``.
+    """The tensor product of phi(code, table, lam) over ``lams``, by ``_fold``.
 
     f_lam(c) = tr(lam P(m)) with P = ``table.pack_message`` on the
-    message m of c, as in ``FunctionalTable.f_int``.  What every word of
-    D shares is built on the first call and kept in
-    ``table._state_parts`` for the table's lifetime: P(m) for the
-    message of each slot, the code basis, and the state of each distinct
-    lam asked for so far, whose exponents are read as tr(lam P(m)) once
-    per message.
+    message m of c, as in ``FunctionalTable.f_int``.  ``table._state_parts``
+    keeps for the table's lifetime what all words of D share: P(m) per
+    slot, the values tr(lam P(m)) of each lam asked for so far, read
+    once per message, and the ``_product`` of each block count.
     """
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
@@ -317,12 +321,13 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
         if not 0 <= lam < K.order:
             raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {K.order}")
     if table._state_parts is None:
-        table._state_parts = ([table.pack_message(m) for m in _messages(code)],
-                              _code_basis(code), {})
-    packed, basis, blocks = table._state_parts
-    for lam in set(lams) - blocks.keys():
-        blocks[lam] = _code_state(code, basis, [K.trace_int(K.mul(lam, y)) for y in packed])
-    return functools.reduce(tensor, [blocks[lam] for lam in lams])
+        table._state_parts = ([table.pack_message(m) for m in _messages(code)], {}, {})
+    packed, values, products = table._state_parts
+    for lam in set(lams) - values.keys():
+        values[lam] = [K.trace_int(K.mul(lam, y)) for y in packed]
+    if len(lams) not in products:
+        products[len(lams)] = _product(code, len(lams))
+    return _fold(code, products[len(lams)], [values[lam] for lam in lams])
 
 
 def phi(code: LinearCode, table, lam) -> StateVector:
@@ -359,7 +364,7 @@ def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVecto
 
 def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     """Tensor product of rows of a BH matrix, each read as a state on the
-    codewords of C.
+    codewords of C, by ``_fold`` on a product basis built for the call.
 
     Column label x names the codeword with message digits of x in base q,
     most significant first; the entry is the amplitude exponent.  The
@@ -371,13 +376,10 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     rows = list(rows)
     if not rows:
         raise ValueError("big_phi_from_matrix needs at least one row")
-    f = code.field
     if matrix.order != code.size:
-        raise DimensionMismatch(
-            f"matrix order {matrix.order} != number of codewords {code.size}"
-        )
-    if matrix.p != f.p:
-        raise DimensionMismatch(f"matrix entries mod {matrix.p}, field characteristic {f.p}")
+        raise DimensionMismatch(f"matrix order {matrix.order} != number of codewords {code.size}")
+    if matrix.p != code.field.p:
+        raise DimensionMismatch(f"matrix entries mod {matrix.p}, field characteristic {code.field.p}")
     for row in rows:
         if not 0 <= row < matrix.order:
             raise ValueError(f"row {row} is not a row of the matrix: need 0 <= row < {matrix.order}")
@@ -386,20 +388,19 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
         raise LabelsNotGroup(f"column labels must enumerate 0 .. {matrix.order - 1}")
     column = {x: j for j, x in enumerate(labels)}
     cols = [column[x] for x in _message_labels(code)]
-    basis = _code_basis(code)
-    blocks = {r: _code_state(code, basis, [matrix.rows[r][j] for j in cols]) for r in set(rows)}
-    return functools.reduce(tensor, [blocks[r] for r in rows])
+    values = {r: [matrix.rows[r][j] for j in cols] for r in set(rows)}
+    return _fold(code, _product(code, len(rows)), [values[r] for r in rows])
 
 
 def apply(e: PauliElement, v: StateVector) -> StateVector:
     """Act with z^c X(a) Z(b): labels shift by a, phases pick up tr(b.x).
 
     The offset moves to t + a, reduced at the pivot lanes by the digits
-    u of a there, and the slots translate by u.  On the label
-    t + sum_i X_i v_i the phase is c + step tr(b.t) + sum_i step
-    tr(b.v_i) X_i, one ``slots._Slots.affine`` array.  The lane-packed a
-    and the trace form of b depend on e alone: they are worked out on
-    e's first ``apply`` and kept in ``e._packed``.
+    u of a there, and support and exponents translate by u as one int,
+    off-support slots all ones (``slots._Slots.split``).  The phase on
+    t + sum_i X_i v_i is c + step tr(b.t) + sum_i step tr(b.v_i) X_i.
+    ``e._packed`` keeps the lane-packed a and trace form of b, then the
+    last basis and offset e met, with the new offset, u and phase array.
     """
     f = v.field
     if e.field != f:
@@ -408,18 +409,17 @@ def apply(e: PauliElement, v: StateVector) -> StateVector:
         raise LengthMismatch(f"operator on {len(e.a)} qudits, state on {v.length}")
     if not v.mask:
         return v  # the zero state
-    if e._packed is None:
-        e._packed = (_vec_lanes(f, e.a), *_trace_form(f, e.b))
-    a, rep, big = e._packed
-    b = v.basis
-    t = b.add(v.offset, a)
-    digits = [(t >> shift) & b.digit for shift in b.shifts]
-    t = b.reduce(t)
-    slots = b.slots
-    phase = slots.affine(e.phase + slots.step * ((v.offset * rep) & big).bit_count(),
-                         [((row * rep) & big).bit_count() for row in b.rows])
-    arr = slots.translate(slots.add(v.arr, phase) & v.mask, digits)
-    return StateVector(f, v.length, b, t, slots.translate(v.mask, digits), arr, v.scale)
+    a, rep, big, basis, offset, t, digits, phase = (
+        e._packed or (_vec_lanes(f, e.a), *_trace_form(f, e.b), None, None, None, None, None))
+    b, slots = v.basis, v.basis.slots
+    if basis is not b or offset != v.offset:
+        x = b.add(v.offset, a)
+        t, digits = b.reduce(x), [(x >> shift) & b.digit for shift in b.shifts]
+        phase = slots.affine(e.phase + slots.step * ((v.offset * rep) & big).bit_count(),
+                             [((row * rep) & big).bit_count() for row in b.rows])
+        e._packed = (a, rep, big, b, v.offset, t, digits, phase)
+    moved = slots.translate(slots.add(v.arr, phase) & v.mask | slots.full ^ v.mask, digits)
+    return StateVector(f, v.length, b, t, *slots.split(moved), v.scale)
 
 
 def is_fixed(e: PauliElement, v: StateVector) -> bool:
@@ -611,11 +611,11 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     found = []
     for c0, a, z0 in cosets:
         for coeffs in itertools.product(range(p), repeat=len(kernel)):
-            z = list(z0)
-            for t, k in zip(coeffs, kernel):
-                z = [(zi + t * ki) % p for zi, ki in zip(z, k)]
+            z = [(zi + sum(t * k[i] for t, k in zip(coeffs, kernel))) % p for i, zi in enumerate(z0)]
             found.append(element(c0, a, z))
     _check_fixing_group(states, found, gens)
+    for x in found:  # the self-check's apply work is no part of the result
+        x._packed = None
     return found
 
 

@@ -116,6 +116,28 @@ def test_statevec_path_reads_no_symplectic_algebra(root):
     assert referenced_names(source, root) & SYMPLECTIC == set()
 
 
+# One code-state path: phi, big_phi and big_phi_from_matrix build their
+# states by one fold on a shared product basis, never as a chain of
+# tensor products.
+FOLD_CHAIN = {"tensor", "reduce"}
+
+
+@pytest.mark.parametrize("root", ["phi", "big_phi", "big_phi_from_matrix"])
+def test_code_states_are_built_by_one_fold(root):
+    source = (pathlib.Path(qbh.__file__).parent / "statevec.py").read_text()
+    assert referenced_names(source, root) & FOLD_CHAIN == set()
+
+
+def test_fold_check_sees_a_tensor_chain_behind_helpers():
+    src = ("import functools\nfrom functools import reduce as fold\n"
+           "def tensor(v, w):\n    return v\n"
+           "def _chain(blocks):\n    return functools.reduce(tensor, blocks)\n"
+           "def big_phi(w):\n    return _chain(w)\n"
+           "def phi(w):\n    return fold(max, w)\n")
+    assert referenced_names(src, "big_phi") & FOLD_CHAIN == {"tensor", "reduce"}
+    assert referenced_names(src, "phi") & FOLD_CHAIN == {"reduce"}
+
+
 def all_names(tree) -> set:
     """Every name, attribute and imported name anywhere under ``tree``."""
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -177,6 +199,8 @@ UNREAD_BY_DESIGN = {
     "statevec.equal_sum_states": "state-vector oracle: the equal-sum states (acceptance 06)",
     "statevec.span_equal": "state-vector oracle: span equality (acceptance 06 and 07)",
     "statevec.state_make": "state-vector oracle: the readable state constructor (test_lemmas)",
+    "statevec.tensor": "the general product of two states, read by the lemma tests and by"
+                       " the oracle of the code-state fold (test_statevec)",
 }
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -55,10 +55,18 @@ def test_psi_drops_phase():
 ])
 def test_packed_form_stays_out_of_equality_and_is_never_copied(field, phase, a, b):
     warm, fresh = PauliElement(field, phase, a, b), PauliElement(field, phase, a, b)
-    apply(warm, state_make(field, 2, {(0, 0): CycAmp.one(field.p)}))
+    point = state_make(field, 2, {(0, 0): CycAmp.one(field.p)})
+    apply(warm, point)
     assert warm._packed is not None and fresh._packed is None
     assert warm == fresh and fresh == warm and len({warm, fresh}) == 1
     assert hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    # the last basis and offset acted on, and the work kept for them, are
+    # left out too: two elements warmed on different bases stay equal
+    other = PauliElement(field, phase, a, b)
+    flat = state_make(field, 2, {x: CycAmp.one(field.p) for x in itertools.product(range(2), repeat=2)})
+    apply(other, flat)
+    assert warm._packed[3] is point.basis and other._packed[3] is flat.basis
+    assert warm == other and hash(warm) == hash(other) and repr(warm) == repr(other)
     # every constructor starts with an empty packed form, also from a
     # filled element with the same a and b
     made = [psi(warm), mul(warm, warm), mul(warm, identity(field, 2)),

@@ -142,7 +142,7 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
     # 16 words of D name all 4 scalars.
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
     d = code_make(F4, [(1, 0, 1), (0, 1, 1)])
-    calls = dict.fromkeys(("pack", "mul", "member", "basis", "block"), 0)
+    calls = dict.fromkeys(("pack", "mul", "member", "basis", "product"), 0)
     inside = []  # K.mul calls of pack_message and of the D membership test are not counted
 
     def counted(name, fn, nested=False):
@@ -165,7 +165,7 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
                         counted("pack", FunctionalTable.pack_message, nested=True))
     monkeypatch.setattr(sv, "contains", counted("member", sv.contains, nested=True))
     monkeypatch.setattr(sv, "_code_basis", counted("basis", sv._code_basis))
-    monkeypatch.setattr(sv, "_code_state", counted("block", sv._code_state))
+    monkeypatch.setattr(sv, "_product", counted("product", sv._product))
     monkeypatch.setattr(Field, "mul", counted_mul)
     words = list(iter_codewords(d))
     runs = []
@@ -173,13 +173,20 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         t = table_make(code_make(F2, c.gen), F4)
         calls.update(dict.fromkeys(calls, 0))
         first = big_phi(c, d, t, words[0])  # the zero word: one scalar
-        assert calls == {"pack": 4, "mul": 4, "member": 1, "basis": 1, "block": 1}
+        assert calls == {"pack": 4, "mul": 4, "member": 1, "basis": 1, "product": 1}
+        assert len(t._state_parts[1]) == 1  # one list of tr(lam P(m))
         states = [first] + [big_phi(c, d, t, w) for w in words[1:]]
-        assert calls == {"pack": 4, "mul": 4 * 4, "member": 16, "basis": 1, "block": 4}
+        # one list per scalar, one product basis for m = 3
+        assert calls == {"pack": 4, "mul": 4 * 4, "member": 16, "basis": 1, "product": 1}
         runs.append((t._state_parts, states))
     (parts, states), (parts2, states2) = runs
-    assert parts is not parts2 and parts[2].keys() == parts2[2].keys() == {0, 1, 2, 3}
-    assert all(x is not y for x, y in zip(parts[2].values(), parts2[2].values()))
+    assert parts is not parts2 and parts[1].keys() == parts2[1].keys() == {0, 1, 2, 3}
+    assert all(x is not y for x, y in zip(parts[1].values(), parts2[1].values()))
+    assert parts[2].keys() == parts2[2].keys() == {3}
+    basis, basis2 = parts[2][3][0], parts2[2][3][0]
+    # the 16 states share one basis object, and the second table builds its own
+    assert all(v.basis is basis for v in states) and all(v.basis is basis2 for v in states2)
+    assert basis is not basis2 and basis == basis2
     assert states == states2
 
 
@@ -642,6 +649,7 @@ def test_stab_of_four_one_matches_generators():
     for e in group:
         assert e.phase == 0
         assert sc.contains_symplectic(e.a, e.b)
+        assert e._packed is None  # the self-check's apply work is not kept
 
 
 def test_stab_of_scrambled_order_four_matrix_keeps_full_group():
@@ -851,9 +859,18 @@ def test_apply_with_a_filled_packed_form_equals_apply_with_a_fresh_element(data)
     f, n = v.field, v.length
     vec = st.one_of(st.just([0] * n), st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n))
     phase, a, b = data.draw(st.integers(0, phase_modulus(f) - 1)), data.draw(vec), data.draw(vec)
+    label = data.draw(st.tuples(*[st.integers(0, f.order - 1)] * n))
+    warmers = [
+        v,
+        apply(x_op(f, data.draw(vec)), v),  # v's basis object, most often at another offset
+        state_make(f, n, v.amps, v.scale),  # an equal but distinct basis
+        state_make(f, n, {label: CycAmp.one(f.p)}),  # another basis, unless v has one label
+    ]
+    assert warmers[1].basis is v.basis and warmers[2].basis is not v.basis
     warm = PauliElement(f, phase, a, b)
-    apply(warm, state_make(f, n, {(0,) * n: CycAmp.one(f.p)}))
-    assert apply(warm, v) == apply(PauliElement(f, phase, a, b), v)
+    for w in data.draw(st.lists(st.sampled_from(warmers), min_size=1, max_size=6), label="order"):
+        assert apply(warm, w) == apply(PauliElement(f, phase, a, b), w)
+        assert apply(warm, v) == apply(PauliElement(f, phase, a, b), v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -879,6 +896,58 @@ def test_states_from_built_parts_equal_states_from_a_fresh_table(data):
     states = [big_phi(c, d, warm, w) for w in words]
     for w, state in zip(words, states):
         assert big_phi(c, d, warm, w) == state == big_phi(c, d, table_make(c, K), w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_big_phi_equals_the_tensor_fold_of_its_phi_states(data):
+    f = data.draw(st.sampled_from([F2, F4, F3, F9, F5]), label="field")
+    k = data.draw(st.integers(1, 2 if f.order ** 2 <= 16 else 1), label="k")
+    n = data.draw(st.integers(k, k + 1), label="n")
+    size = f.order ** k  # |C| = |K|
+    m = data.draw(st.integers(1, max(j for j in (1, 2, 3) if size ** j <= 1024)), label="m")
+    s = data.draw(st.integers(1, max(j for j in range(1, m + 1) if size ** j <= 81)), label="s")
+    K = field_make(f.p, f.degree * k)
+
+    def rows(field, count, length):
+        entry = st.integers(0, field.order - 1)
+        drawn = data.draw(st.lists(st.tuples(*[entry] * length), min_size=count, max_size=count))
+        assume(linalg.rank(field, drawn) == count)
+        return drawn
+
+    c, d = code_make(f, rows(f, k, n)), code_make(K, rows(K, s, m))
+    t = table_make(c, K)
+    for w in data.draw(st.lists(st.sampled_from(list(iter_codewords(d))), min_size=1, max_size=3)):
+        blocks = [phi(c, t, lam) for lam in w]
+        v = big_phi(c, d, t, w)
+        assert v == functools.reduce(tensor, blocks)
+        readable = {(): CycAmp.one(f.p)}
+        for block in blocks:
+            readable = {x + y: u * z for x, u in readable.items() for y, z in block.amps.items()}
+        assert v.amps == readable
+
+
+FOURIER_CODES = [
+    (kron_fourier(2, 2), code_make(F2, [(1, 0, 1), (0, 1, 1)])),
+    (kron_fourier(2, 2), code_make(F4, [(1, 2, 3)])),
+    (kron_fourier(2, 3), code_make(F2, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])),
+    (kron_fourier(3, 2), code_make(F3, [(1, 0, 1), (0, 1, 2)])),
+    (kron_fourier(3, 2), code_make(F9, [(1, 3, 5)])),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_matrix_states_equal_the_tensor_fold_of_their_rows(data):
+    base, c = data.draw(st.sampled_from(FOURIER_CODES), label="case")
+    order = base.order
+    perm = data.draw(st.permutations(range(order)), label="columns")
+    matrix = BhMatrix(order, base.p, tuple(tuple(r[j] for j in perm) for r in base.rows),
+                      col_labels=base.col_labels)
+    rows = data.draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=2), label="rows")
+    rows.insert(data.draw(st.integers(0, len(rows)), label="at"), rows[0])  # a repeated row
+    singles = [big_phi_from_matrix(matrix, c, [r]) for r in rows]
+    assert big_phi_from_matrix(matrix, c, rows) == functools.reduce(tensor, singles)
 
 
 @settings(max_examples=100, deadline=None)
