@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import BudgetExceeded, DegenerateForm, LabelsNotGroup, LengthMismatch, NotBh
-from .gf import _text_lines, _unpack_digits, field_make
+from .gf import _lane_pack, _lane_width, _text_lines, _unpack_digits, field_make
 
 KRON_ORDER_LIMIT = 1 << 12
 
@@ -182,7 +182,7 @@ class BilinearForm:
         self.p = p
         self.dim = t
         self.gram = tuple(rows)
-        if linalg.rank(field_make(p, 1), rows) != t:
+        if len(linalg.Echelon(p, t, [_lane_pack(r, _lane_width(p)) for r in rows]).lead) != t:
             raise DegenerateForm(f"Gram matrix {rows} is singular over F_{p}")
 
     def apply(self, x, y) -> int:

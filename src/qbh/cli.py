@@ -37,14 +37,14 @@ def _rebuild(args, sc):
     """The code built from -c and -d, or None when neither is given.
 
     Both files must be given, and the pair must generate the same
-    symplectic rows as the stabilizer export ``sc``.
+    stabilizer group as the export ``sc``, whatever generators it lists.
     """
     if not (args.code or args.d_code):
         return None
     if not (args.code and args.d_code):
         raise ValueError("-c and -d must be given together")
     rebuilt = con.build(*_load_pair(args))
-    if sorted(rebuilt.sympl_matrix) != sorted(sc.sympl_matrix):
+    if not rebuilt.same_row_space(sc):
         raise ValueError("classical codes do not generate this stabilizer file")
     return rebuilt
 

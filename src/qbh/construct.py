@@ -31,17 +31,17 @@ import math
 from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionBounds, DimensionMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
-from .gf import _field_from_body, _gray_span, _modulus_lines, _text_lines, field_make
+from .gf import (_field_from_body, _gray_span, _lane_dot, _lane_pack, _lane_width,
+                 _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
 from .lincode import (
     LinearCode,
-    _fp_rows,
     _min_weight_outside,
     dual,
     encode,
     fp_basis,
     min_distance,
 )
-from .pauli import PauliElement, _dot_trace, symp_ip_int
+from .pauli import PauliElement
 
 
 class StabilizerCode:
@@ -49,13 +49,14 @@ class StabilizerCode:
 
     ``code``, ``d_code`` and ``table`` hold the construction data when
     the object was built rather than parsed; the closed-form distance
-    needs them, the brute-force one does not.
+    needs them, the brute-force one does not.  ``_rows`` and ``_sbar_echelon``
+    are None until ``_pairings`` and ``_sbar`` first compute them.
     """
 
     __slots__ = (
         "field", "n", "k", "m", "s", "generators",
         "code", "d_code", "table", "delta",
-        "_sbar_rref", "_sbar_pivots",
+        "_rows", "_sbar_echelon",
     )
 
     def __init__(self, field, n, k, m, s, generators,
@@ -70,8 +71,8 @@ class StabilizerCode:
         self.d_code = d_code
         self.table = table
         self.delta = delta
-        self._sbar_rref = None
-        self._sbar_pivots = None
+        self._rows = None
+        self._sbar_echelon = None
 
     @property
     def num_qudits(self) -> int:
@@ -87,18 +88,29 @@ class StabilizerCode:
         """Generator symplectic rows flattened to F_p digit vectors."""
         return [self.field.vec_digits(g.a + g.b) for g in self.generators]
 
-    def _sbar(self):
-        if self._sbar_rref is None:
-            prime = field_make(self.field.p, 1)
-            self._sbar_rref, self._sbar_pivots = linalg.rref(prime, self.sympl_matrix)
-        return self._sbar_rref, self._sbar_pivots
+    def _sbar(self) -> linalg.Echelon:
+        """The echelon over F_p of the generator rows, lane-packed (a | b)."""
+        if self._sbar_echelon is None:
+            f = self.field
+            self._sbar_echelon = linalg.Echelon(f.p, 2 * self.num_qudits * f.degree,
+                                                _pairings(self)[0])
+        return self._sbar_echelon
+
+    def same_row_space(self, other: StabilizerCode) -> bool:
+        """Whether the generator rows of both codes span one F_p-space.
+
+        For a code of ``build`` that is equality of the groups whenever
+        ``other``'s generators carry phase 0, as those of ``stab_from_text``
+        do.  The pair's pure-X and pure-Z generators commute, so
+        tr(b . a') = 0 between them, and its group holds one element over
+        each row (a | b): the phase-free X(a) Z(b).  Each generator of
+        ``other`` is then in that group, and both groups cover the rows.
+        """
+        return self._sbar().rows == other._sbar().rows
 
     def contains_symplectic(self, a, b) -> bool:
         """Membership of (a|b) in the F_p-span of the generator rows."""
-        rrows, pivots = self._sbar()
-        prime = field_make(self.field.p, 1)
-        vec = self.field.vec_digits(tuple(a) + tuple(b))
-        return not any(linalg.reduce_vector(prime, rrows, pivots, vec))
+        return not self._sbar().reduce(_vec_lanes(self.field, tuple(a) + tuple(b)))
 
     def __repr__(self):
         d = f", delta={self.delta}" if self.delta is not None else ""
@@ -176,10 +188,13 @@ def _leader_weights(table: FunctionalTable, below: int | None = None) -> list:
 
 def _subcode_basis(d_code: LinearCode, support) -> list:
     """F_p-basis of D_S = D cap K^S, S = ``support``: the words x . G of
-    the messages x with x . G_j = 0 for every generator column j outside S."""
-    K = d_code.field
-    outside = [tuple(row[j] for row in d_code.gen) for j in range(d_code.n) if j not in support]
-    return _fp_rows(K, [encode(d_code, x) for x in linalg.nullspace(K, outside, d_code.k)])
+    the messages x with tr(p^t x . G_j) = 0 for every digit unit p^t and
+    generator column j outside S, one kernel over F_p."""
+    K, k = d_code.field, d_code.k
+    rows = [_lane_pack(K.trace_rows([K.mul(K.p ** t, row[j]) for row in d_code.gen]),
+                       _lane_width(K.p))
+            for j in range(d_code.n) if j not in support for t in range(K.degree)]
+    return [encode(d_code, _lanes_vec(K, k, x)) for x in linalg.kernel(K.p, k * K.degree, rows)]
 
 
 def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
@@ -251,95 +266,93 @@ def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
     return sc.delta
 
 
-def centralizer_basis(sc: StabilizerCode) -> list:
-    """F_p-basis of the symplectic centralizer of the generator rows,
-    each vector (a | b) as the phase-0 element X(a) Z(b).
-
-    The basis is the nullspace of the symplectic pairing against the
-    generators, computed from the generator list alone, so built and
-    parsed codes take the same path and the brute-force distance never
-    reads construction data.  Every returned vector is checked to pair
-    to zero with every generator.
-    """
+def _pairings(sc: StabilizerCode) -> tuple:
+    """(rows, pairings) of the generators, lane-packed over the 2Nr digits
+    of an (a | b): each generator's own digits, and its pairing with an
+    unknown (a | b), tr(g.a . b) - tr(g.b . a), as a row on those digits."""
     f = sc.field
-    prime = field_make(f.p, 1)
-    N = sc.num_qudits
-    # pairing of unknown (a|b) with g, as a functional on digits:
-    # tr(g.a . b) - tr(g.b . a)
-    rows = [
-        tuple(-t % f.p for t in f.trace_rows(g.b)) + f.trace_rows(g.a)
-        for g in sc.generators
-    ]
-    out = []
-    for vec in linalg.nullspace(prime, rows, 2 * N * f.degree):
-        x = f.vec_from_digits(vec)
-        v = PauliElement(f, 0, x[:N], x[N:])
-        if any(symp_ip_int(f, v.a, v.b, g.a, g.b) for g in sc.generators):
+    if sc._rows is None:
+        sc._rows = ([_vec_lanes(f, g.a + g.b) for g in sc.generators],
+                    [_lane_pack([-t % f.p for t in f.trace_rows(g.b)] + list(f.trace_rows(g.a)),
+                                _lane_width(f.p)) for g in sc.generators])
+    return sc._rows
+
+
+def centralizer_basis(sc: StabilizerCode) -> list:
+    """F_p-basis of the symplectic centralizer of the generator rows, each
+    vector (a | b) as its lane-packed digits, a's before b's (``gf``'s
+    vector format, ``_lanes_vec`` unpacks them).
+
+    The basis is the kernel of the pairing rows of the generators,
+    computed from the generator list alone, so built and parsed codes
+    take the same path and the brute-force distance never reads
+    construction data.  Every returned vector v is checked to pair to
+    zero with every generator g the other way round, apart from those
+    rows: v's own pairing row, tr(v.b . a) - tr(v.a . b) on the digits
+    of an (a | b), dotted with g's own digits.
+    """
+    f, N = sc.field, sc.num_qudits
+    p, w = f.p, _lane_width(f.p)
+    out = linalg.kernel(p, 2 * N * f.degree, _pairings(sc)[1])
+    own = [_vec_lanes(f, g.a + g.b) for g in sc.generators]
+    for v in out:
+        x = _lanes_vec(f, 2 * N, v)
+        row = _lane_pack(f.trace_rows(x[N:]) + tuple(-t % p for t in f.trace_rows(x[:N])), w)
+        if any(_lane_dot(p, row, y) for y in own):
             raise ArithmeticError(
                 "centralizer vector fails to commute; construction data corrupt"
             )
-        out.append(v)
     return out
 
 
 def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum symplectic weight over the centralizer outside the stabilizer.
 
-    Reads only the generator list.  When every generator is pure X
-    (b = 0) or pure Z (a = 0) the code is CSS, and its centralizer
-    splits as A x B: A the X-parts a with tr(a . z) = 0 for every
-    Z-part z, B the Z-parts b with tr(b . x) = 0 for every X-part x.
-    The pairing rows of such generators are block diagonal, so the
-    reduced basis from ``centralizer_basis`` is the pure-X vectors
-    (a|0), a in a basis of A, and the pure-Z vectors (0|b); a mixed
-    vector in it raises.  The stabilizer splits as S_X x S_Z the same way.  An element (a|b)
-    outside S_X x S_Z has a outside S_X or b outside S_Z, and
-    wt(a|b) >= max(wt a, wt b), with equality for (a|0) and (0|b).  So
-    the distance is the smaller of the minimum weights of A outside S_X
-    and of B outside S_Z, and the two halves are walked apart: p^{dim A}
-    + p^{dim B} elements instead of p^{dim A + dim B}.  Other generator
-    lists walk the whole centralizer, a and b digits side by side.  The
-    minimum is over the nonzero stabilizer when no element lies outside
-    it.  ``budget`` caps the total number of elements walked.
+    Reads only the generator list, as lane-packed (a | b) rows.  When
+    every generator is pure X (b = 0) or pure Z (a = 0) the code is CSS,
+    and its centralizer splits as A x B: A the X-parts a with
+    tr(a . z) = 0 for every Z-part z, B the Z-parts b with tr(b . x) = 0
+    for every X-part x.  Its pairing rows are block diagonal, so the
+    reduced basis from ``centralizer_basis`` is pure-X vectors (a|0), a
+    in a basis of A, and pure-Z vectors (0|b), told apart by the lanes
+    they fill; a mixed vector in it raises.  The stabilizer splits as
+    S_X x S_Z the same way.  An element (a|b) outside S_X x S_Z has a
+    outside S_X or b outside S_Z, and wt(a|b) >= max(wt a, wt b), with
+    equality for (a|0) and (0|b).  So the distance is the smaller of the
+    minimum weights of A outside S_X and of B outside S_Z, walked apart:
+    p^{dim A} + p^{dim B} elements instead of p^{dim A + dim B}.  Other
+    generator lists walk the whole centralizer, weighing (a|b) by a OR b.
+    The minimum is over the nonzero stabilizer when no element lies
+    outside it.  ``budget`` caps the total number of elements walked.
     """
     f = sc.field
     p, r, N = f.p, f.degree, sc.num_qudits
-    prime = field_make(p, 1)
-    gens = sc.generators
-    centralizer = centralizer_basis(sc)
-    if all(not any(g.a) or not any(g.b) for g in gens):
-        a_half = [f.vec_digits(v.a) for v in centralizer if not any(v.b)]
-        b_half = [f.vec_digits(v.b) for v in centralizer if not any(v.a)]
+    half = N * r * _lane_width(p)  # the bit offset of the b digits
+    low = (1 << half) - 1
+    rows, centralizer = _pairings(sc)[0], centralizer_basis(sc)
+    lanes, fold = 2 * N * r, half
+    halves = [(rows, centralizer)]
+    if all(not g & low or not g >> half for g in rows):
+        a_half = [v for v in centralizer if not v >> half]
+        b_half = [v >> half for v in centralizer if not v & low]
         if len(a_half) + len(b_half) != len(centralizer):
             raise ArithmeticError(
                 "centralizer vector of a CSS generator list is neither pure X"
                 " nor pure Z; construction data corrupt"
             )
-        halves = [
-            ([f.vec_digits(g.a) for g in gens if any(g.a)], a_half),
-            ([f.vec_digits(g.b) for g in gens if any(g.b)], b_half),
-        ]
-        per_qudit = r
-    else:
-        def qudit_major(v):
-            """The digits of a_0, b_0, a_1, b_1, ...: qudit i in chunk i."""
-            return f.vec_digits(itertools.chain.from_iterable(zip(v.a, v.b)))
-
-        halves = [([qudit_major(g) for g in gens], [qudit_major(v) for v in centralizer])]
-        per_qudit = 2 * r
+        halves = [([g for g in rows if g & low], a_half),
+                  ([g >> half for g in rows if g >> half], b_half)]
+        lanes, fold = N * r, 0
     walks = []
     for span, vecs in halves:
-        srows, pivots = linalg.rref(prime, span)
-        rest, _ = linalg.rref(prime, [
-            linalg.reduce_vector(prime, srows, pivots, v) for v in vecs
-        ])
-        walks.append((srows, rest))
+        srows = linalg.Echelon(p, lanes, span)
+        walks.append((srows.rows, linalg.Echelon(p, lanes, map(srows.reduce, vecs)).rows))
     requested = sum(p ** (len(srows) + len(rest)) for srows, rest in walks)
     if requested > budget:
         raise BudgetExceeded("centralizer walk elements", requested, budget)
     if any(rest for _, rest in walks):
         walks = [(srows, rest) for srows, rest in walks if rest]
-    return min(_min_weight_outside(p, srows, rest, N, per_qudit) for srows, rest in walks)
+    return min(_min_weight_outside(p, srows, rest, N, r, fold) for srows, rest in walks)
 
 
 def verify_generators(sc: StabilizerCode) -> list:
@@ -347,19 +360,23 @@ def verify_generators(sc: StabilizerCode) -> list:
 
     At p = 2 a phase-free X(a) Z(b) squares to (-1)^tr(b.a), so an odd
     trace puts -I in the group and leaves only the zero vector fixed.
-    At odd p, (X(a) Z(b))^p = I always.
+    At odd p, (X(a) Z(b))^p = I always.  Generators i < j commute when
+    the packed dot of j's digits with i's pairing row is 0.
     """
     f = sc.field
+    rows, pairings = _pairings(sc)
+    low = (1 << sc.num_qudits * f.degree) - 1  # the a digits, one bit each at p = 2
     problems = []
-    for i, g in enumerate(sc.generators):
+    for i, (g, x, y) in enumerate(zip(sc.generators, rows, pairings)):
         if g.phase:
             problems.append(f"generator {i} carries phase exponent {g.phase}")
-        elif f.p == 2 and _dot_trace(f, g.b, g.a):
+        elif f.p == 2 and (x & y & low).bit_count() & 1:
             problems.append(f"generator {i} squares to -I: tr(b.a) is odd")
-    for (i, x), (j, y) in itertools.combinations(enumerate(sc.generators), 2):
-        if symp_ip_int(f, x.a, x.b, y.a, y.b):
-            problems.append(f"generators {i} and {j} do not commute")
-    rank = len(sc._sbar()[0])
+    for i, y in enumerate(pairings):
+        for j in range(i + 1, len(rows)):
+            if _lane_dot(f.p, rows[j], y):
+                problems.append(f"generators {i} and {j} do not commute")
+    rank = len(sc._sbar().rows)
     expected = f.degree * (sc.n * sc.m - sc.k * sc.s)
     if rank != expected:
         problems.append(
@@ -402,6 +419,8 @@ def stab_from_text(text: str) -> StabilizerCode:
         raise ValueError("stabilizer file header must be 'p r n k m s N K delta'")
     p, r, n, k, m, s, N, K = (int(x) for x in head[:8])
     delta = None if head[8] == "-" else int(head[8])
+    if min(n, m) < 1 or min(k, s) < 0:
+        raise ValueError(f"header needs n, m >= 1 and k, s >= 0: {head}")
     if N != n * m or K != k * s:
         raise ValueError(f"header inconsistent: N != n*m or K != k*s in {head}")
     if delta is not None and not 1 <= delta <= N:

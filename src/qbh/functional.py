@@ -26,7 +26,7 @@ import itertools
 
 from . import linalg
 from .errors import DegenerateD, DimensionMismatch, NotACodeword
-from .gf import Field, field_make
+from .gf import Field, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from .lincode import LinearCode, code_make, contains, dual, encode, fp_basis
 
 
@@ -72,7 +72,7 @@ class FunctionalTable:
             cur = scalars.mul(cur, g)
         self._basis_powers = tuple(powers)
 
-        f, K, prime = code.field, scalars, self.prime
+        f, K = code.field, scalars
         r, n = f.degree, code.n
         basis = fp_basis(code)
         # pairing[e][column of digit d of x_j] = tr_{q/p}(e_j * p^d), the
@@ -83,30 +83,29 @@ class FunctionalTable:
         # C^perp is F_q-linear, so given the earlier coordinates each
         # coordinate of the solution coset is either forced or free over
         # all of F_q.  The reduction is linear too.
-        pairing = [f.trace_rows(e) for e in basis]
+        p, w, nr, kr = K.p, _lane_width(K.p), n * r, K.degree
+        pairing = [_lane_pack(f.trace_rows(e), w) for e in basis]
         # functional[e][t] = f_{p^t}(e)
-        functional = [tuple(self.f_int(K.p ** t, e) for t in range(K.degree)) for e in basis]
-        kernel = linalg.nullspace(prime, pairing, n * r)
-        kpivots = [next(i for i, x in enumerate(krow) if x) for krow in kernel]
-        self._theta = []
-        for x in linalg.solve(prime, pairing, zip(*functional)):
-            if x is None:  # pragma: no cover - trace pairing is non-degenerate
-                raise ArithmeticError("inconsistent trace system; field tables corrupt")
-            x = linalg.reduce_vector(prime, kernel, kpivots, x)
-            self._theta.append(f.vec_from_digits(x))
-        self._lambda = []
-        for digs in linalg.solve(prime, functional, zip(*pairing)):
-            if digs is None:  # pragma: no cover - lam -> f_lam is onto the dual
-                raise ArithmeticError("functional not representable; field tables corrupt")
-            self._lambda.append(K.from_digits(digs))
+        functional = [tuple(self.f_int(p ** t, e) for t in range(kr)) for e in basis]
+        packed = [_lane_pack(row, w) for row in functional]
+        theta = linalg.solve(p, nr, [a | b << nr * w for a, b in zip(pairing, packed)], kr)
+        if None in theta:  # pragma: no cover - trace pairing is non-degenerate
+            raise ArithmeticError("inconsistent trace system; field tables corrupt")
+        lam = linalg.solve(p, kr, [b | a << kr * w for a, b in zip(pairing, packed)], nr)
+        if None in lam:  # pragma: no cover - lam -> f_lam is onto the dual
+            raise ArithmeticError("functional not representable; field tables corrupt")
         # The message digits v of P^-1(y) solve functional^T . v = trace_row(y),
-        # digits ordered as in fp_basis: coordinate-major, digit inner.
-        units = (K.trace_row(K.p ** t) for t in range(K.degree))
-        self._unpack = []
-        for digs in linalg.solve(prime, list(zip(*functional)), units):
-            if digs is None:  # pragma: no cover - P is an F_p-isomorphism
-                raise ArithmeticError("message not recoverable; field tables corrupt")
-            self._unpack.append(f.vec_from_digits(digs))
+        # digits ordered as in fp_basis: coordinate-major, digit inner.  Entry
+        # t of the right-hand side for y = p^u is tr(p^u p^t), which is
+        # entry u of trace_row(p^t).
+        unpack = linalg.solve(p, kr, [_lane_pack(col, w) | _lane_pack(K.trace_row(p ** t), w)
+                                      << kr * w for t, col in enumerate(zip(*functional))], kr)
+        if None in unpack:  # pragma: no cover - P is an F_p-isomorphism
+            raise ArithmeticError("message not recoverable; field tables corrupt")
+        kernel = linalg.Echelon(p, nr, linalg.kernel(p, nr, pairing))
+        self._theta = [_lanes_vec(f, n, kernel.reduce(x)) for x in theta]
+        self._lambda = [_lanes_vec(K, 1, x)[0] for x in lam]
+        self._unpack = [_lanes_vec(f, code.k, x) for x in unpack]
 
     # -- scalar side
 
@@ -223,13 +222,13 @@ def big_f_kernel(table: FunctionalTable, d_code: LinearCode) -> list:
         raise DimensionMismatch("outer code is not defined over the scalar field")
     q, k = code.field, code.k
     rows = [
-        q.vec_digits(itertools.chain.from_iterable(map(table.unpack_message, vec)))
+        _vec_lanes(q, sum(map(table.unpack_message, vec), ()))
         for vec in fp_basis(dual(d_code))
     ]
-    basis, _ = linalg.rref(table.prime, rows)
+    basis = linalg.Echelon(q.p, d_code.n * k * q.degree, rows).rows
     return [
         tuple(encode(code, msgs[i * k:(i + 1) * k]) for i in range(d_code.n))
-        for msgs in map(q.vec_from_digits, basis)
+        for msgs in (_lanes_vec(q, d_code.n * k, x) for x in basis)
     ]
 
 

@@ -169,15 +169,19 @@ def _lane_pack(digs, w):
 
 
 def _vec_lanes(f, vec):
-    """The lane-packed label of a vector over the field f."""
+    """The lane-packed label of a vector over the field f; at p = 2 each
+    packed element is already the lanes of its coordinate."""
+    if f.p == 2:
+        return _lane_pack(vec, f.degree)
     return _lane_pack(f.vec_digits(vec), _lane_width(f.p))
 
 
 def _lanes_vec(f, n, label):
     """The vector of length n over the field f named by a lane-packed label."""
-    w = _lane_width(f.p)
-    mask = (1 << w) - 1
-    return f.vec_from_digits([(label >> (j * w)) & mask for j in range(n * f.degree)])
+    r, w = f.degree, _lane_width(f.p)
+    if f.p == 2:  # r one-bit lanes are their packed element
+        return tuple([label >> i & (1 << r) - 1 for i in range(0, n * r, r)])
+    return f.vec_from_digits([(label >> (j * w)) & (1 << w) - 1 for j in range(n * r)])
 
 
 def _slot_adder(modulus, width, slots):
@@ -205,6 +209,17 @@ def _lane_adder(p, lanes):
     if p == 2:
         return operator.xor
     return _slot_adder(p, _lane_width(p), lanes)
+
+
+def _lane_dot(p, x, y):
+    """x . y mod p for packed vectors: popcount(x & y) mod 2 at p = 2, else
+    the popcounts of bit i of each lane of x and bit j of y's, times 2^(i+j)."""
+    if p == 2:
+        return (x & y).bit_count() & 1
+    w = _lane_width(p)
+    ones = ((1 << (max(x, y).bit_length() // w + 1) * w) - 1) // ((1 << w) - 1)
+    return sum((x >> i & y >> j & ones).bit_count() << i + j
+               for i in range(w - 1) for j in range(w - 1)) % p
 
 
 def _valuation(i, p):
@@ -302,7 +317,7 @@ class Field:
 
     __slots__ = (
         "p", "degree", "order", "modulus",
-        "_exp", "_log", "_zech", "_trace", "_frob", "_embed_cache",
+        "_exp", "_log", "_zech", "_trace", "_frob", "_embed_cache", "_rows",
     )
 
     def __init__(self, p: int, degree: int, modulus: tuple):
@@ -310,7 +325,7 @@ class Field:
         self.degree = degree
         self.order = p ** degree
         self.modulus = modulus
-        self._embed_cache = {}
+        self._embed_cache, self._rows = {}, {}
         self._build_tables()
 
     # -- construction helpers
@@ -372,31 +387,11 @@ class Field:
         return 0 if z is None else self._exp[(la + z) % n]
 
     def neg(self, a: int) -> int:
-        """-a; the identity at p = 2, and -1 = g^((q-1)/2) at odd p."""
-        if self.p == 2:
-            return a
-        if self.degree == 1:
-            return -a % self.p
-        if not a:
-            return 0
-        n = self.order - 1
-        return self._exp[(self._log[a] + n // 2) % n]
+        """-a = (p - 1) a."""
+        return self.mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.degree == 1:
-            return (a - b) % self.p
-        if not b:
-            return a
-        # log(-b) = log b + (q-1)/2, then a + (-b) as in add
-        n = self.order - 1
-        lb = (self._log[b] + n // 2) % n
-        if not a:
-            return self._exp[lb]
-        la = self._log[a]
-        z = self._zech[(lb - la) % n]
-        return 0 if z is None else self._exp[(la + z) % n]
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if not a or not b:
@@ -439,8 +434,13 @@ class Field:
         return self._trace[a]
 
     def trace_row(self, a: int) -> tuple:
-        """(tr(a p^d) for d < degree): tr(a.x) as a row on the digits of x."""
-        return tuple(self.trace_int(self.mul(a, self.p ** d)) for d in range(self.degree))
+        """(tr(a p^d) for d < degree): tr(a.x) as a row on the digits of x;
+        kept per element once asked for."""
+        row = self._rows.get(a)
+        if row is None:
+            row = self._rows[a] = tuple(self.trace_int(self.mul(a, self.p ** d))
+                                        for d in range(self.degree))
+        return row
 
     def trace_rows(self, vec) -> tuple:
         """tr(vec . x) as a row on ``vec_digits(x)``."""

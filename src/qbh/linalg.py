@@ -1,103 +1,113 @@
-"""Small exact linear algebra helpers over a Field.
+"""Exact linear algebra over F_p on lane-packed rows.
 
-Matrices are lists of equal-length int tuples (packed field values).
-Everything is deterministic: reduced row echelon form is canonical for
-a row space, and nullspace bases are themselves returned in RREF.
+A row is one int in the vector format of ``gf``, column i in lane i, and
+a row operation is one lane add: XOR at p = 2, as in the bit-packed
+elimination of M4RI (Albrecht & Bard), and ``gf._lane_adder`` at odd p,
+with multiples by double-and-add.  Rows stay packed from step to step.
+Spaces over F_q are F_p-spaces too (``lincode``).  Reduced row echelon
+form is canonical for a row space, and kernels are returned in it.
 """
 
 from __future__ import annotations
 
-from .gf import Field
+from .gf import _lane_adder, _lane_width
 
 
-def rref(field: Field, rows) -> tuple[list[tuple], list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = field.inv(mat[rank][col])
-        if inv != 1:
-            mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                row_r = mat[rank]
-                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], row_r)]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return [tuple(r) for r in mat[:rank]], pivots
+class Echelon:
+    """The reduced echelon basis of a row space over F_p, rows lane-packed
+    over ``lanes`` lanes.
 
-
-def rank(field: Field, rows) -> int:
-    return len(rref(field, rows)[0])
-
-
-def reduce_vector(field: Field, rrows, pivots, v) -> tuple:
-    """Subtract the row-space component of v visible at the pivot columns."""
-    v = list(v)
-    for row, col in zip(rrows, pivots):
-        c = v[col]
-        if c:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    return tuple(v)
-
-
-def nullspace(field: Field, rows, ncols: int) -> list[tuple]:
-    """Canonical basis of {x : rows . x = 0}, returned in RREF."""
-    rrows, pivots = rref(field, rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for row, col in zip(rrows, pivots):
-            if row[free]:
-                vec[col] = field.neg(row[free])
-        basis.append(tuple(vec))
-    rbasis, _ = rref(field, basis)
-    return rbasis
-
-
-def solve(field: Field, rows, rhss) -> list:
-    """One solution of rows . x = rhs per rhs, free variables set to zero.
-
-    The matrix is echelonned once with every right-hand side appended.
-    Reduction multiplies [rows | rhss] on the left by an invertible
-    matrix, so a system is consistent exactly when its column vanishes
-    below the pivot rows of ``rows``, even where the echelon form put
-    pivots in the appended columns.  Returns a list with a solution, or
-    None for an inconsistent system, per right-hand side.
+    Each row is 1 at its pivot lane, its lowest nonzero lane, and 0 at
+    the pivot lanes of the other rows, so the basis is unique.  ``lead``
+    maps each pivot lane's bit offset to its row; ``mask`` holds every bit
+    of those lanes, and ``seen`` a bit of each lane a row was ever nonzero at.
     """
-    rhss = [tuple(b) for b in rhss]
-    if not rows:
-        return [None if any(b) else () for b in rhss]
-    ncols = len(rows[0])
-    aug = [tuple(r) + col for r, col in zip(rows, zip(*rhss))]
-    rrows, pivots = rref(field, aug)
-    rank = sum(1 for col in pivots if col < ncols)
+
+    __slots__ = ("p", "width", "add", "lead", "mask", "seen")
+
+    def __init__(self, p: int, lanes: int, rows=()):
+        self.p, self.width = p, _lane_width(p)
+        self.add = _lane_adder(p, lanes)
+        self.lead, self.mask, self.seen = {}, 0, 0
+        for x in rows:
+            self.insert(x)
+
+    @property
+    def rows(self) -> list:
+        return [self.lead[s] for s in sorted(self.lead)]
+
+    @property
+    def pivots(self) -> list:
+        return [s // self.width for s in sorted(self.lead)]
+
+    def scale(self, x: int, c: int) -> int:
+        """c x for c in [1, p), by double-and-add."""
+        out = x
+        for bit in bin(c)[3:]:
+            out = self.add(out, out)
+            if bit == "1":
+                out = self.add(out, x)
+        return out
+
+    def reduce(self, x: int) -> int:
+        """x less the combination of rows that clears its pivot lanes: each
+        lane once, by the row it leads, which is 0 at the others."""
+        lead, add, p, w = self.lead, self.add, self.p, self.width
+        digit, at = (1 << w) - 1, x & self.mask
+        while at:
+            s = (at & -at).bit_length() - 1
+            s -= s % w
+            c = p - (x >> s & digit)
+            x = add(x, lead[s] if c == 1 else self.scale(lead[s], c))
+            at &= ~(digit << s)
+        return x
+
+    def insert(self, x: int) -> bool:
+        """Add x to the row space; False when it lay there already."""
+        x = self.reduce(x) if x & self.mask else x
+        if not x:
+            return False
+        lead, p, w = self.lead, self.p, self.width
+        digit, s = (1 << w) - 1, (x & -x).bit_length() - 1
+        s -= s % w
+        if x >> s & digit != 1:
+            x = self.scale(x, pow(x >> s & digit, -1, p))
+        if self.seen >> s & digit:  # else no row is nonzero at the new pivot
+            for t, row in lead.items():
+                c = p - (row >> s & digit)
+                if c != p:
+                    lead[t] = self.add(row, x if c == 1 else self.scale(x, c))
+        lead[s] = x
+        self.mask |= digit << s
+        self.seen |= x
+        return True
+
+
+def kernel(p: int, lanes: int, rows) -> list:
+    """The reduced echelon basis of {x : row . x = 0 for every row}: for
+    each lane j that leads no row, e_j less each row's lane j at its pivot."""
+    ech = Echelon(p, lanes, rows)
+    digit, out = (1 << ech.width) - 1, Echelon(p, lanes)
+    for j in range(0, lanes * ech.width, ech.width):
+        if not ech.mask >> j & 1:
+            out.insert(1 << j | sum(p - (row >> j & digit) << s
+                                    for s, row in ech.lead.items() if row >> j & digit))
+    return out.rows
+
+
+def solve(p: int, lanes: int, rows, count: int) -> list:
+    """Per right-hand side b, the solution x of A x = b with free unknowns 0,
+    lane-packed, or None when there is none.
+
+    Row i of ``rows`` is row i of A on the first ``lanes`` lanes, then
+    entry i of each of the ``count`` right-hand sides.  The echelon is
+    [A | B] times an invertible matrix on the left, so a system is
+    consistent exactly when its lane is 0 in each row led by a lane of B.
+    """
+    ech = Echelon(p, lanes + count, rows)
+    digit, edge = (1 << ech.width) - 1, lanes * ech.width
     out = []
-    for j in range(ncols, ncols + len(rhss)):
-        if any(row[j] for row in rrows[rank:]):
-            out.append(None)
-            continue
-        x = [0] * ncols
-        for row, col in zip(rrows, pivots[:rank]):
-            x[col] = row[j]
-        out.append(tuple(x))
+    for j in range(edge, edge + count * ech.width, ech.width):
+        led = [(s, row >> j & digit) for s, row in ech.lead.items() if row >> j & digit]
+        out.append(None if any(s >= edge for s, _ in led) else sum(d << s for s, d in led))
     return out

@@ -15,7 +15,7 @@ import itertools
 from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LengthMismatch, ZeroCode
 from .gf import (Field, _field_from_body, _gray_span, _lane_adder, _lane_pack, _lane_width,
-                 _modulus_lines, _text_lines)
+                 _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
 
 
 def weight(v) -> int:
@@ -68,16 +68,29 @@ def code_make(field: Field, rows) -> LinearCode:
         for x in r:
             if not 0 <= x < field.order:
                 raise ValueError(f"entry {x} is not a packed element of {field!r}")
-    gen, pivots = linalg.rref(field, rows)
+    gen, pivots = _fq_rref(field, n, linalg.Echelon(
+        field.p, n * field.degree, [_vec_lanes(field, row) for row in _fp_rows(field, rows)]).rows)
     if not gen:
         raise ZeroCode("generator rows span only the zero vector")
-    return LinearCode(field, n, tuple(gen), tuple(pivots))
+    return LinearCode(field, n, gen, pivots)
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Dual code under the standard dot product; involutive."""
-    gen, pivots = linalg.rref(code.field, linalg.nullspace(code.field, list(code.gen), code.n))
-    return LinearCode(code.field, code.n, tuple(gen), tuple(pivots))
+    """Dual code under the standard dot product; involutive.  As C is
+    F_q-linear and the trace form non-degenerate, x . c = 0 on C exactly
+    when tr(x . c) = 0 on an F_p-basis of C: one kernel over F_p."""
+    f, n = code.field, code.n
+    rows = [_lane_pack(f.trace_rows(c), _lane_width(f.p)) for c in fp_basis(code)]
+    return LinearCode(f, n, *_fq_rref(f, n, linalg.kernel(f.p, n * f.degree, rows)))
+
+
+def _fq_rref(f: Field, n: int, rows) -> tuple:
+    """(rows, pivots) over F_q of an F_q-linear space of length-n vectors
+    from its packed echelon rows over F_p: the F_q rows times each p^d,
+    led by digit d of their F_q pivot, so the F_q rows are those led by a digit 0."""
+    leads = [((x & -x).bit_length() - 1) // _lane_width(f.p) for x in rows]
+    keep = [(lane // f.degree, x) for lane, x in zip(leads, rows) if lane % f.degree == 0]
+    return tuple(_lanes_vec(f, n, x) for _, x in keep), tuple(j for j, _ in keep)
 
 
 def encode(code: LinearCode, message) -> tuple:
@@ -126,24 +139,25 @@ def _fp_rows(f: Field, rows) -> list:
     return [tuple(f.mul(f.p ** d, x) for x in row) for row in rows for d in range(f.degree)]
 
 
-def _min_weight_outside(p: int, srows, rest, N: int, per_qudit: int) -> int:
+def _min_weight_outside(p: int, srows, rest, N: int, r: int, fold: int = 0) -> int:
     """Minimum weight of span(srows + rest) outside span(srows).
 
-    Rows are F_p-independent digit vectors with ``per_qudit`` digits for
-    each of the N qudits, qudit by qudit, and the weight counts the
-    qudits with a nonzero digit.  The Gray-code walk over srows then rest reaches
-    span(srows) first: its first p^{len(srows)} elements are exactly that
-    span.  With no rest the minimum is over the nonzero span.
+    Rows are F_p-independent lane-packed vectors of N coordinates of r
+    digits, or with ``fold`` (a | b) pairs, b from bit ``fold`` on, whose
+    weight is that of a OR b: the coordinates with a nonzero digit.  The
+    Gray-code walk over srows then rest reaches span(srows) first: its
+    first p^{len(srows)} elements are exactly that span.  With no rest
+    the minimum is over the nonzero span.
     """
-    w = _lane_width(p)
-    rows = [_lane_pack(v, w) for v in srows + rest]
-    chunk = per_qudit * w
+    chunk = r * _lane_width(p)
     ones = _lane_pack((1,) * N, chunk)
     low = ones * ((1 << (chunk - 1)) - 1)
     high = ones << (chunk - 1)
     best = N + 1
     first = p ** len(srows) if rest else 1
-    walk = _gray_span(p, rows, _lane_adder(p, N * per_qudit))
+    walk = _gray_span(p, srows + rest, _lane_adder(p, N * r * (2 if fold else 1)))
+    if fold:
+        walk = (cur | cur >> fold for cur in walk)
     for cur in itertools.islice(walk, first, None):
         # one bit per nonzero chunk: its top bit, or a carry out of the rest
         wt = ((((cur & low) + low) | cur) & high).bit_count()
@@ -162,7 +176,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     if code.size > budget:
         raise BudgetExceeded("codeword walk words", code.size, budget)
     f = code.field
-    rows = [f.vec_digits(row) for row in fp_basis(code)]
+    rows = [_vec_lanes(f, row) for row in fp_basis(code)]
     return _min_weight_outside(f.p, [], rows, code.n, f.degree)
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .gf import _lane_adder, _lane_width, _slot_adder
+from .gf import _lane_width, _slot_adder
+from .linalg import Echelon
 
 
 def _times(combine, x, count: int):
@@ -164,32 +165,24 @@ def _slots(p: int, dim: int, modulus: int) -> _Slots:
 class _Basis:
     """A reduced echelon basis of a support's direction space, and its slot arrays.
 
-    ``rows`` are lane-packed, each 1 at its pivot lane, its lowest nonzero
-    lane, and 0 at the pivot lanes of the other rows, in increasing pivot
-    order.  ``mults[i][d]`` is d * rows[i], and ``shifts[i]`` is the bit
-    offset of the pivot lane of rows[i].  Two bases are equal when their
-    rows are.
+    ``rows`` are those of the ``linalg.Echelon`` of the given rows: each
+    1 at its pivot lane, its lowest nonzero lane, and 0 at the pivot
+    lanes of the others, in increasing pivot order, and ``reduce`` is its
+    reduction.  ``mults[i][d]`` is d * rows[i], and ``shifts[i]`` is the
+    bit offset of the pivot lane of rows[i].  Two bases are equal when
+    their rows are.
     """
 
-    __slots__ = ("p", "rows", "mults", "shifts", "digit", "add", "slots")
+    __slots__ = ("p", "rows", "mults", "shifts", "digit", "add", "slots", "reduce")
 
     def __init__(self, p: int, lanes: int, modulus: int, rows):
-        w = _lane_width(p)
-        self.p, self.rows = p, tuple(rows)
-        self.add = _lane_adder(p, lanes)
+        span = Echelon(p, lanes, rows)
+        self.p, self.rows, self.add, self.reduce = p, tuple(span.rows), span.add, span.reduce
         self.mults = [list(itertools.accumulate([r] * (p - 1), self.add, initial=0))
                       for r in self.rows]
-        self.shifts = tuple(((r & -r).bit_length() - 1) // w * w for r in self.rows)
-        self.digit = (1 << w) - 1
+        self.shifts = tuple(sorted(span.lead))
+        self.digit = (1 << _lane_width(p)) - 1
         self.slots = _slots(p, len(self.rows), modulus)
-
-    def reduce(self, x: int) -> int:
-        """x minus the combination of rows that clears its pivot lanes."""
-        for shift, mult in zip(self.shifts, self.mults):
-            d = (x >> shift) & self.digit
-            if d:
-                x = self.add(x, mult[self.p - d])
-        return x
 
     def labels(self, offset: int) -> list:
         """offset + sum_i X_i rows[i] for every slot sum_i X_i p^i, slot 0 first."""

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from fractions import Fraction
-from types import SimpleNamespace
 
 from . import linalg
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup,
@@ -217,9 +215,9 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
 
     Every label must have length ``length`` and entries in the field.
     Zero amplitudes are dropped, and any other amplitude must be a root
-    of unity.  The span of the support is found by ``linalg.rref`` over
-    F_p on the digit vectors of the labels less the first one; label x
-    then owns the slot whose base-p digits are those of x at the pivots.
+    of unity.  The span of the support is the ``linalg.Echelon`` of the
+    lane-packed labels less the first one; label x then owns the slot
+    whose base-p digits are those of x at the pivots.
     """
     for label in amps:
         if len(label) != length:
@@ -235,18 +233,20 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
     entries = len(exps) * length * field.degree
     if entries > DEFAULT_BUDGET:
         raise BudgetExceeded("state_make labels x digits", entries, DEFAULT_BUDGET, flag=None)
-    p, prime = field.p, field_make(field.p, 1)
-    digits = [field.vec_digits(x) for x in exps]
-    first = digits[0] if digits else (0,) * (length * field.degree)
-    rows, pivots = linalg.rref(prime, [[(a - b) % p for a, b in zip(d, first)] for d in digits])
-    w = _lane_width(p)
-    basis = _basis(field, length, [_lane_pack(r, w) for r in rows])
+    p = field.p
+    labels = [_vec_lanes(field, x) for x in exps]
+    span = linalg.Echelon(p, length * field.degree)
+    first = labels[0] if labels else 0
+    minus = span.scale(first, p - 1)
+    for x in labels:
+        span.insert(span.add(x, minus))
+    basis, offset = _basis(field, length, span.rows), span.reduce(first)
     slots = basis.slots
     values = [(1 << slots.width) - 1] * slots.size  # every bit set: off the support
-    for d, e in zip(digits, exps.values()):
-        values[sum(d[c] * p ** i for i, c in enumerate(pivots))] = e
+    digit, weights = (1 << _lane_width(p)) - 1, [(s, p ** i) for i, s in enumerate(basis.shifts)]
+    for x, e in zip(labels, exps.values()):
+        values[sum((x >> s & digit) * m for s, m in weights)] = e
     mask, arr = slots.split(_join(values, slots.width))
-    offset = _lane_pack(linalg.reduce_vector(prime, rows, pivots, first), w)
     return StateVector(field, length, basis, offset, mask, arr, scale)
 
 
@@ -468,10 +468,6 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
             for _, c in sorted(zip(_message_labels(code), words.labels(0)))]
 
 
-# Q as the field that linalg.rref reduces over; Fraction(0) is falsy.
-_RATIONALS = SimpleNamespace(inv=lambda x: 1 / x, mul=operator.mul, sub=operator.sub)
-
-
 def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:
     """Equality of row spaces over the field Q(z), read through ``inner``.
 
@@ -499,10 +495,21 @@ def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:
         raise BudgetExceeded("span_equal rows x columns x pivots", work, budget)
 
     def echelon(states):
-        grams = [[inner(u, v) for u in union] for v in states]
-        rows = [[Fraction(c) for g in gram for c in g.rot(j).coeffs]
-                for gram in grams for j in range(deg)]
-        return linalg.rref(_RATIONALS, rows)[0]
+        """Pivot column -> row of the reduced echelon form over Q, a row at a time."""
+        lead = {}
+        for gram in ([inner(u, v) for u in union] for v in states):
+            for j in range(deg):
+                row = [Fraction(c) for g in gram for c in g.rot(j).coeffs]
+                for col, other in lead.items():
+                    if row[col]:
+                        row = [x - row[col] * y for x, y in zip(row, other)]
+                col = next((i for i, x in enumerate(row) if x), None)
+                if col is not None:
+                    row = [x / row[col] for x in row]
+                    lead = {c: [x - r[col] * y for x, y in zip(r, row)] if r[col] else r
+                            for c, r in lead.items()}
+                    lead[col] = row
+        return lead
 
     return echelon(states_a) == echelon(states_b)
 
@@ -567,21 +574,22 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     work = sizes[0] * sum(sizes)
     if work > budget:
         raise BudgetExceeded("stab_of_span shifts x rows", work, budget)
-    prime = field_make(p, 1)
+    w, digit, lanes = _lane_width(p), (1 << _lane_width(p)) - 1, 1 + n * r
     items = [(v.exps, x) for v in states for x in v.exps]
     eq_rows = [(1,) + f.trace_rows(_lanes_vec(f, n, x)) for _, x in items]
-    # The pivot columns of the transpose index the first independent rows.
-    picked = linalg.rref(prime, list(zip(*eq_rows)))[1]
+    # The pivot lanes of the transpose index the first independent rows.
+    picked = linalg.Echelon(p, len(items), [_lane_pack(col, w) for col in zip(*eq_rows)]).pivots
     basis = [items[i] for i in picked]
-    brows = [eq_rows[i] for i in picked]
-    kernel = linalg.nullspace(prime, brows, 1 + n * r)
+    brows = [_lane_pack(eq_rows[i], w) for i in picked]
+    kernel = linalg.kernel(p, lanes, brows)
 
     def element(c0, a, z):
-        return PauliElement(f, c0 + step * z[0], a, f.vec_from_digits(z[1:]))
+        return PauliElement(f, c0 + step * (z & digit), _lanes_vec(f, n, a), _lanes_vec(f, n, z >> w))
 
-    add = _lane_adder(p, n * r)
+    add = _lane_adder(p, lanes)
     anchor = next(iter(v0.exps))
-    minus_anchor = _vec_lanes(f, [f.neg(x) for x in _lanes_vec(f, n, anchor)])
+    shifts = linalg.Echelon(p, n * r)
+    minus_anchor = shifts.scale(anchor, p - 1)
     trials, rhss = [], []
     for y in v0.exps:
         a = add(y, minus_anchor)
@@ -596,23 +604,24 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         c0 = diffs[0] % step
         if any((d - c0) % step for d in diffs):
             continue
-        trials.append((c0, _lanes_vec(f, n, a)))
+        trials.append((c0, a))
         rhss.append([(d - c0) // step for d in diffs])
+    aug = [row | _lane_pack(col, w) << lanes * w for row, col in zip(brows, zip(*rhss))]
     cosets = []
-    for (c0, a), z in zip(trials, linalg.solve(prime, brows, rhss)):
+    for (c0, a), z in zip(trials, linalg.solve(p, lanes, aug, len(trials))):
         if all(is_fixed(element(c0, a, z), v) for v in states):
             cosets.append((c0, a, z))
     # The solutions of an F_p-basis of the accepted shifts, and the kernel.
-    reps = linalg.rref(prime, list(zip(*(f.vec_digits(a) for _, a, _ in cosets))))[1]
-    gens = [element(*cosets[i]) for i in reps] + [element(0, (0,) * n, k) for k in kernel]
+    gens = [element(*coset) for coset in cosets if shifts.insert(coset[1])]
+    gens += [element(0, 0, k) for k in kernel]
     work = len(cosets) * p ** len(kernel) * len(gens)
     if work > budget:
         raise BudgetExceeded("stab_of_span elements x generators", work, budget)
+    mults = [list(itertools.accumulate([k] * (p - 1), add, initial=0)) for k in kernel]
     found = []
     for c0, a, z0 in cosets:
         for coeffs in itertools.product(range(p), repeat=len(kernel)):
-            z = [(zi + sum(t * k[i] for t, k in zip(coeffs, kernel))) % p for i, zi in enumerate(z0)]
-            found.append(element(c0, a, z))
+            found.append(element(c0, a, functools.reduce(add, map(list.__getitem__, mults, coeffs), z0)))
     _check_fixing_group(states, found, gens)
     for x in found:  # the self-check's apply work is no part of the result
         x._packed = None
@@ -653,13 +662,13 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceeded("fix_dim labels", f.order ** n, budget)
     if not gens:
         return f.order ** n
-    slots, prime = _slots(f.p, n * f.degree, phase_modulus(f)), field_make(f.p, 1)
+    slots = _slots(f.p, n * f.degree, phase_modulus(f))
     shifts = [f.vec_digits(g.a) for g in gens]
     costs = [slots.affine(g.phase, f.trace_rows(g.b)) for g in gens]
-    # The pivot columns of the transpose index the first independent X parts.
-    tree = linalg.rref(prime, list(zip(*shifts)))[1]
+    span = linalg.Echelon(f.p, n * f.degree)
+    tree = [i for i, g in enumerate(gens) if span.insert(_vec_lanes(f, g.a))]
     transversal = slots.full
-    for j in linalg.rref(prime, [shifts[i] for i in tree])[1]:
+    for j in span.pivots:
         transversal &= slots.mask(j, f.p - 1)[0]
     phases, known = 0, transversal
     for i in tree:

@@ -306,7 +306,6 @@ def trace_system_kernel(table, d_code):
     P read off ``pack_message``.  The nullspace, in reduced echelon form,
     is encoded block by block.
     """
-    from qbh import linalg
     from qbh.lincode import encode
 
     code, K = table.code, table.scalars
@@ -323,7 +322,7 @@ def trace_system_kernel(table, d_code):
         for t in range(K.degree):
             lams = [K.mul(K.p ** t, lam) for lam in row]
             rows.append(tuple(K.trace_int(K.mul(lam, u)) for lam in lams for u in units))
-    basis = linalg.nullspace(table.prime, rows, m * k * r)
+    basis = nullspace(table.prime, rows, m * k * r)
     return [
         tuple(
             encode(code, tuple(q.from_digits(vec[(i * k + j) * r:(i * k + j + 1) * r])
@@ -332,3 +331,70 @@ def trace_system_kernel(table, d_code):
         )
         for vec in basis
     ]
+
+
+# --- tuple linear algebra -------------------------------------------------
+# Gauss-Jordan on lists of tuples over any field, one Field call per entry:
+# the reference the packed echelon of ``qbh.linalg`` is held against.
+
+
+def rref(field, rows):
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    rank = 0
+    for col in range(len(mat[0])):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = field.inv(mat[rank][col])
+        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    return [tuple(r) for r in mat[:rank]], pivots
+
+
+def rank(field, rows):
+    return len(rref(field, rows)[0])
+
+
+def nullspace(field, rows, ncols):
+    """Canonical basis of {x : rows . x = 0}, returned in RREF."""
+    rrows, pivots = rref(field, rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, col in zip(rrows, pivots):
+            if row[free]:
+                vec[col] = field.neg(row[free])
+        basis.append(tuple(vec))
+    return rref(field, basis)[0]
+
+
+def solve(field, rows, rhss):
+    """One solution of rows . x = rhs per rhs, free unknowns 0, or None."""
+    ncols = len(rows[0])
+    rrows, pivots = rref(field, [tuple(r) + tuple(b) for r, b in zip(rows, zip(*rhss))])
+    rank = sum(1 for col in pivots if col < ncols)
+    out = []
+    for j in range(ncols, ncols + len(rhss)):
+        if any(row[j] for row in rrows[rank:]):
+            out.append(None)
+            continue
+        x = [0] * ncols
+        for row, col in zip(rrows, pivots[:rank]):
+            x[col] = row[j]
+        out.append(tuple(x))
+    return out

@@ -11,6 +11,7 @@ from qbh.gf import field_make
 from qbh.statevec import CycAmp
 
 import helpers
+from test_construct import mixed_presentation
 
 F2 = field_make(2, 1)
 
@@ -98,6 +99,13 @@ def test_distance_rejects_stored_delta_out_of_range(tmp_path, capsys):
     assert "error:" in err and "delta -7" in err
 
 
+def test_verify_rejects_negative_lengths_whose_product_fits(tmp_path, capsys):
+    # N = nm = 4 with n = m = -2: refused as bad input, not run as a code
+    bad = _write(tmp_path, "neg.stab", "2 1 -2 1 -2 1 4 1 -\n")
+    assert main(["verify", bad]) == 2
+    assert "header needs n, m >= 1 and k, s >= 0" in capsys.readouterr().err
+
+
 def test_distance_needs_both_code_files(tmp_path, capsys):
     c, d, out = _shor_files(tmp_path)
     main(["construct", "-c", c, "-d", d, "-o", out])
@@ -142,6 +150,29 @@ def test_verify_reports_the_pair_without_statevec(tmp_path, capsys):
         "generators=8 commuting=yes rank=full phases=free",
         "pair=match",
     ]
+
+
+def test_a_rebased_export_matches_its_pair(tmp_path, capsys):
+    # the last Z generator times the first X generator: the same group,
+    # other generators, so the sorted symplectic rows differ
+    c, d, out = _shor_files(tmp_path)
+    mixed = mixed_presentation(build(*helpers.shor_pair()))
+    assert sorted(mixed.sympl_matrix) != sorted(build(*helpers.shor_pair()).sympl_matrix)
+    rebased = _write(tmp_path, "mixed.stab", stab_to_text(mixed))
+    assert main(["verify", rebased, "-c", c, "-d", d]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "pair=match"
+    assert main(["distance", rebased, "-c", c, "-d", d, "--brute"]) == 0
+    assert capsys.readouterr().out.strip() == "theorem=3 brute=3 OK"
+
+
+def test_a_pair_of_another_group_on_the_same_qudits_exits_two(tmp_path, capsys):
+    c, d, out = _shor_files(tmp_path)
+    main(["construct", "-c", c, "-d", d, "-o", out])
+    other = _write(tmp_path, "c2.txt", "2 1 3 1\n1 1 0\n")
+    capsys.readouterr()
+    for command in (["verify", out], ["distance", out]):
+        assert main([*command, "-c", other, "-d", d]) == 2
+        assert "classical codes do not generate this stabilizer file" in capsys.readouterr().err
 
 
 def test_verify_statevec_span_equal_needs_orthogonal_states(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from qbh.errors import (
     DimensionBounds,
     DimensionMismatch,
 )
-from qbh.gf import field_make
+from qbh.gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import code_make, contains, dual, fp_basis, iter_codewords
 from qbh.functional import table_make
 from qbh.pauli import PauliElement, mul, psi, symp_ip, x_op, z_op
@@ -54,7 +54,7 @@ STANDARD_SHOR = [
 
 
 def rowspace(field, rows):
-    reduced, _ = linalg.rref(field, rows)
+    reduced, _ = oracles.rref(field, rows)
     return tuple(reduced)
 
 
@@ -269,19 +269,25 @@ def test_capped_walk_visits_each_light_word_of_d_per_support():
     assert ell(code, d_code, table, budget=15, below=3) == min(3, uncapped)
 
 
+def centralizer_pauli(sc):
+    """``centralizer_basis`` unpacked to phase-0 elements X(a) Z(b)."""
+    N = sc.num_qudits
+    vecs = (_lanes_vec(sc.field, 2 * N, v) for v in centralizer_basis(sc))
+    return [PauliElement(sc.field, 0, x[:N], x[N:]) for x in vecs]
+
+
 def test_centralizer_shor():
     sc = build(*helpers.shor_pair())
-    basis = centralizer_basis(sc)
+    basis = centralizer_pauli(sc)
     assert len(basis) == 10
     flats = [tuple(v.a) + tuple(v.b) for v in basis]
-    reduced, _ = linalg.rref(F2, flats)
+    reduced, _ = oracles.rref(F2, flats)
     assert len(reduced) == 10
     # contains X(c, 0, 0) for the generator word of C
     target = (1, 1, 1) + (0,) * 6 + (0,) * 9
-    rr, piv = linalg.rref(F2, flats)
-    assert not any(linalg.reduce_vector(F2, rr, piv, target))
+    assert oracles.rank(F2, flats + [target]) == 10
+    assert all(isinstance(v, int) for v in centralizer_basis(sc))
     for v in basis:
-        assert isinstance(v, PauliElement) and v.phase == 0
         assert any(v.a) or any(v.b)
         for g in sc.generators:
             assert symp_ip(v, psi(g)) == 0
@@ -312,7 +318,7 @@ def test_centralizer_generic_path_matches_structural_dimension():
         parsed = stab_from_text(stab_to_text(sc))
         assert parsed.code is None
         for code in (sc, parsed):
-            flats = [tuple(v.a) + tuple(v.b) for v in centralizer_basis(code)]
+            flats = [tuple(v.a) + tuple(v.b) for v in centralizer_pauli(code)]
             assert rowspace(F2, flats) == expected
 
 
@@ -448,16 +454,15 @@ def test_bruteforce_checks_every_centralizer_vector(monkeypatch, pair, mixed, pa
     sc = build(*pair())
     if mixed:
         sc = mixed_presentation(sc)
-    real = linalg.nullspace
+    real = linalg.kernel
     calls = []
 
-    def corrupt(field, rows, ncols):
-        calls.append(ncols)
-        bad = [0] * ncols
-        bad[part * ncols // 2] = 1  # a digit of qudit 0's X or Z part: pairs nonzero
-        return real(field, rows, ncols) + [tuple(bad)]
+    def corrupt(p, lanes, rows):
+        calls.append(lanes)
+        # a digit of qudit 0's X or Z part: pairs nonzero
+        return real(p, lanes, rows) + [1 << part * lanes // 2 * _lane_width(p)]
 
-    monkeypatch.setattr(linalg, "nullspace", corrupt)
+    monkeypatch.setattr(linalg, "kernel", corrupt)
     with pytest.raises(ArithmeticError, match="fails to commute"):
         distance_bruteforce(sc)
     assert calls == [2 * sc.num_qudits * sc.field.degree]
@@ -466,23 +471,58 @@ def test_bruteforce_checks_every_centralizer_vector(monkeypatch, pair, mixed, pa
 @pytest.mark.parametrize("pair", [helpers.shor_pair, helpers.nine_qutrit_pair])
 def test_bruteforce_rejects_a_mixed_vector_in_a_css_centralizer(monkeypatch, pair):
     sc = build(*pair())
-    real = linalg.nullspace
+    real = linalg.kernel
 
-    def mix(field, rows, ncols):
-        out = real(field, rows, ncols)
+    def mix(p, lanes, rows):
+        out = real(p, lanes, rows)
         # first (pure X) plus last (pure Z): still a commuting basis
-        out[0] = tuple((x + z) % field.p for x, z in zip(out[0], out[-1]))
+        out[0] = _lane_adder(p, lanes)(out[0], out[-1])
         return out
 
-    monkeypatch.setattr(linalg, "nullspace", mix)
+    monkeypatch.setattr(linalg, "kernel", mix)
     with pytest.raises(ArithmeticError, match="neither pure X nor pure Z"):
         distance_bruteforce(sc)
+
+
+def xz_qutrit():
+    """The stabilizer of one qutrit under X Z: not CSS in any presentation."""
+    return StabilizerCode(F3, 1, 0, 1, 0, [PauliElement(F3, 0, (1,), (1,))])
+
+
+@pytest.mark.parametrize("make, fault", [
+    (lambda: build(*helpers.shor_pair()), "halves"),
+    (lambda: build(*helpers.nine_qutrit_pair()), "halves"),
+    # a CSS group has one kernel under both signs; this one has not
+    (xz_qutrit, "sign"),
+], ids=["halves", "qutrit-halves", "qutrit-sign"])
+def test_centralizer_check_does_not_read_the_pairing_rows(monkeypatch, make, fault):
+    # A fault in the pairing rows the kernel is taken of: the kernel still
+    # pairs to zero with those rows, so only a pairing recomputed from the
+    # generators' own entries catches it.
+    sc = make()
+    f, w = sc.field, _lane_width(sc.field.p)
+
+    def faulty(code):
+        pairings = []
+        for g in code.generators:
+            a, b = list(f.trace_rows(g.a)), [-t % f.p for t in f.trace_rows(g.b)]
+            if fault == "halves":  # (tr(g.a .) | -tr(g.b .)) for (-tr(g.b .) | tr(g.a .))
+                row = a + b
+            else:  # tr(g.b . a) not negated: a symmetric form
+                row = [-t % f.p for t in b] + a
+            pairings.append(_lane_pack(row, w))
+        return [_vec_lanes(f, g.a + g.b) for g in code.generators], pairings
+
+    monkeypatch.setattr(construct, "_pairings", faulty)
+    for call in (centralizer_basis, distance_bruteforce):
+        with pytest.raises(ArithmeticError, match="fails to commute"):
+            call(sc)
 
 
 def test_centralizer_of_every_family_code_is_pure_x_or_pure_z():
     count = 0
     for c_code, d_code, _ in helpers.family_instances() + helpers.repetition_instances():
-        for v in centralizer_basis(build(c_code, d_code)):
+        for v in centralizer_pauli(build(c_code, d_code)):
             assert not any(v.a) or not any(v.b)
             count += 1
     assert count > 0
@@ -643,7 +683,7 @@ def draw_pair(data, shapes=PAIR_SHAPES, unit_row=False):
     def full_rank_rows(field, count, length):
         entry = st.integers(0, field.order - 1)
         rows = data.draw(st.lists(st.tuples(*[entry] * length), min_size=count, max_size=count))
-        assume(linalg.rank(field, rows) == count)
+        assume(oracles.rank(field, rows) == count)
         return rows
 
     c_code = code_make(f, full_rank_rows(f, k, n))
@@ -652,7 +692,7 @@ def draw_pair(data, shapes=PAIR_SHAPES, unit_row=False):
         j = data.draw(st.integers(0, m - 1), label="unit coordinate")
         u = data.draw(st.integers(1, K.order - 1), label="unit scalar")
         d_rows[0] = (0,) * j + (u,) + (0,) * (m - 1 - j)
-        assume(linalg.rank(K, d_rows) == s)
+        assume(oracles.rank(K, d_rows) == s)
     d_code = code_make(K, d_rows)
     assume(all(any(row[i] for row in d_code.gen) for i in range(m)))
     meta = {"p": p, "r": r, "n": n, "k": k, "m": m, "s": s}

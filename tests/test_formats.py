@@ -83,11 +83,24 @@ def test_stabilizer_export_round_trip(data):
     (stab_from_text, "2 1 1 1 2 1 2 1 0\n0 0 | 1 1\n"),  # delta 0
     (stab_from_text, "2 1 1 1 2 1 2 1 3\n0 0 | 1 1\n"),  # delta N + 1
     (stab_from_text, "2 1 1 1 2 1 2 1 -7\n0 0 | 1 1\n"),  # delta -7
+    (stab_from_text, "2 1 -2 1 -2 1 4 1 -\n0 0 0 0 | 1 1 0 0\n"),  # N = nm with n, m < 0
 ], ids=["field", "code", "bh", "stab", "stab-two-pipes", "stab-delta-0",
-        "stab-delta-N+1", "stab-delta-negative"])
+        "stab-delta-N+1", "stab-delta-negative", "stab-negative-lengths"])
 def test_each_format_rejects_bad_input(parse, text):
     with pytest.raises((ValueError, QbhError)):
         parse(text)
+
+
+@pytest.mark.parametrize("head", ["2 1 -2 1 -2 1 4 1 -", "2 1 0 1 3 1 0 1 -",
+                                  "2 1 3 -1 3 -1 9 1 -", "2 1 3 1 3 -1 9 -1 -"])
+def test_stab_header_rejects_negative_or_empty_sizes(head):
+    with pytest.raises(ValueError, match=r"header needs n, m >= 1 and k, s >= 0: \["):
+        stab_from_text(head + "\n")
+
+
+def test_stab_header_accepts_n_and_k_one():
+    sc = stab_from_text("2 1 1 1 2 1 2 1 -\n0 0 | 1 1\n")
+    assert (sc.n, sc.k, sc.m, sc.s) == (1, 1, 2, 1)
 
 
 def test_stab_line_with_two_separators_is_quoted():

@@ -323,7 +323,7 @@ def test_code_states_equal_their_readable_form(field, rows):
     prime = field_make(p, 1)
     basis = fp_basis(c)
     assert ([_vec_lanes(field, g) for g in basis]
-            == [_vec_lanes(prime, r) for r in linalg.rref(prime, map(field.vec_digits, basis))[0]])
+            == [_vec_lanes(prime, r) for r in oracles.rref(prime, map(field.vec_digits, basis))[0]])
     t = table_make(c, field_make(p, field.degree * c.k))
     for lam in range(t.scalars.order):
         readable = {w: CycAmp.root(p, step * f_eval(t, lam, w)) for w in words}
@@ -356,7 +356,7 @@ def test_state_make_refuses_too_many_label_digits_before_eliminating(monkeypatch
     amps = {(x, y, 0): CycAmp.one(5) for x in range(5) for y in range(3)}
     monkeypatch.setattr(sv, "DEFAULT_BUDGET", 31)
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "rref", refuse)
+        patch.setattr(linalg, "Echelon", refuse)
         with pytest.raises(BudgetExceeded,
                            match=r"^state_make labels x digits: 45 requested, limit 31$"):
             state_make(F5, 3, amps)
@@ -887,7 +887,7 @@ def test_states_from_built_parts_equal_states_from_a_fresh_table(data):
     def rows(field, count, length):
         entry = st.integers(0, field.order - 1)
         drawn = data.draw(st.lists(st.tuples(*[entry] * length), min_size=count, max_size=count))
-        assume(linalg.rank(field, drawn) == count)
+        assume(oracles.rank(field, drawn) == count)
         return drawn
 
     c, d = code_make(f, rows(f, k, n)), code_make(K, rows(K, s, m))
@@ -912,7 +912,7 @@ def test_big_phi_equals_the_tensor_fold_of_its_phi_states(data):
     def rows(field, count, length):
         entry = st.integers(0, field.order - 1)
         drawn = data.draw(st.lists(st.tuples(*[entry] * length), min_size=count, max_size=count))
-        assume(linalg.rank(field, drawn) == count)
+        assume(oracles.rank(field, drawn) == count)
         return drawn
 
     c, d = code_make(f, rows(f, k, n)), code_make(K, rows(K, s, m))
