@@ -25,6 +25,7 @@ p^{dim B} elements instead of p^{dim A + dim B}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -289,19 +290,36 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     construction data.  Every returned vector v is checked to pair to
     zero with every generator g the other way round, apart from those
     rows: v's own pairing row, tr(v.b . a) - tr(v.a . b) on the digits
-    of an (a | b), dotted with g's own digits.
+    of an (a | b), read chunk by chunk off ``_pairing_lanes``, dotted
+    with g's own digits.
     """
     f, N = sc.field, sc.num_qudits
-    p, w = f.p, _lane_width(f.p)
-    out = linalg.kernel(p, 2 * N * f.degree, _pairings(sc)[1])
+    chunk = f.degree * _lane_width(f.p)
+    out = linalg.kernel(f.p, 2 * N * f.degree, _pairings(sc)[1])
     own = [_vec_lanes(f, g.a + g.b) for g in sc.generators]
+    lanes, mask = _pairing_lanes(f), (1 << chunk) - 1
     for v in out:
-        x = _lanes_vec(f, 2 * N, v)
-        row = _lane_pack(f.trace_rows(x[N:]) + tuple(-t % p for t in f.trace_rows(x[:N])), w)
-        if any(_lane_dot(p, row, y) for y in own):
+        row = 0
+        for i in range(2 * N):  # -tr(a_i .) on b_i's digits, tr(b_i .) on a_i's
+            x = v >> i * chunk & mask
+            if x:
+                row |= lanes[x][i < N] << (i + N) % (2 * N) * chunk
+        if any(_lane_dot(f.p, row, y) for y in own):
             raise ArithmeticError(
                 "centralizer vector fails to commute; construction data corrupt"
             )
+    return out
+
+
+@functools.cache
+def _pairing_lanes(f) -> dict:
+    """{lanes of a: (tr(a .), -tr(a .))} over the elements a of the field
+    f, each row lane-packed on the digits of the element it pairs with."""
+    w = _lane_width(f.p)
+    out = {}
+    for a in f.elements():
+        row = f.trace_row(a)
+        out[_vec_lanes(f, (a,))] = (_lane_pack(row, w), _lane_pack([-t % f.p for t in row], w))
     return out
 
 

@@ -230,6 +230,15 @@ def _valuation(i, p):
     return j
 
 
+def _block_rows(p, dim):
+    """The rows of one block: the most, up to dim, whose p^low
+    combinations number at most 4096."""
+    low = 0
+    while low < dim and p ** (low + 1) <= 4096:
+        low += 1
+    return low
+
+
 @functools.cache
 def _ruler(p, low):
     """v_p(i) for 0 < i < p^low: the steps of one block of ``_gray_span``."""
@@ -249,9 +258,7 @@ def _gray_span(p, rows, add, start=0):
     4096 steps, reused block by block.
     """
     dim = len(rows)
-    low = 0
-    while low < dim and p ** (low + 1) <= 4096:
-        low += 1
+    low = _block_rows(p, dim)
     steps = _ruler(p, low)
     cur = start
     for block in range(p ** (dim - low)):

@@ -14,8 +14,8 @@ import itertools
 
 from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LengthMismatch, ZeroCode
-from .gf import (Field, _field_from_body, _gray_span, _lane_adder, _lane_pack, _lane_width,
-                 _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
+from .gf import (Field, _block_rows, _field_from_body, _gray_span, _lane_adder, _lane_pack,
+                 _lane_width, _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
 
 
 def weight(v) -> int:
@@ -144,33 +144,80 @@ def _min_weight_outside(p: int, srows, rest, N: int, r: int, fold: int = 0) -> i
 
     Rows are F_p-independent lane-packed vectors of N coordinates of r
     digits, or with ``fold`` (a | b) pairs, b from bit ``fold`` on, whose
-    weight is that of a OR b: the coordinates with a nonzero digit.  The
-    Gray-code walk over srows then rest reaches span(srows) first: its
-    first p^{len(srows)} elements are exactly that span.  With no rest
-    the minimum is over the nonzero span.
+    weight is that of a OR b: the coordinates with a nonzero digit.  With
+    no rest the minimum is over the nonzero span.
+
+    The walk weighs a block of up to 4096 elements per big-int pass
+    (SWAR; Warren, Hacker's Delight, ch. 2).  A table holds every
+    combination of the first b rows, one per slot of ``size`` bits, slot
+    i the combination whose coefficients are the base-p digits of i.
+    ``_gray_span`` walks the other rows, each copied into every slot, from
+    the table on: one lane add per block.  A popcount tree over the
+    nonzero chunks leaves each slot holding its weight.  The e excluded
+    rows (srows, or none) span the first p^e elements of that order: the
+    first p^(e-b) blocks, skipped, or the first p^e slots of the first
+    block, lifted above N.
     """
-    chunk = r * _lane_width(p)
-    ones = _lane_pack((1,) * N, chunk)
-    low = ones * ((1 << (chunk - 1)) - 1)
-    high = ones << (chunk - 1)
+    rows = srows + rest
+    e = len(srows) if rest else 0
+    w = _lane_width(p)
+    chunk = r * w
+    width = N * chunk * (2 if fold else 1)
+    size = chunk  # a slot holds an element and a count up to 2N + 1 below its top bit
+    while size < width or 1 << size - 1 <= 2 * N + 1:
+        size *= 2
+    b = _block_rows(p, len(rows))
+    table, ones, n = 0, 1, size  # the table so far, of n bits; ones: bit 0 of each slot
+    for row in rows[:b]:
+        add, step, cur, copies = _lane_adder(p, n // w), row * ones, table, ones
+        for c in range(1, p):
+            cur = add(cur, step)
+            table |= cur << c * n
+            copies |= ones << c * n
+        ones, n = copies, p * n
+    tree, lanes, f = [], ones, size // 2  # lanes: bit 0 of every 2f bits
+    while f >= chunk:
+        up = lanes << f
+        tree.insert(0, (f, up - lanes))  # the low f bits of every 2f
+        lanes |= up
+        f //= 2
+    firsts = ((ones << N * chunk) - ones) & lanes  # bit 0 of each weighed chunk
+    low, high = firsts * ((1 << chunk - 1) - 1), firsts << chunk - 1
+    guard = ones << size - 1
+    if e >= b:
+        skip, lift = p ** (e - b), 0
+    else:
+        skip, lift = 0, (N + 1) * (ones & (1 << p ** e * size) - 1)
     best = N + 1
-    first = p ** len(srows) if rest else 1
-    walk = _gray_span(p, srows + rest, _lane_adder(p, N * r * (2 if fold else 1)))
-    if fold:
-        walk = (cur | cur >> fold for cur in walk)
-    for cur in itertools.islice(walk, first, None):
+    below = guard - best * ones  # plus a weight, its top bit is set when not below best
+    blocks = _gray_span(p, [row * ones for row in rows[b:]], _lane_adder(p, n // w), table)
+    for x in itertools.islice(blocks, skip, None):
+        if fold:
+            x |= x >> fold
         # one bit per nonzero chunk: its top bit, or a carry out of the rest
-        wt = ((((cur & low) + low) | cur) & high).bit_count()
-        if wt < best:
-            if wt == 1:
+        x = (((x & low) + low | x) & high) >> chunk - 1
+        for f, m in tree:
+            x = (x & m) + (x >> f & m)
+        if lift:
+            x, lift = x + lift, 0
+        if (x + below) & guard != guard:  # some slot below best: bisect for the least
+            least = 1  # no slot weighs less than least
+            while best - least > 1:
+                mid = (least + best) // 2
+                if (x + guard - mid * ones) & guard != guard:
+                    best = mid
+                else:
+                    least = mid
+            best = least
+            if best == 1:
                 return 1
-            best = wt
+            below = guard - best * ones
     return best
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact minimum Hamming distance, by the Gray-code walk over an
-    F_p-basis of the code: one lane add per codeword."""
+    """Exact minimum Hamming distance, by the min-weight walk over an
+    F_p-basis of the code: up to 4096 codewords per big-int pass."""
     if code.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
     if code.size > budget:

@@ -8,6 +8,7 @@ and group orders come from explicit closure. Slow on purpose.
 
 import cmath
 import itertools
+import operator
 
 from qbh.pauli import PauliElement, identity, mul
 
@@ -67,6 +68,29 @@ def oracle_min_distance(field, gen_rows):
         wt = sum(1 for x in w if x)
         if wt and (best is None or wt < best):
             best = wt
+    return best
+
+
+def min_weight_outside(field, n, srows, rest, fold=False):
+    """Minimum weight of span_Fp(srows + rest) outside span_Fp(srows).
+
+    Every F_p-coefficient tuple is formed as a vector over ``field``, its
+    digits summed column by column mod p.  The rows are F_p-independent,
+    so a combination lies in span(srows) exactly when its coefficients
+    on ``rest`` are all zero.  Vectors have n coordinates, or 2n with
+    ``fold``, where coordinate i counts when i or n + i is nonzero.  With
+    no rest the minimum is over the nonzero span; n + 1 when no element
+    is left.
+    """
+    rows = [field.vec_digits(row) for row in list(srows) + list(rest)]
+    columns = list(zip(*rows))
+    best = n + 1
+    for coeffs in itertools.product(range(field.p), repeat=len(rows)):
+        if not any(coeffs[len(srows):] if rest else coeffs):
+            continue
+        digits = [sum(map(operator.mul, coeffs, col)) % field.p for col in columns]
+        v = field.vec_from_digits(digits)
+        best = min(best, sum(1 for i in range(n) if v[i] or fold and v[n + i]))
     return best
 
 

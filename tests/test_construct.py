@@ -5,7 +5,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbh.errors import (
@@ -238,12 +238,12 @@ def test_capped_walk_visits_no_word_of_d_heavier_than_c():
     code, d_code = helpers.pattern_code(F2, 5, 2), helpers.pattern_code(field_make(2, 2), 4, 2)
     assert lincode.min_distance(code) == 2 <= lincode.min_distance(d_code)
     sc = build(code, d_code)
-    with recording_walk() as seen, \
+    with recording_walk() as seen, counting_walk() as count, \
             mock.patch.object(construct, "_leader_weights", side_effect=AssertionError):
         assert distance(sc) == 2
-    # only the lane-packed walk over the 4 words of C
-    assert len(seen) == code.size
-    assert not any(isinstance(word, tuple) for word in seen)
+    # only the min-weight walk over the 4 words of C, no word of D
+    assert count == [code.size]
+    assert seen == []
 
 
 def test_capped_walk_visits_each_light_word_of_d_per_support():
@@ -369,7 +369,7 @@ def mixed_presentation(sc, z_index=-1, x_index=0):
 
 @contextlib.contextmanager
 def recording_walk():
-    """Record the elements every Gray-code walk of ``construct`` and ``lincode`` visits."""
+    """Record the words of D every Gray-code walk of ``construct`` visits."""
     seen = []
     real = construct._gray_span
 
@@ -378,18 +378,34 @@ def recording_walk():
             seen.append(cur)
             yield cur
 
-    with mock.patch.object(construct, "_gray_span", recorded), \
-            mock.patch.object(lincode, "_gray_span", recorded):
+    with mock.patch.object(construct, "_gray_span", recorded):
         yield seen
 
 
 @contextlib.contextmanager
 def counting_walk():
-    """Count the elements the brute-force walk visits; yields a one-item list."""
-    count = [0]
-    with recording_walk() as seen:
+    """Count the elements the min-weight walk weighs; yields a one-item list.
+
+    The walk tables the combinations of its first b rows and weighs them
+    as one block per offset that ``_gray_span`` reaches over the rest:
+    p^b elements per offset, b the rows not passed to ``_gray_span``.
+    """
+    count, dims = [0], []
+    real_walk, real_span = lincode._min_weight_outside, lincode._gray_span
+
+    def walk(p, srows, rest, *args):
+        dims.append(len(srows) + len(rest))
+        return real_walk(p, srows, rest, *args)
+
+    def offsets(p, rows, *args):
+        for cur in real_span(p, rows, *args):
+            count[0] += p ** (dims[-1] - len(rows))
+            yield cur
+
+    with mock.patch.object(construct, "_min_weight_outside", walk), \
+            mock.patch.object(lincode, "_min_weight_outside", walk), \
+            mock.patch.object(lincode, "_gray_span", offsets):
         yield count
-        count[0] = len(seen)
 
 
 def walk_sizes(meta):
@@ -676,25 +692,36 @@ PAIR_SHAPES = [
 def draw_pair(data, shapes=PAIR_SHAPES, unit_row=False):
     """A random code pair whose centralizer has at most 2^16 elements.
 
-    With ``unit_row`` the first row of D is a word of weight 1."""
+    C and D are full rank, and every coordinate of D is live, by
+    construction.  With ``unit_row`` the first row of D is a word of
+    weight 1."""
     p, r, n, k, m, s = data.draw(st.sampled_from(shapes), label="shape")
     f, K = field_make(p, r), field_make(p, r * k)
 
-    def full_rank_rows(field, count, length):
-        entry = st.integers(0, field.order - 1)
-        rows = data.draw(st.lists(st.tuples(*[entry] * length), min_size=count, max_size=count))
-        assume(oracles.rank(field, rows) == count)
+    def systematic_rows(field, count, length, live=False, unit=False):
+        """A permuted systematic form: row i is 1 at its own pivot and 0 at
+        the other rows' pivots, the pivots drawn columns.  With ``live``
+        each other column is nonzero in a drawn row.  With ``unit`` the
+        first row is a nonzero scalar at its pivot alone, and the other
+        columns fill the other rows."""
+        order = data.draw(st.permutations(range(length)), label="pivot columns first")
+        rows = [[0] * length for _ in range(count)]
+        for i, j in enumerate(order[:count]):
+            rows[i][j] = 1
+        first = 1 if unit else 0
+        entry, nonzero = st.integers(0, field.order - 1), st.integers(1, field.order - 1)
+        for j in order[count:]:
+            column = data.draw(st.lists(entry, min_size=count - first, max_size=count - first))
+            if live:
+                column[data.draw(st.integers(0, count - first - 1))] = data.draw(nonzero)
+            for i, x in enumerate(column, first):
+                rows[i][j] = x
+        if unit:
+            rows[0][order[0]] = data.draw(nonzero, label="unit scalar")
         return rows
 
-    c_code = code_make(f, full_rank_rows(f, k, n))
-    d_rows = full_rank_rows(K, s, m)
-    if unit_row:
-        j = data.draw(st.integers(0, m - 1), label="unit coordinate")
-        u = data.draw(st.integers(1, K.order - 1), label="unit scalar")
-        d_rows[0] = (0,) * j + (u,) + (0,) * (m - 1 - j)
-        assume(oracles.rank(K, d_rows) == s)
-    d_code = code_make(K, d_rows)
-    assume(all(any(row[i] for row in d_code.gen) for i in range(m)))
+    c_code = code_make(f, systematic_rows(f, k, n))
+    d_code = code_make(K, systematic_rows(K, s, m, live=True, unit=unit_row))
     meta = {"p": p, "r": r, "n": n, "k": k, "m": m, "s": s}
     return build(c_code, d_code), meta
 
@@ -743,3 +770,22 @@ def test_bruteforce_on_random_mixed_presentations_takes_the_full_walk(data):
         assert distance_bruteforce(mixed) == delta
     if delta > 1:
         assert count == [walk_sizes(meta)[1]]
+
+
+@pytest.mark.parametrize("fault", ["unsigned", "both-negated"])
+def test_centralizer_check_reads_the_per_element_pairing_table(monkeypatch, fault):
+    # The check builds each kernel vector's own pairing row from the table
+    # of (tr(a .), -tr(a .)) per element a; with the sign lost there the
+    # form is symmetric.  CSS groups hide that at odd p (one kernel under
+    # both signs), so the group is the one-qutrit X Z stabilizer.
+    sc = xz_qutrit()
+    table = construct._pairing_lanes(sc.field)
+    assert len(centralizer_basis(sc)) == 1
+    if fault == "unsigned":
+        faulty = {x: (row, row) for x, (row, _) in table.items()}
+    else:
+        faulty = {x: (neg, neg) for x, (_, neg) in table.items()}
+    monkeypatch.setattr(construct, "_pairing_lanes", lambda f: faulty)
+    for call in (centralizer_basis, distance_bruteforce):
+        with pytest.raises(ArithmeticError, match="fails to commute"):
+            call(sc)

@@ -1,14 +1,17 @@
 """Classical linear codes: construction, duals, distances, wire format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbh.errors import (
     BudgetExceeded,
     LengthMismatch,
     ZeroCode,
 )
-from qbh.gf import field_make
+from qbh.gf import _block_rows, _lane_width, _vec_lanes, field_make
 from qbh.lincode import (
+    _min_weight_outside,
     code_make,
     code_from_text,
     code_to_text,
@@ -156,6 +159,71 @@ def test_min_distance_budget():
     with pytest.raises(BudgetExceeded, match=r"^codeword walk words: 16 requested,"
                        r" limit 8; raise it with --budget$"):
         min_distance(c, budget=8)
+
+
+def independent_rows(data, field, length, dim, unit):
+    """dim F_p-independent vectors over ``field`` of the given length, in a
+    permuted systematic form on their digits: each row has digit 1 at its
+    own pivot and 0 at the others'.  With ``unit`` the last row is its
+    pivot digit alone, a vector of weight 1."""
+    digits = length * field.degree
+    pivots = data.draw(st.permutations(range(digits)), label="digit order")[:dim]
+    entry = st.integers(0, field.p - 1)
+    rows = []
+    for i, j in enumerate(pivots):
+        digs = data.draw(st.lists(entry, min_size=digits, max_size=digits), label="digits")
+        if unit and i == dim - 1:
+            digs = [0] * digits
+        for k in pivots:
+            digs[k] = 0
+        digs[j] = 1
+        rows.append(field.vec_from_digits(digs))
+    return rows
+
+
+def check_walk(data, p, dim, s, unit, spare):
+    """The walk against the enumeration oracle on dim drawn rows, the
+    first s of them excluded, over GF(p) or GF(p^2), folded or not, with
+    up to ``spare`` coordinates beyond the fewest that fit the rows."""
+    r = data.draw(st.sampled_from([1, 2]), label="r")
+    fold = data.draw(st.booleans(), label="fold")
+    per = r * (2 if fold else 1)  # digits per coordinate of the weight
+    least = max(1, -(-dim // per))
+    n = data.draw(st.integers(least, least + spare), label="n")
+    field = field_make(p, r)
+    rows = independent_rows(data, field, n * (2 if fold else 1), dim, unit)
+    want = oracles.min_weight_outside(field, n, rows[:s], rows[s:], fold)
+    if unit:
+        assert want == 1
+    packed = [_vec_lanes(field, row) for row in rows]
+    half = n * r * _lane_width(p) if fold else 0
+    assert _min_weight_outside(p, packed[:s], packed[s:], n, r, half) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+def test_min_weight_walk_in_one_block_matches_enumeration(data, p):
+    dim = data.draw(st.integers(0, _block_rows(p, 6)), label="dim")
+    s = data.draw(st.integers(0, dim), label="|S|")
+    # up to 40 more coordinates: slots of more than one machine word
+    check_walk(data, p, dim, s, dim > 0 and data.draw(st.booleans(), label="unit"), 40)
+
+
+# (p, dim, |S|, unit): past one block of 4096 elements, with |S| below
+# and above its b rows, or with no rest, and with ``unit`` a weight-1 row
+# last, so that the walk stops early in a later block.
+BLOCK_SHAPES = [
+    (2, 13, 3, False), (2, 14, 13, False), (2, 13, 13, False), (3, 8, 2, False),
+    (3, 9, 8, False), (5, 6, 1, False), (7, 5, 2, False), (2, 13, 3, True), (7, 5, 2, True),
+]
+
+
+@pytest.mark.parametrize("p, dim, s, unit", BLOCK_SHAPES)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_min_weight_walk_past_one_block_matches_enumeration(p, dim, s, unit, data):
+    assert p ** dim > 4096
+    check_walk(data, p, dim, s, unit, 2)
 
 
 def test_codeword_count():
