@@ -230,11 +230,11 @@ def _valuation(i, p):
     return j
 
 
-def _block_rows(p, dim):
+def _block_rows(p, dim, most=4096):
     """The rows of one block: the most, up to dim, whose p^low
-    combinations number at most 4096."""
+    combinations number at most ``most``."""
     low = 0
-    while low < dim and p ** (low + 1) <= 4096:
+    while low < dim and p ** (low + 1) <= most:
         low += 1
     return low
 

@@ -147,8 +147,9 @@ def _min_weight_outside(p: int, srows, rest, N: int, r: int, fold: int = 0) -> i
     weight is that of a OR b: the coordinates with a nonzero digit.  With
     no rest the minimum is over the nonzero span.
 
-    The walk weighs a block of up to 4096 elements per big-int pass
-    (SWAR; Warren, Hacker's Delight, ch. 2).  A table holds every
+    The walk weighs a block of up to 4096 elements, and of at most 2^18
+    bits, per big-int pass (SWAR; Warren, Hacker's Delight, ch. 2), so
+    wide slots of long vectors get fewer of them.  A table holds every
     combination of the first b rows, one per slot of ``size`` bits, slot
     i the combination whose coefficients are the base-p digits of i.
     ``_gray_span`` walks the other rows, each copied into every slot, from
@@ -166,7 +167,7 @@ def _min_weight_outside(p: int, srows, rest, N: int, r: int, fold: int = 0) -> i
     size = chunk  # a slot holds an element and a count up to 2N + 1 below its top bit
     while size < width or 1 << size - 1 <= 2 * N + 1:
         size *= 2
-    b = _block_rows(p, len(rows))
+    b = _block_rows(p, len(rows), min(4096, (1 << 18) // size))
     table, ones, n = 0, 1, size  # the table so far, of n bits; ones: bit 0 of each slot
     for row in rows[:b]:
         add, step, cur, copies = _lane_adder(p, n // w), row * ones, table, ones

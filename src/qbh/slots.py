@@ -6,8 +6,8 @@ wide, so ``_slot_adder`` adds slot values mod M.  Adding a vector u to
 every point rotates digit j of each slot number by u_j mod p: two masked
 shifts per nonzero digit of u.  ``statevec`` keeps a state's exponents
 on the coordinates of its labels over a ``_Basis`` of its support's
-span, and ``fix_dim`` keeps phases on all q^N labels, the identity basis
-of their F_p digits.
+span, and ``fix_dim`` keeps phases the same way on the coset where its
+diagonal generators act as 1.
 """
 
 from __future__ import annotations

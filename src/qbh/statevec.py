@@ -25,6 +25,9 @@ label, and it keeps its work for the last basis it met.  The code
 states of m blocks on one table share one product basis, each one sum
 of m spread slot arrays (``_fold``).  ``exps`` (label -> exponent) and
 ``amps`` (label tuple -> CycAmp) are read-only views, built on first access.
+``fix_dim`` runs on the same form, over the coset where the generator
+list's diagonal elements z^c Z(b) act as 1: a fixed vector vanishes
+everywhere else.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, fi
 from .lincode import LinearCode, contains, fp_basis
 from .pauli import PauliElement, phase_modulus, phase_step, symp_ip_int
 from .pauli import mul as pauli_mul
-from .slots import _Basis, _join, _slots
+from .slots import _Basis, _join
 
 
 @functools.cache
@@ -115,13 +118,19 @@ class CycAmp:
 
 
 @functools.cache
-def _trace_tables(p: int, width: int) -> tuple:
-    """(rep, pattern) of ``_trace_form`` for labels of ``width`` bits:
-    pattern[t] holds the bits of big for lane 0 with coefficient t."""
-    rep = sum(1 << (s * width) for s in range(p - 1))
-    pattern = [sum(1 << (s * width + k) for k in range((p - 1).bit_length())
-                   for s in range((t << k) % p)) for t in range(p)]
-    return rep, pattern
+def _trace_rep(p: int, width: int) -> int:
+    """rep of ``_trace_form`` for labels of ``width`` bits: p - 1 ones,
+    ``width`` bits apart."""
+    return ((1 << (p - 1) * width) - 1) // ((1 << width) - 1)
+
+
+@functools.cache
+def _trace_pattern(p: int, width: int, t: int) -> int:
+    """The bits of big for lane 0 with coefficient t: bit k of the lane
+    weighs v = t 2^k mod p, so it is set in copies 0, ..., v - 1, the
+    low v ones of rep, in O(log p) big-int steps."""
+    rep = _trace_rep(p, width)
+    return sum((rep & (1 << (t << k) % p * width) - 1) << k for k in range((p - 1).bit_length()))
 
 
 def _trace_form(f, b):
@@ -135,12 +144,12 @@ def _trace_form(f, b):
     set bit v times.  At p = 2, rep = 1 and big is the bit mask of b.
     """
     w = _lane_width(f.p)
-    rep, pattern = _trace_tables(f.p, len(b) * f.degree * w)
+    width = len(b) * f.degree * w
     big = 0
     for lane, t in enumerate(f.trace_rows(b)):
         if t:
-            big |= pattern[t] << lane * w
-    return rep, big
+            big |= _trace_pattern(f.p, width, t) << lane * w
+    return _trace_rep(f.p, width), big
 
 
 class StateVector:
@@ -637,14 +646,25 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
     the translations by the X parts split the labels into orbits, the
     cosets of their span, and each orbit carries one fixed vector or none.
 
-    Everything runs on slot arrays over all q^N labels.  The tree
-    generators are those whose X parts are independent, and the labels
-    zero at the pivot columns of the echelon form of those X parts meet
+    A diagonal generator z^c Z(b) gives v(x) = z^(c + step tr(b.x)) v(x),
+    so a fixed vector vanishes off the coset A = t + V where every one
+    of them acts as 1: c + step tr(b.x) = 0 mod M.  The dimension is 0
+    when some c is not a multiple of step or the system in x has no
+    solution (t from one ``linalg.solve``, V from ``linalg.kernel``),
+    and also when another generator's X part a lies outside V, since
+    then x + a leaves A for every x in A.  Otherwise everything runs on
+    slot arrays over the p^(dim V) labels of A, held as a ``_Basis`` with
+    t reduced at its pivots, the form of every state: a lies in V, so
+    it translates the slots by its digits at the pivot lanes, and its
+    cost c + step tr(b.x) is affine in the slot digits, as in ``apply``.
+    The tree generators are those whose translations are independent,
+    and the slots zero at the pivot columns of their echelon form meet
     each orbit once.  Phases start at 0 there and spread along the tree
-    generators; then every generator is checked on every label, the
-    labels where it breaks the relation are closed under the tree
-    translations, and the orbits left untouched are counted.  ``budget``
-    caps the q^N labels.
+    generators; then every generator is checked on every slot, the
+    slots where one breaks the relation are closed under the tree
+    translations, and the orbits left untouched are counted.  With no
+    diagonal generator, A is the whole space.  ``budget`` caps the q^N
+    labels of the whole space.
     """
     if hasattr(s, "generators"):
         gens, f, n = list(s.generators), s.field, s.num_qudits
@@ -662,23 +682,54 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceeded("fix_dim labels", f.order ** n, budget)
     if not gens:
         return f.order ** n
-    slots = _slots(f.p, n * f.degree, phase_modulus(f))
-    shifts = [f.vec_digits(g.a) for g in gens]
-    costs = [slots.affine(g.phase, f.trace_rows(g.b)) for g in gens]
-    span = linalg.Echelon(f.p, n * f.degree)
-    tree = [i for i, g in enumerate(gens) if span.insert(_vec_lanes(f, g.a))]
+    p, lanes, w = f.p, n * f.degree, _lane_width(f.p)
+    modulus, step = phase_modulus(f), phase_step(f)
+    diagonal = [g for g in gens if not any(g.a)]
+    if any(g.phase % step for g in diagonal):
+        return 0
+    rows = [_lane_pack(f.trace_rows(g.b), w) for g in diagonal]
+    t = linalg.solve(p, lanes, [row | -(g.phase // step) % p << lanes * w
+                                for row, g in zip(rows, diagonal)], 1)[0]
+    if t is None:
+        return 0
+    basis = _Basis(p, lanes, modulus, linalg.kernel(p, lanes, rows))
+    t, slots = basis.reduce(t), basis.slots
+
+    def cost(g):
+        """(c + step tr(b.t), [tr(b.v_i)]): g's cost on t + sum_i X_i v_i,
+        affine in the X_i, each trace up to a multiple of p, by the
+        popcount form of ``apply``."""
+        rep, big = _trace_form(f, g.b)
+        return (g.phase + step * ((t * rep) & big).bit_count(),
+                [((v * rep) & big).bit_count() for v in basis.rows])
+
+    rank = len(linalg.Echelon(p, lanes, rows).lead)
+    if len(basis.rows) != lanes - rank or any(
+            c % modulus or any(x % p for x in row) for c, row in map(cost, diagonal)):
+        raise ArithmeticError("diagonal generators do not vanish on their coset; linear algebra corrupt")
+    shifts, costs = [], []
+    for g in gens:
+        if any(g.a):
+            a = _vec_lanes(f, g.a)
+            if basis.reduce(a):
+                return 0
+            shifts.append([(a >> shift) & basis.digit for shift in basis.shifts])
+            costs.append(slots.affine(*cost(g)))
+    span = linalg.Echelon(p, len(basis.rows))
+    tree = [i for i, u in enumerate(shifts) if span.insert(_lane_pack(u, w))]
     transversal = slots.full
     for j in span.pivots:
-        transversal &= slots.mask(j, f.p - 1)[0]
+        transversal &= slots.mask(j, p - 1)[0]
     phases, known = 0, transversal
     for i in tree:
         phases, known = slots.spread(phases, known, shifts[i], costs[i])
     if known != slots.full:
         raise ArithmeticError("tree translations miss a label; slot arrays corrupt")
-    broken = 0
-    for a, cost in zip(shifts, costs):
-        broken |= slots.translate(slots.add(phases, cost), a) ^ phases
-    bad = slots.nonzero(broken)
-    for i in tree:
-        bad = slots.spread(bad, slots.full, shifts[i], 0)[0]
+    broken = bad = 0
+    for u, arr in zip(shifts, costs):
+        broken |= slots.translate(slots.add(phases, arr), u) ^ phases
+    if broken:
+        bad = slots.nonzero(broken)
+        for i in tree:
+            bad = slots.spread(bad, slots.full, shifts[i], 0)[0]
     return (transversal & slots.ones & ~bad).bit_count()

@@ -406,7 +406,8 @@ def test_budget_reaches_the_closed_form_distance(tmp_path, capsys):
 
 
 def test_budget_reaches_fix_dim(tmp_path, capsys):
-    # one Z check on 17 qubits: fix_dim runs on all 2^17 labels
+    # one Z check on 17 qubits: fix_dim runs on the 2^16 labels where it acts as 1,
+    # and its budget counts all 2^17
     sc = StabilizerCode(F2, 17, 16, 1, 1, [PauliElement(F2, 0, (0,) * 17, (1,) * 17)])
     stab = _write(tmp_path, "z17.stab", stab_to_text(sc))
     assert main(["--budget", "65536", "verify", stab, "--statevec"]) == 2
@@ -418,7 +419,8 @@ def test_budget_reaches_fix_dim(tmp_path, capsys):
 
 def test_verify_statevec_past_2_16_labels_at_the_default_budget(tmp_path, capsys):
     # [[21,8]]_2 from C = Hamming [7,4]_2 and D = <101, 011> over GF(16):
-    # 2^21 labels for fix_dim, 2^8 code states of 2^12 slots each
+    # 2^21 labels for fix_dim's budget, 2^12 on its Z rows' coset, and
+    # 2^8 code states of 2^12 slots each
     c = _write(tmp_path, "c.txt", "2 1 7 4\n1 0 0 0 1 1 0\n0 1 0 0 0 1 1\n"
                                   "0 0 1 0 1 1 1\n0 0 0 1 1 0 1\n")
     d = _write(tmp_path, "d.txt", "2 4 3 2\n1 0 1\n0 1 1\n")
@@ -434,7 +436,7 @@ def test_verify_statevec_past_2_16_labels_at_the_default_budget(tmp_path, capsys
 
 
 def test_budget_reaches_the_code_states(tmp_path, capsys):
-    # C = [3,2]_2 and D = [3,2]_4: fix_dim runs on 2^9 labels, but the
+    # C = [3,2]_2 and D = [3,2]_4: fix_dim's budget counts 2^9 labels, but the
     # 16 code states hold 4^3 slots each, 1024 in all
     c = _write(tmp_path, "c.txt", "2 1 3 2\n1 0 1\n0 1 1\n")
     d = _write(tmp_path, "d.txt", "2 2 3 2\n1 0 1\n0 1 1\n")

@@ -68,8 +68,11 @@ def test_stdlib_check_sees_third_party_imports():
     assert absolute_imports(src) - sys.stdlib_module_names == {"numpy", "hypothesis", "sympy"}
 
 
-# The state-vector oracle must not lean on the symplectic one.
-SYMPLECTIC = {"symp_ip", "symp_ip_int", "mul", "centralizer_basis", "sympl_matrix"}
+# The state-vector oracle must not lean on the symplectic one: neither on
+# its products and pairings nor on the pairing rows and checks of
+# ``construct``.  Both may share the F_p primitives of ``linalg``.
+SYMPLECTIC = {"symp_ip", "symp_ip_int", "mul", "centralizer_basis", "sympl_matrix",
+              "_pairings", "_pairing_lanes", "_dot_trace", "verify_generators"}
 
 
 def referenced_names(source: str, root: str) -> set:
@@ -155,7 +158,7 @@ def test_slot_arrays_read_no_symplectic_algebra():
 
 # The state oracle's packed forms: the trace form of a Z part and the
 # packed form ``statevec.apply`` keeps on each Pauli element.
-PACKED = {"_trace_form", "_trace_tables", "_packed"}
+PACKED = {"_trace_form", "_trace_rep", "_trace_pattern", "_packed"}
 
 
 def test_symplectic_oracle_reads_no_packed_form():

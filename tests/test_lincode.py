@@ -1,9 +1,12 @@
 """Classical linear codes: construction, duals, distances, wire format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbh import lincode
 from qbh.errors import (
     BudgetExceeded,
     LengthMismatch,
@@ -224,6 +227,31 @@ BLOCK_SHAPES = [
 def test_min_weight_walk_past_one_block_matches_enumeration(p, dim, s, unit, data):
     assert p ** dim > 4096
     check_walk(data, p, dim, s, unit, 2)
+
+
+# (p, N, dim, |S|): slots of 512 bits at p = 2, N = 300 and of 384 bits
+# at p = 3, N = 120, where 4096 elements would take the whole span.
+WIDE_SHAPES = [(2, 300, 10, 0), (2, 300, 10, 9), (3, 120, 7, 2)]
+
+
+@pytest.mark.parametrize("p, n, dim, s", WIDE_SHAPES)
+def test_min_weight_walk_holds_at_most_2_18_bits_per_block(p, n, dim, s, monkeypatch):
+    field, rng = field_make(p, 1), random.Random(f"{p},{n},{dim}")
+    rows = [tuple(int(i == j) for j in range(dim)) + tuple(rng.randrange(p) for _ in range(n - dim))
+            for i in range(dim)]
+    offsets, real = [], lincode._gray_span
+
+    def walk_rest(p, rest, *args):
+        offsets.append(len(rest))
+        return real(p, rest, *args)
+
+    monkeypatch.setattr(lincode, "_gray_span", walk_rest)
+    packed = [_vec_lanes(field, row) for row in rows]
+    got = _min_weight_outside(p, packed[:s], packed[s:], n, 1)
+    assert got == oracles.min_weight_outside(field, n, rows[:s], rows[s:])
+    size = 512 if p == 2 else 384
+    block = dim - offsets[0]
+    assert p ** block * size <= 1 << 18 < p ** (block + 1) * size
 
 
 def test_codeword_count():

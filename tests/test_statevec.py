@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh import linalg
 from qbh.errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
-from qbh.gf import FIELD_SIZE_LIMIT, Field, _vec_lanes, field_make
+from qbh.gf import FIELD_SIZE_LIMIT, Field, _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import code_make, encode, fp_basis, iter_codewords
 from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
-from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, x_op, z_op
+from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
 from qbh import statevec as sv
 from qbh.statevec import (
@@ -1104,3 +1104,104 @@ def test_fix_dim_budget_guard():
         fix_dim(gens, budget=1 << 16)
     assert fix_dim(gens) == 1 << 16
     assert DEFAULT_BUDGET == 1 << 22
+
+
+# -- fix_dim on the coset A where the diagonal generators act as 1
+
+
+def recorded_slot_counts(monkeypatch):
+    """The slot count of every ``_Basis`` that statevec builds from here on."""
+    real, sizes = sv._Basis, []
+
+    def basis(*args):
+        out = real(*args)
+        sizes.append(out.slots.size)
+        return out
+
+    monkeypatch.setattr(sv, "_Basis", basis)
+    return sizes
+
+
+def test_fix_dim_is_zero_when_a_diagonal_phase_is_no_multiple_of_step():
+    # i Z(1, 0) at p = 2: i^(1 + 2 tr(x_0)) is never 1
+    gens = [PauliElement(F2, 1, (0, 0), (1, 0)), x_op(F2, (0, 1))]
+    assert fix_dim(gens) == oracles.fix_dim_by_orbits(F2, 2, gens) == 0
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, F9])
+def test_fix_dim_is_zero_on_an_inconsistent_diagonal_system(f):
+    # Z(1) asks tr(x_0) = 0 and z^step Z(1) asks tr(x_0) = -1
+    gens = [z_op(f, (1, 0)), PauliElement(f, phase_step(f), (0, 0), (1, 0)), x_op(f, (0, 1))]
+    assert fix_dim(gens) == oracles.fix_dim_by_orbits(f, 2, gens) == 0
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, F9])
+def test_fix_dim_is_zero_when_an_x_part_leaves_the_coset(f, monkeypatch):
+    # Z(1, 1) keeps tr(x_0 + x_1) = 0, and X(a, 0) with tr(a) != 0 moves
+    # every such label off it; X(a, -a) stays on it
+    a = next(x for x in range(f.order) if oracles.oracle_trace(f, x))
+    gens = [z_op(f, (1, 1)), x_op(f, (a, 0))]
+    sizes = recorded_slot_counts(monkeypatch)
+    assert fix_dim(gens) == oracles.fix_dim_by_orbits(f, 2, gens) == 0
+    assert sizes == [f.p ** (2 * f.degree - 1)]
+    inside = [z_op(f, (1, 1)), x_op(f, (a, f.mul(f.p - 1, a)))]
+    assert fix_dim(inside) == oracles.fix_dim_by_orbits(f, 2, inside) > 0
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, F9])
+def test_fix_dim_of_diagonal_generators_alone_counts_their_coset(f, monkeypatch):
+    # two independent F_p conditions on 3 qudits of r digits: p^(3r - 2) labels
+    gens = [z_op(f, (1, 1, 0)), PauliElement(f, phase_step(f), (0, 0, 0), (0, 1, 1))]
+    sizes = recorded_slot_counts(monkeypatch)
+    assert fix_dim(gens) == oracles.fix_dim_by_orbits(f, 3, gens) == f.p ** (3 * f.degree - 2)
+    assert sizes == [f.p ** (3 * f.degree - 2)]
+
+
+def test_fix_dim_with_no_diagonal_generator_runs_on_the_whole_space(monkeypatch):
+    gens = [x_op(F3, (1, 2)), PauliElement(F3, 1, (0, 1), (1, 1)), x_op(F3, (2, 1))]
+    sizes = recorded_slot_counts(monkeypatch)
+    assert fix_dim(gens) == oracles.fix_dim_by_orbits(F3, 2, gens)
+    assert sizes == [9]
+
+
+def test_fix_dim_runs_21_8_on_the_coset_of_its_z_rows(monkeypatch):
+    # [[21,8]]_2 from C = Hamming [7,4]_2 and D = <101, 011> over GF(16):
+    # the 9 Z rows (C^perp in each block) leave 2^12 of the 2^21 labels
+    hamming = code_make(F2, [(1, 0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 0, 1, 1),
+                             (0, 0, 1, 0, 1, 1, 1), (0, 0, 0, 1, 1, 0, 1)])
+    sc = build(hamming, code_make(field_make(2, 4), [(1, 0, 1), (0, 1, 1)]))
+    sizes = recorded_slot_counts(monkeypatch)
+    assert fix_dim(sc) == 1 << 8
+    assert sizes == [1 << 12]
+    with pytest.raises(BudgetExceeded, match=r"^fix_dim labels: 2097152 requested,"):
+        fix_dim(sc, budget=1 << 20)  # the budget still counts all 2^21 labels
+
+
+@pytest.mark.parametrize("fault", ["short kernel", "foreign kernel row", "offset off the coset"])
+def test_fix_dim_self_check_sees_faulty_coset_algebra(fault, monkeypatch):
+    sc = build(*helpers.shor_pair())
+    kernel, solve = linalg.kernel, linalg.solve
+    if fault == "short kernel":
+        monkeypatch.setattr(linalg, "kernel", lambda *args: kernel(*args)[:-1])
+    elif fault == "foreign kernel row":  # e_0 meets the Z check on qubits 0 and 1
+        monkeypatch.setattr(linalg, "kernel", lambda *args: kernel(*args)[:-1] + [1])
+    else:
+        monkeypatch.setattr(linalg, "solve", lambda *args: [x ^ 1 for x in solve(*args)])
+    with pytest.raises(ArithmeticError, match="coset"):
+        fix_dim(sc)
+
+
+def test_apply_on_one_qudit_over_gf_65521_matches_the_label_view():
+    # the trace form of b must cost O(log p) big-int steps per coefficient
+    # met: a table of all p coefficients would take O(p^2 log p) bits here
+    f = field_make(65521, 1)
+    c = code_make(f, [(1,)])
+    v = phi(c, table_make(c, f), 3)
+
+    def view(state):
+        return {_lanes_vec(f, 1, x): e for x, e in state.exps.items()}
+
+    assert len(view(v)) == f.order
+    assert view(apply(x_op(f, (5,)), v)) == {(f.add(x, 5),): e for (x,), e in view(v).items()}
+    assert view(apply(z_op(f, (7,)), v)) == {
+        (x,): (e + oracles.oracle_trace(f, f.mul(7, x))) % f.p for (x,), e in view(v).items()}
