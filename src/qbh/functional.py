@@ -50,8 +50,8 @@ class FunctionalTable:
     with every unit's right-hand side appended.
 
     ``_state_parts`` is None until ``statevec`` first builds a state of
-    the table; it then holds what every word of D shares (see
-    ``statevec._phi_states``) and lives as long as the table.
+    the table; it then holds P(m) per message and the tr(lam P(m)) lists
+    of ``statevec._phi_states`` for the table's lifetime.
     """
 
     __slots__ = (

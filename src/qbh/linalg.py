@@ -13,6 +13,20 @@ from __future__ import annotations
 from .gf import _lane_adder, _lane_width
 
 
+def _times(combine, x, count: int):
+    """x combined with itself ``count`` times, in O(log count) combines.
+
+    ``combine`` must be associative; it is called on (out, out) to double
+    and on (out, x) to add one, reading the bits of ``count`` from the top.
+    """
+    out = x
+    for bit in bin(count)[3:]:
+        out = combine(out, out)
+        if bit == "1":
+            out = combine(out, x)
+    return out
+
+
 class Echelon:
     """The reduced echelon basis of a row space over F_p, rows lane-packed
     over ``lanes`` lanes.
@@ -42,12 +56,7 @@ class Echelon:
 
     def scale(self, x: int, c: int) -> int:
         """c x for c in [1, p), by double-and-add."""
-        out = x
-        for bit in bin(c)[3:]:
-            out = self.add(out, out)
-            if bit == "1":
-                out = self.add(out, x)
-        return out
+        return _times(self.add, x, c)
 
     def reduce(self, x: int) -> int:
         """x less the combination of rows that clears its pivot lanes: each

@@ -24,9 +24,10 @@ def weight(v) -> int:
 
 
 class LinearCode:
-    """A k-dimensional length-n code over ``field``, held in RREF."""
+    """A k-dimensional length-n code over ``field``, held in RREF; ``_products``, None until
+    ``statevec`` builds a state of it, keeps its product bases, ignored by ``==`` and hash."""
 
-    __slots__ = ("field", "n", "k", "gen", "pivots")
+    __slots__ = ("field", "n", "k", "gen", "pivots", "_products")
 
     def __init__(self, field: Field, n: int, gen: tuple, pivots: tuple):
         self.field = field
@@ -34,6 +35,7 @@ class LinearCode:
         self.k = len(gen)
         self.gen = gen
         self.pivots = pivots
+        self._products = None
 
     @property
     def size(self) -> int:

@@ -103,9 +103,7 @@ def mul(e1: PauliElement, e2: PauliElement) -> PauliElement:
         raise LengthMismatch("operators act on different qudit counts")
     f = e1.field
     phase = e1.phase + e2.phase + phase_step(f) * _dot_trace(f, e1.b, e2.a)
-    a = tuple(f.add(x, y) for x, y in zip(e1.a, e2.a))
-    b = tuple(f.add(x, y) for x, y in zip(e1.b, e2.b))
-    return PauliElement(f, phase, a, b)
+    return PauliElement(f, phase, tuple(map(f.add, e1.a, e2.a)), tuple(map(f.add, e1.b, e2.b)))
 
 
 def symp_ip(u: PauliElement, v: PauliElement) -> int:

@@ -16,21 +16,7 @@ import functools
 import itertools
 
 from .gf import _lane_width, _slot_adder
-from .linalg import Echelon
-
-
-def _times(combine, x, count: int):
-    """x combined with itself ``count`` times, in O(log count) combines.
-
-    ``combine`` must be associative; it is called on (out, out) to double
-    and on (out, x) to add one, reading the bits of ``count`` from the top.
-    """
-    out = x
-    for bit in bin(count)[3:]:
-        out = combine(out, out)
-        if bit == "1":
-            out = combine(out, x)
-    return out
+from .linalg import Echelon, _times
 
 
 def _join(values, bits: int) -> int:
@@ -168,18 +154,15 @@ class _Basis:
     ``rows`` are those of the ``linalg.Echelon`` of the given rows: each
     1 at its pivot lane, its lowest nonzero lane, and 0 at the pivot
     lanes of the others, in increasing pivot order, and ``reduce`` is its
-    reduction.  ``mults[i][d]`` is d * rows[i], and ``shifts[i]`` is the
-    bit offset of the pivot lane of rows[i].  Two bases are equal when
-    their rows are.
+    reduction.  ``shifts[i]`` is the bit offset of the pivot lane of
+    rows[i].  Two bases are equal when their rows are.
     """
 
-    __slots__ = ("p", "rows", "mults", "shifts", "digit", "add", "slots", "reduce")
+    __slots__ = ("p", "rows", "shifts", "digit", "add", "slots", "reduce")
 
     def __init__(self, p: int, lanes: int, modulus: int, rows):
         span = Echelon(p, lanes, rows)
         self.p, self.rows, self.add, self.reduce = p, tuple(span.rows), span.add, span.reduce
-        self.mults = [list(itertools.accumulate([r] * (p - 1), self.add, initial=0))
-                      for r in self.rows]
         self.shifts = tuple(sorted(span.lead))
         self.digit = (1 << _lane_width(p)) - 1
         self.slots = _slots(p, len(self.rows), modulus)
@@ -187,8 +170,9 @@ class _Basis:
     def labels(self, offset: int) -> list:
         """offset + sum_i X_i rows[i] for every slot sum_i X_i p^i, slot 0 first."""
         labels = [offset]
-        for mult in self.mults:
-            labels = [self.add(x, m) for m in mult for x in labels]
+        for row in self.rows:
+            mults = itertools.accumulate([row] * (self.p - 1), self.add, initial=0)
+            labels = [self.add(x, m) for m in mults for x in labels]
         return labels
 
     def __eq__(self, other):

@@ -22,9 +22,9 @@ t + a + V: the slots translate by the digits of a at the pivot lanes,
 and the phase c + step tr(b.x) is affine in the slot digits, so
 ``apply`` costs a few big-int operations per basis row and none per
 label, and it keeps its work for the last basis it met.  The code
-states of m blocks on one table share one product basis, each one sum
-of m spread slot arrays (``_fold``).  ``exps`` (label -> exponent) and
-``amps`` (label tuple -> CycAmp) are read-only views, built on first access.
+states of m blocks of one code object share the product basis it keeps,
+each one sum of m spread slot arrays (``_fold``).  ``exps`` (label ->
+exponent) and ``amps`` (label tuple -> CycAmp) are read-only views.
 ``fix_dim`` runs on the same form, over the coset where the generator
 list's diagonal elements z^c Z(b) act as 1: a fixed vector vanishes
 everywhere else.
@@ -39,7 +39,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup,
                      LengthMismatch, NotACodeword)
-from .gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
+from .gf import _gray_span, _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from .lincode import LinearCode, contains, fp_basis
 from .pauli import PauliElement, phase_modulus, phase_step, symp_ip_int
 from .pauli import mul as pauli_mul
@@ -224,20 +224,24 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
 
     Every label must have length ``length`` and entries in the field.
     Zero amplitudes are dropped, and any other amplitude must be a root
-    of unity.  The span of the support is the ``linalg.Echelon`` of the
-    lane-packed labels less the first one; label x then owns the slot
-    whose base-p digits are those of x at the pivots.
+    of unity z^e.  The first nonzero coefficient of z^e is 1 at e when
+    e < M - step, else -1 at e - M + step, so it names the one candidate
+    e, checked in O(p).  The span of the support is the ``linalg.Echelon``
+    of the lane-packed labels less the first one; label x then owns the
+    slot whose base-p digits are those of x at the pivots.
     """
-    for label in amps:
+    exps = {}
+    for label, a in amps.items():
         if len(label) != length:
             raise LengthMismatch(f"label {label} is not length {length}")
         for x in label:
             if not 0 <= x < field.order:
                 raise ValueError(f"entry {x} is not a packed element of {field!r}")
-    roots = {CycAmp.root(field.p, e): e for e in range(phase_modulus(field))}
-    exps = {x: roots.get(a) for x, a in amps.items() if not a.is_zero}
-    if None in exps.values():
-        raise ValueError("an amplitude is not a root of unity")
+        if not a.is_zero:
+            j = next(j for j, c in enumerate(a.coeffs) if c)
+            e = exps[label] = j if a.coeffs[j] == 1 else j + len(a.coeffs)
+            if a != CycAmp.root(field.p, e):
+                raise ValueError("an amplitude is not a root of unity")
     # The elimination reads S labels x their digit columns; refuse before it.
     entries = len(exps) * length * field.degree
     if entries > DEFAULT_BUDGET:
@@ -300,13 +304,16 @@ def _product(code: LinearCode, m: int) -> tuple:
                     _join([1] * size ** (m - 1 - b), size ** (b + 1) * width)) for b in range(m)]
 
 
-def _fold(code: LinearCode, product, blocks) -> StateVector:
+def _fold(code: LinearCode, blocks) -> StateVector:
     """The tensor product over b of sum_s omega^(v_s) |c_s>, each scaled
     by q^(-k/2), for the values v = blocks[b] in F_p, one per slot of C,
-    as one full array on ``product``'s basis: each block joined at its
-    stride, multiplied by its repunits to fill each run and copy the
-    runs across, and the blocks added mod M."""
-    (basis, spread), arr = product, 0
+    as one full array on the product basis kept in ``code._products``:
+    each block joined at its stride, multiplied by its repunits to fill
+    each run and copy the runs across, and the blocks added mod M."""
+    products = code._products = code._products or {}
+    if len(blocks) not in products:
+        products[len(blocks)] = _product(code, len(blocks))
+    (basis, spread), arr = products[len(blocks)], 0
     for values, (bits, fill, copy) in zip(blocks, spread):
         block = _join(values, bits) * fill * copy
         arr = basis.slots.add(arr, block) if arr else block
@@ -320,8 +327,8 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
     f_lam(c) = tr(lam P(m)) with P = ``table.pack_message`` on the
     message m of c, as in ``FunctionalTable.f_int``.  ``table._state_parts``
     keeps for the table's lifetime what all words of D share: P(m) per
-    slot, the values tr(lam P(m)) of each lam asked for so far, read
-    once per message, and the ``_product`` of each block count.
+    slot, and the values tr(lam P(m)) of each lam asked for so far, read
+    once per message.  The product basis is the one ``code`` keeps.
     """
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
@@ -330,13 +337,11 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
         if not 0 <= lam < K.order:
             raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {K.order}")
     if table._state_parts is None:
-        table._state_parts = ([table.pack_message(m) for m in _messages(code)], {}, {})
-    packed, values, products = table._state_parts
+        table._state_parts = ([table.pack_message(m) for m in _messages(code)], {})
+    packed, values = table._state_parts
     for lam in set(lams) - values.keys():
         values[lam] = [K.trace_int(K.mul(lam, y)) for y in packed]
-    if len(lams) not in products:
-        products[len(lams)] = _product(code, len(lams))
-    return _fold(code, products[len(lams)], [values[lam] for lam in lams])
+    return _fold(code, [values[lam] for lam in lams])
 
 
 def phi(code: LinearCode, table, lam) -> StateVector:
@@ -373,7 +378,8 @@ def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVecto
 
 def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     """Tensor product of rows of a BH matrix, each read as a state on the
-    codewords of C, by ``_fold`` on a product basis built for the call.
+    codewords of C, by ``_fold`` on the product basis ``code`` keeps, so
+    the states of one span share it with each other and with ``big_phi``.
 
     Column label x names the codeword with message digits of x in base q,
     most significant first; the entry is the amplitude exponent.  The
@@ -398,7 +404,7 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     column = {x: j for j, x in enumerate(labels)}
     cols = [column[x] for x in _message_labels(code)]
     values = {r: [matrix.rows[r][j] for j in cols] for r in set(rows)}
-    return _fold(code, _product(code, len(rows)), [values[r] for r in rows])
+    return _fold(code, [values[r] for r in rows])
 
 
 def apply(e: PauliElement, v: StateVector) -> StateVector:
@@ -470,8 +476,8 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
     words = _code_basis(code)
     shift = n * f.degree * _lane_width(f.p)
     last = (m - 1) * shift
-    kernel = [g << i * shift | mult[-1] << last
-              for i in range(m - 1) for g, mult in zip(words.rows, words.mults)]
+    kernel = [g << i * shift | linalg._times(words.add, g, f.p - 1) << last
+              for i in range(m - 1) for g in words.rows]
     basis = _basis(f, n * m, kernel)
     return [StateVector(f, n * m, basis, c << last, basis.slots.full, 0, 0)
             for _, c in sorted(zip(_message_labels(code), words.labels(0)))]
@@ -560,7 +566,8 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     them go to one ``linalg.solve`` on the row basis.  Each solution is
     then checked with ``is_fixed`` on every state, which holds exactly
     when the whole system is consistent; the fixing elements of that
-    shift are the solution plus the kernel.
+    shift are the solution plus the kernel, walked by ``gf._gray_span``
+    from the element the check built, which is kept as the first.
 
     The result is the group generated by the solutions of an F_p-basis
     of the accepted shifts and by the kernel elements.  Before it is
@@ -618,21 +625,21 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     aug = [row | _lane_pack(col, w) << lanes * w for row, col in zip(brows, zip(*rhss))]
     cosets = []
     for (c0, a), z in zip(trials, linalg.solve(p, lanes, aug, len(trials))):
-        if all(is_fixed(element(c0, a, z), v) for v in states):
-            cosets.append((c0, a, z))
+        e = element(c0, a, z)
+        if all(is_fixed(e, v) for v in states):
+            cosets.append((e, c0, a, z))
     # The solutions of an F_p-basis of the accepted shifts, and the kernel.
-    gens = [element(*coset) for coset in cosets if shifts.insert(coset[1])]
+    gens = [e for e, _, a, _ in cosets if shifts.insert(a)]
     gens += [element(0, 0, k) for k in kernel]
     work = len(cosets) * p ** len(kernel) * len(gens)
     if work > budget:
         raise BudgetExceeded("stab_of_span elements x generators", work, budget)
-    mults = [list(itertools.accumulate([k] * (p - 1), add, initial=0)) for k in kernel]
     found = []
-    for c0, a, z0 in cosets:
-        for coeffs in itertools.product(range(p), repeat=len(kernel)):
-            found.append(element(c0, a, functools.reduce(add, map(list.__getitem__, mults, coeffs), z0)))
+    for e, c0, a, z0 in cosets:  # the walk starts at z0, whose element e is built
+        rest = itertools.islice(_gray_span(p, kernel, add, z0), 1, None)
+        found += [e] + [element(c0, a, z) for z in rest]
     _check_fixing_group(states, found, gens)
-    for x in found:  # the self-check's apply work is no part of the result
+    for x in found + gens:  # the self-check's apply work is no part of the result
         x._packed = None
     return found
 

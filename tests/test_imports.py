@@ -181,6 +181,57 @@ def test_symplectic_check_follows_helpers_aliases_and_modules():
     assert referenced_names(src, "other") & SYMPLECTIC == {"centralizer_basis"}
 
 
+# The module-level caches of the state modules, each keyed by ints.  Work
+# on a code, table or state lives on that object (``LinearCode._products``,
+# ``FunctionalTable._state_parts``, ``PauliElement._packed``); a cache that
+# kept such objects by value would let one benchmark job reuse the work of
+# another, and would keep them alive after their job.
+STATE_CACHES = {"_ring": ("int",), "_trace_rep": ("int", "int"),
+                "_trace_pattern": ("int", "int", "int"), "_slots": ("int", "int", "int")}
+
+
+def module_caches(source: str) -> tuple:
+    """(cached, stores) for one module: each function anywhere under a
+    decorator that names a cache, with the annotation of each argument;
+    and the line of each binding that outlives a call, an assignment at
+    module or class level of anything but a constant or a tuple of
+    constants, or a ``global`` statement."""
+    tree = ast.parse(source)
+    cached = {node.name: tuple(a.annotation and ast.unparse(a.annotation) for a in node.args.args)
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and any("cache" in ast.unparse(d) for d in node.decorator_list)}
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+
+    def constant(value):
+        items = value.elts if isinstance(value, ast.Tuple) else [value]
+        return all(isinstance(x, ast.Constant) for x in items)
+
+    stores = [node.lineno for body in bodies for node in body
+              if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              and not (node.value and constant(node.value))]
+    stores += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    return cached, sorted(stores)
+
+
+def test_state_modules_cache_only_by_ints():
+    package = pathlib.Path(qbh.__file__).parent
+    found = [module_caches((package / name).read_text()) for name in ("statevec.py", "slots.py")]
+    assert {name: args for cached, _ in found for name, args in cached.items()} == STATE_CACHES
+    assert [stores for _, stores in found] == [[], []]
+
+
+def test_cache_check_sees_decorators_containers_and_globals():
+    src = ("import functools\nfrom functools import lru_cache\nLIMIT = 4\n_STATES = {}\n"
+           "@functools.cache\ndef _ring(p: int):\n    return p\n"
+           "@lru_cache(maxsize=None)\ndef _product(code, m: int):\n    return code\n"
+           "class Basis:\n    __slots__ = ('rows',)\n    seen = []\n"
+           "    @functools.cache\n    def labels(self):\n        return []\n"
+           "def keep(code):\n    global LAST\n    LAST = code\n"
+           "_fold = functools.cache(keep)\n")
+    assert module_caches(src) == (
+        {"_ring": ("int",), "_product": (None, "int"), "labels": (None,)}, [4, 13, 18, 20])
+
+
 # Every public top-level name of the package is read by the package itself
 # or by the benchmark, or it is listed here with why it stays.
 UNREAD_BY_DESIGN = {

@@ -13,7 +13,7 @@ from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh import linalg
 from qbh.errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
 from qbh.gf import FIELD_SIZE_LIMIT, Field, _lanes_vec, _vec_lanes, field_make
-from qbh.lincode import code_make, encode, fp_basis, iter_codewords
+from qbh.lincode import code_make, dual, encode, fp_basis, iter_codewords
 from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
@@ -142,6 +142,7 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
     # 16 words of D name all 4 scalars.
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
     d = code_make(F4, [(1, 0, 1), (0, 1, 1)])
+    h = kron_fourier(2, 2)
     calls = dict.fromkeys(("pack", "mul", "member", "basis", "product"), 0)
     inside = []  # K.mul calls of pack_message and of the D membership test are not counted
 
@@ -169,25 +170,97 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
     monkeypatch.setattr(Field, "mul", counted_mul)
     words = list(iter_codewords(d))
     runs = []
-    for _ in range(2):  # the second table, of an equal code, shares nothing with the first
-        t = table_make(code_make(F2, c.gen), F4)
+    for _ in range(2):  # the second code, equal to the first, shares nothing with it
+        code = code_make(F2, c.gen)
+        t = table_make(code, F4)
         calls.update(dict.fromkeys(calls, 0))
-        first = big_phi(c, d, t, words[0])  # the zero word: one scalar
+        first = big_phi(code, d, t, words[0])  # the zero word: one scalar
         assert calls == {"pack": 4, "mul": 4, "member": 1, "basis": 1, "product": 1}
         assert len(t._state_parts[1]) == 1  # one list of tr(lam P(m))
-        states = [first] + [big_phi(c, d, t, w) for w in words[1:]]
+        states = [first] + [big_phi(code, d, t, w) for w in words[1:]]
         # one list per scalar, one product basis for m = 3
         assert calls == {"pack": 4, "mul": 4 * 4, "member": 16, "basis": 1, "product": 1}
-        runs.append((t._state_parts, states))
-    (parts, states), (parts2, states2) = runs
+        # a second table and the matrix states of the same code object reuse
+        # its product basis; another block count builds its own
+        states.append(big_phi(code, d, table_make(code, F4), words[5]))
+        states += [big_phi_from_matrix(h, code, (r, 1, 2)) for r in range(4)]
+        assert (calls["basis"], calls["product"]) == (1, 1)
+        pair = big_phi_from_matrix(h, code, (1, 2))
+        assert (calls["basis"], calls["product"]) == (2, 2)
+        runs.append((t._state_parts, code._products, states))
+        assert code._products.keys() == {2, 3} and pair.basis is code._products[2][0]
+    (parts, products, states), (parts2, products2, states2) = runs
+    assert len(parts) == 2  # P(m) and the tr(lam P(m)) lists, no product basis
     assert parts is not parts2 and parts[1].keys() == parts2[1].keys() == {0, 1, 2, 3}
     assert all(x is not y for x, y in zip(parts[1].values(), parts2[1].values()))
-    assert parts[2].keys() == parts2[2].keys() == {3}
-    basis, basis2 = parts[2][3][0], parts2[2][3][0]
-    # the 16 states share one basis object, and the second table builds its own
+    basis, basis2 = products[3][0], products2[3][0]
+    # the 21 states of a code share one basis object, and the equal code builds its own
     assert all(v.basis is basis for v in states) and all(v.basis is basis2 for v in states2)
     assert basis is not basis2 and basis == basis2
     assert states == states2
+
+
+def test_matrix_span_states_share_one_product_basis(monkeypatch):
+    built = []
+    product = sv._product
+    monkeypatch.setattr(sv, "_product", lambda code, m: built.append(m) or product(code, m))
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    states = [big_phi_from_matrix(kron_fourier(2, 2), c, (r, r)) for r in range(4)]
+    assert built == [2]
+    assert all(v.basis is c._products[2][0] for v in states)
+
+
+def test_code_equality_and_hashing_ignore_the_product_slot():
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    fresh = code_make(F2, c.gen)
+    assert c._products is None and dual(c)._products is None
+    big_phi_from_matrix(kron_fourier(2, 2), c, (1, 2))
+    assert c._products.keys() == {2} and fresh._products is None
+    assert c == fresh and hash(c) == hash(fresh) and {c: "kept"}[fresh] == "kept"
+
+
+def test_state_make_matches_each_amplitude_to_its_root():
+    for p in (2, 3, 5):
+        for e in range(phase_modulus(field_make(p, 1))):
+            v = state_make(field_make(p, 1), 1, {(1,): CycAmp.root(p, e)})
+            assert v.exps == {1: e}
+            for bad in (CycAmp.root(p, e) * CycAmp(p, (2,)), CycAmp(p, (1, 1)).rot(e)):
+                with pytest.raises(ValueError, match="not a root of unity"):
+                    state_make(field_make(p, 1), 1, {(1,): bad})
+    with pytest.raises(ValueError, match="not a root of unity"):
+        state_make(F3, 1, {(1,): CycAmp.root(2, 0)})  # a root of another ring
+    with pytest.raises(ValueError, match="not a root of unity"):
+        state_make(F5, 1, {(1,): CycAmp(5, (-1,))})  # -1 is no 5th root of unity
+
+
+def test_state_make_builds_one_amplitude_per_label_at_p_1009(monkeypatch):
+    # a table of all M roots would build 1009 CycAmps of 1008 coefficients
+    f = field_make(1009, 1)
+    amp = CycAmp.root(1009, 1008)
+    made = []
+    init = CycAmp.__init__
+    monkeypatch.setattr(CycAmp, "__init__", lambda self, p, coeffs: made.append(p) or init(self, p, coeffs))
+    assert state_make(f, 1, {(3,): amp}).exps == {3: 1008}
+    assert made == [1009]
+
+
+def test_fix_dim_and_apply_never_build_row_multiples(monkeypatch):
+    # the p - 1 multiples of a basis row cost p - 2 lane adds; only the
+    # label view reads them
+    f = field_make(65521, 1)
+    adds = []
+    lane_adder = linalg._lane_adder
+
+    def counting(p, lanes):
+        add = lane_adder(p, lanes)
+        return lambda x, y: adds.append(p) or add(x, y)
+
+    monkeypatch.setattr(linalg, "_lane_adder", counting)
+    assert fix_dim([x_op(f, (1,))]) == 1
+    c = code_make(f, [(1,)])
+    v = apply(z_op(f, (7,)), apply(x_op(f, (5,)), phi(c, table_make(c, f), 3)))
+    assert 0 < len(adds) < 100
+    assert len(v.exps) == f.order and len(adds) > f.order  # the label view builds them
 
 
 def test_state_make_checks_label_length():
@@ -639,7 +712,7 @@ def test_stab_of_computational_basis_state():
     assert set(group) == {identity(F2, 1), z_op(F2, (1,))}
 
 
-def test_stab_of_four_one_matches_generators():
+def test_stab_of_four_one_matches_generators(monkeypatch):
     c, d = helpers.four_one_pair()
     sc = build(c, d)
     t = table_make(c, d.field)
@@ -650,6 +723,14 @@ def test_stab_of_four_one_matches_generators():
         assert e.phase == 0
         assert sc.contains_symplectic(e.a, e.b)
         assert e._packed is None  # the self-check's apply work is not kept
+    # a matrix span: its states share one basis, and each shift generator
+    # is the very element its trial check applied, kept in the result
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    states = [big_phi_from_matrix(kron_fourier(2, 2), c, (r, r)) for r in range(4)]
+    found, gens = _stab_with_generators(states, monkeypatch)
+    assert len(found) == 16 and any(any(g.a) for g in gens)
+    assert all(any(g is x for x in found) for g in gens if any(g.a))
+    assert all(e._packed is None for e in found + gens)
 
 
 def test_stab_of_scrambled_order_four_matrix_keeps_full_group():
