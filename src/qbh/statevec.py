@@ -41,8 +41,7 @@ from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNo
                      LengthMismatch, NotACodeword)
 from .gf import _gray_span, _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from .lincode import LinearCode, contains, fp_basis
-from .pauli import PauliElement, phase_modulus, phase_step, symp_ip_int
-from .pauli import mul as pauli_mul
+from .pauli import PauliElement, phase_modulus, phase_step
 from .slots import _Basis, _join
 
 
@@ -530,21 +529,56 @@ def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def _check_fixing_group(states, found, gens) -> None:
-    """Raise unless ``gens`` commute pairwise, ``found`` is closed under
-    right multiplication by them and each element fixes each state."""
-    f = states[0].field
-    for i, g in enumerate(gens):
-        for h in gens[:i]:
-            if symp_ip_int(f, g.a, g.b, h.a, h.b):
+    """Raise unless ``found`` is the abelian group that ``gens`` generate
+    and every element of it fixes every state.
+
+    Each element z^c X(a) Z(b) is read back as c and its lane-packed row
+    (a | b), a in the low lanes.  Each generator g also gets the trace
+    form T_g(y) = tr(a_g . y) of its a.  The trace form is symmetric, so
+    x g = z^(c_x + c_g + step T_g(b_x)) X(a_x + a_g) Z(b_x + b_g), and g
+    and h commute when T_h(b_g) = T_g(b_h) mod p.
+
+    ``found`` holds the identity and is closed under right
+    multiplication by ``gens``, so it contains <gens>.  Its elements are
+    distinct and number p^rank, rank the F_p-rank of the generators'
+    rows.  That is |<gens>| when <gens> holds no pure phase but 1, and
+    less otherwise, so ``found`` is <gens> and holds no other pure phase.
+    Every element is then a product of generators, so applying each
+    generator to each state checks them all: |gens| |states| applies.
+    """
+    f, n = states[0].field, states[0].length
+    p, lanes = f.p, n * f.degree
+    modulus, step = phase_modulus(f), phase_step(f)
+    shift, cw = lanes * _lane_width(p), (modulus - 1).bit_length()
+
+    def pack(x):
+        return _vec_lanes(f, x.a) | _vec_lanes(f, x.b) << shift
+
+    elements = [(x.phase, pack(x)) for x in found]
+    packed = [(g.phase, pack(g), *_trace_form(f, g.a)) for g in gens]
+    for i, (_, rg, rep, big) in enumerate(packed):
+        for _, rh, rep_h, big_h in packed[:i]:
+            if (((rg >> shift) * rep_h & big_h).bit_count()
+                    - ((rh >> shift) * rep & big).bit_count()) % p:
                 raise ArithmeticError("fixing set is not abelian; span data corrupt")
-    keys = {(x.phase, x.a, x.b) for x in found}
-    for x in found:
-        if not all(is_fixed(x, v) for v in states):
-            raise ArithmeticError("solved element moves a state; span data corrupt")
-        for g in gens:
-            y = pauli_mul(x, g)
-            if (y.phase, y.a, y.b) not in keys:
-                raise ArithmeticError("fixing set not closed; span data corrupt")
+    for g in gens:
+        if not all(is_fixed(g, v) for v in states):
+            raise ArithmeticError("solved generator moves a state; span data corrupt")
+    keys = {row << cw | c for c, row in elements}
+    if 0 not in keys:
+        raise ArithmeticError("fixing set lacks the identity; span data corrupt")
+    if len(keys) != len(found):
+        raise ArithmeticError("fixing set repeats an element; span data corrupt")
+    add = _lane_adder(p, 2 * lanes)
+    for cg, rg, rep, big in packed:
+        if not keys.issuperset(add(row, rg) << cw
+                               | (c + cg + step * ((row >> shift) * rep & big).bit_count()) % modulus
+                               for c, row in elements):
+            raise ArithmeticError("fixing set not closed; span data corrupt")
+    rank = len(linalg.Echelon(p, 2 * lanes, [row for _, row, _, _ in packed]).lead)
+    if len(found) != p ** rank:
+        raise ArithmeticError(f"fixing set has {len(found)} elements, its generators make"
+                              f" {p}^{rank}; span data corrupt")
 
 
 def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
@@ -571,10 +605,13 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
 
     The result is the group generated by the solutions of an F_p-basis
     of the accepted shifts and by the kernel elements.  Before it is
-    handed back, ``_check_fixing_group`` checks it against those
-    generators; a failure would mean the solve itself is wrong, so it
+    handed back, ``_check_fixing_group`` proves from the returned
+    elements alone that it is exactly the abelian group those generators
+    make, with lane-packed products, and applies only the generators to
+    the states; a failure would mean the solve itself is wrong, so it
     raises rather than returns.  ``budget`` caps shifts x equation rows,
-    read off the support masks, and elements x generators.
+    read off the support masks, and elements x generators, the products
+    of that check.
     """
     states = list(states)
     if not states:

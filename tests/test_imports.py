@@ -108,9 +108,10 @@ def referenced_names(source: str, root: str) -> set:
 
 # Every function of the state-vector certification path and every state
 # constructor, with the slot-array helpers they reach.  stab_of_span is
-# left out: its group self-check multiplies Paulis on purpose.
-STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "big_phi",
-                 "big_phi_from_matrix", "tensor", "equal_sum_states", "inner", "state_make"]
+# on it too: its group self-check multiplies and pairs elements on their
+# own lane-packed rows, not through the products of ``pauli``.
+STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "big_phi", "big_phi_from_matrix",
+                 "tensor", "equal_sum_states", "inner", "state_make", "stab_of_span"]
 
 
 @pytest.mark.parametrize("root", STATEVEC_PATH)
@@ -245,6 +246,7 @@ UNREAD_BY_DESIGN = {
     "pauli.commutes": "paper object: commutation of two Pauli elements (test_pauli)",
     "pauli.detectable": "paper object: error detectability (acceptance 10)",
     "pauli.identity": "paper object: the identity of the Pauli group (test_pauli)",
+    "pauli.mul": "paper object: the Pauli group product (test_pauli, oracles.group_closure)",
     "pauli.psi": "paper object: the symplectic image psi (test_pauli)",
     "pauli.swt": "paper object: the symplectic weight swt (acceptance 10)",
     "pauli.symp_ip": "paper object: the trace symplectic inner product (test_pauli)",

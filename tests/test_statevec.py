@@ -832,10 +832,14 @@ def _stab_with_generators(states, monkeypatch):
     return found, args[2]
 
 
-def test_fixing_group_check_needs_every_coset(monkeypatch):
+def _fourier_span():
     h = kron_fourier(2, 2)
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
-    states = [big_phi_from_matrix(h, c, (r, r)) for r in range(4)]
+    return [big_phi_from_matrix(h, c, (r, r)) for r in range(4)]
+
+
+def test_fixing_group_check_needs_every_coset(monkeypatch):
+    states = _fourier_span()
     found, gens = _stab_with_generators(states, monkeypatch)
     assert len(found) == 16 and len(gens) <= 2 * 6 + 1
     sv._check_fixing_group(states, found, gens)
@@ -859,6 +863,76 @@ def test_fixing_group_check_needs_commuting_elements(monkeypatch):
         sv._check_fixing_group(states, found + [bad], gens + [bad])
     with pytest.raises(ArithmeticError):
         sv._check_fixing_group(states, found + [bad], gens)
+
+
+def _logical(found, gens):
+    """An X(a) or Z(b) that commutes with every generator and lies
+    outside the group, up to phase: it moves some state of the span."""
+    f, n = gens[0].field, len(gens[0].a)
+    group = {(x.a, x.b) for x in found}
+    for v in itertools.product(range(f.order), repeat=n):
+        for e in (x_op(f, v), z_op(f, v)):
+            if (e.a, e.b) not in group and all(commutes(e, g) for g in gens):
+                return e
+    raise AssertionError("no logical operator")
+
+
+def test_fixing_group_check_rejects_a_set_that_is_not_the_group(monkeypatch):
+    states = _fourier_span()
+    found, gens = _stab_with_generators(states, monkeypatch)
+    sv._check_fixing_group(states, found, gens)
+    f, n = F2, states[0].length
+    step = phase_step(f)
+    one = found.index(identity(f, n))
+    other = next(i for i, x in enumerate(found) if any(x.a) and any(x.b))
+    x = found[other]
+    logical = _logical(found, gens)
+    doubled = found + [mul(y, logical) for y in found]
+    cases = [
+        (found + [found[other]], "repeats an element"),
+        (found[:one] + [PauliElement(f, step, (0,) * n, (0,) * n)] + found[one + 1:],
+         "lacks the identity"),
+        (found[:other] + [PauliElement(f, x.phase + step, x.a, x.b)] + found[other + 1:],
+         "not closed"),
+        (found + [logical], "not closed"),
+        # closed under gens, but twice as large as the group they make
+        (doubled, r"has 32 elements, its generators make 2\^4"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ArithmeticError, match=message):
+            sv._check_fixing_group(states, bad, gens)
+    # with the logical operator as a generator the set is its group, and
+    # the logical operator commutes with the rest but moves a state
+    with pytest.raises(ArithmeticError, match="moves a state"):
+        sv._check_fixing_group(states, doubled, gens + [logical])
+
+
+@pytest.mark.parametrize("span", ["fourier", "shor"])
+def test_fixing_group_check_applies_only_the_generators(span, monkeypatch):
+    if span == "fourier":
+        states = _fourier_span()
+    else:
+        c, d, t = shor_setup()
+        states = [big_phi(c, d, t, word) for word in iter_codewords(d)]
+    found, gens = _stab_with_generators(states, monkeypatch)
+    calls = []
+    apply_ = sv.apply
+    monkeypatch.setattr(sv, "apply", lambda e, v: calls.append(e) or apply_(e, v))
+    sv._check_fixing_group(states, found, gens)
+    assert 0 < len(calls) <= len(gens) * len(states) < len(found) * len(states)
+
+
+def test_stab_of_span_is_the_stabilizer_of_the_fifteen_four_code():
+    # [[15,4]]_2: C = <10110, 01011> over F_2, D = <(1,0,1), (0,1,2)> over GF(4)
+    c = code_make(F2, [(1, 0, 1, 1, 0), (0, 1, 0, 1, 1)])
+    d = code_make(F4, [(1, 0, 1), (0, 1, 2)])
+    sc = build(c, d)
+    t = table_make(c, F4)
+    states = [big_phi(c, d, t, w) for w in iter_codewords(d)]
+    assert (sc.num_qudits, len(states)) == (15, 16)
+    group = oracles.group_closure(sc.generators)
+    assert len(group) == 2 ** 11
+    assert set(stab_of_span(states)) == group
 
 
 @st.composite
