@@ -1,8 +1,8 @@
 """Slot arrays, and the echelon bases that number a state's slots.
 
 A function on the p^dim points of F_p^dim with values mod M is one int:
-point X owns slot number sum_j X_j p^j, (M - 1).bit_length() + 1 bits
-wide, so ``_slot_adder`` adds slot values mod M.  Adding a vector u to
+point X owns slot number sum_j X_j p^j, ``_slot_width(M)`` bits wide,
+so ``_slot_adder`` adds slot values mod M.  Adding a vector u to
 every point rotates digit j of each slot number by u_j mod p: two masked
 shifts per nonzero digit of u.  ``statevec`` keeps a state's exponents
 on the coordinates of its labels over a ``_Basis`` of its support's
@@ -17,6 +17,17 @@ import itertools
 
 from .gf import _lane_width, _slot_adder
 from .linalg import Echelon, _times
+
+
+def _slot_width(modulus: int) -> int:
+    """The bits of one slot for values mod ``modulus``: one spare top bit
+    above the largest value."""
+    return (modulus - 1).bit_length() + 1
+
+
+def _repunit(count: int, bits: int) -> int:
+    """The int whose ``bits``-bit fields 0, ..., count - 1 each hold 1."""
+    return ((1 << count * bits) - 1) // ((1 << bits) - 1)
 
 
 def _join(values, bits: int) -> int:
@@ -38,10 +49,10 @@ class _Slots:
     def __init__(self, p: int, dim: int, modulus: int):
         self.p, self.dim = p, dim
         self.modulus, self.step = modulus, modulus // p
-        self.width = (modulus - 1).bit_length() + 1
+        self.width = _slot_width(modulus)
         self.size = p ** dim
         self.add = _slot_adder(modulus, self.width, self.size)
-        self.ones = ((1 << self.size * self.width) - 1) // ((1 << self.width) - 1)
+        self.ones = _repunit(self.size, self.width)
         self.full = self.ones * ((1 << self.width) - 1)
         # bits[j]: how far a step of digit j moves a slot
         self.bits = [p ** j * self.width for j in range(dim)]

@@ -21,9 +21,12 @@ so equality compares it as plain values.  z^c X(a) Z(b) moves t + V to
 t + a + V: the slots translate by the digits of a at the pivot lanes,
 and the phase c + step tr(b.x) is affine in the slot digits, so
 ``apply`` costs a few big-int operations per basis row and none per
-label, and it keeps its work for the last basis it met.  The code
-states of m blocks of one code object share the product basis it keeps,
-each one sum of m spread slot arrays (``_fold``).  ``exps`` (label ->
+label, and it keeps its work for the last basis it met.  A full
+support translates onto itself, so on a full mask ``apply`` moves the
+exponent array alone.  The code states of m blocks of one code object
+share the product basis it keeps and fill it, each one sum of m slot
+arrays, each spread by one multiply from a compact array of |C| slots
+kept per scalar or matrix row (``_fold``).  ``exps`` (label ->
 exponent) and ``amps`` (label tuple -> CycAmp) are read-only views.
 ``fix_dim`` runs on the same form, over the coset where the generator
 list's diagonal elements z^c Z(b) act as 1: a fixed vector vanishes
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -42,7 +46,7 @@ from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNo
 from .gf import _gray_span, _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from .lincode import LinearCode, contains, fp_basis
 from .pauli import PauliElement, phase_modulus, phase_step
-from .slots import _Basis, _join
+from .slots import _Basis, _join, _repunit, _slot_width
 
 
 @functools.cache
@@ -120,7 +124,7 @@ class CycAmp:
 def _trace_rep(p: int, width: int) -> int:
     """rep of ``_trace_form`` for labels of ``width`` bits: p - 1 ones,
     ``width`` bits apart."""
-    return ((1 << (p - 1) * width) - 1) // ((1 << width) - 1)
+    return _repunit(p - 1, width)
 
 
 @functools.cache
@@ -291,33 +295,49 @@ def _code_basis(code: LinearCode) -> _Basis:
 def _product(code: LinearCode, m: int) -> tuple:
     """(basis, spread) for states of m blocks of C: the code basis m times
     side by side, block 0 lowest, so block b is digit b of the slot in
-    base |C|; and for each b its stride, |C|^b slots in bits, the
-    repunit of |C|^b slots times step = M / p, and the repunit of
-    |C|^(m-1-b) copies of |C|^(b+1) slots."""
+    base |C|; and for each b the three factors ``_fold`` spreads a
+    compact array of |C| slots by.  With w the slot width and S = |C|^b w
+    the stride of block b: ``times``, 2^(i (S - w)) summed over i < |C|
+    (1 at b = 0); ``keep``, the low slot of each of |C| strides; and
+    ``fill``, step = M / p in every slot whose digit b is 0."""
     f, size = code.field, code.size
     shift = code.n * f.degree * _lane_width(f.p)
     rows = _code_basis(code).rows
     basis = _basis(f, code.n * m, [g << b * shift for b in range(m) for g in rows])
     width, step = basis.slots.width, basis.slots.step
-    return basis, [(size ** b * width, _join([step] * size ** b, width),
-                    _join([1] * size ** (m - 1 - b), size ** (b + 1) * width)) for b in range(m)]
+    spread = []
+    for b in range(m):
+        stride = size ** b * width
+        times = _repunit(size, stride - width) if b else 1
+        fill = step * _repunit(size ** b, width) * _repunit(size ** (m - 1 - b), size * stride)
+        spread.append((times, _repunit(size, stride) * ((1 << width) - 1), fill))
+    return basis, spread
 
 
-def _fold(code: LinearCode, blocks) -> StateVector:
+def _fold(code: LinearCode, arrays) -> StateVector:
     """The tensor product over b of sum_s omega^(v_s) |c_s>, each scaled
-    by q^(-k/2), for the values v = blocks[b] in F_p, one per slot of C,
-    as one full array on the product basis kept in ``code._products``:
-    each block joined at its stride, multiplied by its repunits to fill
-    each run and copy the runs across, and the blocks added mod M."""
+    by q^(-k/2), for the values v in F_p held in arrays[b], a compact
+    array of one slot per slot of C (``_join`` at the slot width), as one
+    full array on the product basis kept in ``code._products``.
+
+    Block b is spread to its stride S by one multiply, (A * times) &
+    keep (see ``_product``): the product puts value j of A, shifted by
+    i (S - w) bits, at slot j + i (|C|^b - 1), and keep takes the terms
+    with i = j, slot j |C|^b.  Off those slots the terms (i, |C| - 1) and
+    (i + 1, 0) share a slot at b = 1, no two terms do at b >= 2, and a
+    sum of two values, at most 2 (p - 1) < 2^w, carries into no other
+    slot.  Multiplying by ``fill`` then puts step v_j in every slot whose
+    digit b is j, and the blocks are added mod M.
+    """
     products = code._products = code._products or {}
-    if len(blocks) not in products:
-        products[len(blocks)] = _product(code, len(blocks))
-    (basis, spread), arr = products[len(blocks)], 0
-    for values, (bits, fill, copy) in zip(blocks, spread):
-        block = _join(values, bits) * fill * copy
+    if len(arrays) not in products:
+        products[len(arrays)] = _product(code, len(arrays))
+    (basis, spread), arr = products[len(arrays)], 0
+    for compact, (times, keep, fill) in zip(arrays, spread):
+        block = (compact * times & keep) * fill
         arr = basis.slots.add(arr, block) if arr else block
-    return StateVector(code.field, code.n * len(blocks), basis, 0, basis.slots.full, arr,
-                       len(blocks) * code.field.degree * code.k)
+    return StateVector(code.field, code.n * len(arrays), basis, 0, basis.slots.full, arr,
+                       len(arrays) * code.field.degree * code.k)
 
 
 def _phi_states(code: LinearCode, table, lams) -> StateVector:
@@ -326,8 +346,9 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
     f_lam(c) = tr(lam P(m)) with P = ``table.pack_message`` on the
     message m of c, as in ``FunctionalTable.f_int``.  ``table._state_parts``
     keeps for the table's lifetime what all words of D share: P(m) per
-    slot, and the values tr(lam P(m)) of each lam asked for so far, read
-    once per message.  The product basis is the one ``code`` keeps.
+    slot, and for each lam asked for so far the compact array of the
+    values tr(lam P(m)), each read once per message.  The product basis
+    is the one ``code`` keeps.
     """
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
@@ -337,15 +358,15 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
             raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {K.order}")
     if table._state_parts is None:
         table._state_parts = ([table.pack_message(m) for m in _messages(code)], {})
-    packed, values = table._state_parts
-    for lam in set(lams) - values.keys():
-        values[lam] = [K.trace_int(K.mul(lam, y)) for y in packed]
-    return _fold(code, [values[lam] for lam in lams])
+    packed, arrays = table._state_parts
+    for lam in set(lams) - arrays.keys():
+        arrays[lam] = _join([K.trace_int(K.mul(lam, y)) for y in packed], _slot_width(phase_modulus(K)))
+    return _fold(code, [arrays[lam] for lam in lams])
 
 
 def phi(code: LinearCode, table, lam) -> StateVector:
     """The state sum_{c in C} omega^{f_lam(c)} |c>, scaled by q^{-k/2}."""
-    return _phi_states(code, table, [int(lam)])
+    return _phi_states(code, table, [operator.index(lam)])
 
 
 def tensor(v: StateVector, w: StateVector) -> StateVector:
@@ -369,7 +390,7 @@ def tensor(v: StateVector, w: StateVector) -> StateVector:
 
 def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVector:
     """Tensor product of the phi states named by one codeword of D."""
-    lam_word = tuple(map(int, lam_word))
+    lam_word = tuple(map(operator.index, lam_word))
     if not contains(d_code, lam_word):
         raise NotACodeword(f"{lam_word} is not in the outer code")
     return _phi_states(code, table, lam_word)
@@ -402,19 +423,23 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
         raise LabelsNotGroup(f"column labels must enumerate 0 .. {matrix.order - 1}")
     column = {x: j for j, x in enumerate(labels)}
     cols = [column[x] for x in _message_labels(code)]
-    values = {r: [matrix.rows[r][j] for j in cols] for r in set(rows)}
-    return _fold(code, [values[r] for r in rows])
+    width = _slot_width(phase_modulus(code.field))
+    arrays = {r: _join([matrix.rows[r][j] for j in cols], width) for r in set(rows)}
+    return _fold(code, [arrays[r] for r in rows])
 
 
 def apply(e: PauliElement, v: StateVector) -> StateVector:
     """Act with z^c X(a) Z(b): labels shift by a, phases pick up tr(b.x).
 
     The offset moves to t + a, reduced at the pivot lanes by the digits
-    u of a there, and support and exponents translate by u as one int,
-    off-support slots all ones (``slots._Slots.split``).  The phase on
-    t + sum_i X_i v_i is c + step tr(b.t) + sum_i step tr(b.v_i) X_i.
-    ``e._packed`` keeps the lane-packed a and trace form of b, then the
-    last basis and offset e met, with the new offset, u and phase array.
+    u of a there, and the exponents translate by u as one int.  The
+    phase on t + sum_i X_i v_i is c + step tr(b.t) + sum_i step tr(b.v_i)
+    X_i, one array, added only when it is not 0.  A full support, such
+    as that of every code state, translates onto itself, so only a
+    partial one is translated with its off-support slots all ones and
+    split again (``slots._Slots.split``).  ``e._packed`` keeps the
+    lane-packed a and trace form of b, then the last basis and offset e
+    met, with the new offset, u and phase array.
     """
     f = v.field
     if e.field != f:
@@ -432,7 +457,10 @@ def apply(e: PauliElement, v: StateVector) -> StateVector:
         phase = slots.affine(e.phase + slots.step * ((v.offset * rep) & big).bit_count(),
                              [((row * rep) & big).bit_count() for row in b.rows])
         e._packed = (a, rep, big, b, v.offset, t, digits, phase)
-    moved = slots.translate(slots.add(v.arr, phase) & v.mask | slots.full ^ v.mask, digits)
+    arr = slots.add(v.arr, phase) if phase else v.arr
+    if v.mask == slots.full:
+        return StateVector(f, v.length, b, t, v.mask, slots.translate(arr, digits), v.scale)
+    moved = slots.translate(arr & v.mask | slots.full ^ v.mask, digits)
     return StateVector(f, v.length, b, t, *slots.split(moved), v.scale)
 
 

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import pickle
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -176,9 +177,9 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         first = big_phi(code, d, t, words[0])  # the zero word: one scalar
         assert calls == {"pack": 4, "mul": 4, "member": 1, "basis": 1, "product": 1}
-        assert len(t._state_parts[1]) == 1  # one list of tr(lam P(m))
+        assert len(t._state_parts[1]) == 1  # one compact array of tr(lam P(m))
         states = [first] + [big_phi(code, d, t, w) for w in words[1:]]
-        # one list per scalar, one product basis for m = 3
+        # one array per scalar, one product basis for m = 3
         assert calls == {"pack": 4, "mul": 4 * 4, "member": 16, "basis": 1, "product": 1}
         # a second table and the matrix states of the same code object reuse
         # its product basis; another block count builds its own
@@ -190,9 +191,10 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         runs.append((t._state_parts, code._products, states))
         assert code._products.keys() == {2, 3} and pair.basis is code._products[2][0]
     (parts, products, states), (parts2, products2, states2) = runs
-    assert len(parts) == 2  # P(m) and the tr(lam P(m)) lists, no product basis
-    assert parts is not parts2 and parts[1].keys() == parts2[1].keys() == {0, 1, 2, 3}
-    assert all(x is not y for x, y in zip(parts[1].values(), parts2[1].values()))
+    assert len(parts) == 2  # P(m) and the tr(lam P(m)) arrays, no product basis
+    # each table counted its own pack and K.mul calls above; the arrays are
+    # ints, which CPython may share when small, so they are compared by value
+    assert parts is not parts2 and parts[1] == parts2[1] and parts[1].keys() == {0, 1, 2, 3}
     basis, basis2 = products[3][0], products2[3][0]
     # the 21 states of a code share one basis object, and the equal code builds its own
     assert all(v.basis is basis for v in states) and all(v.basis is basis2 for v in states2)
@@ -344,11 +346,20 @@ def test_big_phi_rejects_non_codeword():
 def test_phi_rejects_scalars_outside_the_table():
     # lam = |K| once indexed past the field tables, and lam = -1 read the
     # state of |K| - 1 through negative indexing
-    c, _, t = shor_setup()
+    c, d, t = shor_setup()
     for lam in (t.scalars.order, -1):
         with pytest.raises(ValueError,
                            match=rf"^lambda {lam} is not a scalar of the table: need 0 <= lambda < 2$"):
             phi(c, t, lam)
+    # scalars are read as indices: int() once read 1.5 as lam = 1 and the
+    # word ("1", "1", "1") of strings as a codeword of the repetition code
+    for lam in (1.5, "1"):
+        with pytest.raises(TypeError):
+            phi(c, t, lam)
+    for word in (("1", "1", "1"), (1.0, 1.0, 1.0)):
+        with pytest.raises(TypeError):
+            big_phi(c, d, t, word)
+    assert phi(c, t, True) == phi(c, t, 1)
 
 
 def test_matrix_states_reject_rows_outside_the_matrix():
@@ -1007,6 +1018,32 @@ def test_apply_matches_image_oracle(data):
     assert w.scale == v.scale
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_apply_to_code_states_matches_image_oracle(data):
+    # Code states fill their product basis, so apply acts on the full array
+    # alone.  Certification counts only the states that move, so a wrong
+    # image of a fixed state would pass it unseen.
+    if data.draw(st.booleans(), label="from a pair"):
+        c, d = draw_code_pair(data, 1024, buildable=True)
+        v = big_phi(c, d, table_make(c, d.field), data.draw(st.sampled_from(list(iter_codewords(d)))))
+        gens = build(c, d).generators
+    else:
+        base, c = data.draw(st.sampled_from(FOURIER_CODES), label="case")
+        rows = data.draw(st.lists(st.integers(0, base.order - 1), min_size=1, max_size=2))
+        v, gens = big_phi_from_matrix(base, c, rows), []
+    f, n = v.field, v.length
+    assert v.mask == v.basis.slots.full
+    vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
+    g = PauliElement(f, data.draw(st.integers(1, phase_modulus(f) - 1)), data.draw(vec),
+                     data.draw(vec.filter(any)))
+    for e in [*gens, g]:
+        w = apply(e, v)
+        assert w.amps == oracles.image(e, v)
+        assert (w.mask, w.scale) == (w.basis.slots.full, v.scale)
+    assert all(apply(e, v) == v for e in gens)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_apply_with_a_filled_packed_form_equals_apply_with_a_fresh_element(data):
@@ -1053,15 +1090,19 @@ def test_states_from_built_parts_equal_states_from_a_fresh_table(data):
         assert big_phi(c, d, warm, w) == state == big_phi(c, d, table_make(c, K), w)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_big_phi_equals_the_tensor_fold_of_its_phi_states(data):
+def draw_code_pair(data, slots: int, buildable: bool = False) -> tuple:
+    """A drawn pair (C, D): C = [n, k] over F2, F4, F3, F9 or F5 with
+    n in {k, k + 1}, and D = [m, s] over K = F_(q^k), so |C| = |K|, with
+    |C|^m <= ``slots`` and |D| <= 81.  A ``buildable`` pair has k < n,
+    s < m and no coordinate where all of D is 0, as ``build`` asks."""
     f = data.draw(st.sampled_from([F2, F4, F3, F9, F5]), label="field")
     k = data.draw(st.integers(1, 2 if f.order ** 2 <= 16 else 1), label="k")
-    n = data.draw(st.integers(k, k + 1), label="n")
-    size = f.order ** k  # |C| = |K|
-    m = data.draw(st.integers(1, max(j for j in (1, 2, 3) if size ** j <= 1024)), label="m")
-    s = data.draw(st.integers(1, max(j for j in range(1, m + 1) if size ** j <= 81)), label="s")
+    n = k + 1 if buildable else data.draw(st.integers(k, k + 1), label="n")
+    size = f.order ** k
+    m = data.draw(st.integers(1 + buildable, max(j for j in (1, 2, 3) if size ** j <= slots)),
+                  label="m")
+    s = data.draw(st.integers(1, max(j for j in range(1, m + 1 - buildable) if size ** j <= 81)),
+                  label="s")
     K = field_make(f.p, f.degree * k)
 
     def rows(field, count, length):
@@ -1070,16 +1111,48 @@ def test_big_phi_equals_the_tensor_fold_of_its_phi_states(data):
         assume(oracles.rank(field, drawn) == count)
         return drawn
 
-    c, d = code_make(f, rows(f, k, n)), code_make(K, rows(K, s, m))
-    t = table_make(c, K)
+    d_rows = rows(K, s, m)
+    if buildable:  # a 1 in row 0 where all rows are 0 keeps the rows independent
+        d_rows[0] = tuple(x or int(not any(r[j] for r in d_rows)) for j, x in enumerate(d_rows[0]))
+    return code_make(f, rows(f, k, n)), code_make(K, d_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_big_phi_equals_the_tensor_fold_of_its_phi_states(data):
+    c, d = draw_code_pair(data, 1024)
+    t = table_make(c, d.field)
     for w in data.draw(st.lists(st.sampled_from(list(iter_codewords(d))), min_size=1, max_size=3)):
         blocks = [phi(c, t, lam) for lam in w]
         v = big_phi(c, d, t, w)
         assert v == functools.reduce(tensor, blocks)
-        readable = {(): CycAmp.one(f.p)}
+        readable = {(): CycAmp.one(c.field.p)}
         for block in blocks:
             readable = {x + y: u * z for x, u in readable.items() for y, z in block.amps.items()}
         assert v.amps == readable
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fold_spreads_compact_arrays_without_carries(p, k, m):
+    # |C| = p^k.  The spread multiply of block 1 puts two values in one
+    # off-target slot; all values p - 1 make that sum 2 (p - 1), the most.
+    f = field_make(p, 1)
+    c = code_make(f, [tuple(int(i == j) for j in range(k)) + (1,) for i in range(k)])
+    width, step = sv._slot_width(phase_modulus(f)), phase_step(f)
+    words = [encode(c, msg) for msg in sv._messages(c)]  # the codeword of each slot of C
+    rng = random.Random(f"{p}:{k}:{m}")
+    for values in ([[p - 1] * c.size] * m,
+                   [[rng.randrange(p) for _ in range(c.size)] for _ in range(m)]):
+        v = sv._fold(c, [sv._join(block, width) for block in values])
+        assert v == functools.reduce(tensor, [sv._fold(c, [sv._join(block, width)])
+                                              for block in values])
+        expected = {}
+        for slot in itertools.product(range(c.size), repeat=m):
+            label = sum((words[s] for s in slot), ())
+            expected[label] = CycAmp.root(p, step * sum(block[s] for block, s in zip(values, slot)))
+        assert v.amps == expected
 
 
 FOURIER_CODES = [
