@@ -289,26 +289,32 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     take the same path and the brute-force distance never reads
     construction data.  Every returned vector v is checked to pair to
     zero with every generator g the other way round, apart from those
-    rows: v's own pairing row, tr(v.b . a) - tr(v.a . b) on the digits
-    of an (a | b), read chunk by chunk off ``_pairing_lanes``, dotted
-    with g's own digits.
+    rows: v's own ``_pairing_row``, dotted with g's own digits.
     """
     f, N = sc.field, sc.num_qudits
-    chunk = f.degree * _lane_width(f.p)
     out = linalg.kernel(f.p, 2 * N * f.degree, _pairings(sc)[1])
     own = [_vec_lanes(f, g.a + g.b) for g in sc.generators]
-    lanes, mask = _pairing_lanes(f), (1 << chunk) - 1
     for v in out:
-        row = 0
-        for i in range(2 * N):  # -tr(a_i .) on b_i's digits, tr(b_i .) on a_i's
-            x = v >> i * chunk & mask
-            if x:
-                row |= lanes[x][i < N] << (i + N) % (2 * N) * chunk
+        row = _pairing_row(f, N, v)
         if any(_lane_dot(f.p, row, y) for y in own):
             raise ArithmeticError(
                 "centralizer vector fails to commute; construction data corrupt"
             )
     return out
+
+
+def _pairing_row(f, N: int, v: int) -> int:
+    """The pairing of a lane-packed (a | b) of length N with an unknown
+    (a' | b'), tr(b . a') - tr(a . b'), as a row on the digits of (a' | b'),
+    read chunk by chunk off ``_pairing_lanes``, apart from ``_pairings``."""
+    chunk = f.degree * _lane_width(f.p)
+    lanes, mask, row = _pairing_lanes(f), (1 << chunk) - 1, 0
+    while v:  # -tr(a_i .) on b_i's digits, tr(b_i .) on a_i's, nonzero chunks only
+        i = ((v & -v).bit_length() - 1) // chunk
+        x = v >> i * chunk & mask
+        row |= lanes[x][i < N] << (i + N) % (2 * N) * chunk
+        v ^= x << i * chunk
+    return row
 
 
 @functools.cache
@@ -379,10 +385,12 @@ def verify_generators(sc: StabilizerCode) -> list:
     At p = 2 a phase-free X(a) Z(b) squares to (-1)^tr(b.a), so an odd
     trace puts -I in the group and leaves only the zero vector fixed.
     At odd p, (X(a) Z(b))^p = I always.  Generators i < j commute when
-    the packed dot of j's digits with i's pairing row is 0.
+    the packed dot of j's digits with i's ``_pairing_row`` is 0; those
+    rows are built apart from the ones the centralizer kernel reads.
     """
     f = sc.field
-    rows, pairings = _pairings(sc)
+    rows = _pairings(sc)[0]
+    pairings = [_pairing_row(f, sc.num_qudits, x) for x in rows]
     low = (1 << sc.num_qudits * f.degree) - 1  # the a digits, one bit each at p = 2
     problems = []
     for i, (g, x, y) in enumerate(zip(sc.generators, rows, pairings)):

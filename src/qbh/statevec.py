@@ -609,6 +609,22 @@ def _check_fixing_group(states, found, gens) -> None:
                               f" {p}^{rank}; span data corrupt")
 
 
+def _equation_row(f, n: int, x: int, rows: dict) -> int:
+    """1 | tr(x .) << w, the row of label x in ``stab_of_span``: x itself
+    at degree 1, else one lookup per coordinate chunk in ``rows`` (chunk
+    -> lane-packed ``Field.trace_row``), filled on first use."""
+    w = _lane_width(f.p)
+    if f.degree == 1:
+        return 1 | x << w
+    chunk, row = f.degree * w, 1
+    for i in range(n):
+        c = x >> i * chunk & (1 << chunk) - 1
+        if c not in rows:
+            rows[c] = _lane_pack(f.trace_row(_lanes_vec(f, 1, c)[0]), w)
+        row |= rows[c] << i * chunk + w
+    return row
+
+
 def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     """Every z^c X(a) Z(b) fixing each spanning state exactly.
 
@@ -618,28 +634,33 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         e(x + a) - e(x) = c + step * tr(b.x)   (mod M).
 
     The left side fixes c mod step, and dividing by step leaves a
-    system that is F_p-linear in the unknowns (c div step, digits of b).
-    The coefficient row (1, tr(p^j x_i)) of a label depends on the label
-    alone, so a row basis is picked once per call: the first (state,
-    label) rows independent of those before them, read off as the pivot
-    columns of the transposed row list.  A candidate shift a must move
-    an anchor label of the first state into that state's support, so at
-    most |support| shifts are tried, and the right-hand sides of all of
-    them go to one ``linalg.solve`` on the row basis.  Each solution is
-    then checked with ``is_fixed`` on every state, which holds exactly
-    when the whole system is consistent; the fixing elements of that
-    shift are the solution plus the kernel, walked by ``gf._gray_span``
-    from the element the check built, which is kept as the first.
+    system that is F_p-linear in the unknowns (c div step, digits of b),
+    the row of label x being ``_equation_row``.  The labels whose rows
+    are independent of those before them, state by state, give a row
+    basis.  A candidate shift a must move an anchor label of the first
+    state into that state's support, so at most |support| shifts are
+    tried, and one ``linalg.solve`` on the row basis solves them all.
 
-    The result is the group generated by the solutions of an F_p-basis
-    of the accepted shifts and by the kernel elements.  Before it is
-    handed back, ``_check_fixing_group`` proves from the returned
-    elements alone that it is exactly the abelian group those generators
-    make, with lane-packed products, and applies only the generators to
-    the states; a failure would mean the solve itself is wrong, so it
-    raises rather than returns.  ``budget`` caps shifts x equation rows,
-    read off the support masks, and elements x generators, the products
-    of that check.
+    The trials are decided by the group law.  The fixing elements form
+    a group, so their shifts form an F_p-space S.  A solution is unique
+    up to the kernel of the basis rows, which is the kernel of all the
+    rows, and each element of that kernel fixes every state; so a shift
+    lies in S exactly when its solved element fixes every state.  With
+    the shifts accepted so far in an echelon, a trial in their span is
+    accepted and one in r + span, for a rejected r, is rejected (else r
+    would lie in S), neither with an apply; only the rest are checked
+    with ``is_fixed`` on every state, and those accepted are a basis of
+    S.  The fixing elements of a shift in S are its solution plus the
+    kernel, walked by ``gf._gray_span`` from the solved element, kept
+    first, all sharing one a tuple.
+
+    The result is the group generated by the solutions of that basis
+    and by the kernel elements.  ``_check_fixing_group`` proves from the
+    returned elements alone that it is exactly the group those
+    generators make, applying only the generators to the states; a
+    wrong solve or a wrong skip fails it, so it raises rather than
+    returns.  ``budget`` caps shifts x equation rows, read off the
+    support masks, and elements x generators, the products of that check.
     """
     states = list(states)
     if not states:
@@ -656,16 +677,18 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     if work > budget:
         raise BudgetExceeded("stab_of_span shifts x rows", work, budget)
     w, digit, lanes = _lane_width(p), (1 << _lane_width(p)) - 1, 1 + n * r
-    items = [(v.exps, x) for v in states for x in v.exps]
-    eq_rows = [(1,) + f.trace_rows(_lanes_vec(f, n, x)) for _, x in items]
-    # The pivot lanes of the transpose index the first independent rows.
-    picked = linalg.Echelon(p, len(items), [_lane_pack(col, w) for col in zip(*eq_rows)]).pivots
-    basis = [items[i] for i in picked]
-    brows = [_lane_pack(eq_rows[i], w) for i in picked]
+    labels, trace, rows, basis, brows = {}, {}, linalg.Echelon(p, lanes), [], []
+    for v in states:  # a row depends on its label alone: one row per label
+        labels.update({x: v.exps for x in v.exps if x not in labels})
+    for x, exps in labels.items():
+        row = _equation_row(f, n, x, trace)
+        if rows.insert(row):
+            basis.append((exps, x))
+            brows.append(row)
     kernel = linalg.kernel(p, lanes, brows)
 
-    def element(c0, a, z):
-        return PauliElement(f, c0 + step * (z & digit), _lanes_vec(f, n, a), _lanes_vec(f, n, z >> w))
+    def element(c0, a, z):  # a is a tuple, built once per coset
+        return PauliElement(f, c0 + step * (z & digit), a, _lanes_vec(f, n, z >> w))
 
     add = _lane_adder(p, lanes)
     anchor = next(iter(v0.exps))
@@ -688,21 +711,28 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         trials.append((c0, a))
         rhss.append([(d - c0) // step for d in diffs])
     aug = [row | _lane_pack(col, w) << lanes * w for row, col in zip(brows, zip(*rhss))]
-    cosets = []
+    cosets, gens, rejected = [], [], set()
     for (c0, a), z in zip(trials, linalg.solve(p, lanes, aug, len(trials))):
-        e = element(c0, a, z)
-        if all(is_fixed(e, v) for v in states):
-            cosets.append((e, c0, a, z))
-    # The solutions of an F_p-basis of the accepted shifts, and the kernel.
-    gens = [e for e, _, a, _ in cosets if shifts.insert(a)]
-    gens += [element(0, 0, k) for k in kernel]
+        u = shifts.reduce(a)
+        if u in rejected:
+            continue
+        e = element(c0, _lanes_vec(f, n, a), z)
+        if u:
+            if not all(is_fixed(e, v) for v in states):
+                rejected.add(u)
+                continue
+            shifts.insert(u)
+            rejected = {shifts.reduce(x) for x in rejected}
+            gens.append(e)
+        cosets.append((e, c0, z))
+    gens += [element(0, (0,) * n, k) for k in kernel]
     work = len(cosets) * p ** len(kernel) * len(gens)
     if work > budget:
         raise BudgetExceeded("stab_of_span elements x generators", work, budget)
     found = []
-    for e, c0, a, z0 in cosets:  # the walk starts at z0, whose element e is built
+    for e, c0, z0 in cosets:  # the walk starts at z0, whose element e is built
         rest = itertools.islice(_gray_span(p, kernel, add, z0), 1, None)
-        found += [e] + [element(c0, a, z) for z in rest]
+        found += [e] + [element(c0, e.a, z) for z in rest]
     _check_fixing_group(states, found, gens)
     for x in found + gens:  # the self-check's apply work is no part of the result
         x._packed = None

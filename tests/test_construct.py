@@ -617,6 +617,21 @@ def test_verify_generators_detects_noncommuting():
     assert any("commute" in msg for msg in verify_generators(bad))
 
 
+@pytest.mark.parametrize("field, b", [(F2, 1), (F3, 1), (field_make(2, 2), 2)],
+                         ids=["F2", "F3", "F4"])
+def test_verify_generators_does_not_read_the_kernel_pairing_rows(monkeypatch, field, b):
+    # The centralizer kernel is taken of the pairing rows of ``_pairings``;
+    # with those zeroed, build's checks must still see that X(1) and Z(b)
+    # on one qudit, tr(b) != 0, do not commute, and that X Z squares to -I.
+    real = construct._pairings
+    monkeypatch.setattr(construct, "_pairings",
+                        lambda code: (real(code)[0], [0] * len(code.generators)))
+    pair = StabilizerCode(field, 1, 0, 1, 0, [x_op(field, (1,)), z_op(field, (b,))])
+    assert "generators 0 and 1 do not commute" in verify_generators(pair)
+    xz = StabilizerCode(F2, 1, 0, 1, 0, [PauliElement(F2, 0, (1,), (1,))])
+    assert "generator 0 squares to -I: tr(b.a) is odd" in verify_generators(xz)
+
+
 def test_verify_generators_detects_rank_drop():
     f = F2
     # count matches r(nm-ks) = 2 but the rows are dependent

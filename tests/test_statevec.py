@@ -971,6 +971,58 @@ def test_stab_of_span_matches_enumeration_on_random_monomial_states(states):
     _assert_stab_matches_enumeration(states)
 
 
+@st.composite
+def coset_spans(draw):
+    """1 to 3 states over F2 or F3 on at most 3 qudits, each supported on
+    1 to 3 drawn cosets of one drawn space W, so often not on all of its
+    affine span, its exponent one drawn quadratic in the label plus a
+    linear part drawn per state.  Shifts in W keep every support, and
+    the linear parts cut the fixing shifts down to a subspace of W, so
+    trials fall in accepted spans and rejected cosets as well as
+    outside both."""
+    f = draw(st.sampled_from([F2, F3]))
+    p, step, n = f.p, phase_step(f), draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, p - 1)] * n)
+    gens = draw(st.lists(vec, min_size=1, max_size=n))
+    space = {tuple(sum(c * g[i] for c, g in zip(cs, gens)) % p for i in range(n))
+             for cs in itertools.product(range(p), repeat=len(gens))}
+    quad = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = {tuple((x + y) % p for x, y in zip(t, v))
+                   for t in draw(st.lists(vec, min_size=1, max_size=3)) for v in space}
+        lin = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+
+        def exponent(x):  # taken mod M by CycAmp.root
+            square = sum(quad[i * n + j] * x[i] * x[j] for i in range(n) for j in range(i, n))
+            return lin[n] + sum(l * xi for l, xi in zip(lin, x)) + step * square
+
+        states.append(state_make(f, n, {x: CycAmp.root(p, exponent(x)) for x in sorted(support)}))
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(coset_spans())
+def test_stab_of_span_matches_enumeration_on_coset_states(states):
+    _assert_stab_matches_enumeration(states)
+
+
+def test_stab_of_span_applies_only_to_shifts_outside_what_it_has_decided(monkeypatch):
+    # A shift in the span of accepted ones, or in a rejected one's coset
+    # of that span, is decided without an apply; applying each trial's
+    # element to every state took 60 and 256 applies on these spans.
+    calls = []
+    apply_ = sv.apply
+    monkeypatch.setattr(sv, "apply", lambda e, v: calls.append(e) or apply_(e, v))
+    assert len(stab_of_span(_fourier_span())) == 16
+    assert len(calls) <= 40
+    calls.clear()
+    c = code_make(F2, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
+    states = [big_phi_from_matrix(kron_fourier(2, 3), c, (r, r)) for r in range(8)]
+    assert len(stab_of_span(states)) == 32
+    assert len(calls) <= 128
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_span_equal_matches_complex_rank(data):
