@@ -32,7 +32,7 @@ import math
 from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionBounds, DimensionMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
-from .gf import (_field_from_body, _gray_span, _lane_dot, _lane_pack, _lane_width,
+from .gf import (_field_from_body, _gray_span, _lane_dot, _lane_flags, _lane_pack, _lane_width,
                  _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
 from .lincode import (
     LinearCode,
@@ -51,7 +51,7 @@ class StabilizerCode:
     ``code``, ``d_code`` and ``table`` hold the construction data when
     the object was built rather than parsed; the closed-form distance
     needs them, the brute-force one does not.  ``_rows`` and ``_sbar_echelon``
-    are None until ``_pairings`` and ``_sbar`` first compute them.
+    are None until ``_own_rows`` and ``_sbar`` first compute them.
     """
 
     __slots__ = (
@@ -94,7 +94,7 @@ class StabilizerCode:
         if self._sbar_echelon is None:
             f = self.field
             self._sbar_echelon = linalg.Echelon(f.p, 2 * self.num_qudits * f.degree,
-                                                _pairings(self)[0])
+                                                _own_rows(self))
         return self._sbar_echelon
 
     def same_row_space(self, other: StabilizerCode) -> bool:
@@ -267,16 +267,19 @@ def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
     return sc.delta
 
 
-def _pairings(sc: StabilizerCode) -> tuple:
-    """(rows, pairings) of the generators, lane-packed over the 2Nr digits
-    of an (a | b): each generator's own digits, and its pairing with an
-    unknown (a | b), tr(g.a . b) - tr(g.b . a), as a row on those digits."""
-    f = sc.field
+def _own_rows(sc: StabilizerCode) -> list:
+    """Each generator's own (a | b), lane-packed from its entries; built once."""
     if sc._rows is None:
-        sc._rows = ([_vec_lanes(f, g.a + g.b) for g in sc.generators],
-                    [_lane_pack([-t % f.p for t in f.trace_rows(g.b)] + list(f.trace_rows(g.a)),
-                                _lane_width(f.p)) for g in sc.generators])
+        sc._rows = [_vec_lanes(sc.field, g.a + g.b) for g in sc.generators]
     return sc._rows
+
+
+def _pairings(sc: StabilizerCode) -> tuple:
+    """``_own_rows``, and for the centralizer kernel alone each generator's
+    pairing with an unknown (a | b), tr(g.a . b) - tr(g.b . a), as a row."""
+    f = sc.field
+    return _own_rows(sc), [_lane_pack([-t % f.p for t in f.trace_rows(g.b)] + list(f.trace_rows(g.a)),
+                                      _lane_width(f.p)) for g in sc.generators]
 
 
 def centralizer_basis(sc: StabilizerCode) -> list:
@@ -289,14 +292,18 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     take the same path and the brute-force distance never reads
     construction data.  Every returned vector v is checked to pair to
     zero with every generator g the other way round, apart from those
-    rows: v's own ``_pairing_row``, dotted with g's own digits.
+    rows: v's own ``_pairing_row``, dotted with g's ``_own_rows`` where the two share a nonzero
+    lane (``_lane_flags``; a bare AND would not do: at p = 3 the digits 1 and 2 share no bit).
     """
     f, N = sc.field, sc.num_qudits
-    out = linalg.kernel(f.p, 2 * N * f.degree, _pairings(sc)[1])
-    own = [_vec_lanes(f, g.a + g.b) for g in sc.generators]
+    lanes = 2 * N * f.degree
+    out = linalg.kernel(f.p, lanes, _pairings(sc)[1])
+    ones = _lane_pack([1] * lanes, _lane_width(f.p))
+    own = [(y, _lane_flags(f.p, y, ones)) for y in _own_rows(sc)]
     for v in out:
         row = _pairing_row(f, N, v)
-        if any(_lane_dot(f.p, row, y) for y in own):
+        flags = _lane_flags(f.p, row, ones)
+        if any(_lane_dot(f.p, row, y) for y, fy in own if fy & flags):
             raise ArithmeticError(
                 "centralizer vector fails to commute; construction data corrupt"
             )
@@ -353,7 +360,7 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
     p, r, N = f.p, f.degree, sc.num_qudits
     half = N * r * _lane_width(p)  # the bit offset of the b digits
     low = (1 << half) - 1
-    rows, centralizer = _pairings(sc)[0], centralizer_basis(sc)
+    rows, centralizer = _own_rows(sc), centralizer_basis(sc)
     lanes, fold = 2 * N * r, half
     halves = [(rows, centralizer)]
     if all(not g & low or not g >> half for g in rows):
@@ -389,7 +396,7 @@ def verify_generators(sc: StabilizerCode) -> list:
     rows are built apart from the ones the centralizer kernel reads.
     """
     f = sc.field
-    rows = _pairings(sc)[0]
+    rows = _own_rows(sc)
     pairings = [_pairing_row(f, sc.num_qudits, x) for x in rows]
     low = (1 << sc.num_qudits * f.degree) - 1  # the a digits, one bit each at p = 2
     problems = []
@@ -458,12 +465,12 @@ def stab_from_text(text: str) -> StabilizerCode:
         if len(parts) != 2:
             raise ValueError(f"generator line needs exactly one a|b separator: {ln!r}")
         a_txt, b_txt = parts
-        a = tuple(int(x) for x in a_txt.split())
-        b = tuple(int(x) for x in b_txt.split())
+        a, b = tuple(map(int, a_txt.split())), tuple(map(int, b_txt.split()))
         if len(a) != N or len(b) != N:
             raise ValueError(f"generator parts must have length {N}: {ln!r}")
-        for x in itertools.chain(a, b):
-            if not 0 <= x < f.order:
-                raise ValueError(f"entry {x} is not a packed element of {f!r}")
+        entries = a + b
+        if min(entries) < 0 or max(entries) >= f.order:
+            x = next(x for x in entries if not 0 <= x < f.order)
+            raise ValueError(f"entry {x} is not a packed element of {f!r}")
         gens.append(PauliElement(f, 0, a, b))
     return StabilizerCode(f, n, k, m, s, gens, delta=delta)

@@ -50,8 +50,8 @@ class FunctionalTable:
     with every unit's right-hand side appended.
 
     ``_state_parts`` is None until ``statevec`` first builds a state of
-    the table; it then holds P(m) per message and the compact tr(lam P(m))
-    arrays of ``statevec._phi_states`` for the table's lifetime.
+    the table; it then holds P(u) per message digit unit and the compact
+    tr(lam P(m)) arrays of ``statevec._phi_states`` for the table's lifetime.
     """
 
     __slots__ = (

@@ -222,6 +222,15 @@ def _lane_dot(p, x, y):
                for i in range(w - 1) for j in range(w - 1)) % p
 
 
+def _lane_flags(p, x, ones):
+    """Bit 0 of each lane of x set when the lane is nonzero, for ``ones``
+    holding bit 0 of every lane: the OR of its w - 1 value bits."""
+    flags = x
+    for i in range(1, _lane_width(p) - 1):
+        flags |= x >> i
+    return flags & ones
+
+
 def _valuation(i, p):
     j = 0
     while i % p == 0:
@@ -518,7 +527,7 @@ class Field:
         return table
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Field)
             and self.p == other.p
             and self.degree == other.degree

@@ -24,10 +24,10 @@ def weight(v) -> int:
 
 
 class LinearCode:
-    """A k-dimensional length-n code over ``field``, held in RREF; ``_products``, None until
-    ``statevec`` builds a state of it, keeps its product bases, ignored by ``==`` and hash."""
+    """A k-dimensional length-n code over ``field``, held in RREF; ``_products`` and ``_parity``,
+    None until first used, keep its ``statevec`` product bases and its parity rows (not in ``==``)."""
 
-    __slots__ = ("field", "n", "k", "gen", "pivots", "_products")
+    __slots__ = ("field", "n", "k", "gen", "pivots", "_products", "_parity")
 
     def __init__(self, field: Field, n: int, gen: tuple, pivots: tuple):
         self.field = field
@@ -35,7 +35,7 @@ class LinearCode:
         self.k = len(gen)
         self.gen = gen
         self.pivots = pivots
-        self._products = None
+        self._products = self._parity = None
 
     @property
     def size(self) -> int:
@@ -110,11 +110,22 @@ def encode(code: LinearCode, message) -> tuple:
 
 
 def contains(code: LinearCode, word) -> bool:
-    if len(word) != code.n:
+    """Whether ``word`` has syndrome 0: x_j = sum_i x_(p_i) G_ij at each non-pivot j, p_i the
+    pivot of row i of the RREF G, by the parity rows (j, [(p_i, -G_ij)]) kept as ``code._parity``."""
+    f = code.field
+    if len(word) != code.n or not (0 <= min(word) and max(word) < f.order):
         return False
-    if code.k == 0:
-        return not any(word)
-    return encode(code, tuple(word[j] for j in code.pivots)) == tuple(word)
+    if code._parity is None:
+        code._parity = [(j, [(i, f.neg(row[j])) for i, row in zip(code.pivots, code.gen) if row[j]])
+                        for j in range(code.n) if j not in code.pivots]
+    add, mul = f.add, f.mul
+    for j, row in code._parity:
+        s = word[j]
+        for i, g in row:
+            s = add(s, mul(word[i], g))
+        if s:
+            return False
+    return True
 
 
 def iter_codewords(code: LinearCode):

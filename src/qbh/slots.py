@@ -52,22 +52,22 @@ class _Slots:
         self.width = _slot_width(modulus)
         self.size = p ** dim
         self.add = _slot_adder(modulus, self.width, self.size)
+        self.add_p = self.add if modulus == p else _slot_adder(p, self.width, self.size)
         self.ones = _repunit(self.size, self.width)
         self.full = self.ones * ((1 << self.width) - 1)
         # bits[j]: how far a step of digit j moves a slot
         self.bits = [p ** j * self.width for j in range(dim)]
         self._masks = {}
         # coords[j]: the array of step * X_j mod M, X_j digit j of the slot number
-        self.coords = [self._ramp(self._ramp(0, p ** j, p, self.step),
-                                  p ** (j + 1), p ** (dim - 1 - j), 0) for j in range(dim)]
+        self.coords = [self.linear([0] * j + [1] + [0] * (dim - 1 - j)) * self.step for j in range(dim)]
 
     def _ramp(self, block, slots: int, count: int, inc: int):
-        """``count`` copies of a ``slots``-slot array, copy d plus d * inc mod M."""
-        add, ones, bits = self.add, self.ones, slots * self.width
+        """``count`` copies of a ``slots``-slot array, copy d plus d * inc mod p."""
+        add, ones, bits = self.add_p, self.ones, slots * self.width
 
         def combine(u, v):
             (n, lo), (m, hi) = u, v
-            k = n * inc % self.modulus
+            k = n * inc % self.p
             if k:
                 hi = add(hi, (ones & ((1 << m * bits) - 1)) * k)
             return n + m, lo | hi << n * bits
@@ -84,14 +84,18 @@ class _Slots:
             masks = self._masks[(j, t)] = (low, self.full ^ low)
         return masks
 
-    def translate(self, arr, digits):
-        """arr with the value of each slot X moved to slot X + u, u given by its digits."""
-        p, masks = self.p, self._masks
-        for j, t in enumerate(digits):
-            if t:
-                low, high = masks.get((j, t)) or self.mask(j, t)
-                bits = self.bits[j]
-                arr = (arr & low) << t * bits | (arr & high) >> (p - t) * bits
+    def plan(self, digits) -> list:
+        """The masked shifts of ``_moved`` that move each slot X to X + u, u
+        given by its digits: (low, high, up, down) per nonzero digit."""
+        p, bits, masks = self.p, self.bits, self._masks
+        return [(*(masks.get((j, t)) or self.mask(j, t)), t * bits[j], (p - t) * bits[j])
+                for j, t in enumerate(digits) if t]
+
+    def linear(self, coeffs):
+        """The array of sum_j coeffs[j] X_j mod p (not M) on p^len(coeffs) slots, a ramp per digit."""
+        arr = 0
+        for j, c in enumerate(coeffs):
+            arr = self._ramp(arr, self.p ** j, self.p, c % self.p)
         return arr
 
     def affine(self, c: int, row):
@@ -129,14 +133,14 @@ class _Slots:
         cost of n steps, acc(x) = cost(x) + ... + cost(x + (n - 1) a); two
         of them combine by moving the second n steps along a.
         """
-        p, add, translate = self.p, self.add, self.translate
+        p, add, plan = self.p, self.add, self.plan
 
         def combine(u, v):
             (n, ph, kn, acc), (m, ph2, kn2, acc2) = u, v
-            fwd = [n * t % p for t in digits]
-            back = [-n * t % p for t in digits]
-            return (n + m, ph | translate(add(ph2, acc) & kn2, fwd),
-                    kn | translate(kn2, fwd), add(acc, translate(acc2, back)))
+            fwd = plan([n * t % p for t in digits])
+            back = plan([-n * t % p for t in digits])
+            return (n + m, ph | _moved(add(ph2, acc) & kn2, fwd),
+                    kn | _moved(kn2, fwd), add(acc, _moved(acc2, back)))
 
         return _times(combine, (1, phases, known, cost), p)[1:3]
 
@@ -145,6 +149,13 @@ class _Slots:
         top = self.width - 1
         rest = self.ones * ((1 << top) - 1)
         return ((arr | ((arr & rest) + rest)) >> top) & self.ones
+
+
+def _moved(arr, plan):
+    """arr with its slots moved by a ``_Slots.plan``."""
+    for low, high, up, down in plan:
+        arr = (arr & low) << up | (arr & high) >> down
+    return arr
 
 
 @functools.cache

@@ -46,7 +46,7 @@ from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNo
 from .gf import _gray_span, _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from .lincode import LinearCode, contains, fp_basis
 from .pauli import PauliElement, phase_modulus, phase_step
-from .slots import _Basis, _join, _repunit, _slot_width
+from .slots import _Basis, _join, _moved, _repunit, _slot_width, _slots
 
 
 @functools.cache
@@ -203,10 +203,9 @@ class StateVector:
         return frozenset(self.amps)
 
     def __eq__(self, other):
-        return isinstance(other, StateVector) and (
-            (self.field, self.length, self.scale, self.basis, self.offset, self.mask, self.arr)
-            == (other.field, other.length, other.scale, other.basis, other.offset, other.mask,
-                other.arr))
+        return self is other or isinstance(other, StateVector) and self.arr == other.arr and (
+            (self.field, self.length, self.scale, self.basis, self.offset, self.mask)
+            == (other.field, other.length, other.scale, other.basis, other.offset, other.mask))
 
     def __repr__(self):
         size = self.mask.bit_count() // self.basis.slots.width
@@ -344,11 +343,11 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
     """The tensor product of phi(code, table, lam) over ``lams``, by ``_fold``.
 
     f_lam(c) = tr(lam P(m)) with P = ``table.pack_message`` on the
-    message m of c, as in ``FunctionalTable.f_int``.  ``table._state_parts``
-    keeps for the table's lifetime what all words of D share: P(m) per
-    slot, and for each lam asked for so far the compact array of the
-    values tr(lam P(m)), each read once per message.  The product basis
-    is the one ``code`` keeps.
+    message m of c, as in ``FunctionalTable.f_int``, F_p-linear in the
+    digits of m that number the slots of C.  ``table._state_parts`` keeps
+    for the table's lifetime P(u) of the r k message digit units u, and
+    per lam asked for so far its compact array, ``slots._Slots.linear`` of
+    the tr(lam P(u)).  The product basis is the one ``code`` keeps.
     """
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
@@ -357,10 +356,13 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
         if not 0 <= lam < K.order:
             raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {K.order}")
     if table._state_parts is None:
-        table._state_parts = ([table.pack_message(m) for m in _messages(code)], {})
-    packed, arrays = table._state_parts
+        q, k, r = code.field, code.k, code.field.degree
+        table._state_parts = ([table.pack_message((0,) * j + (q.p ** d,) + (0,) * (k - 1 - j))
+                               for j in range(k) for d in range(r)], {})
+    units, arrays = table._state_parts
     for lam in set(lams) - arrays.keys():
-        arrays[lam] = _join([K.trace_int(K.mul(lam, y)) for y in packed], _slot_width(phase_modulus(K)))
+        arrays[lam] = _slots(K.p, K.degree, phase_modulus(K)).linear(
+            [K.trace_int(K.mul(lam, u)) for u in units])
     return _fold(code, [arrays[lam] for lam in lams])
 
 
@@ -439,28 +441,28 @@ def apply(e: PauliElement, v: StateVector) -> StateVector:
     partial one is translated with its off-support slots all ones and
     split again (``slots._Slots.split``).  ``e._packed`` keeps the
     lane-packed a and trace form of b, then the last basis and offset e
-    met, with the new offset, u and phase array.
+    met, with the new offset, the plan that translates by u and the phase.
     """
     f = v.field
-    if e.field != f:
+    if e.field is not f and e.field != f:
         raise DimensionMismatch("operator and state over different fields")
     if len(e.a) != v.length:
         raise LengthMismatch(f"operator on {len(e.a)} qudits, state on {v.length}")
     if not v.mask:
         return v  # the zero state
-    a, rep, big, basis, offset, t, digits, phase = (
+    a, rep, big, basis, offset, t, plan, phase = (
         e._packed or (_vec_lanes(f, e.a), *_trace_form(f, e.b), None, None, None, None, None))
     b, slots = v.basis, v.basis.slots
     if basis is not b or offset != v.offset:
         x = b.add(v.offset, a)
-        t, digits = b.reduce(x), [(x >> shift) & b.digit for shift in b.shifts]
+        t, plan = b.reduce(x), slots.plan([(x >> shift) & b.digit for shift in b.shifts])
         phase = slots.affine(e.phase + slots.step * ((v.offset * rep) & big).bit_count(),
                              [((row * rep) & big).bit_count() for row in b.rows])
-        e._packed = (a, rep, big, b, v.offset, t, digits, phase)
+        e._packed = (a, rep, big, b, v.offset, t, plan, phase)
     arr = slots.add(v.arr, phase) if phase else v.arr
     if v.mask == slots.full:
-        return StateVector(f, v.length, b, t, v.mask, slots.translate(arr, digits), v.scale)
-    moved = slots.translate(arr & v.mask | slots.full ^ v.mask, digits)
+        return StateVector(f, v.length, b, t, v.mask, _moved(arr, plan), v.scale)
+    moved = _moved(arr & v.mask | slots.full ^ v.mask, plan)
     return StateVector(f, v.length, b, t, *slots.split(moved), v.scale)
 
 
@@ -829,7 +831,7 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
         raise ArithmeticError("tree translations miss a label; slot arrays corrupt")
     broken = bad = 0
     for u, arr in zip(shifts, costs):
-        broken |= slots.translate(slots.add(phases, arr), u) ^ phases
+        broken |= _moved(slots.add(phases, arr), slots.plan(u)) ^ phases
     if broken:
         bad = slots.nonzero(broken)
         for i in tree:

@@ -106,6 +106,21 @@ def test_verify_rejects_negative_lengths_whose_product_fits(tmp_path, capsys):
     assert "header needs n, m >= 1 and k, s >= 0" in capsys.readouterr().err
 
 
+def test_verify_names_the_first_out_of_range_generator_entry(tmp_path, capsys):
+    # entries 7 and 5 in the middle of the third generator line, over GF(2):
+    # the range check reads the line as a whole and names the first of them
+    c, d, out = _shor_files(tmp_path)
+    main(["construct", "-c", c, "-d", d, "-o", out])
+    lines = (tmp_path / "shor.stab").read_text().splitlines()
+    entries = lines[3].split()
+    entries[4], entries[13] = "7", "5"
+    lines[3] = " ".join(entries)
+    bad = _write(tmp_path, "range.stab", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", bad]) == 2
+    assert capsys.readouterr().err == "error: entry 7 is not a packed element of GF(2)\n"
+
+
 def test_distance_needs_both_code_files(tmp_path, capsys):
     c, d, out = _shor_files(tmp_path)
     main(["construct", "-c", c, "-d", d, "-o", out])

@@ -13,6 +13,8 @@ from qbh.gf import (
     FIELD_SIZE_LIMIT,
     _gray_span,
     _lane_adder,
+    _lane_dot,
+    _lane_flags,
     _lane_pack,
     _lane_width,
     _lanes_vec,
@@ -363,3 +365,31 @@ def test_linear_modulus_gives_the_one_prime_field():
     for p in (2, 3, 5, 7):
         for a in range(p):
             assert field_make(p, 1, (a, 1)) is field_make(p, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_rows_sharing_no_nonzero_lane_dot_to_zero(p, data):
+    # each lane belongs to x, to y or to neither, so no lane is nonzero in both;
+    # the lane flags are exact, and the dot of such rows is 0
+    n = data.draw(st.integers(1, 16), label="lanes")
+    owner = data.draw(st.lists(st.sampled_from("xy-"), min_size=n, max_size=n), label="owner")
+    digit = st.integers(0, p - 1)
+    x = [data.draw(digit) if o == "x" else 0 for o in owner]
+    y = [data.draw(digit) if o == "y" else 0 for o in owner]
+    w = _lane_width(p)
+    ones = _lane_pack([1] * n, w)
+    for v in (x, y):
+        assert _lane_flags(p, _lane_pack(v, w), ones) == _lane_pack([int(d != 0) for d in v], w)
+    assert not _lane_flags(p, _lane_pack(x, w), ones) & _lane_flags(p, _lane_pack(y, w), ones)
+    assert _lane_dot(p, _lane_pack(x, w), _lane_pack(y, w)) == 0
+
+
+def test_a_bare_and_is_no_lane_test_at_odd_p():
+    # at p = 3 the lane digits 1 (0b001) and 2 (0b010) share no bit, yet
+    # their product is 2: only the lane flags see the common lane
+    w = _lane_width(3)
+    ones = _lane_pack([1, 1], w)
+    row, y = _lane_pack([0, 1], w), _lane_pack([0, 2], w)
+    assert row & y == 0 and _lane_dot(3, row, y) == 2
+    assert _lane_flags(3, row, ones) & _lane_flags(3, y, ones) == 1 << w

@@ -1,5 +1,6 @@
 """Classical linear codes: construction, duals, distances, wire format."""
 
+import itertools
 import random
 
 import pytest
@@ -133,6 +134,27 @@ def test_contains():
     assert contains(c, (1, 1, 1))
     assert not contains(c, (1, 0, 0))
     assert not contains(c, (1, 1))
+
+
+@pytest.mark.parametrize("field,rows", [
+    (F2, [(1, 1, 0, 1), (0, 1, 1, 1)]),
+    (F3, [(1, 0, 2), (0, 1, 1)]),
+    (F4, [(1, 2, 3)]),
+    (field_make(3, 2), [(1, 4, 7), (0, 1, 5)]),
+    (F5, [(1, 2, 3, 4, 0)]),
+])
+def test_contains_is_a_zero_syndrome_on_every_word(field, rows):
+    # the parity rows are read off the RREF generator; every vector of F_q^n
+    # is checked against the enumerated code, and entries outside the field
+    # or words of another length lie outside it
+    c = code_make(field, rows)
+    words = oracles.oracle_codewords(field, c.gen)
+    for x in itertools.product(range(field.order), repeat=c.n):
+        assert contains(c, x) == (x in words)
+    parity = c._parity
+    assert len(parity) == c.n - c.k and contains(c, (0,) * c.n) and c._parity is parity
+    for bad in ((field.order,) + (0,) * (c.n - 1), (0,) * (c.n - 1) + (-1,), (0,) * (c.n + 1)):
+        assert not contains(c, bad)
 
 
 def test_min_distance_examples():

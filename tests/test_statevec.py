@@ -19,6 +19,7 @@ from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
 from qbh import statevec as sv
+from qbh.slots import _moved, _slots
 from qbh.statevec import (
     CycAmp,
     StateVector,
@@ -139,8 +140,10 @@ def test_library_paths_stay_on_packed_labels(monkeypatch):
 
 
 def test_state_parts_are_built_once_per_table(monkeypatch):
-    # C = [3,2]_2 and D = [3,2] over K = GF(4): |C| = 4 messages, and the
-    # 16 words of D name all 4 scalars.
+    # C = [3,2]_2 and D = [3,2] over K = GF(4): |C| = 4 messages from
+    # r k = 2 message digit units, and the 16 words of D name all 4 scalars.
+    # f_lam is F_p-linear in the message, so a table packs the 2 units
+    # once, and each scalar's array takes one K.mul per unit.
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
     d = code_make(F4, [(1, 0, 1), (0, 1, 1)])
     h = kron_fourier(2, 2)
@@ -176,11 +179,11 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         t = table_make(code, F4)
         calls.update(dict.fromkeys(calls, 0))
         first = big_phi(code, d, t, words[0])  # the zero word: one scalar
-        assert calls == {"pack": 4, "mul": 4, "member": 1, "basis": 1, "product": 1}
+        assert calls == {"pack": 2, "mul": 2, "member": 1, "basis": 1, "product": 1}
         assert len(t._state_parts[1]) == 1  # one compact array of tr(lam P(m))
         states = [first] + [big_phi(code, d, t, w) for w in words[1:]]
         # one array per scalar, one product basis for m = 3
-        assert calls == {"pack": 4, "mul": 4 * 4, "member": 16, "basis": 1, "product": 1}
+        assert calls == {"pack": 2, "mul": 4 * 2, "member": 16, "basis": 1, "product": 1}
         # a second table and the matrix states of the same code object reuse
         # its product basis; another block count builds its own
         states.append(big_phi(code, d, table_make(code, F4), words[5]))
@@ -191,7 +194,7 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         runs.append((t._state_parts, code._products, states))
         assert code._products.keys() == {2, 3} and pair.basis is code._products[2][0]
     (parts, products, states), (parts2, products2, states2) = runs
-    assert len(parts) == 2  # P(m) and the tr(lam P(m)) arrays, no product basis
+    assert len(parts) == 2  # P(u) of the units and the tr(lam P(m)) arrays, no product basis
     # each table counted its own pack and K.mul calls above; the arrays are
     # ints, which CPython may share when small, so they are compared by value
     assert parts is not parts2 and parts[1] == parts2[1] and parts[1].keys() == {0, 1, 2, 3}
@@ -341,6 +344,26 @@ def test_big_phi_rejects_non_codeword():
     from qbh.errors import NotACodeword
     with pytest.raises(NotACodeword):
         big_phi(c, d, t, (1, 0, 0))
+
+
+def test_big_phi_builds_exactly_the_words_of_d():
+    # D = <(1, 5)> over K = GF(9), checked by its syndrome: each of the 81
+    # words of K^2 gives a state exactly when it lies in D, and a word of
+    # another length or with an entry outside K lies outside D
+    from qbh.errors import NotACodeword
+    c = code_make(F3, [(1, 0, 1), (0, 1, 1)])
+    d = code_make(F9, [(1, 5)])
+    t = table_make(c, F9)
+    words = oracles.oracle_codewords(F9, d.gen)
+    for w in itertools.product(range(9), repeat=2):
+        if w in words:
+            assert big_phi(c, d, t, w).scale == 2 * 2
+        else:
+            with pytest.raises(NotACodeword):
+                big_phi(c, d, t, w)
+    for w in ((1, 5, 0), (9, 0), (0, -4)):
+        with pytest.raises(NotACodeword):
+            big_phi(c, d, t, w)
 
 
 def test_phi_rejects_scalars_outside_the_table():
@@ -1205,6 +1228,62 @@ def test_fold_spreads_compact_arrays_without_carries(p, k, m):
             label = sum((words[s] for s in slot), ())
             expected[label] = CycAmp.root(p, step * sum(block[s] for block, s in zip(values, slot)))
         assert v.amps == expected
+
+
+@pytest.mark.parametrize("p, modulus", [(2, 4), (3, 3), (5, 5)])
+def test_linear_arrays_hold_the_form_mod_p(p, modulus):
+    # the compact arrays of the code states: sum_j c_j X_j mod p in slot
+    # sum_j X_j p^j, at the slot width of M, one ramp per coefficient
+    rng = random.Random(p)
+    for dim in range(4):
+        coeffs = [rng.randrange(2 * p) for _ in range(dim)]
+        slots = _slots(p, dim, modulus)
+        want = [sum(c * (x // p ** j % p) for j, c in enumerate(coeffs)) % p for x in range(p ** dim)]
+        assert slots.values(slots.linear(coeffs)) == want
+
+
+@pytest.mark.parametrize("p, dim, modulus", [(2, 3, 4), (3, 2, 3), (5, 2, 5)])
+def test_translate_is_the_per_digit_masked_shifts(p, dim, modulus):
+    # fix_dim's translation, a plan and one loop, against the loop it replaced:
+    # two masked shifts per nonzero digit, and the value of slot X at X + u
+    slots = _slots(p, dim, modulus)
+    rng = random.Random(dim)
+    for _ in range(20):
+        values = [rng.randrange(modulus) for _ in range(slots.size)]
+        arr = sv._join(values, slots.width)
+        u = [rng.randrange(p) for _ in range(dim)]
+        want = arr
+        for j, t in enumerate(u):
+            if t:
+                low, high = slots.mask(j, t)
+                want = (want & low) << t * slots.bits[j] | (want & high) >> (p - t) * slots.bits[j]
+        assert _moved(arr, slots.plan(u)) == want
+
+        def back(y):  # the slot X with X + u = y
+            return sum((y // p ** j - t) % p * p ** j for j, t in enumerate(u))
+
+        assert slots.values(want) == [values[back(y)] for y in range(slots.size)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_apply_rebuilds_its_plan_for_each_basis_and_offset(p):
+    # one element, applied in turn to states on two bases at two offsets
+    # each, full and partial supports: every call equals a fresh element's
+    f = field_make(p, 1)
+    c = code_make(f, [(1, 0, 1), (0, 1, 1)])
+    h = kron_fourier(p, 2)
+    shift = x_op(f, (0, 0, 0, 1, 0, 0))
+    full = [big_phi_from_matrix(h, c, (r, r)) for r in range(2)]
+    partial = state_make(f, 6, {(0,) * 6: CycAmp.one(p), (1, 0, 1, 0, 0, 0): CycAmp.one(p),
+                                (0, 1, 1, 0, 0, 1): CycAmp.root(p, 1)})
+    states = full + [apply(shift, v) for v in full] + [partial, apply(shift, partial)]
+    assert len({(id(v.basis), v.offset) for v in states}) == 4
+    rng = random.Random(p)
+    for _ in range(4):
+        g = PauliElement(f, rng.randrange(phase_modulus(f)), [rng.randrange(p) for _ in range(6)],
+                         [rng.randrange(p) for _ in range(6)])
+        for v in states + states[::-1] + states[::2] + states[1::2]:
+            assert apply(g, v) == apply(PauliElement(f, g.phase, g.a, g.b), v)
 
 
 FOURIER_CODES = [
