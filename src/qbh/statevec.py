@@ -558,57 +558,37 @@ def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:
     return echelon(states_a) == echelon(states_b)
 
 
-def _check_fixing_group(states, found, gens) -> None:
-    """Raise unless ``found`` is the abelian group that ``gens`` generate
-    and every element of it fixes every state.
+def _check_generators(states, gens) -> list:
+    """Raise unless ``gens`` commute pairwise, fix every state and have
+    F_p-independent rows; return each as (c, row, rep, big).
 
-    Each element z^c X(a) Z(b) is read back as c and its lane-packed row
-    (a | b), a in the low lanes.  Each generator g also gets the trace
-    form T_g(y) = tr(a_g . y) of its a.  The trace form is symmetric, so
+    Each generator z^c X(a) Z(b) is read back as c and its lane-packed row
+    (a | b), a in the low lanes, and gets the trace form T(y) = tr(a . y)
+    of its a as (rep, big).  The trace form is symmetric, so
     x g = z^(c_x + c_g + step T_g(b_x)) X(a_x + a_g) Z(b_x + b_g), and g
     and h commute when T_h(b_g) = T_g(b_h) mod p.
 
-    ``found`` holds the identity and is closed under right
-    multiplication by ``gens``, so it contains <gens>.  Its elements are
-    distinct and number p^rank, rank the F_p-rank of the generators'
-    rows.  That is |<gens>| when <gens> holds no pure phase but 1, and
-    less otherwise, so ``found`` is <gens> and holds no other pure phase.
-    Every element is then a product of generators, so applying each
-    generator to each state checks them all: |gens| |states| applies.
+    Each generator fixes a nonzero state, so its p-th power, a pure
+    phase, is 1.  With the rows independent, the p^|gens| products
+    g_1^k_1 ... g_s^k_s, 0 <= k_i < p, have distinct rows, so they are
+    the whole group, and the only pure phase among them is 1.
     """
     f, n = states[0].field, states[0].length
     p, lanes = f.p, n * f.degree
-    modulus, step = phase_modulus(f), phase_step(f)
-    shift, cw = lanes * _lane_width(p), (modulus - 1).bit_length()
-
-    def pack(x):
-        return _vec_lanes(f, x.a) | _vec_lanes(f, x.b) << shift
-
-    elements = [(x.phase, pack(x)) for x in found]
-    packed = [(g.phase, pack(g), *_trace_form(f, g.a)) for g in gens]
+    shift = lanes * _lane_width(p)
+    packed = [(g.phase, _vec_lanes(f, g.a) | _vec_lanes(f, g.b) << shift, *_trace_form(f, g.a))
+              for g in gens]
     for i, (_, rg, rep, big) in enumerate(packed):
         for _, rh, rep_h, big_h in packed[:i]:
             if (((rg >> shift) * rep_h & big_h).bit_count()
                     - ((rh >> shift) * rep & big).bit_count()) % p:
-                raise ArithmeticError("fixing set is not abelian; span data corrupt")
+                raise ArithmeticError("fixing generators are not abelian; span data corrupt")
     for g in gens:
         if not all(is_fixed(g, v) for v in states):
-            raise ArithmeticError("solved generator moves a state; span data corrupt")
-    keys = {row << cw | c for c, row in elements}
-    if 0 not in keys:
-        raise ArithmeticError("fixing set lacks the identity; span data corrupt")
-    if len(keys) != len(found):
-        raise ArithmeticError("fixing set repeats an element; span data corrupt")
-    add = _lane_adder(p, 2 * lanes)
-    for cg, rg, rep, big in packed:
-        if not keys.issuperset(add(row, rg) << cw
-                               | (c + cg + step * ((row >> shift) * rep & big).bit_count()) % modulus
-                               for c, row in elements):
-            raise ArithmeticError("fixing set not closed; span data corrupt")
-    rank = len(linalg.Echelon(p, 2 * lanes, [row for _, row, _, _ in packed]).lead)
-    if len(found) != p ** rank:
-        raise ArithmeticError(f"fixing set has {len(found)} elements, its generators make"
-                              f" {p}^{rank}; span data corrupt")
+            raise ArithmeticError("a fixing generator moves a state; span data corrupt")
+    if len(linalg.Echelon(p, 2 * lanes, [row for _, row, _, _ in packed]).lead) != len(gens):
+        raise ArithmeticError("generator rows are F_p-dependent; span data corrupt")
+    return packed
 
 
 def _equation_row(f, n: int, x: int, rows: dict) -> int:
@@ -630,8 +610,9 @@ def _equation_row(f, n: int, x: int, rows: dict) -> int:
 def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     """Every z^c X(a) Z(b) fixing each spanning state exactly.
 
-    With step = M / p, z^c X(a) Z(b) fixes a state with exponents e
-    exactly when, on every support label x,
+    Zero states add nothing to a span and are dropped; a span of zero
+    states only is refused.  With step = M / p, z^c X(a) Z(b) fixes a
+    state with exponents e exactly when, on every support label x,
 
         e(x + a) - e(x) = c + step * tr(b.x)   (mod M).
 
@@ -649,29 +630,32 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     rows, and each element of that kernel fixes every state; so a shift
     lies in S exactly when its solved element fixes every state.  With
     the shifts accepted so far in an echelon, a trial in their span is
-    accepted and one in r + span, for a rejected r, is rejected (else r
-    would lie in S), neither with an apply; only the rest are checked
-    with ``is_fixed`` on every state, and those accepted are a basis of
-    S.  The fixing elements of a shift in S are its solution plus the
-    kernel, walked by ``gf._gray_span`` from the solved element, kept
-    first, all sharing one a tuple.
+    accepted, and one in k r + span, for a rejected r and any k != 0, is
+    rejected (else r would lie in S), neither with an apply: the
+    rejected shifts are kept reduced and scaled to 1 at their lowest
+    nonzero lane.  Only the rest are checked with ``is_fixed`` on every
+    state, and those accepted are a basis of S.
 
-    The result is the group generated by the solutions of that basis
-    and by the kernel elements.  ``_check_fixing_group`` proves from the
-    returned elements alone that it is exactly the group those
-    generators make, applying only the generators to the states; a
-    wrong solve or a wrong skip fails it, so it raises rather than
-    returns.  ``budget`` caps shifts x equation rows, read off the
-    support masks, and elements x generators, the products of that check.
+    The generators are the solutions of that basis and the kernel
+    elements.  ``_check_generators`` proves that they commute, fix every
+    state and are independent, so the group they make has p^|gens|
+    elements and is the result; a wrong solve or a wrong skip fails it,
+    so it raises rather than returns.  One ``gf._gray_span`` walk over
+    the checked generators then builds every element by the group law.
+    ``budget`` caps shifts x equation rows, read off the support masks,
+    and the p^|gens| elements, before the walk.
     """
     states = list(states)
     if not states:
         raise ValueError("cannot infer the space from an empty span")
-    v0 = states[0]
-    f, n = v0.field, v0.length
+    f, n = states[0].field, states[0].length
     for v in states:
         if v.field != f or v.length != n:
             raise DimensionMismatch("states of one span live in different spaces")
+    states = [v for v in states if v.mask]
+    if not states:
+        raise ValueError("the zero span is fixed by every operator; no group to find")
+    v0 = states[0]
     p, r = f.p, f.degree
     modulus, step = phase_modulus(f), phase_step(f)
     sizes = [v.mask.bit_count() // v.basis.slots.width for v in states]
@@ -687,10 +671,10 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         if rows.insert(row):
             basis.append((exps, x))
             brows.append(row)
-    kernel = linalg.kernel(p, lanes, brows)
+    vec = functools.cache(functools.partial(_lanes_vec, f, n))  # an a or b many elements share
 
-    def element(c0, a, z):  # a is a tuple, built once per coset
-        return PauliElement(f, c0 + step * (z & digit), a, _lanes_vec(f, n, z >> w))
+    def element(c0, a, z):
+        return PauliElement(f, c0 + step * (z & digit), vec(a), vec(z >> w))
 
     add = _lane_adder(p, lanes)
     anchor = next(iter(v0.exps))
@@ -713,32 +697,36 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         trials.append((c0, a))
         rhss.append([(d - c0) // step for d in diffs])
     aug = [row | _lane_pack(col, w) << lanes * w for row, col in zip(brows, zip(*rhss))]
-    cosets, gens, rejected = [], [], set()
-    for (c0, a), z in zip(trials, linalg.solve(p, lanes, aug, len(trials))):
+
+    def key(a):  # a reduced by the accepted shifts, scaled to 1 at its lowest lane
         u = shifts.reduce(a)
-        if u in rejected:
+        low = (u & -u).bit_length() - 1
+        return shifts.scale(u, pow(u >> (low - low % w) & digit, -1, p)) if u else 0
+
+    gens, rejected = [], set()
+    for (c0, a), z in zip(trials, linalg.solve(p, lanes, aug, len(trials))):
+        u = key(a)
+        if not u or u in rejected:
             continue
-        e = element(c0, _lanes_vec(f, n, a), z)
-        if u:
-            if not all(is_fixed(e, v) for v in states):
-                rejected.add(u)
-                continue
+        e = element(c0, a, z)
+        if all(is_fixed(e, v) for v in states):
             shifts.insert(u)
-            rejected = {shifts.reduce(x) for x in rejected}
+            rejected = {key(x) for x in rejected}
             gens.append(e)
-        cosets.append((e, c0, z))
-    gens += [element(0, (0,) * n, k) for k in kernel]
-    work = len(cosets) * p ** len(kernel) * len(gens)
-    if work > budget:
-        raise BudgetExceeded("stab_of_span elements x generators", work, budget)
-    found = []
-    for e, c0, z0 in cosets:  # the walk starts at z0, whose element e is built
-        rest = itertools.islice(_gray_span(p, kernel, add, z0), 1, None)
-        found += [e] + [element(c0, e.a, z) for z in rest]
-    _check_fixing_group(states, found, gens)
-    for x in found + gens:  # the self-check's apply work is no part of the result
-        x._packed = None
-    return found
+        else:
+            rejected.add(u)
+    gens += [element(0, 0, k) for k in linalg.kernel(p, lanes, brows)]
+    if p ** len(gens) > budget:
+        raise BudgetExceeded("stab_of_span elements", p ** len(gens), budget)
+    half = n * r * w
+    row_add = _lane_adder(p, 2 * n * r)
+
+    def times(x, g):  # x g by the group law of ``_check_generators``
+        (c, row), (cg, rg, rep, big) = x, g
+        return (c + cg + step * ((row >> half) * rep & big).bit_count()) % modulus, row_add(row, rg)
+
+    return [PauliElement(f, c, vec(row & (1 << half) - 1), vec(row >> half))
+            for c, row in _gray_span(p, _check_generators(states, gens), times, (0, 0))]
 
 
 def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:

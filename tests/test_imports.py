@@ -108,8 +108,9 @@ def referenced_names(source: str, root: str) -> set:
 
 # Every function of the state-vector certification path and every state
 # constructor, with the slot-array helpers they reach.  stab_of_span is
-# on it too: its group self-check multiplies and pairs elements on their
-# own lane-packed rows, not through the products of ``pauli``.
+# on it too: its generator self-check pairs the generators, and its walk
+# multiplies them, on their own lane-packed rows, not through the
+# products of ``pauli``.
 STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "big_phi", "big_phi_from_matrix",
                  "tensor", "equal_sum_states", "inner", "state_make", "stab_of_span"]
 

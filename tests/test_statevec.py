@@ -757,14 +757,14 @@ def test_stab_of_four_one_matches_generators(monkeypatch):
         assert e.phase == 0
         assert sc.contains_symplectic(e.a, e.b)
         assert e._packed is None  # the self-check's apply work is not kept
-    # a matrix span: its states share one basis, and each shift generator
-    # is the very element its trial check applied, kept in the result
+    # a matrix span: its states share one basis, and the result is the
+    # group of the generators its self-check was given, one element each
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
     states = [big_phi_from_matrix(kron_fourier(2, 2), c, (r, r)) for r in range(4)]
     found, gens = _stab_with_generators(states, monkeypatch)
-    assert len(found) == 16 and any(any(g.a) for g in gens)
-    assert all(any(g is x for x in found) for g in gens if any(g.a))
-    assert all(e._packed is None for e in found + gens)
+    assert len(found) == 16 == 2 ** len(gens) and any(any(g.a) for g in gens)
+    assert set(found) == oracles.group_closure(gens)
+    assert all(e._packed is None for e in found)
 
 
 def test_stab_of_scrambled_order_four_matrix_keeps_full_group():
@@ -791,23 +791,23 @@ def test_stab_of_span_budget_counts_shifts_rows_and_output():
     with pytest.raises(BudgetExceeded, match=r"^stab_of_span shifts x rows: 4194304 requested"):
         stab_of_span([flat], budget=1 << 20)  # 2^11 shifts x 2^11 rows
     ket = state_make(F2, 17, {(0,) * 17: ONE2})
-    with pytest.raises(BudgetExceeded, match=r"^stab_of_span elements x generators: 2228224 "):
-        stab_of_span([ket], budget=1 << 20)  # all 2^17 Z(b) fix it, x 17 generators
+    with pytest.raises(BudgetExceeded, match=r"^stab_of_span elements: 131072 requested"):
+        stab_of_span([ket], budget=1 << 16)  # all 2^17 Z(b) fix it
 
 
 def test_stab_of_span_refuses_at_an_explicit_budget():
-    # a flat state on 3 qubits: 8 shifts x 8 rows; its 8 X(a) x 3 generators
+    # a flat state on 3 qubits: 8 shifts x 8 rows; its 8 X(a)
     flat = state_make(F2, 3, {x: ONE2 for x in itertools.product((0, 1), repeat=3)})
     with pytest.raises(BudgetExceeded, match=r"^stab_of_span shifts x rows: 64 requested,"
                        r" limit 63; raise it with --budget$"):
         stab_of_span([flat], budget=63)
     assert len(stab_of_span([flat], budget=64)) == 8
-    # a ket on 3 qubits: 1 shift x 1 row; its 8 Z(b) x 3 generators
+    # a ket on 3 qubits: 1 shift x 1 row; its 8 Z(b)
     ket = state_make(F2, 3, {(0, 0, 0): ONE2})
-    with pytest.raises(BudgetExceeded, match=r"^stab_of_span elements x generators: 24 requested,"
-                       r" limit 23; raise it with --budget$"):
-        stab_of_span([ket], budget=23)
-    assert len(stab_of_span([ket], budget=24)) == 8
+    with pytest.raises(BudgetExceeded, match=r"^stab_of_span elements: 8 requested,"
+                       r" limit 7; raise it with --budget$"):
+        stab_of_span([ket], budget=7)
+    assert len(stab_of_span([ket], budget=8)) == 8
 
 
 def _assert_stab_matches_enumeration(states):
@@ -854,16 +854,28 @@ def test_stab_of_span_finds_odd_phases_at_p2():
     assert set(stab_of_span([v])) == {identity(F2, 1), PauliElement(F2, 1, (1,), (1,))}
 
 
+@pytest.mark.parametrize("field", [F3, F5], ids=["F3", "F5"])
+def test_stab_of_span_multiplies_by_the_group_law_at_odd_p(field):
+    # sum_x w^(x1 x2) |x> is fixed by exactly w^(a1 a2) X(a1, a2) Z(a2, a1):
+    # the product of the generators X(1, 0) Z(0, 1) and X(0, 1) Z(1, 0)
+    # carries the phase tr(a_g . b_x) = 1, which a wrong sign would negate
+    p = field.p
+    v = state_make(field, 2, {(x1, x2): CycAmp.root(p, x1 * x2)
+                              for x1 in range(p) for x2 in range(p)})
+    want = {PauliElement(field, a1 * a2, (a1, a2), (a2, a1)) for a1 in range(p) for a2 in range(p)}
+    assert set(stab_of_span([v])) == want
+    _assert_stab_matches_enumeration([v])
+
+
 def _stab_with_generators(states, monkeypatch):
     """stab_of_span(states) with the generators its self-check was given."""
     seen = []
-    check = sv._check_fixing_group
-    monkeypatch.setattr(sv, "_check_fixing_group", lambda *args: seen.append(args) or check(*args))
+    check = sv._check_generators
+    monkeypatch.setattr(sv, "_check_generators", lambda *args: seen.append(args) or check(*args))
     found = stab_of_span(states)
     monkeypatch.undo()
     (args,) = seen
-    assert args[1] is found
-    return found, args[2]
+    return found, args[1]
 
 
 def _fourier_span():
@@ -872,17 +884,16 @@ def _fourier_span():
     return [big_phi_from_matrix(h, c, (r, r)) for r in range(4)]
 
 
-def test_fixing_group_check_needs_every_coset(monkeypatch):
+def test_fixing_group_check_needs_independent_rows(monkeypatch):
     states = _fourier_span()
     found, gens = _stab_with_generators(states, monkeypatch)
-    assert len(found) == 16 and len(gens) <= 2 * 6 + 1
-    sv._check_fixing_group(states, found, gens)
-    shifts = {g.a for g in gens if any(g.a)}
-    assert shifts
-    for a in shifts:
-        short = [x for x in found if x.a != a]
-        with pytest.raises(ArithmeticError, match="not closed"):
-            sv._check_fixing_group(states, short, gens)
+    assert len(found) == 16 == 2 ** len(gens) and len(gens) <= 2 * 6 + 1
+    sv._check_generators(states, gens)
+    # each fixes every state and commutes with the rest, but the walk
+    # would then make every element of the group twice
+    for extra in (mul(gens[0], gens[-1]), gens[0], identity(F2, states[0].length)):
+        with pytest.raises(ArithmeticError, match="dependent"):
+            sv._check_generators(states, gens + [extra])
 
 
 def test_fixing_group_check_needs_commuting_elements(monkeypatch):
@@ -894,9 +905,7 @@ def test_fixing_group_check_needs_commuting_elements(monkeypatch):
     singles = [op(F2, u) for u in units for op in (x_op, z_op)]
     bad = next(e for e in singles if any(not commutes(e, g) for g in gens))
     with pytest.raises(ArithmeticError, match="not abelian"):
-        sv._check_fixing_group(states, found + [bad], gens + [bad])
-    with pytest.raises(ArithmeticError):
-        sv._check_fixing_group(states, found + [bad], gens)
+        sv._check_generators(states, gens + [bad])
 
 
 def _logical(found, gens):
@@ -914,31 +923,19 @@ def _logical(found, gens):
 def test_fixing_group_check_rejects_a_set_that_is_not_the_group(monkeypatch):
     states = _fourier_span()
     found, gens = _stab_with_generators(states, monkeypatch)
-    sv._check_fixing_group(states, found, gens)
-    f, n = F2, states[0].length
-    step = phase_step(f)
-    one = found.index(identity(f, n))
-    other = next(i for i, x in enumerate(found) if any(x.a) and any(x.b))
-    x = found[other]
-    logical = _logical(found, gens)
-    doubled = found + [mul(y, logical) for y in found]
+    sv._check_generators(states, gens)
+    step = phase_step(F2)
+    g = gens[0]
     cases = [
-        (found + [found[other]], "repeats an element"),
-        (found[:one] + [PauliElement(f, step, (0,) * n, (0,) * n)] + found[one + 1:],
-         "lacks the identity"),
-        (found[:other] + [PauliElement(f, x.phase + step, x.a, x.b)] + found[other + 1:],
-         "not closed"),
-        (found + [logical], "not closed"),
-        # closed under gens, but twice as large as the group they make
-        (doubled, r"has 32 elements, its generators make 2\^4"),
+        # a logical operator commutes with every generator and is
+        # independent of them, but moves a state of the span
+        gens + [_logical(found, gens)],
+        # a generator with step added to its phase keeps its row and pairings
+        [PauliElement(F2, g.phase + step, g.a, g.b)] + gens[1:],
     ]
-    for bad, message in cases:
-        with pytest.raises(ArithmeticError, match=message):
-            sv._check_fixing_group(states, bad, gens)
-    # with the logical operator as a generator the set is its group, and
-    # the logical operator commutes with the rest but moves a state
-    with pytest.raises(ArithmeticError, match="moves a state"):
-        sv._check_fixing_group(states, doubled, gens + [logical])
+    for bad in cases:
+        with pytest.raises(ArithmeticError, match="moves a state"):
+            sv._check_generators(states, bad)
 
 
 @pytest.mark.parametrize("span", ["fourier", "shor"])
@@ -952,7 +949,7 @@ def test_fixing_group_check_applies_only_the_generators(span, monkeypatch):
     calls = []
     apply_ = sv.apply
     monkeypatch.setattr(sv, "apply", lambda e, v: calls.append(e) or apply_(e, v))
-    sv._check_fixing_group(states, found, gens)
+    sv._check_generators(states, gens)
     assert 0 < len(calls) <= len(gens) * len(states) < len(found) * len(states)
 
 
@@ -1044,6 +1041,29 @@ def test_stab_of_span_applies_only_to_shifts_outside_what_it_has_decided(monkeyp
     states = [big_phi_from_matrix(kron_fourier(2, 3), c, (r, r)) for r in range(8)]
     assert len(stab_of_span(states)) == 32
     assert len(calls) <= 128
+
+
+def test_stab_of_span_rejects_every_multiple_of_a_rejected_shift(monkeypatch):
+    # At odd p a rejected r rules out k r + span for every k != 0 as well;
+    # keyed on r alone, the order-9 Fourier span took 94 applies.
+    calls = []
+    apply_ = sv.apply
+    monkeypatch.setattr(sv, "apply", lambda e, v: calls.append(e) or apply_(e, v))
+    c = code_make(F3, [(1, 0, 1), (0, 1, 1)])
+    states = [big_phi_from_matrix(kron_fourier(3, 2), c, (r, r)) for r in range(9)]
+    assert len(stab_of_span(states)) == 81
+    assert len(calls) <= 84
+
+
+def test_stab_of_span_drops_zero_states():
+    v = state_make(F2, 1, {(0,): ONE2})
+    zero = state_make(F2, 1, {})
+    want = {identity(F2, 1), z_op(F2, (1,))}
+    assert set(stab_of_span([zero, v])) == set(stab_of_span([v, zero])) == want
+    with pytest.raises(ValueError, match="zero span"):
+        stab_of_span([zero])
+    with pytest.raises(ValueError, match="zero span"):
+        stab_of_span([zero, zero])
 
 
 @settings(max_examples=100, deadline=None)
