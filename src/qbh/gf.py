@@ -169,11 +169,16 @@ def _lane_pack(digs, w):
 
 
 def _vec_lanes(f, vec):
-    """The lane-packed label of a vector over the field f; at p = 2 each
-    packed element is already the lanes of its coordinate."""
+    """The lane-packed label of a vector over the field f, one chunk of
+    r lanes per coordinate.  A packed element is already its chunk at
+    p = 2 and at r = 1; above that the chunk is read from
+    ``Field.lane_table``."""
     if f.p == 2:
         return _lane_pack(vec, f.degree)
-    return _lane_pack(f.vec_digits(vec), _lane_width(f.p))
+    if f.degree == 1:
+        return _lane_pack(vec, _lane_width(f.p))
+    table = f.lane_table()
+    return _lane_pack([table[a] for a in vec], f.degree * _lane_width(f.p))
 
 
 def _lanes_vec(f, n, label):
@@ -333,7 +338,7 @@ class Field:
 
     __slots__ = (
         "p", "degree", "order", "modulus",
-        "_exp", "_log", "_zech", "_trace", "_frob", "_embed_cache", "_rows",
+        "_exp", "_log", "_zech", "_trace", "_frob", "_embed_cache", "_rows", "_lanes",
     )
 
     def __init__(self, p: int, degree: int, modulus: tuple):
@@ -341,7 +346,7 @@ class Field:
         self.degree = degree
         self.order = p ** degree
         self.modulus = modulus
-        self._embed_cache, self._rows = {}, {}
+        self._embed_cache, self._rows, self._lanes = {}, {}, None
         self._build_tables()
 
     # -- construction helpers
@@ -479,6 +484,18 @@ class Field:
         if self.degree == 1:
             return tuple(vec)
         return tuple(d for a in vec for d in self.digits(a))
+
+    def lane_table(self) -> tuple:
+        """Each element's digits, constant digit first, lane-packed in the
+        lane format below; built on first use and kept.  The lanes of a
+        are the constant digit a mod p below the lanes of a div p."""
+        if self._lanes is None:
+            p, w = self.p, _lane_width(self.p)
+            table = [0] * self.order
+            for a in range(1, self.order):
+                table[a] = table[a // p] << w | a % p
+            self._lanes = tuple(table)
+        return self._lanes
 
     def vec_from_digits(self, digs) -> tuple:
         """The vector whose ``vec_digits`` are ``digs``, each digit in [0, p)."""

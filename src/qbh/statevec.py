@@ -19,17 +19,18 @@ sum_i X_i p^i, so a state is two slot arrays of p^D slots (see
 exponent mod M on the support and 0 elsewhere.  The form is unique,
 so equality compares it as plain values.  z^c X(a) Z(b) moves t + V to
 t + a + V: the slots translate by the digits of a at the pivot lanes,
-and the phase c + step tr(b.x) is affine in the slot digits, so
-``apply`` costs a few big-int operations per basis row and none per
-label, and it keeps its work for the last basis it met.  A full
-support translates onto itself, so on a full mask ``apply`` moves the
-exponent array alone.  The code states of m blocks of one code object
-share the product basis it keeps and fill it, each one sum of m slot
-arrays, each spread by one multiply from a compact array of |C| slots
-kept per scalar or matrix row (``_fold``).  ``exps`` (label ->
-exponent) and ``amps`` (label tuple -> CycAmp) are read-only views.
-``fix_dim`` runs on the same form, over the coset where the generator
-list's diagonal elements z^c Z(b) act as 1: a fixed vector vanishes
+and the phase c + step tr(b.x) is affine in the slot digits.  So
+``_act``, the one action core of ``apply``, ``is_fixed`` and the
+packed trials of ``stab_of_span``, costs a few big-int operations per
+basis row and none per label, keeps its work for the last basis and
+offset it met, and on a full mask moves the exponent array alone.
+The code states of m blocks of one code object share the product
+basis it keeps and fill it, each one sum of m slot arrays, each
+spread by one multiply from a compact array of |C| slots kept per
+scalar or matrix row (``_fold``).  ``exps`` (label -> exponent) and
+``amps`` (label tuple -> CycAmp) are read-only views.  ``fix_dim``
+runs on the same form, over the coset where the generator list's
+diagonal elements z^c Z(b) act as 1: a fixed vector vanishes
 everywhere else.
 """
 
@@ -136,23 +137,33 @@ def _trace_pattern(p: int, width: int, t: int) -> int:
     return sum((rep & (1 << (t << k) % p * width) - 1) << k for k in range((p - 1).bit_length()))
 
 
-def _trace_form(f, b):
-    """(rep, big) with tr(b.x) = popcount((x * rep) & big) mod p.
-
-    Here x is a lane-packed label of length len(b).  tr(b.x) is the sum
-    over lanes of x_l tr(b_i p^j), lane l holding digit j of coordinate
-    i, so each bit of x carries a fixed coefficient v mod p.  Multiplying
-    by rep lays p - 1 copies of x side by side, and big keeps in copy s
-    the bits whose coefficient exceeds s, so one popcount counts each
-    set bit v times.  At p = 2, rep = 1 and big is the bit mask of b.
-    """
+def _trace_form(f, n: int, row: int) -> tuple:
+    """(rep, big) with tr(b.x) = popcount((x * rep) & big) mod p, for x a
+    lane-packed label of length n and ``row`` the lane-packed trace row
+    of b, whose lane l, digit j of coordinate i, holds tr(b_i p^j): each
+    bit of x carries a fixed coefficient v mod p.  Multiplying by rep
+    lays p - 1 copies of x side by side, and big keeps in copy s the bits
+    whose coefficient exceeds s, so one popcount counts each set bit v
+    times.  At p = 2, rep = 1 and big is the row."""
     w = _lane_width(f.p)
-    width = len(b) * f.degree * w
-    big = 0
-    for lane, t in enumerate(f.trace_rows(b)):
-        if t:
-            big |= _trace_pattern(f.p, width, t) << lane * w
+    width = n * f.degree * w
+    if f.p == 2:
+        return 1, row
+    big, digit = 0, (1 << w) - 1
+    for lane in range(0, row.bit_length(), w):
+        if t := row >> lane & digit:
+            big |= _trace_pattern(f.p, width, t) << lane
     return _trace_rep(f.p, width), big
+
+
+def _trace_lanes(f, n: int, x: int) -> int:
+    """The lane-packed trace row of the lane-packed label x, tr(x . y) as
+    a row on the lanes of y: x itself at degree 1, else each coordinate's
+    ``Field.trace_row``."""
+    if f.degree == 1:
+        return x
+    w = _lane_width(f.p)
+    return _lane_pack([_lane_pack(f.trace_row(a), w) for a in _lanes_vec(f, n, x)], f.degree * w)
 
 
 class StateVector:
@@ -430,45 +441,53 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     return _fold(code, [arrays[r] for r in rows])
 
 
-def apply(e: PauliElement, v: StateVector) -> StateVector:
-    """Act with z^c X(a) Z(b): labels shift by a, phases pick up tr(b.x).
+def _act(c: int, packed: list, v: StateVector) -> tuple:
+    """(offset, mask, arr) of z^c X(a) Z(b) v; the zero state maps to itself.
 
-    The offset moves to t + a, reduced at the pivot lanes by the digits
-    u of a there, and the exponents translate by u as one int.  The
-    phase on t + sum_i X_i v_i is c + step tr(b.t) + sum_i step tr(b.v_i)
-    X_i, one array, added only when it is not 0.  A full support, such
-    as that of every code state, translates onto itself, so only a
-    partial one is translated with its off-support slots all ones and
-    split again (``slots._Slots.split``).  ``e._packed`` keeps the
-    lane-packed a and trace form of b, then the last basis and offset e
-    met, with the new offset, the plan that translates by u and the phase.
-    """
+    ``packed`` is [a, rep, big, basis, offset, t, plan, phase]: the
+    lane-packed a and the trace form of b, then, refilled in place when
+    v has another basis or offset, those of the last call: the offset t
+    + a reduced at the pivot lanes, the plan that translates by the
+    digits of a there, and the phase array c + step tr(b.t) + sum_i step
+    tr(b.v_i) X_i.  A partial support is translated with its off-support
+    slots all ones, then split (``slots._Slots.split``)."""
+    if not v.mask:
+        return v.offset, v.mask, v.arr
+    a, rep, big, basis, offset, t, plan, phase = packed
+    b, slots = v.basis, v.basis.slots
+    if basis is not b or offset != v.offset:
+        x = b.add(v.offset, a)
+        t, plan = b.reduce(x), slots.plan([(x >> shift) & b.digit for shift in b.shifts])
+        phase = slots.affine(c + slots.step * ((v.offset * rep) & big).bit_count(),
+                             [((row * rep) & big).bit_count() for row in b.rows])
+        packed[3:] = b, v.offset, t, plan, phase
+    arr = slots.add(v.arr, phase) if phase else v.arr
+    if v.mask == slots.full:
+        return t, v.mask, _moved(arr, plan)
+    return (t, *slots.split(_moved(arr & v.mask | slots.full ^ v.mask, plan)))
+
+
+def _packed_of(e: PauliElement, v: StateVector) -> list:
+    """``e._packed`` for ``_act``, filled once e is checked to act on v's space."""
     f = v.field
     if e.field is not f and e.field != f:
         raise DimensionMismatch("operator and state over different fields")
     if len(e.a) != v.length:
         raise LengthMismatch(f"operator on {len(e.a)} qudits, state on {v.length}")
-    if not v.mask:
-        return v  # the zero state
-    a, rep, big, basis, offset, t, plan, phase = (
-        e._packed or (_vec_lanes(f, e.a), *_trace_form(f, e.b), None, None, None, None, None))
-    b, slots = v.basis, v.basis.slots
-    if basis is not b or offset != v.offset:
-        x = b.add(v.offset, a)
-        t, plan = b.reduce(x), slots.plan([(x >> shift) & b.digit for shift in b.shifts])
-        phase = slots.affine(e.phase + slots.step * ((v.offset * rep) & big).bit_count(),
-                             [((row * rep) & big).bit_count() for row in b.rows])
-        e._packed = (a, rep, big, b, v.offset, t, plan, phase)
-    arr = slots.add(v.arr, phase) if phase else v.arr
-    if v.mask == slots.full:
-        return StateVector(f, v.length, b, t, v.mask, _moved(arr, plan), v.scale)
-    moved = _moved(arr & v.mask | slots.full ^ v.mask, plan)
-    return StateVector(f, v.length, b, t, *slots.split(moved), v.scale)
+    if e._packed is None:
+        row = _lane_pack(f.trace_rows(e.b), _lane_width(f.p))
+        e._packed = [_vec_lanes(f, e.a), *_trace_form(f, v.length, row)] + [None] * 5
+    return e._packed
+
+
+def apply(e: PauliElement, v: StateVector) -> StateVector:
+    """Act with z^c X(a) Z(b) on v, by ``_act`` on ``e._packed``."""
+    return StateVector(v.field, v.length, v.basis, *_act(e.phase, _packed_of(e, v), v), v.scale)
 
 
 def is_fixed(e: PauliElement, v: StateVector) -> bool:
-    """Whether e fixes v exactly."""
-    return apply(e, v) == v
+    """Whether e fixes v exactly, by ``_act`` alone: no state is built."""
+    return _act(e.phase, _packed_of(e, v), v) == (v.offset, v.mask, v.arr)
 
 
 def inner(v: StateVector, w: StateVector) -> CycAmp:
@@ -562,49 +581,37 @@ def _check_generators(states, gens) -> list:
     """Raise unless ``gens`` commute pairwise, fix every state and have
     F_p-independent rows; return each as (c, row, rep, big).
 
-    Each generator z^c X(a) Z(b) is read back as c and its lane-packed row
-    (a | b), a in the low lanes, and gets the trace form T(y) = tr(a . y)
-    of its a as (rep, big).  The trace form is symmetric, so
-    x g = z^(c_x + c_g + step T_g(b_x)) X(a_x + a_g) Z(b_x + b_g), and g
-    and h commute when T_h(b_g) = T_g(b_h) mod p.
-
-    Each generator fixes a nonzero state, so its p-th power, a pure
-    phase, is 1.  With the rows independent, the p^|gens| products
-    g_1^k_1 ... g_s^k_s, 0 <= k_i < p, have distinct rows, so they are
-    the whole group, and the only pure phase among them is 1.
+    A generator z^c X(a) Z(b) comes as (c, row, packed): its lane-packed
+    (a | b), a in the low lanes, and its form for ``_act``.  (rep, big)
+    is the trace form T(y) = tr(a . y) of its a, symmetric, so x g =
+    z^(c_x + c_g + step T_g(b_x)) X(a_x + a_g) Z(b_x + b_g), and g and h
+    commute when T_h(b_g) = T_g(b_h) mod p.  Each generator fixes a
+    nonzero state, so its p-th power, a pure phase, is 1.  With the rows
+    independent, the p^|gens| products g_1^k_1 ... g_s^k_s, 0 <= k_i < p,
+    have distinct rows, so they are the whole group, whose only pure
+    phase is 1.
     """
     f, n = states[0].field, states[0].length
     p, lanes = f.p, n * f.degree
     shift = lanes * _lane_width(p)
-    packed = [(g.phase, _vec_lanes(f, g.a) | _vec_lanes(f, g.b) << shift, *_trace_form(f, g.a))
-              for g in gens]
+    packed = [(c, row, *_trace_form(f, n, _trace_lanes(f, n, row & (1 << shift) - 1)))
+              for c, row, _ in gens]
     for i, (_, rg, rep, big) in enumerate(packed):
         for _, rh, rep_h, big_h in packed[:i]:
             if (((rg >> shift) * rep_h & big_h).bit_count()
                     - ((rh >> shift) * rep & big).bit_count()) % p:
                 raise ArithmeticError("fixing generators are not abelian; span data corrupt")
-    for g in gens:
-        if not all(is_fixed(g, v) for v in states):
+    for c, _, act in gens:
+        if not all(_act(c, act, v) == (v.offset, v.mask, v.arr) for v in states):
             raise ArithmeticError("a fixing generator moves a state; span data corrupt")
     if len(linalg.Echelon(p, 2 * lanes, [row for _, row, _, _ in packed]).lead) != len(gens):
         raise ArithmeticError("generator rows are F_p-dependent; span data corrupt")
     return packed
 
 
-def _equation_row(f, n: int, x: int, rows: dict) -> int:
-    """1 | tr(x .) << w, the row of label x in ``stab_of_span``: x itself
-    at degree 1, else one lookup per coordinate chunk in ``rows`` (chunk
-    -> lane-packed ``Field.trace_row``), filled on first use."""
-    w = _lane_width(f.p)
-    if f.degree == 1:
-        return 1 | x << w
-    chunk, row = f.degree * w, 1
-    for i in range(n):
-        c = x >> i * chunk & (1 << chunk) - 1
-        if c not in rows:
-            rows[c] = _lane_pack(f.trace_row(_lanes_vec(f, 1, c)[0]), w)
-        row |= rows[c] << i * chunk + w
-    return row
+def _equation_row(f, n: int, x: int) -> int:
+    """1 | L(x) << w, the row of label x in ``stab_of_span``, L = ``_trace_lanes``."""
+    return 1 | _trace_lanes(f, n, x) << _lane_width(f.p)
 
 
 def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
@@ -617,33 +624,32 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         e(x + a) - e(x) = c + step * tr(b.x)   (mod M).
 
     The left side fixes c mod step, and dividing by step leaves a
-    system that is F_p-linear in the unknowns (c div step, digits of b),
-    the row of label x being ``_equation_row``.  The labels whose rows
-    are independent of those before them, state by state, give a row
-    basis.  A candidate shift a must move an anchor label of the first
-    state into that state's support, so at most |support| shifts are
+    system F_p-linear in (c div step, digits of b), the row of label x,
+    ``_equation_row``, being affine in x.  So the rows of t + V span at
+    most dim V + 1 dimensions, and one scan per distinct support, t and
+    each t + v_i first, stops at dim V + 1 new rows; those found give a
+    row basis.  A candidate shift a must move an anchor label of the
+    first state into its support, so at most |support| shifts are
     tried, and one ``linalg.solve`` on the row basis solves them all.
 
-    The trials are decided by the group law.  The fixing elements form
-    a group, so their shifts form an F_p-space S.  A solution is unique
-    up to the kernel of the basis rows, which is the kernel of all the
-    rows, and each element of that kernel fixes every state; so a shift
-    lies in S exactly when its solved element fixes every state.  With
-    the shifts accepted so far in an echelon, a trial in their span is
-    accepted, and one in k r + span, for a rejected r and any k != 0, is
-    rejected (else r would lie in S), neither with an apply: the
-    rejected shifts are kept reduced and scaled to 1 at their lowest
-    nonzero lane.  Only the rest are checked with ``is_fixed`` on every
-    state, and those accepted are a basis of S.
+    The fixing elements form a group, so their shifts form an F_p-space
+    S.  A solution is unique up to the kernel of the rows, whose
+    elements fix every state; so a shift lies in S exactly when its
+    solved element fixes every state.  With the accepted shifts in an
+    echelon, a trial in their span is accepted, and one in k r + span,
+    for a rejected r and any k != 0, is rejected (else r would lie in
+    S), neither by an action: rejected shifts are kept reduced and
+    scaled to 1 at their lowest nonzero lane.  The rest act, as packed
+    (c, row, form) trials, by ``_act`` on every state, and those
+    accepted are a basis of S.
 
-    The generators are the solutions of that basis and the kernel
-    elements.  ``_check_generators`` proves that they commute, fix every
-    state and are independent, so the group they make has p^|gens|
-    elements and is the result; a wrong solve or a wrong skip fails it,
-    so it raises rather than returns.  One ``gf._gray_span`` walk over
-    the checked generators then builds every element by the group law.
-    ``budget`` caps shifts x equation rows, read off the support masks,
-    and the p^|gens| elements, before the walk.
+    Their solutions and the kernel elements are the generators, which
+    ``_check_generators`` proves commute, fix every state and are
+    independent, so the group they make has p^|gens| elements and is the
+    result; a wrong solve or skip raises there.  One ``gf._gray_span``
+    walk over them makes every element by the group law, the only
+    ``PauliElement``s built.  ``budget`` caps shifts x equation rows,
+    read off the support masks, and the p^|gens| elements.
     """
     states = list(states)
     if not states:
@@ -663,18 +669,25 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     if work > budget:
         raise BudgetExceeded("stab_of_span shifts x rows", work, budget)
     w, digit, lanes = _lane_width(p), (1 << _lane_width(p)) - 1, 1 + n * r
-    labels, trace, rows, basis, brows = {}, {}, linalg.Echelon(p, lanes), [], []
-    for v in states:  # a row depends on its label alone: one row per label
-        labels.update({x: v.exps for x in v.exps if x not in labels})
-    for x, exps in labels.items():
-        row = _equation_row(f, n, x, trace)
-        if rows.insert(row):
-            basis.append((exps, x))
-            brows.append(row)
-    vec = functools.cache(functools.partial(_lanes_vec, f, n))  # an a or b many elements share
+    half = n * r * w
+    rows, basis, brows, supports = linalg.Echelon(p, lanes), [], [], {}
+    for v in states:
+        supports.setdefault((v.basis.rows, v.offset, v.mask), v)
+    for v in supports.values():  # t and each t + v_i first, then the rest till dim + 1 rows
+        exps, b, last = v.exps, v.basis, len(basis) + len(v.basis.rows) + 1
+        first = [x for x in [v.offset, *(b.add(v.offset, row) for row in b.rows)] if x in exps]
+        for x in itertools.chain(first, exps):
+            row = _equation_row(f, n, x)
+            if rows.insert(row):
+                basis.append((exps, x))
+                brows.append(row)
+                if len(basis) == last:
+                    break
 
-    def element(c0, a, z):
-        return PauliElement(f, c0 + step * (z & digit), vec(a), vec(z >> w))
+    def trial(c0, a, z):  # z^c X(a) Z(b), b and c read off the solution z
+        b = z >> w
+        return (c0 + step * (z & digit), a | b << half,
+                [a, *_trace_form(f, n, _trace_lanes(f, n, b))] + [None] * 5)
 
     add = _lane_adder(p, lanes)
     anchor = next(iter(v0.exps))
@@ -682,20 +695,17 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     minus_anchor = shifts.scale(anchor, p - 1)
     trials, rhss = [], []
     for y in v0.exps:
-        a = add(y, minus_anchor)
-        diffs = []
+        a, diffs = add(y, minus_anchor), []
         for exps, x in basis:
             ey = exps.get(add(x, a))
             if ey is None:
                 break
             diffs.append((ey - exps[x]) % modulus)
-        if len(diffs) < len(basis):
-            continue
-        c0 = diffs[0] % step
-        if any((d - c0) % step for d in diffs):
-            continue
-        trials.append((c0, a))
-        rhss.append([(d - c0) // step for d in diffs])
+        else:
+            c0 = diffs[0] % step
+            if not any((d - c0) % step for d in diffs):
+                trials.append((c0, a))
+                rhss.append([(d - c0) // step for d in diffs])
     aug = [row | _lane_pack(col, w) << lanes * w for row, col in zip(brows, zip(*rhss))]
 
     def key(a):  # a reduced by the accepted shifts, scaled to 1 at its lowest lane
@@ -708,18 +718,18 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         u = key(a)
         if not u or u in rejected:
             continue
-        e = element(c0, a, z)
-        if all(is_fixed(e, v) for v in states):
+        c, _, act = g = trial(c0, a, z)
+        if all(_act(c, act, v) == (v.offset, v.mask, v.arr) for v in states):
             shifts.insert(u)
             rejected = {key(x) for x in rejected}
-            gens.append(e)
+            gens.append(g)
         else:
             rejected.add(u)
-    gens += [element(0, 0, k) for k in linalg.kernel(p, lanes, brows)]
+    gens += [trial(0, 0, k) for k in linalg.kernel(p, lanes, brows)]
     if p ** len(gens) > budget:
         raise BudgetExceeded("stab_of_span elements", p ** len(gens), budget)
-    half = n * r * w
     row_add = _lane_adder(p, 2 * n * r)
+    vec = functools.cache(functools.partial(_lanes_vec, f, n))  # an a or b many elements share
 
     def times(x, g):  # x g by the group law of ``_check_generators``
         (c, row), (cg, rg, rep, big) = x, g
@@ -790,8 +800,8 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
     def cost(g):
         """(c + step tr(b.t), [tr(b.v_i)]): g's cost on t + sum_i X_i v_i,
         affine in the X_i, each trace up to a multiple of p, by the
-        popcount form of ``apply``."""
-        rep, big = _trace_form(f, g.b)
+        popcount form of ``_act``."""
+        rep, big = _trace_form(f, n, _lane_pack(f.trace_rows(g.b), w))
         return (g.phase + step * ((t * rep) & big).bit_count(),
                 [((v * rep) & big).bit_count() for v in basis.rows])
 

@@ -108,9 +108,10 @@ def referenced_names(source: str, root: str) -> set:
 
 # Every function of the state-vector certification path and every state
 # constructor, with the slot-array helpers they reach.  stab_of_span is
-# on it too: its generator self-check pairs the generators, and its walk
-# multiplies them, on their own lane-packed rows, not through the
-# products of ``pauli``.
+# on it too: its trials and generators stay lane-packed and act through
+# ``_act``, and its self-check pairs the generators, and its walk
+# multiplies them, on their own (a | b) rows, not through the products
+# of ``pauli``.
 STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "big_phi", "big_phi_from_matrix",
                  "tensor", "equal_sum_states", "inner", "state_make", "stab_of_span"]
 
@@ -158,9 +159,10 @@ def test_slot_arrays_read_no_symplectic_algebra():
     assert all_names(tree) & SYMPLECTIC == set()
 
 
-# The state oracle's packed forms: the trace form of a Z part and the
-# packed form ``statevec.apply`` keeps on each Pauli element.
-PACKED = {"_trace_form", "_trace_rep", "_trace_pattern", "_packed"}
+# The state oracle's packed forms: the trace form of a Z part, the
+# packed form ``statevec.apply`` keeps on each Pauli element, and the
+# action core that reads it.
+PACKED = {"_trace_form", "_trace_rep", "_trace_pattern", "_packed", "_act"}
 
 
 def test_symplectic_oracle_reads_no_packed_form():

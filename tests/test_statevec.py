@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh import linalg
 from qbh.errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
-from qbh.gf import FIELD_SIZE_LIMIT, Field, _lanes_vec, _vec_lanes, field_make
+from qbh.gf import FIELD_SIZE_LIMIT, Field, _lane_width, _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import code_make, dual, encode, fp_basis, iter_codewords
 from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
@@ -756,7 +756,7 @@ def test_stab_of_four_one_matches_generators(monkeypatch):
     for e in group:
         assert e.phase == 0
         assert sc.contains_symplectic(e.a, e.b)
-        assert e._packed is None  # the self-check's apply work is not kept
+        assert e._packed is None  # made by the final walk, after every action
     # a matrix span: its states share one basis, and the result is the
     # group of the generators its self-check was given, one element each
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
@@ -868,14 +868,35 @@ def test_stab_of_span_multiplies_by_the_group_law_at_odd_p(field):
 
 
 def _stab_with_generators(states, monkeypatch):
-    """stab_of_span(states) with the generators its self-check was given."""
+    """stab_of_span(states) with the generators its self-check was given,
+    read back from their packed (c, (a | b) row, form) as PauliElements."""
     seen = []
     check = sv._check_generators
     monkeypatch.setattr(sv, "_check_generators", lambda *args: seen.append(args) or check(*args))
     found = stab_of_span(states)
     monkeypatch.undo()
     (args,) = seen
-    return found, args[1]
+    f, n = states[0].field, states[0].length
+    half = n * f.degree * _lane_width(f.p)
+    return found, [PauliElement(f, c, _lanes_vec(f, n, row & (1 << half) - 1),
+                                _lanes_vec(f, n, row >> half)) for c, row, _ in args[1]]
+
+
+def _check(states, gens):
+    """``_check_generators`` on PauliElements, each packed afresh as
+    (c, (a | b) row, form for ``_act``), the form from ``_packed_of``."""
+    f, n = states[0].field, states[0].length
+    half = n * f.degree * _lane_width(f.p)
+    return sv._check_generators(states, [
+        (g.phase, _vec_lanes(f, g.a) | _vec_lanes(f, g.b) << half,
+         sv._packed_of(PauliElement(f, g.phase, g.a, g.b), states[0])) for g in gens])
+
+
+def counted_actions(monkeypatch) -> list:
+    """A list that gets one entry per call of ``statevec._act`` from now on."""
+    calls, act = [], sv._act
+    monkeypatch.setattr(sv, "_act", lambda c, packed, v: calls.append(c) or act(c, packed, v))
+    return calls
 
 
 def _fourier_span():
@@ -888,12 +909,12 @@ def test_fixing_group_check_needs_independent_rows(monkeypatch):
     states = _fourier_span()
     found, gens = _stab_with_generators(states, monkeypatch)
     assert len(found) == 16 == 2 ** len(gens) and len(gens) <= 2 * 6 + 1
-    sv._check_generators(states, gens)
+    _check(states, gens)
     # each fixes every state and commutes with the rest, but the walk
     # would then make every element of the group twice
     for extra in (mul(gens[0], gens[-1]), gens[0], identity(F2, states[0].length)):
         with pytest.raises(ArithmeticError, match="dependent"):
-            sv._check_generators(states, gens + [extra])
+            _check(states, gens + [extra])
 
 
 def test_fixing_group_check_needs_commuting_elements(monkeypatch):
@@ -905,7 +926,7 @@ def test_fixing_group_check_needs_commuting_elements(monkeypatch):
     singles = [op(F2, u) for u in units for op in (x_op, z_op)]
     bad = next(e for e in singles if any(not commutes(e, g) for g in gens))
     with pytest.raises(ArithmeticError, match="not abelian"):
-        sv._check_generators(states, gens + [bad])
+        _check(states, gens + [bad])
 
 
 def _logical(found, gens):
@@ -923,7 +944,7 @@ def _logical(found, gens):
 def test_fixing_group_check_rejects_a_set_that_is_not_the_group(monkeypatch):
     states = _fourier_span()
     found, gens = _stab_with_generators(states, monkeypatch)
-    sv._check_generators(states, gens)
+    _check(states, gens)
     step = phase_step(F2)
     g = gens[0]
     cases = [
@@ -935,7 +956,7 @@ def test_fixing_group_check_rejects_a_set_that_is_not_the_group(monkeypatch):
     ]
     for bad in cases:
         with pytest.raises(ArithmeticError, match="moves a state"):
-            sv._check_generators(states, bad)
+            _check(states, bad)
 
 
 @pytest.mark.parametrize("span", ["fourier", "shor"])
@@ -946,10 +967,8 @@ def test_fixing_group_check_applies_only_the_generators(span, monkeypatch):
         c, d, t = shor_setup()
         states = [big_phi(c, d, t, word) for word in iter_codewords(d)]
     found, gens = _stab_with_generators(states, monkeypatch)
-    calls = []
-    apply_ = sv.apply
-    monkeypatch.setattr(sv, "apply", lambda e, v: calls.append(e) or apply_(e, v))
-    sv._check_generators(states, gens)
+    calls = counted_actions(monkeypatch)
+    _check(states, gens)
     assert 0 < len(calls) <= len(gens) * len(states) < len(found) * len(states)
 
 
@@ -1029,11 +1048,9 @@ def test_stab_of_span_matches_enumeration_on_coset_states(states):
 
 def test_stab_of_span_applies_only_to_shifts_outside_what_it_has_decided(monkeypatch):
     # A shift in the span of accepted ones, or in a rejected one's coset
-    # of that span, is decided without an apply; applying each trial's
-    # element to every state took 60 and 256 applies on these spans.
-    calls = []
-    apply_ = sv.apply
-    monkeypatch.setattr(sv, "apply", lambda e, v: calls.append(e) or apply_(e, v))
+    # of that span, is decided without an action; acting with each trial's
+    # element on every state took 60 and 256 actions on these spans.
+    calls = counted_actions(monkeypatch)
     assert len(stab_of_span(_fourier_span())) == 16
     assert len(calls) <= 40
     calls.clear()
@@ -1045,14 +1062,31 @@ def test_stab_of_span_applies_only_to_shifts_outside_what_it_has_decided(monkeyp
 
 def test_stab_of_span_rejects_every_multiple_of_a_rejected_shift(monkeypatch):
     # At odd p a rejected r rules out k r + span for every k != 0 as well;
-    # keyed on r alone, the order-9 Fourier span took 94 applies.
-    calls = []
-    apply_ = sv.apply
-    monkeypatch.setattr(sv, "apply", lambda e, v: calls.append(e) or apply_(e, v))
+    # keyed on r alone, the order-9 Fourier span took 94 actions.
+    calls = counted_actions(monkeypatch)
     c = code_make(F3, [(1, 0, 1), (0, 1, 1)])
     states = [big_phi_from_matrix(kron_fourier(3, 2), c, (r, r)) for r in range(9)]
     assert len(stab_of_span(states)) == 81
     assert len(calls) <= 84
+
+
+def test_stab_of_span_makes_only_its_result_and_scans_dim_plus_one_rows(monkeypatch):
+    # The trials and generators stay packed: the order-4 Fourier span
+    # makes one PauliElement per element of its result and no more.
+    made = []
+    monkeypatch.setattr(sv, "PauliElement", lambda *args: made.append(args) or PauliElement(*args))
+    assert len(stab_of_span(_fourier_span())) == len(made) == 16
+    monkeypatch.undo()
+    # [[21,8]]_2: 256 code states on one full support of 2^12 labels.  Its
+    # rows are affine in the label, so t and the 12 t + v_i give them all.
+    c, d = twenty_one_eight()
+    sc = build(c, d)
+    states = [big_phi(c, d, sc.table, w) for w in iter_codewords(d)]
+    rows, row = [], sv._equation_row
+    monkeypatch.setattr(sv, "_equation_row", lambda *args: rows.append(args) or row(*args))
+    group = stab_of_span(states, budget=1 << 32)  # 2^12 shifts x 2^20 support labels
+    assert len(states) == 256 and len(rows) <= 13
+    assert len(group) == 2 ** 13 and set(sc.generators) <= set(group)
 
 
 def test_stab_of_span_drops_zero_states():
@@ -1137,6 +1171,35 @@ def test_apply_to_code_states_matches_image_oracle(data):
         assert w.amps == oracles.image(e, v)
         assert (w.mask, w.scale) == (w.basis.slots.full, v.scale)
     assert all(apply(e, v) == v for e in gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_act_on_a_packed_element_agrees_with_apply_and_is_fixed(data):
+    # stab_of_span packs its trials from lane-packed a and b, apply packs
+    # an element from its tuples; both act through _act, as is_fixed does
+    f = data.draw(st.sampled_from([F2, F3, F4, F9]), label="field")
+    if data.draw(st.booleans(), label="full support"):
+        n = data.draw(st.integers(1, max(j for j in (1, 2) if f.order ** j <= 16)), label="n")
+        exponent = st.integers(0, phase_modulus(f) - 1)
+        v = state_make(f, n, {x: CycAmp.root(f.p, data.draw(exponent))
+                              for x in itertools.product(range(f.order), repeat=n)})
+        assert v.mask == v.basis.slots.full
+    else:
+        (v,) = data.draw(monomial_spans([f], max_states=1))
+    n = v.length
+    vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
+    c, a, b = data.draw(st.integers(1, phase_modulus(f) - 1)), data.draw(vec), data.draw(vec)
+    form = sv._trace_form(f, n, sv._trace_lanes(f, n, _vec_lanes(f, b)))
+    packed = [_vec_lanes(f, a), *form] + [None] * 5
+    moved = apply(x_op(f, data.draw(vec)), v)  # v's basis, most often at another offset
+    order = data.draw(st.lists(st.sampled_from([v, moved]), min_size=1, max_size=4), label="order")
+    for w in order:
+        e = PauliElement(f, c, a, b)
+        image = apply(e, w)
+        assert sv._act(c, packed, w) == (image.offset, image.mask, image.arr)
+        assert image.amps == oracles.image(e, w)
+        assert is_fixed(e, w) == (image == w) == oracles.fixes(e, w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1543,12 +1606,16 @@ def test_fix_dim_with_no_diagonal_generator_runs_on_the_whole_space(monkeypatch)
     assert sizes == [9]
 
 
+def twenty_one_eight() -> tuple:
+    """(C, D) of [[21,8]]_2: C = Hamming [7,4]_2 and D = <101, 011> over GF(16)."""
+    return (code_make(F2, [(1, 0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 0, 1, 1),
+                           (0, 0, 1, 0, 1, 1, 1), (0, 0, 0, 1, 1, 0, 1)]),
+            code_make(field_make(2, 4), [(1, 0, 1), (0, 1, 1)]))
+
+
 def test_fix_dim_runs_21_8_on_the_coset_of_its_z_rows(monkeypatch):
-    # [[21,8]]_2 from C = Hamming [7,4]_2 and D = <101, 011> over GF(16):
-    # the 9 Z rows (C^perp in each block) leave 2^12 of the 2^21 labels
-    hamming = code_make(F2, [(1, 0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 0, 1, 1),
-                             (0, 0, 1, 0, 1, 1, 1), (0, 0, 0, 1, 1, 0, 1)])
-    sc = build(hamming, code_make(field_make(2, 4), [(1, 0, 1), (0, 1, 1)]))
+    # [[21,8]]_2: the 9 Z rows (C^perp in each block) leave 2^12 of the 2^21 labels
+    sc = build(*twenty_one_eight())
     sizes = recorded_slot_counts(monkeypatch)
     assert fix_dim(sc) == 1 << 8
     assert sizes == [1 << 12]
