@@ -222,10 +222,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except QbhError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (QbhError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,10 +32,11 @@ def phase_step(field: Field) -> int:
 class PauliElement:
     """z^phase X(a) Z(b) in normal form.
 
-    ``_packed`` is None until ``statevec.apply`` first acts with the
-    element; it then holds the lane-packed a, the trace form of b and
-    the work for the last basis and offset acted on.  Equality, hashing
-    and ``repr`` ignore it, and every constructor starts it empty.
+    ``_packed`` is None until the state oracle first acts with the
+    element (``statevec.apply``, ``is_fixed`` or ``fix_dim``); it then
+    holds the lane-packed a, the trace form of b and the work for the
+    last basis and offset acted on.  Equality, hashing and ``repr``
+    ignore it, and every constructor starts it empty.
     """
 
     __slots__ = ("field", "phase", "a", "b", "_packed")

@@ -20,13 +20,13 @@ exponent mod M on the support and 0 elsewhere.  The form is unique,
 so equality compares it as plain values.  z^c X(a) Z(b) moves t + V to
 t + a + V: the slots translate by the digits of a at the pivot lanes,
 and the phase c + step tr(b.x) is affine in the slot digits.  So
-``_act``, the one action core of ``apply``, ``is_fixed`` and the
-packed trials of ``stab_of_span``, costs a few big-int operations per
-basis row and none per label, keeps its work for the last basis and
-offset it met, and on a full mask moves the exponent array alone.
-The code states of m blocks of one code object share the product
-basis it keeps and fill it, each one sum of m slot arrays, each
-spread by one multiply from a compact array of |C| slots kept per
+``_act``, the one action core of ``apply``, ``is_fixed``, ``fix_dim``
+and ``stab_of_span``, costs a few big-int operations per basis row and
+none per label, keeps its work in the operator's one form for the last
+basis and offset it met, and on a full mask moves the exponent array
+alone.  The code states of m blocks of one code object share the
+product basis it keeps and fill it, each one sum of m slot arrays,
+each spread by one multiply from a compact array of |C| slots kept per
 scalar or matrix row (``_fold``).  ``exps`` (label -> exponent) and
 ``amps`` (label tuple -> CycAmp) are read-only views.  ``fix_dim``
 runs on the same form, over the coset where the generator list's
@@ -450,7 +450,8 @@ def _act(c: int, packed: list, v: StateVector) -> tuple:
     + a reduced at the pivot lanes, the plan that translates by the
     digits of a there, and the phase array c + step tr(b.t) + sum_i step
     tr(b.v_i) X_i.  A partial support is translated with its off-support
-    slots all ones, then split (``slots._Slots.split``)."""
+    slots all ones, then split (``slots._Slots.split``).  The phase
+    array holds c, so a form serves one c."""
     if not v.mask:
         return v.offset, v.mask, v.arr
     a, rep, big, basis, offset, t, plan, phase = packed
@@ -582,24 +583,23 @@ def _check_generators(states, gens) -> list:
     F_p-independent rows; return each as (c, row, rep, big).
 
     A generator z^c X(a) Z(b) comes as (c, row, packed): its lane-packed
-    (a | b), a in the low lanes, and its form for ``_act``.  (rep, big)
-    is the trace form T(y) = tr(a . y) of its a, symmetric, so x g =
-    z^(c_x + c_g + step T_g(b_x)) X(a_x + a_g) Z(b_x + b_g), and g and h
-    commute when T_h(b_g) = T_g(b_h) mod p.  Each generator fixes a
-    nonzero state, so its p-th power, a pure phase, is 1.  With the rows
+    (a | b), a in the low lanes, and its form for ``_act``, whose (rep,
+    big) is the trace form T(y) = tr(b . y) of its b.  So g x = z^(c_g +
+    c_x + step T_g(a_x)) X(a_g + a_x) Z(b_g + b_x), and g and h commute
+    when T_h(a_g) = T_g(a_h) mod p.  Each generator fixes a nonzero
+    state, so its p-th power, a pure phase, is 1.  With the rows
     independent, the p^|gens| products g_1^k_1 ... g_s^k_s, 0 <= k_i < p,
     have distinct rows, so they are the whole group, whose only pure
     phase is 1.
     """
     f, n = states[0].field, states[0].length
     p, lanes = f.p, n * f.degree
-    shift = lanes * _lane_width(p)
-    packed = [(c, row, *_trace_form(f, n, _trace_lanes(f, n, row & (1 << shift) - 1)))
-              for c, row, _ in gens]
+    low = (1 << lanes * _lane_width(p)) - 1
+    packed = [(c, row, rep, big) for c, row, (_, rep, big, *_) in gens]
     for i, (_, rg, rep, big) in enumerate(packed):
         for _, rh, rep_h, big_h in packed[:i]:
-            if (((rg >> shift) * rep_h & big_h).bit_count()
-                    - ((rh >> shift) * rep & big).bit_count()) % p:
+            if (((rg & low) * rep_h & big_h).bit_count()
+                    - ((rh & low) * rep & big).bit_count()) % p:
                 raise ArithmeticError("fixing generators are not abelian; span data corrupt")
     for c, _, act in gens:
         if not all(_act(c, act, v) == (v.offset, v.mask, v.arr) for v in states):
@@ -648,8 +648,9 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     independent, so the group they make has p^|gens| elements and is the
     result; a wrong solve or skip raises there.  One ``gf._gray_span``
     walk over them makes every element by the group law, the only
-    ``PauliElement``s built.  ``budget`` caps shifts x equation rows,
-    read off the support masks, and the p^|gens| elements.
+    ``PauliElement``s built.  ``budget`` caps trials x equation rows,
+    bounded before the scan by |first support| x the sum of dim V + 1
+    over the distinct supports, and the p^|gens| elements.
     """
     states = list(states)
     if not states:
@@ -664,15 +665,16 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     v0 = states[0]
     p, r = f.p, f.degree
     modulus, step = phase_modulus(f), phase_step(f)
-    sizes = [v.mask.bit_count() // v.basis.slots.width for v in states]
-    work = sizes[0] * sum(sizes)
+    supports = {}
+    for v in states:
+        supports.setdefault((v.basis.rows, v.offset, v.mask), v)
+    work = v0.mask.bit_count() // v0.basis.slots.width * sum(
+        len(v.basis.rows) + 1 for v in supports.values())
     if work > budget:
         raise BudgetExceeded("stab_of_span shifts x rows", work, budget)
     w, digit, lanes = _lane_width(p), (1 << _lane_width(p)) - 1, 1 + n * r
     half = n * r * w
-    rows, basis, brows, supports = linalg.Echelon(p, lanes), [], [], {}
-    for v in states:
-        supports.setdefault((v.basis.rows, v.offset, v.mask), v)
+    rows, basis, brows = linalg.Echelon(p, lanes), [], []
     for v in supports.values():  # t and each t + v_i first, then the rest till dim + 1 rows
         exps, b, last = v.exps, v.basis, len(basis) + len(v.basis.rows) + 1
         first = [x for x in [v.offset, *(b.add(v.offset, row) for row in b.rows)] if x in exps]
@@ -728,14 +730,14 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     gens += [trial(0, 0, k) for k in linalg.kernel(p, lanes, brows)]
     if p ** len(gens) > budget:
         raise BudgetExceeded("stab_of_span elements", p ** len(gens), budget)
-    row_add = _lane_adder(p, 2 * n * r)
+    row_add, low = _lane_adder(p, 2 * n * r), (1 << half) - 1
     vec = functools.cache(functools.partial(_lanes_vec, f, n))  # an a or b many elements share
 
-    def times(x, g):  # x g by the group law of ``_check_generators``
+    def times(x, g):  # g x by the group law of ``_check_generators``, = x g: they commute
         (c, row), (cg, rg, rep, big) = x, g
-        return (c + cg + step * ((row >> half) * rep & big).bit_count()) % modulus, row_add(row, rg)
+        return (c + cg + step * ((row & low) * rep & big).bit_count()) % modulus, row_add(row, rg)
 
-    return [PauliElement(f, c, vec(row & (1 << half) - 1), vec(row >> half))
+    return [PauliElement(f, c, vec(row & low), vec(row >> half))
             for c, row in _gray_span(p, _check_generators(states, gens), times, (0, 0))]
 
 
@@ -755,18 +757,19 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
     solution (t from one ``linalg.solve``, V from ``linalg.kernel``),
     and also when another generator's X part a lies outside V, since
     then x + a leaves A for every x in A.  Otherwise everything runs on
-    slot arrays over the p^(dim V) labels of A, held as a ``_Basis`` with
-    t reduced at its pivots, the form of every state: a lies in V, so
-    it translates the slots by its digits at the pivot lanes, and its
-    cost c + step tr(b.x) is affine in the slot digits, as in ``apply``.
-    The tree generators are those whose translations are independent,
-    and the slots zero at the pivot columns of their echelon form meet
-    each orbit once.  Phases start at 0 there and spread along the tree
-    generators; then every generator is checked on every slot, the
-    slots where one breaks the relation are closed under the tree
-    translations, and the orbits left untouched are counted.  With no
-    diagonal generator, A is the whole space.  ``budget`` caps the q^N
-    labels of the whole space.
+    slot arrays over the p^(dim V) labels of A, the flat state on t + V
+    (t reduced at its pivots), through the forms of ``_packed_of``: the
+    self-check reads the diagonal ones' trace forms, and one ``_act`` of
+    each other generator on A moves the offset when a lies outside V,
+    else leaves in its form the plan of its translation and its cost c
+    + step tr(b.x), affine in the slot digits.  The tree generators are
+    those whose translations are independent, and the slots zero at the
+    pivot columns of their echelon form meet each orbit once.  Phases
+    start at 0 there and spread along the tree generators; then one
+    ``_act`` per generator checks it on every slot, the slots where one
+    breaks the relation are closed under the tree translations, and
+    the orbits left untouched are counted.  With no diagonal generator,
+    A is the whole space.  ``budget`` caps all q^N labels.
     """
     if hasattr(s, "generators"):
         gens, f, n = list(s.generators), s.field, s.num_qudits
@@ -796,42 +799,37 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
         return 0
     basis = _Basis(p, lanes, modulus, linalg.kernel(p, lanes, rows))
     t, slots = basis.reduce(t), basis.slots
-
-    def cost(g):
-        """(c + step tr(b.t), [tr(b.v_i)]): g's cost on t + sum_i X_i v_i,
-        affine in the X_i, each trace up to a multiple of p, by the
-        popcount form of ``_act``."""
-        rep, big = _trace_form(f, n, _lane_pack(f.trace_rows(g.b), w))
-        return (g.phase + step * ((t * rep) & big).bit_count(),
-                [((v * rep) & big).bit_count() for v in basis.rows])
-
-    rank = len(linalg.Echelon(p, lanes, rows).lead)
-    if len(basis.rows) != lanes - rank or any(
-            c % modulus or any(x % p for x in row) for c, row in map(cost, diagonal)):
+    coset = StateVector(f, n, basis, t, slots.full, 0, 0)
+    forms = [(g.phase, _packed_of(g, coset)) for g in diagonal]
+    if len(basis.rows) != lanes - len(linalg.Echelon(p, lanes, rows).lead) or any(
+            (c + step * (t * rep & big).bit_count()) % modulus
+            or any((v * rep & big).bit_count() % p for v in basis.rows)
+            for c, (_, rep, big, *_) in forms):
         raise ArithmeticError("diagonal generators do not vanish on their coset; linear algebra corrupt")
-    shifts, costs = [], []
+    moves = []  # (c, form filled on A, digits of a at the pivot lanes) per X part
     for g in gens:
         if any(g.a):
-            a = _vec_lanes(f, g.a)
-            if basis.reduce(a):
+            form = _packed_of(g, coset)
+            if _act(g.phase, form, coset)[0] != t:  # a lies outside V
                 return 0
-            shifts.append([(a >> shift) & basis.digit for shift in basis.shifts])
-            costs.append(slots.affine(*cost(g)))
+            a, *_ = form
+            moves.append((g.phase, form, [(a >> shift) & basis.digit for shift in basis.shifts]))
     span = linalg.Echelon(p, len(basis.rows))
-    tree = [i for i, u in enumerate(shifts) if span.insert(_lane_pack(u, w))]
+    tree = [(u, phase) for _, (*_, phase), u in moves if span.insert(_lane_pack(u, w))]
     transversal = slots.full
     for j in span.pivots:
         transversal &= slots.mask(j, p - 1)[0]
     phases, known = 0, transversal
-    for i in tree:
-        phases, known = slots.spread(phases, known, shifts[i], costs[i])
+    for u, phase in tree:
+        phases, known = slots.spread(phases, known, u, phase)
     if known != slots.full:
         raise ArithmeticError("tree translations miss a label; slot arrays corrupt")
+    candidate = StateVector(f, n, basis, t, slots.full, phases, 0)
     broken = bad = 0
-    for u, arr in zip(shifts, costs):
-        broken |= _moved(slots.add(phases, arr), slots.plan(u)) ^ phases
+    for c, form, _ in moves:
+        broken |= _act(c, form, candidate)[2] ^ phases
     if broken:
         bad = slots.nonzero(broken)
-        for i in tree:
-            bad = slots.spread(bad, slots.full, shifts[i], 0)[0]
+        for u, _ in tree:
+            bad = slots.spread(bad, slots.full, u, 0)[0]
     return (transversal & slots.ones & ~bad).bit_count()

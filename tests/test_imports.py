@@ -144,6 +144,43 @@ def test_fold_check_sees_a_tensor_chain_behind_helpers():
     assert referenced_names(src, "phi") & FOLD_CHAIN == {"reduce"}
 
 
+# One action core: inside ``statevec`` only ``_act`` plans a translation,
+# moves slots or builds an affine phase array; ``apply``, ``is_fixed``,
+# ``stab_of_span`` and ``fix_dim`` act with an operator through it.
+ACTION = {"_moved", "plan", "affine"}
+
+
+def action_callers(source: str) -> set:
+    """Each top-level function or class of ``source`` that calls, at any
+    depth inside it, ``_moved`` (under any import alias) or a method
+    named ``plan`` or ``affine``."""
+    tree = ast.parse(source)
+    origin = {alias.asname or alias.name: alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def called(func):
+        return origin.get(func.id, func.id) if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    return {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and any(isinstance(call, ast.Call) and called(call.func) in ACTION
+                    for call in ast.walk(node))}
+
+
+def test_only_act_plans_moves_or_builds_phase_arrays_in_statevec():
+    source = (pathlib.Path(qbh.__file__).parent / "statevec.py").read_text()
+    assert action_callers(source) == {"_act"}
+
+
+def test_action_check_sees_aliases_attributes_and_nested_calls():
+    src = ("from .slots import _moved as move\nfrom . import slots\n"
+           "def _act(c, v):\n    return move(v, v.basis.slots.plan([c]))\n"
+           "def fix_dim(s):\n    def cost(g):\n        return s.slots.affine(g, [])\n    return cost\n"
+           "def other(x):\n    return slots._moved(x, [])\n"
+           "class Basis:\n    def go(self, x):\n        return x.plan\n"
+           "def fine(x):\n    return x.planned([]) + x.spread(1)\n")
+    assert action_callers(src) == {"_act", "fix_dim", "other"}
+
+
 def all_names(tree) -> set:
     """Every name, attribute and imported name anywhere under ``tree``."""
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

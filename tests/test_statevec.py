@@ -788,20 +788,20 @@ def test_stab_of_scrambled_order_four_matrix_keeps_full_group():
 def test_stab_of_span_budget_counts_shifts_rows_and_output():
     n = 11
     flat = state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
-    with pytest.raises(BudgetExceeded, match=r"^stab_of_span shifts x rows: 4194304 requested"):
-        stab_of_span([flat], budget=1 << 20)  # 2^11 shifts x 2^11 rows
+    with pytest.raises(BudgetExceeded, match=r"^stab_of_span shifts x rows: 24576 requested"):
+        stab_of_span([flat], budget=1 << 14)  # 2^11 shifts x the 11 + 1 rows of one support
     ket = state_make(F2, 17, {(0,) * 17: ONE2})
     with pytest.raises(BudgetExceeded, match=r"^stab_of_span elements: 131072 requested"):
         stab_of_span([ket], budget=1 << 16)  # all 2^17 Z(b) fix it
 
 
 def test_stab_of_span_refuses_at_an_explicit_budget():
-    # a flat state on 3 qubits: 8 shifts x 8 rows; its 8 X(a)
+    # a flat state on 3 qubits: 8 shifts x 3 + 1 rows; its 8 X(a)
     flat = state_make(F2, 3, {x: ONE2 for x in itertools.product((0, 1), repeat=3)})
-    with pytest.raises(BudgetExceeded, match=r"^stab_of_span shifts x rows: 64 requested,"
-                       r" limit 63; raise it with --budget$"):
-        stab_of_span([flat], budget=63)
-    assert len(stab_of_span([flat], budget=64)) == 8
+    with pytest.raises(BudgetExceeded, match=r"^stab_of_span shifts x rows: 32 requested,"
+                       r" limit 31; raise it with --budget$"):
+        stab_of_span([flat], budget=31)
+    assert len(stab_of_span([flat], budget=32)) == 8
     # a ket on 3 qubits: 1 shift x 1 row; its 8 Z(b)
     ket = state_make(F2, 3, {(0, 0, 0): ONE2})
     with pytest.raises(BudgetExceeded, match=r"^stab_of_span elements: 8 requested,"
@@ -1084,7 +1084,7 @@ def test_stab_of_span_makes_only_its_result_and_scans_dim_plus_one_rows(monkeypa
     states = [big_phi(c, d, sc.table, w) for w in iter_codewords(d)]
     rows, row = [], sv._equation_row
     monkeypatch.setattr(sv, "_equation_row", lambda *args: rows.append(args) or row(*args))
-    group = stab_of_span(states, budget=1 << 32)  # 2^12 shifts x 2^20 support labels
+    group = stab_of_span(states)  # 2^12 shifts x 13 rows, inside the default budget
     assert len(states) == 256 and len(rows) <= 13
     assert len(group) == 2 ** 13 and set(sc.generators) <= set(group)
 
@@ -1621,6 +1621,39 @@ def test_fix_dim_runs_21_8_on_the_coset_of_its_z_rows(monkeypatch):
     assert sizes == [1 << 12]
     with pytest.raises(BudgetExceeded, match=r"^fix_dim labels: 2097152 requested,"):
         fix_dim(sc, budget=1 << 20)  # the budget still counts all 2^21 labels
+
+
+@pytest.mark.parametrize("pair", [helpers.shor_pair, helpers.nine_qutrit_pair], ids=["F2", "F3"])
+def test_fix_dim_leaves_each_generator_the_form_apply_reads(pair, monkeypatch):
+    # A certification runs fix_dim and then applies the same generators to
+    # the code states: fix_dim acts through the generators' own forms, so
+    # the applies build no trace form again.
+    c, d = pair()
+    sc = build(c, d)
+    table = table_make(c, d.field)
+    states = [big_phi(c, d, table, w) for w in iter_codewords(d)]
+    assert fix_dim(sc) == sc.field.order ** sc.log_dim_exp
+    forms, real = [], sv._trace_form
+    monkeypatch.setattr(sv, "_trace_form", lambda *args: forms.append(args) or real(*args))
+    assert all(apply(g, v) == v for g in sc.generators for v in states)
+    assert forms == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists([F2, F4, F3, F9, F5], max_labels=1 << 8), st.data())
+def test_fix_dim_refills_forms_left_for_another_basis(case, data):
+    # apply leaves each generator's form filled for the basis and offset
+    # it last met; fix_dim acts through that form on its own coset, so
+    # it must refill it, as must a later fix_dim on another coset
+    f, n, gens = case
+    one = CycAmp.one(f.p)
+    warmers = [state_make(f, n, {(0,) * n: one}),  # offset 0 on a basis of no rows
+               state_make(f, n, {x: one for x in itertools.product(range(f.order), repeat=n)})]
+    for g in gens:
+        apply(g, data.draw(st.sampled_from(warmers), label="warmer"))
+    if len(gens) > 1 and data.draw(st.booleans(), label="fix_dim of a sublist first"):
+        fix_dim(gens[1:])
+    assert fix_dim(gens) == oracles.fix_dim_by_orbits(f, n, gens)
 
 
 @pytest.mark.parametrize("fault", ["short kernel", "foreign kernel row", "offset off the coset"])
