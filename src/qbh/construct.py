@@ -162,19 +162,21 @@ def _leader_weights(table: FunctionalTable, below: int | None = None) -> list:
     the distance from 0 in the graph on K whose steps are lambda_of(u e_j)
     for the coordinates j and u in F_q^*: one breadth-first search,
     |K| n (q - 1) field adds.  Every lam is reached, since
-    lambda_of(theta(lam)) = lam.  With ``below`` the search stops after
-    depth below - 1 and every lam it did not reach reads ``below``: the
-    list is then min(w, below).
+    lambda_of(theta(lam)) = lam.  The search stops after depth below - 1
+    and every lam it did not reach reads ``below``: the list is then
+    min(w, below).  No leader weighs more than n, so ``below`` defaults
+    to n + 1, which caps nothing.
     """
     K, q, n = table.scalars, table.code.field.order, table.code.n
+    below = n + 1 if below is None else below
     steps = {
         table.lambda_of((0,) * j + (u,) + (0,) * (n - 1 - j))
         for j in range(n) for u in range(1, q)
     } - {0}
-    weights = [below] * K.order  # unreached; None when uncapped
+    weights = [below] * K.order  # unreached
     weights[0] = 0
     frontier, w = [0], 0
-    while frontier and (below is None or w < below - 1):
+    while frontier and w < below - 1:
         w += 1
         reached = []
         for lam in frontier:
@@ -211,8 +213,9 @@ def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
     some set S of h coordinates.  Each D_S is one nullspace over K.  The
     words of every D_S are walked by the Gray code over an F_p-basis of
     D_S, one word add per step, with w capped at ``below``; when every
-    D_S is {0} nothing is walked and the leader search is skipped.  The
-    walk covers D itself, once, when ``below`` is None or h >= m, or
+    D_S is {0} nothing is walked and the leader search is skipped.  No
+    word of D weighs more than n m, so ``below`` defaults to n m + 1,
+    which caps nothing.  The walk covers D itself, once, when h >= m, or
     when the D_S hold at least |D| words together.  Each D_S holds its
     zero word, so the D_S are built only when there are fewer sets S
     than words of D and than the budget.  ``budget`` caps the words
@@ -222,10 +225,11 @@ def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
         raise DimensionMismatch("functional table belongs to a different code")
     if table.scalars != d_code.field:
         raise DimensionMismatch("outer code is not defined over the scalar field")
-    if below is not None and below < 1:
-        raise ValueError(f"below must be at least 1, got {below}")
     K, m = d_code.field, d_code.n
-    h = m if below is None else below - 1
+    below = code.n * m + 1 if below is None else below
+    if below < 1:
+        raise ValueError(f"below must be at least 1, got {below}")
+    h = below - 1
     cover = [fp_basis(d_code)]
     if h < m and math.comb(m, h) < min(d_code.size, budget + 1):
         subcodes = [_subcode_basis(d_code, S) for S in itertools.combinations(range(m), h)]
@@ -244,7 +248,7 @@ def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
 
     best = min(sum(map(weights.__getitem__, word)) for rows in cover
                for word in itertools.islice(_gray_span(K.p, rows, word_add, (0,) * m), 1, None))
-    return best if below is None else min(best, below)
+    return min(best, below)
 
 
 def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:

@@ -238,20 +238,14 @@ def table_matrix(table: FunctionalTable):
     Rows are indexed by packed scalars in increasing order; columns by
     codewords in message enumeration order.  Column labels pack the
     message big-endian so that label arithmetic matches the group
-    structure of C.
+    structure of C; messages come in lexicographic order, so the label
+    of column j is j.
     """
     from .bh import BhMatrix
 
     code = table.code
     K = table.scalars
-    q = code.field.order
-    messages = list(itertools.product(range(q), repeat=code.k))
-    col_labels = []
-    for msg in messages:
-        acc = 0
-        for mcoord in msg:
-            acc = acc * q + mcoord
-        col_labels.append(acc)
+    messages = itertools.product(range(code.field.order), repeat=code.k)
     words = [encode(code, msg) for msg in messages]
     rows = [
         tuple(table.f_int(lam, w) for w in words) for lam in range(K.order)
@@ -261,5 +255,5 @@ def table_matrix(table: FunctionalTable):
         table.prime.p,
         rows,
         row_labels=tuple(range(K.order)),
-        col_labels=tuple(col_labels),
+        col_labels=tuple(range(len(words))),
     )

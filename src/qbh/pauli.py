@@ -34,9 +34,10 @@ class PauliElement:
 
     ``_packed`` is None until the state oracle first acts with the
     element (``statevec.apply``, ``is_fixed`` or ``fix_dim``); it then
-    holds the lane-packed a, the trace form of b and the work for the
-    last basis and offset acted on.  Equality, hashing and ``repr``
-    ignore it, and every constructor starts it empty.
+    holds the element's whole form for ``statevec._act``: the phase, the
+    lane-packed a, the trace row of b and its trace form, and the work
+    for the last basis and offset acted on.  Equality, hashing and
+    ``repr`` ignore it, and every constructor starts it empty.
     """
 
     __slots__ = ("field", "phase", "a", "b", "_packed")

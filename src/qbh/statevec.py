@@ -22,16 +22,16 @@ t + a + V: the slots translate by the digits of a at the pivot lanes,
 and the phase c + step tr(b.x) is affine in the slot digits.  So
 ``_act``, the one action core of ``apply``, ``is_fixed``, ``fix_dim``
 and ``stab_of_span``, costs a few big-int operations per basis row and
-none per label, keeps its work in the operator's one form for the last
-basis and offset it met, and on a full mask moves the exponent array
-alone.  The code states of m blocks of one code object share the
-product basis it keeps and fill it, each one sum of m slot arrays,
-each spread by one multiply from a compact array of |C| slots kept per
-scalar or matrix row (``_fold``).  ``exps`` (label -> exponent) and
-``amps`` (label tuple -> CycAmp) are read-only views.  ``fix_dim``
-runs on the same form, over the coset where the generator list's
-diagonal elements z^c Z(b) act as 1: a fixed vector vanishes
-everywhere else.
+none per label, reads the operator's one form, phase included, keeps
+its work there for the last basis and offset it met, and on a full
+mask moves the exponent array alone.  The code states of m blocks of
+one code object share the product basis it keeps and fill it, each
+one sum of m slot arrays, each spread by one multiply from a compact
+array of |C| slots kept per scalar or matrix row (``_fold``).
+``exps`` (label -> exponent) and ``amps`` (label tuple -> CycAmp) are
+read-only views.  ``fix_dim`` runs on the same form, over the coset
+where the generator list's diagonal elements z^c Z(b) act as 1: a
+fixed vector vanishes everywhere else.
 """
 
 from __future__ import annotations
@@ -441,54 +441,56 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     return _fold(code, [arrays[r] for r in rows])
 
 
-def _act(c: int, packed: list, v: StateVector) -> tuple:
+def _act(packed: list, v: StateVector) -> tuple:
     """(offset, mask, arr) of z^c X(a) Z(b) v; the zero state maps to itself.
 
-    ``packed`` is [a, rep, big, basis, offset, t, plan, phase]: the
-    lane-packed a and the trace form of b, then, refilled in place when
-    v has another basis or offset, those of the last call: the offset t
-    + a reduced at the pivot lanes, the plan that translates by the
-    digits of a there, and the phase array c + step tr(b.t) + sum_i step
-    tr(b.v_i) X_i.  A partial support is translated with its off-support
-    slots all ones, then split (``slots._Slots.split``).  The phase
-    array holds c, so a form serves one c."""
+    ``packed`` is the operator's form [c, a, row, rep, big, basis,
+    offset, t, plan, phase]: its phase c, the lane-packed a, the
+    lane-packed trace row of b and its trace form (rep, big), then,
+    refilled in place when v has another basis or offset, those of the
+    last call: the offset t + a reduced at the pivot lanes, the plan that
+    translates by the digits of a there, and the phase array c + step
+    tr(b.t) + sum_i step tr(b.v_i) X_i.  A partial support is translated
+    with its off-support slots all ones, then split
+    (``slots._Slots.split``)."""
     if not v.mask:
         return v.offset, v.mask, v.arr
-    a, rep, big, basis, offset, t, plan, phase = packed
+    c, a, _, rep, big, basis, offset, t, plan, phase = packed
     b, slots = v.basis, v.basis.slots
     if basis is not b or offset != v.offset:
         x = b.add(v.offset, a)
         t, plan = b.reduce(x), slots.plan([(x >> shift) & b.digit for shift in b.shifts])
         phase = slots.affine(c + slots.step * ((v.offset * rep) & big).bit_count(),
                              [((row * rep) & big).bit_count() for row in b.rows])
-        packed[3:] = b, v.offset, t, plan, phase
+        packed[5:] = b, v.offset, t, plan, phase
     arr = slots.add(v.arr, phase) if phase else v.arr
     if v.mask == slots.full:
         return t, v.mask, _moved(arr, plan)
     return (t, *slots.split(_moved(arr & v.mask | slots.full ^ v.mask, plan)))
 
 
-def _packed_of(e: PauliElement, v: StateVector) -> list:
-    """``e._packed`` for ``_act``, filled once e is checked to act on v's space."""
-    f = v.field
+def _packed_of(e: PauliElement, f, n: int) -> list:
+    """``e._packed``, the form ``_act`` reads, filled once e is checked to
+    act on the space of length n over f."""
     if e.field is not f and e.field != f:
-        raise DimensionMismatch("operator and state over different fields")
-    if len(e.a) != v.length:
-        raise LengthMismatch(f"operator on {len(e.a)} qudits, state on {v.length}")
+        raise DimensionMismatch(f"operator over {e.field}, space over {f}")
+    if len(e.a) != n:
+        raise LengthMismatch(f"operator on {len(e.a)} qudits, space on {n}")
     if e._packed is None:
         row = _lane_pack(f.trace_rows(e.b), _lane_width(f.p))
-        e._packed = [_vec_lanes(f, e.a), *_trace_form(f, v.length, row)] + [None] * 5
+        e._packed = [e.phase, _vec_lanes(f, e.a), row, *_trace_form(f, n, row)] + [None] * 5
     return e._packed
 
 
 def apply(e: PauliElement, v: StateVector) -> StateVector:
     """Act with z^c X(a) Z(b) on v, by ``_act`` on ``e._packed``."""
-    return StateVector(v.field, v.length, v.basis, *_act(e.phase, _packed_of(e, v), v), v.scale)
+    return StateVector(v.field, v.length, v.basis, *_act(_packed_of(e, v.field, v.length), v),
+                       v.scale)
 
 
 def is_fixed(e: PauliElement, v: StateVector) -> bool:
     """Whether e fixes v exactly, by ``_act`` alone: no state is built."""
-    return _act(e.phase, _packed_of(e, v), v) == (v.offset, v.mask, v.arr)
+    return _act(_packed_of(e, v.field, v.length), v) == (v.offset, v.mask, v.arr)
 
 
 def inner(v: StateVector, w: StateVector) -> CycAmp:
@@ -582,9 +584,9 @@ def _check_generators(states, gens) -> list:
     """Raise unless ``gens`` commute pairwise, fix every state and have
     F_p-independent rows; return each as (c, row, rep, big).
 
-    A generator z^c X(a) Z(b) comes as (c, row, packed): its lane-packed
-    (a | b), a in the low lanes, and its form for ``_act``, whose (rep,
-    big) is the trace form T(y) = tr(b . y) of its b.  So g x = z^(c_g +
+    A generator z^c X(a) Z(b) comes as (row, form): its lane-packed
+    (a | b), a in the low lanes, and its form for ``_act``, which holds c
+    and the trace form (rep, big) of T(y) = tr(b . y).  So g x = z^(c_g +
     c_x + step T_g(a_x)) X(a_g + a_x) Z(b_g + b_x), and g and h commute
     when T_h(a_g) = T_g(a_h) mod p.  Each generator fixes a nonzero
     state, so its p-th power, a pure phase, is 1.  With the rows
@@ -595,14 +597,14 @@ def _check_generators(states, gens) -> list:
     f, n = states[0].field, states[0].length
     p, lanes = f.p, n * f.degree
     low = (1 << lanes * _lane_width(p)) - 1
-    packed = [(c, row, rep, big) for c, row, (_, rep, big, *_) in gens]
+    packed = [(c, row, rep, big) for row, (c, _, _, rep, big, *_) in gens]
     for i, (_, rg, rep, big) in enumerate(packed):
         for _, rh, rep_h, big_h in packed[:i]:
             if (((rg & low) * rep_h & big_h).bit_count()
                     - ((rh & low) * rep & big).bit_count()) % p:
                 raise ArithmeticError("fixing generators are not abelian; span data corrupt")
-    for c, _, act in gens:
-        if not all(_act(c, act, v) == (v.offset, v.mask, v.arr) for v in states):
+    for _, form in gens:
+        if not all(_act(form, v) == (v.offset, v.mask, v.arr) for v in states):
             raise ArithmeticError("a fixing generator moves a state; span data corrupt")
     if len(linalg.Echelon(p, 2 * lanes, [row for _, row, _, _ in packed]).lead) != len(gens):
         raise ArithmeticError("generator rows are F_p-dependent; span data corrupt")
@@ -640,7 +642,7 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     for a rejected r and any k != 0, is rejected (else r would lie in
     S), neither by an action: rejected shifts are kept reduced and
     scaled to 1 at their lowest nonzero lane.  The rest act, as packed
-    (c, row, form) trials, by ``_act`` on every state, and those
+    (row, form) trials, by ``_act`` on every state, and those
     accepted are a basis of S.
 
     Their solutions and the kernel elements are the generators, which
@@ -687,9 +689,9 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
                     break
 
     def trial(c0, a, z):  # z^c X(a) Z(b), b and c read off the solution z
-        b = z >> w
-        return (c0 + step * (z & digit), a | b << half,
-                [a, *_trace_form(f, n, _trace_lanes(f, n, b))] + [None] * 5)
+        b, c = z >> w, c0 + step * (z & digit)
+        row = _trace_lanes(f, n, b)
+        return a | b << half, [c, a, row, *_trace_form(f, n, row)] + [None] * 5
 
     add = _lane_adder(p, lanes)
     anchor = next(iter(v0.exps))
@@ -720,8 +722,8 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         u = key(a)
         if not u or u in rejected:
             continue
-        c, _, act = g = trial(c0, a, z)
-        if all(_act(c, act, v) == (v.offset, v.mask, v.arr) for v in states):
+        _, form = g = trial(c0, a, z)
+        if all(_act(form, v) == (v.offset, v.mask, v.arr) for v in states):
             shifts.insert(u)
             rejected = {key(x) for x in rejected}
             gens.append(g)
@@ -750,19 +752,21 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
     the translations by the X parts split the labels into orbits, the
     cosets of their span, and each orbit carries one fixed vector or none.
 
-    A diagonal generator z^c Z(b) gives v(x) = z^(c + step tr(b.x)) v(x),
-    so a fixed vector vanishes off the coset A = t + V where every one
-    of them acts as 1: c + step tr(b.x) = 0 mod M.  The dimension is 0
-    when some c is not a multiple of step or the system in x has no
-    solution (t from one ``linalg.solve``, V from ``linalg.kernel``),
-    and also when another generator's X part a lies outside V, since
-    then x + a leaves A for every x in A.  Otherwise everything runs on
-    slot arrays over the p^(dim V) labels of A, the flat state on t + V
-    (t reduced at its pivots), through the forms of ``_packed_of``: the
-    self-check reads the diagonal ones' trace forms, and one ``_act`` of
-    each other generator on A moves the offset when a lies outside V,
-    else leaves in its form the plan of its translation and its cost c
-    + step tr(b.x), affine in the slot digits.  The tree generators are
+    Every generator is checked against the space and read through its
+    form from ``_packed_of``.  A diagonal generator z^c Z(b) gives v(x) =
+    z^(c + step tr(b.x)) v(x), so a fixed vector vanishes off the coset
+    A = t + V where every one of them acts as 1: c + step tr(b.x) = 0
+    mod M, a system in x on the forms' (c, trace row of b).  The
+    dimension is 0 when some c is not a multiple of step or the system
+    has no solution (t from one ``linalg.solve``, V from
+    ``linalg.kernel``), and also when another generator's X part a lies
+    outside V, since then x + a leaves A for every x in A.  Otherwise
+    everything runs on slot arrays over the p^(dim V) labels of A, the
+    flat state on t + V (t reduced at its pivots): the self-check reads
+    the diagonal forms' trace forms (rep, big), and one ``_act`` of each
+    other generator on A moves the offset when a lies outside V, else
+    leaves in its form the plan of its translation and its cost c +
+    step tr(b.x), affine in the slot digits.  The tree generators are
     those whose translations are independent, and the slots zero at the
     pivot columns of their echelon form meet each orbit once.  Phases
     start at 0 there and spread along the tree generators; then one
@@ -778,44 +782,37 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
         if not gens:
             raise ValueError("cannot infer the space from an empty generator list")
         f, n = gens[0].field, len(gens[0].a)
-    for g in gens:
-        if g.field != f:
-            raise DimensionMismatch(f"generator over {g.field}, space over {f}")
-        if len(g.a) != n:
-            raise LengthMismatch(f"generator on {len(g.a)} qudits, space on {n}")
+    forms = [_packed_of(g, f, n) for g in gens]
     if f.order ** n > budget:
         raise BudgetExceeded("fix_dim labels", f.order ** n, budget)
     if not gens:
         return f.order ** n
     p, lanes, w = f.p, n * f.degree, _lane_width(f.p)
     modulus, step = phase_modulus(f), phase_step(f)
-    diagonal = [g for g in gens if not any(g.a)]
-    if any(g.phase % step for g in diagonal):
+    diagonal = [(c, row, rep, big) for c, a, row, rep, big, *_ in forms if not a]
+    if any(c % step for c, *_ in diagonal):
         return 0
-    rows = [_lane_pack(f.trace_rows(g.b), w) for g in diagonal]
-    t = linalg.solve(p, lanes, [row | -(g.phase // step) % p << lanes * w
-                                for row, g in zip(rows, diagonal)], 1)[0]
+    rows = [row for _, row, _, _ in diagonal]
+    t = linalg.solve(p, lanes, [row | -(c // step) % p << lanes * w for c, row, _, _ in diagonal], 1)[0]
     if t is None:
         return 0
     basis = _Basis(p, lanes, modulus, linalg.kernel(p, lanes, rows))
     t, slots = basis.reduce(t), basis.slots
     coset = StateVector(f, n, basis, t, slots.full, 0, 0)
-    forms = [(g.phase, _packed_of(g, coset)) for g in diagonal]
     if len(basis.rows) != lanes - len(linalg.Echelon(p, lanes, rows).lead) or any(
             (c + step * (t * rep & big).bit_count()) % modulus
             or any((v * rep & big).bit_count() % p for v in basis.rows)
-            for c, (_, rep, big, *_) in forms):
+            for c, _, rep, big in diagonal):
         raise ArithmeticError("diagonal generators do not vanish on their coset; linear algebra corrupt")
-    moves = []  # (c, form filled on A, digits of a at the pivot lanes) per X part
-    for g in gens:
-        if any(g.a):
-            form = _packed_of(g, coset)
-            if _act(g.phase, form, coset)[0] != t:  # a lies outside V
+    moves = []  # (form filled on A, digits of a at the pivot lanes) per X part
+    for form in forms:
+        _, a, *_ = form
+        if a:
+            if _act(form, coset)[0] != t:  # a lies outside V
                 return 0
-            a, *_ = form
-            moves.append((g.phase, form, [(a >> shift) & basis.digit for shift in basis.shifts]))
+            moves.append((form, [(a >> shift) & basis.digit for shift in basis.shifts]))
     span = linalg.Echelon(p, len(basis.rows))
-    tree = [(u, phase) for _, (*_, phase), u in moves if span.insert(_lane_pack(u, w))]
+    tree = [(u, phase) for (*_, phase), u in moves if span.insert(_lane_pack(u, w))]
     transversal = slots.full
     for j in span.pivots:
         transversal &= slots.mask(j, p - 1)[0]
@@ -826,8 +823,8 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
         raise ArithmeticError("tree translations miss a label; slot arrays corrupt")
     candidate = StateVector(f, n, basis, t, slots.full, phases, 0)
     broken = bad = 0
-    for c, form, _ in moves:
-        broken |= _act(c, form, candidate)[2] ^ phases
+    for form, _ in moves:
+        broken |= _act(form, candidate)[2] ^ phases
     if broken:
         bad = slots.nonzero(broken)
         for u, _ in tree:

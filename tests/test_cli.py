@@ -474,6 +474,46 @@ def test_construct_rejects_bad_code_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_refused(capsys, argv, message):
+    """main(argv) exits 2 with one ``error:`` line that names ``message``."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# only a comment\n", "empty code file"),
+    ("2 1 3 1\n1 1\n", "row length 2 != declared n = 3"),
+    ("2 1 3 2\n1 1 1\n1 1 1\n", "declared dimension 2 but rows span dimension 1"),
+])
+def test_construct_refuses_a_malformed_code_file(tmp_path, capsys, text, message):
+    bad = _write(tmp_path, "bad.txt", text)
+    d = _write(tmp_path, "d.txt", SHOR_D)
+    _assert_refused(capsys, ["construct", "-c", bad, "-d", d, "-o", str(tmp_path / "o")], message)
+
+
+FOUR_GENS = "1 1 1 1 | 0 0 0 0\n0 0 0 0 | 1 1 0 0\n0 0 0 0 | 0 0 1 1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty stabilizer file"),
+    ("2 1 2 1 2 1 4 1\n" + FOUR_GENS, "header must be 'p r n k m s N K delta'"),
+    ("2 1 2 1 2 1 5 1 -\n" + FOUR_GENS, "N != n*m"),
+    ("2 1 2 1 2 1 4 1 -\n1 1 1 | 0 0 0 0\n", "generator parts must have length 4"),
+])
+def test_verify_refuses_a_malformed_stabilizer_file(tmp_path, capsys, text, message):
+    assert stab_from_text("2 1 2 1 2 1 4 1 -\n" + FOUR_GENS).generators  # the well-formed file
+    _assert_refused(capsys, ["verify", _write(tmp_path, "bad.stab", text)], message)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("\n\n", "empty matrix file"),
+    ("4\n0 0 0 0\n", "header must be 'N p'"),
+])
+def test_bh_verify_refuses_a_malformed_matrix_file(tmp_path, capsys, text, message):
+    _assert_refused(capsys, ["bh", "verify", _write(tmp_path, "bad.bh", text)], message)
+
+
 @pytest.mark.parametrize("head", ["1000000000000000000000000000057 1 2 1", "3 1000000000 2 1"])
 def test_construct_rejects_field_beyond_limit_at_once(tmp_path, capsys, head):
     bad = _write(tmp_path, "bad.txt", head + "\n1 1\n")

@@ -125,7 +125,10 @@ def test_table_matrix_binary_repetition():
 def test_table_matrix_is_butson(base, rows, kdeg):
     c = code_make(base, rows)
     t = table_make(c, field_make(base.p, kdeg))
-    assert bh_verify(table_matrix(t))
+    m = table_matrix(t)
+    assert bh_verify(m)
+    # messages come in lexicographic order: each packs to its own index
+    assert m.col_labels == tuple(range(c.size))
 
 
 def test_theta_binary_repetition():

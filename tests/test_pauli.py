@@ -65,7 +65,8 @@ def test_packed_form_stays_out_of_equality_and_is_never_copied(field, phase, a, 
     other = PauliElement(field, phase, a, b)
     flat = state_make(field, 2, {x: CycAmp.one(field.p) for x in itertools.product(range(2), repeat=2)})
     apply(other, flat)
-    assert warm._packed[3] is point.basis and other._packed[3] is flat.basis
+    (*_, warm_basis, _, _, _, _), (*_, other_basis, _, _, _, _) = warm._packed, other._packed
+    assert warm_basis is point.basis and other_basis is flat.basis
     assert warm == other and hash(warm) == hash(other) and repr(warm) == repr(other)
     # every constructor starts with an empty packed form, also from a
     # filled element with the same a and b

@@ -869,7 +869,7 @@ def test_stab_of_span_multiplies_by_the_group_law_at_odd_p(field):
 
 def _stab_with_generators(states, monkeypatch):
     """stab_of_span(states) with the generators its self-check was given,
-    read back from their packed (c, (a | b) row, form) as PauliElements."""
+    read back from their packed ((a | b) row, form) as PauliElements."""
     seen = []
     check = sv._check_generators
     monkeypatch.setattr(sv, "_check_generators", lambda *args: seen.append(args) or check(*args))
@@ -879,23 +879,23 @@ def _stab_with_generators(states, monkeypatch):
     f, n = states[0].field, states[0].length
     half = n * f.degree * _lane_width(f.p)
     return found, [PauliElement(f, c, _lanes_vec(f, n, row & (1 << half) - 1),
-                                _lanes_vec(f, n, row >> half)) for c, row, _ in args[1]]
+                                _lanes_vec(f, n, row >> half)) for row, (c, *_) in args[1]]
 
 
 def _check(states, gens):
     """``_check_generators`` on PauliElements, each packed afresh as
-    (c, (a | b) row, form for ``_act``), the form from ``_packed_of``."""
+    ((a | b) row, form for ``_act``), the form from ``_packed_of``."""
     f, n = states[0].field, states[0].length
     half = n * f.degree * _lane_width(f.p)
     return sv._check_generators(states, [
-        (g.phase, _vec_lanes(f, g.a) | _vec_lanes(f, g.b) << half,
-         sv._packed_of(PauliElement(f, g.phase, g.a, g.b), states[0])) for g in gens])
+        (_vec_lanes(f, g.a) | _vec_lanes(f, g.b) << half,
+         sv._packed_of(PauliElement(f, g.phase, g.a, g.b), f, n)) for g in gens])
 
 
 def counted_actions(monkeypatch) -> list:
     """A list that gets one entry per call of ``statevec._act`` from now on."""
     calls, act = [], sv._act
-    monkeypatch.setattr(sv, "_act", lambda c, packed, v: calls.append(c) or act(c, packed, v))
+    monkeypatch.setattr(sv, "_act", lambda packed, v: calls.append(packed) or act(packed, v))
     return calls
 
 
@@ -1190,14 +1190,14 @@ def test_act_on_a_packed_element_agrees_with_apply_and_is_fixed(data):
     n = v.length
     vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
     c, a, b = data.draw(st.integers(1, phase_modulus(f) - 1)), data.draw(vec), data.draw(vec)
-    form = sv._trace_form(f, n, sv._trace_lanes(f, n, _vec_lanes(f, b)))
-    packed = [_vec_lanes(f, a), *form] + [None] * 5
+    row = sv._trace_lanes(f, n, _vec_lanes(f, b))
+    packed = [c, _vec_lanes(f, a), row, *sv._trace_form(f, n, row)] + [None] * 5
     moved = apply(x_op(f, data.draw(vec)), v)  # v's basis, most often at another offset
     order = data.draw(st.lists(st.sampled_from([v, moved]), min_size=1, max_size=4), label="order")
     for w in order:
         e = PauliElement(f, c, a, b)
         image = apply(e, w)
-        assert sv._act(c, packed, w) == (image.offset, image.mask, image.arr)
+        assert sv._act(packed, w) == (image.offset, image.mask, image.arr)
         assert image.amps == oracles.image(e, w)
         assert is_fixed(e, w) == (image == w) == oracles.fixes(e, w)
 
