@@ -59,24 +59,18 @@ class BhMatrix:
 
 def bh_verify(m: BhMatrix) -> bool:
     """Exact orthogonality check over all row pairs."""
-    ok = True
-    if m.order % m.p != 0 and m.order > 1:
-        ok = False
-    if ok:
-        quota, p = m.order // m.p, m.p
-        for i in range(m.order):
-            ri = m.rows[i]
-            for j in range(i + 1, m.order):
-                rj = m.rows[j]
-                counts = [0] * p
-                for a, b in zip(ri, rj):
-                    counts[(a - b) % p] += 1
-                if any(c != quota for c in counts):
-                    ok = False
-                    break
-            if not ok:
-                break
-    return ok
+    p = m.p
+    if m.order % p != 0 and m.order > 1:
+        return False
+    quota = m.order // p
+    for i, ri in enumerate(m.rows):
+        for rj in m.rows[i + 1:]:
+            counts = [0] * p
+            for a, b in zip(ri, rj):
+                counts[(a - b) % p] += 1
+            if any(c != quota for c in counts):
+                return False
+    return True
 
 
 def kron_fourier(p: int, t: int) -> BhMatrix:

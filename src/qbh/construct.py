@@ -278,12 +278,12 @@ def _own_rows(sc: StabilizerCode) -> list:
     return sc._rows
 
 
-def _pairings(sc: StabilizerCode) -> tuple:
-    """``_own_rows``, and for the centralizer kernel alone each generator's
-    pairing with an unknown (a | b), tr(g.a . b) - tr(g.b . a), as a row."""
+def _pairings(sc: StabilizerCode) -> list:
+    """For the centralizer kernel alone, each generator's pairing with an
+    unknown (a | b), tr(g.a . b) - tr(g.b . a), as a row."""
     f = sc.field
-    return _own_rows(sc), [_lane_pack([-t % f.p for t in f.trace_rows(g.b)] + list(f.trace_rows(g.a)),
-                                      _lane_width(f.p)) for g in sc.generators]
+    return [_lane_pack([-t % f.p for t in f.trace_rows(g.b)] + list(f.trace_rows(g.a)),
+                       _lane_width(f.p)) for g in sc.generators]
 
 
 def centralizer_basis(sc: StabilizerCode) -> list:
@@ -301,7 +301,7 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     """
     f, N = sc.field, sc.num_qudits
     lanes = 2 * N * f.degree
-    out = linalg.kernel(f.p, lanes, _pairings(sc)[1])
+    out = linalg.kernel(f.p, lanes, _pairings(sc))
     ones = _lane_pack([1] * lanes, _lane_width(f.p))
     own = [(y, _lane_flags(f.p, y, ones)) for y in _own_rows(sc)]
     for v in out:

@@ -5,10 +5,13 @@ of the integer are the coefficients of the residue polynomial, constant
 term first.  Every field precomputes exp/log tables over its smallest
 primitive element at construction time, in O(order t) steps, so
 multiplication, inversion, Frobenius and trace are table lookups on
-plain ints.  Addition is O(1) at every order with no
-dense table: XOR of the packed digits at p = 2, and at odd p a lookup in
-the Zech logarithms log(1 + g^i) (Lidl & Niederreiter, ch. 9), which
-turns a + b into a (1 + b/a).
+plain ints.
+
+Addition is digitwise mod p, with no dense table: XOR of the packed
+digits at p = 2, and (a + b) mod p at degree 1.  Above that at odd p
+every field keeps one table pair, each element's lane-packed digits (the
+lane format below) and its inverse, and a + b is one lane add read back
+through the inverse.
 
 The default modulus for F_{p^t} is the monic irreducible polynomial of
 degree t whose non-leading coefficient vector, read as a packed integer,
@@ -171,22 +174,20 @@ def _lane_pack(digs, w):
 def _vec_lanes(f, vec):
     """The lane-packed label of a vector over the field f, one chunk of
     r lanes per coordinate.  A packed element is already its chunk at
-    p = 2 and at r = 1; above that the chunk is read from
-    ``Field.lane_table``."""
-    if f.p == 2:
-        return _lane_pack(vec, f.degree)
-    if f.degree == 1:
-        return _lane_pack(vec, _lane_width(f.p))
-    table = f.lane_table()
-    return _lane_pack([table[a] for a in vec], f.degree * _lane_width(f.p))
+    p = 2 and at r = 1; above that the chunk is read from the field's
+    lane table."""
+    if f._lanes is not None:
+        vec = [f._lanes[a] for a in vec]
+    return _lane_pack(vec, f.degree * _lane_width(f.p))
 
 
 def _lanes_vec(f, n, label):
-    """The vector of length n over the field f named by a lane-packed label."""
-    r, w = f.degree, _lane_width(f.p)
-    if f.p == 2:  # r one-bit lanes are their packed element
-        return tuple([label >> i & (1 << r) - 1 for i in range(0, n * r, r)])
-    return f.vec_from_digits([(label >> (j * w)) & (1 << w) - 1 for j in range(n * r)])
+    """The vector of length n over the field f named by a lane-packed
+    label: each coordinate's chunk, read back through the inverse of the
+    field's lane table above p = 2 and r = 1."""
+    size = f.degree * _lane_width(f.p)
+    chunks = [label >> i & (1 << size) - 1 for i in range(0, n * size, size)]
+    return tuple(chunks if f._lanes is None else [f._from_lanes[x] for x in chunks])
 
 
 def _slot_adder(modulus, width, slots):
@@ -285,14 +286,13 @@ def _gray_span(p, rows, add, start=0):
 
 
 def _linear_orbit(p, t, images, count):
-    """Packed values of v_0 = 1, v_{i+1} = g v_i for i < count - 1.
+    """Lanes of v_0 = 1, v_{i+1} = g v_i for i < count - 1.
 
-    v -> g v is F_p-linear, given by the packed ``images`` g p^d of the
-    digit units.  The orbit runs on lane vectors, a chunk of c digits at
-    a time, c the most digits with at most 256 combinations: a table per
-    chunk maps the chunk's lanes to their image under g and to their
-    packed value, so a step is one table lookup and one lane add per
-    chunk.
+    v -> g v is F_p-linear, given by the lane-packed ``images`` g p^d of
+    the digit units.  The orbit runs a chunk of c digits at a time, c the
+    most digits with at most 256 combinations: a table per chunk maps the
+    chunk's lanes to their image under g, so a step is one table lookup
+    and one lane add per chunk.
     """
     w = _lane_width(p)
     add = _lane_adder(p, t)
@@ -301,27 +301,22 @@ def _linear_orbit(p, t, images, count):
         c += 1
     tables = []
     for lo in range(0, t, c):
-        table = {0: (0, 0)}
+        table = {0: 0}
         for d in range(lo, min(lo + c, t)):
-            img = _lane_pack(_unpack_digits(images[d], p, t), w)
             multiples = [0]
             for _ in range(p - 1):
-                multiples.append(add(multiples[-1], img))
-            table = {
-                key | (a << (d - lo) * w): (add(image, multiples[a]), part + a * p ** d)
-                for a in range(p) for key, (image, part) in table.items()
-            }
+                multiples.append(add(multiples[-1], images[d]))
+            table = {key | (a << (d - lo) * w): add(image, multiples[a])
+                     for a in range(p) for key, image in table.items()}
         tables.append((lo * w, table))
     mask = (1 << c * w) - 1
     out = []
     cur = 1
     for _ in range(count):
-        nxt = packed = 0
+        out.append(cur)
+        nxt = 0
         for shift, table in tables:
-            image, part = table[(cur >> shift) & mask]
-            nxt = add(nxt, image)
-            packed += part
-        out.append(packed)
+            nxt = add(nxt, table[(cur >> shift) & mask])
         cur = nxt
     return out
 
@@ -338,7 +333,8 @@ class Field:
 
     __slots__ = (
         "p", "degree", "order", "modulus",
-        "_exp", "_log", "_zech", "_trace", "_frob", "_embed_cache", "_rows", "_lanes",
+        "_exp", "_log", "_trace", "_frob", "_embed_cache", "_rows",
+        "_lanes", "_from_lanes", "_lane_add",
     )
 
     def __init__(self, p: int, degree: int, modulus: tuple):
@@ -346,22 +342,39 @@ class Field:
         self.degree = degree
         self.order = p ** degree
         self.modulus = modulus
-        self._embed_cache, self._rows, self._lanes = {}, {}, None
+        self._embed_cache, self._rows = {}, {}
         self._build_tables()
+
+    def __reduce__(self):
+        # the lane adder is a closure, so a field pickles as its arguments
+        return field_make, (self.p, self.degree, self.modulus)
 
     # -- construction helpers
 
     def _build_tables(self):
         p, t, order = self.p, self.degree, self.order
+        w = _lane_width(p)
+        # above p = 2 and degree 1, each element's lanes: the constant
+        # digit a mod p below the lanes of a div p; and their inverse
+        self._lanes = self._from_lanes = None
+        if p != 2 and t > 1:
+            lanes = [0] * order
+            for a in range(1, order):
+                lanes[a] = lanes[a // p] << w | a % p
+            self._lanes = tuple(lanes)
+            self._from_lanes = {x: a for a, x in enumerate(lanes)}
+            self._lane_add = _lane_adder(p, t)
         n = order - 1
         # exp/log over the smallest primitive element g, by iterating the
         # F_p-linear map v -> g v given by the images g p^d of the digit units
         g = _smallest_primitive(self.modulus, p, t)
         images = [
-            _pack_digits(_poly_mod(_poly_mul(g, (0,) * d + (1,), p), self.modulus, p), p)
+            _lane_pack(_poly_mod(_poly_mul(g, (0,) * d + (1,), p), self.modulus, p), w)
             for d in range(t)
         ]
         exp = _linear_orbit(p, t, images, n)
+        if self._lanes is not None:
+            exp = [self._from_lanes[x] for x in exp]
         if len(set(exp)) != n or not all(exp):  # pragma: no cover - field_make checks the modulus
             raise ReducibleModulus("multiplicative group is not cyclic; modulus reducible")
         log = [0] * order
@@ -369,13 +382,6 @@ class Field:
             log[v] = i
         self._exp = exp
         self._log = log
-
-        # Zech logarithms zech[i] = log(1 + g^i); adding 1 bumps only the
-        # constant digit, so there is no carry.  None marks 1 + g^i = 0.
-        self._zech = None
-        if p != 2 and t > 1:
-            bumped = (v - v % p + (v + 1) % p for v in exp)
-            self._zech = [log[w] if w else None for w in bumped]
 
         self._frob = [0] + [exp[(i * p) % n] for i in log[1:]]
 
@@ -397,15 +403,7 @@ class Field:
             return a ^ b
         if self.degree == 1:
             return (a + b) % self.p
-        if not a:
-            return b
-        if not b:
-            return a
-        # a + b = a (1 + b/a) = g^(log a + zech(log b - log a))
-        n = self.order - 1
-        la = self._log[a]
-        z = self._zech[(self._log[b] - la) % n]
-        return 0 if z is None else self._exp[(la + z) % n]
+        return self._from_lanes[self._lane_add(self._lanes[a], self._lanes[b])]
 
     def neg(self, a: int) -> int:
         """-a = (p - 1) a."""
@@ -484,18 +482,6 @@ class Field:
         if self.degree == 1:
             return tuple(vec)
         return tuple(d for a in vec for d in self.digits(a))
-
-    def lane_table(self) -> tuple:
-        """Each element's digits, constant digit first, lane-packed in the
-        lane format below; built on first use and kept.  The lanes of a
-        are the constant digit a mod p below the lanes of a div p."""
-        if self._lanes is None:
-            p, w = self.p, _lane_width(self.p)
-            table = [0] * self.order
-            for a in range(1, self.order):
-                table[a] = table[a // p] << w | a % p
-            self._lanes = tuple(table)
-        return self._lanes
 
     def vec_from_digits(self, digs) -> tuple:
         """The vector whose ``vec_digits`` are ``digs``, each digit in [0, p)."""

@@ -308,3 +308,33 @@ def test_text_roundtrip():
 def test_text_skips_indented_comments():
     m = bh_from_text("2 2\n  # Fourier\n0 0\n\t# second row\n0 1\n")
     assert m.rows == kron_fourier(2, 1).rows
+
+
+def test_bh_matrix_rejects_a_non_square_table_and_wrong_label_counts():
+    with pytest.raises(LengthMismatch, match="need a square 2 x 2 exponent table"):
+        BhMatrix(2, 2, [(0, 0), (0,)])
+    with pytest.raises(LengthMismatch, match="row label count != order"):
+        BhMatrix(2, 2, [(0, 0), (0, 1)], row_labels=(0,))
+    with pytest.raises(LengthMismatch, match="column label count != order"):
+        BhMatrix(2, 2, [(0, 0), (0, 1)], col_labels=(0, 1, 2))
+
+
+def test_bh_verify_false_when_p_does_not_divide_the_order():
+    assert bh_verify(BhMatrix(3, 2, [(0, 0, 0), (0, 1, 1), (0, 1, 0)])) is False
+
+
+def test_linear_rows_requires_an_order_that_is_a_power_of_p():
+    with pytest.raises(LabelsNotGroup, match="order 2 is not a power of 3"):
+        linear_rows_check(BhMatrix(2, 3, [(0, 0), (0, 1)]))
+
+
+@pytest.mark.parametrize("gram", [[], [[1, 0]]], ids=["empty", "not-square"])
+def test_bilinear_form_rejects_an_empty_or_non_square_gram(gram):
+    with pytest.raises(LengthMismatch, match="Gram matrix must be square and nonempty"):
+        BilinearForm(2, gram)
+
+
+def test_form_matrix_budget():
+    form = BilinearForm(2, [[int(i == j) for j in range(13)] for i in range(13)])
+    with pytest.raises(BudgetExceeded, match="^matrix order: 8192 requested, limit 4096$"):
+        form_matrix(form, 1)

@@ -339,3 +339,14 @@ def test_project_zero_coordinates():
     p = project_zero_coordinates(d)
     assert p.n == 2
     assert set(iter_codewords(p)) == {(x, x) for x in F8.elements()}
+
+
+def test_project_zero_coordinates_returns_d_itself_when_no_coordinate_is_zero():
+    d = code_make(F4, [(1, 1), (0, 1)])
+    assert project_zero_coordinates(d) is d
+
+
+def test_big_f_kernel_rejects_d_over_another_field():
+    c, d = helpers.shor_pair()
+    with pytest.raises(DimensionMismatch, match="outer code is not defined over the scalar field"):
+        big_f_kernel(table_make(c, d.field), code_make(F3, [(1, 1)]))

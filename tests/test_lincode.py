@@ -326,3 +326,8 @@ def test_text_skips_indented_comments():
 def test_text_rejects_garbage():
     with pytest.raises(Exception):
         code_from_text("not a header\n")
+
+
+def test_code_make_rejects_zero_length_rows():
+    with pytest.raises(LengthMismatch, match="codewords must have positive length"):
+        code_make(field_make(2, 1), [()])

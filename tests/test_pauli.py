@@ -176,3 +176,21 @@ def test_mul_rejects_mismatched_operands():
         mul(x_op(F2, (1,)), x_op(F2, (1, 0)))
     with pytest.raises(ValueError):
         mul(x_op(F2, (1,)), x_op(F3, (1,)))
+
+
+def test_pauli_element_rejects_parts_of_unequal_length():
+    with pytest.raises(LengthMismatch, match="X part and Z part must have equal length"):
+        PauliElement(F2, 0, (1,), (1, 0))
+
+
+def test_symp_ip_rejects_other_fields_and_lengths():
+    with pytest.raises(ValueError, match="vectors over different fields"):
+        symp_ip(x_op(F2, (1,)), x_op(field_make(3, 1), (1,)))
+    with pytest.raises(LengthMismatch, match="vectors of different lengths"):
+        symp_ip(x_op(F2, (1,)), x_op(F2, (1, 0)))
+
+
+def test_detectable_rejects_an_error_of_the_wrong_length():
+    code = build(*helpers.shor_pair())
+    with pytest.raises(LengthMismatch, match="error does not act on the code's qudits"):
+        detectable(code, x_op(F2, (1, 0)))

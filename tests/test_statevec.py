@@ -1684,3 +1684,45 @@ def test_apply_on_one_qudit_over_gf_65521_matches_the_label_view():
     assert view(apply(x_op(f, (5,)), v)) == {(f.add(x, 5),): e for (x,), e in view(v).items()}
     assert view(apply(z_op(f, (7,)), v)) == {
         (x,): (e + oracles.oracle_trace(f, f.mul(7, x))) % f.p for (x,), e in view(v).items()}
+
+
+def test_cyc_amp_equal_values_hash_equal():
+    # 1 + z^2 = 0 at M = 4: one value, two coefficient vectors
+    zero, empty = CycAmp(2, (1, 0, 1)), CycAmp(2, ())
+    assert zero == empty
+    assert hash(zero) == hash(empty)
+    assert len({zero, empty}) == 1
+
+
+def test_phi_rejects_another_codes_table():
+    c, d, _ = shor_setup()
+    other = code_make(F2, [(1, 1)])
+    with pytest.raises(DimensionMismatch, match="functional table belongs to a different code"):
+        phi(other, table_make(c, d.field), 0)
+
+
+def test_tensor_rejects_factors_over_different_fields():
+    c2, c3 = code_make(F2, [(1, 1)]), code_make(F3, [(1, 1)])
+    v, w = phi(c2, table_make(c2, F2), 0), phi(c3, table_make(c3, F3), 0)
+    with pytest.raises(DimensionMismatch, match="tensor factors over different fields"):
+        tensor(v, w)
+
+
+def test_big_phi_from_matrix_rejects_another_order_or_characteristic():
+    c = code_make(F2, [(1, 1)])
+    with pytest.raises(DimensionMismatch, match="matrix order 4 != number of codewords 2"):
+        big_phi_from_matrix(kron_fourier(2, 2), c, [0])
+    with pytest.raises(DimensionMismatch, match="matrix entries mod 3, field characteristic 2"):
+        big_phi_from_matrix(BhMatrix(2, 3, [(0, 0), (0, 1)]), c, [0])
+
+
+def test_stab_of_span_rejects_states_of_two_spaces():
+    c2, c3 = code_make(F2, [(1, 1)]), code_make(F2, [(1, 1, 1)])
+    states = [phi(c2, table_make(c2, F2), 0), phi(c3, table_make(c3, F2), 0)]
+    with pytest.raises(DimensionMismatch, match="states of one span live in different spaces"):
+        stab_of_span(states)
+
+
+def test_fix_dim_rejects_an_empty_generator_list():
+    with pytest.raises(ValueError, match="cannot infer the space from an empty generator list"):
+        fix_dim([])
