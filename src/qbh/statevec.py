@@ -630,9 +630,20 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     ``_equation_row``, being affine in x.  So the rows of t + V span at
     most dim V + 1 dimensions, and one scan per distinct support, t and
     each t + v_i first, stops at dim V + 1 new rows; those found give a
-    row basis.  A candidate shift a must move an anchor label of the
-    first state into its support, so at most |support| shifts are
+    row basis.  A candidate shift a must move an anchor label x0 of the
+    first state v0 into its support, so at most |support| shifts are
     tried, and one ``linalg.solve`` on the row basis solves them all.
+
+    Before that, the candidates are filtered on the states' relative
+    phases.  A fixing element adds the same c + step tr(b.x) to every
+    state's exponent at x, so for each state s on v0's support (same
+    basis, offset and mask) the relative phase e_s - e_0 is unchanged by
+    its shift: e_s(x0 + a) - e_0(x0 + a) = d_s, with d_s = e_s(x0) -
+    e_0(x0) mod M.  Slot x0 + a of v0 is kept only when that holds for
+    every such s, checked on all slots at once: one slot add of d_s to
+    v0's array and one XOR with s's per state, the verdicts read in one
+    pass.  No fixing element has a dropped shift, so it lies outside S
+    (below) and no element is lost; only the kept shifts are solved.
 
     The fixing elements form a group, so their shifts form an F_p-space
     S.  A solution is unique up to the kernel of the rows, whose
@@ -693,12 +704,23 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         row = _trace_lanes(f, n, b)
         return a | b << half, [c, a, row, *_trace_form(f, n, row)] + [None] * 5
 
+    # The relative-phase filter above, on the states that share v0's support.
+    slots, low = v0.basis.slots, (v0.mask & -v0.mask).bit_length() - 1
+    top, diff = (1 << slots.width) - 1, 0
+    for v in states[1:]:
+        if v.basis == v0.basis and v.offset == v0.offset and v.mask == v0.mask:
+            d = ((v.arr >> low & top) - (v0.arr >> low & top)) % modulus
+            diff |= slots.add(v0.arr, slots.ones * d) ^ v.arr
+    candidates = v0.exps
+    if diff:  # slot verdicts: 0 kept, 1 ruled out, all ones off the support
+        verdicts = slots.values(slots.nonzero(diff) | slots.full ^ v0.mask)
+        candidates = itertools.compress(v0.exps, [not k for k in verdicts if k < 2])
     add = _lane_adder(p, lanes)
     anchor = next(iter(v0.exps))
     shifts = linalg.Echelon(p, n * r)
     minus_anchor = shifts.scale(anchor, p - 1)
     trials, rhss = [], []
-    for y in v0.exps:
+    for y in candidates:
         a, diffs = add(y, minus_anchor), []
         for exps, x in basis:
             ey = exps.get(add(x, a))

@@ -49,6 +49,18 @@ def test_table_make_validates_prime():
         table_make(c, F3)
 
 
+def _zero_code():
+    """The zero code of length 3 over F2, the dual of the full space: ``code_make`` refuses a zero span."""
+    zero = dual(code_make(F2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert zero.k == 0
+    return zero
+
+
+def test_table_make_refuses_the_zero_code():
+    with pytest.raises(DimensionMismatch, match="positive dimension"):
+        table_make(_zero_code(), F2)
+
+
 def test_table_make_validates_degree():
     c = code_make(F4, [(1, 0, 2), (0, 1, 3)])  # k = 2 over F_4 needs degree 4
     with pytest.raises(DimensionMismatch):
@@ -339,6 +351,11 @@ def test_project_zero_coordinates():
     p = project_zero_coordinates(d)
     assert p.n == 2
     assert set(iter_codewords(p)) == {(x, x) for x in F8.elements()}
+
+
+def test_project_zero_coordinates_refuses_the_zero_code():
+    with pytest.raises(DegenerateD, match="outer code is zero"):
+        project_zero_coordinates(_zero_code())
 
 
 def test_project_zero_coordinates_returns_d_itself_when_no_coordinate_is_zero():

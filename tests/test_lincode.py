@@ -91,6 +91,12 @@ def test_dual_of_full_space_is_zero_code():
     assert not contains(d, (1, 0, 0))
 
 
+def test_min_distance_refuses_the_zero_code():
+    zero = dual(code_make(F2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    with pytest.raises(ZeroCode, match="zero code"):
+        min_distance(zero)
+
+
 def test_dual_of_zero_code_is_full_space():
     d = dual(dual(code_make(F4, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])))
     assert d.k == 3 and d.size == 4 ** 3

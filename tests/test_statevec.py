@@ -574,6 +574,12 @@ def test_span_shor_block_change_of_basis():
     assert span_equal(phis, phis)
 
 
+def test_span_of_no_states_equals_only_itself():
+    ket = state_make(F2, 1, {(0,): ONE2})
+    assert span_equal([], [])
+    assert not span_equal([], [ket]) and not span_equal([ket], [])
+
+
 def test_span_distinct_logical_states_differ():
     c, d, t = shor_setup()
     a = [big_phi(c, d, t, (0, 0, 0))]
@@ -1046,28 +1052,133 @@ def test_stab_of_span_matches_enumeration_on_coset_states(states):
     _assert_stab_matches_enumeration(states)
 
 
+@st.composite
+def shared_support_spans(draw):
+    """2 to 4 states over F2, F3, GF(4) or GF(9) on one drawn support of
+    at most 16 labels: a drawn set of labels, or 1 or 2 cosets of the
+    F_p-span of drawn labels.  Each state's exponents, the one at the
+    first label (the anchor) included, are drawn per label, or are one
+    drawn quadratic in the label's digits, shared by all the states,
+    plus an affine part drawn per state; so states differ by phases
+    that are constant, affine or neither, and shifts in the span can
+    fix every state."""
+    f = draw(st.sampled_from([F2, F3, F4, F9]))
+    p, r, step = f.p, f.degree, phase_step(f)
+    n = draw(st.integers(1, {2: 4, 3: 2, 4: 2, 9: 1}[f.order]))
+    labels = list(itertools.product(range(f.order), repeat=n))
+    label = st.sampled_from(labels)
+
+    def plus(x, y):
+        return tuple(f.add(s, t) for s, t in zip(x, y))
+
+    if draw(st.booleans()):
+        support = set(draw(st.lists(label, min_size=1, unique=True)))
+    else:
+        space = {labels[0]}
+        for g in draw(st.lists(label, min_size=1, max_size=2)):
+            multiples = list(itertools.accumulate([g] * (p - 1), plus, initial=labels[0]))
+            space = {plus(x, m) for x in space for m in multiples}
+        support = {plus(t, v) for t in draw(st.lists(label, min_size=1, max_size=2)) for v in space}
+    digits = n * r
+    quad = draw(st.lists(st.integers(0, p - 1), min_size=digits ** 2, max_size=digits ** 2))
+    modulus = st.integers(0, phase_modulus(f) - 1)
+    states = []
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            exps = {x: draw(modulus) for x in sorted(support)}
+        else:
+            lin = draw(st.lists(modulus, min_size=digits + 1, max_size=digits + 1))
+            exps = {}
+            for x in sorted(support):
+                d = [e // p ** j % p for e in x for j in range(r)]
+                square = sum(quad[i * digits + j] * d[i] * d[j]
+                             for i in range(digits) for j in range(i, digits))
+                exps[x] = lin[digits] + sum(l * di for l, di in zip(lin, d)) + step * square
+        states.append(state_make(f, n, {x: CycAmp.root(p, e) for x, e in exps.items()}))
+    return states
+
+
+def test_stab_of_span_filters_shifts_on_a_support_that_skips_slots():
+    # Two of the three cosets of <(1, 0)> in F3^2, x_2 = 1 and x_2 = 2:
+    # the slots of x_2 = 0 come first and lie off the support.  The second
+    # state's phase relative to the first is x_2, so the shifts along
+    # (1, 0) alone keep it, and they fix both states.
+    support = [(x1, x2) for x2 in (1, 2) for x1 in range(3)]
+    flat = state_make(F3, 2, {x: CycAmp.one(3) for x in support})
+    tilted = state_make(F3, 2, {x: CycAmp.root(3, x[1]) for x in support})
+    assert flat.mask != flat.basis.slots.full
+    assert {g.a for g in stab_of_span([flat, tilted])} == {(0, 0), (1, 0), (2, 0)}
+    _assert_stab_matches_enumeration([flat, tilted])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_support_spans())
+def test_stab_of_span_matches_enumeration_on_states_of_one_support(states):
+    _assert_stab_matches_enumeration(states)
+
+
+def counted_right_hand_sides(monkeypatch) -> list:
+    """A list that gets, per call of ``linalg.solve`` from now on, the
+    number of right-hand sides it solves."""
+    counts, solve = [], linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda p, lanes, rows, count: counts.append(count)
+                        or solve(p, lanes, rows, count))
+    return counts
+
+
+def _order_eight_fourier_span():
+    c = code_make(F2, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
+    return [big_phi_from_matrix(kron_fourier(2, 3), c, (r, r)) for r in range(8)]
+
+
+def _order_nine_fourier_span():
+    c = code_make(F3, [(1, 0, 1), (0, 1, 1)])
+    return [big_phi_from_matrix(kron_fourier(3, 2), c, (r, r)) for r in range(9)]
+
+
 def test_stab_of_span_applies_only_to_shifts_outside_what_it_has_decided(monkeypatch):
     # A shift in the span of accepted ones, or in a rejected one's coset
-    # of that span, is decided without an action; acting with each trial's
-    # element on every state took 60 and 256 actions on these spans.
+    # of that span, is decided without an action, and so is one that
+    # breaks a state's phase relative to the first state's; acting with
+    # each trial's element on every state took 60 and 256 actions on
+    # these spans, and the group-law rules alone 38 and 102.
     calls = counted_actions(monkeypatch)
     assert len(stab_of_span(_fourier_span())) == 16
-    assert len(calls) <= 40
+    assert len(calls) <= 24
     calls.clear()
-    c = code_make(F2, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
-    states = [big_phi_from_matrix(kron_fourier(2, 3), c, (r, r)) for r in range(8)]
-    assert len(stab_of_span(states)) == 32
-    assert len(calls) <= 128
+    assert len(stab_of_span(_order_eight_fourier_span())) == 32
+    assert len(calls) <= 64
 
 
 def test_stab_of_span_rejects_every_multiple_of_a_rejected_shift(monkeypatch):
     # At odd p a rejected r rules out k r + span for every k != 0 as well;
-    # keyed on r alone, the order-9 Fourier span took 94 actions.
+    # keyed on r alone, the order-9 Fourier span took 94 actions, and
+    # before the relative-phase filter 84.
     calls = counted_actions(monkeypatch)
-    c = code_make(F3, [(1, 0, 1), (0, 1, 1)])
-    states = [big_phi_from_matrix(kron_fourier(3, 2), c, (r, r)) for r in range(9)]
-    assert len(stab_of_span(states)) == 81
-    assert len(calls) <= 84
+    assert len(stab_of_span(_order_nine_fourier_span())) == 81
+    assert len(calls) <= 54
+
+
+def test_stab_of_span_solves_only_the_shifts_that_keep_the_relative_phases(monkeypatch):
+    # Every shift of the first state's support was solved for before the
+    # relative-phase filter: 16, 64 and 81 right-hand sides on these spans.
+    counts = counted_right_hand_sides(monkeypatch)
+    for span, size in [(_fourier_span(), 16), (_order_eight_fourier_span(), 32),
+                       (_order_nine_fourier_span(), 81)]:
+        assert len(stab_of_span(span)) == size
+    assert counts == [4, 8, 9]
+
+
+def test_stab_of_span_ignores_a_phase_on_each_state_the_first_included():
+    # The filter reads each state's phase relative to the first state's
+    # at the anchor, mod M: z^k on each state, k != 0 on the first, moves
+    # no element and no element's place.
+    states = _order_nine_fourier_span()
+    turned = [state_make(F3, v.length, {x: a.rot(k) for x, a in v.amps.items()}, v.scale)
+              for v, k in zip(states, itertools.cycle((1, 0, 2)))]
+    want = stab_of_span(states)
+    assert len(want) == 81
+    assert stab_of_span(turned) == want
 
 
 def test_stab_of_span_makes_only_its_result_and_scans_dim_plus_one_rows(monkeypatch):
