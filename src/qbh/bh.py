@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import BudgetExceeded, DegenerateForm, LabelsNotGroup, LengthMismatch, NotBh
-from .gf import _lane_pack, _lane_width, _text_lines, _unpack_digits, field_make
+from .gf import (_lane_adder, _lane_flags, _lane_pack, _lane_width, _text_lines, _unpack_digits,
+                 field_make)
+from .slots import _repunit, _slots
 
 KRON_ORDER_LIMIT = 1 << 12
 
@@ -58,17 +60,29 @@ class BhMatrix:
 
 
 def bh_verify(m: BhMatrix) -> bool:
-    """Exact orthogonality check over all row pairs."""
-    p = m.p
-    if m.order % p != 0 and m.order > 1:
+    """Exact orthogonality check over all row pairs, on lane-packed rows.
+
+    Each row is one int in the lane format of ``gf``, entry j in lane j.
+    At p = 2 a pair is orthogonal exactly when x ^ y has order / 2 ones.
+    At odd p, one lane add of x and -y (p - y_j in lane j: the adder is
+    exact on lane sums up to 2p - 1) gives the difference lanes, and the
+    lanes equal to d are the zero lanes of diff ^ d * ones, counted
+    through ``gf._lane_flags``.  Residue p - 1 takes the lanes the others
+    leave, so p - 1 counts are read: O(p) big-int operations per pair.
+    """
+    p, order = m.p, m.order
+    if order % p != 0 and order > 1:
         return False
-    quota = m.order // p
-    for i, ri in enumerate(m.rows):
-        for rj in m.rows[i + 1:]:
-            counts = [0] * p
-            for a, b in zip(ri, rj):
-                counts[(a - b) % p] += 1
-            if any(c != quota for c in counts):
+    w, quota = _lane_width(p), order // p
+    rows = [_lane_pack(r, w) for r in m.rows]
+    if p == 2:
+        return all((x ^ y).bit_count() == quota for i, x in enumerate(rows) for y in rows[i + 1:])
+    add, ones = _lane_adder(p, order), _repunit(order, w)
+    levels = [ones * d for d in range(p - 1)]
+    for i, x in enumerate(rows):
+        for y in rows[i + 1:]:
+            diff = add(x, ones * p - y)
+            if any(_lane_flags(p, diff ^ level, ones).bit_count() != order - quota for level in levels):
                 return False
     return True
 
@@ -136,8 +150,11 @@ def linear_rows_check(m: BhMatrix) -> bool:
     Column labels must enumerate all of F_p^t for N = p^t; the label
     group operation is digitwise addition mod p.  An additive map on
     F_p^t is F_p-linear, so a row passes exactly when its entry at every
-    label x is sum_d x_d * (its entry at the unit label p^d) mod p: t
-    products per label rather than a test of every label pair.
+    label x is sum_d x_d * (its entry at the unit label p^d) mod p.  Each
+    row is laid out in label order as a slot array of values mod p
+    (``slots``), label x in slot x, and compared with the array of that
+    linear map, ``_Slots.affine`` at c = 0 and step 1, at most t slot
+    adds: one compare per row rather than a test of every label pair.
     """
     p, order = m.p, m.order
     t = 0
@@ -148,14 +165,12 @@ def linear_rows_check(m: BhMatrix) -> bool:
     labels = m.col_labels if m.col_labels is not None else tuple(range(order))
     if sorted(labels) != list(range(order)):
         raise LabelsNotGroup("column labels must enumerate 0 .. p^t - 1")
-    pos = {lab: j for j, lab in enumerate(labels)}
-    digs = [_unpack_digits(x, p, t) for x in range(order)]
-    for row in m.rows:
-        units = [row[pos[p ** d]] for d in range(t)]
-        for x in range(order):
-            if row[pos[x]] != sum(c * u for c, u in zip(digs[x], units)) % p:
-                return False
-    return True
+    cols = [0] * order  # the column of each label
+    for j, x in enumerate(labels):
+        cols[x] = j
+    units, slots = [cols[p ** d] for d in range(t)], _slots(p, t, p)
+    return all(_lane_pack([row[j] for j in cols], slots.width)
+               == slots.affine(0, [row[j] for j in units]) for row in m.rows)
 
 
 class BilinearForm:

@@ -46,6 +46,28 @@ class Echelon:
         for x in rows:
             self.insert(x)
 
+    @classmethod
+    def of_reduced(cls, p: int, lanes: int, rows) -> "Echelon":
+        """The echelon whose basis is ``rows``, taken as they are: they must
+        be reduced already, each 1 at its lowest nonzero lane and 0 at the
+        pivot lanes of the others, in increasing pivot order.  One pass
+        checks that with no elimination, and raises ArithmeticError
+        otherwise: a row is 0 below its pivot, so at the earlier pivots,
+        and the rows before it must be 0 at its pivot."""
+        ech = cls(p, lanes)
+        digit, last = (1 << ech.width) - 1, -1
+        for x in rows:
+            s = (x & -x).bit_length() - 1
+            s -= s % ech.width
+            if s <= last or x >> s & digit != 1:
+                raise ArithmeticError("rows are not reduced echelon: a pivot not 1 or out of order")
+            if ech.seen >> s & digit:
+                raise ArithmeticError("rows are not reduced echelon: a row is nonzero at another pivot")
+            ech.lead[s], last = x, s
+            ech.mask |= digit << s
+            ech.seen |= x
+        return ech
+
     @property
     def rows(self) -> list:
         return [self.lead[s] for s in sorted(self.lead)]

@@ -24,10 +24,11 @@ def weight(v) -> int:
 
 
 class LinearCode:
-    """A k-dimensional length-n code over ``field``, held in RREF; ``_products`` and ``_parity``,
-    None until first used, keep its ``statevec`` product bases and its parity rows (not in ``==``)."""
+    """A k-dimensional length-n code over ``field``, held in RREF; ``_products``, ``_labels``
+    and ``_parity``, None until first used, keep its ``statevec`` product bases and
+    message-label order, and its parity rows (not in ``==``)."""
 
-    __slots__ = ("field", "n", "k", "gen", "pivots", "_products", "_parity")
+    __slots__ = ("field", "n", "k", "gen", "pivots", "_products", "_labels", "_parity")
 
     def __init__(self, field: Field, n: int, gen: tuple, pivots: tuple):
         self.field = field
@@ -35,7 +36,7 @@ class LinearCode:
         self.k = len(gen)
         self.gen = gen
         self.pivots = pivots
-        self._products = self._parity = None
+        self._products = self._labels = self._parity = None
 
     @property
     def size(self) -> int:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .gf import _lane_width, _slot_adder
-from .linalg import Echelon, _times
+from .gf import _slot_adder
+from .linalg import _times
 
 
 def _slot_width(modulus: int) -> int:
@@ -173,8 +173,8 @@ def _slots(p: int, dim: int, modulus: int) -> _Slots:
 class _Basis:
     """A reduced echelon basis of a support's direction space, and its slot arrays.
 
-    ``rows`` are those of the ``linalg.Echelon`` of the given rows: each
-    1 at its pivot lane, its lowest nonzero lane, and 0 at the pivot
+    ``span`` is the ``linalg.Echelon`` of the basis: its rows are each 1
+    at their pivot lane, their lowest nonzero lane, and 0 at the pivot
     lanes of the others, in increasing pivot order, and ``reduce`` is its
     reduction.  ``shifts[i]`` is the bit offset of the pivot lane of
     rows[i].  Two bases are equal when their rows are.
@@ -182,12 +182,11 @@ class _Basis:
 
     __slots__ = ("p", "rows", "shifts", "digit", "add", "slots", "reduce")
 
-    def __init__(self, p: int, lanes: int, modulus: int, rows):
-        span = Echelon(p, lanes, rows)
-        self.p, self.rows, self.add, self.reduce = p, tuple(span.rows), span.add, span.reduce
+    def __init__(self, modulus: int, span):
+        self.p, self.rows, self.add, self.reduce = span.p, tuple(span.rows), span.add, span.reduce
         self.shifts = tuple(sorted(span.lead))
-        self.digit = (1 << _lane_width(p)) - 1
-        self.slots = _slots(p, len(self.rows), modulus)
+        self.digit = (1 << span.width) - 1
+        self.slots = _slots(span.p, len(self.rows), modulus)
 
     def labels(self, offset: int) -> list:
         """offset + sum_i X_i rows[i] for every slot sum_i X_i p^i, slot 0 first."""

@@ -225,11 +225,13 @@ class StateVector:
 
 
 def _basis(f, n: int, rows) -> _Basis:
-    """The basis with these reduced rows for states of length n over f;
-    its p^D slots answer to DEFAULT_BUDGET, which no argument lifts."""
+    """The basis with these rows for states of length n over f, rows that
+    every caller makes reduced echelon: ``linalg.Echelon.of_reduced``
+    checks that in one pass and eliminates nothing.  Its p^D slots answer
+    to DEFAULT_BUDGET, which no argument lifts."""
     if f.p ** len(rows) > DEFAULT_BUDGET:
         raise BudgetExceeded("state span slots", f.p ** len(rows), DEFAULT_BUDGET, flag=None)
-    return _Basis(f.p, n * f.degree, phase_modulus(f), rows)
+    return _Basis(phase_modulus(f), linalg.Echelon.of_reduced(f.p, n * f.degree, rows))
 
 
 def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
@@ -294,6 +296,14 @@ def _message_labels(code: LinearCode) -> list:
     first, are its message: the codeword's place in message order."""
     q = code.field.order
     return [sum(d * q ** i for i, d in enumerate(reversed(m))) for m in _messages(code)]
+
+
+def _message_order(code: LinearCode) -> list:
+    """``_message_labels(code)``, made once per code object and kept on it
+    beside its product bases (``code._labels``, not in ``==``)."""
+    if code._labels is None:
+        code._labels = _message_labels(code)
+    return code._labels
 
 
 def _code_basis(code: LinearCode) -> _Basis:
@@ -435,7 +445,7 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     if sorted(labels) != list(range(matrix.order)):
         raise LabelsNotGroup(f"column labels must enumerate 0 .. {matrix.order - 1}")
     column = {x: j for j, x in enumerate(labels)}
-    cols = [column[x] for x in _message_labels(code)]
+    cols = [column[x] for x in _message_order(code)]
     width = _slot_width(phase_modulus(code.field))
     arrays = {r: _join([matrix.rows[r][j] for j in cols], width) for r in set(rows)}
     return _fold(code, [arrays[r] for r in rows])
@@ -531,7 +541,7 @@ def equal_sum_states(code: LinearCode, m: int) -> list:
               for i in range(m - 1) for g in words.rows]
     basis = _basis(f, n * m, kernel)
     return [StateVector(f, n * m, basis, c << last, basis.slots.full, 0, 0)
-            for _, c in sorted(zip(_message_labels(code), words.labels(0)))]
+            for _, c in sorted(zip(_message_order(code), words.labels(0)))]
 
 
 def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:
@@ -751,18 +761,20 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
             gens.append(g)
         else:
             rejected.add(u)
-    gens += [trial(0, 0, k) for k in linalg.kernel(p, lanes, brows)]
+    gens += [trial(0, 0, k) for k in linalg.kernel(p, lanes, rows.rows)]  # brows, reduced
     if p ** len(gens) > budget:
         raise BudgetExceeded("stab_of_span elements", p ** len(gens), budget)
     row_add, low = _lane_adder(p, 2 * n * r), (1 << half) - 1
-    vec = functools.cache(functools.partial(_lanes_vec, f, n))  # an a or b many elements share
+    vecs = {}  # lane-packed a or b -> its tuple: many elements share one
 
     def times(x, g):  # g x by the group law of ``_check_generators``, = x g: they commute
         (c, row), (cg, rg, rep, big) = x, g
         return (c + cg + step * ((row & low) * rep & big).bit_count()) % modulus, row_add(row, rg)
 
-    return [PauliElement(f, c, vec(row & low), vec(row >> half))
-            for c, row in _gray_span(p, _check_generators(states, gens), times, (0, 0))]
+    return [PauliElement(f, c, vecs.get(a) or vecs.setdefault(a, _lanes_vec(f, n, a)),
+                         vecs.get(b) or vecs.setdefault(b, _lanes_vec(f, n, b)))
+            for c, row in _gray_span(p, _check_generators(states, gens), times, (0, 0))
+            for a, b in [(row & low, row >> half)]]
 
 
 def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
@@ -818,7 +830,8 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
     t = linalg.solve(p, lanes, [row | -(c // step) % p << lanes * w for c, row, _, _ in diagonal], 1)[0]
     if t is None:
         return 0
-    basis = _Basis(p, lanes, modulus, linalg.kernel(p, lanes, rows))
+    # eliminated again, not taken as reduced: the coset check below vouches for the kernel
+    basis = _Basis(modulus, linalg.Echelon(p, lanes, linalg.kernel(p, lanes, rows)))
     t, slots = basis.reduce(t), basis.slots
     coset = StateVector(f, n, basis, t, slots.full, 0, 0)
     if len(basis.rows) != lanes - len(linalg.Echelon(p, lanes, rows).lead) or any(

@@ -133,6 +133,42 @@ def oracle_bh_complex(rows, p, tol=1e-7):
     return True
 
 
+def bh_verify_entrywise(m):
+    """``bh.bh_verify`` one entry at a time: every row pair's exponent
+    differences must hit each residue mod p order / p times."""
+    p = m.p
+    if m.order % p != 0 and m.order > 1:
+        return False
+    quota = m.order // p
+    for i, ri in enumerate(m.rows):
+        for rj in m.rows[i + 1:]:
+            counts = [0] * p
+            for a, b in zip(ri, rj):
+                counts[(a - b) % p] += 1
+            if any(c != quota for c in counts):
+                return False
+    return True
+
+
+def linear_rows_by_label(m):
+    """``bh.linear_rows_check`` one label at a time, for labels that
+    enumerate F_p^t: each row's entry at label x must be sum_d x_d times
+    its entry at the unit label p^d, mod p."""
+    p, order = m.p, m.order
+    t = 0
+    while p ** t < order:
+        t += 1
+    labels = m.col_labels if m.col_labels is not None else tuple(range(order))
+    pos = {lab: j for j, lab in enumerate(labels)}
+    digs = [[x // p ** d % p for d in range(t)] for x in range(order)]
+    for row in m.rows:
+        units = [row[pos[p ** d]] for d in range(t)]
+        for x in range(order):
+            if row[pos[x]] != sum(c * u for c, u in zip(digs[x], units)) % p:
+                return False
+    return True
+
+
 def complex_rank(rows, tol=1e-9):
     """Rank of complex row vectors, by elimination with partial pivoting."""
     rows = [list(r) for r in rows]

@@ -1,6 +1,7 @@
 """Butson-Hadamard matrices in exponent form."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -338,3 +339,98 @@ def test_form_matrix_budget():
     form = BilinearForm(2, [[int(i == j) for j in range(13)] for i in range(13)])
     with pytest.raises(BudgetExceeded, match="^matrix order: 8192 requested, limit 4096$"):
         form_matrix(form, 1)
+
+
+# -- the packed checks against their entrywise references in ``oracles``
+
+
+@st.composite
+def bh_candidates(draw):
+    """A matrix at p = 2, 3 or 5: random exponents (mostly not BH, at any
+    order up to 10 or at a power of p), a Fourier matrix, or a column
+    scramble of one; in the last two, sometimes one entry moved or one
+    row shifted by a constant.  The column labels are the default, a
+    shuffle, or (for a scramble) carried along with their columns, which
+    keeps every Fourier row linear."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    t = draw(st.integers(1, {2: 3, 3: 2, 5: 2}[p]))
+    kind = draw(st.sampled_from(["random", "fourier", "scramble"]))
+    cols = None
+    if kind == "random":
+        order = draw(st.sampled_from([p ** t, draw(st.integers(1, 10))]))
+        entry = st.integers(0, p - 1)
+        rows = draw(st.lists(st.lists(entry, min_size=order, max_size=order),
+                             min_size=order, max_size=order))
+    else:
+        h = kron_fourier(p, t)
+        order = h.order
+        cols = draw(st.permutations(range(order))) if kind == "scramble" else range(order)
+        rows = [[r[j] for j in cols] for r in h.rows]
+        change = draw(st.sampled_from(["none", "entry", "row"]))
+        i, j = draw(st.integers(0, order - 1)), draw(st.integers(0, order - 1))
+        if change == "entry":
+            rows[i][j] += draw(st.integers(1, p - 1))
+        elif change == "row":
+            rows[i] = [e + draw(st.integers(1, p - 1)) for e in rows[i]]
+    labels = draw(st.sampled_from(["default", "shuffled", "carried"]))
+    if labels == "shuffled":
+        return BhMatrix(order, p, rows, col_labels=draw(st.permutations(range(order))))
+    return BhMatrix(order, p, rows, col_labels=list(cols) if labels == "carried" and cols else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bh_candidates())
+def test_bh_verify_matches_the_entrywise_reference(m):
+    assert bh_verify(m) == oracles.bh_verify_entrywise(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bh_candidates())
+def test_linear_rows_check_matches_the_per_label_reference(m):
+    t = 0
+    while m.p ** t < m.order:
+        t += 1
+    if m.p ** t != m.order:
+        with pytest.raises(LabelsNotGroup):
+            linear_rows_check(m)
+    else:
+        assert linear_rows_check(m) == oracles.linear_rows_by_label(m)
+
+
+def scrambles():
+    """All 24 column scrambles of the order-4 Fourier matrix, then 30 seeded
+    ones of the order-8 matrix (``random.Random(s).shuffle``, s = 0..29),
+    each with its labels kept and with them reversed."""
+    perms = [(F22, perm) for perm in itertools.permutations(range(4))]
+    eight = kron_fourier(2, 3)
+    for s in range(30):
+        perm = list(range(8))
+        random.Random(s).shuffle(perm)
+        perms.append((eight, perm))
+    for base, perm in perms:
+        rows = [[r[j] for j in perm] for r in base.rows]
+        for labels in (base.col_labels, base.col_labels[::-1]):
+            yield BhMatrix(base.order, 2, rows, col_labels=labels)
+
+
+def test_packed_checks_match_the_references_on_every_scramble():
+    verdicts = [(bh_verify(m), linear_rows_check(m)) for m in scrambles()]
+    assert verdicts == [(oracles.bh_verify_entrywise(m), oracles.linear_rows_by_label(m))
+                        for m in scrambles()]
+    assert len(verdicts) == 108 and all(is_bh for is_bh, _ in verdicts)
+    # an order-4 scramble is linear exactly when it keeps the column of
+    # label 0 in place (6 of 24, with either labeling); none of the 30
+    # order-8 ones is
+    assert sum(linear for _, linear in verdicts[:48]) == 12
+    assert sum(linear for _, linear in verdicts[48:]) == 0
+
+
+def test_bh_verify_reads_every_residue_but_the_last_at_odd_p():
+    # rows 0 and 1 differ by (0, 2, 2) at p = 3: residue 0 once, as it should
+    # be, and residue 1 never; at p = 5 by (0, 1, 2, 3, 3): residues 0, 1, 2
+    # once each, and 3 twice, the last residue read
+    assert not bh_verify(BhMatrix(3, 3, [(0, 0, 0), (0, 1, 1), (0, 2, 1)]))
+    five = kron_fourier(5, 1).rows
+    m = BhMatrix(5, 5, [five[0], (0, 4, 3, 2, 2)] + list(five[2:]))
+    assert not bh_verify(m) and not oracles.bh_verify_entrywise(m)
+    assert bh_verify(kron_fourier(5, 1))

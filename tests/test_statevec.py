@@ -221,7 +221,86 @@ def test_code_equality_and_hashing_ignore_the_product_slot():
     assert c._products is None and dual(c)._products is None
     big_phi_from_matrix(kron_fourier(2, 2), c, (1, 2))
     assert c._products.keys() == {2} and fresh._products is None
+    assert c._labels == [0, 2, 1, 3] and fresh._labels is None
     assert c == fresh and hash(c) == hash(fresh) and {c: "kept"}[fresh] == "kept"
+
+
+def test_matrix_states_read_the_message_order_once_per_code(monkeypatch):
+    # the column order of C's slots is made on the first matrix state of a
+    # code object and kept on it, for every later state and for the
+    # equal-sum states; an equal code object makes its own
+    made, real = [], sv._message_labels
+    monkeypatch.setattr(sv, "_message_labels", lambda code: made.append(code) or real(code))
+    c = code_make(F3, [(1, 0, 1), (0, 1, 1)])
+    h = kron_fourier(3, 2)
+    perm = list(range(9))
+    random.Random(1).shuffle(perm)
+    labels = list(range(9))
+    random.Random(2).shuffle(labels)
+    scrambled = BhMatrix(9, 3, [[r[j] for j in perm] for r in h.rows], col_labels=labels)
+    states = [big_phi_from_matrix(m, c, (r, (r + 1) % 9)) for m in (h, scrambled) for r in range(9)]
+    sums = equal_sum_states(c, 2)
+    assert len(made) == 1 and made[0] is c
+    fresh = code_make(F3, c.gen)
+    again = [big_phi_from_matrix(m, fresh, (r, (r + 1) % 9)) for m in (h, scrambled) for r in range(9)]
+    assert len(made) == 2 and made[1] is fresh
+    assert again == states and equal_sum_states(fresh, 2) == sums and len(made) == 2
+    # the scramble moves the states: its span is not the Fourier one
+    assert states[:9] != states[9:]
+
+
+@st.composite
+def codes_and_block_counts(draw):
+    """A random nonzero code over F2, F3, GF(4) or GF(9) on at most 4
+    coordinates, and m in {1, 2, 3} with |C|^m <= 2^12."""
+    f = draw(st.sampled_from([F2, F3, F4, F9]))
+    n = draw(st.integers(1, 4))
+    word = st.tuples(*[st.integers(0, f.order - 1)] * n)
+    rows = draw(st.lists(word, min_size=1, max_size=n))
+    assume(any(any(row) for row in rows))
+    code = code_make(f, rows)
+    m = draw(st.integers(1, 3))
+    assume(code.size ** m <= 1 << 12)
+    return code, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes_and_block_counts(), st.randoms(use_true_random=False))
+def test_code_and_product_bases_equal_the_eliminated_ones(case, rng):
+    # the code and product bases take their rows as reduced already; an
+    # echelon of the same rows must give the same rows, pivots and reduction
+    code, m = case
+    f = code.field
+    p, lanes, modulus = f.p, code.n * f.degree, phase_modulus(f)
+    shift = lanes * _lane_width(p)
+    rows = [_vec_lanes(f, g) for g in fp_basis(code)]
+    for basis, want in [(sv._code_basis(code), rows),
+                        (sv._product(code, m)[0], [g << b * shift for b in range(m) for g in rows])]:
+        size = len(want) // len(rows) * lanes
+        eliminated = sv._Basis(modulus, linalg.Echelon(p, size, want))
+        assert basis.rows == eliminated.rows == tuple(want)
+        assert basis.shifts == eliminated.shifts
+        for _ in range(20):
+            x = _vec_lanes(f, [rng.randrange(f.order) for _ in range(size // f.degree)])
+            assert basis.reduce(x) == eliminated.reduce(x)
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, F9])
+def test_bases_refuse_rows_that_are_not_reduced(f):
+    c = code_make(f, [(1, 0, 1), (0, 1, 1)])
+    rows = [_vec_lanes(f, g) for g in fp_basis(c)]
+    p, lanes, add = f.p, 3 * f.degree, linalg.Echelon(f.p, 3 * f.degree).add
+    assert sv._basis(f, 3, rows).rows == tuple(rows)
+    twice = linalg._times(add, rows[0], 2)  # 2 at its pivot at odd p, 0 at p = 2
+    for bad in ([rows[1], rows[0]] + rows[2:],  # pivots out of order
+                [add(rows[0], rows[-1])] + rows[1:],  # nonzero at another pivot
+                rows + [rows[0]],  # a pivot twice
+                [twice] + rows[1:],  # a pivot that is not 1, or a zero row
+                [0]):  # a zero row
+        with pytest.raises(ArithmeticError, match="not reduced echelon"):
+            sv._basis(f, 3, bad)
+        with pytest.raises(ArithmeticError, match="not reduced echelon"):
+            linalg.Echelon.of_reduced(p, lanes, bad)
 
 
 def test_state_make_matches_each_amplitude_to_its_root():
@@ -1157,6 +1236,21 @@ def test_stab_of_span_rejects_every_multiple_of_a_rejected_shift(monkeypatch):
     calls = counted_actions(monkeypatch)
     assert len(stab_of_span(_order_nine_fourier_span())) == 81
     assert len(calls) <= 54
+
+
+@pytest.mark.parametrize("f", [F3, F5, F7])
+def test_stab_of_span_rejects_every_multiple_on_states_of_distinct_supports(f, monkeypatch):
+    # x_1^2 on x_2 = 0 and 2 x_1^2 on x_2 = 1: distinct supports, so the
+    # relative-phase filter does not run, and no nonzero shift along (1, 0)
+    # fixes both.  The first one tried is rejected by its actions, and its
+    # p - 2 other multiples without any; with each tried, 2 (p - 1) actions.
+    p = f.p
+    states = [state_make(f, 2, {(x, y): CycAmp.root(p, (y + 1) * x * x) for x in range(p)})
+              for y in (0, 1)]
+    calls = counted_actions(monkeypatch)
+    assert stab_of_span(states) == [identity(f, 2)]
+    assert len(calls) == 2
+    _assert_stab_matches_enumeration(states)
 
 
 def test_stab_of_span_solves_only_the_shifts_that_keep_the_relative_phases(monkeypatch):
