@@ -25,9 +25,15 @@ KRON_ORDER_LIMIT = 1 << 12
 
 
 class BhMatrix:
-    """Exponent-form matrix with optional row/column labels."""
+    """Exponent-form matrix with optional row/column labels.
 
-    __slots__ = ("order", "p", "rows", "row_labels", "col_labels")
+    ``col_index[x]`` is the column labelled x, worked out once here: the
+    identity for default labels, None unless the labels enumerate 0, ...,
+    order - 1.  ``==`` and ``hash`` read only order, p and rows, and a
+    pickle carries no map: loading works it out again from the labels.
+    """
+
+    __slots__ = ("order", "p", "rows", "row_labels", "col_labels", "col_index")
 
     def __init__(self, order, p, rows, row_labels=None, col_labels=None):
         if order < 1:
@@ -43,6 +49,16 @@ class BhMatrix:
             raise LengthMismatch("row label count != order")
         if self.col_labels is not None and len(self.col_labels) != order:
             raise LengthMismatch("column label count != order")
+        index = list(range(order))
+        if self.col_labels is not None:
+            index = [None] * order
+            for j, x in enumerate(self.col_labels):
+                if x in range(order) and index[x] is None:
+                    index[x] = j
+        self.col_index = None if None in index else tuple(index)
+
+    def __reduce__(self):
+        return type(self), (self.order, self.p, self.rows, self.row_labels, self.col_labels)
 
     def __eq__(self, other):
         return (
@@ -162,12 +178,9 @@ def linear_rows_check(m: BhMatrix) -> bool:
         t += 1
     if p ** t != order:
         raise LabelsNotGroup(f"order {order} is not a power of {p}")
-    labels = m.col_labels if m.col_labels is not None else tuple(range(order))
-    if sorted(labels) != list(range(order)):
+    cols = m.col_index  # the column of each label
+    if cols is None:
         raise LabelsNotGroup("column labels must enumerate 0 .. p^t - 1")
-    cols = [0] * order  # the column of each label
-    for j, x in enumerate(labels):
-        cols[x] = j
     units, slots = [cols[p ** d] for d in range(t)], _slots(p, t, p)
     return all(_lane_pack([row[j] for j in cols], slots.width)
                == slots.affine(0, [row[j] for j in units]) for row in m.rows)

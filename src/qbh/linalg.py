@@ -113,17 +113,23 @@ class Echelon:
         self.seen |= x
         return True
 
+    def kernel(self, lanes: int) -> list:
+        """The reduced echelon basis of {x : row . x = 0 for every row} on
+        the first ``lanes`` lanes: for each of them that leads no row, e_j
+        less each row's lane j at its pivot.  Lanes past those, which must
+        lead no row, are not read."""
+        p, w, lead = self.p, self.width, self.lead
+        digit, out = (1 << w) - 1, Echelon(p, lanes)
+        for j in range(0, lanes * w, w):
+            if not self.mask >> j & 1:
+                out.insert(1 << j | sum(p - (row >> j & digit) << s
+                                        for s, row in lead.items() if row >> j & digit))
+        return out.rows
+
 
 def kernel(p: int, lanes: int, rows) -> list:
-    """The reduced echelon basis of {x : row . x = 0 for every row}: for
-    each lane j that leads no row, e_j less each row's lane j at its pivot."""
-    ech = Echelon(p, lanes, rows)
-    digit, out = (1 << ech.width) - 1, Echelon(p, lanes)
-    for j in range(0, lanes * ech.width, ech.width):
-        if not ech.mask >> j & 1:
-            out.insert(1 << j | sum(p - (row >> j & digit) << s
-                                    for s, row in ech.lead.items() if row >> j & digit))
-    return out.rows
+    """The reduced echelon basis of {x : row . x = 0 for every row}."""
+    return Echelon(p, lanes, rows).kernel(lanes)
 
 
 def solve(p: int, lanes: int, rows, count: int) -> list:

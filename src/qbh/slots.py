@@ -190,10 +190,10 @@ class _Basis:
 
     def labels(self, offset: int) -> list:
         """offset + sum_i X_i rows[i] for every slot sum_i X_i p^i, slot 0 first."""
-        labels = [offset]
-        for row in self.rows:
-            mults = itertools.accumulate([row] * (self.p - 1), self.add, initial=0)
-            labels = [self.add(x, m) for m in mults for x in labels]
+        add, labels = self.add, [offset]
+        for row in self.rows:  # the labels so far, then each plus row, 2 row, ..., (p - 1) row
+            labels += [add(x, m) for m in itertools.accumulate([row] * (self.p - 1), add)
+                       for x in labels]
         return labels
 
     def __eq__(self, other):

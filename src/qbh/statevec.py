@@ -286,16 +286,15 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
 # message m has digit j of s in base q as m_j.
 
 
-def _messages(code: LinearCode) -> list:
-    """The message of the codeword in each slot of C, slot 0 first."""
-    return [m[::-1] for m in itertools.product(range(code.field.order), repeat=code.k)]
-
-
 def _message_labels(code: LinearCode) -> list:
     """For each slot of C, the int whose base-q digits, most significant
-    first, are its message: the codeword's place in message order."""
-    q = code.field.order
-    return [sum(d * q ** i for i, d in enumerate(reversed(m))) for m in _messages(code)]
+    first, are its message: the codeword's place in message order.  Slot
+    s holds message digit j at digit j of s, so its label is s with its k
+    base-q digits reversed, laid out a digit at a time."""
+    q, k, labels = code.field.order, code.k, [0]
+    for j in range(k):
+        labels = [x + d * q ** (k - 1 - j) for d in range(q) for x in labels]
+    return labels
 
 
 def _message_order(code: LinearCode) -> list:
@@ -307,22 +306,24 @@ def _message_order(code: LinearCode) -> list:
 
 
 def _code_basis(code: LinearCode) -> _Basis:
-    """The lane-packed fp_basis(C), the basis of every code state of C."""
+    """The lane-packed fp_basis(C) as a basis, whose adds and labels
+    ``equal_sum_states`` reads."""
     f = code.field
     return _basis(f, code.n, [_vec_lanes(f, g) for g in fp_basis(code)])
 
 
 def _product(code: LinearCode, m: int) -> tuple:
-    """(basis, spread) for states of m blocks of C: the code basis m times
-    side by side, block 0 lowest, so block b is digit b of the slot in
-    base |C|; and for each b the three factors ``_fold`` spreads a
-    compact array of |C| slots by.  With w the slot width and S = |C|^b w
-    the stride of block b: ``times``, 2^(i (S - w)) summed over i < |C|
-    (1 at b = 0); ``keep``, the low slot of each of |C| strides; and
-    ``fill``, step = M / p in every slot whose digit b is 0."""
+    """(basis, spread) for states of m blocks of C: the lanes of
+    fp_basis(C) m times side by side, block 0 lowest, so block b is
+    digit b of the slot in base |C|; and for each b the three factors
+    ``_fold`` spreads a compact array of |C| slots by.  With w the slot
+    width and S = |C|^b w the stride of block b: ``times``, 2^(i (S - w))
+    summed over i < |C| (1 at b = 0); ``keep``, the low slot of each of
+    |C| strides; and ``fill``, step = M / p in every slot whose digit b
+    is 0."""
     f, size = code.field, code.size
     shift = code.n * f.degree * _lane_width(f.p)
-    rows = _code_basis(code).rows
+    rows = [_vec_lanes(f, g) for g in fp_basis(code)]
     basis = _basis(f, code.n * m, [g << b * shift for b in range(m) for g in rows])
     width, step = basis.slots.width, basis.slots.step
     spread = []
@@ -441,10 +442,9 @@ def big_phi_from_matrix(matrix, code: LinearCode, rows) -> StateVector:
     for row in rows:
         if not 0 <= row < matrix.order:
             raise ValueError(f"row {row} is not a row of the matrix: need 0 <= row < {matrix.order}")
-    labels = matrix.col_labels if matrix.col_labels is not None else range(matrix.order)
-    if sorted(labels) != list(range(matrix.order)):
+    column = matrix.col_index
+    if column is None:
         raise LabelsNotGroup(f"column labels must enumerate 0 .. {matrix.order - 1}")
-    column = {x: j for j, x in enumerate(labels)}
     cols = [column[x] for x in _message_order(code)]
     width = _slot_width(phase_modulus(code.field))
     arrays = {r: _join([matrix.rows[r][j] for j in cols], width) for r in set(rows)}
@@ -626,6 +626,53 @@ def _equation_row(f, n: int, x: int) -> int:
     return 1 | _trace_lanes(f, n, x) << _lane_width(f.p)
 
 
+def _scan(f, n: int, supports, tags: int) -> tuple:
+    """(basis, rows, solve): ``stab_of_span``'s row basis, its echelon, and
+    the solution of the basis rows' system for any right-hand side.
+
+    Over each support, t and each t + v_i first, then the rest till dim V
+    + 1 rows are kept, label x's ``_equation_row`` enters one
+    ``linalg.Echelon`` with a 1 in tag lane i past its 1 + N r lanes, i =
+    len(basis), and (exps, x) joins ``basis`` when the row is not 0 off
+    its tags once reduced; ``tags`` must reach the rows kept.  The
+    echelon is then [R | T]: R the reduced echelon form of the kept rows
+    A, T A = R, and no tag lane leads.  A's rows are independent, so
+    A z = e_i is solved, free unknowns 0, by T's column i laid on R's
+    pivot lanes, and ``solve(d)`` is the sum of those unit solutions
+    scaled by the digits d_i, by lane adds alone.
+    """
+    p, w = f.p, _lane_width(f.p)
+    lanes, digit = 1 + n * f.degree, (1 << w) - 1
+    rows, basis, low = linalg.Echelon(p, lanes + tags), [], (1 << lanes * w) - 1
+    for v in supports:  # t and each t + v_i first, then the rest till dim + 1 rows
+        exps, b, last = v.exps, v.basis, len(basis) + len(v.basis.rows) + 1
+        first = [x for x in [v.offset, *(b.add(v.offset, row) for row in b.rows)] if x in exps]
+        for x in itertools.chain(first, exps):
+            row = rows.reduce(_equation_row(f, n, x) | 1 << (lanes + len(basis)) * w)
+            if row & low:
+                rows.insert(row)
+                basis.append((exps, x))
+                if len(basis) == last:
+                    break
+    units = [0] * len(basis)
+    for s, row in rows.lead.items():  # T's nonzero entries, row s to column i
+        tag, i = row >> lanes * w, 0
+        while tag:
+            if d := tag & digit:
+                units[i] |= d << s
+            tag, i = tag >> w, i + 1
+    add = _lane_adder(p, lanes)
+
+    def solve(digits):
+        z = 0
+        for u, d in zip(units, digits):
+            if d:
+                z = add(z, u if d == 1 else linalg._times(add, u, d))
+        return z
+
+    return basis, rows, solve
+
+
 def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     """Every z^c X(a) Z(b) fixing each spanning state exactly.
 
@@ -642,7 +689,10 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     each t + v_i first, stops at dim V + 1 new rows; those found give a
     row basis.  A candidate shift a must move an anchor label x0 of the
     first state v0 into its support, so at most |support| shifts are
-    tried, and one ``linalg.solve`` on the row basis solves them all.
+    tried.  The scan's one echelon carries each row's combination of the
+    basis rows on tag lanes (``_scan``), so a trial's solution is a sum
+    of unit solutions, and its kernel is read off the same rows: the
+    rows are eliminated once.
 
     Before that, the candidates are filtered on the states' relative
     phases.  A fixing element adds the same c + step tr(b.x) to every
@@ -691,23 +741,13 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     supports = {}
     for v in states:
         supports.setdefault((v.basis.rows, v.offset, v.mask), v)
-    work = v0.mask.bit_count() // v0.basis.slots.width * sum(
-        len(v.basis.rows) + 1 for v in supports.values())
+    tags = sum(len(v.basis.rows) + 1 for v in supports.values())
+    work = v0.mask.bit_count() // v0.basis.slots.width * tags
     if work > budget:
         raise BudgetExceeded("stab_of_span shifts x rows", work, budget)
     w, digit, lanes = _lane_width(p), (1 << _lane_width(p)) - 1, 1 + n * r
     half = n * r * w
-    rows, basis, brows = linalg.Echelon(p, lanes), [], []
-    for v in supports.values():  # t and each t + v_i first, then the rest till dim + 1 rows
-        exps, b, last = v.exps, v.basis, len(basis) + len(v.basis.rows) + 1
-        first = [x for x in [v.offset, *(b.add(v.offset, row) for row in b.rows)] if x in exps]
-        for x in itertools.chain(first, exps):
-            row = _equation_row(f, n, x)
-            if rows.insert(row):
-                basis.append((exps, x))
-                brows.append(row)
-                if len(basis) == last:
-                    break
+    basis, rows, solve = _scan(f, n, supports.values(), tags)
 
     def trial(c0, a, z):  # z^c X(a) Z(b), b and c read off the solution z
         b, c = z >> w, c0 + step * (z & digit)
@@ -729,7 +769,7 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     anchor = next(iter(v0.exps))
     shifts = linalg.Echelon(p, n * r)
     minus_anchor = shifts.scale(anchor, p - 1)
-    trials, rhss = [], []
+    trials = []
     for y in candidates:
         a, diffs = add(y, minus_anchor), []
         for exps, x in basis:
@@ -740,9 +780,7 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         else:
             c0 = diffs[0] % step
             if not any((d - c0) % step for d in diffs):
-                trials.append((c0, a))
-                rhss.append([(d - c0) // step for d in diffs])
-    aug = [row | _lane_pack(col, w) << lanes * w for row, col in zip(brows, zip(*rhss))]
+                trials.append((c0, a, solve([(d - c0) // step for d in diffs])))
 
     def key(a):  # a reduced by the accepted shifts, scaled to 1 at its lowest lane
         u = shifts.reduce(a)
@@ -750,7 +788,7 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         return shifts.scale(u, pow(u >> (low - low % w) & digit, -1, p)) if u else 0
 
     gens, rejected = [], set()
-    for (c0, a), z in zip(trials, linalg.solve(p, lanes, aug, len(trials))):
+    for c0, a, z in trials:
         u = key(a)
         if not u or u in rejected:
             continue
@@ -761,7 +799,7 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
             gens.append(g)
         else:
             rejected.add(u)
-    gens += [trial(0, 0, k) for k in linalg.kernel(p, lanes, rows.rows)]  # brows, reduced
+    gens += [trial(0, 0, k) for k in rows.kernel(lanes)]
     if p ** len(gens) > budget:
         raise BudgetExceeded("stab_of_span elements", p ** len(gens), budget)
     row_add, low = _lane_adder(p, 2 * n * r), (1 << half) - 1

@@ -1,6 +1,7 @@
 """Butson-Hadamard matrices in exponent form."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -20,7 +21,9 @@ from qbh.bh import (
     row_equivalence,
 )
 from qbh.errors import BudgetExceeded, DegenerateForm, LabelsNotGroup, LengthMismatch, NotBh
-from qbh.gf import _unpack_digits
+from qbh.gf import _unpack_digits, field_make
+from qbh.lincode import code_make
+from qbh.statevec import big_phi_from_matrix
 
 import oracles
 
@@ -244,6 +247,38 @@ def test_linear_rows_requires_group_labels():
     m = BhMatrix(2, 2, ((0, 0), (0, 1)), (0, 1), (0, 3))
     with pytest.raises(LabelsNotGroup):
         linear_rows_check(m)
+
+
+def test_column_index_is_worked_out_once_from_the_labels():
+    # the identity for default labels, the inverse permutation for any
+    # permutation of 0 .. order - 1, and None for repeated or out-of-range
+    # labels, where both of its readers refuse the matrix
+    assert BhMatrix(4, 2, F22.rows).col_index == (0, 1, 2, 3) == F22.col_index
+    labels = (2, 0, 3, 1)
+    m = BhMatrix(4, 2, F22.rows, col_labels=labels)
+    assert m.col_index == (1, 3, 0, 2)
+    assert all(labels[m.col_index[x]] == x for x in range(4))
+    code = code_make(field_make(2, 1), [(1, 0, 1), (0, 1, 1)])
+    for bad in [(0, 1, 2, 2), (0, 1, 2, 7), (0, 1, 2, -1)]:
+        m = BhMatrix(4, 2, F22.rows, col_labels=bad)
+        assert m.col_index is None
+        with pytest.raises(LabelsNotGroup, match=r"^column labels must enumerate 0 \.\. p\^t - 1$"):
+            linear_rows_check(m)
+        with pytest.raises(LabelsNotGroup, match=r"^column labels must enumerate 0 \.\. 3$"):
+            big_phi_from_matrix(m, code, [0])
+
+
+def test_equality_hash_and_pickling_ignore_the_column_index():
+    scrambled = BhMatrix(4, 2, F22.rows, col_labels=(3, 2, 1, 0))
+    assert scrambled == F22 and hash(scrambled) == hash(F22)
+    broken = BhMatrix(4, 2, F22.rows, col_labels=(0, 0, 1, 1))
+    assert broken.col_index is None and broken == F22 and hash(broken) == hash(F22)
+    # a pickle carries the labels, and loading works the map out again
+    scrambled.col_index = (0, 0, 0, 0)
+    loaded = pickle.loads(pickle.dumps(scrambled))
+    assert loaded == scrambled and loaded.col_labels == (3, 2, 1, 0)
+    assert loaded.col_index == (3, 2, 1, 0)
+    assert pickle.loads(pickle.dumps(broken)).col_index is None
 
 
 def test_form_matrix_examples():

@@ -69,10 +69,12 @@ def test_stdlib_check_sees_third_party_imports():
 
 
 # The state-vector oracle must not lean on the symplectic one: neither on
-# its products and pairings nor on the pairing rows and checks of
-# ``construct``.  Both may share the F_p primitives of ``linalg``.
+# its products and pairings nor on the pairing rows, checks and packed
+# dot ``gf._lane_dot`` of ``construct``.  Both may share the F_p
+# primitives of ``linalg``.
 SYMPLECTIC = {"symp_ip", "symp_ip_int", "mul", "centralizer_basis", "sympl_matrix",
-              "_pairings", "_pairing_lanes", "_pairing_row", "_dot_trace", "verify_generators"}
+              "_pairings", "_pairing_lanes", "_pairing_row", "_dot_trace", "verify_generators",
+              "_lane_dot"}
 
 
 def referenced_names(source: str, root: str) -> set:
@@ -194,6 +196,17 @@ def test_slot_arrays_read_no_symplectic_algebra():
     # the slot arrays and bases that every state and fix_dim run on
     tree = ast.parse((pathlib.Path(qbh.__file__).parent / "slots.py").read_text())
     assert all_names(tree) & SYMPLECTIC == set()
+
+
+def test_state_modules_read_no_symplectic_dot():
+    # stab_of_span solves on lane adds and pairs through its own trace
+    # forms: nowhere in statevec or slots is the symplectic oracle's dot read
+    package = pathlib.Path(qbh.__file__).parent
+    for name in ("statevec.py", "slots.py"):
+        assert "_lane_dot" not in all_names(ast.parse((package / name).read_text()))
+    # the check sees the dot imported under another name or read off gf
+    assert "_lane_dot" in all_names(ast.parse("from .gf import _lane_dot as dot\n"))
+    assert "_lane_dot" in all_names(ast.parse("def f(x):\n    return gf._lane_dot(2, x, x)\n"))
 
 
 # The state oracle's packed forms: the trace form of a Z part, the

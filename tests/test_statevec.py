@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh import linalg
 from qbh.errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
-from qbh.gf import FIELD_SIZE_LIMIT, Field, _lane_width, _lanes_vec, _vec_lanes, field_make
+from qbh.gf import FIELD_SIZE_LIMIT, Field, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import code_make, dual, encode, fp_basis, iter_codewords
 from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
@@ -143,7 +143,8 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
     # C = [3,2]_2 and D = [3,2] over K = GF(4): |C| = 4 messages from
     # r k = 2 message digit units, and the 16 words of D name all 4 scalars.
     # f_lam is F_p-linear in the message, so a table packs the 2 units
-    # once, and each scalar's array takes one K.mul per unit.
+    # once, and each scalar's array takes one K.mul per unit.  A product
+    # basis lays fp_basis(C)'s lanes side by side: no code basis is built.
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
     d = code_make(F4, [(1, 0, 1), (0, 1, 1)])
     h = kron_fourier(2, 2)
@@ -179,18 +180,18 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         t = table_make(code, F4)
         calls.update(dict.fromkeys(calls, 0))
         first = big_phi(code, d, t, words[0])  # the zero word: one scalar
-        assert calls == {"pack": 2, "mul": 2, "member": 1, "basis": 1, "product": 1}
+        assert calls == {"pack": 2, "mul": 2, "member": 1, "basis": 0, "product": 1}
         assert len(t._state_parts[1]) == 1  # one compact array of tr(lam P(m))
         states = [first] + [big_phi(code, d, t, w) for w in words[1:]]
         # one array per scalar, one product basis for m = 3
-        assert calls == {"pack": 2, "mul": 4 * 2, "member": 16, "basis": 1, "product": 1}
+        assert calls == {"pack": 2, "mul": 4 * 2, "member": 16, "basis": 0, "product": 1}
         # a second table and the matrix states of the same code object reuse
         # its product basis; another block count builds its own
         states.append(big_phi(code, d, table_make(code, F4), words[5]))
         states += [big_phi_from_matrix(h, code, (r, 1, 2)) for r in range(4)]
-        assert (calls["basis"], calls["product"]) == (1, 1)
+        assert (calls["basis"], calls["product"]) == (0, 1)
         pair = big_phi_from_matrix(h, code, (1, 2))
-        assert (calls["basis"], calls["product"]) == (2, 2)
+        assert (calls["basis"], calls["product"]) == (0, 2)
         runs.append((t._state_parts, code._products, states))
         assert code._products.keys() == {2, 3} and pair.basis is code._products[2][0]
     (parts, products, states), (parts2, products2, states2) = runs
@@ -1196,12 +1197,21 @@ def test_stab_of_span_matches_enumeration_on_states_of_one_support(states):
     _assert_stab_matches_enumeration(states)
 
 
-def counted_right_hand_sides(monkeypatch) -> list:
-    """A list that gets, per call of ``linalg.solve`` from now on, the
-    number of right-hand sides it solves."""
-    counts, solve = [], linalg.solve
-    monkeypatch.setattr(linalg, "solve", lambda p, lanes, rows, count: counts.append(count)
-                        or solve(p, lanes, rows, count))
+def counted_solutions(monkeypatch) -> list:
+    """A list that gets, per call of ``statevec._scan`` from now on, the
+    number of right-hand sides its ``solve`` solves."""
+    counts, scan = [], sv._scan
+
+    def counted(*args):
+        basis, rows, solve = scan(*args)
+        counts.append(0)
+
+        def counting(digits):
+            counts[-1] += 1
+            return solve(digits)
+        return basis, rows, counting
+
+    monkeypatch.setattr(sv, "_scan", counted)
     return counts
 
 
@@ -1256,11 +1266,59 @@ def test_stab_of_span_rejects_every_multiple_on_states_of_distinct_supports(f, m
 def test_stab_of_span_solves_only_the_shifts_that_keep_the_relative_phases(monkeypatch):
     # Every shift of the first state's support was solved for before the
     # relative-phase filter: 16, 64 and 81 right-hand sides on these spans.
-    counts = counted_right_hand_sides(monkeypatch)
+    counts = counted_solutions(monkeypatch)
     for span, size in [(_fourier_span(), 16), (_order_eight_fourier_span(), 32),
                        (_order_nine_fourier_span(), 81)]:
         assert len(stab_of_span(span)) == size
     assert counts == [4, 8, 9]
+
+
+def test_stab_of_span_eliminates_its_rows_once(monkeypatch):
+    # The scan's one tagged echelon gives every trial's solution and the
+    # kernel: no linalg.solve, and four echelons per call (the scan's, the
+    # accepted shifts', the kernel's basis and the generator check's),
+    # where a solve and a second elimination for the kernel made six.
+    spans = [(_fourier_span(), 16), (_order_eight_fourier_span(), 32),
+             (_order_nine_fourier_span(), 81)]
+
+    def refuse(*args):
+        raise AssertionError("linalg.solve called")
+
+    made, echelon = [], linalg.Echelon
+
+    class Counted(echelon):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(linalg, "solve", refuse)
+    monkeypatch.setattr(linalg, "Echelon", Counted)
+    counts = []
+    for span, size in spans:
+        made.clear()
+        assert len(stab_of_span(span)) == size
+        counts.append(len(made))
+    assert counts == [4, 4, 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_spans([F2, F3, F5], max_states=3), st.data())
+def test_scan_solutions_equal_linalg_solve_on_the_same_rows(states, data):
+    # the scan's tagged echelon solves its basis rows' system A z = d by
+    # unit solutions alone; linalg.solve on [A | d] gives the same z, free
+    # unknowns 0, and the untagged rows give A's kernel
+    f, n = states[0].field, states[0].length
+    p, w, lanes = f.p, _lane_width(f.p), 1 + n * f.degree
+    basis, rows, solve = sv._scan(f, n, states, sum(len(v.basis.rows) + 1 for v in states))
+    a = [sv._equation_row(f, n, x) for _, x in basis]
+    assert len(linalg.Echelon(p, lanes, a).lead) == len(a)
+    digits = st.lists(st.integers(0, p - 1), min_size=len(a), max_size=len(a))
+    rhss = data.draw(st.lists(digits, min_size=1, max_size=6))
+    aug = [row | _lane_pack(col, w) << lanes * w for row, col in zip(a, zip(*rhss))]
+    assert [solve(d) for d in rhss] == linalg.solve(p, lanes, aug, len(rhss))
+    assert rows.kernel(lanes) == linalg.kernel(p, lanes, a)
 
 
 def test_stab_of_span_ignores_a_phase_on_each_state_the_first_included():
@@ -1504,7 +1562,8 @@ def test_fold_spreads_compact_arrays_without_carries(p, k, m):
     f = field_make(p, 1)
     c = code_make(f, [tuple(int(i == j) for j in range(k)) + (1,) for i in range(k)])
     width, step = sv._slot_width(phase_modulus(f)), phase_step(f)
-    words = [encode(c, msg) for msg in sv._messages(c)]  # the codeword of each slot of C
+    # the codeword of each slot of C: slot s holds the message with digit j of s as m_j
+    words = [encode(c, msg[::-1]) for msg in itertools.product(range(p), repeat=k)]
     rng = random.Random(f"{p}:{k}:{m}")
     for values in ([[p - 1] * c.size] * m,
                    [[rng.randrange(p) for _ in range(c.size)] for _ in range(m)]):
