@@ -17,7 +17,9 @@ ambient space: it returns the lexicographically smallest x in F_q^n
 whose trace pairing
 rho_x(c) = tr_{q/p}(c . x) agrees with f_lam on C.  The solution set is
 a coset of the dual code, so theta(lam) names that coset canonically.
-``unpack_message`` inverts P = pack . msg on the message side.
+``unpack_message`` inverts P = pack . msg on the message side.  All four
+maps are F_p-linear, and the table keeps each as the lane-packed images
+of the digit units, applied by one ``linalg.lincomb``.
 """
 
 from __future__ import annotations
@@ -26,55 +28,44 @@ import itertools
 
 from . import linalg
 from .errors import DegenerateD, DimensionMismatch, NotACodeword
-from .gf import Field, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
+from .gf import Field, _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from .lincode import LinearCode, code_make, contains, dual, encode, fp_basis
-
-
-def _digit_sum(f: Field, digits, images, length: int) -> tuple:
-    """sum_t digits[t] * images[t] over F_q: an F_p-linear map applied to a digit vector."""
-    out = (0,) * length
-    for c, image in zip(digits, images):
-        if c:
-            out = tuple(f.add(a, f.mul(c, b)) for a, b in zip(out, image))
-    return out
 
 
 class FunctionalTable:
     """The family { f_lam : lam in K } attached to one code C, with its lift.
 
-    ``theta``, ``lambda_of`` and ``unpack_message`` are F_p-linear, so
-    each is stored as its images of the digit units: theta(p^t) and the
-    message of p^t for t < deg K, and lambda_of(p^d e_j) for every
-    coordinate j and digit d, in ``Field.vec_digits`` order.  All come
-    from the trace systems solved at construction, each echelonned once
-    with every unit's right-hand side appended.
+    P = pack . msg, ``theta``, ``lambda_of`` and ``unpack_message`` each
+    keep their lane-packed images of the digit units: P(p^d e_j), theta(p^t)
+    and the message of p^t for t < deg K, and lambda_of(p^d e_j), in
+    ``Field.vec_digits`` order.  The last three are trace systems solved
+    at construction, each echelonned once with every unit's right-hand
+    side appended, and kept as ``linalg.solve`` returns them.
 
     ``_state_parts`` is None until ``statevec`` first builds a state of
     the table; it then holds P(u) per message digit unit and the compact
     tr(lam P(m)) arrays of ``statevec._phi_states`` for the table's lifetime.
     """
 
-    __slots__ = (
-        "code", "scalars", "prime", "_embed", "_basis_powers", "_theta", "_lambda", "_unpack",
-        "_state_parts",
-    )
+    __slots__ = ("code", "scalars", "prime", "_add", "_pack", "_theta", "_lambda", "_unpack",
+                 "_state_parts")
 
     def __init__(self, code: LinearCode, scalars: Field):
         self.code = code
         self.scalars = scalars
         self.prime = field_make(scalars.p, 1)
         self._state_parts = None
-        self._embed = scalars.embed_table(code.field)
-        g = scalars.from_digits((0, 1) + (0,) * (scalars.degree - 2)) if scalars.degree >= 2 else 1
-        powers, cur = [], 1
-        for _ in range(code.k):
-            powers.append(cur)
-            cur = scalars.mul(cur, g)
-        self._basis_powers = tuple(powers)
 
-        f, K = code.field, scalars
-        r, n = f.degree, code.n
-        basis = fp_basis(code)
+        f, K, n, r = code.field, scalars, code.n, code.field.degree
+        p, w, nr, kr = K.p, _lane_width(K.p), n * r, K.degree
+        self._add = _lane_adder(p, nr)  # k <= n: wide enough for K's kr lanes too
+        # P(p^d e_j) = embed(p^d) g^j, g packed as p (at degree 1 only g^0 is
+        # read), is P(msg e) for fp_basis(C) row e = p^d gen_j, so its trace
+        # row is functional[e][t] = f_{p^t}(e).
+        embed = K.embed_table(f)
+        units = [K.mul(embed[p ** d], K.pow(p, j)) for j in range(code.k) for d in range(r)]
+        self._pack = [_vec_lanes(K, (u,)) for u in units]
+        functional = [K.trace_row(u) for u in units]
         # pairing[e][column of digit d of x_j] = tr_{q/p}(e_j * p^d), the
         # unknowns ordered coordinate by coordinate.  Reducing a solution
         # against the reduced echelon basis of the kernel then gives the
@@ -83,44 +74,38 @@ class FunctionalTable:
         # C^perp is F_q-linear, so given the earlier coordinates each
         # coordinate of the solution coset is either forced or free over
         # all of F_q.  The reduction is linear too.
-        p, w, nr, kr = K.p, _lane_width(K.p), n * r, K.degree
-        pairing = [_lane_pack(f.trace_rows(e), w) for e in basis]
-        # functional[e][t] = f_{p^t}(e)
-        functional = [tuple(self.f_int(p ** t, e) for t in range(kr)) for e in basis]
+        pairing = [_lane_pack(f.trace_rows(e), w) for e in fp_basis(code)]
         packed = [_lane_pack(row, w) for row in functional]
         theta = linalg.solve(p, nr, [a | b << nr * w for a, b in zip(pairing, packed)], kr)
         if None in theta:  # pragma: no cover - trace pairing is non-degenerate
             raise ArithmeticError("inconsistent trace system; field tables corrupt")
-        lam = linalg.solve(p, kr, [b | a << kr * w for a, b in zip(pairing, packed)], nr)
-        if None in lam:  # pragma: no cover - lam -> f_lam is onto the dual
+        self._lambda = linalg.solve(p, kr, [b | a << kr * w for a, b in zip(pairing, packed)], nr)
+        if None in self._lambda:  # pragma: no cover - lam -> f_lam is onto the dual
             raise ArithmeticError("functional not representable; field tables corrupt")
         # The message digits v of P^-1(y) solve functional^T . v = trace_row(y),
         # digits ordered as in fp_basis: coordinate-major, digit inner.  Entry
         # t of the right-hand side for y = p^u is tr(p^u p^t), which is
         # entry u of trace_row(p^t).
-        unpack = linalg.solve(p, kr, [_lane_pack(col, w) | _lane_pack(K.trace_row(p ** t), w)
-                                      << kr * w for t, col in enumerate(zip(*functional))], kr)
-        if None in unpack:  # pragma: no cover - P is an F_p-isomorphism
+        self._unpack = linalg.solve(p, kr, [_lane_pack(col, w) | _lane_pack(K.trace_row(p ** t), w)
+                                            << kr * w for t, col in enumerate(zip(*functional))], kr)
+        if None in self._unpack:  # pragma: no cover - P is an F_p-isomorphism
             raise ArithmeticError("message not recoverable; field tables corrupt")
         kernel = linalg.Echelon(p, nr, linalg.kernel(p, nr, pairing))
-        self._theta = [_lanes_vec(f, n, kernel.reduce(x)) for x in theta]
-        self._lambda = [_lanes_vec(K, 1, x)[0] for x in lam]
-        self._unpack = [_lanes_vec(f, code.k, x) for x in unpack]
+        self._theta = [kernel.reduce(x) for x in theta]
+
+    def _apply(self, f: Field, n: int, images, digits) -> tuple:
+        """The length-n vector over f that the map with unit ``images`` sends ``digits`` to."""
+        return _lanes_vec(f, n, linalg.lincomb(self._add, images, digits))
 
     # -- scalar side
 
     def pack_message(self, message) -> int:
         """Message tuple over F_q -> packed element of K."""
-        K = self.scalars
-        acc = 0
-        for m, power in zip(message, self._basis_powers):
-            if m:
-                acc = K.add(acc, K.mul(self._embed[m], power))
-        return acc
+        return self._apply(self.scalars, 1, self._pack, self.code.field.vec_digits(message))[0]
 
     def unpack_message(self, y: int) -> tuple:
         """Packed element of K -> message tuple over F_q; inverse of pack_message."""
-        return _digit_sum(self.code.field, self.scalars.digits(y), self._unpack, self.code.k)
+        return self._apply(self.code.field, self.code.k, self._unpack, self.scalars.digits(y))
 
     def f_int(self, lam: int, word) -> int:
         """f_lam evaluated on a codeword, as an int in [0, p)."""
@@ -131,16 +116,11 @@ class FunctionalTable:
 
     def theta(self, lam: int) -> tuple:
         """Lexicographically smallest x with rho_x = f_lam on C."""
-        return _digit_sum(self.code.field, self.scalars.digits(lam), self._theta, self.code.n)
+        return self._apply(self.code.field, self.code.n, self._theta, self.scalars.digits(lam))
 
     def lambda_of(self, x) -> int:
         """The unique scalar lam whose functional agrees with rho_x on C."""
-        K = self.scalars
-        lam = 0
-        for c, image in zip(self.code.field.vec_digits(x), self._lambda):
-            if c:
-                lam = K.add(lam, K.mul(c, image))
-        return lam
+        return self._apply(self.scalars, 1, self._lambda, self.code.field.vec_digits(x))[0]
 
     def __repr__(self):
         return f"functional table for {self.code!r} over {self.scalars!r}"

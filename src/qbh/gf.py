@@ -441,9 +441,7 @@ class Field:
         return out
 
     def frobenius(self, a: int) -> int:
-        """x -> x^p, the generating automorphism over F_p."""
-        if self.degree == 1:
-            return a
+        """x -> x^p, the generating automorphism over F_p (the identity at degree 1)."""
         return self._frob[a]
 
     def trace_int(self, a: int) -> int:

@@ -27,6 +27,16 @@ def _times(combine, x, count: int):
     return out
 
 
+def lincomb(add, units, digits) -> int:
+    """sum_i digits[i] units[i] by lane adds through ``add``: the F_p-linear map whose
+    lane-packed images of the digit units are ``units``, applied to ``digits`` in [0, p)."""
+    out = 0
+    for u, d in zip(units, digits):
+        if d:
+            out = add(out, u if d == 1 else _times(add, u, d))
+    return out
+
+
 class Echelon:
     """The reduced echelon basis of a row space over F_p, rows lane-packed
     over ``lanes`` lanes.

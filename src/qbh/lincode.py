@@ -24,18 +24,19 @@ def weight(v) -> int:
 
 
 class LinearCode:
-    """A k-dimensional length-n code over ``field``, held in RREF; ``_products``, ``_labels``
-    and ``_parity``, None until first used, keep its ``statevec`` product bases and
-    message-label order, and its parity rows (not in ``==``)."""
+    """A k-dimensional length-n code over ``field``, held in RREF, read off ``lanes``, its
+    reduced echelon basis over F_p (``fp_basis``, lane-packed); ``_products``, ``_labels`` and
+    ``_parity``, None until first used, keep its ``statevec`` product bases and message-label
+    order, and its parity rows (not in ``==``)."""
 
-    __slots__ = ("field", "n", "k", "gen", "pivots", "_products", "_labels", "_parity")
+    __slots__ = ("field", "n", "k", "gen", "pivots", "lanes", "_products", "_labels", "_parity")
 
-    def __init__(self, field: Field, n: int, gen: tuple, pivots: tuple):
+    def __init__(self, field: Field, n: int, lanes: tuple):
         self.field = field
         self.n = n
-        self.k = len(gen)
-        self.gen = gen
-        self.pivots = pivots
+        self.gen, self.pivots = _fq_rref(field, n, lanes)
+        self.k = len(self.gen)
+        self.lanes = lanes
         self._products = self._labels = self._parity = None
 
     @property
@@ -71,11 +72,11 @@ def code_make(field: Field, rows) -> LinearCode:
         for x in r:
             if not 0 <= x < field.order:
                 raise ValueError(f"entry {x} is not a packed element of {field!r}")
-    gen, pivots = _fq_rref(field, n, linalg.Echelon(
-        field.p, n * field.degree, [_vec_lanes(field, row) for row in _fp_rows(field, rows)]).rows)
-    if not gen:
+    lanes = linalg.Echelon(field.p, n * field.degree,
+                           [_vec_lanes(field, row) for row in _fp_rows(field, rows)]).rows
+    if not lanes:
         raise ZeroCode("generator rows span only the zero vector")
-    return LinearCode(field, n, gen, pivots)
+    return LinearCode(field, n, tuple(lanes))
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -84,7 +85,7 @@ def dual(code: LinearCode) -> LinearCode:
     when tr(x . c) = 0 on an F_p-basis of C: one kernel over F_p."""
     f, n = code.field, code.n
     rows = [_lane_pack(f.trace_rows(c), _lane_width(f.p)) for c in fp_basis(code)]
-    return LinearCode(f, n, *_fq_rref(f, n, linalg.kernel(f.p, n * f.degree, rows)))
+    return LinearCode(f, n, tuple(linalg.kernel(f.p, n * f.degree, rows)))
 
 
 def _fq_rref(f: Field, n: int, rows) -> tuple:
@@ -140,9 +141,10 @@ def fp_basis(code: LinearCode) -> list:
     """F_p-basis of the code: generator rows times each digit basis scalar.
 
     Ordered row-major, digit index inner, so the result is deterministic.
-    Over a prime field this is just the generator rows.
+    Over a prime field this is just the generator rows.  As gen is in
+    RREF, this is the reduced echelon basis over F_p: the code's ``lanes``.
     """
-    return _fp_rows(code.field, code.gen)
+    return [_lanes_vec(code.field, code.n, x) for x in code.lanes]
 
 
 def _fp_rows(f: Field, rows) -> list:
@@ -237,9 +239,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
         raise ZeroCode("minimum distance of the zero code is undefined")
     if code.size > budget:
         raise BudgetExceeded("codeword walk words", code.size, budget)
-    f = code.field
-    rows = [_vec_lanes(f, row) for row in fp_basis(code)]
-    return _min_weight_outside(f.p, [], rows, code.n, f.degree)
+    return _min_weight_outside(code.field.p, [], list(code.lanes), code.n, code.field.degree)
 
 
 # --- code files ----------------------------------------------------------

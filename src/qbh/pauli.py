@@ -114,12 +114,7 @@ def symp_ip(u: PauliElement, v: PauliElement) -> int:
         raise ValueError("vectors over different fields")
     if u.length != v.length:
         raise LengthMismatch("vectors of different lengths")
-    return symp_ip_int(u.field, u.a, u.b, v.a, v.b)
-
-
-def symp_ip_int(field: Field, a1, b1, a2, b2) -> int:
-    """Int fast path of symp_ip for hot loops."""
-    return (_dot_trace(field, b1, a2) - _dot_trace(field, b2, a1)) % field.p
+    return (_dot_trace(u.field, u.b, v.a) - _dot_trace(u.field, v.b, u.a)) % u.field.p
 
 
 def swt(v) -> int:
@@ -133,7 +128,7 @@ def swt(v) -> int:
 
 
 def commutes(e1: PauliElement, e2: PauliElement) -> bool:
-    return symp_ip_int(e1.field, e1.a, e1.b, e2.a, e2.b) == 0
+    return symp_ip(e1, e2) == 0
 
 
 def detectable(scode, e: PauliElement) -> bool:
@@ -148,6 +143,6 @@ def detectable(scode, e: PauliElement) -> bool:
     if scode.contains_symplectic(e.a, e.b):
         return True
     for g in scode.generators:
-        if symp_ip_int(e.field, e.a, e.b, g.a, g.b) != 0:
+        if symp_ip(e, g) != 0:
             return True
     return False

@@ -45,7 +45,7 @@ from . import linalg
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup,
                      LengthMismatch, NotACodeword)
 from .gf import _gray_span, _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
-from .lincode import LinearCode, contains, fp_basis
+from .lincode import LinearCode, contains
 from .pauli import PauliElement, phase_modulus, phase_step
 from .slots import _Basis, _join, _moved, _repunit, _slot_width, _slots
 
@@ -279,11 +279,11 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
 
 
 # --- code states -------------------------------------------------------------
-# The lane-packed fp_basis(C) is already a reduced echelon basis over F_p:
-# gen is in RREF, so row (j, d) = p^d gen_j is 1 at lane j r + d, its
-# lowest nonzero lane, and 0 at every other pivot lane.  C is its span
-# with offset 0, and slot s holds the codeword sum_j m_j gen_j whose
-# message m has digit j of s in base q as m_j.
+# ``code.lanes`` is C's reduced echelon basis over F_p, fp_basis(C)
+# lane-packed: row (j, d) = p^d gen_j is 1 at lane j r + d, its lowest
+# nonzero lane, and 0 at every other pivot lane.  C is its span with
+# offset 0, and slot s holds the codeword sum_j m_j gen_j whose message m
+# has digit j of s in base q as m_j.
 
 
 def _message_labels(code: LinearCode) -> list:
@@ -306,25 +306,22 @@ def _message_order(code: LinearCode) -> list:
 
 
 def _code_basis(code: LinearCode) -> _Basis:
-    """The lane-packed fp_basis(C) as a basis, whose adds and labels
-    ``equal_sum_states`` reads."""
-    f = code.field
-    return _basis(f, code.n, [_vec_lanes(f, g) for g in fp_basis(code)])
+    """``code.lanes`` as a basis, whose adds and labels ``equal_sum_states`` reads."""
+    return _basis(code.field, code.n, code.lanes)
 
 
 def _product(code: LinearCode, m: int) -> tuple:
-    """(basis, spread) for states of m blocks of C: the lanes of
-    fp_basis(C) m times side by side, block 0 lowest, so block b is
-    digit b of the slot in base |C|; and for each b the three factors
-    ``_fold`` spreads a compact array of |C| slots by.  With w the slot
+    """(basis, spread) for states of m blocks of C: ``code.lanes`` m
+    times side by side, block 0 lowest, so block b is digit b of the slot
+    in base |C|; and for each b the three factors ``_fold`` spreads a
+    compact array of |C| slots by.  With w the slot
     width and S = |C|^b w the stride of block b: ``times``, 2^(i (S - w))
     summed over i < |C| (1 at b = 0); ``keep``, the low slot of each of
     |C| strides; and ``fill``, step = M / p in every slot whose digit b
     is 0."""
     f, size = code.field, code.size
     shift = code.n * f.degree * _lane_width(f.p)
-    rows = [_vec_lanes(f, g) for g in fp_basis(code)]
-    basis = _basis(f, code.n * m, [g << b * shift for b in range(m) for g in rows])
+    basis = _basis(f, code.n * m, [g << b * shift for b in range(m) for g in code.lanes])
     width, step = basis.slots.width, basis.slots.step
     spread = []
     for b in range(m):
@@ -638,8 +635,8 @@ def _scan(f, n: int, supports, tags: int) -> tuple:
     echelon is then [R | T]: R the reduced echelon form of the kept rows
     A, T A = R, and no tag lane leads.  A's rows are independent, so
     A z = e_i is solved, free unknowns 0, by T's column i laid on R's
-    pivot lanes, and ``solve(d)`` is the sum of those unit solutions
-    scaled by the digits d_i, by lane adds alone.
+    pivot lanes, and ``solve(d)`` is the ``linalg.lincomb`` of those unit
+    solutions by the digits d_i.
     """
     p, w = f.p, _lane_width(f.p)
     lanes, digit = 1 + n * f.degree, (1 << w) - 1
@@ -661,16 +658,7 @@ def _scan(f, n: int, supports, tags: int) -> tuple:
             if d := tag & digit:
                 units[i] |= d << s
             tag, i = tag >> w, i + 1
-    add = _lane_adder(p, lanes)
-
-    def solve(digits):
-        z = 0
-        for u, d in zip(units, digits):
-            if d:
-                z = add(z, u if d == 1 else linalg._times(add, u, d))
-        return z
-
-    return basis, rows, solve
+    return basis, rows, functools.partial(linalg.lincomb, _lane_adder(p, lanes), units)
 
 
 def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:

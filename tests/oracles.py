@@ -393,6 +393,40 @@ def trace_system_kernel(table, d_code):
     ]
 
 
+# --- F_p-linear data by Field ops ---------------------------------------
+# The formulas that ``functional`` and ``lincode`` now keep as lane-packed
+# images, written out one Field call per entry: the references the stored
+# images are held against.
+
+
+def pack_message(table, message):
+    """P(m) = sum_j embed(m_j) g^j in K, g the canonical generator of K."""
+    K = table.scalars
+    embed = K.embed_table(table.code.field)
+    g = K.from_digits((0, 1) + (0,) * (K.degree - 2)) if K.degree >= 2 else 1
+    acc, power = 0, 1
+    for m in message:
+        acc = K.add(acc, K.mul(embed[m], power))
+        power = K.mul(power, g)
+    return acc
+
+
+def digit_sum(field, digits, images, length):
+    """sum_t digits[t] images[t] over the field, for tuple ``images``: an
+    F_p-linear map applied to a digit vector, digit by digit."""
+    out = (0,) * length
+    for c, image in zip(digits, images):
+        if c:
+            out = tuple(field.add(a, field.mul(c, b)) for a, b in zip(out, image))
+    return out
+
+
+def fp_basis(code):
+    """The generator rows of ``code`` times each p^d, row-major, digit inner."""
+    f = code.field
+    return [tuple(f.mul(f.p ** d, x) for x in row) for row in code.gen for d in range(f.degree)]
+
+
 # --- tuple linear algebra -------------------------------------------------
 # Gauss-Jordan on lists of tuples over any field, one Field call per entry:
 # the reference the packed echelon of ``qbh.linalg`` is held against.

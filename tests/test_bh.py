@@ -469,3 +469,8 @@ def test_bh_verify_reads_every_residue_but_the_last_at_odd_p():
     m = BhMatrix(5, 5, [five[0], (0, 4, 3, 2, 2)] + list(five[2:]))
     assert not bh_verify(m) and not oracles.bh_verify_entrywise(m)
     assert bh_verify(kron_fourier(5, 1))
+
+
+def test_reprs_name_the_order_the_prime_and_the_dimension():
+    assert repr(kron_fourier(2, 2)) == "BH(4,2) exponent matrix"
+    assert repr(BilinearForm(3, [[1, 0], [0, 1]])) == "BilinearForm(p=3, dim=2)"

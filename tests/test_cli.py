@@ -204,6 +204,35 @@ def test_verify_statevec_span_equal_needs_orthogonal_states(tmp_path, capsys, mo
     assert "span_equal=no" in got
 
 
+@pytest.mark.parametrize("fault,last", [
+    ("fix_dim", "fix_dim=3 expected=2"),
+    ("is_fixed", "phi_fixed=no"),
+])
+def test_verify_statevec_exits_one_at_the_first_failed_check(tmp_path, capsys, monkeypatch, fault, last):
+    # a wrong fixed dimension (q^K + 1), or one (generator, state) pair
+    # not fixed: the CLI prints that verdict last, and nothing it has not checked
+    c = _write(tmp_path, "c.txt", FOUR_C)
+    d = _write(tmp_path, "d.txt", FOUR_D)
+    out = str(tmp_path / "four.stab")
+    main(["construct", "-c", c, "-d", d, "-o", out])
+    capsys.readouterr()
+    if fault == "fix_dim":
+        monkeypatch.setattr(sv, "fix_dim", lambda s, budget: 2 ** s.log_dim_exp + 1)
+    else:
+        calls, is_fixed = [], sv.is_fixed
+
+        def fails_once(g, v):  # the first (generator, state) pair reads not fixed
+            calls.append(1)
+            return len(calls) > 1 and is_fixed(g, v)
+
+        monkeypatch.setattr(sv, "is_fixed", fails_once)
+    rc = main(["verify", out, "--statevec", "-c", c, "-d", d])
+    got = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert got[-1] == last
+    assert got[:2] == ["generators=3 commuting=yes rank=full phases=free", "pair=match"]
+
+
 def test_verify_statevec_orthogonality_checks_single_block_states(tmp_path, capsys, monkeypatch):
     # C = [3,2]_2 and D = [3,2]_4: 16 code states, but only the q^k = 4
     # phi states of one block are compared, in 4 * 3 / 2 = 6 pairs

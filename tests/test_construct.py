@@ -802,3 +802,10 @@ def test_centralizer_check_reads_the_per_element_pairing_table(monkeypatch, faul
     for call in (centralizer_basis, distance_bruteforce):
         with pytest.raises(ArithmeticError, match="fails to commute"):
             call(sc)
+
+
+def test_repr_names_the_parameters_and_a_known_distance():
+    sc = build(*helpers.shor_pair())
+    assert repr(sc) == "[[9,1]]_2 stabilizer code (8 generators)"
+    distance(sc)
+    assert repr(sc) == "[[9,1]]_2 stabilizer code (8 generators, delta=3)"

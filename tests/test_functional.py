@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbh import linalg
 from qbh.bh import bh_verify
@@ -11,8 +13,8 @@ from qbh.errors import (
     DimensionMismatch,
     NotACodeword,
 )
-from qbh.gf import field_make
-from qbh.lincode import code_make, contains, dual, iter_codewords
+from qbh.gf import _vec_lanes, field_make
+from qbh.lincode import code_make, contains, dual, fp_basis, iter_codewords
 from qbh.functional import (
     big_f_kernel,
     f_eval,
@@ -47,6 +49,11 @@ def test_table_make_validates_prime():
     c = code_make(F2, [(1, 1, 1)])
     with pytest.raises(DimensionMismatch):
         table_make(c, F3)
+
+
+def test_table_repr_names_the_code_and_the_scalars():
+    _, t = qutrit_table()
+    assert repr(t) == "functional table for [3,1] code over GF(3) over GF(3)"
 
 
 def _zero_code():
@@ -248,6 +255,87 @@ def test_lambda_of_is_constant_on_dual_cosets():
         for d in dual_words:
             y = tuple(F2.add(a, b) for a, b in zip(x, d))
             assert t.lambda_of(y) == lam
+
+
+# F_q < K as ((p, r), deg K): F2 < GF(4), F2 < GF(8), GF(4) < GF(16),
+# F3 < GF(9) and GF(9) < GF(81)
+TOWERS = [((2, 1), 2), ((2, 1), 3), ((2, 2), 4), ((3, 1), 2), ((3, 2), 4)]
+
+
+@st.composite
+def tower_codes(draw):
+    """(C, K): a random code of dimension k = [K : F_q] and length k to
+    k + 3 over F_q, generated by rows that are the identity at k random
+    columns, for a tower of ``TOWERS``."""
+    (p, r), degree = draw(st.sampled_from(TOWERS))
+    q, k = field_make(p, r), degree // r
+    n = draw(st.integers(k, k + 3))
+    pivots = draw(st.permutations(range(n)))[:k]
+    rows = [[draw(st.integers(0, q.order - 1)) for _ in range(n)] for _ in range(k)]
+    for i, row in enumerate(rows):
+        for i2, j in enumerate(pivots):
+            row[j] = int(i == i2)
+    return code_make(q, rows), field_make(p, degree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_codes(), st.data())
+def test_table_maps_equal_their_field_op_references(case, data):
+    # P against sum_j embed(m_j) g^j; P^-1, theta and lambda_of against
+    # the trace systems that define them, on P's reference; and every map
+    # against the digit-by-digit sum of its tuple images of the units
+    code, K = case
+    t = table_make(code, K)
+    f, p, n, k = code.field, K.p, code.n, code.k
+    pivots = [next(j for j, x in enumerate(row) if x) for row in code.gen]
+    basis = oracles.fp_basis(code)
+
+    def f_ref(lam, c):
+        return K.trace_int(K.mul(lam, oracles.pack_message(t, [c[j] for j in pivots])))
+
+    def rho(x, c):
+        return sum(f.trace_int(f.mul(a, b)) for a, b in zip(c, x)) % p
+
+    def units(field, length):
+        return [(0,) * j + (field.p ** d,) + (0,) * (length - 1 - j)
+                for j in range(length) for d in range(field.degree)]
+
+    def vectors(field, length):
+        return data.draw(st.lists(st.tuples(*[st.integers(0, field.order - 1)] * length),
+                                  min_size=1, max_size=4))
+
+    scalars = [p ** u for u in range(K.degree)] + [x for (x,) in vectors(K, 1)]
+    messages = units(f, k) + vectors(f, k)
+    words = units(f, n) + vectors(f, n)
+    for msg in messages:
+        assert t.pack_message(msg) == oracles.pack_message(t, msg)
+    dual_pivots = [next(j for j, x in enumerate(row) if x) for row in oracles.nullspace(f, code.gen, n)]
+    images = {name: [call(p ** u) for u in range(K.degree)]
+              for name, call in (("unpack", t.unpack_message), ("theta", t.theta))}
+    for y in scalars:
+        msg = t.unpack_message(y)
+        assert oracles.pack_message(t, msg) == y
+        assert msg == oracles.digit_sum(f, K.digits(y), images["unpack"], k)
+        x = t.theta(y)
+        assert all(rho(x, c) == f_ref(y, c) for c in basis)
+        assert all(x[j] == 0 for j in dual_pivots)  # the least of its coset of C^perp
+        assert x == oracles.digit_sum(f, K.digits(y), images["theta"], n)
+    lambdas = [(t.lambda_of(x),) for x in units(f, n)]
+    for x in words:
+        lam = t.lambda_of(x)
+        assert all(f_ref(lam, c) == rho(x, c) for c in basis)
+        assert lam == oracles.digit_sum(K, f.vec_digits(x), lambdas, 1)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_codes())
+def test_code_lanes_are_the_echelon_of_the_reference_fp_basis(case):
+    code, _ = case
+    for c in (code, dual(code)):
+        f = c.field
+        rows = [_vec_lanes(f, row) for row in oracles.fp_basis(c)]
+        assert list(c.lanes) == linalg.Echelon(f.p, c.n * f.degree, rows).rows == rows
+        assert fp_basis(c) == oracles.fp_basis(c)
 
 
 def kernel_span_contains(field, basis, target):

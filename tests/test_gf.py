@@ -69,6 +69,13 @@ def test_explicit_irreducible_modulus_accepted():
     assert f.order == 4
 
 
+def test_fields_of_one_order_under_two_moduli_differ():
+    default, other = field_make(2, 3), field_make(2, 3, modulus=(1, 0, 1, 1))
+    assert default.modulus == (1, 1, 0, 1)
+    assert default != other and other == field_make(2, 3, modulus=(1, 0, 1, 1))
+    assert default == field_make(2, 3, modulus=(1, 1, 0, 1))
+
+
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x + 1)^2 over F_2
     with pytest.raises(ReducibleModulus):
@@ -140,6 +147,13 @@ def test_frobenius_is_additive_and_fixes_prime_field():
     # applying it degree times is the identity
     for a in f.elements():
         assert f.frobenius(f.frobenius(a)) == a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_frobenius_is_the_identity_at_degree_one(p):
+    # a^p = a on F_p: the Frobenius table of a prime field is the identity
+    f = field_make(p, 1)
+    assert [f.frobenius(a) for a in f.elements()] == list(f.elements())
 
 
 def test_trace_of_zero_and_one():

@@ -72,7 +72,7 @@ def test_stdlib_check_sees_third_party_imports():
 # its products and pairings nor on the pairing rows, checks and packed
 # dot ``gf._lane_dot`` of ``construct``.  Both may share the F_p
 # primitives of ``linalg``.
-SYMPLECTIC = {"symp_ip", "symp_ip_int", "mul", "centralizer_basis", "sympl_matrix",
+SYMPLECTIC = {"symp_ip", "mul", "centralizer_basis", "sympl_matrix",
               "_pairings", "_pairing_lanes", "_pairing_row", "_dot_trace", "verify_generators",
               "_lane_dot"}
 
@@ -220,7 +220,7 @@ def test_symplectic_oracle_reads_no_packed_form():
     assert all_names(ast.parse((package / "construct.py").read_text())) & PACKED == set()
     defs = {node.name: node for node in ast.parse((package / "pauli.py").read_text()).body
             if isinstance(node, ast.FunctionDef)}
-    for name in ("symp_ip", "symp_ip_int", "_dot_trace"):
+    for name in ("symp_ip", "_dot_trace"):
         assert all_names(defs[name]) & PACKED == set()
     # the check sees a slot read through any object
     assert all_names(ast.parse("def f(e):\n    return e._packed\n")) & PACKED == {"_packed"}
@@ -302,7 +302,6 @@ UNREAD_BY_DESIGN = {
     "pauli.mul": "paper object: the Pauli group product (test_pauli, oracles.group_closure)",
     "pauli.psi": "paper object: the symplectic image psi (test_pauli)",
     "pauli.swt": "paper object: the symplectic weight swt (acceptance 10)",
-    "pauli.symp_ip": "paper object: the trace symplectic inner product (test_pauli)",
     "pauli.x_op": "paper object: the X(a) operator (test_pauli)",
     "pauli.z_op": "paper object: the Z(b) operator (test_pauli, test_lemmas)",
     "statevec.equal_sum_states": "state-vector oracle: the equal-sum states (acceptance 06)",

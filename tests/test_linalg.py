@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qbh import linalg
 from qbh.construct import build, distance, distance_bruteforce
-from qbh.gf import Field, _is_prime, _lane_pack, _lane_width, _lanes_vec, field_make
+from qbh.gf import Field, _is_prime, _lane_adder, _lane_pack, _lane_width, _lanes_vec, field_make
 from qbh.lincode import code_make, iter_codewords
 from qbh.statevec import big_phi, fix_dim, stab_of_span
 
@@ -42,6 +42,26 @@ def pack(p, rows):
 
 def unpack(p, ncols, rows):
     return [_lanes_vec(field_make(p, 1), ncols, x) for x in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.data())
+def test_lincomb_is_the_digit_weighted_sum_of_its_units(p, lanes, data):
+    # zero digits and digits up to p - 1, against lane-wise arithmetic
+    # mod p and against a per-digit double-and-add sum
+    count = data.draw(st.integers(0, 6))
+    units = [data.draw(st.lists(st.integers(0, p - 1), min_size=lanes, max_size=lanes))
+             for _ in range(count)]
+    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=count, max_size=count))
+    add = _lane_adder(p, lanes)
+    got = linalg.lincomb(add, pack(p, units), digits)
+    lanewise = [sum(d * u[i] for d, u in zip(digits, units)) % p for i in range(lanes)]
+    assert got == pack(p, [lanewise])[0]
+    times = 0
+    for d, u in zip(digits, pack(p, units)):
+        if d:
+            times = add(times, linalg._times(add, u, d))
+    assert got == times
 
 
 @settings(max_examples=150, deadline=None)

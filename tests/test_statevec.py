@@ -64,6 +64,13 @@ def test_cycamp_odd_canonical_form():
     assert CycAmp(3, (1, 1, 1)).is_zero
 
 
+def test_reprs_show_the_ring_and_the_state_shape():
+    assert repr(CycAmp.one(3)) == "CycAmp(p=3, [1, 0])"
+    c = code_make(F2, [(1, 1, 1)])
+    v = phi(c, table_make(c, F2), 1)
+    assert repr(v) == "StateVector(len=3, support=2, span dim=1, scale=1)"
+
+
 def test_cycamp_binary_is_gaussian():
     i = CycAmp.root(2, 1)
     assert i * i == MINUS2
