@@ -40,7 +40,7 @@ class FunctionalTable:
     and the message of p^t for t < deg K, and lambda_of(p^d e_j), in
     ``Field.vec_digits`` order.  The last three are trace systems solved
     at construction, each echelonned once with every unit's right-hand
-    side appended, and kept as ``linalg.solve`` returns them.
+    side appended, and kept as ``Echelon.solutions`` returns them.
 
     ``_state_parts`` is None until ``statevec`` first builds a state of
     the table; it then holds P(u) per message digit unit and the compact
@@ -76,7 +76,8 @@ class FunctionalTable:
         # all of F_q.  The reduction is linear too.
         pairing = [_lane_pack(f.trace_rows(e), w) for e in fp_basis(code)]
         packed = [_lane_pack(row, w) for row in functional]
-        theta = linalg.solve(p, nr, [a | b << nr * w for a, b in zip(pairing, packed)], kr)
+        ech = linalg.Echelon(p, nr + kr, [a | b << nr * w for a, b in zip(pairing, packed)])
+        theta = ech.solutions(nr, kr)
         if None in theta:  # pragma: no cover - trace pairing is non-degenerate
             raise ArithmeticError("inconsistent trace system; field tables corrupt")
         self._lambda = linalg.solve(p, kr, [b | a << kr * w for a, b in zip(pairing, packed)], nr)
@@ -90,7 +91,8 @@ class FunctionalTable:
                                             << kr * w for t, col in enumerate(zip(*functional))], kr)
         if None in self._unpack:  # pragma: no cover - P is an F_p-isomorphism
             raise ArithmeticError("message not recoverable; field tables corrupt")
-        kernel = linalg.Echelon(p, nr, linalg.kernel(p, nr, pairing))
+        # all consistent, so no right-hand side leads: ech's kernel on nr lanes is C^perp
+        kernel = linalg.Echelon.of_reduced(p, nr, ech.kernel(nr))
         self._theta = [kernel.reduce(x) for x in theta]
 
     def _apply(self, f: Field, n: int, images, digits) -> tuple:

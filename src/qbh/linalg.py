@@ -136,6 +136,21 @@ class Echelon:
                                         for s, row in lead.items() if row >> j & digit))
         return out.rows
 
+    def solutions(self, lanes: int, count: int) -> list:
+        """Per right-hand side b, the solution x of A x = b with free
+        unknowns 0, lane-packed, or None when there is none, for rows
+        inserted as A on the first ``lanes`` lanes, then entry i of each
+        of the ``count`` right-hand sides.  The echelon is [A | B] times an
+        invertible matrix on the left, so a system is consistent exactly
+        when its lane is 0 in each row led by a lane of B; x is then its
+        lane laid on the pivot lanes."""
+        digit, edge = (1 << self.width) - 1, lanes * self.width
+        out = []
+        for j in range(edge, edge + count * self.width, self.width):
+            led = [(s, row >> j & digit) for s, row in self.lead.items() if row >> j & digit]
+            out.append(None if any(s >= edge for s, _ in led) else sum(d << s for s, d in led))
+        return out
+
 
 def kernel(p: int, lanes: int, rows) -> list:
     """The reduced echelon basis of {x : row . x = 0 for every row}."""
@@ -143,18 +158,5 @@ def kernel(p: int, lanes: int, rows) -> list:
 
 
 def solve(p: int, lanes: int, rows, count: int) -> list:
-    """Per right-hand side b, the solution x of A x = b with free unknowns 0,
-    lane-packed, or None when there is none.
-
-    Row i of ``rows`` is row i of A on the first ``lanes`` lanes, then
-    entry i of each of the ``count`` right-hand sides.  The echelon is
-    [A | B] times an invertible matrix on the left, so a system is
-    consistent exactly when its lane is 0 in each row led by a lane of B.
-    """
-    ech = Echelon(p, lanes + count, rows)
-    digit, edge = (1 << ech.width) - 1, lanes * ech.width
-    out = []
-    for j in range(edge, edge + count * ech.width, ech.width):
-        led = [(s, row >> j & digit) for s, row in ech.lead.items() if row >> j & digit]
-        out.append(None if any(s >= edge for s, _ in led) else sum(d << s for s, d in led))
-    return out
+    """``Echelon.solutions`` of the rows [A | B], A on the first ``lanes`` lanes."""
+    return Echelon(p, lanes + count, rows).solutions(lanes, count)

@@ -31,7 +31,9 @@ array of |C| slots kept per scalar or matrix row (``_fold``).
 ``exps`` (label -> exponent) and ``amps`` (label tuple -> CycAmp) are
 read-only views.  ``fix_dim`` runs on the same form, over the coset
 where the generator list's diagonal elements z^c Z(b) act as 1: a
-fixed vector vanishes everywhere else.
+fixed vector vanishes everywhere else.  The product of two states, the
+equal-sum states and span equality have no reader in the package; the
+tests build them from their definitions (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from fractions import Fraction
 
 from . import linalg
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup,
@@ -175,10 +176,10 @@ class StateVector:
     slots of ``basis.slots`` (see the module docstring).  ``scale``
     counts powers of p^(-1/2) pulled out in front; two states are equal
     only when supports, exponents and scale all agree.  States are made
-    by ``state_make``, ``phi``, ``big_phi``, ``big_phi_from_matrix``,
-    ``tensor``, ``equal_sum_states`` and ``apply``.  ``exps`` (lane-packed label ->
-    exponent), ``amps`` (label tuple -> CycAmp) and ``support`` read the
-    form back, built on first access and cached.
+    by ``state_make``, ``phi``, ``big_phi``, ``big_phi_from_matrix`` and
+    ``apply``.  ``exps`` (lane-packed label -> exponent) and ``amps``
+    (label tuple -> CycAmp) read the form back, built on first access
+    and cached.
     """
 
     __slots__ = ("field", "length", "basis", "offset", "mask", "arr", "scale",
@@ -208,10 +209,6 @@ class StateVector:
             f, n = self.field, self.length
             self._amps = {_lanes_vec(f, n, x): CycAmp.root(f.p, e) for x, e in self.exps.items()}
         return self._amps
-
-    @property
-    def support(self):
-        return frozenset(self.amps)
 
     def __eq__(self, other):
         return self is other or isinstance(other, StateVector) and self.arr == other.arr and (
@@ -305,11 +302,6 @@ def _message_order(code: LinearCode) -> list:
     return code._labels
 
 
-def _code_basis(code: LinearCode) -> _Basis:
-    """``code.lanes`` as a basis, whose adds and labels ``equal_sum_states`` reads."""
-    return _basis(code.field, code.n, code.lanes)
-
-
 def _product(code: LinearCode, m: int) -> tuple:
     """(basis, spread) for states of m blocks of C: ``code.lanes`` m
     times side by side, block 0 lowest, so block b is digit b of the slot
@@ -388,25 +380,6 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
 def phi(code: LinearCode, table, lam) -> StateVector:
     """The state sum_{c in C} omega^{f_lam(c)} |c>, scaled by q^{-k/2}."""
     return _phi_states(code, table, [operator.index(lam)])
-
-
-def tensor(v: StateVector, w: StateVector) -> StateVector:
-    """v (x) w: the basis is the two bases side by side, v's pivots first,
-    and each slot of w contributes one slot add over v's array."""
-    if v.field != w.field:
-        raise DimensionMismatch("tensor factors over different fields")
-    f = v.field
-    shift = v.length * f.degree * _lane_width(f.p)
-    rows = v.basis.rows + tuple(x << shift for x in w.basis.rows)
-    basis = _basis(f, v.length + w.length, rows)
-    sv, sw = v.basis.slots, w.basis.slots
-    # Slots off a support have every bit set, as in ``slots._Slots.split``.
-    off = sv.full ^ v.mask
-    blocks = [sv.add(v.arr, sv.ones * e) & v.mask | off if e < sw.modulus else sv.full
-              for e in sw.values(w.arr | sw.full ^ w.mask)]
-    mask, arr = basis.slots.split(_join(blocks, sv.size * sv.width))
-    return StateVector(f, v.length + w.length, basis, v.offset | w.offset << shift,
-                       mask, arr, v.scale + w.scale)
 
 
 def big_phi(code: LinearCode, d_code: LinearCode, table, lam_word) -> StateVector:
@@ -516,77 +489,6 @@ def inner(v: StateVector, w: StateVector) -> CycAmp:
     return CycAmp(v.field.p, counts)
 
 
-def equal_sum_states(code: LinearCode, m: int) -> list:
-    """For each c in C, in message order, the flat sum over all m-tuples
-    of codewords adding to c.
-
-    The tuples adding to c are (0, ..., 0, c) plus the kernel of the
-    block sum on C^m.  Its rows put g in fp_basis(C) in one of the first
-    m - 1 blocks and -g in the last, reduced echelon as fp_basis(C) is,
-    with every pivot in the first m - 1 blocks; so each state fills all
-    |C|^(m-1) slots with exponent 0.
-    """
-    if m < 1:
-        raise ValueError(f"equal-sum states need m >= 1 blocks, got {m}")
-    if code.size ** m > DEFAULT_BUDGET:
-        raise BudgetExceeded("equal-sum state slots", code.size ** m, DEFAULT_BUDGET, flag=None)
-    f, n = code.field, code.n
-    words = _code_basis(code)
-    shift = n * f.degree * _lane_width(f.p)
-    last = (m - 1) * shift
-    kernel = [g << i * shift | linalg._times(words.add, g, f.p - 1) << last
-              for i in range(m - 1) for g in words.rows]
-    basis = _basis(f, n * m, kernel)
-    return [StateVector(f, n * m, basis, c << last, basis.slots.full, 0, 0)
-            for _, c in sorted(zip(_message_order(code), words.labels(0)))]
-
-
-def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:
-    """Equality of row spaces over the field Q(z), read through ``inner``.
-
-    With U both lists together, v -> (<u, v>)_{u in U} is Q(z)-linear and,
-    the inner product being definite, one-to-one on span U; so the spans
-    are equal exactly when the Gram rows of their states against U span
-    the same space.  A Q(z)-span is the Q-span of the z-multiples of its
-    vectors, so each state gives the rows z^j (<u, v>)_u for j < deg =
-    [Q(z):Q], read in the power basis of Q(z), and the two sets of rows
-    are compared by their reduced echelon forms over Q.  Scale exponents
-    are ignored; a global nonzero scalar never moves a span.  States of
-    different spaces raise ``DimensionMismatch`` from ``inner``.
-    ``budget`` caps rows x columns x min(rows, columns) of the larger
-    elimination, deg rows per state of the longer list by deg columns
-    per state of both.
-    """
-    states_a, states_b = list(states_a), list(states_b)
-    if not states_a or not states_b:
-        return not states_a and not states_b
-    union = states_a + states_b
-    deg = len(CycAmp.one(union[0].field.p).coeffs)
-    rows, cols = deg * max(len(states_a), len(states_b)), deg * len(union)
-    work = rows * cols * min(rows, cols)
-    if work > budget:
-        raise BudgetExceeded("span_equal rows x columns x pivots", work, budget)
-
-    def echelon(states):
-        """Pivot column -> row of the reduced echelon form over Q, a row at a time."""
-        lead = {}
-        for gram in ([inner(u, v) for u in union] for v in states):
-            for j in range(deg):
-                row = [Fraction(c) for g in gram for c in g.rot(j).coeffs]
-                for col, other in lead.items():
-                    if row[col]:
-                        row = [x - row[col] * y for x, y in zip(row, other)]
-                col = next((i for i, x in enumerate(row) if x), None)
-                if col is not None:
-                    row = [x / row[col] for x in row]
-                    lead = {c: [x - r[col] * y for x, y in zip(r, row)] if r[col] else r
-                            for c, r in lead.items()}
-                    lead[col] = row
-        return lead
-
-    return echelon(states_a) == echelon(states_b)
-
-
 def _check_generators(states, gens) -> list:
     """Raise unless ``gens`` commute pairwise, fix every state and have
     F_p-independent rows; return each as (c, row, rep, big).
@@ -635,11 +537,10 @@ def _scan(f, n: int, supports, tags: int) -> tuple:
     echelon is then [R | T]: R the reduced echelon form of the kept rows
     A, T A = R, and no tag lane leads.  A's rows are independent, so
     A z = e_i is solved, free unknowns 0, by T's column i laid on R's
-    pivot lanes, and ``solve(d)`` is the ``linalg.lincomb`` of those unit
-    solutions by the digits d_i.
+    pivot lanes, as ``Echelon.solutions`` reads it, and ``solve(d)`` is
+    the ``linalg.lincomb`` of those unit solutions by the digits d_i.
     """
-    p, w = f.p, _lane_width(f.p)
-    lanes, digit = 1 + n * f.degree, (1 << w) - 1
+    p, w, lanes = f.p, _lane_width(f.p), 1 + n * f.degree
     rows, basis, low = linalg.Echelon(p, lanes + tags), [], (1 << lanes * w) - 1
     for v in supports:  # t and each t + v_i first, then the rest till dim + 1 rows
         exps, b, last = v.exps, v.basis, len(basis) + len(v.basis.rows) + 1
@@ -651,13 +552,7 @@ def _scan(f, n: int, supports, tags: int) -> tuple:
                 basis.append((exps, x))
                 if len(basis) == last:
                     break
-    units = [0] * len(basis)
-    for s, row in rows.lead.items():  # T's nonzero entries, row s to column i
-        tag, i = row >> lanes * w, 0
-        while tag:
-            if d := tag & digit:
-                units[i] |= d << s
-            tag, i = tag >> w, i + 1
+    units = rows.solutions(lanes, len(basis))
     return basis, rows, functools.partial(linalg.lincomb, _lane_adder(p, lanes), units)
 
 

@@ -3,14 +3,21 @@
 Everything here recomputes values from first principles, without going
 through the code paths under test: polynomial arithmetic is written out
 longhand, orthogonality checks run in floating-point complex arithmetic,
-and group orders come from explicit closure. Slow on purpose.
+and group orders come from explicit closure. Slow on purpose. The state
+references are the exception: they build states through ``state_make``,
+the readable constructor, and read them through ``inner``.
 """
 
 import cmath
+import functools
 import itertools
 import operator
+from fractions import Fraction
 
+from qbh.errors import DEFAULT_BUDGET, BudgetExceeded
+from qbh.lincode import iter_codewords
 from qbh.pauli import PauliElement, identity, mul
+from qbh.statevec import CycAmp, inner, state_make
 
 
 def poly_mul_mod(p, modulus, a, b):
@@ -205,6 +212,76 @@ def span_equal_by_rank(states_a, states_b):
 
     ranks = {complex_rank([vec(v) for v in s]) for s in (states_a, states_b, both)}
     return len(ranks) == 1
+
+
+# --- state references ------------------------------------------------------
+# The product of two states, the equal-sum states and span equality, which
+# the package does not read: states built from their definitions through
+# ``state_make``, and spans compared by an elimination over Q of their
+# Gram rows.
+
+
+def tensor(v, w):
+    """v (x) w: amplitude v(x) w(y) at the label x + y, scale v.scale + w.scale."""
+    amps = {x + y: a * b for x, a in v.amps.items() for y, b in w.amps.items()}
+    return state_make(v.field, v.length + w.length, amps, v.scale + w.scale)
+
+
+def equal_sum_states(code, m):
+    """For each codeword c in message order, the flat sum over the m-tuples
+    of codewords that add to c, at scale 0."""
+    f, words = code.field, list(iter_codewords(code))
+    sums, one = {c: {} for c in words}, CycAmp.one(f.p)
+    for blocks in itertools.product(words, repeat=m):
+        total = functools.reduce(lambda u, v: tuple(map(f.add, u, v)), blocks)
+        sums[total][sum(blocks, ())] = one
+    return [state_make(f, code.n * m, sums[c]) for c in words]
+
+
+def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:
+    """Equality of row spaces over the field Q(z), read through ``inner``.
+
+    With U both lists together, v -> (<u, v>)_{u in U} is Q(z)-linear and,
+    the inner product being definite, one-to-one on span U; so the spans
+    are equal exactly when the Gram rows of their states against U span
+    the same space.  A Q(z)-span is the Q-span of the z-multiples of its
+    vectors, so each state gives the rows z^j (<u, v>)_u for j < deg =
+    [Q(z):Q], read in the power basis of Q(z), and the two sets of rows
+    are compared by their reduced echelon forms over Q.  Scale exponents
+    are ignored; a global nonzero scalar never moves a span.  States of
+    different spaces raise ``DimensionMismatch`` from ``inner``.
+    ``budget`` caps rows x columns x min(rows, columns) of the larger
+    elimination, deg rows per state of the longer list by deg columns
+    per state of both.
+    """
+    states_a, states_b = list(states_a), list(states_b)
+    if not states_a or not states_b:
+        return not states_a and not states_b
+    union = states_a + states_b
+    deg = len(CycAmp.one(union[0].field.p).coeffs)
+    rows, cols = deg * max(len(states_a), len(states_b)), deg * len(union)
+    work = rows * cols * min(rows, cols)
+    if work > budget:
+        raise BudgetExceeded("span_equal rows x columns x pivots", work, budget)
+
+    def echelon(states):
+        """Pivot column -> row of the reduced echelon form over Q, a row at a time."""
+        lead = {}
+        for gram in ([inner(u, v) for u in union] for v in states):
+            for j in range(deg):
+                row = [Fraction(c) for g in gram for c in g.rot(j).coeffs]
+                for col, other in lead.items():
+                    if row[col]:
+                        row = [x - row[col] * y for x, y in zip(row, other)]
+                col = next((i for i, x in enumerate(row) if x), None)
+                if col is not None:
+                    row = [x / row[col] for x in row]
+                    lead = {c: [x - r[col] * y for x, y in zip(r, row)] if r[col] else r
+                            for c, r in lead.items()}
+                    lead[col] = row
+        return lead
+
+    return echelon(states_a) == echelon(states_b)
 
 
 def pauli_matrix(e):

@@ -28,11 +28,9 @@ from qbh.statevec import (
     apply,
     big_phi,
     big_phi_from_matrix,
-    equal_sum_states,
     fix_dim,
     inner,
     phi,
-    span_equal,
     stab_of_span,
 )
 from qbh.bh import (
@@ -47,6 +45,7 @@ from qbh.bh import (
 
 import helpers
 import oracles
+from oracles import equal_sum_states, span_equal
 import test_lemmas as lemmas
 from test_bh import invertible_grams
 from test_construct import STANDARD_SHOR, rowspace

@@ -227,6 +227,34 @@ def test_theta_and_lambda_of_make_no_linalg_call_after_table_make(monkeypatch):
         assert t.unpack_message(t.pack_message(msg)) == msg
 
 
+@pytest.mark.parametrize("base,rows,K", [
+    (F4, [(1, 0, 2), (0, 1, 3)], field_make(2, 4)),
+    (F3, [(1, 2, 0), (0, 1, 1)], F9),
+])
+def test_table_make_reads_c_perp_off_the_theta_echelon(monkeypatch, base, rows, K):
+    # theta, lambda_of and P^-1 each eliminate their trace system once, k r
+    # rows; C^perp is the kernel of theta's echelon, built row by row from
+    # it and taken as reduced, so the pairing rows are not eliminated again
+    made, echelon = [], linalg.Echelon
+
+    class Counted(echelon):
+        __slots__ = ()
+
+        def __init__(self, p, lanes, rows=()):
+            rows = list(rows)
+            made.append(len(rows))
+            super().__init__(p, lanes, rows)
+
+    def refuse(*args):
+        raise AssertionError("linalg.kernel called")
+
+    c = code_make(base, rows)
+    monkeypatch.setattr(linalg, "Echelon", Counted)
+    monkeypatch.setattr(linalg, "kernel", refuse)
+    table_make(c, K)
+    assert made == [K.degree] * 3 + [0, 0]
+
+
 def test_theta_additive_modulo_dual():
     c = code_make(F4, [(1, 0, 2), (0, 1, 3)])
     t = table_make(c, field_make(2, 4))

@@ -13,15 +13,10 @@ from qbh.gf import field_make
 from qbh.lincode import code_make, contains, dual, iter_codewords
 from qbh.functional import table_make
 from qbh.pauli import z_op
-from qbh.statevec import (
-    apply,
-    big_phi_from_matrix,
-    phi,
-    span_equal,
-    state_make,
-    tensor,
-)
+from qbh.statevec import apply, big_phi_from_matrix, phi, state_make
 from qbh.bh import BhMatrix, kron_fourier, row_equivalence
+
+from oracles import span_equal, tensor
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)

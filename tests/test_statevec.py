@@ -26,19 +26,17 @@ from qbh.statevec import (
     apply,
     big_phi,
     big_phi_from_matrix,
-    equal_sum_states,
     fix_dim,
     inner,
     is_fixed,
     phi,
-    span_equal,
     stab_of_span,
     state_make,
-    tensor,
 )
 
 import helpers
 import oracles
+from oracles import equal_sum_states, span_equal, tensor
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -106,9 +104,9 @@ def test_cycamp_roots_of_unity_in_one_ring(p, m):
 
 def test_state_drops_zero_amplitudes():
     v = state_make(F2, 1, {(0,): ONE2, (1,): CycAmp(2, ())})
-    assert v.support == {(0,)}
+    assert frozenset(v.amps) == {(0,)}
     zero = state_make(F2, 1, {(1,): CycAmp(2, ())})
-    assert zero.support == frozenset() and zero == state_make(F2, 1, {})
+    assert frozenset(zero.amps) == frozenset() and zero == state_make(F2, 1, {})
     assert apply(PauliElement(F2, 1, (1,), (1,)), zero) == zero
 
 
@@ -141,7 +139,6 @@ def test_library_paths_stay_on_packed_labels(monkeypatch):
             assert apply(g, v) == v
     assert inner(states[0], states[1]).is_zero
     assert (len(states[0].exps), states[0].scale) == (4, 2)
-    assert tensor(states[0], states[1]).length == 8
     assert span_equal(states, equal_sum_states(c, 2))
     assert len(stab_of_span(states)) == 2 ** len(sc.generators)
 
@@ -151,7 +148,7 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
     # r k = 2 message digit units, and the 16 words of D name all 4 scalars.
     # f_lam is F_p-linear in the message, so a table packs the 2 units
     # once, and each scalar's array takes one K.mul per unit.  A product
-    # basis lays fp_basis(C)'s lanes side by side: no code basis is built.
+    # basis lays fp_basis(C)'s lanes side by side: the only basis built.
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
     d = code_make(F4, [(1, 0, 1), (0, 1, 1)])
     h = kron_fourier(2, 2)
@@ -177,7 +174,7 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
     monkeypatch.setattr(FunctionalTable, "pack_message",
                         counted("pack", FunctionalTable.pack_message, nested=True))
     monkeypatch.setattr(sv, "contains", counted("member", sv.contains, nested=True))
-    monkeypatch.setattr(sv, "_code_basis", counted("basis", sv._code_basis))
+    monkeypatch.setattr(sv, "_basis", counted("basis", sv._basis))
     monkeypatch.setattr(sv, "_product", counted("product", sv._product))
     monkeypatch.setattr(Field, "mul", counted_mul)
     words = list(iter_codewords(d))
@@ -187,18 +184,18 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         t = table_make(code, F4)
         calls.update(dict.fromkeys(calls, 0))
         first = big_phi(code, d, t, words[0])  # the zero word: one scalar
-        assert calls == {"pack": 2, "mul": 2, "member": 1, "basis": 0, "product": 1}
+        assert calls == {"pack": 2, "mul": 2, "member": 1, "basis": 1, "product": 1}
         assert len(t._state_parts[1]) == 1  # one compact array of tr(lam P(m))
         states = [first] + [big_phi(code, d, t, w) for w in words[1:]]
         # one array per scalar, one product basis for m = 3
-        assert calls == {"pack": 2, "mul": 4 * 2, "member": 16, "basis": 0, "product": 1}
+        assert calls == {"pack": 2, "mul": 4 * 2, "member": 16, "basis": 1, "product": 1}
         # a second table and the matrix states of the same code object reuse
         # its product basis; another block count builds its own
         states.append(big_phi(code, d, table_make(code, F4), words[5]))
         states += [big_phi_from_matrix(h, code, (r, 1, 2)) for r in range(4)]
-        assert (calls["basis"], calls["product"]) == (0, 1)
+        assert (calls["basis"], calls["product"]) == (1, 1)
         pair = big_phi_from_matrix(h, code, (1, 2))
-        assert (calls["basis"], calls["product"]) == (0, 2)
+        assert (calls["basis"], calls["product"]) == (2, 2)
         runs.append((t._state_parts, code._products, states))
         assert code._products.keys() == {2, 3} and pair.basis is code._products[2][0]
     (parts, products, states), (parts2, products2, states2) = runs
@@ -235,8 +232,8 @@ def test_code_equality_and_hashing_ignore_the_product_slot():
 
 def test_matrix_states_read_the_message_order_once_per_code(monkeypatch):
     # the column order of C's slots is made on the first matrix state of a
-    # code object and kept on it, for every later state and for the
-    # equal-sum states; an equal code object makes its own
+    # code object and kept on it for every later state; an equal code
+    # object makes its own
     made, real = [], sv._message_labels
     monkeypatch.setattr(sv, "_message_labels", lambda code: made.append(code) or real(code))
     c = code_make(F3, [(1, 0, 1), (0, 1, 1)])
@@ -247,12 +244,11 @@ def test_matrix_states_read_the_message_order_once_per_code(monkeypatch):
     random.Random(2).shuffle(labels)
     scrambled = BhMatrix(9, 3, [[r[j] for j in perm] for r in h.rows], col_labels=labels)
     states = [big_phi_from_matrix(m, c, (r, (r + 1) % 9)) for m in (h, scrambled) for r in range(9)]
-    sums = equal_sum_states(c, 2)
     assert len(made) == 1 and made[0] is c
     fresh = code_make(F3, c.gen)
     again = [big_phi_from_matrix(m, fresh, (r, (r + 1) % 9)) for m in (h, scrambled) for r in range(9)]
     assert len(made) == 2 and made[1] is fresh
-    assert again == states and equal_sum_states(fresh, 2) == sums and len(made) == 2
+    assert again == states and len(made) == 2
     # the scramble moves the states: its span is not the Fourier one
     assert states[:9] != states[9:]
 
@@ -282,7 +278,7 @@ def test_code_and_product_bases_equal_the_eliminated_ones(case, rng):
     p, lanes, modulus = f.p, code.n * f.degree, phase_modulus(f)
     shift = lanes * _lane_width(p)
     rows = [_vec_lanes(f, g) for g in fp_basis(code)]
-    for basis, want in [(sv._code_basis(code), rows),
+    for basis, want in [(sv._basis(f, code.n, code.lanes), rows),
                         (sv._product(code, m)[0], [g << b * shift for b in range(m) for g in rows])]:
         size = len(want) // len(rows) * lanes
         eliminated = sv._Basis(modulus, linalg.Echelon(p, size, want))
@@ -422,7 +418,7 @@ def test_big_phi_four_one_uniform():
     c, d = helpers.four_one_pair()
     t = table_make(c, d.field)
     v = big_phi(c, d, t, (0, 0))
-    assert v.support == {(x1, x1, x2, x2) for x1 in (0, 1) for x2 in (0, 1)}
+    assert frozenset(v.amps) == {(x1, x1, x2, x2) for x1 in (0, 1) for x2 in (0, 1)}
     assert all(a == ONE2 for a in v.amps.values())
 
 
@@ -531,13 +527,6 @@ def test_code_states_equal_their_readable_form(field, rows):
             msg = [x // q ** (c.k - 1 - j) % q for j in range(c.k)]
             readable[encode(c, msg)] = CycAmp.root(p, step * e)
         assert big_phi_from_matrix(scrambled, c, [row]) == state_make(field, c.n, readable, scale)
-    for blocks in (1, 2):
-        sums = {w: {} for w in words}
-        for tup in itertools.product(words, repeat=blocks):
-            total = functools.reduce(lambda u, v: tuple(map(field.add, u, v)), tup)
-            sums[total][sum(tup, ())] = CycAmp.one(p)
-        expected = [state_make(field, c.n * blocks, sums[w]) for w in words]
-        assert equal_sum_states(c, blocks) == expected
 
 
 def test_state_make_refuses_too_many_label_digits_before_eliminating(monkeypatch):
@@ -690,23 +679,12 @@ def test_budget_messages_name_the_enumeration_count_and_limit():
         fix_dim(z17, budget=1 << 16)
     assert fix_dim(z17) == 1 << 16
     # a state's span answers to DEFAULT_BUDGET, which no flag lifts
-    flat9, flat8 = (state_make(F2, n, {x: ONE2 for x in itertools.product((0, 1), repeat=n)})
-                    for n in (9, 8))
-    assert tensor(flat9, flat8).basis.slots.size == 1 << 17
-    thirteen = state_make(F2, 13, {tuple(int(i == j) for j in range(13)): ONE2 for i in range(13)})
-    with pytest.raises(BudgetExceeded,
-                       match=r"^state span slots: 16777216 requested, limit 4194304$"):
-        tensor(thirteen, thirteen)  # 2^12 x 2^12 slots
     parity = code_make(F2, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)])
     f16 = field_make(2, 4)
     outer = code_make(f16, [(1,) * 6])
     with pytest.raises(BudgetExceeded,
                        match=r"^state span slots: 16777216 requested, limit 4194304$"):
         big_phi(parity, outer, table_make(parity, f16), (0,) * 6)  # 16^6 slots
-    assert len(equal_sum_states(parity, 5)) == 16
-    with pytest.raises(BudgetExceeded,
-                       match=r"^equal-sum state slots: 16777216 requested, limit 4194304$"):
-        equal_sum_states(parity, 6)
     kets = [state_make(F2, 8, {x: ONE2}) for x in itertools.product((0, 1), repeat=8)]
     with pytest.raises(BudgetExceeded, match=r"^span_equal rows x columns x pivots: 167772160"
                        r" requested, limit 4194304; raise it with --budget$"):
@@ -724,12 +702,6 @@ def test_state_budget_counts_the_slots_of_the_support_span():
     with pytest.raises(BudgetExceeded,
                        match=r"^state span slots: 8388608 requested, limit 4194304$"):
         state_make(F2, 24, units(24, 24))
-    twelve = state_make(F2, 12, units(12, 12))  # 12 labels on 2^11 slots
-    assert tensor(twelve, twelve).basis.slots.size == 1 << 22
-    thirteen = state_make(F2, 13, units(13, 13))
-    with pytest.raises(BudgetExceeded,
-                       match=r"^state span slots: 16777216 requested, limit 4194304$"):
-        tensor(thirteen, thirteen)
 
 
 def test_phi_support_is_bounded_by_the_field_size_limit():
@@ -801,29 +773,6 @@ def test_equal_sum_states_span_the_logical_space():
     t = table_make(c, d.field)
     q = [big_phi(c, d, t, w) for w in iter_codewords(d)]
     assert span_equal(q, equal_sum_states(c, 2))
-
-
-@pytest.mark.parametrize("field,rows,m", [
-    (F2, [(1, 0, 1), (0, 1, 1)], 3),
-    (F3, [(1, 2, 0), (0, 1, 1)], 2),
-    (F4, [(1, 2, 3)], 3),
-])
-def test_equal_sum_states_hold_the_tuples_adding_to_each_word(field, rows, m):
-    c = code_make(field, rows)
-    words = tuple(iter_codewords(c))
-
-    def total(blocks):
-        return functools.reduce(lambda u, v: tuple(map(field.add, u, v)), blocks)
-
-    states = equal_sum_states(c, m)
-    assert len(states) == len(words)
-    one = CycAmp.one(field.p)
-    for word, state in zip(words, states):
-        tuples = [b for b in itertools.product(words, repeat=m) if total(b) == word]
-        assert state.amps == {sum(b, ()): one for b in tuples}
-        assert state.scale == 0
-    with pytest.raises(ValueError):
-        equal_sum_states(c, 0)
 
 
 # -- stab_of_span and fix_dim
@@ -1552,12 +1501,7 @@ def test_big_phi_equals_the_tensor_fold_of_its_phi_states(data):
     t = table_make(c, d.field)
     for w in data.draw(st.lists(st.sampled_from(list(iter_codewords(d))), min_size=1, max_size=3)):
         blocks = [phi(c, t, lam) for lam in w]
-        v = big_phi(c, d, t, w)
-        assert v == functools.reduce(tensor, blocks)
-        readable = {(): CycAmp.one(c.field.p)}
-        for block in blocks:
-            readable = {x + y: u * z for x, u in readable.items() for y, z in block.amps.items()}
-        assert v.amps == readable
+        assert big_phi(c, d, t, w) == functools.reduce(tensor, blocks)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -1677,7 +1621,6 @@ def test_a_state_has_one_form_however_it_is_built(data):
     w = state_make(f, w.length, w.amps, data.draw(scale))
     vw = tensor(v, w)
     assert vw == state_make(f, n + w.length, vw.amps, vw.scale)
-    assert vw.amps == {x + y: a * b for x, a in v.amps.items() for y, b in w.amps.items()}
     vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
     g = PauliElement(f, data.draw(st.integers(0, phase_modulus(f) - 1)), data.draw(vec), data.draw(vec))
     assert apply(g, v) == state_make(f, n, oracles.image(g, v), v.scale)
@@ -1699,9 +1642,9 @@ def test_a_non_affine_support_keeps_its_span_and_holes():
     # {0, 1, 2} in F_5 spans all five labels; 3 and 4 are holes of the mask
     amps = {(0,): CycAmp.one(5), (1,): CycAmp.root(5, 2), (2,): CycAmp.root(5, 4)}
     v = state_make(F5, 1, amps)
-    assert v.basis.slots.size == 5 and v.support == {(0,), (1,), (2,)}
+    assert v.basis.slots.size == 5 and frozenset(v.amps) == {(0,), (1,), (2,)}
     w = apply(x_op(F5, (3,)), v)
-    assert w.support == {(3,), (4,), (0,)}
+    assert frozenset(w.amps) == {(3,), (4,), (0,)}
     assert w == state_make(F5, 1, oracles.image(x_op(F5, (3,)), v))
     assert apply(x_op(F5, (2,)), w) == v
 
@@ -1970,13 +1913,6 @@ def test_phi_rejects_another_codes_table():
     other = code_make(F2, [(1, 1)])
     with pytest.raises(DimensionMismatch, match="functional table belongs to a different code"):
         phi(other, table_make(c, d.field), 0)
-
-
-def test_tensor_rejects_factors_over_different_fields():
-    c2, c3 = code_make(F2, [(1, 1)]), code_make(F3, [(1, 1)])
-    v, w = phi(c2, table_make(c2, F2), 0), phi(c3, table_make(c3, F3), 0)
-    with pytest.raises(DimensionMismatch, match="tensor factors over different fields"):
-        tensor(v, w)
 
 
 def test_big_phi_from_matrix_rejects_another_order_or_characteristic():
