@@ -30,18 +30,11 @@ import itertools
 import math
 
 from . import linalg
-from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionBounds, DimensionMismatch
+from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionBounds, DimensionMismatch, LengthMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
-from .gf import (_field_from_body, _gray_span, _lane_dot, _lane_flags, _lane_pack, _lane_width,
-                 _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
-from .lincode import (
-    LinearCode,
-    _min_weight_outside,
-    dual,
-    encode,
-    fp_basis,
-    min_distance,
-)
+from .gf import (_check_entries, _field_from_body, _gray_span, _lane_dot, _lane_flags, _lane_pack,
+                 _lane_width, _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
+from .lincode import LinearCode, _min_weight_outside, encode, fp_basis, min_distance
 from .pauli import PauliElement
 
 
@@ -106,12 +99,20 @@ class StabilizerCode:
         tr(b . a') = 0 between them, and its group holds one element over
         each row (a | b): the phase-free X(a) Z(b).  Each generator of
         ``other`` is then in that group, and both groups cover the rows.
+        Codes over other fields or of other lengths never match, even
+        where their rows pack to as many lanes.
         """
-        return self._sbar().rows == other._sbar().rows
+        return ((self.field, self.num_qudits) == (other.field, other.num_qudits)
+                and self._sbar().rows == other._sbar().rows)
 
     def contains_symplectic(self, a, b) -> bool:
-        """Membership of (a|b) in the F_p-span of the generator rows."""
-        return not self._sbar().reduce(_vec_lanes(self.field, tuple(a) + tuple(b)))
+        """Membership of (a|b) in the F_p-span of the generator rows; a and
+        b must have N entries each, every one an element of the field."""
+        a, b, f = tuple(a), tuple(b), self.field
+        if len(a) != self.num_qudits or len(b) != self.num_qudits:
+            raise LengthMismatch(f"(a|b) needs {self.num_qudits} entries per part")
+        _check_entries(f, a + b)
+        return not self._sbar().reduce(_vec_lanes(f, a + b))
 
     def __repr__(self):
         d = f", delta={self.delta}" if self.delta is not None else ""
@@ -141,7 +142,7 @@ def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
     for blocks in big_f_kernel(table, d_code):
         a = tuple(itertools.chain.from_iterable(blocks))
         gens.append(PauliElement(f, 0, a, zero_block))
-    dual_basis = fp_basis(dual(code))
+    dual_basis = fp_basis(table.dual_code)
     for i in range(m):
         for u in dual_basis:
             b = (0,) * (n * i) + tuple(u) + (0,) * (n * (m - 1 - i))
@@ -197,7 +198,8 @@ def _subcode_basis(d_code: LinearCode, support) -> list:
     rows = [_lane_pack(K.trace_rows([K.mul(K.p ** t, row[j]) for row in d_code.gen]),
                        _lane_width(K.p))
             for j in range(d_code.n) if j not in support for t in range(K.degree)]
-    return [encode(d_code, _lanes_vec(K, k, x)) for x in linalg.kernel(K.p, k * K.degree, rows)]
+    lanes = k * K.degree
+    return [encode(d_code, _lanes_vec(K, k, x)) for x in linalg.Echelon(K.p, lanes, rows).kernel(lanes)]
 
 
 def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
@@ -301,7 +303,7 @@ def centralizer_basis(sc: StabilizerCode) -> list:
     """
     f, N = sc.field, sc.num_qudits
     lanes = 2 * N * f.degree
-    out = linalg.kernel(f.p, lanes, _pairings(sc))
+    out = linalg.Echelon(f.p, lanes, _pairings(sc)).kernel(lanes)
     ones = _lane_pack([1] * lanes, _lane_width(f.p))
     own = [(y, _lane_flags(f.p, y, ones)) for y in _own_rows(sc)]
     for v in out:
@@ -357,6 +359,9 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
     minimum weights of A outside S_X and of B outside S_Z, walked apart:
     p^{dim A} + p^{dim B} elements instead of p^{dim A + dim B}.  Other
     generator lists walk the whole centralizer, weighing (a|b) by a OR b.
+    The stabilizer is read off its cached echelon ``_sbar``, which reduces
+    each centralizer vector before one elimination; reduction keeps pure
+    rows pure, so for a CSS list both echelons split into the halves.
     The minimum is over the nonzero stabilizer when no element lies
     outside it.  ``budget`` caps the total number of elements walked.
     """
@@ -364,24 +369,20 @@ def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int
     p, r, N = f.p, f.degree, sc.num_qudits
     half = N * r * _lane_width(p)  # the bit offset of the b digits
     low = (1 << half) - 1
-    rows, centralizer = _own_rows(sc), centralizer_basis(sc)
-    lanes, fold = 2 * N * r, half
-    halves = [(rows, centralizer)]
-    if all(not g & low or not g >> half for g in rows):
-        a_half = [v for v in centralizer if not v >> half]
-        b_half = [v >> half for v in centralizer if not v & low]
-        if len(a_half) + len(b_half) != len(centralizer):
+
+    def split(vecs):  # (the pure-X a's, the pure-Z b's)
+        return [v for v in vecs if not v >> half], [v >> half for v in vecs if not v & low]
+
+    centralizer, sbar = centralizer_basis(sc), sc._sbar()
+    rest = linalg.Echelon(p, 2 * N * r, map(sbar.reduce, centralizer)).rows
+    walks, fold = [(sbar.rows, rest)], half
+    if all(not g & low or not g >> half for g in _own_rows(sc)):
+        if sum(map(len, split(centralizer))) != len(centralizer):
             raise ArithmeticError(
                 "centralizer vector of a CSS generator list is neither pure X"
                 " nor pure Z; construction data corrupt"
             )
-        halves = [([g for g in rows if g & low], a_half),
-                  ([g >> half for g in rows if g >> half], b_half)]
-        lanes, fold = N * r, 0
-    walks = []
-    for span, vecs in halves:
-        srows = linalg.Echelon(p, lanes, span)
-        walks.append((srows.rows, linalg.Echelon(p, lanes, map(srows.reduce, vecs)).rows))
+        walks, fold = list(zip(split(sbar.rows), split(rest))), 0
     requested = sum(p ** (len(srows) + len(rest)) for srows, rest in walks)
     if requested > budget:
         raise BudgetExceeded("centralizer walk elements", requested, budget)
@@ -472,9 +473,6 @@ def stab_from_text(text: str) -> StabilizerCode:
         a, b = tuple(map(int, a_txt.split())), tuple(map(int, b_txt.split()))
         if len(a) != N or len(b) != N:
             raise ValueError(f"generator parts must have length {N}: {ln!r}")
-        entries = a + b
-        if min(entries) < 0 or max(entries) >= f.order:
-            x = next(x for x in entries if not 0 <= x < f.order)
-            raise ValueError(f"entry {x} is not a packed element of {f!r}")
+        _check_entries(f, a + b)
         gens.append(PauliElement(f, 0, a, b))
     return StabilizerCode(f, n, k, m, s, gens, delta=delta)

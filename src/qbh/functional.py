@@ -41,14 +41,16 @@ class FunctionalTable:
     ``Field.vec_digits`` order.  The last three are trace systems solved
     at construction, each echelonned once with every unit's right-hand
     side appended, and kept as ``Echelon.solutions`` returns them.
+    ``dual_code`` is C^perp, the kernel of theta's echelon, which
+    ``construct.build`` reads its Z generators off.
 
     ``_state_parts`` is None until ``statevec`` first builds a state of
     the table; it then holds P(u) per message digit unit and the compact
     tr(lam P(m)) arrays of ``statevec._phi_states`` for the table's lifetime.
     """
 
-    __slots__ = ("code", "scalars", "prime", "_add", "_pack", "_theta", "_lambda", "_unpack",
-                 "_state_parts")
+    __slots__ = ("code", "scalars", "prime", "dual_code", "_add", "_pack", "_theta", "_lambda",
+                 "_unpack", "_state_parts")
 
     def __init__(self, code: LinearCode, scalars: Field):
         self.code = code
@@ -80,19 +82,22 @@ class FunctionalTable:
         theta = ech.solutions(nr, kr)
         if None in theta:  # pragma: no cover - trace pairing is non-degenerate
             raise ArithmeticError("inconsistent trace system; field tables corrupt")
-        self._lambda = linalg.solve(p, kr, [b | a << kr * w for a, b in zip(pairing, packed)], nr)
+        rows = [b | a << kr * w for a, b in zip(pairing, packed)]
+        self._lambda = linalg.Echelon(p, kr + nr, rows).solutions(kr, nr)
         if None in self._lambda:  # pragma: no cover - lam -> f_lam is onto the dual
             raise ArithmeticError("functional not representable; field tables corrupt")
         # The message digits v of P^-1(y) solve functional^T . v = trace_row(y),
         # digits ordered as in fp_basis: coordinate-major, digit inner.  Entry
         # t of the right-hand side for y = p^u is tr(p^u p^t), which is
         # entry u of trace_row(p^t).
-        self._unpack = linalg.solve(p, kr, [_lane_pack(col, w) | _lane_pack(K.trace_row(p ** t), w)
-                                            << kr * w for t, col in enumerate(zip(*functional))], kr)
+        rows = [_lane_pack(col, w) | _lane_pack(K.trace_row(p ** t), w) << kr * w
+                for t, col in enumerate(zip(*functional))]
+        self._unpack = linalg.Echelon(p, 2 * kr, rows).solutions(kr, kr)
         if None in self._unpack:  # pragma: no cover - P is an F_p-isomorphism
             raise ArithmeticError("message not recoverable; field tables corrupt")
         # all consistent, so no right-hand side leads: ech's kernel on nr lanes is C^perp
-        kernel = linalg.Echelon.of_reduced(p, nr, ech.kernel(nr))
+        self.dual_code = LinearCode(f, n, tuple(ech.kernel(nr)))
+        kernel = linalg.Echelon.of_reduced(p, nr, self.dual_code.lanes)
         self._theta = [kernel.reduce(x) for x in theta]
 
     def _apply(self, f: Field, n: int, images, digits) -> tuple:

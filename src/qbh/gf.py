@@ -143,13 +143,6 @@ def _unpack_digits(v, p, t):
     return tuple(digs)
 
 
-def _pack_digits(digs, p):
-    v = 0
-    for d in reversed(digs):
-        v = v * p + d
-    return v
-
-
 # --- lane packing --------------------------------------------------------
 # A vector over F_{p^t} packs into one int with one F_p digit per bit
 # lane, lane i holding digit i of ``Field.vec_digits``, so coordinate i
@@ -169,6 +162,14 @@ def _lane_pack(digs, w):
     for d in reversed(digs):
         v = (v << w) | d
     return v
+
+
+def _check_entries(f, entries) -> None:
+    """Refuse, by the first one, entries of a sequence that are not packed
+    elements of the field f; min and max pass a clean one at C speed."""
+    if entries and (min(entries) < 0 or max(entries) >= f.order):
+        x = next(x for x in entries if not 0 <= x < f.order)
+        raise ValueError(f"entry {x} is not a packed element of {f!r}")
 
 
 def _vec_lanes(f, vec):
@@ -409,9 +410,6 @@ class Field:
         """-a = (p - 1) a."""
         return self.mul(self.p - 1, a)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if not a or not b:
             return 0
@@ -425,9 +423,6 @@ class Field:
         if self.degree == 1:
             return pow(a, self.p - 2, self.p)
         return self._exp[(-self._log[a]) % (self.order - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -471,22 +466,12 @@ class Field:
         """Base-p digit vector of a packed element, constant term first."""
         return _unpack_digits(a, self.p, self.degree)
 
-    def from_digits(self, digs) -> int:
-        return _pack_digits(tuple(d % self.p for d in digs), self.p)
-
     def vec_digits(self, vec) -> tuple:
         """F_p digit vector of a vector over the field: the digits of each
         coordinate in turn, constant digit first."""
         if self.degree == 1:
             return tuple(vec)
         return tuple(d for a in vec for d in self.digits(a))
-
-    def vec_from_digits(self, digs) -> tuple:
-        """The vector whose ``vec_digits`` are ``digs``, each digit in [0, p)."""
-        r = self.degree
-        if r == 1:
-            return tuple(digs)
-        return tuple(_pack_digits(digs[i:i + r], self.p) for i in range(0, len(digs), r))
 
     def elements(self):
         return range(self.order)

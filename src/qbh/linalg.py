@@ -6,6 +6,8 @@ elimination of M4RI (Albrecht & Bard), and ``gf._lane_adder`` at odd p,
 with multiples by double-and-add.  Rows stay packed from step to step.
 Spaces over F_q are F_p-spaces too (``lincode``).  Reduced row echelon
 form is canonical for a row space, and kernels are returned in it.
+``Echelon`` is the one elimination: each caller builds one per linear
+system and reads its ``rows``, ``kernel`` or ``solutions`` off it.
 """
 
 from __future__ import annotations
@@ -151,12 +153,3 @@ class Echelon:
             out.append(None if any(s >= edge for s, _ in led) else sum(d << s for s, d in led))
         return out
 
-
-def kernel(p: int, lanes: int, rows) -> list:
-    """The reduced echelon basis of {x : row . x = 0 for every row}."""
-    return Echelon(p, lanes, rows).kernel(lanes)
-
-
-def solve(p: int, lanes: int, rows, count: int) -> list:
-    """``Echelon.solutions`` of the rows [A | B], A on the first ``lanes`` lanes."""
-    return Echelon(p, lanes + count, rows).solutions(lanes, count)

@@ -14,8 +14,8 @@ import itertools
 
 from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LengthMismatch, ZeroCode
-from .gf import (Field, _block_rows, _field_from_body, _gray_span, _lane_adder, _lane_pack,
-                 _lane_width, _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
+from .gf import (Field, _block_rows, _check_entries, _field_from_body, _gray_span, _lane_adder,
+                 _lane_pack, _lane_width, _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
 
 
 def weight(v) -> int:
@@ -69,9 +69,7 @@ def code_make(field: Field, rows) -> LinearCode:
     for r in rows:
         if len(r) != n:
             raise LengthMismatch("generator rows have differing lengths")
-        for x in r:
-            if not 0 <= x < field.order:
-                raise ValueError(f"entry {x} is not a packed element of {field!r}")
+        _check_entries(field, r)
     lanes = linalg.Echelon(field.p, n * field.degree,
                            [_vec_lanes(field, row) for row in _fp_rows(field, rows)]).rows
     if not lanes:
@@ -83,9 +81,9 @@ def dual(code: LinearCode) -> LinearCode:
     """Dual code under the standard dot product; involutive.  As C is
     F_q-linear and the trace form non-degenerate, x . c = 0 on C exactly
     when tr(x . c) = 0 on an F_p-basis of C: one kernel over F_p."""
-    f, n = code.field, code.n
+    f, lanes = code.field, code.n * code.field.degree
     rows = [_lane_pack(f.trace_rows(c), _lane_width(f.p)) for c in fp_basis(code)]
-    return LinearCode(f, n, tuple(linalg.kernel(f.p, n * f.degree, rows)))
+    return LinearCode(f, code.n, tuple(linalg.Echelon(f.p, lanes, rows).kernel(lanes)))
 
 
 def _fq_rref(f: Field, n: int, rows) -> tuple:

@@ -45,7 +45,8 @@ import operator
 from . import linalg
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup,
                      LengthMismatch, NotACodeword)
-from .gf import _gray_span, _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
+from .gf import (_check_entries, _gray_span, _lane_adder, _lane_pack, _lane_width, _lanes_vec,
+                 _vec_lanes, field_make)
 from .lincode import LinearCode, contains
 from .pauli import PauliElement, phase_modulus, phase_step
 from .slots import _Basis, _join, _moved, _repunit, _slot_width, _slots
@@ -246,9 +247,7 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
     for label, a in amps.items():
         if len(label) != length:
             raise LengthMismatch(f"label {label} is not length {length}")
-        for x in label:
-            if not 0 <= x < field.order:
-                raise ValueError(f"entry {x} is not a packed element of {field!r}")
+        _check_entries(field, label)
         if not a.is_zero:
             j = next(j for j, c in enumerate(a.coeffs) if c)
             e = exps[label] = j if a.coeffs[j] == 1 else j + len(a.coeffs)
@@ -711,11 +710,12 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
     form from ``_packed_of``.  A diagonal generator z^c Z(b) gives v(x) =
     z^(c + step tr(b.x)) v(x), so a fixed vector vanishes off the coset
     A = t + V where every one of them acts as 1: c + step tr(b.x) = 0
-    mod M, a system in x on the forms' (c, trace row of b).  The
-    dimension is 0 when some c is not a multiple of step or the system
-    has no solution (t from one ``linalg.solve``, V from
-    ``linalg.kernel``), and also when another generator's X part a lies
-    outside V, since then x + a leaves A for every x in A.  Otherwise
+    mod M, a system in x on the forms' (c, trace row of b), eliminated
+    once as [trace rows | right-hand side]: t is its ``solutions``, V its
+    ``kernel`` and the rank its count of pivots.  The dimension is 0
+    when some c is not a multiple of step or the system has no
+    solution, and also when another generator's X part a lies outside
+    V, since then x + a leaves A for every x in A.  Otherwise
     everything runs on slot arrays over the p^(dim V) labels of A, the
     flat state on t + V (t reduced at its pivots): the self-check reads
     the diagonal forms' trace forms (rep, big), and one ``_act`` of each
@@ -747,15 +747,15 @@ def fix_dim(s, budget: int = DEFAULT_BUDGET) -> int:
     diagonal = [(c, row, rep, big) for c, a, row, rep, big, *_ in forms if not a]
     if any(c % step for c, *_ in diagonal):
         return 0
-    rows = [row for _, row, _, _ in diagonal]
-    t = linalg.solve(p, lanes, [row | -(c // step) % p << lanes * w for c, row, _, _ in diagonal], 1)[0]
+    system = linalg.Echelon(p, lanes + 1, [row | -(c // step) % p << lanes * w
+                                           for c, row, _, _ in diagonal])
+    t = system.solutions(lanes, 1)[0]
     if t is None:
         return 0
-    # eliminated again, not taken as reduced: the coset check below vouches for the kernel
-    basis = _Basis(modulus, linalg.Echelon(p, lanes, linalg.kernel(p, lanes, rows)))
+    basis = _Basis(modulus, linalg.Echelon.of_reduced(p, lanes, system.kernel(lanes)))
     t, slots = basis.reduce(t), basis.slots
     coset = StateVector(f, n, basis, t, slots.full, 0, 0)
-    if len(basis.rows) != lanes - len(linalg.Echelon(p, lanes, rows).lead) or any(
+    if len(basis.rows) != lanes - len(system.lead) or any(
             (c + step * (t * rep & big).bit_count()) % modulus
             or any((v * rep & big).bit_count() % p for v in basis.rows)
             for c, _, rep, big in diagonal):

@@ -3,10 +3,12 @@
 The family covers p in {2,3}, extension degrees r <= 2, inner lengths
 n <= 4 with 1 <= k < n, outer lengths m <= 3 with 1 <= s < m, capped at
 q^{nm} <= 2^16 so state-space enumerations stay exact and quick.
+``counted_echelons`` counts the eliminations a call makes.
 """
 
 import itertools
 
+from qbh import linalg
 from qbh.gf import field_make
 from qbh.lincode import code_make
 
@@ -97,3 +99,21 @@ def four_one_pair():
 
 def all_vectors(field, n):
     return itertools.product(range(field.order), repeat=n)
+
+
+def counted_echelons(monkeypatch) -> list:
+    """A list that gets, for each ``linalg.Echelon`` made from now on that
+    is given rows, their number: one entry per elimination."""
+    made, echelon = [], linalg.Echelon
+
+    class Counted(echelon):
+        __slots__ = ()
+
+        def __init__(self, p, lanes, rows=()):
+            rows = list(rows)
+            if rows:
+                made.append(len(rows))
+            super().__init__(p, lanes, rows)
+
+    monkeypatch.setattr(linalg, "Echelon", Counted)
+    return made

@@ -78,6 +78,11 @@ def oracle_min_distance(field, gen_rows):
     return best
 
 
+def from_digits(p, digits):
+    """The packed element whose base-p digits, constant digit first, are ``digits``."""
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
 def min_weight_outside(field, n, srows, rest, fold=False):
     """Minimum weight of span_Fp(srows + rest) outside span_Fp(srows).
 
@@ -96,7 +101,8 @@ def min_weight_outside(field, n, srows, rest, fold=False):
         if not any(coeffs[len(srows):] if rest else coeffs):
             continue
         digits = [sum(map(operator.mul, coeffs, col)) % field.p for col in columns]
-        v = field.vec_from_digits(digits)
+        r = field.degree
+        v = [from_digits(field.p, digits[i:i + r]) for i in range(0, len(digits), r)]
         best = min(best, sum(1 for i in range(n) if v[i] or fold and v[n + i]))
     return best
 
@@ -119,7 +125,7 @@ def _dot_is_zero(field, u, v):
 def coset_leader_weight_oracle(field, codewords, v):
     best = None
     for c in codewords:
-        diff = tuple(field.sub(x, y) for x, y in zip(v, c))
+        diff = tuple(field.add(x, field.neg(y)) for x, y in zip(v, c))
         wt = sum(1 for z in diff if z)
         if best is None or wt < best:
             best = wt
@@ -462,7 +468,7 @@ def trace_system_kernel(table, d_code):
     basis = nullspace(table.prime, rows, m * k * r)
     return [
         tuple(
-            encode(code, tuple(q.from_digits(vec[(i * k + j) * r:(i * k + j + 1) * r])
+            encode(code, tuple(from_digits(q.p, vec[(i * k + j) * r:(i * k + j + 1) * r])
                                for j in range(k)))
             for i in range(m)
         )
@@ -480,7 +486,7 @@ def pack_message(table, message):
     """P(m) = sum_j embed(m_j) g^j in K, g the canonical generator of K."""
     K = table.scalars
     embed = K.embed_table(table.code.field)
-    g = K.from_digits((0, 1) + (0,) * (K.degree - 2)) if K.degree >= 2 else 1
+    g = from_digits(K.p, (0, 1)) if K.degree >= 2 else 1
     acc, power = 0, 1
     for m in message:
         acc = K.add(acc, K.mul(embed[m], power))
@@ -526,7 +532,7 @@ def rref(field, rows):
         for i in range(len(mat)):
             if i != rank and mat[i][col]:
                 c = mat[i][col]
-                mat[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
+                mat[i] = [field.add(x, field.neg(field.mul(c, y))) for x, y in zip(mat[i], mat[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(mat):

@@ -190,6 +190,24 @@ def test_a_pair_of_another_group_on_the_same_qudits_exits_two(tmp_path, capsys):
         assert "classical codes do not generate this stabilizer file" in capsys.readouterr().err
 
 
+# Three GF(4) qudits whose generators pack to the rows of the binary
+# [[6, 2]]_2 code of C = <101, 011> and D = <(1, 1)> over GF(4): twelve
+# lanes each, but another field and another number of qudits.
+EXPORT4 = ("2 2 1 1 3 1 3 1 -\nmodulus: 1 1 1\n1 3 2 | 0 0 0\n2 1 3 | 0 0 0\n"
+           "0 0 0 | 3 1 0\n0 0 0 | 0 2 3\n")
+
+
+def test_a_pair_over_another_field_with_as_many_lanes_exits_two(tmp_path, capsys):
+    out = _write(tmp_path, "export4.txt", EXPORT4)
+    c = _write(tmp_path, "c.txt", "2 1 3 2\n1 0 1\n0 1 1\n")
+    d = _write(tmp_path, "d.txt", "2 2 2 1\n1 1\n")
+    assert main(["verify", out]) == 0  # a clean export on its own
+    capsys.readouterr()
+    for command in (["verify", out], ["distance", out]):
+        assert main([*command, "-c", c, "-d", d]) == 2
+        assert "classical codes do not generate this stabilizer file" in capsys.readouterr().err
+
+
 def test_verify_statevec_span_equal_needs_orthogonal_states(tmp_path, capsys, monkeypatch):
     c = _write(tmp_path, "c.txt", FOUR_C)
     d = _write(tmp_path, "d.txt", FOUR_D)

@@ -14,12 +14,13 @@ from qbh.errors import (
     DegenerateD,
     DimensionBounds,
     DimensionMismatch,
+    LengthMismatch,
 )
 from qbh.gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, field_make
 from qbh.lincode import code_make, contains, dual, fp_basis, iter_codewords
 from qbh.functional import table_make
 from qbh.pauli import PauliElement, mul, psi, symp_ip, x_op, z_op
-from qbh import construct, linalg, lincode
+from qbh import construct, functional, linalg, lincode
 from qbh.statevec import fix_dim
 from qbh.construct import (
     StabilizerCode,
@@ -470,15 +471,15 @@ def test_bruteforce_checks_every_centralizer_vector(monkeypatch, pair, mixed, pa
     sc = build(*pair())
     if mixed:
         sc = mixed_presentation(sc)
-    real = linalg.kernel
+    real = linalg.Echelon.kernel
     calls = []
 
-    def corrupt(p, lanes, rows):
+    def corrupt(self, lanes):
         calls.append(lanes)
         # a digit of qudit 0's X or Z part: pairs nonzero
-        return real(p, lanes, rows) + [1 << part * lanes // 2 * _lane_width(p)]
+        return real(self, lanes) + [1 << part * lanes // 2 * _lane_width(self.p)]
 
-    monkeypatch.setattr(linalg, "kernel", corrupt)
+    monkeypatch.setattr(linalg.Echelon, "kernel", corrupt)
     with pytest.raises(ArithmeticError, match="fails to commute"):
         distance_bruteforce(sc)
     assert calls == [2 * sc.num_qudits * sc.field.degree]
@@ -487,17 +488,55 @@ def test_bruteforce_checks_every_centralizer_vector(monkeypatch, pair, mixed, pa
 @pytest.mark.parametrize("pair", [helpers.shor_pair, helpers.nine_qutrit_pair])
 def test_bruteforce_rejects_a_mixed_vector_in_a_css_centralizer(monkeypatch, pair):
     sc = build(*pair())
-    real = linalg.kernel
+    real = linalg.Echelon.kernel
 
-    def mix(p, lanes, rows):
-        out = real(p, lanes, rows)
+    def mix(self, lanes):
+        out = real(self, lanes)
         # first (pure X) plus last (pure Z): still a commuting basis
-        out[0] = _lane_adder(p, lanes)(out[0], out[-1])
+        out[0] = _lane_adder(self.p, lanes)(out[0], out[-1])
         return out
 
-    monkeypatch.setattr(linalg, "kernel", mix)
+    monkeypatch.setattr(linalg.Echelon, "kernel", mix)
     with pytest.raises(ArithmeticError, match="neither pure X nor pure Z"):
         distance_bruteforce(sc)
+
+
+def test_bruteforce_eliminates_the_stabilizer_and_the_reduced_centralizer_once(monkeypatch):
+    # past centralizer_basis's pairing kernel, a parsed Shor export makes
+    # two eliminations: _sbar of its 8 rows, kept on the code, and the 10
+    # centralizer vectors reduced by it; CSS halves split off those two
+    sc = build(*helpers.shor_pair())
+    distance(sc)
+    parsed = stab_from_text(stab_to_text(sc))
+    made = helpers.counted_echelons(monkeypatch)
+    assert distance_bruteforce(parsed) == 3
+    assert made == [8, 8, 10]
+    made.clear()
+    assert verify_generators(parsed) == [] and parsed.same_row_space(sc)
+    assert made == []  # both read the cached _sbar
+
+
+@pytest.mark.parametrize("pair", [
+    helpers.shor_pair,
+    lambda: (code_make(field_make(2, 2), [(1, 0, 2), (0, 1, 3)]),
+             code_make(field_make(2, 4), [(1, 1)])),
+], ids=["shor", "gf4"])
+def test_build_reads_its_z_generators_off_the_table(monkeypatch, pair):
+    # C^perp comes from the kernel of theta's echelon: dual is never asked
+    # for C, only for D by big_f_kernel
+    c_code, d_code = pair()
+    real, want = lincode.dual, fp_basis(dual(c_code))
+
+    def dual_of_d_only(code):
+        assert code is not c_code, "dual(C) computed again"
+        return real(code)
+
+    for module in (lincode, functional, construct):
+        monkeypatch.setattr(module, "dual", dual_of_d_only, raising=False)
+    sc = build(c_code, d_code)
+    n, m = c_code.n, d_code.n
+    assert [g.b for g in sc.generators if not any(g.a)] == [
+        (0,) * (n * i) + tuple(u) + (0,) * (n * (m - 1 - i)) for i in range(m) for u in want]
 
 
 def xz_qutrit():
@@ -573,6 +612,35 @@ def test_contains_symplectic():
     assert sc.contains_symplectic(a, b)
     # the weight-two logical X is in the centralizer but not the group
     assert not sc.contains_symplectic((1, 1, 0, 0), (0, 0, 0, 0))
+
+
+def test_contains_symplectic_refuses_a_wrong_length_or_a_foreign_entry():
+    sc = build(*helpers.shor_pair())
+    g = sc.generators[0]
+    with pytest.raises(LengthMismatch):
+        sc.contains_symplectic(g.a[1:], g.b)
+    with pytest.raises(LengthMismatch):
+        sc.contains_symplectic(g.a, g.b + (0,))
+    with pytest.raises(ValueError, match="entry 2 is not a packed element"):
+        sc.contains_symplectic((2,) + g.a[1:], g.b)
+    with pytest.raises(ValueError, match="entry -1 is not a packed element"):
+        sc.contains_symplectic(g.a, g.b[:-1] + (-1,))
+    assert sc.contains_symplectic(g.a, g.b)
+
+
+def test_same_row_space_needs_one_field_and_one_length():
+    # the binary [[6, 2]]_2 code and three GF(4) qudits whose generators
+    # pack to the same twelve lanes, and so to the same echelon rows
+    f4 = field_make(2, 2)
+    sc = build(code_make(F2, [(1, 0, 1), (0, 1, 1)]), code_make(f4, [(1, 1)]))
+    zero = (0, 0, 0)
+    gens = [PauliElement(f4, 0, a, b) for a, b in [
+        ((1, 3, 2), zero), ((2, 1, 3), zero), (zero, (3, 1, 0)), (zero, (0, 2, 3))]]
+    other = StabilizerCode(f4, 1, 1, 3, 1, gens)
+    assert verify_generators(other) == []
+    assert other._sbar().rows == sc._sbar().rows
+    assert not sc.same_row_space(other) and not other.same_row_space(sc)
+    assert sc.same_row_space(stab_from_text(stab_to_text(sc)))
 
 
 def test_verify_generators_clean():

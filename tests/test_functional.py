@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbh import linalg
+from qbh import functional, linalg, lincode
 from qbh.bh import bh_verify
 from qbh.errors import (
     DegenerateD,
@@ -217,12 +217,11 @@ def test_theta_and_lambda_of_make_no_linalg_call_after_table_make(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("linalg called after table_make")
 
-    for name in ("Echelon", "kernel", "solve"):
-        monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(linalg, "Echelon", refuse)
     for lam in t.scalars.elements():
         assert t.lambda_of(t.theta(lam)) == lam
     for x in itertools.product(F4.elements(), repeat=c.n):
-        assert tuple(F4.sub(a, b) for a, b in zip(x, t.theta(t.lambda_of(x)))) in cperp
+        assert tuple(F4.add(a, F4.neg(b)) for a, b in zip(x, t.theta(t.lambda_of(x)))) in cperp
     for msg in itertools.product(F4.elements(), repeat=c.k):
         assert t.unpack_message(t.pack_message(msg)) == msg
 
@@ -235,6 +234,7 @@ def test_table_make_reads_c_perp_off_the_theta_echelon(monkeypatch, base, rows, 
     # theta, lambda_of and P^-1 each eliminate their trace system once, k r
     # rows; C^perp is the kernel of theta's echelon, built row by row from
     # it and taken as reduced, so the pairing rows are not eliminated again
+    # and no dual is computed
     made, echelon = [], linalg.Echelon
 
     class Counted(echelon):
@@ -246,13 +246,16 @@ def test_table_make_reads_c_perp_off_the_theta_echelon(monkeypatch, base, rows, 
             super().__init__(p, lanes, rows)
 
     def refuse(*args):
-        raise AssertionError("linalg.kernel called")
+        raise AssertionError("lincode.dual called")
 
     c = code_make(base, rows)
+    want = dual(c)
     monkeypatch.setattr(linalg, "Echelon", Counted)
-    monkeypatch.setattr(linalg, "kernel", refuse)
-    table_make(c, K)
+    for module in (lincode, functional):
+        monkeypatch.setattr(module, "dual", refuse)
+    t = table_make(c, K)
     assert made == [K.degree] * 3 + [0, 0]
+    assert t.dual_code == want and t.dual_code.lanes == want.lanes
 
 
 def test_theta_additive_modulo_dual():
@@ -264,7 +267,7 @@ def test_theta_additive_modulo_dual():
         for mu in list(K.elements())[-6:]:
             x = t.theta(K.add(lam, mu))
             y = tuple(F4.add(a, b) for a, b in zip(t.theta(lam), t.theta(mu)))
-            diff = tuple(F4.sub(a, b) for a, b in zip(x, y))
+            diff = tuple(F4.add(a, F4.neg(b)) for a, b in zip(x, y))
             assert contains(dual_c, diff)
 
 

@@ -131,7 +131,7 @@ def test_field_axioms_spot_checks(p, t):
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
             if b:
-                assert f.mul(f.div(a, b), b) == a
+                assert f.mul(f.mul(a, f.inv(b)), b) == a
             for c in sample:
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
                 assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
@@ -238,7 +238,7 @@ def test_digits_roundtrip():
     for a in f.elements():
         d = f.digits(a)
         assert len(d) == 2
-        assert f.from_digits(d) == a
+        assert d[0] + 3 * d[1] == a
     assert f.digits(5) == (2, 1)  # 5 = 2 + 1*3, constant term first
 
 
@@ -287,13 +287,13 @@ def test_vec_digits_round_trip_and_trace_rows_pair_to_the_trace(data):
     b, x = data.draw(vec, label="b"), data.draw(vec, label="x")
     digs = f.vec_digits(x)
     assert len(digs) == n * t
-    assert f.vec_from_digits(digs) == x
+    assert _lanes_vec(f, n, _lane_pack(digs, _lane_width(p))) == x
     want = sum(f.trace_int(f.mul(bi, xi)) for bi, xi in zip(b, x)) % p
     assert sum(r * d for r, d in zip(f.trace_rows(b), digs)) % p == want
 
 
 def _digit_sum(p, t, a, b, sign):
-    """a + sign * b by base-p digits mod p: the oracle for Field.add/sub."""
+    """a + sign * b by base-p digits mod p: the oracle for Field.add and a - b."""
     out, scale = 0, 1
     for _ in range(t):
         a, da = divmod(a, p)
@@ -307,7 +307,7 @@ def _check_add_neg_sub(f, pairs):
     p, t = f.p, f.degree
     for a, b in pairs:
         assert f.add(a, b) == _digit_sum(p, t, a, b, 1)
-        assert f.sub(a, b) == _digit_sum(p, t, a, b, -1)
+        assert f.add(a, f.neg(b)) == _digit_sum(p, t, a, b, -1)
         assert f.neg(b) == _digit_sum(p, t, 0, b, -1)
 
 

@@ -294,8 +294,9 @@ def test_cache_check_sees_decorators_containers_and_globals():
         {"_ring": ("int",), "_product": (None, "int"), "labels": (None,)}, [4, 13, 18, 20])
 
 
-# Every public top-level name of the package is read by the package itself
-# or by the benchmark, or it is listed here with why it stays.
+# Every public top-level name of the package, and every public method and
+# property of its public classes, is read by the package itself or by the
+# benchmark, or it is listed here with why it stays.
 UNREAD_BY_DESIGN = {
     "bh.normalize": "paper object: the normalized BH matrix the converse scrambles (acceptance 08)",
     "functional.f_eval": "paper object: the functional f_lam on a codeword (test_functional)",
@@ -313,6 +314,13 @@ UNREAD_BY_DESIGN = {
     "pauli.x_op": "paper object: the X(a) operator (test_pauli)",
     "pauli.z_op": "paper object: the Z(b) operator (test_pauli, test_lemmas)",
     "statevec.state_make": "state-vector oracle: the readable state constructor (test_lemmas)",
+    "construct.StabilizerCode.sympl_matrix":
+        "paper object: the symplectic matrix of the generators (test_construct, test_cli)",
+    "functional.FunctionalTable.theta":
+        "paper object: the lift theta, the least x of its dual coset (test_functional, test_lemmas)",
+    "gf.Field.frobenius": "paper object: the Frobenius automorphism x -> x^p (test_gf)",
+    "statevec.CycAmp.one": "state-vector oracle: the amplitude 1 for readable states (test_statevec)",
+    "statevec.CycAmp.rot": "state-vector oracle: an amplitude times z^e (test_statevec)",
 }
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -365,10 +373,40 @@ def unread_definitions(modules: dict, others) -> set:
     return out
 
 
+def unread_members(modules: dict, others) -> set:
+    """'module.Class.name' for each public method or property of a public
+    class of ``modules`` whose name no source of ``modules`` or ``others``
+    reads as an attribute, of any object: matched by name alone."""
+    read = {node.attr for source in [*modules.values(), *others]
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+    return {f"{module}.{cls.name}.{node.name}" for module, source in modules.items()
+            for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in read}
+
+
 def test_every_public_name_is_read_or_kept_for_a_reason():
     modules = {path.stem: path.read_text() for path in MODULES}
     others = [path.read_text() for path in sorted(PERFBENCH.rglob("*.py"))]
-    assert unread_definitions(modules, others) == set(UNREAD_BY_DESIGN)
+    unread = unread_definitions(modules, others) | unread_members(modules, others)
+    assert unread == set(UNREAD_BY_DESIGN)
+
+
+def test_unread_member_check_sees_methods_properties_and_outside_readers():
+    modules = {
+        "a": ("class Kept:\n    def used(self):\n        return self.own()\n"
+              "    def own(self):\n        pass\n    def lonely(self):\n        pass\n"
+              "    @property\n    def size(self):\n        return 0\n"
+              "    @classmethod\n    def make(cls):\n        return cls()\n"
+              "    def __eq__(self, other):\n        return True\n"
+              "    def _private(self):\n        pass\n"
+              "class _Hidden:\n    def lonely(self):\n        pass\n"),
+        "b": "from .a import Kept\ndef f(x):\n    return x.used(), Kept.make\n",
+    }
+    others = ["def g(v):\n    return v.size\n", "lonely = 1\nsize = 2\n"]
+    assert unread_members(modules, others) == {"a.Kept.lonely"}
+    assert unread_members(modules, others[1:]) == {"a.Kept.lonely", "a.Kept.size"}
 
 
 def test_unread_check_sees_modules_aliases_and_outside_readers():

@@ -129,7 +129,7 @@ def test_lambda_of_kernel_is_the_dual(idx):
         lam = table.lambda_of(x)
         # the canonical representative lands in the same dual coset
         rep = table.theta(lam)
-        diff = tuple(f.sub(a, b) for a, b in zip(rep, x))
+        diff = tuple(f.add(a, f.neg(b)) for a, b in zip(rep, x))
         assert contains(dual_c, diff)
         assert (lam == 0) == contains(dual_c, x)
     # additivity makes "same lambda" the same as "same dual coset"

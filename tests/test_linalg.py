@@ -73,8 +73,7 @@ def test_echelon_and_kernel_match_tuple_gauss_jordan(case):
     want, pivots = oracles.rref(f, rows)
     assert unpack(p, ncols, ech.rows) == want
     assert ech.pivots == pivots
-    kernel = linalg.kernel(p, ncols, pack(p, rows))
-    assert unpack(p, ncols, kernel) == oracles.nullspace(f, rows, ncols)
+    assert unpack(p, ncols, ech.kernel(ncols)) == oracles.nullspace(f, rows, ncols)
     # reduce clears the pivot lanes and moves x only within the row space
     for x in rows[:3]:
         y = _lanes_vec(f, ncols, ech.reduce(_lane_pack(x[::-1], _lane_width(p))))
@@ -95,7 +94,7 @@ def test_solve_matches_tuple_gauss_jordan(case, data):
         rhss[0] = tuple(sum(a * b for a, b in zip(r, x)) % p for r in rows)
     aug = [_lane_pack(r + col, w) for r, col in zip(rows, zip(*rhss))]
     got = [None if x is None else _lanes_vec(f, ncols, x)
-           for x in linalg.solve(p, ncols, aug, count)]
+           for x in linalg.Echelon(p, ncols + count, aug).solutions(ncols, count)]
     if not rows:  # no equations: every system holds, with every unknown free
         assert got == [(0,) * ncols] * count
         return
@@ -110,7 +109,7 @@ def test_solve_reports_an_inconsistent_system_as_none():
     rows = [(1, 1), (1, 1)]
     rhss = [(1, 0), (2, 2)]
     aug = [_lane_pack(r + col, _lane_width(3)) for r, col in zip(rows, zip(*rhss))]
-    got = linalg.solve(3, 2, aug, 2)
+    got = linalg.Echelon(3, 4, aug).solutions(2, 2)
     assert got[0] is None and _lanes_vec(field_make(3, 1), 2, got[1]) == (2, 0)
 
 
@@ -125,9 +124,10 @@ def small_pairs():
 @pytest.mark.parametrize("pair", list(small_pairs()), ids=["F2", "F3", "F4"])
 def test_every_elimination_is_packed_over_a_prime_field(monkeypatch, pair):
     # No tuple elimination is left in linalg, and none runs elsewhere: Field
-    # division and subtraction, which Gauss-Jordan on field elements needs,
-    # fail; every echelon, kernel and solve gets packed int rows over F_p.
-    assert not {"rref", "nullspace", "rank", "reduce_vector"} & set(vars(linalg))
+    # inversion, which Gauss-Jordan on field elements needs, fails; every
+    # echelon gets packed int rows over F_p, and kernels and solutions are
+    # read off an echelon, with no wrapper of their own.
+    assert not {"rref", "nullspace", "rank", "reduce_vector", "kernel", "solve"} & set(vars(linalg))
     c_code, d_code = pair
     calls = collections.Counter()
 
@@ -144,15 +144,13 @@ def test_every_elimination_is_packed_over_a_prime_field(monkeypatch, pair):
 
     # the state bases take rows that are reduced already: checked, not eliminated
     reduced = packed("of_reduced", linalg.Echelon.of_reduced)
-    for name in ("Echelon", "kernel", "solve"):
-        monkeypatch.setattr(linalg, name, packed(name, getattr(linalg, name)))
+    monkeypatch.setattr(linalg, "Echelon", packed("Echelon", linalg.Echelon))
     linalg.Echelon.of_reduced = reduced
     monkeypatch.setattr(Field, "inv", refuse)
-    monkeypatch.setattr(Field, "sub", refuse)
     sc = build(c_code, d_code)
     assert distance_bruteforce(sc) == distance(sc)
     assert distance_bruteforce(mixed_presentation(sc)) == sc.delta
     assert fix_dim(sc) == c_code.field.order ** sc.log_dim_exp
     states = [big_phi(c_code, d_code, sc.table, w) for w in iter_codewords(d_code)]
     assert len(stab_of_span(states)) > 0
-    assert set(calls) == {"Echelon", "of_reduced", "kernel", "solve"}
+    assert set(calls) == {"Echelon", "of_reduced"}

@@ -13,7 +13,7 @@ from qbh.errors import (
     LengthMismatch,
     ZeroCode,
 )
-from qbh.gf import _block_rows, _lane_width, _vec_lanes, field_make
+from qbh.gf import _block_rows, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import (
     _min_weight_outside,
     code_make,
@@ -208,7 +208,7 @@ def independent_rows(data, field, length, dim, unit):
         for k in pivots:
             digs[k] = 0
         digs[j] = 1
-        rows.append(field.vec_from_digits(digs))
+        rows.append(_lanes_vec(field, length, _lane_pack(digs, _lane_width(field.p))))
     return rows
 
 

@@ -1231,31 +1231,33 @@ def test_stab_of_span_solves_only_the_shifts_that_keep_the_relative_phases(monke
 
 def test_stab_of_span_eliminates_its_rows_once(monkeypatch):
     # The scan's one tagged echelon gives every trial's solution and the
-    # kernel: no linalg.solve, and four echelons per call (the scan's, the
-    # accepted shifts', the kernel's basis and the generator check's),
-    # where a solve and a second elimination for the kernel made six.
+    # kernel: solutions read once per call, off the scan's own echelon, and
+    # four echelons per call (the scan's, the accepted shifts', the
+    # kernel's basis and the generator check's), where a solve and a
+    # second elimination for the kernel made six.
     spans = [(_fourier_span(), 16), (_order_eight_fourier_span(), 32),
              (_order_nine_fourier_span(), 81)]
-
-    def refuse(*args):
-        raise AssertionError("linalg.solve called")
-
-    made, echelon = [], linalg.Echelon
+    made, solved, echelon = [], [], linalg.Echelon
 
     class Counted(echelon):
         __slots__ = ()
 
         def __init__(self, *args):
-            made.append(args)
+            made.append(self)
             super().__init__(*args)
 
-    monkeypatch.setattr(linalg, "solve", refuse)
+        def solutions(self, *args):
+            solved.append(made.index(self))
+            return super().solutions(*args)
+
     monkeypatch.setattr(linalg, "Echelon", Counted)
     counts = []
     for span, size in spans:
         made.clear()
+        solved.clear()
         assert len(stab_of_span(span)) == size
         counts.append(len(made))
+        assert solved == [0]  # the scan's echelon, the first made
     assert counts == [4, 4, 4]
 
 
@@ -1263,8 +1265,8 @@ def test_stab_of_span_eliminates_its_rows_once(monkeypatch):
 @given(monomial_spans([F2, F3, F5], max_states=3), st.data())
 def test_scan_solutions_equal_linalg_solve_on_the_same_rows(states, data):
     # the scan's tagged echelon solves its basis rows' system A z = d by
-    # unit solutions alone; linalg.solve on [A | d] gives the same z, free
-    # unknowns 0, and the untagged rows give A's kernel
+    # unit solutions alone; an echelon of [A | d] solves to the same z,
+    # free unknowns 0, and the untagged rows give A's kernel
     f, n = states[0].field, states[0].length
     p, w, lanes = f.p, _lane_width(f.p), 1 + n * f.degree
     basis, rows, solve = sv._scan(f, n, states, sum(len(v.basis.rows) + 1 for v in states))
@@ -1273,8 +1275,9 @@ def test_scan_solutions_equal_linalg_solve_on_the_same_rows(states, data):
     digits = st.lists(st.integers(0, p - 1), min_size=len(a), max_size=len(a))
     rhss = data.draw(st.lists(digits, min_size=1, max_size=6))
     aug = [row | _lane_pack(col, w) << lanes * w for row, col in zip(a, zip(*rhss))]
-    assert [solve(d) for d in rhss] == linalg.solve(p, lanes, aug, len(rhss))
-    assert rows.kernel(lanes) == linalg.kernel(p, lanes, a)
+    assert [solve(d) for d in rhss] == linalg.Echelon(p, lanes + len(rhss), aug).solutions(
+        lanes, len(rhss))
+    assert rows.kernel(lanes) == linalg.Echelon(p, lanes, a).kernel(lanes)
 
 
 def test_stab_of_span_ignores_a_phase_on_each_state_the_first_included():
@@ -1872,16 +1875,30 @@ def test_fix_dim_refills_forms_left_for_another_basis(case, data):
 
 @pytest.mark.parametrize("fault", ["short kernel", "foreign kernel row", "offset off the coset"])
 def test_fix_dim_self_check_sees_faulty_coset_algebra(fault, monkeypatch):
+    # each fault corrupts what fix_dim reads off its one echelon; a foreign
+    # row comes back reduced, as Echelon.of_reduced asks
     sc = build(*helpers.shor_pair())
-    kernel, solve = linalg.kernel, linalg.solve
+    echelon = linalg.Echelon
+    kernel, solutions = echelon.kernel, echelon.solutions
     if fault == "short kernel":
-        monkeypatch.setattr(linalg, "kernel", lambda *args: kernel(*args)[:-1])
+        monkeypatch.setattr(echelon, "kernel", lambda self, lanes: kernel(self, lanes)[:-1])
     elif fault == "foreign kernel row":  # e_0 meets the Z check on qubits 0 and 1
-        monkeypatch.setattr(linalg, "kernel", lambda *args: kernel(*args)[:-1] + [1])
+        monkeypatch.setattr(echelon, "kernel", lambda self, lanes: echelon(
+            self.p, lanes, kernel(self, lanes)[:-1] + [1]).rows)
     else:
-        monkeypatch.setattr(linalg, "solve", lambda *args: [x ^ 1 for x in solve(*args)])
+        monkeypatch.setattr(echelon, "solutions",
+                            lambda *args: [x ^ 1 for x in solutions(*args)])
     with pytest.raises(ArithmeticError, match="coset"):
         fix_dim(sc)
+
+
+def test_fix_dim_eliminates_its_diagonal_system_once(monkeypatch):
+    # Shor's 6 Z checks make the one elimination: t, the rank and V are
+    # read off it, and the tree span of the 2 X parts is built row by row
+    sc = build(*helpers.shor_pair())
+    made = helpers.counted_echelons(monkeypatch)
+    assert fix_dim(sc) == 2
+    assert made == [6]
 
 
 def test_apply_on_one_qudit_over_gf_65521_matches_the_label_view():
