@@ -43,8 +43,10 @@ class StabilizerCode:
 
     ``code``, ``d_code`` and ``table`` hold the construction data when
     the object was built rather than parsed; the closed-form distance
-    needs them, the brute-force one does not.  ``_rows`` and ``_sbar_echelon``
-    are None until ``_own_rows`` and ``_sbar`` first compute them.
+    needs them, the brute-force one does not.  ``_rows`` holds the
+    generators' lane-packed rows as ``build`` made them, and is None on
+    other codes until ``_own_rows`` first packs them; ``_sbar_echelon`` is
+    None until ``_sbar`` first computes it.
     """
 
     __slots__ = (
@@ -126,7 +128,10 @@ def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
     """Assemble the stabilizer code of the pair (C, D).
 
     D lives over the scalar field F_{q^k}; its length m and dimension s
-    must satisfy 1 <= s < m, and C must satisfy 1 <= k < n.
+    must satisfy 1 <= s < m, and C must satisfy 1 <= k < n.  The X rows
+    come lane-packed from ``big_f_kernel`` and the Z rows from the rows of
+    ``table.dual_code`` laid into each block; each generator is decoded
+    from its row once, and the code keeps the rows as made (``_own_rows``).
     """
     if not 1 <= code.k < code.n:
         raise DimensionBounds(
@@ -137,18 +142,14 @@ def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
     f = code.field
     n, k, m, s = code.n, code.k, d_code.n, d_code.k
 
-    zero_block = (0,) * (n * m)
-    gens = []
-    for blocks in big_f_kernel(table, d_code):
-        a = tuple(itertools.chain.from_iterable(blocks))
-        gens.append(PauliElement(f, 0, a, zero_block))
-    dual_basis = fp_basis(table.dual_code)
-    for i in range(m):
-        for u in dual_basis:
-            b = (0,) * (n * i) + tuple(u) + (0,) * (n * (m - 1 - i))
-            gens.append(PauliElement(f, 0, zero_block, b))
-
+    N, chunk = n * m, n * f.degree * _lane_width(f.p)  # chunk: the bits of one block
+    xs = big_f_kernel(table, d_code)
+    zs = [u << i * chunk for i in range(m) for u in table.dual_code.lanes]
+    zero = (0,) * N
+    gens = [PauliElement(f, 0, _lanes_vec(f, N, x), zero) for x in xs]
+    gens += [PauliElement(f, 0, zero, _lanes_vec(f, N, z)) for z in zs]
     sc = StabilizerCode(f, n, k, m, s, gens, code=code, d_code=d_code, table=table)
+    sc._rows = xs + [z << m * chunk for z in zs]
     problems = verify_generators(sc)
     if problems:
         raise ArithmeticError(f"{problems[0]}; construction data corrupt")
@@ -274,7 +275,8 @@ def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def _own_rows(sc: StabilizerCode) -> list:
-    """Each generator's own (a | b), lane-packed from its entries; built once."""
+    """Each generator's own (a | b), lane-packed: for a code of ``build`` the
+    rows it decoded the generators from, else packed from the entries, once."""
     if sc._rows is None:
         sc._rows = [_vec_lanes(sc.field, g.a + g.b) for g in sc.generators]
     return sc._rows

@@ -16,7 +16,7 @@ from qbh.errors import (
     DimensionMismatch,
     LengthMismatch,
 )
-from qbh.gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, field_make
+from qbh.gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import code_make, contains, dual, fp_basis, iter_codewords
 from qbh.functional import table_make
 from qbh.pauli import PauliElement, mul, psi, symp_ip, x_op, z_op
@@ -522,21 +522,55 @@ def test_bruteforce_eliminates_the_stabilizer_and_the_reduced_centralizer_once(m
              code_make(field_make(2, 4), [(1, 1)])),
 ], ids=["shor", "gf4"])
 def test_build_reads_its_z_generators_off_the_table(monkeypatch, pair):
-    # C^perp comes from the kernel of theta's echelon: dual is never asked
-    # for C, only for D by big_f_kernel
+    # C^perp is the table's: dual is asked once, for C, by table_make, and
+    # never for D; the Z rows are its rows laid into each block
     c_code, d_code = pair()
-    real, want = lincode.dual, fp_basis(dual(c_code))
+    real, want, duals = lincode.dual, fp_basis(dual(c_code)), []
 
-    def dual_of_d_only(code):
-        assert code is not c_code, "dual(C) computed again"
+    def counted_dual(code):
+        duals.append(code)
         return real(code)
 
     for module in (lincode, functional, construct):
-        monkeypatch.setattr(module, "dual", dual_of_d_only, raising=False)
+        monkeypatch.setattr(module, "dual", counted_dual, raising=False)
     sc = build(c_code, d_code)
+    assert duals == [c_code] and duals[0] is c_code
     n, m = c_code.n, d_code.n
     assert [g.b for g in sc.generators if not any(g.a)] == [
         (0,) * (n * i) + tuple(u) + (0,) * (n * (m - 1 - i)) for i in range(m) for u in want]
+
+
+@pytest.mark.parametrize("pair", [
+    helpers.shor_pair,
+    helpers.nine_qutrit_pair,
+    lambda: (code_make(field_make(2, 2), [(1, 0, 2), (0, 1, 3)]),
+             code_make(field_make(2, 4), [(1, 1, 0), (0, 1, 1)])),
+    lambda: (code_make(field_make(3, 2), [(1, 2, 0), (0, 1, 1)]),
+             code_make(field_make(3, 4), [(1, 2)])),
+], ids=["shor", "qutrit", "gf4", "gf9"])
+def test_build_makes_one_table_elimination_one_x_elimination_and_sbar(monkeypatch, pair):
+    # the table's kernel of the k r pairing rows of C, the X trace system of
+    # D's s deg K F_p-basis rows, and _sbar of the generator rows; no dual of
+    # D, and neither theta nor P^-1 is solved
+    c_code, d_code = pair()
+    kr, real, duals = d_code.field.degree, lincode.dual, []
+
+    def counted_dual(code):
+        duals.append(code)
+        return real(code)
+
+    def refuse(*args):
+        raise AssertionError("theta or P^-1 read by build")
+
+    for module in (lincode, functional, construct):
+        monkeypatch.setattr(module, "dual", counted_dual, raising=False)
+    for name in ("theta", "unpack_message"):
+        monkeypatch.setattr(functional.FunctionalTable, name, refuse)
+    made = helpers.counted_echelons(monkeypatch)
+    sc = build(c_code, d_code)
+    assert made == [kr, d_code.k * kr, len(sc.generators)]
+    assert duals == [c_code]
+    assert sc._rows == [_vec_lanes(sc.field, g.a + g.b) for g in sc.generators]
 
 
 def xz_qutrit():

@@ -11,9 +11,10 @@ from qbh.bh import bh_verify
 from qbh.errors import (
     DegenerateD,
     DimensionMismatch,
+    LengthMismatch,
     NotACodeword,
 )
-from qbh.gf import _vec_lanes, field_make
+from qbh.gf import _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import code_make, contains, dual, fp_basis, iter_codewords
 from qbh.functional import (
     big_f_kernel,
@@ -100,6 +101,39 @@ def test_f_rejects_non_codeword():
     _, t = shor_table()
     with pytest.raises(NotACodeword):
         f_eval(t, 1, (1, 0, 0))
+
+
+def binary_gf4_table():
+    """C = <101, 011> over F2 with K = GF(4)."""
+    c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
+    return table_make(c, F4)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda t: t.theta(4), ValueError),
+    (lambda t: t.theta(-1), ValueError),
+    (lambda t: t.theta(99), ValueError),
+    (lambda t: t.lambda_of((1, 0, 2)), ValueError),
+    (lambda t: t.lambda_of((1, 0)), LengthMismatch),
+    (lambda t: t.pack_message((1,)), LengthMismatch),
+    (lambda t: t.pack_message((1, 2)), ValueError),
+    (lambda t: t.unpack_message(9), ValueError),
+    (lambda t: f_eval(t, -1, (1, 0, 1)), ValueError),
+    (lambda t: f_eval(t, 4, (1, 0, 1)), ValueError),
+], ids=["theta-4", "theta-minus-1", "theta-99", "lambda_of-entry", "lambda_of-length",
+        "pack_message-length", "pack_message-entry", "unpack_message-9", "f_eval-minus-1", "f_eval-4"])
+def test_table_maps_refuse_inputs_that_are_not_theirs(call, error):
+    # each of these once returned an answer (or, f_eval at 4, a bare IndexError):
+    # theta(4) = (0,0,0), lambda_of((1,0)) = 3, unpack_message(9) = (1,0), f_eval(t, -1, 101) = 1
+    with pytest.raises(error):
+        call(binary_gf4_table())
+
+
+def test_table_maps_accept_their_whole_domains():
+    t = binary_gf4_table()
+    assert [t.lambda_of(t.theta(lam)) for lam in range(4)] == [0, 1, 2, 3]
+    assert [t.pack_message(t.unpack_message(y)) for y in range(4)] == [0, 1, 2, 3]
+    assert {f_eval(t, lam, (1, 0, 1)) for lam in range(4)} == {0, 1}
 
 
 def test_functionals_are_additive_in_lambda():
@@ -209,52 +243,43 @@ def test_theta_is_exactly_additive(base, rows, kdeg):
             assert t.theta(K.add(lam, mu)) == want
 
 
-def test_theta_and_lambda_of_make_no_linalg_call_after_table_make(monkeypatch):
+def test_theta_lambda_of_and_unpack_message_each_eliminate_once_on_first_use(monkeypatch):
     c = code_make(F4, [(1, 0, 2), (0, 1, 3)])
     t = table_make(c, field_make(2, 4))
     cperp = set(iter_codewords(dual(c)))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("linalg called after table_make")
-
-    monkeypatch.setattr(linalg, "Echelon", refuse)
+    made = helpers.counted_echelons(monkeypatch)
+    # each first call solves its own trace system, k r = 4 rows, once
+    for call, arg in ((t.theta, 1), (t.lambda_of, (1, 0, 0)), (t.unpack_message, 1)):
+        call(arg)
+        assert made == [4]
+        made.clear()
     for lam in t.scalars.elements():
         assert t.lambda_of(t.theta(lam)) == lam
     for x in itertools.product(F4.elements(), repeat=c.n):
         assert tuple(F4.add(a, F4.neg(b)) for a, b in zip(x, t.theta(t.lambda_of(x)))) in cperp
     for msg in itertools.product(F4.elements(), repeat=c.k):
         assert t.unpack_message(t.pack_message(msg)) == msg
+    assert made == []
 
 
 @pytest.mark.parametrize("base,rows,K", [
     (F4, [(1, 0, 2), (0, 1, 3)], field_make(2, 4)),
     (F3, [(1, 2, 0), (0, 1, 1)], F9),
 ])
-def test_table_make_reads_c_perp_off_the_theta_echelon(monkeypatch, base, rows, K):
-    # theta, lambda_of and P^-1 each eliminate their trace system once, k r
-    # rows; C^perp is the kernel of theta's echelon, built row by row from
-    # it and taken as reduced, so the pairing rows are not eliminated again
-    # and no dual is computed
-    made, echelon = [], linalg.Echelon
-
-    class Counted(echelon):
-        __slots__ = ()
-
-        def __init__(self, p, lanes, rows=()):
-            rows = list(rows)
-            made.append(len(rows))
-            super().__init__(p, lanes, rows)
-
-    def refuse(*args):
-        raise AssertionError("lincode.dual called")
-
+def test_table_make_eliminates_only_the_pairing_rows(monkeypatch, base, rows, K):
+    # construction keeps P and C^perp: one kernel of the k r pairing rows,
+    # through dual(C); theta, lambda_of and P^-1 wait for their first call
     c = code_make(base, rows)
-    want = dual(c)
-    monkeypatch.setattr(linalg, "Echelon", Counted)
-    for module in (lincode, functional):
-        monkeypatch.setattr(module, "dual", refuse)
+    want, real, duals = dual(c), lincode.dual, []
+
+    def counted_dual(code):
+        duals.append(code)
+        return real(code)
+
+    monkeypatch.setattr(functional, "dual", counted_dual)
+    made = helpers.counted_echelons(monkeypatch)
     t = table_make(c, K)
-    assert made == [K.degree] * 3 + [0, 0]
+    assert made == [K.degree] and duals == [c]
     assert t.dual_code == want and t.dual_code.lanes == want.lanes
 
 
@@ -370,16 +395,19 @@ def test_code_lanes_are_the_echelon_of_the_reference_fp_basis(case):
 
 
 def kernel_span_contains(field, basis, target):
-    """F_p-membership of a flattened m-tuple in the kernel span."""
+    """F_p-membership of a flattened m-tuple in the span of lane-packed kernel rows."""
     prime = field_make(field.p, 1)
-    def flat(tup):
-        out = []
-        for block in tup:
-            for x in block:
-                out.extend(field.digits(x))
-        return tuple(out)
-    rows = [flat(b) for b in basis]
-    return len(oracles.rref(prime, rows)[0]) == len(oracles.rref(prime, rows + [flat(target)])[0])
+    flat = tuple(itertools.chain.from_iterable(target))
+    rows = [field.vec_digits(_lanes_vec(field, len(flat), x)) for x in basis]
+    rank = len(oracles.rref(prime, rows)[0])
+    return rank == len(oracles.rref(prime, rows + [field.vec_digits(flat)])[0])
+
+
+def blocks(table, m, x):
+    """The m-tuple of codewords of C that a lane-packed X row of ``big_f_kernel`` lays end to end."""
+    n = table.code.n
+    vec = _lanes_vec(table.code.field, n * m, x)
+    return tuple(vec[i * n:(i + 1) * n] for i in range(m))
 
 
 def test_big_f_kernel_shor():
@@ -419,7 +447,7 @@ def test_big_f_kernel_nullity_on_family_sample():
         want = meta["r"] * meta["k"] * (meta["m"] - meta["s"])
         assert len(basis) == want
         # every basis tuple really kills every D-functional
-        for tup in basis:
+        for tup in (blocks(t, d_code.n, x) for x in basis):
             for lam_word in itertools.islice(iter_codewords(d_code), 9):
                 acc = 0
                 for lam, block in zip(lam_word, tup):
@@ -430,7 +458,29 @@ def test_big_f_kernel_nullity_on_family_sample():
 def test_big_f_kernel_equals_the_trace_system_kernel():
     for c_code, d_code, _ in helpers.family_instances():
         t = table_make(c_code, d_code.field)
-        assert big_f_kernel(t, d_code) == oracles.trace_system_kernel(t, d_code)
+        got = [blocks(t, d_code.n, x) for x in big_f_kernel(t, d_code)]
+        assert got == oracles.trace_system_kernel(t, d_code)
+
+
+@st.composite
+def outer_codes(draw, K):
+    """An [m, s] code over K, 1 <= s < m <= 3, generated by [I_s | A] with A drawn over K."""
+    m = draw(st.integers(2, 3))
+    s = draw(st.integers(1, m - 1))
+    return code_make(K, [tuple(int(i == j) for j in range(s))
+                         + tuple(draw(st.integers(0, K.order - 1)) for _ in range(m - s))
+                         for i in range(s)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_codes(), st.data())
+def test_big_f_kernel_rows_equal_the_trace_system_kernel_on_random_pairs(case, data):
+    # the towers include odd p and r = 2: F3 < GF(9), GF(4) < GF(16), GF(9) < GF(81)
+    code, K = case
+    d_code = data.draw(outer_codes(K))
+    t = table_make(code, K)
+    got = [blocks(t, d_code.n, x) for x in big_f_kernel(t, d_code)]
+    assert got == oracles.trace_system_kernel(t, d_code)
 
 
 def test_unpack_message_inverts_pack_message_beyond_prime_inner_fields():

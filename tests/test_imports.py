@@ -318,6 +318,8 @@ UNREAD_BY_DESIGN = {
         "paper object: the symplectic matrix of the generators (test_construct, test_cli)",
     "functional.FunctionalTable.theta":
         "paper object: the lift theta, the least x of its dual coset (test_functional, test_lemmas)",
+    "functional.FunctionalTable.unpack_message":
+        "paper object: P^-1, the message of a scalar of K (test_functional)",
     "gf.Field.frobenius": "paper object: the Frobenius automorphism x -> x^p (test_gf)",
     "statevec.CycAmp.one": "state-vector oracle: the amplitude 1 for readable states (test_statevec)",
     "statevec.CycAmp.rot": "state-vector oracle: an amplitude times z^e (test_statevec)",
