@@ -25,7 +25,6 @@ p^{dim B} elements instead of p^{dim A + dim B}.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -33,7 +32,7 @@ from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionBounds, DimensionMismatch, LengthMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
 from .gf import (_check_entries, _field_from_body, _gray_span, _lane_dot, _lane_flags, _lane_pack,
-                 _lane_width, _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
+                 _lane_width, _lanes_vec, _modulus_lines, _text_lines, _trace_lanes, _vec_lanes)
 from .lincode import LinearCode, _min_weight_outside, encode, fp_basis, min_distance
 from .pauli import PauliElement
 
@@ -161,19 +160,21 @@ def _leader_weights(table: FunctionalTable, below: int | None = None) -> list:
 
     The x with lambda_of(x) = lam form the coset theta(lam) + C^perp, so
     w(lam) is its coset-leader weight.  lambda_of is F_p-linear, so w is
-    the distance from 0 in the graph on K whose steps are lambda_of(u e_j)
-    for the coordinates j and u in F_q^*: one breadth-first search,
+    the distance from 0 in the graph on K whose steps lambda_of(u e_j), u
+    in F_q^*, are the F_p-combinations of the images lambda_of(p^d e_j),
+    one ``_gray_span`` per coordinate j: one breadth-first search,
     |K| n (q - 1) field adds.  Every lam is reached, since
     lambda_of(theta(lam)) = lam.  The search stops after depth below - 1
     and every lam it did not reach reads ``below``: the list is then
     min(w, below).  No leader weighs more than n, so ``below`` defaults
     to n + 1, which caps nothing.
     """
-    K, q, n = table.scalars, table.code.field.order, table.code.n
+    K, f, n = table.scalars, table.code.field, table.code.n
     below = n + 1 if below is None else below
     steps = {
-        table.lambda_of((0,) * j + (u,) + (0,) * (n - 1 - j))
-        for j in range(n) for u in range(1, q)
+        step for j in range(n)
+        for step in _gray_span(K.p, [table.lambda_of((0,) * j + (f.p ** d,) + (0,) * (n - 1 - j))
+                                     for d in range(f.degree)], K.add)
     } - {0}
     weights = [below] * K.order  # unreached
     weights[0] = 0
@@ -321,27 +322,13 @@ def centralizer_basis(sc: StabilizerCode) -> list:
 def _pairing_row(f, N: int, v: int) -> int:
     """The pairing of a lane-packed (a | b) of length N with an unknown
     (a' | b'), tr(b . a') - tr(a . b'), as a row on the digits of (a' | b'),
-    read chunk by chunk off ``_pairing_lanes``, apart from ``_pairings``."""
-    chunk = f.degree * _lane_width(f.p)
-    lanes, mask, row = _pairing_lanes(f), (1 << chunk) - 1, 0
-    while v:  # -tr(a_i .) on b_i's digits, tr(b_i .) on a_i's, nonzero chunks only
-        i = ((v & -v).bit_length() - 1) // chunk
-        x = v >> i * chunk & mask
-        row |= lanes[x][i < N] << (i + N) % (2 * N) * chunk
-        v ^= x << i * chunk
-    return row
-
-
-@functools.cache
-def _pairing_lanes(f) -> dict:
-    """{lanes of a: (tr(a .), -tr(a .))} over the elements a of the field
-    f, each row lane-packed on the digits of the element it pairs with."""
+    apart from ``_pairings``: the trace row (tr(a .) | tr(b .)) of
+    ``gf._trace_lanes``, halves swapped, tr(a .) negated as p - d on its nonzero lanes."""
     w = _lane_width(f.p)
-    out = {}
-    for a in f.elements():
-        row = f.trace_row(a)
-        out[_vec_lanes(f, (a,))] = (_lane_pack(row, w), _lane_pack([-t % f.p for t in row], w))
-    return out
+    half, row = N * f.degree * w, _trace_lanes(f, v)
+    low = (1 << half) - 1
+    a = row & low
+    return row >> half | (_lane_flags(f.p, a, low // ((1 << w) - 1)) * f.p - a) << half
 
 
 def distance_bruteforce(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -399,13 +386,16 @@ def verify_generators(sc: StabilizerCode) -> list:
     At p = 2 a phase-free X(a) Z(b) squares to (-1)^tr(b.a), so an odd
     trace puts -I in the group and leaves only the zero vector fixed.
     At odd p, (X(a) Z(b))^p = I always.  Generators i < j commute when
-    the packed dot of j's digits with i's ``_pairing_row`` is 0; those
-    rows are built apart from the ones the centralizer kernel reads.
+    the packed dot of j's digits with i's ``_pairing_row`` is 0, as it is
+    when they share no nonzero lane (``_lane_flags``: X-X and Z-Z pairs);
+    those rows are built apart from the ones the centralizer kernel reads.
     """
-    f = sc.field
+    f, N = sc.field, sc.num_qudits
     rows = _own_rows(sc)
-    pairings = [_pairing_row(f, sc.num_qudits, x) for x in rows]
-    low = (1 << sc.num_qudits * f.degree) - 1  # the a digits, one bit each at p = 2
+    pairings = [_pairing_row(f, N, x) for x in rows]
+    low = (1 << N * f.degree) - 1  # the a digits, one bit each at p = 2
+    ones = _lane_pack([1] * 2 * N * f.degree, _lane_width(f.p))
+    flags = [_lane_flags(f.p, x, ones) for x in rows]
     problems = []
     for i, (g, x, y) in enumerate(zip(sc.generators, rows, pairings)):
         if g.phase:
@@ -413,8 +403,9 @@ def verify_generators(sc: StabilizerCode) -> list:
         elif f.p == 2 and (x & y & low).bit_count() & 1:
             problems.append(f"generator {i} squares to -I: tr(b.a) is odd")
     for i, y in enumerate(pairings):
+        fy = _lane_flags(f.p, y, ones)
         for j in range(i + 1, len(rows)):
-            if _lane_dot(f.p, rows[j], y):
+            if fy & flags[j] and _lane_dot(f.p, rows[j], y):
                 problems.append(f"generators {i} and {j} do not commute")
     rank = len(sc._sbar().rows)
     expected = f.degree * (sc.n * sc.m - sc.k * sc.s)
@@ -475,6 +466,5 @@ def stab_from_text(text: str) -> StabilizerCode:
         a, b = tuple(map(int, a_txt.split())), tuple(map(int, b_txt.split()))
         if len(a) != N or len(b) != N:
             raise ValueError(f"generator parts must have length {N}: {ln!r}")
-        _check_entries(f, a + b)
         gens.append(PauliElement(f, 0, a, b))
     return StabilizerCode(f, n, k, m, s, gens, delta=delta)

@@ -31,8 +31,8 @@ import itertools
 from . import linalg
 from .errors import DegenerateD, DimensionMismatch, LengthMismatch, NotACodeword
 from .gf import (Field, _check_entries, _lane_adder, _lane_pack, _lane_width, _lanes_vec,
-                 _vec_lanes, field_make)
-from .lincode import LinearCode, code_make, contains, dual, encode, fp_basis
+                 _trace_lanes, _vec_lanes, field_make)
+from .lincode import LinearCode, code_make, contains, dual, encode
 
 
 class FunctionalTable:
@@ -50,9 +50,8 @@ class FunctionalTable:
     them, theta's reduced against C^perp.  ``big_f_kernel`` reads none
     of the three.
 
-    ``_state_parts`` is None until ``statevec`` first builds a state of
-    the table; it then holds P(u) per message digit unit and the compact
-    tr(lam P(m)) arrays of ``statevec._phi_states`` for the table's lifetime.
+    ``_state_parts`` holds the compact tr(lam P(m)) arrays that
+    ``statevec._phi_states`` builds off P's unit images, for the table's lifetime.
     """
 
     __slots__ = ("code", "scalars", "prime", "dual_code", "_add", "_pack", "_theta", "_lambda",
@@ -62,7 +61,8 @@ class FunctionalTable:
         self.code = code
         self.scalars = scalars
         self.prime = field_make(scalars.p, 1)
-        self._state_parts = self._theta = self._lambda = self._unpack = None
+        self._theta = self._lambda = self._unpack = None
+        self._state_parts = {}
 
         f, K = code.field, scalars
         self._add = _lane_adder(K.p, code.n * f.degree)  # k <= n: wide enough for K's kr lanes too
@@ -89,8 +89,8 @@ class FunctionalTable:
         """Per row e of fp_basis(C), the lane-packed pair (tr_{q/p}(e . x) as a row on
         the digits of x, coordinate by coordinate; f_{p^t}(e) for t < deg K)."""
         f, w = self.code.field, _lane_width(self.scalars.p)
-        return [(_lane_pack(f.trace_rows(e), w), _lane_pack(b, w))
-                for e, b in zip(fp_basis(self.code), self._functional())]
+        return [(_trace_lanes(f, e), _lane_pack(b, w))
+                for e, b in zip(self.code.lanes, self._functional())]
 
     def _solve(self, lanes: int, count: int, rows, why: str) -> list:
         """Per unit right-hand side, the solution of one trace system given as

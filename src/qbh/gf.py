@@ -191,6 +191,24 @@ def _lanes_vec(f, n, label):
     return tuple(chunks if f._lanes is None else [f._from_lanes[x] for x in chunks])
 
 
+def _trace_lanes(f, x):
+    """The lane-packed trace row of the lane-packed vector x, tr(x . y) as a
+    row on the lanes of y: x at degree 1, else each nonzero chunk's
+    ``Field.trace_row``, lane-packed once into the field's ``_row_lanes``."""
+    if f.degree == 1:
+        return x
+    w = _lane_width(f.p)
+    chunk, rows, row = f.degree * w, f._row_lanes, 0
+    while x:
+        shift = ((x & -x).bit_length() - 1) // chunk * chunk
+        c = x >> shift & (1 << chunk) - 1
+        if c not in rows:
+            rows[c] = _lane_pack(f.trace_row(_lanes_vec(f, 1, c)[0]), w)
+        row |= rows[c] << shift
+        x ^= c << shift
+    return row
+
+
 def _slot_adder(modulus, width, slots):
     """Slotwise addition mod ``modulus`` of two ints packed as ``slots``
     slots of ``width`` bits, each slot holding a value in [0, modulus).
@@ -334,7 +352,7 @@ class Field:
 
     __slots__ = (
         "p", "degree", "order", "modulus",
-        "_exp", "_log", "_trace", "_frob", "_embed_cache", "_rows",
+        "_exp", "_log", "_trace", "_frob", "_embed_cache", "_rows", "_row_lanes",
         "_lanes", "_from_lanes", "_lane_add",
     )
 
@@ -343,7 +361,7 @@ class Field:
         self.degree = degree
         self.order = p ** degree
         self.modulus = modulus
-        self._embed_cache, self._rows = {}, {}
+        self._embed_cache, self._rows, self._row_lanes = {}, {}, {}
         self._build_tables()
 
     def __reduce__(self):

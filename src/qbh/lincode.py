@@ -15,7 +15,7 @@ import itertools
 from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, LengthMismatch, ZeroCode
 from .gf import (Field, _block_rows, _check_entries, _field_from_body, _gray_span, _lane_adder,
-                 _lane_pack, _lane_width, _lanes_vec, _modulus_lines, _text_lines, _vec_lanes)
+                 _lane_width, _lanes_vec, _modulus_lines, _text_lines, _trace_lanes, _vec_lanes)
 
 
 def weight(v) -> int:
@@ -82,7 +82,7 @@ def dual(code: LinearCode) -> LinearCode:
     F_q-linear and the trace form non-degenerate, x . c = 0 on C exactly
     when tr(x . c) = 0 on an F_p-basis of C: one kernel over F_p."""
     f, lanes = code.field, code.n * code.field.degree
-    rows = [_lane_pack(f.trace_rows(c), _lane_width(f.p)) for c in fp_basis(code)]
+    rows = [_trace_lanes(f, x) for x in code.lanes]
     return LinearCode(f, code.n, tuple(linalg.Echelon(f.p, lanes, rows).kernel(lanes)))
 
 

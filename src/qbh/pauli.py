@@ -16,7 +16,7 @@ reduce to the trace symplectic inner product on those pairs.
 from __future__ import annotations
 
 from .errors import LengthMismatch
-from .gf import Field
+from .gf import Field, _check_entries
 
 
 def phase_modulus(field: Field) -> int:
@@ -30,7 +30,8 @@ def phase_step(field: Field) -> int:
 
 
 class PauliElement:
-    """z^phase X(a) Z(b) in normal form.
+    """z^phase X(a) Z(b) in normal form; an entry of a or b that is not a
+    packed element of the field is refused with ValueError.
 
     ``_packed`` is None until the state oracle first acts with the
     element (``statevec.apply``, ``is_fixed`` or ``fix_dim``); it then
@@ -46,6 +47,7 @@ class PauliElement:
         a, b = tuple(a), tuple(b)
         if len(a) != len(b):
             raise LengthMismatch("X part and Z part must have equal length")
+        _check_entries(field, a + b)
         self.field = field
         self.phase = phase % phase_modulus(field)
         self.a = a

@@ -46,7 +46,7 @@ from . import linalg
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup,
                      LengthMismatch, NotACodeword)
 from .gf import (_check_entries, _gray_span, _lane_adder, _lane_pack, _lane_width, _lanes_vec,
-                 _vec_lanes, field_make)
+                 _trace_lanes, _vec_lanes, field_make)
 from .lincode import LinearCode, contains
 from .pauli import PauliElement, phase_modulus, phase_step
 from .slots import _Basis, _join, _moved, _repunit, _slot_width, _slots
@@ -156,16 +156,6 @@ def _trace_form(f, n: int, row: int) -> tuple:
         if t := row >> lane & digit:
             big |= _trace_pattern(f.p, width, t) << lane
     return _trace_rep(f.p, width), big
-
-
-def _trace_lanes(f, n: int, x: int) -> int:
-    """The lane-packed trace row of the lane-packed label x, tr(x . y) as
-    a row on the lanes of y: x itself at degree 1, else each coordinate's
-    ``Field.trace_row``."""
-    if f.degree == 1:
-        return x
-    w = _lane_width(f.p)
-    return _lane_pack([_lane_pack(f.trace_row(a), w) for a in _lanes_vec(f, n, x)], f.degree * w)
 
 
 class StateVector:
@@ -355,9 +345,10 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
     f_lam(c) = tr(lam P(m)) with P = ``table.pack_message`` on the
     message m of c, as in ``FunctionalTable.f_int``, F_p-linear in the
     digits of m that number the slots of C.  ``table._state_parts`` keeps
-    for the table's lifetime P(u) of the r k message digit units u, and
-    per lam asked for so far its compact array, ``slots._Slots.linear`` of
-    the tr(lam P(u)).  The product basis is the one ``code`` keeps.
+    for the table's lifetime, per lam asked for so far, its compact array,
+    ``slots._Slots.linear`` of the tr(lam P(u)) over the message digit
+    units u, P(u) read off the table (``FunctionalTable._pack``).  The
+    product basis is the one ``code`` keeps.
     """
     if table.code is not code and table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
@@ -365,12 +356,10 @@ def _phi_states(code: LinearCode, table, lams) -> StateVector:
     for lam in lams:
         if not 0 <= lam < K.order:
             raise ValueError(f"lambda {lam} is not a scalar of the table: need 0 <= lambda < {K.order}")
-    if table._state_parts is None:
-        q, k, r = code.field, code.k, code.field.degree
-        table._state_parts = ([table.pack_message((0,) * j + (q.p ** d,) + (0,) * (k - 1 - j))
-                               for j in range(k) for d in range(r)], {})
-    units, arrays = table._state_parts
-    for lam in set(lams) - arrays.keys():
+    arrays = table._state_parts
+    new = set(lams) - arrays.keys()
+    units = [_lanes_vec(K, 1, u)[0] for u in table._pack] if new else []
+    for lam in new:
         arrays[lam] = _slots(K.p, K.degree, phase_modulus(K)).linear(
             [K.trace_int(K.mul(lam, u)) for u in units])
     return _fold(code, [arrays[lam] for lam in lams])
@@ -519,9 +508,9 @@ def _check_generators(states, gens) -> list:
     return packed
 
 
-def _equation_row(f, n: int, x: int) -> int:
-    """1 | L(x) << w, the row of label x in ``stab_of_span``, L = ``_trace_lanes``."""
-    return 1 | _trace_lanes(f, n, x) << _lane_width(f.p)
+def _equation_row(f, x: int) -> int:
+    """1 | L(x) << w, the row of label x in ``stab_of_span``, L = ``gf._trace_lanes``."""
+    return 1 | _trace_lanes(f, x) << _lane_width(f.p)
 
 
 def _scan(f, n: int, supports, tags: int) -> tuple:
@@ -545,7 +534,7 @@ def _scan(f, n: int, supports, tags: int) -> tuple:
         exps, b, last = v.exps, v.basis, len(basis) + len(v.basis.rows) + 1
         first = [x for x in [v.offset, *(b.add(v.offset, row) for row in b.rows)] if x in exps]
         for x in itertools.chain(first, exps):
-            row = rows.reduce(_equation_row(f, n, x) | 1 << (lanes + len(basis)) * w)
+            row = rows.reduce(_equation_row(f, x) | 1 << (lanes + len(basis)) * w)
             if row & low:
                 rows.insert(row)
                 basis.append((exps, x))
@@ -633,7 +622,7 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
 
     def trial(c0, a, z):  # z^c X(a) Z(b), b and c read off the solution z
         b, c = z >> w, c0 + step * (z & digit)
-        row = _trace_lanes(f, n, b)
+        row = _trace_lanes(f, b)
         return a | b << half, [c, a, row, *_trace_form(f, n, row)] + [None] * 5
 
     # The relative-phase filter above, on the states that share v0's support.

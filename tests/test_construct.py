@@ -16,7 +16,7 @@ from qbh.errors import (
     DimensionMismatch,
     LengthMismatch,
 )
-from qbh.gf import _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
+from qbh.gf import _lane_adder, _lane_dot, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import code_make, contains, dual, fp_basis, iter_codewords
 from qbh.functional import table_make
 from qbh.pauli import PauliElement, mul, psi, symp_ip, x_op, z_op
@@ -166,12 +166,17 @@ def test_ell_examples():
     (2, 2, 4, 2),  # GF(4) < GF(16)
     (3, 2, 4, 2),  # GF(9) < GF(81)
 ])
-def test_leader_weights_match_the_coset_leader_oracle(p, r, n, k):
+def test_leader_weights_match_the_coset_leader_oracle(monkeypatch, p, r, n, k):
     f = field_make(p, r)
     code = helpers.pattern_code(f, n, k)
     table = table_make(code, field_make(p, r * k))
     dual_words = tuple(iter_codewords(dual(code)))
+    calls, lambda_of = [], type(table).lambda_of
+    monkeypatch.setattr(type(table), "lambda_of", lambda t, x: calls.append(x) or lambda_of(t, x))
     weights = construct._leader_weights(table)
+    # the steps are the F_p-combinations of the images of the n r digit units
+    assert sorted(calls) == sorted(tuple(f.p ** d if i == j else 0 for i in range(n))
+                                   for j in range(n) for d in range(r))
     assert len(weights) == table.scalars.order
     want = [oracles.coset_leader_weight_oracle(f, dual_words, table.theta(lam))
             for lam in table.scalars.elements()]
@@ -370,13 +375,15 @@ def mixed_presentation(sc, z_index=-1, x_index=0):
 
 @contextlib.contextmanager
 def recording_walk():
-    """Record the words of D every Gray-code walk of ``construct`` visits."""
+    """Record the words of D every Gray-code walk of ``construct`` visits;
+    the walks of the leader steps, scalars of K, are not words."""
     seen = []
     real = construct._gray_span
 
     def recorded(*args):
         for cur in real(*args):
-            seen.append(cur)
+            if isinstance(cur, tuple):
+                seen.append(cur)
             yield cur
 
     with mock.patch.object(construct, "_gray_span", recorded):
@@ -732,6 +739,23 @@ def test_verify_generators_does_not_read_the_kernel_pairing_rows(monkeypatch, fi
     assert "generator 0 squares to -I: tr(b.a) is odd" in verify_generators(xz)
 
 
+def test_verify_generators_dots_only_pairs_that_share_a_lane(monkeypatch):
+    # Shor's X rows and the pairing rows of its Z rows fill the a lanes, its
+    # Z rows and the pairing rows of its X rows the b lanes: only an X row
+    # and a Z row on common qubits are dotted, and the X-X and Z-Z pairs not.
+    sc = build(*helpers.shor_pair())
+    dots, dot = [], construct._lane_dot
+    monkeypatch.setattr(construct, "_lane_dot", lambda *args: dots.append(args[1:]) or dot(*args))
+    assert verify_generators(sc) == []
+    xs = [g for g in sc.generators if any(g.a)]
+    zs = [g for g in sc.generators if any(g.b)]
+    assert (len(xs), len(zs)) == (2, 6) and not set(xs) & set(zs)
+    pairs = {(construct._pairing_row(sc.field, sc.num_qudits, _vec_lanes(sc.field, x.a + x.b)),
+              _vec_lanes(sc.field, z.a + z.b))
+             for x in xs for z in zs if any(u and v for u, v in zip(x.a, z.b))}
+    assert len(pairs) == 8 and sorted((y, x) for x, y in dots) == sorted(pairs)
+
+
 def test_verify_generators_detects_rank_drop():
     f = F2
     # count matches r(nm-ks) = 2 but the rows are dependent
@@ -887,23 +911,60 @@ def test_bruteforce_on_random_mixed_presentations_takes_the_full_walk(data):
         assert count == [walk_sizes(meta)[1]]
 
 
-@pytest.mark.parametrize("fault", ["unsigned", "both-negated"])
+@pytest.mark.parametrize("fault", ["unsigned", "both-negated", "unswapped"])
 def test_centralizer_check_reads_the_per_element_pairing_table(monkeypatch, fault):
-    # The check builds each kernel vector's own pairing row from the table
-    # of (tr(a .), -tr(a .)) per element a; with the sign lost there the
-    # form is symmetric.  CSS groups hide that at odd p (one kernel under
-    # both signs), so the group is the one-qutrit X Z stabilizer.
+    # The check builds each kernel vector's own pairing row: its trace row
+    # (tr(a .) | tr(b .)), read off the field's per-element table of trace
+    # rows, with the halves swapped and tr(a .) negated.  With the sign
+    # lost, or on both halves, the form is symmetric; CSS groups hide that
+    # at odd p (one kernel under both signs), so the group is the
+    # one-qutrit X Z stabilizer.  Halves left unswapped give
+    # tr(b . b') - tr(a . a'), which vanishes on (1 | 1) at p = 3, so that
+    # fault takes X Z on one qutrit and X on another.
     sc = xz_qutrit()
-    table = construct._pairing_lanes(sc.field)
-    assert len(centralizer_basis(sc)) == 1
-    if fault == "unsigned":
-        faulty = {x: (row, row) for x, (row, _) in table.items()}
-    else:
-        faulty = {x: (neg, neg) for x, (_, neg) in table.items()}
-    monkeypatch.setattr(construct, "_pairing_lanes", lambda f: faulty)
+    if fault == "unswapped":
+        sc = StabilizerCode(F3, 2, 0, 1, 0, [PauliElement(F3, 0, (1, 0), (1, 0)), x_op(F3, (0, 1))])
+    f, N = sc.field, sc.num_qudits
+
+    def pairing(halves):
+        def row(f, N, v):
+            x = _lanes_vec(f, 2 * N, v)
+            ta, tb = list(f.trace_rows(x[:N])), list(f.trace_rows(x[N:]))
+            return _lane_pack(halves(ta, tb, lambda t: [-d % f.p for d in t]), _lane_width(f.p))
+        return row
+
+    correct = pairing(lambda ta, tb, neg: tb + neg(ta))
+    vecs = [_vec_lanes(f, x) for x in itertools.product(range(3), repeat=2 * N)]
+    assert all(correct(f, N, v) == construct._pairing_row(f, N, v) for v in vecs)
+    assert len(centralizer_basis(sc)) == N
+    monkeypatch.setattr(construct, "_pairing_row", pairing({
+        "unsigned": lambda ta, tb, neg: tb + ta,
+        "both-negated": lambda ta, tb, neg: neg(tb) + neg(ta),
+        "unswapped": lambda ta, tb, neg: neg(ta) + tb,
+    }[fault]))
     for call in (centralizer_basis, distance_bruteforce):
         with pytest.raises(ArithmeticError, match="fails to commute"):
             call(sc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairing_row_is_the_symplectic_form(data):
+    # the row of (a | b) dotted with the digits of (a' | b') is
+    # tr(b . a') - tr(a . b'), each trace read off Field.trace_rows
+    f = data.draw(st.sampled_from([F2, F3, field_make(2, 2), field_make(3, 2), field_make(5, 1)]))
+    N = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, f.order - 1), min_size=N, max_size=N)
+    a, b, a2, b2 = (data.draw(vec) for _ in range(4))
+
+    def tr(u, v):
+        return sum(t * d for t, d in zip(f.trace_rows(u), f.vec_digits(v)))
+
+    row = construct._pairing_row(f, N, _vec_lanes(f, a + b))
+    want = (tr(b, a2) - tr(a, b2)) % f.p
+    assert _lane_dot(f.p, row, _vec_lanes(f, a2 + b2)) == want
+    assert row == _lane_pack(list(f.trace_rows(b)) + [-t % f.p for t in f.trace_rows(a)],
+                             _lane_width(f.p))
 
 
 def test_repr_names_the_parameters_and_a_known_distance():

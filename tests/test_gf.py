@@ -19,6 +19,7 @@ from qbh.gf import (
     _lane_pack,
     _lane_width,
     _lanes_vec,
+    _trace_lanes,
     _vec_lanes,
     field_make,
 )
@@ -423,6 +424,19 @@ def test_rows_sharing_no_nonzero_lane_dot_to_zero(p, data):
         assert _lane_flags(p, _lane_pack(v, w), ones) == _lane_pack([int(d != 0) for d in v], w)
     assert not _lane_flags(p, _lane_pack(x, w), ones) & _lane_flags(p, _lane_pack(y, w), ones)
     assert _lane_dot(p, _lane_pack(x, w), _lane_pack(y, w)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_lanes_is_the_lane_packed_trace_row(data):
+    # the lane-packed trace row of a lane-packed vector, zero coordinates
+    # included, against the trace rows of its tuple
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    f = field_make(p, data.draw(st.integers(1, 3), label="r"))
+    n = data.draw(st.integers(1, 6), label="n")
+    entry = st.one_of(st.just(0), st.integers(0, f.order - 1))
+    vec = tuple(data.draw(st.lists(entry, min_size=n, max_size=n), label="vec"))
+    assert _trace_lanes(f, _vec_lanes(f, vec)) == _lane_pack(f.trace_rows(vec), _lane_width(p))
 
 
 def test_a_bare_and_is_no_lane_test_at_odd_p():

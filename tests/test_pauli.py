@@ -194,3 +194,15 @@ def test_detectable_rejects_an_error_of_the_wrong_length():
     code = build(*helpers.shor_pair())
     with pytest.raises(LengthMismatch, match="error does not act on the code's qudits"):
         detectable(code, x_op(F2, (1, 0)))
+
+
+@pytest.mark.parametrize("a, b, bad", [
+    ((5, 0), (0, 0), 5),  # 5 would fill F4's 2-bit chunk and the next: X(5, 0) acted as X(1, 1)
+    ((-1, 0), (0, 0), -1),  # X(-1, 0) moved a state to a negative label
+    ((0, 0), (0, 4), 4),  # symp_ip read a trace table past its end
+], ids=["overflow-aliases-another-element", "negative-entry", "overflow-in-z-part"])
+def test_pauli_element_refuses_entries_outside_its_field(a, b, bad):
+    with pytest.raises(ValueError, match=f"^entry {bad} is not a packed element of GF\\(2\\^2\\)$"):
+        PauliElement(F4, 0, a, b)
+    with pytest.raises(ValueError, match=f"entry {bad} "):
+        (x_op if any(a) else z_op)(F4, a if any(a) else b)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from qbh.bh import BhMatrix, kron_fourier, linear_rows_check
 from qbh import linalg
 from qbh.errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
-from qbh.gf import FIELD_SIZE_LIMIT, Field, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
+from qbh.gf import (FIELD_SIZE_LIMIT, Field, _lane_pack, _lane_width, _lanes_vec, _trace_lanes,
+                    _vec_lanes, field_make)
 from qbh.lincode import code_make, dual, encode, fp_basis, iter_codewords
 from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
@@ -146,9 +147,10 @@ def test_library_paths_stay_on_packed_labels(monkeypatch):
 def test_state_parts_are_built_once_per_table(monkeypatch):
     # C = [3,2]_2 and D = [3,2] over K = GF(4): |C| = 4 messages from
     # r k = 2 message digit units, and the 16 words of D name all 4 scalars.
-    # f_lam is F_p-linear in the message, so a table packs the 2 units
-    # once, and each scalar's array takes one K.mul per unit.  A product
-    # basis lays fp_basis(C)'s lanes side by side: the only basis built.
+    # f_lam is F_p-linear in the message, so a table's states read the 2
+    # unit images P keeps, packing no message, and each scalar's array
+    # takes one K.mul per unit.  A product basis lays fp_basis(C)'s lanes
+    # side by side: the only basis built.
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
     d = code_make(F4, [(1, 0, 1), (0, 1, 1)])
     h = kron_fourier(2, 2)
@@ -184,11 +186,11 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         t = table_make(code, F4)
         calls.update(dict.fromkeys(calls, 0))
         first = big_phi(code, d, t, words[0])  # the zero word: one scalar
-        assert calls == {"pack": 2, "mul": 2, "member": 1, "basis": 1, "product": 1}
-        assert len(t._state_parts[1]) == 1  # one compact array of tr(lam P(m))
+        assert calls == {"pack": 0, "mul": 2, "member": 1, "basis": 1, "product": 1}
+        assert len(t._state_parts) == 1  # one compact array of tr(lam P(m))
         states = [first] + [big_phi(code, d, t, w) for w in words[1:]]
         # one array per scalar, one product basis for m = 3
-        assert calls == {"pack": 2, "mul": 4 * 2, "member": 16, "basis": 1, "product": 1}
+        assert calls == {"pack": 0, "mul": 4 * 2, "member": 16, "basis": 1, "product": 1}
         # a second table and the matrix states of the same code object reuse
         # its product basis; another block count builds its own
         states.append(big_phi(code, d, table_make(code, F4), words[5]))
@@ -198,11 +200,16 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
         assert (calls["basis"], calls["product"]) == (2, 2)
         runs.append((t._state_parts, code._products, states))
         assert code._products.keys() == {2, 3} and pair.basis is code._products[2][0]
+    monkeypatch.undo()
     (parts, products, states), (parts2, products2, states2) = runs
-    assert len(parts) == 2  # P(u) of the units and the tr(lam P(m)) arrays, no product basis
-    # each table counted its own pack and K.mul calls above; the arrays are
-    # ints, which CPython may share when small, so they are compared by value
-    assert parts is not parts2 and parts[1] == parts2[1] and parts[1].keys() == {0, 1, 2, 3}
+    # the tr(lam P(u)) arrays alone, no product basis, each from the unit
+    # messages' P(u) as P's definition packs them
+    units = [oracles.pack_message(t, msg) for msg in ((1, 0), (0, 1))]
+    assert parts == {lam: _slots(2, 2, 4).linear([F4.trace_int(F4.mul(lam, u)) for u in units])
+                     for lam in range(4)}
+    # each table counted its own K.mul calls above; the arrays are ints,
+    # which CPython may share when small, so they are compared by value
+    assert parts is not parts2 and parts == parts2
     basis, basis2 = products[3][0], products2[3][0]
     # the 21 states of a code share one basis object, and the equal code builds its own
     assert all(v.basis is basis for v in states) and all(v.basis is basis2 for v in states2)
@@ -1270,7 +1277,7 @@ def test_scan_solutions_equal_linalg_solve_on_the_same_rows(states, data):
     f, n = states[0].field, states[0].length
     p, w, lanes = f.p, _lane_width(f.p), 1 + n * f.degree
     basis, rows, solve = sv._scan(f, n, states, sum(len(v.basis.rows) + 1 for v in states))
-    a = [sv._equation_row(f, n, x) for _, x in basis]
+    a = [sv._equation_row(f, x) for _, x in basis]
     assert len(linalg.Echelon(p, lanes, a).lead) == len(a)
     digits = st.lists(st.integers(0, p - 1), min_size=len(a), max_size=len(a))
     rhss = data.draw(st.lists(digits, min_size=1, max_size=6))
@@ -1412,7 +1419,7 @@ def test_act_on_a_packed_element_agrees_with_apply_and_is_fixed(data):
     n = v.length
     vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
     c, a, b = data.draw(st.integers(1, phase_modulus(f) - 1)), data.draw(vec), data.draw(vec)
-    row = sv._trace_lanes(f, n, _vec_lanes(f, b))
+    row = _trace_lanes(f, _vec_lanes(f, b))
     packed = [c, _vec_lanes(f, a), row, *sv._trace_form(f, n, row)] + [None] * 5
     moved = apply(x_op(f, data.draw(vec)), v)  # v's basis, most often at another offset
     order = data.draw(st.lists(st.sampled_from([v, moved]), min_size=1, max_size=4), label="order")
