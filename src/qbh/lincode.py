@@ -10,6 +10,7 @@ sum(v[i] * q^(n-1-i)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import linalg
@@ -153,6 +154,40 @@ def _fp_rows(f: Field, rows) -> list:
     return [tuple(f.mul(f.p ** d, x) for x in row) for row in rows for d in range(f.degree)]
 
 
+@functools.lru_cache(maxsize=128)
+def _walk_shape(p: int, N: int, r: int, fold: int, dim: int) -> tuple:
+    """The constants of ``_min_weight_outside`` that depend on its shape
+    alone, not its rows: (size, b, steps, ones, tree, low, high, guard,
+    add).  ``steps`` holds, per table row, its lane adder, the slot ones
+    of the table so far and its bits; ``ones`` holds bit 0 of each slot
+    of a block, ``tree`` the popcount tree's (shift, mask) pairs, ``low``
+    and ``high`` the value bits below and the top bit of each weighed
+    chunk, ``guard`` each slot's top bit, and ``add`` the block adder.
+    A shape holds up to about 0.6 MB, for blocks of 2^18 bits, and the
+    last 128 shapes are kept: a certify pass walks 64."""
+    w = _lane_width(p)
+    chunk = r * w
+    width = N * chunk * (2 if fold else 1)
+    size = chunk  # a slot holds an element and a count up to 2N + 1 below its top bit
+    while size < width or 1 << size - 1 <= 2 * N + 1:
+        size *= 2
+    b = _block_rows(p, dim, min(4096, (1 << 18) // size))
+    steps, ones, n = [], 1, size  # ones: bit 0 of each slot of the table so far, of n bits
+    for _ in range(b):
+        steps.append((_lane_adder(p, n // w), ones, n))
+        ones, n = sum(ones << c * n for c in range(p)), p * n
+    tree, lanes, f = [], ones, size // 2  # lanes: bit 0 of every 2f bits
+    while f >= chunk:
+        up = lanes << f
+        tree.insert(0, (f, up - lanes))  # the low f bits of every 2f
+        lanes |= up
+        f //= 2
+    firsts = ((ones << N * chunk) - ones) & lanes  # bit 0 of each weighed chunk
+    low, high = firsts * ((1 << chunk - 1) - 1), firsts << chunk - 1
+    return (size, b, tuple(steps), ones, tuple(tree), low, high, ones << size - 1,
+            _lane_adder(p, n // w))
+
+
 def _min_weight_outside(p: int, srows, rest, N: int, r: int, fold: int = 0) -> int:
     """Minimum weight of span(srows + rest) outside span(srows).
 
@@ -171,46 +206,31 @@ def _min_weight_outside(p: int, srows, rest, N: int, r: int, fold: int = 0) -> i
     nonzero chunks leaves each slot holding its weight.  The e excluded
     rows (srows, or none) span the first p^e elements of that order: the
     first p^(e-b) blocks, skipped, or the first p^e slots of the first
-    block, lifted above N.
+    block, lifted above N.  Only the table, the lift and the walk read the
+    rows; the rest is built once per shape by ``_walk_shape``.
     """
     rows = srows + rest
     e = len(srows) if rest else 0
-    w = _lane_width(p)
-    chunk = r * w
-    width = N * chunk * (2 if fold else 1)
-    size = chunk  # a slot holds an element and a count up to 2N + 1 below its top bit
-    while size < width or 1 << size - 1 <= 2 * N + 1:
-        size *= 2
-    b = _block_rows(p, len(rows), min(4096, (1 << 18) // size))
-    table, ones, n = 0, 1, size  # the table so far, of n bits; ones: bit 0 of each slot
-    for row in rows[:b]:
-        add, step, cur, copies = _lane_adder(p, n // w), row * ones, table, ones
+    size, b, steps, ones, tree, low, high, guard, add = _walk_shape(p, N, r, fold, len(rows))
+    table = 0  # every combination of the rows so far, one per slot of its n bits
+    for row, (lane_add, slot_ones, n) in zip(rows, steps):
+        step, cur = row * slot_ones, table
         for c in range(1, p):
-            cur = add(cur, step)
+            cur = lane_add(cur, step)
             table |= cur << c * n
-            copies |= ones << c * n
-        ones, n = copies, p * n
-    tree, lanes, f = [], ones, size // 2  # lanes: bit 0 of every 2f bits
-    while f >= chunk:
-        up = lanes << f
-        tree.insert(0, (f, up - lanes))  # the low f bits of every 2f
-        lanes |= up
-        f //= 2
-    firsts = ((ones << N * chunk) - ones) & lanes  # bit 0 of each weighed chunk
-    low, high = firsts * ((1 << chunk - 1) - 1), firsts << chunk - 1
-    guard = ones << size - 1
     if e >= b:
         skip, lift = p ** (e - b), 0
     else:
         skip, lift = 0, (N + 1) * (ones & (1 << p ** e * size) - 1)
     best = N + 1
     below = guard - best * ones  # plus a weight, its top bit is set when not below best
-    blocks = _gray_span(p, [row * ones for row in rows[b:]], _lane_adder(p, n // w), table)
+    top = r * _lane_width(p) - 1
+    blocks = _gray_span(p, [row * ones for row in rows[b:]], add, table)
     for x in itertools.islice(blocks, skip, None):
         if fold:
             x |= x >> fold
         # one bit per nonzero chunk: its top bit, or a carry out of the rest
-        x = (((x & low) + low | x) & high) >> chunk - 1
+        x = (((x & low) + low | x) & high) >> top
         for f, m in tree:
             x = (x & m) + (x >> f & m)
         if lift:

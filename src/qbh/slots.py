@@ -57,7 +57,7 @@ class _Slots:
         self.full = self.ones * ((1 << self.width) - 1)
         # bits[j]: how far a step of digit j moves a slot
         self.bits = [p ** j * self.width for j in range(dim)]
-        self._masks = {}
+        self._masks, self._plans = {}, {}
         # coords[j]: the array of step * X_j mod M, X_j digit j of the slot number
         self.coords = [self.linear([0] * j + [1] + [0] * (dim - 1 - j)) * self.step for j in range(dim)]
 
@@ -86,10 +86,19 @@ class _Slots:
 
     def plan(self, digits) -> list:
         """The masked shifts of ``_moved`` that move each slot X to X + u, u
-        given by its digits: (low, high, up, down) per nonzero digit."""
-        p, bits, masks = self.p, self.bits, self._masks
-        return [(*(masks.get((j, t)) or self.mask(j, t)), t * bits[j], (p - t) * bits[j])
-                for j, t in enumerate(digits) if t]
+        given by its digits: (low, high, up, down) per nonzero digit.
+        Built once per digit tuple, and shared: callers only read it.  The
+        memo is emptied when it reaches 4096 plans; each holds a few kB of
+        its own at most, its masks being those of ``mask``."""
+        key = tuple(digits)
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) == 4096:
+                self._plans.clear()
+            p, bits = self.p, self.bits
+            plan = self._plans[key] = [(*self.mask(j, t), t * bits[j], (p - t) * bits[j])
+                                       for j, t in enumerate(key) if t]
+        return plan
 
     def linear(self, coeffs):
         """The array of sum_j coeffs[j] X_j mod p (not M) on p^len(coeffs) slots, a ramp per digit."""

@@ -450,15 +450,24 @@ def _packed_of(e: PauliElement, f, n: int) -> list:
     return e._packed
 
 
+def _image(form: list, v: StateVector) -> StateVector:
+    """The image of v under the operator of ``form``, by ``_act``: v
+    itself when the operator fixes it, a state being immutable, so
+    ``_image(form, v) is v`` is the one test of a fixed state."""
+    offset, mask, arr = _act(form, v)
+    if arr == v.arr and offset == v.offset and mask == v.mask:
+        return v
+    return StateVector(v.field, v.length, v.basis, offset, mask, arr, v.scale)
+
+
 def apply(e: PauliElement, v: StateVector) -> StateVector:
-    """Act with z^c X(a) Z(b) on v, by ``_act`` on ``e._packed``."""
-    return StateVector(v.field, v.length, v.basis, *_act(_packed_of(e, v.field, v.length), v),
-                       v.scale)
+    """Act with z^c X(a) Z(b) on v, by ``_act`` on ``e._packed``: v itself when e fixes it."""
+    return _image(_packed_of(e, v.field, v.length), v)
 
 
 def is_fixed(e: PauliElement, v: StateVector) -> bool:
-    """Whether e fixes v exactly, by ``_act`` alone: no state is built."""
-    return _act(_packed_of(e, v.field, v.length), v) == (v.offset, v.mask, v.arr)
+    """Whether e fixes v exactly: its image is v itself."""
+    return _image(_packed_of(e, v.field, v.length), v) is v
 
 
 def inner(v: StateVector, w: StateVector) -> CycAmp:
@@ -501,7 +510,7 @@ def _check_generators(states, gens) -> list:
                     - ((rh & low) * rep & big).bit_count()) % p:
                 raise ArithmeticError("fixing generators are not abelian; span data corrupt")
     for _, form in gens:
-        if not all(_act(form, v) == (v.offset, v.mask, v.arr) for v in states):
+        if not all(_image(form, v) is v for v in states):
             raise ArithmeticError("a fixing generator moves a state; span data corrupt")
     if len(linalg.Echelon(p, 2 * lanes, [row for _, row, _, _ in packed]).lead) != len(gens):
         raise ArithmeticError("generator rows are F_p-dependent; span data corrupt")
@@ -664,7 +673,7 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
         if not u or u in rejected:
             continue
         _, form = g = trial(c0, a, z)
-        if all(_act(form, v) == (v.offset, v.mask, v.arr) for v in states):
+        if all(_image(form, v) is v for v in states):
             shifts.insert(u)
             rejected = {key(x) for x in rejected}
             gens.append(g)

@@ -243,13 +243,16 @@ def test_symplectic_check_follows_helpers_aliases_and_modules():
     assert referenced_names(src, "other") & SYMPLECTIC == {"centralizer_basis"}
 
 
-# The module-level caches of the state modules, each keyed by ints.  Work
-# on a code, table or state lives on that object (``LinearCode._products``,
-# ``FunctionalTable._state_parts``, ``PauliElement._packed``); a cache that
-# kept such objects by value would let one benchmark job reuse the work of
-# another, and would keep them alive after their job.
+# The module-level caches of the state modules and of ``lincode``'s walk,
+# each keyed by ints.  Work on a code, table or state lives on that object
+# (``LinearCode._products``, ``FunctionalTable._state_parts``,
+# ``PauliElement._packed``); a cache that kept such objects, or rows, by
+# value would let one benchmark job reuse the work of another, and would
+# keep them alive after their job.
 STATE_CACHES = {"_ring": ("int",), "_trace_rep": ("int", "int"),
-                "_trace_pattern": ("int", "int", "int"), "_slots": ("int", "int", "int")}
+                "_trace_pattern": ("int", "int", "int"), "_slots": ("int", "int", "int"),
+                "_walk_shape": ("int", "int", "int", "int", "int")}
+CACHED_MODULES = ("statevec.py", "slots.py", "lincode.py")
 
 
 def module_caches(source: str) -> tuple:
@@ -277,9 +280,9 @@ def module_caches(source: str) -> tuple:
 
 def test_state_modules_cache_only_by_ints():
     package = pathlib.Path(qbh.__file__).parent
-    found = [module_caches((package / name).read_text()) for name in ("statevec.py", "slots.py")]
+    found = [module_caches((package / name).read_text()) for name in CACHED_MODULES]
     assert {name: args for cached, _ in found for name, args in cached.items()} == STATE_CACHES
-    assert [stores for _, stores in found] == [[], []]
+    assert [stores for _, stores in found] == [[]] * len(CACHED_MODULES)
 
 
 def test_cache_check_sees_decorators_containers_and_globals():

@@ -257,6 +257,34 @@ def test_min_weight_walk_past_one_block_matches_enumeration(p, dim, s, unit, dat
     check_walk(data, p, dim, s, unit, 2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_min_weight_walk_shares_its_shape_and_nothing_else(p, data):
+    # Three walks of one shape (p, N, r, fold, dim) in one example, each on
+    # its own rows and its own |S|: two below the table's b rows (lifted
+    # first blocks), one of b (the first block skipped), in a drawn order.
+    # A weight-1 row sits last in S or first past it, so a lift kept from
+    # a walk with a smaller or a larger S, or a kept table, gives a wrong
+    # minimum against the oracle.
+    dim = _block_rows(p, 64) + 1  # one row past a table of at most 4096 slots
+    r = data.draw(st.sampled_from([1, 2]), label="r")
+    fold = data.draw(st.booleans(), label="fold")
+    per = r * (2 if fold else 1)  # digits per coordinate of the weight
+    # slots of at most 32 bits, so the table keeps its b rows
+    n = data.draw(st.integers(-(-dim // per), 32 // (per * _lane_width(p))), label="n")
+    field, half = field_make(p, r), n * r * _lane_width(p) if fold else 0
+    assert lincode._walk_shape(p, n, r, half, dim)[1] == dim - 1
+    below = data.draw(st.lists(st.integers(0, dim - 2), min_size=2, max_size=2, unique=True),
+                      label="two |S| below b")
+    for s in data.draw(st.permutations(below + [dim - 1]), label="|S| order"):
+        rows = independent_rows(data, field, n * (2 if fold else 1), dim, True)
+        rows.insert(max(0, s - data.draw(st.integers(0, 1), label="unit row in S")), rows.pop())
+        packed = [_vec_lanes(field, row) for row in rows]
+        want = oracles.min_weight_outside(field, n, rows[:s], rows[s:], fold)
+        assert _min_weight_outside(p, packed[:s], packed[s:], n, r, half) == want
+
+
 # (p, N, dim, |S|): slots of 512 bits at p = 2, N = 300 and of 384 bits
 # at p = 3, N = 120, where 4096 elements would take the whole span.
 WIDE_SHAPES = [(2, 300, 10, 0), (2, 300, 10, 9), (3, 120, 7, 2)]

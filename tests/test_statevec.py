@@ -20,7 +20,7 @@ from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
 from qbh import statevec as sv
-from qbh.slots import _moved, _slots
+from qbh.slots import _moved, _Slots, _slots
 from qbh.statevec import (
     CycAmp,
     StateVector,
@@ -1353,14 +1353,23 @@ def test_span_equal_matches_complex_rank(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_is_fixed_agrees_with_apply(data):
+    # apply hands back v itself exactly when g fixes it, the zero state
+    # included; a moved image is a new state equal to the oracle's image
     (v,) = data.draw(monomial_spans([F2, F4, F3, F9, F5], max_states=1))
     f, n = v.field, v.length
-    if data.draw(st.booleans()):
+    zero = data.draw(st.booleans(), label="zero state")
+    if zero:
+        v = state_make(f, n, {})
+    if not zero and data.draw(st.booleans()):
         g = data.draw(st.sampled_from(stab_of_span([v])))
     else:
         vec = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
         g = PauliElement(f, data.draw(st.integers(0, 3)), data.draw(vec), data.draw(vec))
-    assert is_fixed(g, v) == (apply(g, v) == v) == oracles.fixes(g, v)
+    w, fixed = apply(g, v), oracles.fixes(g, v)
+    assert is_fixed(g, v) == (w is v) == fixed
+    assert fixed or not zero  # every element fixes the zero state
+    if not fixed:
+        assert w != v and w.amps == oracles.image(g, v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1571,6 +1580,23 @@ def test_translate_is_the_per_digit_masked_shifts(p, dim, modulus):
             return sum((y // p ** j - t) % p * p ** j for j, t in enumerate(u))
 
         assert slots.values(want) == [values[back(y)] for y in range(slots.size)]
+
+
+def test_plans_are_kept_by_digits_and_the_memo_is_bounded():
+    # one plan object per digit tuple, list or tuple alike, until 4096 are
+    # kept; the next one empties the memo, and plans built after it are right
+    slots = _Slots(2, 13, 4)
+    first = slots.plan([1] + [0] * 12)
+    assert slots.plan((1,) + (0,) * 12) is first
+    digits = [[x >> j & 1 for j in range(13)] for x in range(2, 4098)]
+    for u in digits[:-1]:
+        slots.plan(u)
+    assert len(slots._plans) == 4096 and slots.plan([1] + [0] * 12) is first
+    last = slots.plan(digits[-1])
+    assert list(slots._plans.values()) == [last]
+    fresh = _Slots(2, 13, 4)
+    for u in digits[:8] + digits[-8:]:
+        assert slots.plan(u) == fresh.plan(u)
 
 
 @pytest.mark.parametrize("p", [2, 3])
