@@ -12,10 +12,10 @@ rows has full rank r(nm - ks), so the fixed space has dimension q^{ks};
 Distances come in two independent flavours: ``distance`` evaluates the
 closed form min{d(C), ell} from the construction data, deciding ell
 only below d(C) and so walking just the words of D that can beat it,
-while
-``distance_bruteforce`` enumerates the symplectic centralizer, found as
-one nullspace (``centralizer_basis``) from the generator list alone,
-and never reads the construction data.  The test suite holds the two
+lane-packed as every walk of the package, while ``distance_bruteforce``
+enumerates the symplectic centralizer, found as one nullspace
+(``centralizer_basis``) from the generator list alone, and never reads
+the construction data.  The test suite holds the two
 against each other.  A generator list whose every member is pure X or
 pure Z is CSS: its centralizer basis is pure X and pure Z vectors, so
 the centralizer is A x B, X-parts times Z-parts, and since
@@ -31,9 +31,10 @@ import math
 from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionBounds, DimensionMismatch, LengthMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
-from .gf import (_check_entries, _field_from_body, _gray_span, _lane_dot, _lane_flags, _lane_pack,
-                 _lane_width, _lanes_vec, _modulus_lines, _text_lines, _trace_lanes, _vec_lanes)
-from .lincode import LinearCode, _min_weight_outside, encode, fp_basis, min_distance
+from .gf import (_check_entries, _field_from_body, _gray_span, _lane_adder, _lane_dot, _lane_flags,
+                 _lane_pack, _lane_width, _lanes_vec, _modulus_lines, _text_lines, _trace_lanes,
+                 _vec_lanes)
+from .lincode import LinearCode, _min_weight_outside, min_distance
 from .pauli import PauliElement
 
 
@@ -193,15 +194,18 @@ def _leader_weights(table: FunctionalTable, below: int | None = None) -> list:
 
 
 def _subcode_basis(d_code: LinearCode, support) -> list:
-    """F_p-basis of D_S = D cap K^S, S = ``support``: the words x . G of
-    the messages x with tr(p^t x . G_j) = 0 for every digit unit p^t and
-    generator column j outside S, one kernel over F_p."""
-    K, k = d_code.field, d_code.k
-    rows = [_lane_pack(K.trace_rows([K.mul(K.p ** t, row[j]) for row in d_code.gen]),
-                       _lane_width(K.p))
-            for j in range(d_code.n) if j not in support for t in range(K.degree)]
-    lanes = k * K.degree
-    return [encode(d_code, _lanes_vec(K, k, x)) for x in linalg.Echelon(K.p, lanes, rows).kernel(lanes)]
+    """F_p-basis of D_S = D cap K^S, S = ``support`` increasing, each word as
+    the lane-packed vector of its coordinates in S, the others being 0:
+    one echelon of D's ``lanes`` with S's coordinates moved above the
+    others, whose rows that are 0 below S span D_S, reduced once shifted."""
+    K, m = d_code.field, d_code.n
+    size = K.degree * _lane_width(K.p)  # the bits of one coordinate
+    digits, top = (1 << size) - 1, (m - len(support)) * size
+    order = [j for j in range(m) if j not in support] + list(support)
+    moved = [sum((x >> j * size & digits) << i * size for i, j in enumerate(order))
+             for x in d_code.lanes]
+    return [x >> top for x in linalg.Echelon(K.p, m * K.degree, moved).rows
+            if not x & (1 << top) - 1]
 
 
 def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
@@ -209,21 +213,21 @@ def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
     """min(ell, below), ell = min over nonzero Lam in D of sum_i w(Lam_i).
 
     A vector x of F_q^n represents the functional f_lam with lam =
-    lambda_of(x), so the lightest m-tuple of vectors representing Lam
-    weighs sum_i w(Lam_i), with w(lam) the coset-leader weight of
-    theta(lam) + C^perp from ``_leader_weights``.  As w(lam) >= 1 for
-    lam != 0, a word of D weighing less than ``below`` has at most
-    h = below - 1 nonzero coordinates, so it lies in D_S = D cap K^S for
-    some set S of h coordinates.  Each D_S is one nullspace over K.  The
-    words of every D_S are walked by the Gray code over an F_p-basis of
-    D_S, one word add per step, with w capped at ``below``; when every
-    D_S is {0} nothing is walked and the leader search is skipped.  No
-    word of D weighs more than n m, so ``below`` defaults to n m + 1,
-    which caps nothing.  The walk covers D itself, once, when h >= m, or
-    when the D_S hold at least |D| words together.  Each D_S holds its
-    zero word, so the D_S are built only when there are fewer sets S
-    than words of D and than the budget.  ``budget`` caps the words
-    requested: sum_S |D_S|, or |D| for D itself.
+    lambda_of(x), so the lightest m-tuple of vectors representing Lam weighs
+    sum_i w(Lam_i), with w(lam) the coset-leader weight of theta(lam) +
+    C^perp from ``_leader_weights``.  As w(lam) >= 1 for lam != 0, a word
+    of D weighing less than ``below`` has at most h = below - 1 nonzero
+    coordinates, so it lies in D_S = D cap K^S for some set S of h
+    coordinates: one echelon each (``_subcode_basis``).  The words of each
+    D_S are walked lane-packed, by the Gray code over its basis, one lane
+    add per step, and weighed by one lookup of w per coordinate, w capped at
+    ``below``; when every D_S is {0} nothing is walked and the leader search
+    is skipped.  No word of D weighs more than n m, so ``below`` defaults to
+    n m + 1, which caps nothing.  The walk covers D itself, over its
+    ``lanes``, once, when h >= m, or when the D_S hold at least |D| words
+    together.  Each D_S holds its zero word, so the D_S are built only when
+    there are fewer sets S than words of D and than the budget.  ``budget``
+    caps the words requested: sum_S |D_S|, or |D| for D itself.
     """
     if table.code != code:
         raise DimensionMismatch("functional table belongs to a different code")
@@ -234,7 +238,7 @@ def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
     if below < 1:
         raise ValueError(f"below must be at least 1, got {below}")
     h = below - 1
-    cover = [fp_basis(d_code)]
+    cover = [d_code.lanes]
     if h < m and math.comb(m, h) < min(d_code.size, budget + 1):
         subcodes = [_subcode_basis(d_code, S) for S in itertools.combinations(range(m), h)]
         if sum(K.p ** len(rows) for rows in subcodes) < d_code.size:
@@ -245,14 +249,19 @@ def ell(code: LinearCode, d_code: LinearCode, table: FunctionalTable,
     if not any(cover):  # every D_S is {0}: no word of D weighs below ``below``
         return below
     weights = _leader_weights(table, below)
-    add = K.add
-
-    def word_add(x, y):
-        return tuple(map(add, x, y))
-
-    best = min(sum(map(weights.__getitem__, word)) for rows in cover
-               for word in itertools.islice(_gray_span(K.p, rows, word_add, (0,) * m), 1, None))
-    return min(best, below)
+    if K._lanes is not None:  # keyed by each scalar's lanes
+        weights = dict(zip(K._lanes, weights))
+    size = K.degree * _lane_width(K.p)  # the bits of one coordinate
+    digits, add, best = (1 << size) - 1, _lane_adder(K.p, m * K.degree), below
+    for rows in cover:
+        for word in itertools.islice(_gray_span(K.p, rows, add), 1, None):
+            total = 0
+            while word:  # one lookup per coordinate, up to the last nonzero one
+                total += weights[word & digits]
+                word >>= size
+            if total < best:
+                best = total
+    return best
 
 
 def distance(sc: StabilizerCode, budget: int = DEFAULT_BUDGET) -> int:

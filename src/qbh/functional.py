@@ -67,14 +67,14 @@ class FunctionalTable:
         f, K = code.field, scalars
         self._add = _lane_adder(K.p, code.n * f.degree)  # k <= n: wide enough for K's kr lanes too
         # P(p^d e_j) = embed(p^d) g^j, g packed as p (at degree 1 only g^0 is
-        # read), is P(msg e) for fp_basis(C) row e = p^d gen_j
+        # read), is P(msg e) for row e = p^d gen_j of C's ``lanes``
         embed = K.embed_table(f)
         self._pack = [_vec_lanes(K, (K.mul(embed[K.p ** d], K.pow(K.p, j)),))
                       for j in range(code.k) for d in range(f.degree)]
         self.dual_code = dual(code)
 
     def _functional(self) -> list:
-        """Per row e of fp_basis(C), f_{p^t}(e) = tr(p^t P(e)) for t < deg K: the
+        """Per row e of C's ``lanes``, f_{p^t}(e) = tr(p^t P(e)) for t < deg K: the
         trace rows of P's unit images."""
         K = self.scalars
         return [K.trace_row(_lanes_vec(K, 1, u)[0]) for u in self._pack]
@@ -86,7 +86,7 @@ class FunctionalTable:
         return [_lane_pack(col, w) for col in zip(*self._functional())]
 
     def _pairs(self) -> list:
-        """Per row e of fp_basis(C), the lane-packed pair (tr_{q/p}(e . x) as a row on
+        """Per row e of C's ``lanes``, the lane-packed pair (tr_{q/p}(e . x) as a row on
         the digits of x, coordinate by coordinate; f_{p^t}(e) for t < deg K)."""
         f, w = self.code.field, _lane_width(self.scalars.p)
         return [(_trace_lanes(f, e), _lane_pack(b, w))
@@ -118,7 +118,7 @@ class FunctionalTable:
         _check_entries(K, (y,))
         if self._unpack is None:
             # The message digits v of P^-1(y) solve functional^T . v = trace_row(y),
-            # digits ordered as in fp_basis: coordinate-major, digit inner.  Entry
+            # digits ordered as C's ``lanes``: coordinate-major, digit inner.  Entry
             # t of the right-hand side for y = p^u is tr(p^u p^t), which is
             # entry u of trace_row(p^t).
             w = _lane_width(K.p)

@@ -26,9 +26,9 @@ def weight(v) -> int:
 
 class LinearCode:
     """A k-dimensional length-n code over ``field``, held in RREF, read off ``lanes``, its
-    reduced echelon basis over F_p (``fp_basis``, lane-packed); ``_products``, ``_labels`` and
-    ``_parity``, None until first used, keep its ``statevec`` product bases and message-label
-    order, and its parity rows (not in ``==``)."""
+    reduced echelon basis over F_p (the RREF rows times each p^d, lane-packed); ``_products``,
+    ``_labels`` and ``_parity``, None until first used, keep its ``statevec`` product bases and
+    message-label order, and its parity rows (not in ``==``)."""
 
     __slots__ = ("field", "n", "k", "gen", "pivots", "lanes", "_products", "_labels", "_parity")
 
@@ -136,19 +136,9 @@ def iter_codewords(code: LinearCode):
         yield encode(code, message)
 
 
-def fp_basis(code: LinearCode) -> list:
-    """F_p-basis of the code: generator rows times each digit basis scalar.
-
-    Ordered row-major, digit index inner, so the result is deterministic.
-    Over a prime field this is just the generator rows.  As gen is in
-    RREF, this is the reduced echelon basis over F_p: the code's ``lanes``.
-    """
-    return [_lanes_vec(code.field, code.n, x) for x in code.lanes]
-
-
 def _fp_rows(f: Field, rows) -> list:
-    """F_p-basis of the F_q-span of the F_q-independent ``rows``, in the
-    order of ``fp_basis``."""
+    """F_p-basis of the F_q-span of the F_q-independent ``rows``: each row
+    times each digit unit p^d, row-major, digit inner."""
     if f.degree == 1:
         return [tuple(row) for row in rows]
     return [tuple(f.mul(f.p ** d, x) for x in row) for row in rows for d in range(f.degree)]

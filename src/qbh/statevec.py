@@ -265,11 +265,11 @@ def state_make(field, length: int, amps: dict, scale: int = 0) -> StateVector:
 
 
 # --- code states -------------------------------------------------------------
-# ``code.lanes`` is C's reduced echelon basis over F_p, fp_basis(C)
-# lane-packed: row (j, d) = p^d gen_j is 1 at lane j r + d, its lowest
-# nonzero lane, and 0 at every other pivot lane.  C is its span with
-# offset 0, and slot s holds the codeword sum_j m_j gen_j whose message m
-# has digit j of s in base q as m_j.
+# ``code.lanes`` is C's reduced echelon basis over F_p, lane-packed: row
+# (j, d) = p^d gen_j is 1 at lane j r + d, its lowest nonzero lane, and
+# 0 at every other pivot lane.  C is its span with offset 0, and slot s
+# holds the codeword sum_j m_j gen_j whose message m has digit j of s in
+# base q as m_j.
 
 
 def _message_labels(code: LinearCode) -> list:

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 
 from qbh.errors import DEFAULT_BUDGET, BudgetExceeded
-from qbh.lincode import iter_codewords
+from qbh.lincode import dual, iter_codewords
 from qbh.pauli import PauliElement, identity, mul
 from qbh.statevec import CycAmp, inner, state_make
 
@@ -130,6 +130,18 @@ def coset_leader_weight_oracle(field, codewords, v):
         if best is None or wt < best:
             best = wt
     return best
+
+
+def ell_by_words(table, d_code):
+    """ell = min over the nonzero words Lam of D of sum_i w(Lam_i), with
+    w(lam) the weight of a leader of the coset theta(lam) + C^perp: every
+    word of D formed from its generator rows, and every leader searched
+    over the words of C^perp."""
+    f = table.code.field
+    duals = oracle_codewords(f, dual(table.code).gen)
+    leader = functools.cache(lambda lam: coset_leader_weight_oracle(f, duals, table.theta(lam)))
+    return min(sum(map(leader, word)) for word in oracle_codewords(d_code.field, d_code.gen)
+               if any(word))
 
 
 def oracle_bh_complex(rows, p, tol=1e-7):

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -16,8 +17,8 @@ from qbh.errors import (
     DimensionMismatch,
     LengthMismatch,
 )
-from qbh.gf import _lane_adder, _lane_dot, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
-from qbh.lincode import code_make, contains, dual, fp_basis, iter_codewords
+from qbh.gf import Field, _lane_adder, _lane_dot, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
+from qbh.lincode import code_make, contains, dual, iter_codewords
 from qbh.functional import table_make
 from qbh.pauli import PauliElement, mul, psi, symp_ip, x_op, z_op
 from qbh import construct, functional, linalg, lincode
@@ -196,9 +197,36 @@ def test_ell_walks_each_word_of_d_once(pair):
     with recording_walk() as seen:
         ell(code, d_code, table)
     # the zero word first, which is skipped, then the |D| - 1 nonzero words
-    assert len(seen) == d_code.size
-    assert seen[0] == (0,) * d_code.n
-    assert set(seen[1:]) == set(iter_codewords(d_code)) - {seen[0]}
+    words = [_lanes_vec(d_code.field, d_code.n, x) for x in seen]
+    assert len(words) == d_code.size
+    assert words[0] == (0,) * d_code.n
+    assert set(words[1:]) == set(iter_codewords(d_code)) - {words[0]}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subcode_basis_spans_the_words_of_d_on_each_support(p, r):
+    # D = [4,2] over GF(p^r): a weight-2 row and a drawn one, so that
+    # supports of two coordinates can hold words too
+    K, rng = field_make(p, r), random.Random(f"{p},{r}")
+    d_code = code_make(K, [(1, rng.randrange(1, K.order), 0, 0),
+                           tuple(rng.randrange(K.order) for _ in range(4))])
+    words = list(iter_codewords(d_code))
+    for size in range(5):
+        for support in itertools.combinations(range(4), size):
+            basis = construct._subcode_basis(d_code, support)
+            # reduced echelon on the lanes of the support alone
+            linalg.Echelon.of_reduced(p, size * r, basis)
+            assert all(x >> size * r * _lane_width(p) == 0 for x in basis)
+            vecs = [_lanes_vec(K, size, x) for x in basis]
+            span = set()
+            for coeffs in itertools.product(range(p), repeat=len(vecs)):
+                w = (0,) * size
+                for c, v in zip(coeffs, vecs):
+                    w = tuple(K.add(a, K.mul(c, b)) for a, b in zip(w, v))
+                span.add(w)
+            assert span == {tuple(w[j] for j in support) for w in words
+                            if all(j in support or not w[j] for j in range(4))}
 
 
 def test_closed_form_budget_names_the_walk():
@@ -254,21 +282,25 @@ def test_capped_walk_visits_no_word_of_d_heavier_than_c():
 
 def test_capped_walk_visits_each_light_word_of_d_per_support():
     # D = <1000, 0111> over GF(4): its light words are the multiples of
-    # 1000, which every D_S with 0 in S holds
+    # 1000, which every D_S with 0 in S holds.  A D_S walks its words by
+    # their coordinates in S, so each is recorded as those, then zeros.
     code = helpers.pattern_code(F2, 5, 2)
     d_code = code_make(field_make(2, 2), [(1, 0, 0, 0), (0, 1, 1, 1)])
     table = table_make(code, d_code.field)
     uncapped = ell(code, d_code, table)
     words = list(iter_codewords(d_code))
     for below, requested in ((2, 4 + 3), (3, 3 * 4 + 3)):
+        zeros = (0,) * (4 - (below - 1))
         per_support = [
-            [w for w in words if all(j in support or not w[j] for j in range(4))]
+            [tuple(w[j] for j in support) + zeros for w in words
+             if all(j in support or not w[j] for j in range(4))]
             for support in itertools.combinations(range(4), below - 1)
         ]
         assert sum(map(len, per_support)) == requested < d_code.size
         with recording_walk() as seen:
             assert ell(code, d_code, table, below=below) == min(below, uncapped)
-        assert sorted(seen) == sorted(itertools.chain.from_iterable(per_support))
+        assert (sorted(_lanes_vec(d_code.field, 4, x) for x in seen)
+                == sorted(itertools.chain.from_iterable(per_support)))
     with pytest.raises(BudgetExceeded, match=r"^outer code walk words: 15 requested,"
                        r" limit 14; raise it with --budget$"):
         ell(code, d_code, table, budget=14, below=3)
@@ -311,13 +343,13 @@ def test_centralizer_generic_path_matches_structural_dimension():
         def block(u, i):
             return (0,) * (n * i) + tuple(u) + (0,) * (n * (m - 1 - i))
 
-        structural = [block(u, i) + zero for i in range(m) for u in fp_basis(sc.code)]
+        structural = [block(u, i) + zero for i in range(m) for u in oracles.fp_basis(sc.code)]
         structural += [
             zero + tuple(itertools.chain.from_iterable(sc.table.theta(lam) for lam in word))
-            for word in fp_basis(sc.d_code)
+            for word in oracles.fp_basis(sc.d_code)
         ]
         structural += [
-            zero + block(u, i) for i in range(m) for u in fp_basis(dual(sc.code))
+            zero + block(u, i) for i in range(m) for u in oracles.fp_basis(dual(sc.code))
         ]
         expected = rowspace(F2, structural)
         assert len(expected) == sc.field.degree * (n * m + sc.k * sc.s)
@@ -375,14 +407,15 @@ def mixed_presentation(sc, z_index=-1, x_index=0):
 
 @contextlib.contextmanager
 def recording_walk():
-    """Record the words of D every Gray-code walk of ``construct`` visits;
-    the walks of the leader steps, scalars of K, are not words."""
+    """Record the lane-packed words of D every Gray-code walk of
+    ``construct`` visits; the walks of the leader steps, scalars of K
+    added by ``Field.add``, are not words."""
     seen = []
     real = construct._gray_span
 
-    def recorded(*args):
-        for cur in real(*args):
-            if isinstance(cur, tuple):
+    def recorded(p, rows, add, *args):
+        for cur in real(p, rows, add, *args):
+            if getattr(add, "__func__", None) is not Field.add:
                 seen.append(cur)
             yield cur
 
@@ -532,7 +565,7 @@ def test_build_reads_its_z_generators_off_the_table(monkeypatch, pair):
     # C^perp is the table's: dual is asked once, for C, by table_make, and
     # never for D; the Z rows are its rows laid into each block
     c_code, d_code = pair()
-    real, want, duals = lincode.dual, fp_basis(dual(c_code)), []
+    real, want, duals = lincode.dual, oracles.fp_basis(dual(c_code)), []
 
     def counted_dual(code):
         duals.append(code)
@@ -888,9 +921,48 @@ def test_capped_ell_and_closed_form_distance_on_random_pairs_with_light_words(da
     sc, meta = draw_pair(data, LIGHT_SHAPES, unit_row=True)
     code, d_code, table = sc.code, sc.d_code, sc.table
     full = ell(code, d_code, table)
+    assert full == oracles.ell_by_words(table, d_code)
     for below in range(1, meta["m"] + 2):
         assert ell(code, d_code, table, below=below) == min(below, full)
     assert distance(sc) == distance_bruteforce(stab_from_text(stab_to_text(sc)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_uncapped_ell_above_d_c_matches_the_word_oracle(p):
+    # C = [3,2,2]_p and a drawn MDS D = [4,2,3] over K = GF(p^2): every
+    # w(lam) >= 1 off 0, so ell >= d(D) = 3 > d(C), which delta never shows
+    f, K, rng = field_make(p, 1), field_make(p, 2), random.Random(p)
+    code = code_make(f, [(1, 0, 1), (0, 1, 1)])
+    d_code = None
+    while d_code is None or lincode.min_distance(d_code) < 3:
+        d_code = code_make(K, [[rng.randrange(K.order) for _ in range(4)] for _ in range(2)])
+    table = table_make(code, K)
+    full = ell(code, d_code, table)
+    assert full == oracles.ell_by_words(table, d_code) > lincode.min_distance(code) == 2
+    assert distance(build(code, d_code)) == 2
+
+
+# As LIGHT_SHAPES at p = 5, past the brute-force bound there, with at
+# most 5^4 words of D: ell is checked against the word oracle only.  A
+# test of its own, as these shapes drawn among LIGHT_SHAPES took over
+# half of that test's examples.
+ORACLE_SHAPES = [
+    (5, r, n, k, m, s)
+    for r in (1, 2) for n in (2, 3) for k in range(1, n)
+    for m in (3, 4) for s in range(2, m)
+    if r * k * s <= 4
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_uncapped_and_capped_ell_match_the_word_oracle_at_p_5(data):
+    sc, meta = draw_pair(data, ORACLE_SHAPES, unit_row=data.draw(st.booleans(), label="unit row"))
+    code, d_code, table = sc.code, sc.d_code, sc.table
+    full = ell(code, d_code, table)
+    assert full == oracles.ell_by_words(table, d_code)
+    for below in range(1, meta["m"] + 2):
+        assert ell(code, d_code, table, below=below) == min(below, full)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qbh import lincode
@@ -22,7 +22,6 @@ from qbh.lincode import (
     contains,
     dual,
     encode,
-    fp_basis,
     iter_codewords,
     min_distance,
     weight,
@@ -231,7 +230,15 @@ def check_walk(data, p, dim, s, unit, spare):
     assert _min_weight_outside(p, packed[:s], packed[s:], n, r, half) == want
 
 
-@settings(max_examples=60, deadline=None)
+# The walk tests below run without the shrink phase.  Every shrink step
+# re-runs ``oracles.min_weight_outside`` over p^dim combinations, so a
+# failing example took over five minutes to report: hypothesis stops
+# shrinking only after 300 seconds.  The unshrunk example and, under the
+# ci profile, its reproduce blob are still printed.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
 def test_min_weight_walk_in_one_block_matches_enumeration(data, p):
     dim = data.draw(st.integers(0, _block_rows(p, 6)), label="dim")
@@ -250,7 +257,7 @@ BLOCK_SHAPES = [
 
 
 @pytest.mark.parametrize("p, dim, s, unit", BLOCK_SHAPES)
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=2, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_min_weight_walk_past_one_block_matches_enumeration(p, dim, s, unit, data):
     assert p ** dim > 4096
@@ -258,7 +265,7 @@ def test_min_weight_walk_past_one_block_matches_enumeration(p, dim, s, unit, dat
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=3, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_min_weight_walk_shares_its_shape_and_nothing_else(p, data):
     # Three walks of one shape (p, N, r, fold, dim) in one example, each on
@@ -316,17 +323,16 @@ def test_codeword_count():
     assert c.size == 16
 
 
-def test_fp_basis_prime_field_is_generator():
+def test_code_lanes_over_a_prime_field_are_the_generator_rows():
     c = code_make(F2, [(1, 1, 0), (0, 1, 1)])
-    assert fp_basis(c) == [tuple(r) for r in c.gen]
+    assert [_lanes_vec(F2, c.n, x) for x in c.lanes] == [tuple(r) for r in c.gen]
 
 
-def test_fp_basis_extension_field_spans_code():
+def test_code_lanes_over_an_extension_field_span_the_code():
     c = code_make(F4, [(1, 0, 2), (0, 1, 3)])
-    basis = fp_basis(c)
+    basis = [_lanes_vec(F4, c.n, x) for x in c.lanes]
     assert len(basis) == 2 * c.k
     # F_2-combinations of the basis enumerate the full codeword set
-    import itertools
     span = set()
     for coeffs in itertools.product((0, 1), repeat=len(basis)):
         w = (0,) * c.n

@@ -15,7 +15,7 @@ from qbh import linalg
 from qbh.errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch, LabelsNotGroup, LengthMismatch
 from qbh.gf import (FIELD_SIZE_LIMIT, Field, _lane_pack, _lane_width, _lanes_vec, _trace_lanes,
                     _vec_lanes, field_make)
-from qbh.lincode import code_make, dual, encode, fp_basis, iter_codewords
+from qbh.lincode import code_make, dual, encode, iter_codewords
 from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
 from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
@@ -149,7 +149,7 @@ def test_state_parts_are_built_once_per_table(monkeypatch):
     # r k = 2 message digit units, and the 16 words of D name all 4 scalars.
     # f_lam is F_p-linear in the message, so a table's states read the 2
     # unit images P keeps, packing no message, and each scalar's array
-    # takes one K.mul per unit.  A product basis lays fp_basis(C)'s lanes
+    # takes one K.mul per unit.  A product basis lays C's lanes
     # side by side: the only basis built.
     c = code_make(F2, [(1, 0, 1), (0, 1, 1)])
     d = code_make(F4, [(1, 0, 1), (0, 1, 1)])
@@ -284,7 +284,7 @@ def test_code_and_product_bases_equal_the_eliminated_ones(case, rng):
     f = code.field
     p, lanes, modulus = f.p, code.n * f.degree, phase_modulus(f)
     shift = lanes * _lane_width(p)
-    rows = [_vec_lanes(f, g) for g in fp_basis(code)]
+    rows = [_vec_lanes(f, g) for g in oracles.fp_basis(code)]
     for basis, want in [(sv._basis(f, code.n, code.lanes), rows),
                         (sv._product(code, m)[0], [g << b * shift for b in range(m) for g in rows])]:
         size = len(want) // len(rows) * lanes
@@ -299,7 +299,7 @@ def test_code_and_product_bases_equal_the_eliminated_ones(case, rng):
 @pytest.mark.parametrize("f", [F2, F3, F4, F9])
 def test_bases_refuse_rows_that_are_not_reduced(f):
     c = code_make(f, [(1, 0, 1), (0, 1, 1)])
-    rows = [_vec_lanes(f, g) for g in fp_basis(c)]
+    rows = [_vec_lanes(f, g) for g in oracles.fp_basis(c)]
     p, lanes, add = f.p, 3 * f.degree, linalg.Echelon(f.p, 3 * f.degree).add
     assert sv._basis(f, 3, rows).rows == tuple(rows)
     twice = linalg._times(add, rows[0], 2)  # 2 at its pivot at odd p, 0 at p = 2
@@ -516,11 +516,10 @@ def test_code_states_equal_their_readable_form(field, rows):
     p, q, step = field.p, field.order, phase_modulus(field) // field.p
     words = list(iter_codewords(c))
     scale = field.degree * c.k
-    # the code states lay C on fp_basis(C) as it is: it must be reduced echelon
+    # the code states lay C on its lanes as they are: they must be reduced echelon
     prime = field_make(p, 1)
-    basis = fp_basis(c)
-    assert ([_vec_lanes(field, g) for g in basis]
-            == [_vec_lanes(prime, r) for r in oracles.rref(prime, map(field.vec_digits, basis))[0]])
+    basis = [field.vec_digits(_lanes_vec(field, c.n, x)) for x in c.lanes]
+    assert list(c.lanes) == [_vec_lanes(prime, r) for r in oracles.rref(prime, basis)[0]]
     t = table_make(c, field_make(p, field.degree * c.k))
     for lam in range(t.scalars.order):
         readable = {w: CycAmp.root(p, step * f_eval(t, lam, w)) for w in words}
