@@ -2,10 +2,10 @@
 
 The pipeline: ``gf`` gives exact finite-field towers, ``lincode``
 classical codes, ``functional`` the scalar-indexed functional family
-and its theta lifts, ``bh`` the matrix side, ``pauli`` the symplectic
-error formalism, ``construct`` the stabilizer assembly, and ``statevec``
-exact state-level oracles that re-verify everything at desk scale, on
-the slot arrays of ``slots``.
+and its theta lifts, ``bh`` the matrix side, ``pauli`` the Pauli element
+type, ``construct`` the stabilizer assembly and the symplectic oracle,
+and ``statevec`` exact state-level oracles that re-verify everything at
+desk scale, on the slot arrays of ``slots``.
 
 Names are imported from their modules, as in ``from qbh.gf import field_make``.
 """

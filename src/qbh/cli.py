@@ -125,7 +125,7 @@ def _cmd_verify(args) -> int:
         # block, so their inner products factor blockwise: the q^k
         # single-block states decide orthogonality.
         blocks = [sv.phi(code, rebuilt.table, lam) for lam in d_code.field.elements()]
-        equal = all(sv.inner(x, y).is_zero for x, y in itertools.combinations(blocks, 2))
+        equal = all(sv.orthogonal(x, y) for x, y in itertools.combinations(blocks, 2))
         print(f"span_equal={'yes' if equal else 'no'}")
         if not equal:
             return 1

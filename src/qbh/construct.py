@@ -15,12 +15,13 @@ only below d(C) and so walking just the words of D that can beat it,
 lane-packed as every walk of the package, while ``distance_bruteforce``
 enumerates the symplectic centralizer, found as one nullspace
 (``centralizer_basis``) from the generator list alone, and never reads
-the construction data.  The test suite holds the two
-against each other.  A generator list whose every member is pure X or
-pure Z is CSS: its centralizer basis is pure X and pure Z vectors, so
-the centralizer is A x B, X-parts times Z-parts, and since
-wt(a|b) >= max(wt a, wt b) the walk takes A and B apart, p^{dim A} +
-p^{dim B} elements instead of p^{dim A + dim B}.
+the construction data (a CSS list walks its two halves apart).  The test
+suite holds the two against each other.
+
+This is the one module of the symplectic oracle: the Pauli products
+(``mul``, ``symp_ip``, ``commutes``, ``detectable``), ``_lane_dot`` and
+the pairing rows.  No module that ``statevec`` or ``slots`` reaches
+imports it.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ import math
 from . import linalg
 from .errors import DEFAULT_BUDGET, BudgetExceeded, DimensionBounds, DimensionMismatch, LengthMismatch
 from .functional import FunctionalTable, big_f_kernel, table_make, validate_d
-from .gf import (_check_entries, _field_from_body, _gray_span, _lane_adder, _lane_dot, _lane_flags,
+from .gf import (Field, _check_entries, _field_from_body, _gray_span, _lane_adder, _lane_flags,
                  _lane_pack, _lane_width, _lanes_vec, _modulus_lines, _text_lines, _trace_lanes,
                  _vec_lanes)
 from .lincode import LinearCode, _min_weight_outside, min_distance
-from .pauli import PauliElement
+from .pauli import PauliElement, phase_step
 
 
 class StabilizerCode:
@@ -122,6 +123,55 @@ class StabilizerCode:
             f"[[{self.num_qudits},{self.log_dim_exp}]]_{self.field.order}"
             f" stabilizer code ({len(self.generators)} generators{d})"
         )
+
+
+def _dot_trace(field: Field, u, v) -> int:
+    acc = 0
+    for x, y in zip(u, v):
+        if x and y:
+            acc += field.trace_int(field.mul(x, y))
+    return acc % field.p
+
+
+def mul(e1: PauliElement, e2: PauliElement) -> PauliElement:
+    """Group product, reordering e2's X part past e1's Z part."""
+    if e1.field != e2.field:
+        raise ValueError("operators act on different fields")
+    if e1.length != e2.length:
+        raise LengthMismatch("operators act on different qudit counts")
+    f = e1.field
+    phase = e1.phase + e2.phase + phase_step(f) * _dot_trace(f, e1.b, e2.a)
+    return PauliElement(f, phase, tuple(map(f.add, e1.a, e2.a)), tuple(map(f.add, e1.b, e2.b)))
+
+
+def symp_ip(u: PauliElement, v: PauliElement) -> int:
+    """Trace symplectic inner product tr(u.b . v.a - v.b . u.a), an int in [0, p)."""
+    if u.field != v.field:
+        raise ValueError("vectors over different fields")
+    if u.length != v.length:
+        raise LengthMismatch("vectors of different lengths")
+    return (_dot_trace(u.field, u.b, v.a) - _dot_trace(u.field, v.b, u.a)) % u.field.p
+
+
+def commutes(e1: PauliElement, e2: PauliElement) -> bool:
+    return symp_ip(e1, e2) == 0
+
+
+def detectable(scode, e: PauliElement) -> bool:
+    """Error detectability against a stabilizer code.
+
+    An error is detectable exactly when it lies in the stabilizer up to
+    phase, or fails to commute with some generator.  ``scode`` is a
+    StabilizerCode; only its symplectic data is consulted.
+    """
+    if e.field != scode.field or e.length != scode.num_qudits:
+        raise LengthMismatch("error does not act on the code's qudits")
+    if scode.contains_symplectic(e.a, e.b):
+        return True
+    for g in scode.generators:
+        if symp_ip(e, g) != 0:
+            return True
+    return False
 
 
 def build(code: LinearCode, d_code: LinearCode) -> StabilizerCode:
@@ -326,6 +376,17 @@ def centralizer_basis(sc: StabilizerCode) -> list:
                 "centralizer vector fails to commute; construction data corrupt"
             )
     return out
+
+
+def _lane_dot(p, x, y):
+    """x . y mod p for packed vectors: popcount(x & y) mod 2 at p = 2, else
+    the popcounts of bit i of each lane of x and bit j of y's, times 2^(i+j)."""
+    if p == 2:
+        return (x & y).bit_count() & 1
+    w = _lane_width(p)
+    ones = ((1 << (max(x, y).bit_length() // w + 1) * w) - 1) // ((1 << w) - 1)
+    return sum((x >> i & y >> j & ones).bit_count() << i + j
+               for i in range(w - 1) for j in range(w - 1)) % p
 
 
 def _pairing_row(f, N: int, v: int) -> int:

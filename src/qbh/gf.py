@@ -236,17 +236,6 @@ def _lane_adder(p, lanes):
     return _slot_adder(p, _lane_width(p), lanes)
 
 
-def _lane_dot(p, x, y):
-    """x . y mod p for packed vectors: popcount(x & y) mod 2 at p = 2, else
-    the popcounts of bit i of each lane of x and bit j of y's, times 2^(i+j)."""
-    if p == 2:
-        return (x & y).bit_count() & 1
-    w = _lane_width(p)
-    ones = ((1 << (max(x, y).bit_length() // w + 1) * w) - 1) // ((1 << w) - 1)
-    return sum((x >> i & y >> j & ones).bit_count() << i + j
-               for i in range(w - 1) for j in range(w - 1)) % p
-
-
 def _lane_flags(p, x, ones):
     """Bit 0 of each lane of x set when the lane is nonzero, for ``ones``
     holding bit 0 of every lane: the OR of its w - 1 value bits."""

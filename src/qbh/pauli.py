@@ -8,9 +8,9 @@ at p = 2, where the group needs the imaginary unit and M = 4.  With
 step = M / p, omega = z^step, so reordering contributes
 step * tr(b . a') because Z(b) X(a') = omega^tr(b.a') X(a') Z(b).
 
-``psi`` drops the phase: it returns the phase-0 element X(a) Z(b),
-which stands for the symplectic pair (a | b); all commutation questions
-reduce to the trace symplectic inner product on those pairs.
+``psi`` drops the phase: it returns the phase-0 element X(a) Z(b), the
+symplectic pair (a | b).  Products and pairings, which need field
+arithmetic, belong to the symplectic oracle, ``construct``.
 """
 
 from __future__ import annotations
@@ -91,34 +91,6 @@ def psi(e: PauliElement) -> PauliElement:
     return PauliElement(e.field, 0, e.a, e.b)
 
 
-def _dot_trace(field: Field, u, v) -> int:
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc += field.trace_int(field.mul(x, y))
-    return acc % field.p
-
-
-def mul(e1: PauliElement, e2: PauliElement) -> PauliElement:
-    """Group product, reordering e2's X part past e1's Z part."""
-    if e1.field != e2.field:
-        raise ValueError("operators act on different fields")
-    if e1.length != e2.length:
-        raise LengthMismatch("operators act on different qudit counts")
-    f = e1.field
-    phase = e1.phase + e2.phase + phase_step(f) * _dot_trace(f, e1.b, e2.a)
-    return PauliElement(f, phase, tuple(map(f.add, e1.a, e2.a)), tuple(map(f.add, e1.b, e2.b)))
-
-
-def symp_ip(u: PauliElement, v: PauliElement) -> int:
-    """Trace symplectic inner product tr(u.b . v.a - v.b . u.a), an int in [0, p)."""
-    if u.field != v.field:
-        raise ValueError("vectors over different fields")
-    if u.length != v.length:
-        raise LengthMismatch("vectors of different lengths")
-    return (_dot_trace(u.field, u.b, v.a) - _dot_trace(u.field, v.b, u.a)) % u.field.p
-
-
 def swt(v) -> int:
     """Symplectic weight of a PauliElement or an (a, b) pair: positions
     where the (a_i, b_i) pair is nonzero."""
@@ -127,24 +99,3 @@ def swt(v) -> int:
     else:
         a, b = v
     return sum(1 for x, y in zip(a, b) if x or y)
-
-
-def commutes(e1: PauliElement, e2: PauliElement) -> bool:
-    return symp_ip(e1, e2) == 0
-
-
-def detectable(scode, e: PauliElement) -> bool:
-    """Error detectability against a stabilizer code.
-
-    An error is detectable exactly when it lies in the stabilizer up to
-    phase, or fails to commute with some generator.  ``scode`` is a
-    StabilizerCode; only its symplectic data is consulted.
-    """
-    if e.field != scode.field or e.length != scode.num_qudits:
-        raise LengthMismatch("error does not act on the code's qudits")
-    if scode.contains_symplectic(e.a, e.b):
-        return True
-    for g in scode.generators:
-        if symp_ip(e, g) != 0:
-            return True
-    return False

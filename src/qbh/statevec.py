@@ -4,8 +4,8 @@ Every state here is monomial: on each label of its support the
 amplitude is a root of unity z^e, with z = e^(2 pi i/M) and M =
 ``pauli.phase_modulus``, the phase convention of ``pauli``: M = p, and
 M = 4 at p = 2, where operator phases are powers of i.  A trace value t
-enters as omega^t = z^(step t), step = M / p.  Sums of amplitudes, such
-as inner products, lie in Z[z] and are kept exactly as ``CycAmp``.
+enters as omega^t = z^(step t), step = M / p.  Sums of amplitudes lie
+in Z[z], kept exactly as ``CycAmp``; ``orthogonal`` reads exponents only.
 Normalisation factors (powers of 1/sqrt(p)) ride along as a symbolic
 exponent on the state, never as a float.
 
@@ -32,8 +32,8 @@ array of |C| slots kept per scalar or matrix row (``_fold``).
 read-only views.  ``fix_dim`` runs on the same form, over the coset
 where the generator list's diagonal elements z^c Z(b) act as 1: a
 fixed vector vanishes everywhere else.  The product of two states, the
-equal-sum states and span equality have no reader in the package; the
-tests build them from their definitions (``tests/oracles.py``).
+equal-sum states, span equality and the exact inner product have no
+reader in the package; the tests build them (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -445,9 +445,14 @@ def _packed_of(e: PauliElement, f, n: int) -> list:
     if len(e.a) != n:
         raise LengthMismatch(f"operator on {len(e.a)} qudits, space on {n}")
     if e._packed is None:
-        row = _lane_pack(f.trace_rows(e.b), _lane_width(f.p))
-        e._packed = [e.phase, _vec_lanes(f, e.a), row, *_trace_form(f, n, row)] + [None] * 5
+        e._packed = _form(f, n, e.phase, _vec_lanes(f, e.a), _vec_lanes(f, e.b))
     return e._packed
+
+
+def _form(f, n: int, c: int, a: int, b: int) -> list:
+    """``_act``'s form of z^c X(a) Z(b), a and b lane-packed, its work slots empty."""
+    row = _trace_lanes(f, b)
+    return [c, a, row, *_trace_form(f, n, row)] + [None] * 5
 
 
 def _image(form: list, v: StateVector) -> StateVector:
@@ -470,20 +475,16 @@ def is_fixed(e: PauliElement, v: StateVector) -> bool:
     return _image(_packed_of(e, v.field, v.length), v) is v
 
 
-def inner(v: StateVector, w: StateVector) -> CycAmp:
-    """<v, w> without the scale factors: sum of conj(v) * w.
-
-    Each common label contributes z^(e_w - e_v), so the sum is the
-    histogram of exponent differences read as an element of Z[z].
-    """
+def orthogonal(v: StateVector, w: StateVector) -> bool:
+    """Whether <v, w> = sum_j h_j z^j is 0, h the histogram of e_w(x) - e_v(x)
+    mod M over the common labels x: as Phi_M = sum_{i<p} x^(i step), exactly
+    when h is constant on each class j + step Z (all p counts equal at odd
+    p, h_0 = h_2 and h_1 = h_3 at p = 2)."""
     if v.field != w.field or v.length != w.length:
         raise DimensionMismatch("states to compare live in different spaces")
-    modulus = phase_modulus(v.field)
-    counts = [0] * modulus
-    ve, we = v.exps, w.exps
-    for x in ve.keys() & we.keys():
-        counts[(we[x] - ve[x]) % modulus] += 1
-    return CycAmp(v.field.p, counts)
+    (modulus, step), ve, we = _ring(v.field.p), v.exps, w.exps
+    diffs = [(we[x] - ve[x]) % modulus for x in ve.keys() & we.keys()]
+    return all(len({diffs.count(i) for i in range(j, modulus, step)}) == 1 for j in range(step))
 
 
 def _check_generators(states, gens) -> list:
@@ -630,9 +631,7 @@ def stab_of_span(states, budget: int = DEFAULT_BUDGET) -> list:
     basis, rows, solve = _scan(f, n, supports.values(), tags)
 
     def trial(c0, a, z):  # z^c X(a) Z(b), b and c read off the solution z
-        b, c = z >> w, c0 + step * (z & digit)
-        row = _trace_lanes(f, b)
-        return a | b << half, [c, a, row, *_trace_form(f, n, row)] + [None] * 5
+        return a | z >> w << half, _form(f, n, c0 + step * (z & digit), a, z >> w)
 
     # The relative-phase filter above, on the states that share v0's support.
     slots, low = v0.basis.slots, (v0.mask & -v0.mask).bit_length() - 1

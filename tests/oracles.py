@@ -5,7 +5,7 @@ through the code paths under test: polynomial arithmetic is written out
 longhand, orthogonality checks run in floating-point complex arithmetic,
 and group orders come from explicit closure. Slow on purpose. The state
 references are the exception: they build states through ``state_make``,
-the readable constructor, and read them through ``inner``.
+the readable constructor, and read them through ``inner``, exact in Z[z].
 """
 
 import cmath
@@ -14,10 +14,11 @@ import itertools
 import operator
 from fractions import Fraction
 
-from qbh.errors import DEFAULT_BUDGET, BudgetExceeded
+from qbh.construct import mul
+from qbh.errors import DEFAULT_BUDGET, BudgetExceeded, DimensionMismatch
 from qbh.lincode import dual, iter_codewords
-from qbh.pauli import PauliElement, identity, mul
-from qbh.statevec import CycAmp, inner, state_make
+from qbh.pauli import PauliElement, identity, phase_modulus
+from qbh.statevec import CycAmp, state_make
 
 
 def poly_mul_mod(p, modulus, a, b):
@@ -254,6 +255,20 @@ def equal_sum_states(code, m):
         total = functools.reduce(lambda u, v: tuple(map(f.add, u, v)), blocks)
         sums[total][sum(blocks, ())] = one
     return [state_make(f, code.n * m, sums[c]) for c in words]
+
+
+def inner(v, w) -> CycAmp:
+    """<v, w> without the scale factors: sum of conj(v) * w, as an element
+    of Z[z].  Each common label contributes z^(e_w - e_v), so the sum is
+    the histogram of exponent differences read as a ``CycAmp``: the
+    reference ``statevec.orthogonal`` is held to."""
+    if v.field != w.field or v.length != w.length:
+        raise DimensionMismatch("states to compare live in different spaces")
+    modulus = phase_modulus(v.field)
+    counts = [0] * modulus
+    for x in v.exps.keys() & w.exps.keys():
+        counts[(w.exps[x] - v.exps[x]) % modulus] += 1
+    return CycAmp(v.field.p, counts)
 
 
 def span_equal(states_a, states_b, budget: int = DEFAULT_BUDGET) -> bool:

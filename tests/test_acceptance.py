@@ -21,15 +21,14 @@ from qbh.errors import DEFAULT_BUDGET
 from qbh.gf import field_make
 from qbh.lincode import code_make, iter_codewords, min_distance
 from qbh.functional import big_f_kernel, table_make, table_matrix
-from qbh.pauli import PauliElement, detectable, swt
-from qbh.construct import build, distance, distance_bruteforce
+from qbh.pauli import PauliElement, swt
+from qbh.construct import build, detectable, distance, distance_bruteforce
 from qbh.statevec import (
     CycAmp,
     apply,
     big_phi,
     big_phi_from_matrix,
     fix_dim,
-    inner,
     phi,
     stab_of_span,
 )
@@ -45,7 +44,7 @@ from qbh.bh import (
 
 import helpers
 import oracles
-from oracles import equal_sum_states, span_equal
+from oracles import equal_sum_states, inner, span_equal
 import test_lemmas as lemmas
 from test_bh import invertible_grams
 from test_construct import STANDARD_SHOR, rowspace

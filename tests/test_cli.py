@@ -8,7 +8,6 @@ from qbh.cli import main
 from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text
 from qbh.pauli import PauliElement
 from qbh.gf import field_make
-from qbh.statevec import CycAmp
 
 import helpers
 from test_construct import mixed_presentation
@@ -214,7 +213,7 @@ def test_verify_statevec_span_equal_needs_orthogonal_states(tmp_path, capsys, mo
     out = str(tmp_path / "four.stab")
     main(["construct", "-c", c, "-d", d, "-o", out])
     capsys.readouterr()
-    monkeypatch.setattr(sv, "inner", lambda v, w: CycAmp.one(v.field.p))
+    monkeypatch.setattr(sv, "orthogonal", lambda v, w: False)
     rc = main(["verify", out, "--statevec", "-c", c, "-d", d])
     got = capsys.readouterr().out
     assert rc == 1
@@ -260,8 +259,8 @@ def test_verify_statevec_orthogonality_checks_single_block_states(tmp_path, caps
     main(["construct", "-c", c, "-d", d, "-o", out])
     capsys.readouterr()
     calls = []
-    inner = sv.inner
-    monkeypatch.setattr(sv, "inner", lambda v, w: calls.append(1) or inner(v, w))
+    orthogonal = sv.orthogonal
+    monkeypatch.setattr(sv, "orthogonal", lambda v, w: calls.append(1) or orthogonal(v, w))
     rc = main(["verify", out, "--statevec", "-c", c, "-d", d])
     got = capsys.readouterr().out
     assert rc == 0

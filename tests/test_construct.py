@@ -17,21 +17,24 @@ from qbh.errors import (
     DimensionMismatch,
     LengthMismatch,
 )
-from qbh.gf import Field, _lane_adder, _lane_dot, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
+from qbh.gf import Field, _lane_adder, _lane_pack, _lane_width, _lanes_vec, _vec_lanes, field_make
 from qbh.lincode import code_make, contains, dual, iter_codewords
 from qbh.functional import table_make
-from qbh.pauli import PauliElement, mul, psi, symp_ip, x_op, z_op
+from qbh.pauli import PauliElement, psi, x_op, z_op
 from qbh import construct, functional, linalg, lincode
 from qbh.statevec import fix_dim
 from qbh.construct import (
     StabilizerCode,
+    _lane_dot,
     build,
     centralizer_basis,
     distance,
     distance_bruteforce,
     ell,
+    mul,
     stab_from_text,
     stab_to_text,
+    symp_ip,
     verify_generators,
 )
 
@@ -861,27 +864,29 @@ PAIR_SHAPES = [
 ]
 
 
-def draw_pair(data, shapes=PAIR_SHAPES, unit_row=False):
+def draw_pair(data, shapes=PAIR_SHAPES, unit_row=False, heavy=False):
     """A random code pair whose centralizer has at most 2^16 elements.
 
     C and D are full rank, and every coordinate of D is live, by
     construction.  With ``unit_row`` the first row of D is a word of
-    weight 1."""
+    weight 1; with ``heavy`` every entry of D off its pivots is nonzero."""
     p, r, n, k, m, s = data.draw(st.sampled_from(shapes), label="shape")
     f, K = field_make(p, r), field_make(p, r * k)
 
-    def systematic_rows(field, count, length, live=False, unit=False):
+    def systematic_rows(field, count, length, live=False, unit=False, heavy=False):
         """A permuted systematic form: row i is 1 at its own pivot and 0 at
         the other rows' pivots, the pivots drawn columns.  With ``live``
         each other column is nonzero in a drawn row.  With ``unit`` the
         first row is a nonzero scalar at its pivot alone, and the other
-        columns fill the other rows."""
+        columns fill the other rows.  With ``heavy`` every entry of the
+        other columns is nonzero."""
         order = data.draw(st.permutations(range(length)), label="pivot columns first")
         rows = [[0] * length for _ in range(count)]
         for i, j in enumerate(order[:count]):
             rows[i][j] = 1
         first = 1 if unit else 0
-        entry, nonzero = st.integers(0, field.order - 1), st.integers(1, field.order - 1)
+        nonzero = st.integers(1, field.order - 1)
+        entry = nonzero if heavy else st.integers(0, field.order - 1)
         for j in order[count:]:
             column = data.draw(st.lists(entry, min_size=count - first, max_size=count - first))
             if live:
@@ -893,7 +898,7 @@ def draw_pair(data, shapes=PAIR_SHAPES, unit_row=False):
         return rows
 
     c_code = code_make(f, systematic_rows(f, k, n))
-    d_code = code_make(K, systematic_rows(K, s, m, live=True, unit=unit_row))
+    d_code = code_make(K, systematic_rows(K, s, m, live=True, unit=unit_row, heavy=heavy))
     meta = {"p": p, "r": r, "n": n, "k": k, "m": m, "s": s}
     return build(c_code, d_code), meta
 
@@ -915,10 +920,14 @@ LIGHT_SHAPES = [
 ]
 
 
-@settings(max_examples=60, deadline=None)
+# Beside D with a light word, a heavy D, every entry off its pivots
+# nonzero and no unit row, whose words may all weigh more than d(C): the
+# only draws where uncapped ell exceeds d(C), which delta never shows.
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_capped_ell_and_closed_form_distance_on_random_pairs_with_light_words(data):
-    sc, meta = draw_pair(data, LIGHT_SHAPES, unit_row=True)
+    heavy = data.draw(st.booleans(), label="heavy D")
+    sc, meta = draw_pair(data, LIGHT_SHAPES, unit_row=not heavy, heavy=heavy)
     code, d_code, table = sc.code, sc.d_code, sc.table
     full = ell(code, d_code, table)
     assert full == oracles.ell_by_words(table, d_code)

@@ -14,7 +14,6 @@ from qbh.gf import (
     FIELD_SIZE_LIMIT,
     _gray_span,
     _lane_adder,
-    _lane_dot,
     _lane_flags,
     _lane_pack,
     _lane_width,
@@ -23,6 +22,7 @@ from qbh.gf import (
     _vec_lanes,
     field_make,
 )
+from qbh.construct import _lane_dot
 
 import oracles
 

@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, no package module imports anything outside the
-standard library, every public name is read by the package or the
-benchmark or kept for a listed reason, the package has one work budget
-and every refusal passes its counts as values, and the CLI loads the
-state and matrix modules only for the commands that run them."""
+standard library, the two oracles stay apart in the import graph, every
+public name is read or kept for a listed reason, the package has one
+work budget and every refusal passes its counts as values, and the CLI
+loads the state and matrix modules only for the commands that run them."""
 
 import ast
 import os
@@ -17,6 +17,7 @@ import qbh
 
 SOURCES = sorted(pathlib.Path(qbh.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+PACKAGE = {path.stem: path.read_text() for path in MODULES}
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
@@ -68,13 +69,50 @@ def test_stdlib_check_sees_third_party_imports():
     assert absolute_imports(src) - sys.stdlib_module_names == {"numpy", "hypothesis", "sympy"}
 
 
-# The state-vector oracle must not lean on the symplectic one: neither on
-# its products and pairings nor on the pairing rows, checks and packed
-# dot ``gf._lane_dot`` of ``construct``.  Both may share the F_p
-# primitives of ``linalg``.
-SYMPLECTIC = {"symp_ip", "mul", "centralizer_basis", "sympl_matrix",
-              "_pairings", "_pairing_row", "_dot_trace", "verify_generators",
-              "_lane_dot"}
+# The oracles stay apart in the import graph, lazy imports included:
+# ``statevec`` and ``slots`` reach no ``construct``, the symplectic oracle,
+# and it no ``statevec``; both share ``pauli``, which does no field arithmetic.
+def reached(sources: dict, start: str) -> set:
+    """``start`` and each module it reaches by ``from .`` imports, anywhere in a source."""
+    seen, todo = set(), [start]
+    while todo:
+        if (module := todo.pop()) not in seen:
+            seen.add(module)
+            todo += [name for node in ast.walk(ast.parse(sources.get(module, "")))
+                     if isinstance(node, ast.ImportFrom) and node.level
+                     for name in ([node.module] if node.module else [a.name for a in node.names])]
+    return seen
+
+
+def crossings(sources: dict) -> set:
+    """``construct`` when the state oracle reaches it, ``statevec`` when ``construct`` does."""
+    state = reached(sources, "statevec") | reached(sources, "slots")
+    return {"construct"} & state | {"statevec"} & reached(sources, "construct")
+
+
+def field_arithmetic(sources: dict, module: str) -> set:
+    """The public methods of ``gf.Field``, its arithmetic, that ``module`` names."""
+    methods = {node.name for cls in ast.parse(sources["gf"]).body if getattr(cls, "name", "") == "Field"
+               for node in cls.body if isinstance(node, ast.FunctionDef) and node.name[0] != "_"}
+    return all_names(ast.parse(sources[module])) & methods
+
+
+def test_the_oracles_are_apart_in_the_import_graph():
+    assert crossings(PACKAGE) == field_arithmetic(PACKAGE, "pauli") == set()
+    assert {"functional", "bh", "slots"} <= reached(PACKAGE, "construct")
+
+
+def test_import_rule_sees_aliases_package_imports_and_lazy_imports():
+    clean = {"statevec": "from .slots import _moved\nfrom .pauli import PauliElement\n",
+             "slots": "from .linalg import _times\n", "bh": "from .slots import _slots\n",
+             "construct": "def table_matrix(t):\n    from .bh import BhMatrix\n",
+             "gf": "class Field:\n    def add(self, a):\n        pass\n", "pauli": "from .gf import Field\n"}
+    assert crossings(clean) == field_arithmetic(clean, "pauli") == set()
+    planted = {"pauli": "from .construct import mul as product\n", "linalg": "from . import gf, construct\n",
+               "statevec": "def f():\n    from .construct import mul\n",
+               "bh": "def g():\n    from . import statevec as sv\n"}  # alias, package, lazy, lazy
+    assert [crossings({**clean, m: s}) for m, s in planted.items()] == [{"construct"}] * 3 + [{"statevec"}]
+    assert field_arithmetic({**clean, "pauli": "def mul(e, f):\n    return f.add(e)\n"}, "pauli") == {"add"}
 
 
 def referenced_names(source: str, root: str) -> set:
@@ -93,8 +131,7 @@ def referenced_names(source: str, root: str) -> set:
             origin.update((alias.asname or alias.name.split(".")[0],) * 2 for alias in node.names)
     names, seen, todo = set(), set(), [root]
     while todo:
-        name = todo.pop()
-        if name in seen:
+        if (name := todo.pop()) in seen:
             continue
         seen.add(name)
         for node in ast.walk(defs[name]):
@@ -108,28 +145,14 @@ def referenced_names(source: str, root: str) -> set:
     return names
 
 
-# Every function of the state-vector certification path and every state
-# constructor, with the slot-array helpers they reach.  stab_of_span is
-# on it too: its trials and generators stay lane-packed and act through
-# ``_act``, and its self-check pairs the generators, and its walk
-# multiplies them, on their own (a | b) rows, not through the products
-# of ``pauli``.
-STATEVEC_PATH = ["fix_dim", "apply", "is_fixed", "phi", "big_phi", "big_phi_from_matrix",
-                 "inner", "state_make", "stab_of_span"]
-
-
-@pytest.mark.parametrize("root", STATEVEC_PATH)
-def test_statevec_path_reads_no_symplectic_algebra(root):
-    source = (pathlib.Path(qbh.__file__).parent / "statevec.py").read_text()
-    assert referenced_names(source, root) & SYMPLECTIC == set()
-
-
 # The state references the tests hold the state-vector oracle to: the
-# product of two states, the equal-sum states and span equality.
+# product of two states, the equal-sum states and span equality read no
+# name that ``tests/oracles.py`` takes from the symplectic oracle.
 @pytest.mark.parametrize("root", ["span_equal", "tensor", "equal_sum_states"])
 def test_state_references_read_no_symplectic_algebra(root):
     source = (pathlib.Path(__file__).parent / "oracles.py").read_text()
-    assert referenced_names(source, root) & SYMPLECTIC == set()
+    symplectic = {name for module, name in package_reads(source) if module == "construct"}
+    assert symplectic and referenced_names(source, root) & symplectic == set()
 
 
 # One code-state path: phi, big_phi and big_phi_from_matrix build their
@@ -140,8 +163,7 @@ FOLD_CHAIN = {"tensor", "reduce"}
 
 @pytest.mark.parametrize("root", ["phi", "big_phi", "big_phi_from_matrix"])
 def test_code_states_are_built_by_one_fold(root):
-    source = (pathlib.Path(qbh.__file__).parent / "statevec.py").read_text()
-    assert referenced_names(source, root) & FOLD_CHAIN == set()
+    assert referenced_names(PACKAGE["statevec"], root) & FOLD_CHAIN == set()
 
 
 def test_fold_check_sees_a_tensor_chain_behind_helpers():
@@ -177,8 +199,7 @@ def action_callers(source: str) -> set:
 
 
 def test_only_act_plans_moves_or_builds_phase_arrays_in_statevec():
-    source = (pathlib.Path(qbh.__file__).parent / "statevec.py").read_text()
-    assert action_callers(source) == {"_act"}
+    assert action_callers(PACKAGE["statevec"]) == {"_act"}
 
 
 def test_action_check_sees_aliases_attributes_and_nested_calls():
@@ -200,23 +221,6 @@ def all_names(tree) -> set:
     return names
 
 
-def test_slot_arrays_read_no_symplectic_algebra():
-    # the slot arrays and bases that every state and fix_dim run on
-    tree = ast.parse((pathlib.Path(qbh.__file__).parent / "slots.py").read_text())
-    assert all_names(tree) & SYMPLECTIC == set()
-
-
-def test_state_modules_read_no_symplectic_dot():
-    # stab_of_span solves on lane adds and pairs through its own trace
-    # forms: nowhere in statevec or slots is the symplectic oracle's dot read
-    package = pathlib.Path(qbh.__file__).parent
-    for name in ("statevec.py", "slots.py"):
-        assert "_lane_dot" not in all_names(ast.parse((package / name).read_text()))
-    # the check sees the dot imported under another name or read off gf
-    assert "_lane_dot" in all_names(ast.parse("from .gf import _lane_dot as dot\n"))
-    assert "_lane_dot" in all_names(ast.parse("def f(x):\n    return gf._lane_dot(2, x, x)\n"))
-
-
 # The state oracle's packed forms: the trace form of a Z part, the
 # packed form ``statevec.apply`` keeps on each Pauli element, and the
 # action core that reads it.
@@ -224,23 +228,20 @@ PACKED = {"_trace_form", "_trace_rep", "_trace_pattern", "_packed", "_act"}
 
 
 def test_symplectic_oracle_reads_no_packed_form():
-    package = pathlib.Path(qbh.__file__).parent
-    assert all_names(ast.parse((package / "construct.py").read_text())) & PACKED == set()
-    defs = {node.name: node for node in ast.parse((package / "pauli.py").read_text()).body
-            if isinstance(node, ast.FunctionDef)}
-    for name in ("symp_ip", "_dot_trace"):
-        assert all_names(defs[name]) & PACKED == set()
+    assert all_names(ast.parse(PACKAGE["construct"])) & PACKED == set()
     # the check sees a slot read through any object
     assert all_names(ast.parse("def f(e):\n    return e._packed\n")) & PACKED == {"_packed"}
 
 
 def test_symplectic_check_follows_helpers_aliases_and_modules():
-    src = ("from .pauli import mul as pauli_mul\nfrom . import construct\n"
+    src = ("from qbh.construct import mul as pauli_mul\nimport qbh.construct as construct\n"
            "def helper(x):\n    return pauli_mul(x, x)\n"
            "def other(x):\n    return construct.centralizer_basis(x)\n"
            "def fix_dim(s):\n    return helper(s) + s.field.mul(1, 1)\n")
-    assert referenced_names(src, "fix_dim") & SYMPLECTIC == {"mul"}
-    assert referenced_names(src, "other") & SYMPLECTIC == {"centralizer_basis"}
+    symplectic = {name for module, name in package_reads(src) if module == "construct"}
+    assert symplectic == {"mul", "centralizer_basis"}
+    assert referenced_names(src, "fix_dim") & symplectic == {"mul"}
+    assert referenced_names(src, "other") & symplectic == {"centralizer_basis"}
 
 
 # The module-level caches of the state modules and of ``lincode``'s walk,
@@ -252,7 +253,7 @@ def test_symplectic_check_follows_helpers_aliases_and_modules():
 STATE_CACHES = {"_ring": ("int",), "_trace_rep": ("int", "int"),
                 "_trace_pattern": ("int", "int", "int"), "_slots": ("int", "int", "int"),
                 "_walk_shape": ("int", "int", "int", "int", "int")}
-CACHED_MODULES = ("statevec.py", "slots.py", "lincode.py")
+CACHED_MODULES = ("statevec", "slots", "lincode")
 
 
 def module_caches(source: str) -> tuple:
@@ -279,8 +280,7 @@ def module_caches(source: str) -> tuple:
 
 
 def test_state_modules_cache_only_by_ints():
-    package = pathlib.Path(qbh.__file__).parent
-    found = [module_caches((package / name).read_text()) for name in CACHED_MODULES]
+    found = [module_caches(PACKAGE[name]) for name in CACHED_MODULES]
     assert {name: args for cached, _ in found for name, args in cached.items()} == STATE_CACHES
     assert [stores for _, stores in found] == [[]] * len(CACHED_MODULES)
 
@@ -302,16 +302,16 @@ def test_cache_check_sees_decorators_containers_and_globals():
 # benchmark, or it is listed here with why it stays.
 UNREAD_BY_DESIGN = {
     "bh.normalize": "paper object: the normalized BH matrix the converse scrambles (acceptance 08)",
+    "construct.commutes": "paper object: commutation of two Pauli elements (test_pauli)",
+    "construct.detectable": "paper object: error detectability (acceptance 10)",
+    "construct.mul": "paper object: the Pauli group product (test_pauli, oracles.group_closure)",
     "functional.f_eval": "paper object: the functional f_lam on a codeword (test_functional)",
     "functional.project_zero_coordinates":
         "paper object: D projected off its zero coordinates, as validate_d asks",
     "functional.table_matrix": "paper object: the BH matrix [f_lam(c)] (acceptance 02)",
     "lincode.code_to_text": "writer of the code format that qbh construct reads",
     "lincode.weight": "paper object: the Hamming weight wt (test_lincode)",
-    "pauli.commutes": "paper object: commutation of two Pauli elements (test_pauli)",
-    "pauli.detectable": "paper object: error detectability (acceptance 10)",
     "pauli.identity": "paper object: the identity of the Pauli group (test_pauli)",
-    "pauli.mul": "paper object: the Pauli group product (test_pauli, oracles.group_closure)",
     "pauli.psi": "paper object: the symplectic image psi (test_pauli)",
     "pauli.swt": "paper object: the symplectic weight swt (acceptance 10)",
     "pauli.x_op": "paper object: the X(a) operator (test_pauli)",
@@ -392,9 +392,8 @@ def unread_members(modules: dict, others) -> set:
 
 
 def test_every_public_name_is_read_or_kept_for_a_reason():
-    modules = {path.stem: path.read_text() for path in MODULES}
     others = [path.read_text() for path in sorted(PERFBENCH.rglob("*.py"))]
-    unread = unread_definitions(modules, others) | unread_members(modules, others)
+    unread = unread_definitions(PACKAGE, others) | unread_members(PACKAGE, others)
     assert unread == set(UNREAD_BY_DESIGN)
 
 

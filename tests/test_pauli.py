@@ -6,21 +6,8 @@ import pytest
 
 from qbh.errors import LengthMismatch
 from qbh.gf import field_make
-from qbh.pauli import (
-    PauliElement,
-    commutes,
-    detectable,
-    identity,
-    mul,
-    phase_modulus,
-    phase_step,
-    psi,
-    swt,
-    symp_ip,
-    x_op,
-    z_op,
-)
-from qbh.construct import build
+from qbh.pauli import PauliElement, identity, phase_modulus, phase_step, psi, swt, x_op, z_op
+from qbh.construct import build, commutes, detectable, mul, symp_ip
 from qbh.statevec import CycAmp, apply, state_make
 
 import helpers

@@ -17,8 +17,9 @@ from qbh.gf import (FIELD_SIZE_LIMIT, Field, _lane_pack, _lane_width, _lanes_vec
                     _vec_lanes, field_make)
 from qbh.lincode import code_make, dual, encode, iter_codewords
 from qbh.functional import FunctionalTable, f_eval, table_make, table_matrix
-from qbh.pauli import PauliElement, commutes, identity, mul, phase_modulus, phase_step, x_op, z_op
-from qbh.construct import StabilizerCode, build, stab_from_text, stab_to_text, verify_generators
+from qbh.pauli import PauliElement, identity, phase_modulus, phase_step, x_op, z_op
+from qbh.construct import (StabilizerCode, build, commutes, mul, stab_from_text, stab_to_text,
+                           verify_generators)
 from qbh import statevec as sv
 from qbh.slots import _moved, _Slots, _slots
 from qbh.statevec import (
@@ -28,8 +29,8 @@ from qbh.statevec import (
     big_phi,
     big_phi_from_matrix,
     fix_dim,
-    inner,
     is_fixed,
+    orthogonal,
     phi,
     stab_of_span,
     state_make,
@@ -37,7 +38,7 @@ from qbh.statevec import (
 
 import helpers
 import oracles
-from oracles import equal_sum_states, span_equal, tensor
+from oracles import equal_sum_states, inner, span_equal, tensor
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -626,12 +627,44 @@ def test_phi_rows_are_orthogonal():
                 assert got.is_zero
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_orthogonal_is_a_zero_inner_product(p, data):
+    # v and w share the first len(diffs) labels, where e_w - e_v runs
+    # through diffs, and each holds labels of its own.  Drawn balanced,
+    # the differences count alike along each class j + step Z mod M, so
+    # the pair is orthogonal; drawn at random, it mostly is not.
+    f = field_make(p, 1)
+    modulus, step, n = phase_modulus(f), phase_step(f), 4 if p == 2 else 2
+    labels = data.draw(st.permutations(list(itertools.product(range(p), repeat=n))), label="labels")
+    balanced = data.draw(st.booleans(), label="balanced")
+    if balanced:
+        counts = data.draw(st.lists(st.integers(0, 2), min_size=step, max_size=step).filter(any),
+                           label="class counts")
+        diffs = data.draw(st.permutations([j + i * step for j, t in enumerate(counts)
+                                           for i in range(p) for _ in range(t)]), label="diffs")
+    else:
+        diffs = data.draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=len(labels)),
+                          label="diffs")
+    exps = data.draw(st.lists(st.integers(0, modulus - 1), min_size=len(labels), max_size=len(labels)))
+    k = len(diffs)
+    own_w = data.draw(st.integers(k, len(labels)), label="end of w's own labels")
+    own_v = data.draw(st.integers(own_w, len(labels)), label="end of v's own labels")
+    v = state_make(f, n, {labels[i]: CycAmp.root(p, exps[i]) for i in [*range(k), *range(own_w, own_v)]})
+    w = state_make(f, n, {labels[i]: CycAmp.root(p, exps[i] + (diffs[i] if i < k else 0))
+                          for i in range(own_w)})
+    assert orthogonal(v, w) == orthogonal(w, v) == inner(v, w).is_zero
+    assert orthogonal(v, w) or not balanced
+
+
 def test_inner_rejects_states_of_different_spaces():
     ket = state_make(F2, 1, {(0,): ONE2})
-    with pytest.raises(DimensionMismatch):
-        inner(ket, state_make(F3, 1, {(0,): CycAmp.one(3)}))
-    with pytest.raises(DimensionMismatch):
-        inner(ket, state_make(F2, 2, {(0, 0): ONE2}))
+    for product in (inner, orthogonal):
+        with pytest.raises(DimensionMismatch):
+            product(ket, state_make(F3, 1, {(0,): CycAmp.one(3)}))
+        with pytest.raises(DimensionMismatch):
+            product(ket, state_make(F2, 2, {(0, 0): ONE2}))
     with pytest.raises(DimensionMismatch):  # span_equal reads states through inner
         span_equal([ket], [state_make(F2, 2, {(0, 0): ONE2})])
 
